@@ -14,6 +14,16 @@ truncation boundary redirect outgoing birth transitions to holding steps
 strongly regulated (any competition present) the truncation error vanishes
 quickly as ``max_count`` grows.
 
+The system ``(I − P) x = r`` is assembled in one vectorised pass over the
+``lv2`` :class:`~repro.scenario.spec.Scenario` tables: the propensities of
+every transient state come from ``propensity_rows`` and are summed in
+reaction order, each reaction's target is the state plus its row of
+``change_matrix``, and moves that leave the box fold into the diagonal as
+holding steps.  The sparse matrix is factorised once (SuperLU with its
+default COLAMD ordering), and that factorisation solves three right-hand
+sides: the win probability, the probability of the dead heat ``(0, 0)``, and
+the expected number of steps the truncation redirected.
+
 The exact solver serves three purposes in this repository:
 
 * it validates the Monte-Carlo estimator on small instances,
@@ -27,13 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import lil_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import spsolve
 
-from repro.exceptions import AbsorptionError
+from repro.exceptions import AbsorptionError, SimulationError
 from repro.lv.params import LVParams
-from repro.lv.simulator import LVJumpChainSimulator
 from repro.lv.state import LVState
+from repro.scenario.registry import build_scenario
 
 __all__ = ["FirstStepResult", "exact_majority_probability", "exact_win_probability_grid"]
 
@@ -48,23 +58,122 @@ class FirstStepResult:
         The initial configuration ``(a, b)``.
     win_probability:
         Exact probability that species 0 is the sole survivor (``ρ`` when
-        species 0 is the initial majority).
+        species 0 is the initial majority), with the dead heat scored as the
+        ``dead_heat_value`` the solve was given.
     max_count:
         Truncation bound used for the solve.
     truncation_mass:
-        Total transition probability that was redirected by the truncation
-        across all transient states — a diagnostic for whether *max_count*
-        was large enough (values near 0 mean the truncation is harmless).
+        Expected number of steps the truncation redirected to holding steps
+        on the way from the initial state to absorption — a diagnostic for
+        whether *max_count* was large enough (values near 0 mean the
+        truncation is harmless).
+    dead_heat_probability:
+        Exact probability that both species die out together (the state
+        ``(0, 0)``, reachable only under self-destructive competition).  The
+        strict win probability is ``win_probability − dead_heat_value ·
+        dead_heat_probability``.
     """
 
     initial_state: tuple[int, int]
     win_probability: float
     max_count: int
     truncation_mass: float
+    dead_heat_probability: float
 
 
-def _state_index(x0: int, x1: int, size: int) -> int:
-    return x0 * size + x1
+def _assemble(params: LVParams, max_count: int) -> tuple[csr_matrix, np.ndarray]:
+    """The first-step matrix ``I − P`` and each state's redirected probability.
+
+    State ``(a, b)`` has index ``a * (max_count + 1) + b``.  Absorbing states
+    (``a = 0`` or ``b = 0``) get identity rows and no redirected probability.
+    """
+    scenario = build_scenario("lv2", params)
+    size = max_count + 1
+    counts = np.arange(1, size)
+    a = np.repeat(counts, max_count)
+    b = np.tile(counts, max_count)
+    source = a * size + b
+    propensities = scenario.propensity_rows(np.column_stack((a, b)))
+    # Summed one reaction at a time, in the scalar chain's order, so the
+    # probabilities match it bit for bit.
+    total = propensities[0]
+    for row in propensities[1:]:
+        total = total + row
+    # A state without propensity would hold forever (``P(x, x) = 1``).
+    stuck = total <= 0.0
+    probabilities = propensities / np.where(stuck, 1.0, total)
+
+    redirected = np.zeros(a.size)
+    rows: list[np.ndarray] = []
+    columns: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    changes = scenario.change_matrix
+    # Reactions with the same change reach the same target; their
+    # probabilities add up in reaction order, as the scalar chain adds them.
+    for change in dict.fromkeys(map(tuple, changes.tolist())):
+        members = np.flatnonzero((changes == change).all(axis=1))
+        probability = probabilities[members[0]]
+        for member in members[1:]:
+            probability = probability + probabilities[member]
+        to_a, to_b = a + change[0], b + change[1]
+        moves = probability > 0.0
+        if np.any(moves & ((to_a < 0) | (to_b < 0))):
+            raise SimulationError(
+                f"a move by {change} with positive probability would produce negative counts"
+            )
+        outside = (to_a > max_count) | (to_b > max_count)
+        redirected = redirected + np.where(outside, probability, 0.0)
+        inside = moves & ~outside
+        rows.append(source[inside])
+        columns.append(to_a[inside] * size + to_b[inside])
+        values.append(-probability[inside])
+
+    diagonal = np.where(stuck, 0.0, 1.0 - redirected)
+    # A state that cannot leave itself would make the system singular.
+    singular = np.flatnonzero(np.abs(diagonal) < 1e-14)
+    if singular.size:
+        first = singular[0]
+        raise AbsorptionError(
+            f"state ({a[first]}, {b[first]}) has no outgoing probability after truncation; "
+            "increase max_count"
+        )
+    every_state = np.arange(size * size)
+    full_diagonal = np.ones(size * size)
+    full_diagonal[source] = diagonal
+    rows.append(every_state)
+    columns.append(every_state)
+    values.append(full_diagonal)
+    matrix = coo_matrix(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(columns))),
+        shape=(size * size, size * size),
+    ).tocsr()
+    mass = np.zeros(size * size)
+    mass[source] = redirected
+    return matrix, mass
+
+
+def _solve(
+    params: LVParams, max_count: int, dead_heat_value: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Win, dead-heat and redirected-step grids, each ``(max_count + 1)²``."""
+    if max_count < 1:
+        raise AbsorptionError(f"max_count must be at least 1, got {max_count}")
+    if not 0.0 <= dead_heat_value <= 1.0:
+        raise AbsorptionError(
+            f"dead_heat_value must lie in [0, 1], got {dead_heat_value}"
+        )
+    matrix, redirected = _assemble(params, max_count)
+    size = max_count + 1
+    rhs = np.zeros((size * size, 3))
+    # Absorbing: species 0 has won iff it is still present; the
+    # simultaneous-extinction state gets the configured value.
+    rhs[size::size, 0] = 1.0
+    rhs[0, 0] = dead_heat_value
+    rhs[0, 1] = 1.0
+    rhs[:, 2] = redirected
+    solution = spsolve(matrix, rhs)
+    win, dead_heat, redirections = solution.T.reshape(3, size, size)
+    return np.clip(win, 0.0, 1.0), np.clip(dead_heat, 0.0, 1.0), np.maximum(redirections, 0.0)
 
 
 def exact_win_probability_grid(
@@ -91,59 +200,8 @@ def exact_win_probability_grid(
         probability mass ends in ``(0, 0)``.  Non-self-destructive systems
         never reach ``(0, 0)``, so the choice is irrelevant there.
     """
-    if max_count < 1:
-        raise AbsorptionError(f"max_count must be at least 1, got {max_count}")
-    if not 0.0 <= dead_heat_value <= 1.0:
-        raise AbsorptionError(
-            f"dead_heat_value must lie in [0, 1], got {dead_heat_value}"
-        )
-    size = max_count + 1
-    simulator = LVJumpChainSimulator(params)
-    num_states = size * size
-
-    matrix = lil_matrix((num_states, num_states))
-    rhs = np.zeros(num_states)
-    truncation_mass = 0.0
-
-    for a in range(size):
-        for b in range(size):
-            index = _state_index(a, b, size)
-            if b == 0:
-                # Absorbing: species 0 has won iff it is still present; the
-                # simultaneous-extinction state gets the configured value.
-                matrix[index, index] = 1.0
-                rhs[index] = 1.0 if a > 0 else dead_heat_value
-                continue
-            if a == 0:
-                matrix[index, index] = 1.0
-                rhs[index] = 0.0
-                continue
-            distribution = simulator.transition_distribution(LVState(a, b))
-            matrix[index, index] = 1.0
-            redirected = 0.0
-            for (na, nb), probability in distribution.items():
-                if na > max_count or nb > max_count:
-                    # Reflecting truncation: treat as a holding step.
-                    redirected += probability
-                    continue
-                target = _state_index(na, nb, size)
-                matrix[index, target] -= probability
-            if redirected > 0.0:
-                matrix[index, index] -= redirected
-                truncation_mass += redirected
-            # Guard against states that became purely self-looping due to the
-            # truncation (would make the system singular).
-            if abs(matrix[index, index]) < 1e-14:
-                raise AbsorptionError(
-                    f"state ({a}, {b}) has no outgoing probability after truncation; "
-                    "increase max_count"
-                )
-
-    solution = spsolve(matrix.tocsr(), rhs)
-    grid = solution.reshape(size, size)
-    grid = np.clip(grid, 0.0, 1.0)
-    # Stash the truncation diagnostic on the array for callers that want it.
-    return grid
+    win, _, _ = _solve(params, max_count, dead_heat_value)
+    return win
 
 
 def exact_majority_probability(
@@ -179,22 +237,12 @@ def exact_majority_probability(
         raise AbsorptionError(
             f"initial state {initial_state} exceeds the truncation bound {max_count}"
         )
-    size = max_count + 1
-    simulator = LVJumpChainSimulator(params)
-
-    # Re-run the grid construction tracking truncation mass for the report.
-    grid = exact_win_probability_grid(params, max_count, dead_heat_value=dead_heat_value)
-    truncation_mass = 0.0
-    for a in range(1, size):
-        for b in range(1, size):
-            distribution = simulator.transition_distribution(LVState(a, b))
-            for (na, nb), probability in distribution.items():
-                if na > max_count or nb > max_count:
-                    truncation_mass += probability
-
+    win, dead_heat, redirections = _solve(params, max_count, dead_heat_value)
+    a, b = initial_state.x0, initial_state.x1
     return FirstStepResult(
-        initial_state=(initial_state.x0, initial_state.x1),
-        win_probability=float(grid[initial_state.x0, initial_state.x1]),
+        initial_state=(a, b),
+        win_probability=float(win[a, b]),
         max_count=int(max_count),
-        truncation_mass=float(truncation_mass),
+        truncation_mass=float(redirections[a, b]),
+        dead_heat_probability=float(dead_heat[a, b]),
     )

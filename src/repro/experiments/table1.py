@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import math
 
+from scipy import stats
+
 from repro.analysis.scaling import select_scaling_law
 from repro.baselines.andaur_resource import AndaurResourceModel
 from repro.baselines.cho_growth import ChoGrowthModel
@@ -61,6 +63,10 @@ __all__ = [
 _BETA = 1.0
 _DELTA = 1.0
 _ALPHA = 1.0
+
+#: Chance that T1R2's shape check fails on some row although every
+#: simulated count follows the exact strict value.
+_T1R2_FAMILY_ALPHA = 0.01
 
 _POLYLOG_LAWS = {"sqrt(log n)", "log n", "log^2 n"}
 _POLYNOMIAL_LAWS = {"sqrt(n)", "sqrt(n log n)", "sqrt(n) log n", "n"}
@@ -224,33 +230,47 @@ def run_t1r2(scale: str = "quick", seed: int = 0) -> ExperimentResult:
             for label, params, a, b in grid
         ]
     )
+    # Two-sided z-test per row at a family-wise false-alarm rate of
+    # _T1R2_FAMILY_ALPHA, Bonferroni-split over the rows (|z| <= 3.14 for 6).
+    z_critical = float(stats.norm.isf(_T1R2_FAMILY_ALPHA / (2 * len(grid))))
     rows = []
     all_consistent = True
+    largest_z = 0.0
     for (label, params, a, b), simulated in zip(grid, simulations):
         expected = proportional_win_probability((a, b))
         exact = exact_majority_probability(
             params, (a, b), max_count=3 * (a + b), dead_heat_value=0.5
-        ).win_probability
-        consistent = (
-            abs(exact - expected) < 5e-3
-            and simulated.success.lower - 0.02 <= expected <= simulated.success.upper + 0.02
         )
+        # The simulation scores a dead heat as a failure, so a correct
+        # simulator's success count is Binomial(trials, strict).
+        strict = exact.win_probability - 0.5 * exact.dead_heat_probability
+        trials = simulated.success.trials
+        z = (simulated.success.successes - trials * strict) / math.sqrt(
+            trials * strict * (1.0 - strict)
+        )
+        largest_z = max(largest_z, abs(z))
+        consistent = abs(exact.win_probability - expected) < 5e-3 and abs(z) <= z_critical
         all_consistent = all_consistent and consistent
         rows.append(
             {
                 "mechanism": label,
                 "(a, b)": f"({a}, {b})",
                 "a/(a+b)": round(expected, 4),
-                "exact rho": round(exact, 4),
+                "exact rho": round(exact.win_probability, 4),
+                "exact strict rho": round(strict, 4),
                 "simulated rho": round(simulated.majority_probability, 4),
                 "CI low": round(simulated.success.lower, 4),
                 "CI high": round(simulated.success.upper, 4),
+                "z": round(z, 2),
                 "consistent": consistent,
             }
         )
     findings = [
-        "the exact first-step solution equals a/(a+b) (dead heats scored as 1/2), and the "
-        "Monte-Carlo estimates bracket it",
+        "the exact first-step solution equals a/(a+b) (dead heats scored as 1/2)",
+        "the simulated success counts (dead heats are failures) are z-tested against the "
+        "exact strict value rho - P(dead heat)/2 at a "
+        f"{_T1R2_FAMILY_ALPHA:.0%} family-wise false-alarm rate, Bonferroni over "
+        f"{len(rows)} rows (|z| <= {z_critical:.2f}); largest |z| = {largest_z:.2f}",
         "hence no gap smaller than n - 1 can guarantee success probability 1 - 1/n: the "
         "threshold is at least n - 1",
     ]
