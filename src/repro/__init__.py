@@ -2,11 +2,12 @@
 
 The :mod:`repro` package implements the discrete, stochastic two-species
 Lotka–Volterra models of Függer, Nowak and Rybicki (PODC 2024) together with
-the machinery needed to reproduce the paper's results: general chemical
-reaction networks and Gillespie-style simulators, single-species birth–death
-and dominating chains, Monte-Carlo and exact majority-consensus analysis,
-baseline protocols from prior work, and the experiment harness regenerating
-every row of the paper's Table 1.
+the machinery needed to reproduce the paper's results: fast exact and
+tau-leaping simulators for the two-species jump chain and its k-species
+scenario generalisation, single-species birth–death and dominating chains,
+Monte-Carlo and exact majority-consensus analysis, baseline protocols from
+prior work, and the experiment harness regenerating every row of the paper's
+Table 1.
 
 Quickstart
 ----------
@@ -24,7 +25,6 @@ from repro._version import __version__
 from repro.exceptions import (
     ReproError,
     ModelError,
-    InvalidReactionError,
     InvalidConfigurationError,
     SimulationError,
     BudgetExceededError,
@@ -35,26 +35,6 @@ from repro.exceptions import (
     StoreError,
 )
 from repro.rng import as_generator, spawn_generators, spawn_seeds, stable_seed
-from repro.crn import (
-    Species,
-    Reaction,
-    ReactionNetwork,
-    CompiledNetwork,
-    build_lv_network,
-    build_birth_death_network,
-)
-from repro.kinetics import (
-    DirectMethodSimulator,
-    NextReactionSimulator,
-    JumpChainSimulator,
-    TauLeapingSimulator,
-    Trajectory,
-    EnsembleResult,
-    ConsensusReached,
-    ExtinctionReached,
-    MaxEvents,
-    EventKind,
-)
 from repro.chains import (
     BirthDeathChain,
     certify_nice,
@@ -69,7 +49,6 @@ from repro.lv import (
     CompetitionMechanism,
     LVParams,
     LVState,
-    LVModel,
     LVJumpChainSimulator,
     LVEnsembleSimulator,
     DeterministicLV,
@@ -95,7 +74,6 @@ __all__ = [
     # Exceptions
     "ReproError",
     "ModelError",
-    "InvalidReactionError",
     "InvalidConfigurationError",
     "SimulationError",
     "BudgetExceededError",
@@ -109,24 +87,6 @@ __all__ = [
     "spawn_generators",
     "spawn_seeds",
     "stable_seed",
-    # CRN
-    "Species",
-    "Reaction",
-    "ReactionNetwork",
-    "CompiledNetwork",
-    "build_lv_network",
-    "build_birth_death_network",
-    # Kinetics
-    "DirectMethodSimulator",
-    "NextReactionSimulator",
-    "JumpChainSimulator",
-    "TauLeapingSimulator",
-    "Trajectory",
-    "EnsembleResult",
-    "ConsensusReached",
-    "ExtinctionReached",
-    "MaxEvents",
-    "EventKind",
     # Chains
     "BirthDeathChain",
     "certify_nice",
@@ -140,7 +100,6 @@ __all__ = [
     "CompetitionMechanism",
     "LVParams",
     "LVState",
-    "LVModel",
     "LVJumpChainSimulator",
     "LVEnsembleSimulator",
     "DeterministicLV",

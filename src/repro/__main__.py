@@ -711,13 +711,17 @@ def _command_run(
     _validate_shard_arguments(parser, arguments)
     precision = _precision_from_arguments(parser, arguments)
     fault_tolerance = _fault_tolerance_from_arguments(parser, arguments)
-    if arguments.all:
-        identifiers = [spec.identifier for spec in list_experiments()]
-    else:
-        identifiers = arguments.identifiers
+    known = [spec.identifier for spec in list_experiments()]
+    identifiers = known if arguments.all else arguments.identifiers
     if not identifiers:
         print("no experiments selected; pass ids or --all (see 'python -m repro list')")
         return 2
+    unknown = [identifier for identifier in identifiers if identifier not in known]
+    if unknown:
+        parser.error(
+            f"unknown experiment id(s): {', '.join(unknown)}; "
+            f"known ids: {', '.join(known)}"
+        )
     sharded = arguments.shard_index is not None
     driving = arguments.shards is not None and arguments.shards > 1 and not sharded
     shard_history = _shard_history_from_arguments(parser, arguments)

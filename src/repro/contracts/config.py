@@ -76,9 +76,7 @@ class ContractsConfig:
     engine_paths: tuple[str, ...] = (
         "src/repro/lv",
         "src/repro/scenario",
-        "src/repro/kinetics",
         "src/repro/store",
-        "src/repro/crn",
     )
     #: Files allowed to construct Generators/SeedSequences directly (the
     #: single home of seeding policy).

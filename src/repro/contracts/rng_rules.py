@@ -1,13 +1,12 @@
 """RC1xx — RNG-discipline rules.
 
-Engine code (``lv/``, ``scenario/``, ``kinetics/``, ``store/``, ``crn/``)
-must be deterministic given its seeds: no hidden-global-state RNG
-(:data:`~repro.contracts.rules.RC101`), no wall-clock or OS entropy
-(:data:`~repro.contracts.rules.RC102`), Generator construction only inside
-:mod:`repro.rng` (:data:`~repro.contracts.rules.RC103`), and every function
-touching a member's step/tail stream declared in the consumption-order
-registry (:data:`~repro.contracts.rules.RC104` /
-:data:`~repro.contracts.rules.RC105`).
+Engine code (``lv/``, ``scenario/``, ``store/``) must be deterministic given
+its seeds: no hidden-global-state RNG (:data:`~repro.contracts.rules.RC101`),
+no wall-clock or OS entropy (:data:`~repro.contracts.rules.RC102`),
+Generator construction only inside :mod:`repro.rng`
+(:data:`~repro.contracts.rules.RC103`), and every function touching a
+member's step/tail stream declared in the consumption-order registry
+(:data:`~repro.contracts.rules.RC104` / :data:`~repro.contracts.rules.RC105`).
 """
 
 from __future__ import annotations

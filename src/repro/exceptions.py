@@ -11,7 +11,6 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "ModelError",
-    "InvalidReactionError",
     "InvalidConfigurationError",
     "SimulationError",
     "BudgetExceededError",
@@ -34,10 +33,6 @@ class ModelError(ReproError):
     """A model definition is inconsistent (negative rates, bad species, ...)."""
 
 
-class InvalidReactionError(ModelError):
-    """A reaction definition is malformed (bad stoichiometry, negative rate)."""
-
-
 class InvalidConfigurationError(ModelError):
     """A population configuration is invalid (negative counts, wrong shape)."""
 
@@ -47,15 +42,7 @@ class SimulationError(ReproError):
 
 
 class BudgetExceededError(SimulationError):
-    """A simulation exceeded its event or time budget before terminating.
-
-    The partially completed trajectory is attached as the ``trajectory``
-    attribute when available so that callers can inspect how far the run got.
-    """
-
-    def __init__(self, message: str, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
+    """A simulation exceeded its event or time budget before terminating."""
 
 
 class AbsorptionError(ReproError):

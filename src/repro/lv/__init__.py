@@ -7,8 +7,6 @@ Section 1.3 and the deterministic ODE of Section 2.1:
   (β, δ, α₀, α₁, γ₀, γ₁) plus the competition mechanism,
 * :class:`~repro.lv.state.LVState` — a two-species configuration with gap,
   majority, and consensus helpers,
-* :class:`~repro.lv.models.LVModel` — compiles parameters to a
-  :class:`~repro.crn.network.ReactionNetwork` for the generic simulators,
 * :class:`~repro.lv.simulator.LVJumpChainSimulator` — a fast, specialised
   jump-chain simulator for the two-species system with per-event
   classification and gap/noise accounting,
@@ -29,7 +27,6 @@ Section 1.3 and the deterministic ODE of Section 2.1:
 
 from repro.lv.params import CompetitionMechanism, LVParams
 from repro.lv.state import LVState
-from repro.lv.models import LVModel
 from repro.lv.simulator import LVJumpChainSimulator, LVRunResult, StepRecord
 from repro.lv.ensemble import LVEnsembleSimulator, LVEnsembleResult
 from repro.lv.native import (
@@ -71,7 +68,6 @@ __all__ = [
     "CompetitionMechanism",
     "LVParams",
     "LVState",
-    "LVModel",
     "LVJumpChainSimulator",
     "LVRunResult",
     "StepRecord",

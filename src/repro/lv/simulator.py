@@ -1,10 +1,9 @@
 """Fast, specialised jump-chain simulator for two-species LV systems.
 
-The generic CRN simulators in :mod:`repro.kinetics` are convenient but pay a
-per-step cost for dictionaries and propensity vectors.  The experiments in the
-paper need millions of trajectories of the *same* two-species system, so this
-module implements the embedded jump chain directly on a pair of integer
-counts, with
+The experiments in the paper need millions of trajectories of the *same*
+two-species system, so this module implements the embedded jump chain
+directly on a pair of integer counts, with no per-step dictionaries or
+propensity vectors, and with
 
 * per-event classification (birth/death/interspecific/intraspecific and which
   species was involved),
@@ -15,8 +14,8 @@ counts, with
   the current minority or deaths of the current majority), which Theorem 13
   bounds by ``O(log n)`` in expectation.
 
-Statistical agreement with the generic simulators is covered by integration
-tests; the experiments use this class exclusively.
+Its one-step distribution is checked against an independent dict-based
+reference in the test suite (``tests/reference_ssa.py``).
 """
 
 from __future__ import annotations

@@ -12,8 +12,6 @@ the modern :class:`numpy.random.Generator` API.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 __all__ = [
@@ -115,17 +113,3 @@ def stable_seed(*parts: int | str) -> int:
 
     digest = hashlib.sha256("\x1f".join(str(part) for part in parts).encode("utf-8"))
     return int.from_bytes(digest.digest()[:8], "big") >> 1
-
-
-def interleave_seeds(seeds: Sequence[int], labels: Iterable[str]) -> dict[str, int]:
-    """Pair *labels* with *seeds*, raising if the lengths disagree.
-
-    A small convenience for experiment runners that precompute a seed per
-    configuration label.
-    """
-    label_list = list(labels)
-    if len(label_list) != len(seeds):
-        raise ValueError(
-            f"got {len(seeds)} seeds for {len(label_list)} labels; lengths must match"
-        )
-    return dict(zip(label_list, seeds))

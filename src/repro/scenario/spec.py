@@ -79,8 +79,7 @@ class Scenario:
     reactants:
         Mass-action orders, one row per reaction: ``reactants[m][s]`` is how
         many copies of species ``s`` reaction ``m`` consumes for its
-        propensity (0, 1, or 2; at most total order 2 per reaction, the same
-        envelope :class:`repro.crn.CompiledNetwork` compiles).
+        propensity (0, 1, or 2; at most total order 2 per reaction).
     changes:
         Net state change per firing, one row per reaction.  Bounded below by
         ``-reactants`` so counts can never go negative under exact SSA.

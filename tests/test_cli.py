@@ -284,23 +284,24 @@ class TestCacheFlags:
 
         assert table(first) == table(second) == table(third)
 
-    def test_usage_error_never_acquires_the_store_lock(self, tmp_path):
-        """Flag validation runs before the store opens, so no lock can leak."""
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            (["T1R3", "--target-ci-width", "2.0"], "--target-ci-width must be in (0, 1)"),
+            (["NOPE"], "unknown experiment id(s): NOPE; known ids: FIG-BAD, "),
+        ],
+        ids=["bad-flag", "unknown-id"],
+    )
+    def test_usage_error_never_acquires_the_store_lock(self, tmp_path, capsys, arguments, message):
+        """Flag and id validation run before the store opens, so no lock can leak."""
         from repro.store import ExperimentStore
 
         cache = tmp_path / "cache"
         with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "run",
-                    "T1R3",
-                    "--cache-dir",
-                    str(cache),
-                    "--target-ci-width",
-                    "2.0",
-                ]
-            )
+            main(["run", *arguments, "--cache-dir", str(cache)])
         assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (cache / "lock").exists()
         ExperimentStore(cache).close()  # lock free: nothing leaked
 
     def test_store_detached_and_closed_after_main(self, tmp_path, capsys):

@@ -91,7 +91,7 @@ class TestRngDiscipline:
     def test_rc101_stdlib_random(self, tmp_path):
         result = lint_snippet(
             tmp_path,
-            "src/repro/kinetics/mod.py",
+            "src/repro/scenario/mod.py",
             """
             import random
 

@@ -1,4 +1,4 @@
-"""Tests for LV parameterisation, states, models and regime classification."""
+"""Tests for LV parameterisation, states and regime classification."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import InvalidConfigurationError, ModelError
-from repro.lv.models import LVModel
 from repro.lv.params import CompetitionMechanism, LVParams
 from repro.lv.regimes import Table1Row, classify_regime
 from repro.lv.state import LVState
@@ -127,21 +126,6 @@ class TestLVState:
         assert state.gap == x0 - x1
         assert state.minimum + state.maximum == state.total
         assert abs(state.gap) == state.maximum - state.minimum
-
-
-class TestLVModel:
-    def test_network_reaction_count(self, sd_params):
-        assert LVModel(sd_params).network.num_reactions == 6
-
-    def test_state_mapping_round_trip(self, sd_params):
-        model = LVModel(sd_params)
-        state = LVState(10, 4)
-        mapping = model.state_mapping(state)
-        assert model.state_from_mapping(mapping) == state
-
-    def test_describe_contains_reactions(self, nsd_params):
-        text = LVModel(nsd_params).describe()
-        assert "birth:X0" in text and "inter:X1" in text
 
 
 class TestRegimeClassification:

@@ -13,14 +13,16 @@ import repro
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 SUBPACKAGES = [
-    "repro.crn",
-    "repro.kinetics",
     "repro.chains",
     "repro.lv",
     "repro.consensus",
     "repro.baselines",
     "repro.analysis",
     "repro.experiments",
+    "repro.scenario",
+    "repro.store",
+    "repro.shard",
+    "repro.contracts",
 ]
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.rng import (
     as_generator,
-    interleave_seeds,
     spawn_generators,
     spawn_seeds,
     stable_seed,
@@ -126,13 +125,3 @@ class TestStableSeed:
 
     def test_fits_in_63_bits(self):
         assert 0 <= stable_seed("x", 1) < 2**63
-
-
-class TestInterleaveSeeds:
-    def test_pairs_labels_with_seeds(self):
-        mapping = interleave_seeds([1, 2], ["a", "b"])
-        assert mapping == {"a": 1, "b": 2}
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            interleave_seeds([1, 2], ["a"])

@@ -11,23 +11,31 @@ The contracts under test mirror the two-species lock-step engine's:
   perturbs trajectories;
 * **result semantics** — the generic ``LVEnsembleResult`` extensions
   (winners, majority consensus, concatenation, store round-trip, chunk-key
-  fingerprinting).
+  fingerprinting);
+* **independent reference** — every family's winner frequency agrees with
+  the dict-based direct method of ``reference_ssa``.
 """
 
 from __future__ import annotations
+
+import math
+import random
 
 import numpy as np
 import pytest
 
 from repro.exceptions import InvalidConfigurationError
 from repro.lv.ensemble import LVEnsembleResult, SweepMember, run_sweep_ensemble
-from repro.lv.params import LVParams
+from repro.lv.params import CompetitionMechanism, LVParams
 from repro.lv.state import LVState
 from repro.lv.tau import run_tau_sweep_ensemble
 from repro.scenario.engine import run_scenario_members, run_scenario_members_tau
+from repro.scenario.registry import CATALYSIS_K_LIG, SCENARIOS
 from repro.scenario.spec import TERM_ABSORBED, TERM_CONSENSUS, TERM_MAX_EVENTS
 from repro.store.keys import chunk_key
 from repro.store.serialize import ensemble_from_payload, ensemble_to_payload
+
+from reference_ssa import catalysis_reactions, direct_method, lv_reactions, opinion_reactions
 
 PARAMS = LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0)
 CAT_PARAMS = LVParams.self_destructive(beta=0.3, delta=0.3, alpha=0.05)
@@ -209,3 +217,69 @@ class TestResultSemantics:
         assert chunk_key(scenario=None, **two_species) == chunk_key(
             scenario="lv2", **two_species
         )
+
+
+class TestEnginesAgainstReference:
+    """Winner frequencies against the reference direct method.
+
+    Which opinion survives is a property of the embedded jump chain alone, so
+    the share of runs won by opinion 0 must agree between the engines (the
+    lock-step core for lv2, the generic engine for every other family) and
+    the continuous-time reference, which shares no code with either.
+    """
+
+    @pytest.mark.parametrize(
+        "name, counts",
+        [
+            ("lv2", (7, 5)),
+            ("opinion3", (6, 4, 3)),
+            ("opinion4", (5, 4, 3, 2)),
+            ("catalysis", (6, 5, 30)),
+        ],
+        ids=["lv2", "opinion3", "opinion4", "catalysis"],
+    )
+    @pytest.mark.parametrize(
+        "mechanism", list(CompetitionMechanism), ids=lambda mechanism: mechanism.short_name
+    )
+    def test_opinion_zero_win_frequency_matches_reference(self, name, counts, mechanism):
+        params = LVParams(
+            beta=0.3,
+            delta=0.3,
+            alpha0=0.5,
+            alpha1=0.7,
+            gamma0=0.2,
+            gamma1=0.4,
+            mechanism=mechanism,
+        )
+        engine_runs, reference_runs = 2000, 1000
+        member = SweepMember(params, counts, engine_runs, scenario=name)
+        if name == "lv2":
+            (result,) = run_sweep_ensemble([member], rng=11)
+        else:
+            (result,) = run_scenario_members([member], [11])
+        engine_wins = int((result.winners == 0).sum())
+
+        if name == "lv2":
+            reactions = lv_reactions(params)
+        elif name == "catalysis":
+            reactions = catalysis_reactions(params, CATALYSIS_K_LIG)
+        else:
+            reactions = opinion_reactions(len(counts), params)
+        species = SCENARIOS[name].species
+        opinions = [s for s in species if s != "C"]
+        rng = random.Random(12)
+        reference_wins = 0
+        for _ in range(reference_runs):
+            final, _ = direct_method(
+                reactions,
+                dict(zip(species, counts)),
+                rng,
+                stop=lambda c: sum(c[s] > 0 for s in opinions) <= 1,
+            )
+            reference_wins += final[opinions[0]] > 0 and all(final[s] == 0 for s in opinions[1:])
+
+        pooled = (engine_wins + reference_wins) / (engine_runs + reference_runs)
+        spread = math.sqrt(pooled * (1.0 - pooled) * (1.0 / engine_runs + 1.0 / reference_runs))
+        z = (engine_wins / engine_runs - reference_wins / reference_runs) / spread
+        assert 0.05 < pooled < 0.95, "pick a start where the win share is not degenerate"
+        assert abs(z) <= 4.0, (engine_wins, reference_wins)

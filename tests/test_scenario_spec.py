@@ -2,10 +2,13 @@
 
 Covers the frozen :class:`Scenario` validation contract, fingerprint
 stability, the lv2 table derivation (which must reproduce the lock-step
-engine's historical literals bit for bit), the registry families, and seeded
+engine's historical literals bit for bit), the registry families (each
+family's tables, good flags and propensities against the reaction lists that
+``reference_ssa`` writes from the family definitions), and seeded
 property-based checks of the vectorized propensity tables against the naive
-per-reaction reference — and against :class:`repro.crn.CompiledNetwork` —
-for randomly generated k-species networks.
+per-reaction reference — and against the independent dict-based reference in
+``reference_ssa`` — for randomly generated k-species networks and for the
+catalysis family's affine rate law.
 """
 
 from __future__ import annotations
@@ -13,13 +16,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.crn.compiled import CompiledNetwork
-from repro.crn.network import ReactionNetwork
-from repro.crn.reaction import Reaction
-from repro.crn.species import Species
 from repro.exceptions import InvalidConfigurationError
 from repro.lv.ensemble import _DX0_TABLE, _DX1_TABLE, _GOOD_TABLE
-from repro.lv.params import LVParams
+from repro.lv.params import CompetitionMechanism, LVParams
 from repro.scenario.registry import (
     CATALYSIS_K_LIG,
     SCENARIOS,
@@ -35,6 +34,14 @@ from repro.scenario.spec import (
     lv2_change_tables,
     lv2_event_order,
     lv2_minority_good_table,
+)
+
+from reference_ssa import (
+    Reaction,
+    catalysis_reactions,
+    lv_reactions,
+    opinion_reactions,
+    propensity,
 )
 
 PARAMS = LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0)
@@ -117,6 +124,16 @@ class TestScenarioValidation:
         active = _toy_scenario(rate_linear=((0.0, 0.0), (0.0, 0.5)))
         assert not zero.has_override
         assert active.has_override
+
+    def test_wrong_state_shape_rejected(self):
+        with pytest.raises(InvalidConfigurationError, match="state of length 2"):
+            _toy_scenario().propensities([1, 2, 3])
+
+    def test_order_zero_reaction_fires_at_its_rate(self):
+        scenario = _toy_scenario(reactants=((0, 0), (1, 1)))
+        assert scenario.propensities([0, 0]).tolist() == [1.0, 0.0]
+        assert scenario.propensities([3, 4]).tolist() == [1.0, 6.0]
+        assert scenario.propensity_rows(np.array([[0, 0], [3, 4]]))[0].tolist() == [1.0, 1.0]
 
 
 class TestFingerprint:
@@ -236,6 +253,134 @@ class TestRegistry:
         assert high[4] - low[4] == pytest.approx(expected_boost)
         assert np.array_equal(low[:4], high[:4])
 
+    def test_affine_override_matches_scenario_tables(self):
+        # ``neutral`` splits the total competition rate, so each ordered
+        # inter reaction fires at alpha0 = alpha1 = 0.025.
+        params = LVParams.self_destructive(beta=0.3, delta=0.3, alpha=0.05)
+        reactions = catalysis_reactions(params, CATALYSIS_K_LIG)
+        scenario = build_scenario("catalysis", params)
+        rng = np.random.default_rng(42)
+        for x0, x1, c in rng.integers(0, 60, size=(20, 3)).tolist():
+            counts = {"X0": x0, "X1": x1, "C": c}
+            expected = [propensity(reaction, counts) for reaction in reactions]
+            # The k_unlig + k_lig * n_cat law, by hand.
+            assert expected[4:] == [
+                ((params.alpha0 + CATALYSIS_K_LIG * c) * x0) * x1,
+                ((params.alpha1 + CATALYSIS_K_LIG * c) * x0) * x1,
+            ]
+            assert scenario.propensities([x0, x1, c]).tolist() == expected
+
+
+def _family_reference(name: str, params: LVParams) -> list[Reaction]:
+    """A registered family's reactions, written from the definitions in ``reference_ssa``."""
+    if name == "lv2":
+        return lv_reactions(params)
+    if name == "catalysis":
+        return catalysis_reactions(params, CATALYSIS_K_LIG)
+    return opinion_reactions(int(name.removeprefix("opinion")), params)
+
+
+FAMILY_MECHANISMS = pytest.mark.parametrize(
+    "name, mechanism",
+    [(name, mechanism) for name in sorted(SCENARIOS) for mechanism in CompetitionMechanism],
+    ids=[
+        f"{name}-{mechanism.short_name}"
+        for name in sorted(SCENARIOS)
+        for mechanism in CompetitionMechanism
+    ],
+)
+
+
+def _asymmetric_params(mechanism: CompetitionMechanism) -> LVParams:
+    """Distinct rates everywhere, so a swapped or misrouted rate cannot go unseen."""
+    return LVParams(
+        beta=0.8,
+        delta=1.2,
+        alpha0=0.4,
+        alpha1=0.6,
+        gamma0=0.3,
+        gamma1=0.7,
+        mechanism=mechanism,
+    )
+
+
+class TestFamiliesAgainstReference:
+    """Every registered family's tables against the independent reaction lists."""
+
+    @FAMILY_MECHANISMS
+    def test_tables_match_reference(self, name, mechanism):
+        scenario = build_scenario(name, _asymmetric_params(mechanism))
+        reactions = _family_reference(name, _asymmetric_params(mechanism))
+        assert scenario.num_reactions == len(reactions)
+        for m, reaction in enumerate(reactions):
+            assert scenario.rates[m] == reaction.rate
+            assert scenario.reactants[m] == tuple(
+                reaction.reactants.get(s, 0) for s in scenario.species
+            )
+            assert scenario.changes[m] == tuple(
+                reaction.change.get(s, 0) for s in scenario.species
+            )
+            assert scenario.linear_matrix[m].tolist() == [
+                reaction.catalysts.get(s, 0.0) for s in scenario.species
+            ]
+
+    @FAMILY_MECHANISMS
+    def test_propensities_match_reference_bitwise(self, name, mechanism):
+        scenario = build_scenario(name, _asymmetric_params(mechanism))
+        reactions = _family_reference(name, _asymmetric_params(mechanism))
+        rng = np.random.default_rng(len(name))
+        states = np.vstack(
+            [
+                np.zeros((1, scenario.num_species), dtype=np.int64),
+                np.ones((1, scenario.num_species), dtype=np.int64),
+                np.full((1, scenario.num_species), 2, dtype=np.int64),
+                rng.integers(0, 50, size=(13, scenario.num_species)),
+            ]
+        )
+        rows = scenario.propensity_rows(states)
+        for w, state in enumerate(states.tolist()):
+            counts = dict(zip(scenario.species, state))
+            expected = [propensity(reaction, counts) for reaction in reactions]
+            assert scenario.propensities(state).tolist() == expected
+            assert rows[:, w].tolist() == expected
+
+    @FAMILY_MECHANISMS
+    def test_good_flags_follow_the_definition(self, name, mechanism):
+        # Good: an encounter between two opinions, or a reaction that removes
+        # a copy of an opinion other than the initial majority X0.
+        scenario = build_scenario(name, _asymmetric_params(mechanism))
+        reactions = _family_reference(name, _asymmetric_params(mechanism))
+        others = [scenario.species[i] for i in scenario.opinion_species if i != 0]
+        expected = tuple(
+            len(reaction.reactants) == 2
+            or any(reaction.change.get(s, 0) < 0 for s in others)
+            for reaction in reactions
+        )
+        assert scenario.good == expected
+
+    @FAMILY_MECHANISMS
+    def test_interspecific_mask_marks_encounters(self, name, mechanism):
+        scenario = build_scenario(name, _asymmetric_params(mechanism))
+        reactions = _family_reference(name, _asymmetric_params(mechanism))
+        expected = [len(reaction.reactants) == 2 for reaction in reactions]
+        assert scenario.interspecific.tolist() == expected
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_mechanisms_have_distinct_fingerprints(self, name):
+        sd = _asymmetric_params(CompetitionMechanism.SELF_DESTRUCTIVE)
+        nsd = _asymmetric_params(CompetitionMechanism.NON_SELF_DESTRUCTIVE)
+        assert scenario_fingerprint(name, sd) != scenario_fingerprint(name, nsd)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_zero_rate_intraspecific_reactions_omitted(self, k):
+        params = _asymmetric_params(CompetitionMechanism.SELF_DESTRUCTIVE).with_rates(
+            gamma0=0.0, gamma1=0.0
+        )
+        scenario = build_scenario(f"opinion{k}", params)
+        reactions = opinion_reactions(k, params)
+        assert scenario.num_reactions == len(reactions) == 2 * k + k * (k - 1)
+        assert not (scenario.reactant_matrix == 2).any()
+
 
 def _random_scenario(rng: np.random.Generator) -> Scenario:
     """A random valid k-species mass-action scenario (satellite property tests)."""
@@ -272,33 +417,20 @@ def _random_scenario(rng: np.random.Generator) -> Scenario:
     )
 
 
-def _network_from_scenario(scenario: Scenario) -> ReactionNetwork:
-    """Rebuild a scenario's mass-action part as a crn ReactionNetwork.
-
-    Reactant dicts are inserted in ascending species order, so the compiled
-    first/second gather order matches the spec's canonical operand order.
-    """
-    network = ReactionNetwork(name="random")
-    species = [network.add_species(Species(name)) for name in scenario.species]
-    for m in range(scenario.num_reactions):
-        reactants = {
-            species[s]: order
-            for s, order in enumerate(scenario.reactants[m])
-            if order > 0
-        }
-        products = {
-            species[s]: scenario.reactants[m][s] + scenario.changes[m][s]
-            for s in range(scenario.num_species)
-            if scenario.reactants[m][s] + scenario.changes[m][s] > 0
-        }
-        network.add_reaction(
-            Reaction(reactants, products, rate=scenario.rates[m], label=f"r{m}")
+def _reference_reactions(scenario: Scenario) -> list[Reaction]:
+    """A scenario's mass-action part as ``reference_ssa`` reactions."""
+    return [
+        Reaction(
+            rate,
+            {name: order for name, order in zip(scenario.species, orders) if order},
+            {name: change for name, change in zip(scenario.species, changes) if change},
         )
-    return network
+        for rate, orders, changes in zip(scenario.rates, scenario.reactants, scenario.changes)
+    ]
 
 
 class TestPropensityProperties:
-    """Seeded property tests: tables vs naive reference vs CompiledNetwork."""
+    """Seeded property tests: tables vs naive reference vs ``reference_ssa``."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_rows_match_naive_reference_bitwise(self, seed):
@@ -314,24 +446,67 @@ class TestPropensityProperties:
             )
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_matches_compiled_network(self, seed):
+    def test_matches_independent_reference(self, seed):
         rng = np.random.default_rng(seed + 1000)
         scenario = _random_scenario(rng)
-        compiled = CompiledNetwork(_network_from_scenario(scenario))
-        states = rng.integers(0, 40, size=(11, scenario.num_species))
-        batch = compiled.propensities_batch(states)
-        homogeneous = (scenario.reactant_matrix == 2).any(axis=1)
-        for w in range(states.shape[0]):
-            reference = scenario.propensities(states[w])
-            # Unary and heterogeneous-binary reactions share the exact
-            # operand order with the compiled path, so they must be bitwise
-            # equal; the homogeneous-pair factor is grouped differently
-            # (x*(x-1)*0.5 vs x*(x-1)/2 after the rate multiply), so those
-            # rows only agree to rounding.
-            assert np.array_equal(batch[w][~homogeneous], reference[~homogeneous])
-            np.testing.assert_allclose(
-                batch[w][homogeneous], reference[homogeneous], rtol=1e-12
+        reactions = _reference_reactions(scenario)
+        for state in rng.integers(0, 40, size=(11, scenario.num_species)).tolist():
+            counts = dict(zip(scenario.species, state))
+            # Same operand order, and scaling by 0.5 is exact, so every
+            # reaction (same-species pairs included) agrees bitwise.
+            expected = [propensity(reaction, counts) for reaction in reactions]
+            assert scenario.propensities(state).tolist() == expected
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_boundary_states_match_independent_reference(self, seed):
+        # Every state with counts in {0, 1, 2}: where unary and pair factors
+        # vanish or equal one, and where x(x-1)/2 first becomes non-zero.
+        rng = np.random.default_rng(seed + 3000)
+        scenario = _random_scenario(rng)
+        reactions = _reference_reactions(scenario)
+        grids = np.meshgrid(*[np.arange(3)] * scenario.num_species, indexing="ij")
+        states = np.stack([grid.ravel() for grid in grids], axis=1)
+        rows = scenario.propensity_rows(states)
+        for w, state in enumerate(states.tolist()):
+            expected = [
+                propensity(reaction, dict(zip(scenario.species, state)))
+                for reaction in reactions
+            ]
+            assert rows[:, w].tolist() == expected
+            counts = dict(zip(scenario.species, state))
+            for value, reaction in zip(expected, reactions):
+                if any(counts[s] < order for s, order in reaction.reactants.items()):
+                    assert value == 0.0, "a reaction without its reactants must not fire"
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_affine_override_matches_independent_reference(self, seed):
+        rng = np.random.default_rng(seed + 4000)
+        base = _random_scenario(rng)
+        linear = rng.uniform(0.0, 0.1, size=(base.num_reactions, base.num_species))
+        linear[rng.random(linear.shape) < 0.6] = 0.0
+        scenario = Scenario(
+            name="random-affine",
+            species=base.species,
+            rates=base.rates,
+            reactants=base.reactants,
+            changes=base.changes,
+            good=base.good,
+            opinion_species=base.opinion_species,
+            rate_linear=tuple(tuple(float(c) for c in row) for row in linear),
+        )
+        reactions = [
+            reaction._replace(
+                catalysts={s: float(c) for s, c in zip(scenario.species, row) if c}
             )
+            for reaction, row in zip(_reference_reactions(scenario), linear)
+        ]
+        states = rng.integers(0, 40, size=(11, scenario.num_species))
+        rows = scenario.propensity_rows(states)
+        for w, state in enumerate(states.tolist()):
+            counts = dict(zip(scenario.species, state))
+            expected = [propensity(reaction, counts) for reaction in reactions]
+            assert scenario.propensities(state).tolist() == expected
+            assert rows[:, w].tolist() == expected
 
     @pytest.mark.parametrize("seed", range(6))
     def test_affine_override_rows_match_reference(self, seed):
