@@ -10,17 +10,14 @@ For every registered experiment the runner records wall-clock seconds, the
 number of two-species jump events executed by the process-wide sweep
 scheduler (its ``events_executed`` counter), and the resulting events/second
 — so the performance trajectory of the sweep engine stays comparable across
-PRs as a single JSON artefact instead of a nightly eye-check.  Five
+PRs as a single JSON artefact instead of a nightly eye-check.  Four
 acceptance measurements are re-run and recorded alongside: the sweep-fusion
 speedup (fused `FIG-THRESH`-style threshold sweep versus the per-config
 scheduler path, see ``test_bench_sweep_engine.py``), the
 adaptive-precision events saving at equal CI width (see
 ``test_bench_adaptive_precision.py``), the tau-backend event-throughput
 ratio over the exact ensemble at n = 10^5 (see
-``test_bench_tau_backend.py``), the native-kernel speedup over the
-numpy lock-step engine (see ``test_bench_native_kernel.py``; recorded as a
-numpy-only measurement with ``available: false`` when numba is not
-installed), and the shard planner's cost imbalance on a heavy-tailed
+``test_bench_tau_backend.py``), and the shard planner's cost imbalance on a heavy-tailed
 T1R5-style grid versus naive round-robin (see
 ``test_bench_shard_planner.py``).  The planner measurement also exports its
 measured per-configuration event rates as ``shard_planner.history``, the
@@ -71,15 +68,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from test_bench_adaptive_precision import _run_adaptive, _run_fixed  # noqa: E402
 from test_bench_adaptive_precision import _grid as _adaptive_grid  # noqa: E402
 from test_bench_sweep_engine import _grid, _run_per_config, _run_sweep  # noqa: E402
-from test_bench_native_kernel import _run_engine  # noqa: E402
-from test_bench_native_kernel import _workload as _native_workload  # noqa: E402
-from test_bench_native_kernel import warm_up as _native_warm_up  # noqa: E402
 from test_bench_tau_backend import _run_exact, _run_tau  # noqa: E402
 from test_bench_tau_backend import _workload as _tau_workload  # noqa: E402
 from test_bench_tau_backend import warm_up as _tau_warm_up  # noqa: E402
 from test_bench_shard_planner import measure_shard_planner  # noqa: E402
-
-from repro.lv.native import NATIVE_AVAILABLE, NUMBA_VERSION  # noqa: E402
 
 #: Maximum tolerated relative regression versus the committed baseline.
 REGRESSION_TOLERANCE = 0.20
@@ -192,42 +184,6 @@ def measure_tau_backend():
     }
 
 
-def measure_native_kernel():
-    """The native-kernel acceptance measurement: numba vs numpy lock-step.
-
-    Runs the exact workload of ``test_bench_native_kernel.py`` (same grid,
-    seeds, replicate counts, warm-up) outside pytest, best of three per
-    engine.  Without numba the payload still records the numpy engine's
-    throughput on this workload — with ``available: false`` so the
-    baseline gate knows no speedup claim is being made — keeping the
-    artefact comparable across hosts with and without the native extra.
-    """
-    grid = _native_workload()
-    _native_warm_up(grid)
-    numpy_seconds = float("inf")
-    for _ in range(3):
-        started = time.perf_counter()
-        numpy_events, _ = _run_engine(grid, "numpy")
-        numpy_seconds = min(numpy_seconds, time.perf_counter() - started)
-    payload = {
-        "available": NATIVE_AVAILABLE,
-        "numba": NUMBA_VERSION,
-        "numpy_events_per_sec": round(numpy_events / numpy_seconds),
-    }
-    if NATIVE_AVAILABLE:
-        native_seconds = float("inf")
-        for _ in range(3):
-            started = time.perf_counter()
-            native_events, _ = _run_engine(grid, "numba")
-            native_seconds = min(native_seconds, time.perf_counter() - started)
-        native_throughput = native_events / native_seconds
-        payload["native_events_per_sec"] = round(native_throughput)
-        payload["speedup"] = round(
-            native_throughput / (numpy_events / numpy_seconds), 2
-        )
-    return payload
-
-
 def _timed(task) -> float:
     started = time.perf_counter()
     task()
@@ -313,20 +269,6 @@ def compare_with_baseline(
                 f"shard planner imbalance: {fresh_imbalance} vs baseline "
                 f"{base_planner['planned_imbalance']}"
             )
-    base_native = baseline.get("native_kernel")
-    fresh_native = payload.get("native_kernel", {})
-    # The speedup is only comparable when both runs actually compiled the
-    # kernel; a numpy-only run (no numba installed) makes no speedup claim.
-    if (
-        base_native
-        and base_native.get("available")
-        and fresh_native.get("available")
-        and fresh_native["speedup"] < base_native["speedup"] / limit
-    ):
-        failures.append(
-            f"native kernel speedup: {fresh_native['speedup']}x vs baseline "
-            f"{base_native['speedup']}x"
-        )
     return failures
 
 
@@ -380,18 +322,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{planner['grid_units']} heavy-tailed units over "
         f"{planner['shards']} shards"
     )
-    native = measure_native_kernel()
-    if native["available"]:
-        print(
-            f"[native-kernel] {native['native_events_per_sec']:,} vs "
-            f"{native['numpy_events_per_sec']:,} events/s  ->  "
-            f"{native['speedup']}x over the numpy lock-step engine"
-        )
-    else:
-        print(
-            f"[native-kernel] numba not installed; numpy lock-step at "
-            f"{native['numpy_events_per_sec']:,} events/s"
-        )
 
     payload = {
         "schema": 5,
@@ -404,7 +334,6 @@ def main(argv: list[str] | None = None) -> int:
         "sweep_vs_per_config": sweep,
         "adaptive_vs_fixed": adaptive,
         "tau_vs_exact": tau,
-        "native_kernel": native,
         "shard_planner": planner,
     }
     arguments.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

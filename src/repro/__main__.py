@@ -14,10 +14,8 @@ Three subcommands cover the common entry points without writing any Python:
     given configuration.
 
 ``python -m repro info``
-    Print the capability report: package and dependency versions, numba
-    availability, kernel cache status, and the resolved default engine —
-    so CI logs and bug reports show which inner-loop path actually ran
-    (``--version`` prints a one-line summary of the same).
+    Print the repro and numpy versions and the registered scenario families
+    (``--version`` prints the two versions on one line).
 
 ``run`` and ``estimate`` accept ``--jobs N`` to fan replicate batches out to
 ``N`` worker processes through the
@@ -38,13 +36,6 @@ approximate vectorized tau-leaping engine for very large populations), or
 ``auto`` (tau above a population threshold, exact below).  ``--tau-epsilon``
 tunes the leap accuracy.  Tau results are seed-deterministic but not
 bitwise-comparable to exact results; see DESIGN.md for the contract.
-
-``--engine {numpy,numba,auto}`` selects the exact engine's inner-loop
-implementation: ``auto`` (default — the numba-JIT native kernel when numba
-is importable, pure numpy otherwise), ``numpy``, or ``numba`` (errors out
-when numba is not installed).  The implementations are bitwise-identical,
-so the flag only changes throughput — cached results transfer freely
-between engines.
 
 ``--cache-dir DIR`` attaches the persistent result store
 (:mod:`repro.store`): every executed simulation chunk is journaled as it
@@ -80,9 +71,9 @@ replicate budgets.
 ``python -m repro lint``
     Run the determinism-contract linter (:mod:`repro.contracts`) over the
     configured source tree: RNG discipline, iteration-order determinism,
-    store-key purity, and the njit nopython subset, enforced statically
-    from the AST.  Exits 0 exactly when every finding is covered by a
-    justified ``# repro: noqa-RC###: <why>`` waiver; ``--format json``
+    and store-key purity, enforced statically from the AST.  Exits 0
+    exactly when every finding is covered by a justified
+    ``# repro: noqa-RC###: <why>`` waiver; ``--format json``
     emits the machine-readable report CI archives on failure.
 """
 
@@ -92,6 +83,8 @@ import argparse
 import os
 import sys
 from pathlib import Path
+
+import numpy
 
 from repro.analysis.statistics import PrecisionTarget
 from repro.experiments import (
@@ -107,9 +100,8 @@ from repro.experiments.scheduler import (
 )
 from repro.experiments.sweep import SweepTask
 from repro.experiments.workloads import state_with_gap
-from repro.exceptions import StoreError
+from repro.exceptions import ModelError, StoreError
 from repro.faults import inject_shard_fault
-from repro.lv.native import NativeEngineUnavailableError, capability_report, resolve_engine
 from repro.lv.params import LVParams
 from repro.shard import (
     DEFAULT_SLICE_FACTOR,
@@ -138,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--version",
         action="version",
         version=_version_line(),
-        help="print the version and a one-line capability summary",
+        help="print the repro and numpy versions",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -146,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser(
         "info",
-        help="print the capability report (numba availability, kernel cache, "
-        "resolved default engine) and the registered scenario families",
+        help="print the repro and numpy versions and the registered scenario "
+        "families",
     )
 
     run_parser = subparsers.add_parser("run", help="run experiments and print their tables")
@@ -275,33 +267,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _version_line() -> str:
-    """One-line version + capability summary (the ``--version`` output)."""
-    report = capability_report()
-    numba = f"numba {report['numba']}" if report["native_available"] else "no numba"
-    return (
-        f"repro {__version__} (numpy {report['numpy']}, {numba}, "
-        f"default engine: {report['default_engine']})"
-    )
+    """The ``--version`` output: the repro and numpy versions."""
+    return f"repro {__version__} (numpy {numpy.__version__})"
 
 
 def _command_info(
     _parser: argparse.ArgumentParser, _arguments: argparse.Namespace
 ) -> int:
-    report = capability_report()
     print(f"repro version:   {__version__}")
-    print(f"numpy version:   {report['numpy']}")
-    print(f"numba version:   {report['numba'] or 'not installed'}")
-    print(f"native kernels:  {'available' if report['native_available'] else 'unavailable'}")
-    print(f"kernel cache:    {report['kernel_cache']} ({report['kernel_cache_dir']})")
-    print(f"default engine:  {report['default_engine']}")
+    print(f"numpy version:   {numpy.__version__}")
     from repro.scenario.registry import list_families
 
     print("scenarios:")
     for family in list_families():
         print(
             f"  {family.name:<10} {family.num_species} species "
-            f"({', '.join(family.species)}); backends: "
-            f"{', '.join(family.backends)}; engines: {', '.join(family.engines)}"
+            f"({', '.join(family.species)}); backends: {', '.join(family.backends)}"
         )
     return 0
 
@@ -494,7 +475,6 @@ def _slice_command_builder(
         ("--sweep-batch", arguments.sweep_batch),
         ("--backend", arguments.backend),
         ("--tau-epsilon", arguments.tau_epsilon),
-        ("--engine", arguments.engine),
         ("--target-ci-width", arguments.target_ci_width),
         ("--max-replicates", arguments.max_replicates),
         ("--max-retries", arguments.max_retries),
@@ -617,15 +597,6 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
         help="tau-leaping accuracy: bounded relative propensity change per "
         "leap (default 0.03; smaller is more accurate and slower)",
     )
-    parser.add_argument(
-        "--engine",
-        choices=("numpy", "numba", "auto"),
-        default=None,
-        help="exact-engine inner loop: 'auto' (default; the numba-JIT native "
-        "kernel when numba is importable, numpy otherwise), 'numpy', or "
-        "'numba' (errors when numba is missing); results are "
-        "bitwise-identical either way",
-    )
 
 
 def _add_precision_arguments(parser: argparse.ArgumentParser) -> None:
@@ -697,11 +668,6 @@ def _validate_scheduler_arguments(
         parser.error(f"--sweep-batch must be at least 1, got {arguments.sweep_batch}")
     if arguments.tau_epsilon is not None and not 0.0 < arguments.tau_epsilon < 1.0:
         parser.error(f"--tau-epsilon must be in (0, 1), got {arguments.tau_epsilon}")
-    if arguments.engine is not None:
-        try:
-            resolve_engine(arguments.engine, strict=True)
-        except NativeEngineUnavailableError as error:
-            parser.error(str(error))
 
 
 def _command_run(
@@ -751,7 +717,6 @@ def _command_run(
         precision=precision,
         backend=arguments.backend,
         tau_epsilon=arguments.tau_epsilon,
-        engine=arguments.engine,
         store=store,
         fault_tolerance=fault_tolerance,
         shards=arguments.shards if sharded else 1,
@@ -798,12 +763,46 @@ def _command_run(
     return 0
 
 
+def _params_from_arguments(
+    parser: argparse.ArgumentParser, arguments: argparse.Namespace
+) -> LVParams:
+    """Validate the ``estimate`` configuration flags and build its model."""
+    if arguments.runs < 1:
+        parser.error(f"--runs must be at least 1, got {arguments.runs}")
+    if arguments.population < 1:
+        parser.error(f"--population must be at least 1, got {arguments.population}")
+    if not 0 <= arguments.gap <= arguments.population:
+        parser.error(
+            f"--gap must be in [0, --population] = [0, {arguments.population}], "
+            f"got {arguments.gap}"
+        )
+    for flag in ("beta", "delta", "alpha", "gamma"):
+        if getattr(arguments, flag) < 0:
+            parser.error(f"--{flag} must be non-negative, got {getattr(arguments, flag)}")
+    constructor = (
+        LVParams.self_destructive if arguments.mechanism == "sd" else LVParams.non_self_destructive
+    )
+    try:
+        return constructor(
+            beta=arguments.beta,
+            delta=arguments.delta,
+            alpha=arguments.alpha,
+            gamma=arguments.gamma,
+        )
+    except ModelError as error:
+        parser.error(str(error))
+    raise AssertionError("parser.error returns NoReturn")  # pragma: no cover
+
+
 def _command_estimate(
     parser: argparse.ArgumentParser, arguments: argparse.Namespace
 ) -> int:
     _validate_scheduler_arguments(parser, arguments)
     precision = _precision_from_arguments(parser, arguments)
     fault_tolerance = _fault_tolerance_from_arguments(parser, arguments)
+    params = _params_from_arguments(parser, arguments)
+    # Validate every flag before the store exists: a parser.error after
+    # acquiring the writer lock would leak it for the rest of the process.
     store = _store_from_arguments(parser, arguments)
     scheduler = configure_default_scheduler(
         jobs=arguments.jobs,
@@ -811,7 +810,6 @@ def _command_estimate(
         precision=precision,
         backend=arguments.backend,
         tau_epsilon=arguments.tau_epsilon,
-        engine=arguments.engine,
         store=store,
         fault_tolerance=fault_tolerance,
         # 'estimate' has no shard flags; reset them so repeated main() calls
@@ -819,15 +817,6 @@ def _command_estimate(
         shards=1,
         shard_index=0,
         shard_history=None,
-    )
-    constructor = (
-        LVParams.self_destructive if arguments.mechanism == "sd" else LVParams.non_self_destructive
-    )
-    params = constructor(
-        beta=arguments.beta,
-        delta=arguments.delta,
-        alpha=arguments.alpha,
-        gamma=arguments.gamma,
     )
     state = state_with_gap(arguments.population, arguments.gap)
     if precision is not None:

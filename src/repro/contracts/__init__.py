@@ -1,10 +1,10 @@
 """repro.contracts — the determinism-contract linter (``repro lint``).
 
 Every bitwise guarantee this reproduction makes — fused == solo, resume
-bit-for-bit, numpy == numba, engine-excluded store keys — rests on source
+bit-for-bit, execution-strategy-free store keys — rests on source
 invariants that used to be enforced only by runtime parity tests, *after*
 the nondeterminism existed.  This package makes those contracts checkable
-from source alone: an AST-based static-analysis pass with four rule classes
+from source alone: an AST-based static-analysis pass with three rule classes
 
 * **RNG discipline** (``RC101``–``RC105``): no global-state RNG, wall
   clock, or OS entropy in engine code; Generator construction only inside
@@ -15,11 +15,8 @@ from source alone: an AST-based static-analysis pass with four rule classes
   store/shard-planner modules.
 * **Store-key purity** (``RC301``–``RC302``): key constructors write
   exactly the whitelisted fields and never reference contract-excluded
-  knobs (``jobs``, ``sweep_batch``, ``compaction_fraction``, the resolved
-  ``engine``, shard placement).
-* **nopython-subset checking** (``RC401``–``RC402``): njit kernels (and
-  their interpreted twins) stay inside a vetted construct whitelist, with
-  ``cache=True`` and ``fastmath``/``parallel`` pinned off.
+  knobs (``jobs``, ``sweep_batch``, ``compaction_fraction``, the legacy
+  ``engine`` selector, shard placement).
 
 Violations can be waived per line with ``# repro: noqa-RC###: <why>``;
 the justification is mandatory (``RC901``) and stale waivers are flagged

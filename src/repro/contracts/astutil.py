@@ -30,9 +30,9 @@ FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
 class ModuleInfo:
     """One parsed source file as the rule checkers see it."""
 
-    #: Project-root-relative POSIX path (``src/repro/lv/native.py``).
+    #: Project-root-relative POSIX path (``src/repro/lv/ensemble.py``).
     relpath: str
-    #: Dotted import name (``repro.lv.native``), or the relpath when the
+    #: Dotted import name (``repro.lv.ensemble``), or the relpath when the
     #: file is outside a recognisable package layout.
     module_name: str
     source: str
@@ -50,8 +50,8 @@ class ModuleInfo:
 def module_name_for(relpath: str) -> str:
     """Dotted module name of a root-relative source path.
 
-    >>> module_name_for("src/repro/lv/native.py")
-    'repro.lv.native'
+    >>> module_name_for("src/repro/lv/ensemble.py")
+    'repro.lv.ensemble'
     >>> module_name_for("src/repro/store/__init__.py")
     'repro.store'
     """
@@ -103,8 +103,8 @@ def iter_functions(tree: ast.Module) -> Iterator[tuple[str, FunctionNode]]:
 
     Methods are qualified as ``Class.method``; functions nested inside
     another function as ``outer.inner``.  If/Try/With blocks are transparent
-    statement containers, so conditionally defined functions (numba
-    fallbacks and the like) still carry their contract obligations.
+    statement containers, so conditionally defined functions (optional
+    dependency fallbacks and the like) still carry their contract obligations.
     Traversal is source order.
     """
 

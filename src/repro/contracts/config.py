@@ -2,7 +2,7 @@
 
 The defaults below encode this repository's layout — which directories are
 *engine code* (RNG discipline applies), which modules are *order-critical*
-(iteration-order rules apply), where the key constructors and kernels live —
+(iteration-order rules apply), where the key constructors live —
 and a ``[tool.repro.contracts]`` block in ``pyproject.toml`` can override any
 of them, so the linter stays useful on forks that move things around.
 
@@ -87,20 +87,6 @@ class ContractsConfig:
     order_critical_paths: tuple[str, ...] = (
         "src/repro/store",
         "src/repro/shard",
-    )
-    #: Modules holding njit kernels and their interpreted twins; the
-    #: nopython-subset rules (RC401/RC402) apply here.
-    kernel_modules: tuple[str, ...] = (
-        "src/repro/lv/native.py",
-        "src/repro/scenario/native.py",
-    )
-    #: Kernel functions checked against the nopython subset even when no
-    #: njit application is detected statically (the numba-free fallback
-    #: branch binds them directly).
-    kernel_functions: tuple[str, ...] = (
-        "_lockstep_kernel_py",
-        "_scalar_kernel_py",
-        "_scenario_lockstep_py",
     )
     #: The module defining the store's key constructors.
     keys_modules: tuple[str, ...] = ("src/repro/store/keys.py",)

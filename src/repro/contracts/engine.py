@@ -2,7 +2,7 @@
 
 :func:`lint_paths` walks the requested targets (in sorted order — the
 linter eats its own dogfood), parses each source file once, fans it out to
-the four rule-class checkers, then resolves ``# repro: noqa-RC###`` waivers
+the three rule-class checkers, then resolves ``# repro: noqa-RC###`` waivers
 against the findings: a justified waiver suppresses its rules on its line
 (the finding stays in the report, marked ``waived``), an unjustified waiver
 is itself a finding (``RC901``), and a waiver that suppressed nothing is
@@ -20,7 +20,6 @@ from typing import Mapping, Sequence
 from repro.contracts.astutil import ModuleInfo, module_name_for
 from repro.contracts.config import ContractsConfig, find_project_root, load_config
 from repro.contracts.key_rules import check_keys
-from repro.contracts.nopython_rules import check_nopython
 from repro.contracts.order_rules import check_order
 from repro.contracts.registry import StreamConsumer
 from repro.contracts.rng_rules import check_rng
@@ -177,7 +176,6 @@ def lint_paths(
         findings = check_rng(module, config, registry)
         findings.extend(check_order(module, config))
         findings.extend(check_keys(module, config))
-        findings.extend(check_nopython(module, config))
         _apply_waivers(findings, module.waivers)
         findings.extend(_waiver_findings(module))
         result.findings.extend(findings)

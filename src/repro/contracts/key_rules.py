@@ -3,8 +3,8 @@
 The result store's keying contract (:mod:`repro.store.keys`) is an exact
 field list: chunk/run keys are built from the declared inputs and **never**
 from execution-strategy knobs (``jobs``, ``sweep_batch``,
-``compaction_fraction``, the resolved ``engine``, shard placement) that the
-sweep engine's bitwise contract makes irrelevant.  RC301 verifies every
+``compaction_fraction``, the legacy ``engine`` selector, shard placement)
+that the sweep engine's bitwise contract makes irrelevant.  RC301 verifies every
 payload field a key constructor writes is whitelisted; RC302 flags any
 reference to an excluded field inside a key constructor — both statically,
 so folding ``jobs`` into a chunk key fails lint in seconds instead of

@@ -1,7 +1,7 @@
 """The declared RNG consumption-order registry (rule RC104's ground truth).
 
 The sweep engine's bitwise contract — fused == solo, independent of
-``jobs`` / ``sweep_batch`` / packing / engine — holds because every draw
+``jobs`` / ``sweep_batch`` / packing — holds because every draw
 from a member's **step** and **tail** streams happens at a declared place in
 a declared order (see the consumption-order prose in
 :mod:`repro.lv.ensemble` and DESIGN.md).  This module is the machine-checked
@@ -47,32 +47,14 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
         StreamConsumer(
             "_MemberStreams.draw",
             "step",
-            "the only reader of the step stream on the numpy path: blocked "
-            "uniform draws, partition-invariant by Generator.random",
+            "the only reader of the step stream: blocked uniform draws, "
+            "partition-invariant by Generator.random",
         ),
         StreamConsumer(
             "_advance_lockstep",
             "tail",
             "hands the untouched tail generator to the scalar finisher "
             "when a member's active set goes thin",
-        ),
-        StreamConsumer(
-            "_advance_lockstep_native",
-            "both",
-            "per-member native driver dispatch: step stream for kernel "
-            "refills, tail stream for the scalar tail, members in order",
-        ),
-        StreamConsumer(
-            "_advance_member_native",
-            "both",
-            "draws whole step-stream blocks on kernel REFILL and forwards "
-            "the tail stream on the thin handoff",
-        ),
-        StreamConsumer(
-            "_finish_member_tail_native",
-            "tail",
-            "native scalar tail: one run per surviving replica in "
-            "ascending original-replica order",
         ),
         StreamConsumer(
             "_finish_member_tail",
@@ -117,22 +99,16 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
             "root seed and dispatches the per-member advance in member order",
         ),
         StreamConsumer(
-            "_advance_member_numpy",
-            "both",
-            "interpreted generic path: blocked step-stream uniforms, tail "
-            "stream handed to the scalar tail",
-        ),
-        StreamConsumer(
-            "_advance_member_native",
-            "both",
-            "native generic path: step-stream blocks on kernel REFILL, "
-            "tail stream on the thin handoff",
+            "_advance_member",
+            "step",
+            "generic lock-step phase: blocked step-stream uniforms, one per "
+            "alive replica in ascending replica order",
         ),
         StreamConsumer(
             "_finish_member_tail",
             "tail",
-            "generic scalar tail: one jump-chain run per surviving replica "
-            "in ascending original-replica order",
+            "generic scalar tail: surviving replicas in ascending replica "
+            "order, all drawing from one shared blocked tail stream",
         ),
         StreamConsumer(
             "_run_member_tau",

@@ -2,7 +2,7 @@
 
 Every rule has a stable identifier (``RC###``) that waivers, tests, CI
 gates, and the JSON reporter reference.  The hundreds digit groups rules
-into the four contract classes the reproduction depends on:
+into the three contract classes the reproduction depends on:
 
 * ``RC1xx`` — **RNG discipline**: engine code draws randomness only through
   :mod:`repro.rng` streams, and every function that consumes a member's
@@ -11,13 +11,12 @@ into the four contract classes the reproduction depends on:
   JSON-encoding order leaks into results or store bytes.
 * ``RC3xx`` — **store-key purity**: key constructors read exactly the
   whitelisted fields and never the contract-excluded ones.
-* ``RC4xx`` — **nopython-subset checking**: njit-wrapped kernels (and their
-  interpreted twins — the same function objects) stay inside a vetted
-  construct whitelist, so kernel/twin drift cannot be introduced silently.
 * ``RC9xx`` — waiver administration (not a contract class): waivers must
   carry a justification and must actually suppress something.
 
 Rule identifiers are append-only: a retired rule's number is never reused.
+The ``RC4xx`` class (nopython-subset checks of the native kernels) retired
+with the kernels themselves.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ RULE_CLASSES: dict[int, str] = {
     1: "rng-discipline",
     2: "iteration-order",
     3: "store-key-purity",
-    4: "nopython-subset",
     9: "waiver-administration",
 }
 
@@ -146,29 +144,10 @@ RC301 = _register(
 RC302 = _register(
     "RC302",
     "key constructor references a contract-excluded field",
-    "jobs / sweep_batch / compaction_fraction / the resolved engine are "
-    "bitwise-irrelevant by the sweep engine's contract and deliberately "
+    "jobs / sweep_batch / compaction_fraction / the legacy engine selector "
+    "are bitwise-irrelevant by the sweep engine's contract and deliberately "
     "excluded from keys; folding one in would forfeit cross-host cache "
     "hits and break journal replay equivalence.",
-)
-
-# ---------------------------------------------------------------------------
-# RC4xx — nopython-subset checking
-# ---------------------------------------------------------------------------
-RC401 = _register(
-    "RC401",
-    "kernel uses a construct outside the vetted nopython subset",
-    "The njit kernels double as their own interpreted twins; any construct "
-    "outside the vetted subset can compile to different semantics (or not "
-    "compile at all), silently breaking kernel/twin bitwise parity.",
-)
-RC402 = _register(
-    "RC402",
-    "njit wrapper options violate the parity contract",
-    "Kernels must be jitted with cache=True (workers load, never "
-    "recompile) and must never enable fastmath/parallel, which reorder "
-    "floating-point arithmetic and break bitwise identity with the "
-    "interpreted twin.",
 )
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ and resume all see the scenario fingerprints.
     majority-consensus shape should generalise — the initial plurality
     opinion wins with probability that increases with its initial lead and
     clearly exceeds the ``1/k`` neutral baseline.  The grid runs on the
-    exact backend; extra legs re-run one configuration per ``k`` on the
-    native engine (bitwise parity with numpy) and a large-population
-    configuration on the tau backend (leaping actually engages).
+    exact backend; an extra leg runs a large-population configuration on
+    the tau backend (leaping actually engages).
 
 ``SCEN-CAT``
     Two opinions plus an inert catalyst whose count enters the
@@ -32,7 +31,6 @@ from repro.experiments.config import ExperimentResult
 from repro.experiments.scheduler import get_default_scheduler
 from repro.experiments.sweep import SweepTask
 from repro.lv.ensemble import LVEnsembleResult
-from repro.lv.native import NATIVE_AVAILABLE
 from repro.lv.params import LVParams
 from repro.rng import stable_seed
 
@@ -48,9 +46,6 @@ _KOP_ALPHA = 1.0
 _CAT_BETA = 0.3
 _CAT_DELTA = 0.3
 _CAT_ALPHA = 0.05
-
-#: What the ``engine="numba"`` parity leg actually executed.
-_KERNEL_FLAVOUR = "native kernel" if NATIVE_AVAILABLE else "interpreted kernel twin"
 
 
 def _opinion_state(k: int, total: int, gap: int) -> tuple[int, ...]:
@@ -100,7 +95,6 @@ def run_scen_kop(scale: str = "quick", seed: int = 0) -> ExperimentResult:
             seed=stable_seed("scen-kop", k, gap, seed),
             max_events=max_events,
             backend="exact",
-            engine="numpy",
             scenario=f"opinion{k}",
         )
         for k, (total, gaps) in grids.items()
@@ -128,32 +122,6 @@ def run_scen_kop(scale: str = "quick", seed: int = 0) -> ExperimentResult:
         )
         win_rates[k].append(win_rate)
         consensus_ok = consensus_ok and consensus == 1.0
-
-    # Native-engine leg: the largest-gap configuration per k must be
-    # bitwise-identical to the numpy leg (same seeds, same chunk keys).
-    # Without numba the leg runs the kernel's interpreted twin, which the
-    # engine contract also requires to be bit-identical.
-    parity_ok = True
-    numpy_leg = [task for task in tasks if task.counts[0] - task.counts[1] >= 21]
-    native_leg = [
-        SweepTask(
-            params=task.params,
-            initial_state=task.counts,
-            num_runs=task.num_runs,
-            seed=task.seed,
-            max_events=task.max_events,
-            backend="exact",
-            engine="numba",
-            scenario=task.scenario,
-        )
-        for task in numpy_leg
-    ]
-    for numpy_task, native_result in zip(numpy_leg, scheduler.run_sweep(native_leg)):
-        numpy_result = results[tasks.index(numpy_task)]
-        parity_ok = parity_ok and bool(
-            np.array_equal(numpy_result.finals, native_result.finals)
-            and np.array_equal(numpy_result.total_events, native_result.total_events)
-        )
 
     # Tau leg: population large enough that leaping actually engages before
     # the exact-endgame handoff.
@@ -186,7 +154,7 @@ def run_scen_kop(scale: str = "quick", seed: int = 0) -> ExperimentResult:
     )
     beats_uniform = all(win_rates[k][-1] > 1.0 / k + 0.15 for k in grids)
     tau_ok = tau_consensus >= 0.95 and tau_win > 0.5 and leaped
-    shape = consensus_ok and monotone_ok and beats_uniform and parity_ok and tau_ok
+    shape = consensus_ok and monotone_ok and beats_uniform and tau_ok
 
     findings = [
         "every exact replica reached consensus: "
@@ -197,8 +165,6 @@ def run_scen_kop(scale: str = "quick", seed: int = 0) -> ExperimentResult:
             f"k={k}: {rates[0]:.3f} -> {rates[-1]:.3f} (1/k = {1.0 / k:.3f})"
             for k, rates in win_rates.items()
         ),
-        f"{_KERNEL_FLAVOUR} bitwise-matches numpy on the largest-gap configs: "
-        + ("yes" if parity_ok else "NO"),
         f"tau backend leaps ({'yes' if leaped else 'NO'}) and agrees on the "
         f"outcome (consensus {tau_consensus:.2f}, win rate {tau_win:.2f})",
     ]
@@ -242,7 +208,6 @@ def run_scen_cat(scale: str = "quick", seed: int = 0) -> ExperimentResult:
             seed=stable_seed("scen-cat", n_cat, seed),
             max_events=50_000,
             backend="exact",
-            engine="numpy",
             scenario="catalysis",
         )
         for n_cat in catalysts
@@ -265,26 +230,6 @@ def run_scen_cat(scale: str = "quick", seed: int = 0) -> ExperimentResult:
         )
         mean_events.append(events)
         consensus_ok = consensus_ok and consensus == 1.0
-
-    # Native-engine parity on the highest-catalyst configuration: the affine
-    # override must lower identically through both inner loops (interpreted
-    # kernel twin when numba is absent — same bit-identity contract).
-    native_task = SweepTask(
-        params=params,
-        initial_state=opinions + (catalysts[-1],),
-        num_runs=num_runs,
-        seed=stable_seed("scen-cat", catalysts[-1], seed),
-        max_events=50_000,
-        backend="exact",
-        engine="numba",
-        scenario="catalysis",
-    )
-    (native_result,) = scheduler.run_sweep([native_task])
-    numpy_result = results[-1]
-    parity_ok = bool(
-        np.array_equal(numpy_result.finals, native_result.finals)
-        and np.array_equal(numpy_result.total_events, native_result.total_events)
-    )
 
     # Tau leg at a population large enough to leap, with a heavy catalyst
     # load so the override slot matters inside the leap selection too.
@@ -317,7 +262,7 @@ def run_scen_cat(scale: str = "quick", seed: int = 0) -> ExperimentResult:
     )
     big_drop = mean_events[-1] < 0.7 * mean_events[0]
     tau_ok = tau_consensus >= 0.95 and tau_win > 0.5 and leaped
-    shape = consensus_ok and decreasing and big_drop and parity_ok and tau_ok
+    shape = consensus_ok and decreasing and big_drop and tau_ok
 
     findings = [
         f"mean events to consensus falls with catalyst count: "
@@ -325,8 +270,6 @@ def run_scen_cat(scale: str = "quick", seed: int = 0) -> ExperimentResult:
         f"({'monotone' if decreasing else 'NOT monotone'})",
         "every exact replica reached consensus: "
         f"{'yes' if consensus_ok else 'NO'}",
-        f"{_KERNEL_FLAVOUR} bitwise-matches numpy with the affine override active: "
-        + ("yes" if parity_ok else "NO"),
         f"tau backend leaps ({'yes' if leaped else 'NO'}) under the affine "
         f"rates (consensus {tau_consensus:.2f}, win rate {tau_win:.2f})",
     ]

@@ -45,7 +45,6 @@ import atexit
 import hashlib
 import os
 import time
-import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
@@ -93,7 +92,7 @@ from repro.lv.ensemble import (
     LVEnsembleResult,
     LVEnsembleSimulator,
 )
-from repro.lv.native import ENGINES, NativeEngineUnavailableError, resolve_engine
+from repro.lv.native import resolve_engine
 from repro.lv.params import LVParams
 from repro.lv.tau import (
     BACKENDS,
@@ -235,8 +234,6 @@ class RunHealth:
     timeouts: int = 0
     #: Worker pools killed and rebuilt (broken pool or hung task).
     pool_rebuilds: int = 0
-    #: Mid-run numba→numpy engine degradations (at most 1 per scheduler).
-    degradations: int = 0
     #: Chunk keys/labels that exhausted their retry budget.
     quarantined: list[str] = field(default_factory=list)
 
@@ -248,7 +245,6 @@ class RunHealth:
             + self.requeues
             + self.timeouts
             + self.pool_rebuilds
-            + self.degradations
             + len(self.quarantined)
         )
 
@@ -262,8 +258,6 @@ class RunHealth:
             parts.append(f"{self.timeouts} timeout(s)")
         if self.pool_rebuilds:
             parts.append(f"{self.pool_rebuilds} pool rebuild(s)")
-        if self.degradations:
-            parts.append(f"{self.degradations} engine degradation(s)")
         if self.quarantined:
             parts.append(f"{len(self.quarantined)} chunk(s) quarantined")
         return ", ".join(parts) if parts else "no faults"
@@ -379,7 +373,6 @@ def _execute_batch(
     compaction_fraction: float | None,
     backend: str = "exact",
     tau_epsilon: float = DEFAULT_TAU_EPSILON,
-    engine: str = "auto",
     attempt: int = 0,
 ) -> LVEnsembleResult:
     """Run one lock-step batch (module-level so process pools can pickle it).
@@ -387,23 +380,18 @@ def _execute_batch(
     Returning the :class:`LVEnsembleResult` arrays keeps both the in-process
     path and the pool IPC free of per-replicate Python objects.  *backend*
     (``"auto"`` resolved by the configuration's total population) selects
-    between the exact lock-step engine and the tau-leaping fast path;
-    *engine* selects the exact engine's inner-loop implementation (each
-    worker process resolves it independently — the JIT kernel is loaded
-    from numba's on-disk cache, not recompiled per worker).  *attempt* is
-    the retry counter forwarded to the deterministic fault-injection layer
-    (:mod:`repro.faults`, keyed on the batch seed); it never influences
-    results.
+    between the exact lock-step engine and the tau-leaping fast path.
+    *attempt* is the retry counter forwarded to the deterministic
+    fault-injection layer (:mod:`repro.faults`, keyed on the batch seed);
+    it never influences results.
     """
-    inject_execution_faults(seed, attempt, resolve_engine(engine))
+    inject_execution_faults(seed, attempt)
     if resolve_backend(backend, counts[0] + counts[1]) == "tau":
-        tau_simulator = LVTauEnsembleSimulator(params, epsilon=tau_epsilon, engine=engine)
+        tau_simulator = LVTauEnsembleSimulator(params, epsilon=tau_epsilon)
         return tau_simulator.run_ensemble(
             LVState(counts[0], counts[1]), num_runs, rng=seed, max_events=max_events
         )
-    simulator = LVEnsembleSimulator(
-        params, compaction_fraction=compaction_fraction, engine=engine
-    )
+    simulator = LVEnsembleSimulator(params, compaction_fraction=compaction_fraction)
     return simulator.run_ensemble(
         LVState(counts[0], counts[1]), num_runs, rng=seed, max_events=max_events
     )
@@ -463,17 +451,6 @@ class ReplicaScheduler:
     tau_epsilon:
         Accuracy parameter of the tau-leaping backend (bounded relative
         propensity change per leap); ignored by the exact engine.
-    engine:
-        Inner-loop implementation of the exact engine: ``"auto"`` (the
-        default — the numba-JIT native kernel when numba is importable,
-        pure numpy otherwise), ``"numpy"``, or ``"numba"``.  Requesting
-        ``"numba"`` without numba installed fails at construction with
-        :class:`~repro.lv.native.NativeEngineUnavailableError`.  The two
-        implementations are bitwise-identical by contract, so the selector
-        is purely a throughput knob — store chunk keys exclude it, exactly
-        like ``jobs`` and ``compaction_fraction``.  Individual
-        :class:`~repro.experiments.sweep.SweepTask` entries may override it
-        per task.
     pool:
         The :class:`WorkerPool` that owns the worker processes.  Each
         scheduler gets its own by default; pass a shared instance to let
@@ -488,8 +465,8 @@ class ReplicaScheduler:
         **replayed from the store instead of simulated** — making every
         entry point cache-first and every interrupted run resumable
         bitwise-identically (the chunk keys deliberately exclude ``jobs``,
-        ``sweep_batch``, ``compaction_fraction``, and ``engine``, which the
-        engine contract guarantees never change results).  ``None`` (the
+        ``sweep_batch``, and ``compaction_fraction``, which the engine
+        contract guarantees never change results).  ``None`` (the
         default) keeps the recompute-always behaviour with zero overhead.
 
     The scheduler is also a context manager: entering pre-warms the pool
@@ -514,7 +491,6 @@ class ReplicaScheduler:
     compaction_fraction: float | None = DEFAULT_COMPACTION_FRACTION
     backend: str = "exact"
     tau_epsilon: float = DEFAULT_TAU_EPSILON
-    engine: str = "auto"
     pool: WorkerPool = field(default_factory=WorkerPool, repr=False, compare=False)
     store: "ExperimentStore | None" = field(default=None, repr=False, compare=False)
     events_executed: int = field(default=0, init=False, repr=False, compare=False)
@@ -532,12 +508,6 @@ class ReplicaScheduler:
     #: :class:`RunHealth`); ``health.faults_handled == 0`` on a clean run.
     health: RunHealth = field(
         default_factory=RunHealth, init=False, repr=False, compare=False
-    )
-    #: Set when a mid-run numba failure degraded the exact engine's inner
-    #: loop to numpy for the rest of this scheduler's lifetime (results are
-    #: bitwise-identical by the engine contract, so degradation is safe).
-    _engine_degraded: bool = field(
-        default=False, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -566,18 +536,11 @@ class ReplicaScheduler:
             raise ExperimentError(
                 f"tau_epsilon must be in (0, 1), got {self.tau_epsilon}"
             )
-        if self.engine not in ENGINES:
-            raise ExperimentError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
-            )
         if not isinstance(self.fault_tolerance, FaultTolerance):
             raise ExperimentError(
                 "fault_tolerance must be a FaultTolerance instance, "
                 f"got {self.fault_tolerance!r}"
             )
-        # Fail fast at construction when "numba" is requested but absent,
-        # not deep inside a sweep (raises NativeEngineUnavailableError).
-        resolve_engine(self.engine, strict=True)
 
     # ------------------------------------------------------------------
     # Worker-pool lifecycle
@@ -617,36 +580,6 @@ class ReplicaScheduler:
     # ------------------------------------------------------------------
     # Fault-tolerant execution core
     # ------------------------------------------------------------------
-    def _effective_engine(self) -> str:
-        """The engine selector actually dispatched (numpy once degraded)."""
-        return "numpy" if self._engine_degraded else self.engine
-
-    def _degrade_engine(self, error: BaseException) -> bool:
-        """Fall back to the numpy inner loop after a mid-run numba failure.
-
-        Construction-time ``resolve_engine(strict=True)`` catches numba
-        being absent up front; this handles numba breaking *mid-run* (an
-        injected outage, a worker host without the JIT cache, an import
-        that stops working).  The numpy path is bitwise-identical by the
-        engine contract, so degradation changes throughput, never results.
-        Returns ``True`` when the failed unit should simply re-execute at
-        the same attempt number with the degraded engine; ``False`` when
-        degradation already happened (or cannot help), in which case the
-        error is an ordinary failure for the retry machinery.
-        """
-        if self._engine_degraded or self._effective_engine() == "numpy":
-            return False
-        self._engine_degraded = True
-        self.health.degradations += 1
-        warnings.warn(
-            f"native engine became unavailable mid-run ({error}); falling "
-            "back to the bitwise-identical numpy engine for the remainder "
-            "of this scheduler's lifetime",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return True
-
     def _fail_fast(
         self, error: BaseException, labels: tuple[str, ...], kind: str
     ) -> BaseException:
@@ -679,16 +612,15 @@ class ReplicaScheduler:
 
         The single execution engine behind :meth:`run_ensembles` and the
         sweep paths.  Each unit is a picklable argument tuple for the
-        module-level *fn*, **without** the trailing ``(engine, attempt)``
-        pair — both are appended at dispatch time, so an engine degradation
-        mid-run switches the remaining (and retried) units to the numpy
-        inner loop, and the fault-injection layer sees the true attempt
-        number.  *describe(index)* returns the unit's chunk keys/labels for
-        error reporting; *on_result(index, result)* is invoked exactly once
-        per successful unit, **the moment the unit completes** — metering
-        and journaling happen there, so an interrupt or a later poison
-        chunk never costs finished work, and abandoned attempts are never
-        metered (event meters equal a fault-free run's by construction).
+        module-level *fn*, **without** the trailing ``attempt`` argument —
+        it is appended at dispatch time, so the fault-injection layer sees
+        the true attempt number.  *describe(index)* returns the unit's chunk
+        keys/labels for error reporting; *on_result(index, result)* is
+        invoked exactly once per successful unit, **the moment the unit
+        completes** — metering and journaling happen there, so an interrupt
+        or a later poison chunk never costs finished work, and abandoned
+        attempts are never metered (event meters equal a fault-free run's
+        by construction).
 
         Fault policy (see :class:`FaultTolerance`): failures are retried
         with deterministic-jitter backoff up to ``max_retries`` times; a
@@ -772,7 +704,7 @@ class ReplicaScheduler:
         """Inline (jobs=1) arm of :meth:`_execute_faulted`.
 
         No watchdog applies — a single process cannot interrupt its own
-        execution — but retries, engine degradation, quarantine, and the
+        execution — but retries, quarantine, and the
         journal-on-completion ordering are identical to the pool arm.
         """
         failed: dict[int, BaseException] = {}
@@ -780,15 +712,7 @@ class ReplicaScheduler:
             attempt = 0
             while True:
                 try:
-                    result = fn(*unit, self._effective_engine(), attempt)
-                except NativeEngineUnavailableError as error:
-                    if self._degrade_engine(error):
-                        continue  # same attempt, degraded engine
-                    if not self._handle_failure(
-                        error, index, attempt, describe, failed
-                    ):
-                        break
-                    attempt += 1
+                    result = fn(*unit, attempt)
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception as error:
@@ -845,9 +769,7 @@ class ReplicaScheduler:
                     wait = not_before - now
                     next_ready = wait if next_ready is None else min(next_ready, wait)
                     continue
-                future = executor.submit(
-                    fn, *units[index], self._effective_engine(), attempt
-                )
+                future = executor.submit(fn, *units[index], attempt)
                 pending[future] = (index, attempt)
                 if policy.task_timeout is not None:
                     deadlines[future] = time.monotonic() + policy.task_timeout
@@ -920,10 +842,6 @@ class ReplicaScheduler:
                         ):
                             requeue(index, attempt + 1, backoff=True)
                         continue
-                    if isinstance(error, NativeEngineUnavailableError):
-                        if self._degrade_engine(error):
-                            requeue(index, attempt, backoff=False)
-                            continue
                     if isinstance(error, (KeyboardInterrupt, SystemExit)):
                         raise error
                     if self._handle_failure(error, index, attempt, describe, failed):
@@ -1794,8 +1712,7 @@ def configure_default_scheduler(
     adaptive waves (a :class:`~repro.analysis.statistics.PrecisionTarget`)
     and fixed budgets (``None``), ``backend`` / ``tau_epsilon`` to select
     the simulation backend (the CLI's ``--backend`` and ``--tau-epsilon``),
-    ``engine`` to select the exact engine's inner loop (the CLI's
-    ``--engine``), and ``store`` to attach (an
+    and ``store`` to attach (an
     :class:`~repro.store.ExperimentStore`, the CLI's ``--cache-dir``) or
     detach (``None``, ``--no-cache``) the persistent result store.
     ``fault_tolerance`` replaces the retry/timeout policy (the CLI's
@@ -1804,8 +1721,12 @@ def configure_default_scheduler(
     ``shard_history`` select shard-of-K execution (the CLI's ``--shards``
     and ``--shard-index``; see :class:`SweepScheduler`); ``None`` keeps
     the previous values — pass ``shards=1, shard_index=0`` to return to
-    unsharded execution.
+    unsharded execution.  ``engine`` is accepted for callers written
+    against the removed native engine: ``"auto"`` and ``"numpy"`` pass,
+    anything else raises, and the value is then discarded.
     """
+    if engine is not None:
+        resolve_engine(engine)
     global _default_scheduler
     previous = _default_scheduler
     _default_scheduler = SweepScheduler(
@@ -1815,7 +1736,6 @@ def configure_default_scheduler(
         precision=previous.precision if precision is _KEEP else precision,
         backend=previous.backend if backend is None else backend,
         tau_epsilon=previous.tau_epsilon if tau_epsilon is None else tau_epsilon,
-        engine=previous.engine if engine is None else engine,
         wave_quantum=previous.wave_quantum,
         pool=previous.pool,
         store=previous.store if store is _KEEP else store,

@@ -55,7 +55,6 @@ from repro.lv.ensemble import (
     SweepMember,
     run_sweep_ensemble,
 )
-from repro.lv.native import ENGINES, resolve_engine
 from repro.lv.params import LVParams
 from repro.lv.tau import (
     BACKENDS,
@@ -110,12 +109,6 @@ class SweepTask:
     #: pin ``"auto"`` so their 10^6-population configurations leap even when
     #: the process default is the exact engine).
     backend: str | None = None
-    #: Per-task engine override: ``None`` defers to the executing
-    #: scheduler's engine; ``"numpy"``, ``"numba"``, or ``"auto"`` pin this
-    #: task's inner-loop implementation.  Results are bitwise-identical
-    #: either way — the engine is purely an execution knob, which is why
-    #: store chunk keys exclude it.
-    engine: str | None = None
     #: Registered scenario family the task runs under
     #: (:mod:`repro.scenario.registry`).  The default ``"lv2"`` keeps the
     #: two-species lock-step core and an :class:`~repro.lv.state.LVState`
@@ -157,11 +150,6 @@ class SweepTask:
                 f"backend must be None or one of {BACKENDS}, got {self.backend!r} "
                 f"(task {self.label!r})"
             )
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ExperimentError(
-                f"engine must be None or one of {ENGINES}, got {self.engine!r} "
-                f"(task {self.label!r})"
-            )
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -183,8 +171,6 @@ class MemberSpec:
     max_events: int
     #: The owning task's backend override (``None`` = scheduler default).
     backend: str | None = None
-    #: The owning task's engine override (``None`` = scheduler default).
-    engine: str | None = None
     #: The owning task's scenario family (species count = ``len(counts)``).
     scenario: str = DEFAULT_SCENARIO
 
@@ -228,7 +214,6 @@ def plan_members(
                 seed=seed,
                 max_events=task.max_events,
                 backend=task.backend,
-                engine=task.engine,
                 scenario=task.scenario,
             )
             for size, seed in zip(sizes, seeds)
@@ -290,7 +275,6 @@ def execute_mega_batch(
     collect: str = "full",
     backend: str = "exact",
     tau_epsilon: float = DEFAULT_TAU_EPSILON,
-    engine: str = "auto",
     attempt: int = 0,
 ) -> list[LVEnsembleResult]:
     """Run one planned mega-batch and return its per-member results.
@@ -311,12 +295,6 @@ def execute_mega_batch(
     result depends only on its own seed and configuration, never on the
     batch composition.
 
-    *engine* selects the exact engine's inner-loop implementation
-    (:data:`repro.lv.native.ENGINES`); a spec's own ``engine`` field
-    overrides it.  Since the engines are bitwise-identical by contract,
-    the selection affects throughput only — members resolving to different
-    engines are simply fused into separate lock-step batches.
-
     *attempt* is the fault-tolerant scheduler's retry counter for this
     mega-batch (0 on first execution).  It does not influence any result —
     it is forwarded to the deterministic fault-injection layer
@@ -329,25 +307,20 @@ def execute_mega_batch(
     resolved = [
         resolve_backend(spec.backend or backend, sum(spec.counts)) for spec in specs
     ]
-    engines = [resolve_engine(spec.engine or engine) for spec in specs]
-    inject_execution_faults(
-        specs[0].seed, attempt, "numba" if "numba" in engines else "numpy"
-    )
+    inject_execution_faults(specs[0].seed, attempt)
     results: list[LVEnsembleResult | None] = [None] * len(specs)
-    # Partition by (backend, resolved engine) while preserving spec order
-    # within each group; per-member streams make the grouping invisible in
-    # the results.
-    groups: dict[tuple[str, str], list[int]] = {}
-    for i, (kind, spec_engine) in enumerate(zip(resolved, engines)):
-        groups.setdefault((kind, spec_engine), []).append(i)
-    for (kind, spec_engine), positions in groups.items():
+    # Partition by backend while preserving spec order within each group;
+    # per-member streams make the grouping invisible in the results.
+    groups: dict[str, list[int]] = {}
+    for i, kind in enumerate(resolved):
+        groups.setdefault(kind, []).append(i)
+    for kind, positions in groups.items():
         if kind == "exact":
             group_results = run_sweep_ensemble(
                 [specs[i].to_member() for i in positions],
                 member_seeds=[specs[i].seed for i in positions],
                 compaction_fraction=compaction_fraction,
                 collect=collect,
-                engine=spec_engine,
             )
         else:
             group_results = run_tau_sweep_ensemble(
@@ -355,7 +328,6 @@ def execute_mega_batch(
                 member_seeds=[specs[i].seed for i in positions],
                 epsilon=tau_epsilon,
                 collect=collect,
-                engine=spec_engine,
             )
         for i, result in zip(positions, group_results):
             results[i] = result
@@ -545,7 +517,6 @@ class AdaptiveTaskState:
                 seed=self._chunk_seed(rung),
                 max_events=task.max_events,
                 backend=task.backend,
-                engine=task.engine,
                 scenario=task.scenario,
             )
             for rung in range(self.chunks_done, goal)

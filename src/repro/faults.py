@@ -3,8 +3,8 @@
 The paper's subject is consensus that stays correct under disturbance; this
 module brings the same discipline to the harness that reproduces it.  A
 :class:`FaultPlan` describes *which* faults to inject (worker crashes, task
-hangs, simulated numba outages, torn journal appends, corrupted chunk
-payloads) and the execution/store layers carry the injection points, so the
+hangs, torn journal appends, corrupted chunk payloads, shard crashes) and
+the execution/store layers carry the injection points, so the
 fault-tolerance machinery in :mod:`repro.experiments.scheduler` and
 :mod:`repro.store` can be exercised — in unit tests and in CI chaos runs —
 without patching internals or relying on real crashes.
@@ -57,7 +57,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Iterator
 
 from repro.exceptions import ReproError, StoreError
-from repro.lv.native import NativeEngineUnavailableError
 
 __all__ = [
     "FAULT_KINDS",
@@ -75,7 +74,7 @@ __all__ = [
 ]
 
 #: Injectable fault kinds, in the order execution-side faults are evaluated.
-FAULT_KINDS = ("degrade", "crash", "hang", "torn_append", "corrupt_chunk", "shard_crash")
+FAULT_KINDS = ("crash", "hang", "torn_append", "corrupt_chunk", "shard_crash")
 
 
 class InjectedWorkerCrash(Exception):
@@ -159,7 +158,6 @@ class FaultPlan:
     seed: int = 0
     crash: FaultSpec = field(default_factory=FaultSpec)
     hang: FaultSpec = field(default_factory=FaultSpec)
-    degrade: FaultSpec = field(default_factory=FaultSpec)
     torn_append: FaultSpec = field(default_factory=FaultSpec)
     corrupt_chunk: FaultSpec = field(default_factory=FaultSpec)
     shard_crash: FaultSpec = field(default_factory=FaultSpec)
@@ -180,20 +178,11 @@ class FaultPlan:
             return False
         return self._uniform(kind, token) < spec.rate
 
-    def fire_execution(self, token: Any, attempt: int, engine: str) -> None:
+    def fire_execution(self, token: Any, attempt: int) -> None:
         """Raise/sleep per the plan at one chunk-execution injection point.
 
-        Evaluation order: ``degrade`` (only when the execution could have
-        used the native kernel, i.e. *engine* is not already ``"numpy"``),
-        then ``crash``, then ``hang``.  A degrade retry re-executes at the
-        same attempt number with ``engine="numpy"``, so the guard — not the
-        attempt count — is what stops it refiring.
+        Evaluation order: ``crash``, then ``hang``.
         """
-        if engine != "numpy" and self.should_fire("degrade", token, attempt):
-            raise NativeEngineUnavailableError(
-                f"injected numba outage (fault plan, token={token}): the native "
-                "kernel became unavailable mid-run"
-            )
         if self.should_fire("crash", token, attempt):
             if self.crash.fatal and multiprocessing.parent_process() is not None:
                 os._exit(3)  # genuine worker death -> BrokenProcessPool upstream
@@ -222,14 +211,7 @@ class FaultPlan:
     def to_json(self) -> str:
         """Compact JSON encoding accepted by :meth:`from_json`."""
         payload: dict[str, Any] = {"seed": self.seed}
-        for kind in (
-            "crash",
-            "hang",
-            "degrade",
-            "torn_append",
-            "corrupt_chunk",
-            "shard_crash",
-        ):
+        for kind in FAULT_KINDS:
             spec: FaultSpec = getattr(self, kind)
             if spec.rate > 0.0:
                 payload[kind] = {
@@ -248,15 +230,7 @@ class FaultPlan:
             raise ReproError(f"invalid fault plan JSON: {error}") from error
         if not isinstance(payload, dict):
             raise ReproError(f"fault plan must be a JSON object, got {type(payload).__name__}")
-        known = {
-            "seed",
-            "crash",
-            "hang",
-            "degrade",
-            "torn_append",
-            "corrupt_chunk",
-            "shard_crash",
-        }
+        known = {"seed", *FAULT_KINDS}
         unknown = set(payload) - known
         if unknown:
             raise ReproError(
@@ -323,11 +297,11 @@ def injected_faults(plan: FaultPlan) -> Iterator[FaultPlan]:
 # ----------------------------------------------------------------------
 # Injection points (called by the execution/store layers)
 # ----------------------------------------------------------------------
-def inject_execution_faults(token: Any, attempt: int, engine: str) -> None:
+def inject_execution_faults(token: Any, attempt: int) -> None:
     """Chunk-execution injection point (no-op without an active plan)."""
     plan = get_fault_plan()
     if plan is not None:
-        plan.fire_execution(token, attempt, engine)
+        plan.fire_execution(token, attempt)
 
 
 def journal_fault_action(key: str, attempt: int) -> str | None:

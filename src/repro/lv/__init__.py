@@ -17,9 +17,6 @@ Section 1.3 and the deterministic ODE of Section 2.1:
   large-``n`` backend: vectorized tau-leaping with an exact scalar endgame
   (selectable via ``backend="exact"|"tau"|"auto"`` throughout the
   experiment stack),
-* :mod:`~repro.lv.native` — the optional numba-JIT inner-loop kernels for
-  the exact engine (selectable via ``engine="numpy"|"numba"|"auto"``;
-  bitwise-identical to the numpy path, graceful numpy fallback),
 * :mod:`~repro.lv.ode` — the deterministic competitive LV ODE (Eq. 4),
 * :mod:`~repro.lv.regimes` — classification of parameter choices into the
   rows of Table 1.
@@ -29,16 +26,6 @@ from repro.lv.params import CompetitionMechanism, LVParams
 from repro.lv.state import LVState
 from repro.lv.simulator import LVJumpChainSimulator, LVRunResult, StepRecord
 from repro.lv.ensemble import LVEnsembleSimulator, LVEnsembleResult
-from repro.lv.native import (
-    ENGINES,
-    NATIVE_AVAILABLE,
-    NativeEngineUnavailableError,
-    capability_report,
-    kernel_cache_info,
-    native_scalar_run,
-    resolve_engine,
-    warm_kernels,
-)
 from repro.lv.tau import (
     BACKENDS,
     DEFAULT_TAU_EPSILON,
@@ -54,14 +41,6 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_TAU_EPSILON",
     "DEFAULT_TAU_POPULATION",
-    "ENGINES",
-    "NATIVE_AVAILABLE",
-    "NativeEngineUnavailableError",
-    "capability_report",
-    "kernel_cache_info",
-    "native_scalar_run",
-    "resolve_engine",
-    "warm_kernels",
     "LVTauEnsembleSimulator",
     "resolve_backend",
     "run_tau_sweep_ensemble",

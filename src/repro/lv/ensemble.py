@@ -59,6 +59,9 @@ which other members share the mega-batch*:
    interchangeable (and retires heavy-tailed members from the vector loop
    early instead of letting them ride along at full step cost).
 
+``tests/reference_lockstep.py`` replays this contract in plain scalar
+Python, and the engine tests match it array for array.
+
 Compaction invariants
 ---------------------
 Active-set compaction periodically packs live replicas to the front of the
@@ -80,14 +83,6 @@ import numpy as np
 
 from repro.exceptions import InvalidConfigurationError
 from repro.lv.params import LVParams
-from repro.lv.native import (
-    ENGINES,
-    STATUS_REFILL,
-    STATUS_THIN,
-    lockstep_kernel,
-    native_scalar_run,
-    resolve_engine,
-)
 from repro.lv.simulator import (
     DEFAULT_MAX_EVENTS,
     LVJumpChainSimulator,
@@ -705,7 +700,6 @@ def run_sweep_ensemble(
     member_seeds: Sequence[SeedLike] | None = None,
     compaction_fraction: float | None = DEFAULT_COMPACTION_FRACTION,
     collect: str = "full",
-    engine: str = "auto",
 ) -> list[LVEnsembleResult]:
     """Advance a heterogeneous mega-batch in lock-step and demultiplex it.
 
@@ -739,17 +733,6 @@ def run_sweep_ensemble(
         arrays zero (or partial, for replicas finished by the scalar tail).
         Trajectories, and therefore win probabilities and consensus times,
         are identical in both modes.
-    engine:
-        Inner-loop engine (:data:`repro.lv.native.ENGINES`): ``"numpy"``
-        (the vectorized reference path), ``"numba"`` (the native JIT
-        kernels of :mod:`repro.lv.native`), or ``"auto"`` (numba when
-        importable).  Results are **bitwise identical** for every setting —
-        the native kernels preserve the consumption-order contract above —
-        so the selector is pure execution strategy, like
-        *compaction_fraction*.  At this level ``"numba"`` means "use the
-        native code path" even when numba is absent (the interpreted twin
-        of the kernel runs — bit-identical, slow); the schedulers and the
-        CLI validate availability strictly before it gets here.
 
     Returns
     -------
@@ -779,7 +762,6 @@ def run_sweep_ensemble(
         raise InvalidConfigurationError(
             f"collect must be one of {COLLECT_MODES}, got {collect!r}"
         )
-    resolved_engine = resolve_engine(engine)
     if member_seeds is None:
         seeds = list(spawn_seeds(rng, len(members)))
     else:
@@ -805,7 +787,6 @@ def run_sweep_ensemble(
             [members[i] for i in generic_indexes],
             [seeds[i] for i in generic_indexes],
             collect=collect,
-            engine=resolved_engine,
         )
         merged: list[LVEnsembleResult | None] = [None] * len(members)
         for index, result in zip(generic_indexes, generic_results):
@@ -819,7 +800,6 @@ def run_sweep_ensemble(
                 [seeds[i] for i in lv2_indexes],
                 compaction_fraction=compaction_fraction,
                 collect=collect,
-                resolved_engine=resolved_engine,
             )
             for index, result in zip(lv2_indexes, lv2_results):
                 merged[index] = result
@@ -829,7 +809,6 @@ def run_sweep_ensemble(
         seeds,
         compaction_fraction=compaction_fraction,
         collect=collect,
-        resolved_engine=resolved_engine,
     )
 
 
@@ -839,7 +818,6 @@ def _run_lv2_members(
     *,
     compaction_fraction: float | None,
     collect: str,
-    resolved_engine: str,
 ) -> list[LVEnsembleResult]:
     """The specialised two-species lock-step path of :func:`run_sweep_ensemble`.
 
@@ -850,21 +828,9 @@ def _run_lv2_members(
 
     state = _LockstepState(members)
     outputs = _SweepOutputs(state.width)
-    if resolved_engine == "numba":
-        # The native path needs no compaction: rows never move, and the
-        # kernel's in-segment live list already scales the per-step cost
-        # with the live count (``compaction_fraction`` is accepted and
-        # ignored — results are bitwise-independent of it by contract).
-        _advance_lockstep_native(members, state, outputs, streams, collect == "full")
-    else:
-        _advance_lockstep(
-            members,
-            state,
-            outputs,
-            streams,
-            compaction_fraction,
-            collect == "full",
-        )
+    _advance_lockstep(
+        members, state, outputs, streams, compaction_fraction, collect == "full"
+    )
     state.flush(outputs)
 
     results: list[LVEnsembleResult] = []
@@ -1171,167 +1137,6 @@ def _advance_lockstep(
             alive_idx = np.nonzero(state.alive)[0]
 
 
-def _advance_lockstep_native(
-    members: Sequence[SweepMember],
-    state: _LockstepState,
-    outputs: _SweepOutputs,
-    streams: _MemberStreams,
-    collect_stats: bool,
-) -> None:
-    """Native-kernel twin of :func:`_advance_lockstep` (bitwise identical).
-
-    Members never couple in the lock-step loop — streams, event budgets, the
-    absorbability flag, and the thin-handoff width are all per-member, and
-    every alive replica fires exactly one event per global step — so the
-    native path advances one member's contiguous segment at a time through
-    :func:`repro.lv.native.lockstep_kernel`, drawing that member's step
-    stream exactly as the fused numpy loop would.  Rows never move (``orig``
-    stays the identity), so no pack/scatter bookkeeping is needed; the
-    kernel's internal live list provides the cost scaling that compaction
-    provides the numpy path.
-    """
-    start = 0
-    for index, member in enumerate(members):
-        stop = start + member.num_replicates
-        _advance_member_native(
-            member,
-            state,
-            outputs,
-            streams.step_generators[index],
-            streams.tail_generators[index],
-            start,
-            stop,
-            collect_stats,
-        )
-        start = stop
-
-
-def _advance_member_native(
-    member: SweepMember,
-    state: _LockstepState,
-    outputs: _SweepOutputs,
-    step_generator: np.random.Generator,
-    tail_generator: np.random.Generator,
-    start: int,
-    stop: int,
-    collect_stats: bool,
-) -> None:
-    """Drive the native kernel over one member's segment ``[start, stop)``.
-
-    The kernel returns to Python only to refill the uniform buffer (from the
-    member's step stream — ``Generator.random`` partition invariance keeps
-    the flat uniform sequence identical to the numpy path's blocked draws)
-    and to hand a thin active set to the scalar tail finisher, which draws
-    from the member's tail stream exactly like the numpy path's.
-    """
-    segment = slice(start, stop)
-    alive = state.alive[segment]
-    live = np.nonzero(alive)[0]
-    live_idx = np.zeros(stop - start, dtype=np.int64)
-    live_idx[: live.size] = live
-    counters = np.array([live.size, 0, 0], dtype=np.int64)
-    uniforms = np.empty(0, dtype=np.float64)
-    params = member.params
-    while True:
-        status = lockstep_kernel(
-            state.x0[segment],
-            state.x1[segment],
-            alive,
-            state.histogram[segment],
-            state.bad[segment],
-            state.good[segment],
-            state.noise_ind[segment],
-            state.noise_comp[segment],
-            state.max_total[segment],
-            state.min_gap[segment],
-            state.hit_tie[segment],
-            outputs.events[segment],
-            outputs.termination[segment],
-            live_idx,
-            counters,
-            uniforms,
-            params.beta,
-            params.delta,
-            params.alpha0,
-            params.alpha1,
-            params.gamma0,
-            params.gamma1,
-            1 if params.is_self_destructive else 0,
-            int(state.sign[start]),
-            int(member.max_events),
-            bool(state.absorbable[start]),
-            bool(collect_stats),
-            _DX0_TABLE,
-            _DX1_TABLE,
-            _GOOD_TABLE,
-        )
-        if status == STATUS_REFILL:
-            cursor = int(counters[2])
-            block = step_generator.random(max(_UNIFORM_BLOCK, int(counters[0])))
-            if uniforms.size > cursor:
-                uniforms = np.concatenate([uniforms[cursor:], block])
-            else:
-                uniforms = block
-            counters[2] = 0
-            continue
-        if status == STATUS_THIN:
-            tail_rows = start + live_idx[: int(counters[0])]
-            _finish_member_tail_native(
-                member,
-                state,
-                outputs,
-                tail_generator,
-                int(counters[1]),
-                tail_rows,
-                collect_stats,
-            )
-            state.alive[tail_rows] = False
-        return
-
-
-def _finish_member_tail_native(
-    member: SweepMember,
-    state: _LockstepState,
-    outputs: _SweepOutputs,
-    tail_generator: np.random.Generator,
-    step: int,
-    rows: np.ndarray,
-    collect_stats: bool,
-) -> None:
-    """Native twin of :func:`_finish_member_tail` / ``..._lean``.
-
-    Identical handoff semantics and RNG consumption — survivors in ascending
-    original-index order, each a :func:`repro.lv.native.native_scalar_run`
-    from the member's tail stream with its remaining budget.  In win-collect
-    mode the sub-run accounting is computed and discarded (the lean numpy
-    path never computes it), keeping the result arrays bit-identical to the
-    lean finisher's.
-    """
-    for i in rows:
-        where = int(state.orig[i])
-        outputs.events[where] = step
-        remaining = int(state.max_events[i]) - step
-        if remaining <= 0:
-            outputs.termination[where] = _MAX_EVENTS
-            continue
-        mid_state = LVState(int(state.x0[i]), int(state.x1[i]))
-        result = native_scalar_run(
-            member.params, mid_state, tail_generator, max_events=remaining
-        )
-        state.x0[i] = result.final_state.x0
-        state.x1[i] = result.final_state.x1
-        outputs.events[where] += result.total_events
-        if collect_stats:
-            reference = 0 if state.sign[i] == 1 else 1
-            code = merge_scalar_tail_run(state, i, result, mid_state, reference)
-            if code is not None:
-                outputs.termination[where] = code
-        elif result.termination == "max-events":
-            outputs.termination[where] = _MAX_EVENTS
-        elif result.termination == "absorbed":
-            outputs.termination[where] = _ABSORBED
-
-
 def _finish_member_tail_lean(
     member: SweepMember,
     state: _LockstepState,
@@ -1512,10 +1317,6 @@ class LVEnsembleSimulator:
     compaction_fraction:
         Active-set compaction threshold forwarded to the lock-step core;
         results are bitwise-independent of it.
-    engine:
-        Inner-loop engine (:data:`repro.lv.native.ENGINES`) forwarded to the
-        lock-step core; results are bitwise-independent of it (see
-        :func:`run_sweep_ensemble`).
 
     Examples
     --------
@@ -1532,15 +1333,9 @@ class LVEnsembleSimulator:
         params: LVParams,
         *,
         compaction_fraction: float | None = DEFAULT_COMPACTION_FRACTION,
-        engine: str = "auto",
     ):
-        if engine not in ENGINES:
-            raise InvalidConfigurationError(
-                f"engine must be one of {ENGINES}, got {engine!r}"
-            )
         self.params = params
         self.compaction_fraction = compaction_fraction
-        self.engine = engine
 
     # ------------------------------------------------------------------
     def run_ensemble(
@@ -1571,7 +1366,6 @@ class LVEnsembleSimulator:
             [member],
             rng=rng,
             compaction_fraction=self.compaction_fraction,
-            engine=self.engine,
         )[0]
 
     # ------------------------------------------------------------------

@@ -1,679 +1,26 @@
-"""Native (numba-JIT) inner-loop kernels for the exact-SSA engines.
+"""Compatibility seam for callers of the removed native engine.
 
-The exact lock-step core (:mod:`repro.lv.ensemble`) removed the *per-event*
-Python cost, but it still pays a fixed numpy dispatch cost *per lock-step
-iteration* — dominant once active sets shrink, and the reason
-``BENCH_sweep.json`` reports ~0.5M exact events/s against the tau backend's
-tens of millions.  The LV networks are tiny (two species, eight reaction
-classes), exactly the regime where a specialised compiled kernel pays for
-itself: this module provides the inner loops as ``numba.njit(nopython,
-cache=True)`` kernels that advance whole replica blocks entirely in native
-code — propensity evaluation, blocked uniform consumption, reaction
-selection, count updates, win/absorption detection, and event accounting in
-one fused loop.
-
-Bitwise-identity contract
--------------------------
-The kernels are **drop-in bit-for-bit replacements** for the numpy lock-step
-loop and the scalar simulator, not approximations:
-
-* All uniforms are drawn by the *caller* from the member's own
-  ``numpy.random.Generator`` streams and handed to the kernel as flat
-  buffers.  ``Generator.random`` is invariant under call partitioning, so
-  refilling the buffer in any block size preserves the exact flat uniform
-  sequence the numpy path consumes; the kernels never generate randomness
-  themselves.
-* The kernel consumes exactly one uniform per alive replica per lock-step
-  iteration, in ascending original-replica-index order, and replicas retired
-  earlier in the same iteration (budget, absorption) consume nothing — the
-  consumption-order contract documented in :mod:`repro.lv.ensemble`.
-* Floating-point arithmetic replicates the numpy path operation for
-  operation: per-class propensities are computed with the same operand
-  order, the cumulative table is built by the same sequential add chain,
-  and selection compares ``u * total`` against the cumulative values with
-  the same predicate (including the no-op sentinel event that IEEE rounding
-  can produce).  ``fastmath`` stays **off**.
-
-Because the bits are identical, the resolved engine is deliberately
-*excluded* from store chunk keys (:mod:`repro.store.keys`) — numpy- and
-numba-executed chunks share cache entries, exactly like ``jobs`` and
-``compaction_fraction``.
-
-Graceful degradation
---------------------
-numba is an *optional* dependency (install extra ``repro[native]``).  When it
-is absent the module still imports: the kernels below are plain-Python
-functions written in the numba ``nopython`` subset, and
-:func:`resolve_engine` maps ``"auto"`` to ``"numpy"`` so nothing slow runs by
-accident.  An explicit ``engine="numba"`` request at the scheduler/CLI layer
-raises :class:`NativeEngineUnavailableError`; the low-level drivers in
-:mod:`repro.lv.ensemble` treat ``"numba"`` as "use the native code path" and
-fall back to the interpreted kernel, which the parity tests exploit to
-verify the kernel algorithm bit-for-bit on numba-free machines.
-
-With numba installed, ``cache=True`` persists the compiled machine code in
-the package ``__pycache__``, so :class:`~repro.experiments.scheduler.WorkerPool`
-worker processes load the kernel from the on-disk cache instead of each
-paying the compile; only the first process ever compiles.
+The numba inner-loop kernels are gone; every exact run uses the numpy
+engine.  Callers written against the old engine selector keep working
+through the two names below: ``"auto"`` and ``"numpy"`` resolve to
+``"numpy"``, anything else is rejected.
 """
 
 from __future__ import annotations
 
-import glob
-import os
-from typing import Any
-
-import numpy as np
-
 from repro.exceptions import InvalidConfigurationError
-from repro.lv.params import LVParams
-from repro.lv.simulator import (
-    DEFAULT_MAX_EVENTS,
-    LVJumpChainSimulator,
-    LVRunResult,
-    _UNIFORM_BUFFER as _SCALAR_UNIFORM_BUFFER,
-)
-from repro.lv.state import LVState
-from repro.rng import SeedLike, as_generator
 
-__all__ = [
-    "ENGINES",
-    "NATIVE_AVAILABLE",
-    "NUMBA_VERSION",
-    "NativeEngineUnavailableError",
-    "resolve_engine",
-    "native_scalar_run",
-    "capability_report",
-    "kernel_cache_info",
-    "warm_kernels",
-]
+__all__ = ["NATIVE_AVAILABLE", "resolve_engine"]
 
-try:  # pragma: no cover - exercised on the numba CI leg
-    import numba as _numba
-
-    NUMBA_VERSION: "str | None" = _numba.__version__
-    NATIVE_AVAILABLE = True
-except ImportError:  # pragma: no cover - the numba-free default
-    _numba = None
-    NUMBA_VERSION = None
-    NATIVE_AVAILABLE = False
-
-#: Selectable inner-loop engines: ``"numpy"`` (the vectorized reference
-#: implementation), ``"numba"`` (the JIT kernels of this module), and
-#: ``"auto"`` (numba when importable, numpy otherwise).  All three produce
-#: bitwise-identical results; the selector is purely an execution strategy.
-ENGINES = ("numpy", "numba", "auto")
-
-#: Kernel return statuses: the batch finished, the member's active set is
-#: thin enough for the scalar tail, or the uniform buffer must be refilled.
-STATUS_DONE, STATUS_THIN, STATUS_REFILL = 0, 1, 2
-
-#: ``counters`` slots shared between the lock-step kernel and its driver.
-_C_NUM_LIVE, _C_STEP, _C_CURSOR = 0, 1, 2
-
-#: Mirrors :data:`repro.lv.ensemble.SCALAR_FINISH_WIDTH` (duplicated here so
-#: the kernel module has no import cycle with the ensemble module; equality
-#: is asserted by the parity tests).
-_SCALAR_FINISH_WIDTH = 8
-
-#: Termination codes: the stack-wide constants of :mod:`repro.scenario.spec`
-#: (import-light by design, so no cycle with the lv modules).
-from repro.scenario.spec import (  # noqa: E402
-    TERM_ABSORBED as _ABSORBED,
-    TERM_CONSENSUS as _CONSENSUS,
-    TERM_MAX_EVENTS as _MAX_EVENTS,
-)
-
-#: ``scratch`` slots of the scalar-run kernel.
-(
-    _S_X0,
-    _S_X1,
-    _S_EVENTS,
-    _S_CURSOR,
-    _S_BIRTH0,
-    _S_BIRTH1,
-    _S_DEATH0,
-    _S_DEATH1,
-    _S_INTER,
-    _S_INTRA0,
-    _S_INTRA1,
-    _S_BAD,
-    _S_GOOD,
-    _S_NOISE_IND,
-    _S_NOISE_COMP,
-    _S_MAX_TOTAL,
-    _S_MIN_GAP,
-    _S_HIT_TIE,
-    _S_TERM,
-) = range(19)
-_SCRATCH_SIZE = 19
+#: Native kernels no longer exist, so they are never available.
+NATIVE_AVAILABLE = False
 
 
-class NativeEngineUnavailableError(InvalidConfigurationError):
-    """``engine="numba"`` was requested but numba is not importable."""
-
-
-def resolve_engine(engine: str, *, strict: bool = False) -> str:
-    """Resolve an engine selector to ``"numpy"`` or ``"numba"``.
-
-    ``"auto"`` picks the native kernels when numba is importable and the
-    vectorized numpy path otherwise — results are bitwise-identical either
-    way, so auto-detection is safe by construction.  With ``strict=True`` an
-    explicit ``"numba"`` request raises :class:`NativeEngineUnavailableError`
-    when numba is absent (the scheduler/CLI behaviour); without it the
-    selector passes through, which runs the interpreted twin of the kernel —
-    bit-identical but slow, useful only for parity testing.
-
-    Examples
-    --------
-    >>> resolve_engine("numpy")
-    'numpy'
-    >>> resolve_engine("auto") in ("numpy", "numba")
-    True
-    """
-    if engine not in ENGINES:
-        raise InvalidConfigurationError(
-            f"engine must be one of {ENGINES}, got {engine!r}"
-        )
-    if engine == "auto":
-        return "numba" if NATIVE_AVAILABLE else "numpy"
-    if engine == "numba" and strict and not NATIVE_AVAILABLE:
-        raise NativeEngineUnavailableError(
-            "engine='numba' requested but numba is not installed; "
-            "install the native extra (pip install 'repro[native]') or use "
-            "engine='auto' to fall back to the numpy engine"
-        )
-    return engine
-
-
-# ----------------------------------------------------------------------
-# Lock-step kernel
-# ----------------------------------------------------------------------
-def _lockstep_kernel_py(
-    x0,
-    x1,
-    alive,
-    histogram,
-    bad,
-    good,
-    noise_ind,
-    noise_comp,
-    max_total,
-    min_gap,
-    hit_tie,
-    events_out,
-    term_out,
-    live_idx,
-    counters,
-    uniforms,
-    beta,
-    delta,
-    alpha0,
-    alpha1,
-    gamma0,
-    gamma1,
-    mech,
-    sign,
-    budget,
-    absorbable,
-    collect_stats,
-    dx0_table,
-    dx1_table,
-    good_table,
-):
-    """Advance one member's replica block until done/thin/refill.
-
-    One call replays the numpy lock-step loop of
-    :func:`repro.lv.ensemble._advance_lockstep` for a *single member's*
-    contiguous segment — legitimate because members never couple: streams,
-    budgets, and the thin-handoff width are all per member, and every alive
-    replica fires exactly one event per global step.  The in-kernel
-    ``live_idx`` compaction keeps the per-step cost proportional to the live
-    count (the role ``compaction_fraction`` plays for the numpy path) while
-    rows never move, so no pack/scatter bookkeeping is needed.
-
-    Written in the numba ``nopython`` subset; runs interpreted (bit-identical,
-    slow) when numba is absent.  Returns a ``STATUS_*`` code with the live
-    count / step / buffer cursor persisted in ``counters``.
-    """
-    n_live = counters[0]
-    step = counters[1]
-    cursor = counters[2]
-    while True:
-        if n_live <= 0:
-            counters[0] = 0
-            counters[1] = step
-            counters[2] = cursor
-            return STATUS_DONE
-        if n_live <= _SCALAR_FINISH_WIDTH:
-            counters[0] = n_live
-            counters[1] = step
-            counters[2] = cursor
-            return STATUS_THIN
-        if step >= budget:
-            for k in range(n_live):
-                i = live_idx[k]
-                events_out[i] = step
-                term_out[i] = _MAX_EVENTS
-                alive[i] = False
-            counters[0] = 0
-            counters[1] = step
-            counters[2] = cursor
-            return STATUS_DONE
-        # Refill before the row sweep: requiring one uniform per live row is
-        # an upper bound (absorbed rows consume nothing), and over-requiring
-        # only triggers an earlier refill, which the partition-invariance of
-        # ``Generator.random`` makes unobservable.
-        if uniforms.shape[0] - cursor < n_live:
-            counters[0] = n_live
-            counters[1] = step
-            counters[2] = cursor
-            return STATUS_REFILL
-
-        write = 0
-        for k in range(n_live):
-            i = live_idx[k]
-            xx0 = x0[i]
-            xx1 = x1[i]
-            # Same operand order as the numpy path's propensity rows and
-            # explicit cumulative add chain (bit-for-bit).
-            c0 = beta * xx0
-            c1 = c0 + beta * xx1
-            c2 = c1 + delta * xx0
-            c3 = c2 + delta * xx1
-            pair = xx0 * xx1
-            c4 = c3 + alpha0 * pair
-            c5 = c4 + alpha1 * pair
-            c6 = c5 + gamma0 * (xx0 * (xx0 - 1)) / 2.0
-            c7 = c6 + gamma1 * (xx1 * (xx1 - 1)) / 2.0
-            if absorbable and c7 <= 0.0:
-                events_out[i] = step
-                term_out[i] = _ABSORBED
-                alive[i] = False
-                continue
-            threshold = uniforms[cursor] * c7
-            cursor += 1
-            # Count of cumulative propensities at or below the threshold;
-            # index 8 is the no-op sentinel IEEE rounding can reach when
-            # ``u * total`` rounds up to ``total``.
-            event = 8
-            if threshold < c0:
-                event = 0
-            elif threshold < c1:
-                event = 1
-            elif threshold < c2:
-                event = 2
-            elif threshold < c3:
-                event = 3
-            elif threshold < c4:
-                event = 4
-            elif threshold < c5:
-                event = 5
-            elif threshold < c6:
-                event = 6
-            elif threshold < c7:
-                event = 7
-            nx0 = xx0 + dx0_table[mech, event]
-            nx1 = xx1 + dx1_table[mech, event]
-            if collect_stats:
-                gap_before = xx0 - xx1
-                gap_after = nx0 - nx1
-                histogram[i, event] += 1
-                step_noise = sign * (gap_before - gap_after)
-                if event < 4:
-                    noise_ind[i] += step_noise
-                    abs_before = gap_before if gap_before >= 0 else -gap_before
-                    abs_after = gap_after if gap_after >= 0 else -gap_after
-                    if abs_after < abs_before:
-                        bad[i] += 1
-                else:
-                    noise_comp[i] += step_noise
-                if gap_before != 0:
-                    minority_row = 1 if gap_before < 0 else 0
-                    if good_table[minority_row, event]:
-                        good[i] += 1
-                total_population = nx0 + nx1
-                if total_population > max_total[i]:
-                    max_total[i] = total_population
-                abs_gap = gap_after if gap_after >= 0 else -gap_after
-                if abs_gap < min_gap[i]:
-                    min_gap[i] = abs_gap
-                if gap_after == 0:
-                    hit_tie[i] = True
-            x0[i] = nx0
-            x1[i] = nx1
-            if nx0 == 0 or nx1 == 0:
-                events_out[i] = step + 1
-                alive[i] = False
-            else:
-                live_idx[write] = i
-                write += 1
-        n_live = write
-        step += 1
-
-
-# ----------------------------------------------------------------------
-# Scalar-run kernel (tails and the tau backend's exact endgame)
-# ----------------------------------------------------------------------
-def _scalar_kernel_py(
-    scratch,
-    uniforms,
-    beta,
-    delta,
-    alpha0,
-    alpha1,
-    gamma0,
-    gamma1,
-    self_destructive,
-    reference,
-    max_events,
-):
-    """One scalar jump-chain run, bit-identical to ``LVJumpChainSimulator.run``.
-
-    Replicates the scalar simulator's control flow exactly: the same
-    propensity arithmetic (note the scalar path's *left-associative*
-    ``gamma * x * (x - 1) / 2.0`` ordering, which differs from the lock-step
-    rows), the same strict-``<`` selection cascade against left-to-right
-    partial sums, one uniform per event, and the same per-event accounting
-    against the run-start noise reference.  Returns ``STATUS_DONE`` or
-    ``STATUS_REFILL``; all integer state crosses calls in ``scratch``.
-    """
-    x0 = scratch[_S_X0]
-    x1 = scratch[_S_X1]
-    events = scratch[_S_EVENTS]
-    cursor = scratch[_S_CURSOR]
-    births0 = scratch[_S_BIRTH0]
-    births1 = scratch[_S_BIRTH1]
-    deaths0 = scratch[_S_DEATH0]
-    deaths1 = scratch[_S_DEATH1]
-    inter = scratch[_S_INTER]
-    intra0 = scratch[_S_INTRA0]
-    intra1 = scratch[_S_INTRA1]
-    bad = scratch[_S_BAD]
-    good = scratch[_S_GOOD]
-    noise_ind = scratch[_S_NOISE_IND]
-    noise_comp = scratch[_S_NOISE_COMP]
-    max_total = scratch[_S_MAX_TOTAL]
-    min_gap = scratch[_S_MIN_GAP]
-    hit_tie = scratch[_S_HIT_TIE]
-    buffer_size = uniforms.shape[0]
-    status = STATUS_DONE
-    termination = _CONSENSUS
-    while x0 > 0 and x1 > 0:
-        if events >= max_events:
-            termination = _MAX_EVENTS
-            break
-        c0 = beta * x0
-        c1 = c0 + beta * x1
-        c2 = c1 + delta * x0
-        c3 = c2 + delta * x1
-        pair01 = x0 * x1
-        c4 = c3 + alpha0 * pair01
-        c5 = c4 + alpha1 * pair01
-        c6 = c5 + gamma0 * x0 * (x0 - 1) / 2.0
-        c7 = c6 + gamma1 * x1 * (x1 - 1) / 2.0
-        if c7 <= 0.0:
-            termination = _ABSORBED
-            break
-        if cursor >= buffer_size:
-            status = STATUS_REFILL
-            break
-        threshold = uniforms[cursor] * c7
-        cursor += 1
-
-        previous_gap = (x0 - x1) if reference == 0 else (x1 - x0)
-        minority = -1
-        if x0 < x1:
-            minority = 0
-        elif x1 < x0:
-            minority = 1
-
-        individual = False
-        if threshold < c0:
-            x0 += 1
-            births0 += 1
-            individual = True
-            event = 0
-        elif threshold < c1:
-            x1 += 1
-            births1 += 1
-            individual = True
-            event = 1
-        elif threshold < c2:
-            x0 -= 1
-            deaths0 += 1
-            individual = True
-            event = 2
-        elif threshold < c3:
-            x1 -= 1
-            deaths1 += 1
-            individual = True
-            event = 3
-        elif threshold < c4:
-            inter += 1
-            if self_destructive:
-                x0 -= 1
-            x1 -= 1
-            event = 4
-        elif threshold < c5:
-            inter += 1
-            x0 -= 1
-            if self_destructive:
-                x1 -= 1
-            event = 5
-        elif threshold < c6:
-            intra0 += 1
-            x0 -= 2 if self_destructive else 1
-            event = 6
-        else:
-            intra1 += 1
-            x1 -= 2 if self_destructive else 1
-            event = 7
-
-        events += 1
-        new_gap = (x0 - x1) if reference == 0 else (x1 - x0)
-        step_noise = previous_gap - new_gap
-        if individual:
-            noise_ind += step_noise
-            abs_previous = previous_gap if previous_gap >= 0 else -previous_gap
-            abs_new = new_gap if new_gap >= 0 else -new_gap
-            if abs_new < abs_previous:
-                bad += 1
-        else:
-            noise_comp += step_noise
-        if minority >= 0:
-            if event == 4 or event == 5:
-                good += 1
-            elif minority == 0 and (event == 2 or event == 6):
-                good += 1
-            elif minority == 1 and (event == 3 or event == 7):
-                good += 1
-        total_population = x0 + x1
-        if total_population > max_total:
-            max_total = total_population
-        gap = x0 - x1
-        abs_gap = gap if gap >= 0 else -gap
-        if abs_gap < min_gap:
-            min_gap = abs_gap
-        if gap == 0:
-            hit_tie = 1
-    scratch[_S_X0] = x0
-    scratch[_S_X1] = x1
-    scratch[_S_EVENTS] = events
-    scratch[_S_CURSOR] = cursor
-    scratch[_S_BIRTH0] = births0
-    scratch[_S_BIRTH1] = births1
-    scratch[_S_DEATH0] = deaths0
-    scratch[_S_DEATH1] = deaths1
-    scratch[_S_INTER] = inter
-    scratch[_S_INTRA0] = intra0
-    scratch[_S_INTRA1] = intra1
-    scratch[_S_BAD] = bad
-    scratch[_S_GOOD] = good
-    scratch[_S_NOISE_IND] = noise_ind
-    scratch[_S_NOISE_COMP] = noise_comp
-    scratch[_S_MAX_TOTAL] = max_total
-    scratch[_S_MIN_GAP] = min_gap
-    scratch[_S_HIT_TIE] = hit_tie
-    scratch[_S_TERM] = termination
-    return status
-
-
-if NATIVE_AVAILABLE:  # pragma: no cover - exercised on the numba CI leg
-    _jit = _numba.njit(cache=True, fastmath=False, boundscheck=False, nogil=True)
-    lockstep_kernel = _jit(_lockstep_kernel_py)
-    scalar_kernel = _jit(_scalar_kernel_py)
-else:
-    lockstep_kernel = _lockstep_kernel_py
-    scalar_kernel = _scalar_kernel_py
-
-
-# ----------------------------------------------------------------------
-# Scalar-run driver
-# ----------------------------------------------------------------------
-def native_scalar_run(
-    params: LVParams,
-    initial_state: "LVState | tuple[int, int]",
-    rng: SeedLike = None,
-    max_events: int = DEFAULT_MAX_EVENTS,
-) -> LVRunResult:
-    """Native twin of :meth:`repro.lv.simulator.LVJumpChainSimulator.run`.
-
-    Bit-for-bit identical results and RNG consumption: one fresh
-    ``generator.random(4096)`` block drawn unconditionally at run start,
-    refilled in whole blocks when exhausted, leftovers discarded at run end.
-    This is the kernel behind the native engine's scalar tails — both the
-    lock-step thin handoff and the tau backend's exact endgame below the
-    population crossover.  ``record_path`` is intentionally unsupported;
-    path-recording runs stay on the Python simulator.
-    """
-    state = LVJumpChainSimulator._coerce_state(initial_state)
-    if max_events <= 0:
-        raise ValueError(f"max_events must be positive, got {max_events}")
-    generator = as_generator(rng)
-    initial_majority = state.majority_species
-    reference = 0 if initial_majority is None else initial_majority
-
-    scratch = np.zeros(_SCRATCH_SIZE, dtype=np.int64)
-    scratch[_S_X0] = state.x0
-    scratch[_S_X1] = state.x1
-    scratch[_S_MAX_TOTAL] = state.x0 + state.x1
-    scratch[_S_MIN_GAP] = abs(state.x0 - state.x1)
-    scratch[_S_HIT_TIE] = 1 if state.x0 == state.x1 else 0
-
-    uniforms = generator.random(_SCALAR_UNIFORM_BUFFER)
-    while (
-        scalar_kernel(
-            scratch,
-            uniforms,
-            params.beta,
-            params.delta,
-            params.alpha0,
-            params.alpha1,
-            params.gamma0,
-            params.gamma1,
-            params.is_self_destructive,
-            reference,
-            int(max_events),
-        )
-        == STATUS_REFILL
-    ):
-        uniforms = generator.random(_SCALAR_UNIFORM_BUFFER)
-        scratch[_S_CURSOR] = 0
-
-    final_state = LVState(int(scratch[_S_X0]), int(scratch[_S_X1]))
-    reached_consensus = final_state.has_consensus
-    winner = final_state.winner
-    termination = ("consensus", "absorbed", "max-events")[int(scratch[_S_TERM])]
-    return LVRunResult(
-        params=params,
-        initial_state=state,
-        final_state=final_state,
-        total_events=int(scratch[_S_EVENTS]),
-        termination="consensus" if reached_consensus else termination,
-        reached_consensus=reached_consensus,
-        winner=winner,
-        majority_consensus=(
-            reached_consensus and winner is not None and winner == reference
-        ),
-        births=(int(scratch[_S_BIRTH0]), int(scratch[_S_BIRTH1])),
-        deaths=(int(scratch[_S_DEATH0]), int(scratch[_S_DEATH1])),
-        interspecific_events=int(scratch[_S_INTER]),
-        intraspecific_events=(int(scratch[_S_INTRA0]), int(scratch[_S_INTRA1])),
-        bad_noncompetitive_events=int(scratch[_S_BAD]),
-        good_events=int(scratch[_S_GOOD]),
-        noise_individual=int(scratch[_S_NOISE_IND]),
-        noise_competitive=int(scratch[_S_NOISE_COMP]),
-        max_total_population=int(scratch[_S_MAX_TOTAL]),
-        min_gap_seen=int(scratch[_S_MIN_GAP]),
-        hit_tie=bool(scratch[_S_HIT_TIE]),
+def resolve_engine(engine: str) -> str:
+    """Map a legacy engine selector to the one engine, ``"numpy"``."""
+    if engine in ("auto", "numpy"):
+        return "numpy"
+    raise InvalidConfigurationError(
+        f"engine {engine!r} was removed; only 'auto' and 'numpy' are accepted, "
+        "and both run the numpy engine"
     )
-
-
-# ----------------------------------------------------------------------
-# Capability reporting
-# ----------------------------------------------------------------------
-def warm_kernels() -> None:
-    """Trigger JIT compilation (or cache load) of both kernels.
-
-    A no-op in effect: runs a one-replica, one-event workload through each
-    kernel so the compile cost is paid here — benchmark timing and worker
-    startup latency exclude it.  Harmless (just slow-ish the first time)
-    without numba.
-    """
-    x0 = np.array([3], dtype=np.int64)
-    x1 = np.array([1], dtype=np.int64)
-    alive = np.array([True])
-    histogram = np.zeros((1, 9), dtype=np.int64)
-    int_acc = lambda: np.zeros(1, dtype=np.int64)  # noqa: E731
-    live_idx = np.zeros(1, dtype=np.int64)
-    counters = np.array([1, 0, 0], dtype=np.int64)
-    dx = np.zeros((2, 9), dtype=np.int64)
-    good_table = np.zeros((2, 9), dtype=bool)
-    lockstep_kernel(
-        x0, x1, alive, histogram,
-        int_acc(), int_acc(), int_acc(), int_acc(), int_acc(), int_acc(),
-        np.zeros(1, dtype=bool),
-        int_acc(), np.zeros(1, dtype=np.int8),
-        live_idx, counters, np.full(4, 0.5),
-        1.0, 1.0, 1.0, 1.0, 0.0, 0.0,
-        0, 1, 1_000, False, True,
-        dx, dx, good_table,
-    )
-    scratch = np.zeros(_SCRATCH_SIZE, dtype=np.int64)
-    scratch[_S_X0] = 2
-    scratch[_S_X1] = 1
-    scalar_kernel(scratch, np.full(64, 0.5), 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, True, 0, 4)
-
-
-def kernel_cache_info() -> dict[str, Any]:
-    """On-disk numba cache status of this module's kernels.
-
-    ``cache=True`` writes ``native*.nbi`` / ``native*.nbc`` artefacts next to
-    this file's bytecode; their presence means new processes (including
-    :class:`~repro.experiments.scheduler.WorkerPool` workers) load compiled
-    code instead of recompiling.
-    """
-    cache_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
-    entries = [
-        os.path.basename(path)
-        for path in sorted(glob.glob(os.path.join(cache_dir, "native*.nb*")))
-    ]
-    return {
-        "cache_dir": cache_dir,
-        "entries": entries,
-        "cached": bool(entries),
-    }
-
-
-def capability_report() -> dict[str, Any]:
-    """The import-time capability summary behind ``repro info``/``--version``."""
-    info = kernel_cache_info()
-    return {
-        "numpy": np.__version__,
-        "numba": NUMBA_VERSION,
-        "native_available": NATIVE_AVAILABLE,
-        "default_engine": resolve_engine("auto"),
-        "kernel_cache": "warm" if info["cached"] else "cold",
-        "kernel_cache_dir": info["cache_dir"],
-    }

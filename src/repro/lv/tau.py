@@ -73,7 +73,6 @@ from repro.lv.ensemble import (
     SweepMember,
     merge_scalar_tail_run,
 )
-from repro.lv.native import native_scalar_run, resolve_engine
 from repro.lv.params import LVParams
 from repro.lv.simulator import DEFAULT_MAX_EVENTS, LVJumpChainSimulator
 from repro.lv.state import LVState
@@ -169,7 +168,6 @@ def run_tau_sweep_ensemble(
     epsilon: float = DEFAULT_TAU_EPSILON,
     exact_tail_population: int = DEFAULT_EXACT_TAIL_POPULATION,
     collect: str = "full",
-    engine: str = "auto",
 ) -> list[LVEnsembleResult]:
     """Tau-leaping twin of :func:`repro.lv.ensemble.run_sweep_ensemble`.
 
@@ -198,12 +196,6 @@ def run_tau_sweep_ensemble(
         Accepted for signature compatibility with the exact engine.  The
         tau kernel's per-leap accounting is a negligible fraction of its
         cost, so full statistics are always collected.
-    engine:
-        ``"numpy"``, ``"numba"``, or ``"auto"``.  The leap loop itself is
-        already vectorized numpy; the selector only routes the exact
-        endgame (``exact_tail_population`` handoff) through the native
-        scalar kernel, which is bitwise-identical to the interpreted
-        finisher — so tau results never depend on the resolved engine.
 
     Examples
     --------
@@ -227,7 +219,6 @@ def run_tau_sweep_ensemble(
         raise InvalidConfigurationError(
             f"exact_tail_population must be non-negative, got {exact_tail_population}"
         )
-    native_tail = resolve_engine(engine) == "numba"
     if member_seeds is None:
         seeds = spawn_seeds(rng, len(members))
     else:
@@ -265,7 +256,6 @@ def run_tau_sweep_ensemble(
             tail_generator,
             epsilon,
             exact_tail_population,
-            native_tail,
         )
     return results
 
@@ -395,7 +385,6 @@ def _run_member_tau(
     tail_generator: np.random.Generator,
     epsilon: float,
     exact_tail_population: int,
-    native_tail: bool = False,
 ) -> LVEnsembleResult:
     """Advance one member's replica batch by vectorized Poisson leaps."""
     params = member.params
@@ -444,7 +433,7 @@ def _run_member_tau(
             # Exact endgame: ascending original-replica order, one scalar
             # run per survivor from the member's tail stream.
             _finish_exact_tail(
-                member, state, outputs, tail_generator, np.nonzero(tail)[0], native_tail
+                member, state, outputs, tail_generator, np.nonzero(tail)[0]
             )
         dropped = absorbed | tail
         if dropped.any():
@@ -574,7 +563,6 @@ def _finish_exact_tail(
     outputs: _TauOutputs,
     tail_generator: np.random.Generator,
     rows: np.ndarray,
-    native_tail: bool = False,
 ) -> None:
     """Finish *rows* with the exact scalar simulator (the hybrid endgame).
 
@@ -583,9 +571,7 @@ def _finish_exact_tail(
     its remaining event budget; the sub-run accounting is folded in by the
     shared :func:`repro.lv.ensemble.merge_scalar_tail_run` (including the
     mid-run noise-reference flip), so the two backends' exact-endgame
-    statistics can never drift apart.  With *native_tail* the sub-runs go
-    through :func:`repro.lv.native.native_scalar_run`, which consumes the
-    tail stream identically — same results, native speed.
+    statistics can never drift apart.
     """
     simulator: LVJumpChainSimulator | None = None
     reference = 0 if member.initial_state.majority_species != 1 else 1
@@ -597,14 +583,9 @@ def _finish_exact_tail(
             outputs.termination[where] = _MAX_EVENTS
             continue
         mid_state = LVState(int(state.x0[i]), int(state.x1[i]))
-        if native_tail:
-            result = native_scalar_run(
-                member.params, mid_state, tail_generator, max_events=remaining
-            )
-        else:
-            if simulator is None:
-                simulator = LVJumpChainSimulator(member.params)
-            result = simulator.run(mid_state, rng=tail_generator, max_events=remaining)
+        if simulator is None:
+            simulator = LVJumpChainSimulator(member.params)
+        result = simulator.run(mid_state, rng=tail_generator, max_events=remaining)
         outputs.final_x0[where] = result.final_state.x0
         outputs.final_x1[where] = result.final_state.x1
         outputs.events[where] += result.total_events
@@ -632,9 +613,6 @@ class LVTauEnsembleSimulator:
     exact_tail_population:
         Population at which replicas switch to the exact scalar endgame
         (``0`` disables the handoff).
-    engine:
-        ``"numpy"``, ``"numba"``, or ``"auto"`` — routes the exact endgame
-        through the native scalar kernel (bitwise-identical either way).
 
     Examples
     --------
@@ -651,18 +629,15 @@ class LVTauEnsembleSimulator:
         *,
         epsilon: float = DEFAULT_TAU_EPSILON,
         exact_tail_population: int = DEFAULT_EXACT_TAIL_POPULATION,
-        engine: str = "auto",
     ):
         _validate_epsilon(epsilon)
         if exact_tail_population < 0:
             raise InvalidConfigurationError(
                 f"exact_tail_population must be non-negative, got {exact_tail_population}"
             )
-        resolve_engine(engine)  # validate the selector eagerly
         self.params = params
         self.epsilon = epsilon
         self.exact_tail_population = exact_tail_population
-        self.engine = engine
 
     def run_ensemble(
         self,
@@ -692,7 +667,6 @@ class LVTauEnsembleSimulator:
             rng=rng,
             epsilon=self.epsilon,
             exact_tail_population=self.exact_tail_population,
-            engine=self.engine,
         )[0]
 
     def run_batch(

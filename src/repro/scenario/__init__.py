@@ -11,8 +11,7 @@ The package lifts the two-species assumption out of the execution stack:
   (``lv2`` default, ``opinion3``/``opinion4`` k-opinion consensus,
   ``catalysis``), lowered from :class:`~repro.lv.params.LVParams`.
 - :mod:`repro.scenario.engine` — the generic exact/tau execution engine
-  for non-default scenarios (numpy + native kernel, bitwise-matched).
-- :mod:`repro.scenario.native` — the shape-generic lock-step kernel.
+  for non-default scenarios.
 
 Layering note: low layers (``repro.lv.*``) import **only**
 ``repro.scenario.spec`` directly (import-light: numpy + exceptions) and

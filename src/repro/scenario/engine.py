@@ -9,7 +9,7 @@ and spec-defined absorbing/consensus predicates over the opinion species.
 
 The RNG consumption contract mirrors the two-species engine's documented
 one, so fused and solo runs stay bitwise interchangeable and results are
-independent of packing and of the inner-loop engine:
+independent of packing:
 
 1. every member's root seed spawns exactly two generators
    (:func:`repro.rng.spawn_generators`) — the **step stream** and the
@@ -21,12 +21,11 @@ independent of packing and of the inner-loop engine:
    partition invariance makes unobservable;
 3. once at most :data:`repro.lv.ensemble.SCALAR_FINISH_WIDTH` replicas
    remain, the survivors are finished one by one, in ascending replica
-   order, by a scalar loop drawing from the tail stream.
+   order, by a scalar loop drawing from the tail stream.  The tail draws
+   come from one blocked stream shared by the member's tail replicas.
 
-Both inner-loop engines — the vectorized numpy path and the native kernel
-(:mod:`repro.scenario.native`, JIT or interpreted twin) — follow this
-contract with bitwise-matching float evaluation, so ``engine=`` remains a
-pure execution knob for generic scenarios exactly as it is for lv2.
+``tests/reference_lockstep.py`` replays this contract in plain scalar
+Python and the engine tests match it array for array.
 
 The tau-leaping backend implements the standard bounded-relative-change
 leap-size selection over the scenario tables with per-replica rejection
@@ -132,10 +131,10 @@ def _finish_replica_scalar(
 ) -> tuple[int, int, int, int]:
     """Finish one replica with the scalar event loop (the shared tail).
 
-    Plain-Python IEEE-754 arithmetic in the engines' canonical operand
-    order; both inner-loop engines delegate here, which is one of the two
-    pillars of their bitwise equality.  Returns ``(termination code,
-    total events, good events fired here, max total population seen)``.
+    Plain-Python IEEE-754 arithmetic in the canonical operand order of
+    :meth:`repro.scenario.spec.Scenario.propensities`.  Returns
+    ``(termination code, total events, good events fired here, max total
+    population seen)``.
     """
     num_species = scenario.num_species
     num_reactions = scenario.num_reactions
@@ -230,14 +229,14 @@ def _finish_member_tail(
 
 
 def _cumulative_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Left-fold cumulative sum over reaction rows (kernel-identical adds)."""
+    """Left-fold cumulative sum over reaction rows (the scalar tail's adds)."""
     out[0] = rows[0]
     for m in range(1, rows.shape[0]):
         np.add(out[m - 1], rows[m], out=out[m])
     return out
 
 
-def _advance_member_numpy(
+def _advance_member(
     scenario: Scenario,
     states: np.ndarray,
     running: np.ndarray,
@@ -250,7 +249,7 @@ def _advance_member_numpy(
     collect_stats: bool,
     tail_width: int,
 ) -> None:
-    """The vectorized lock-step phase (numpy inner-loop engine)."""
+    """The vectorized lock-step phase, until at most *tail_width* remain."""
     changes = scenario.change_matrix
     good_vec = scenario.good_vector
     num_reactions = scenario.num_reactions
@@ -294,62 +293,6 @@ def _advance_member_numpy(
         _classify_after_step(
             scenario, states, events, codes, running, alive_rows, max_events
         )
-
-
-def _advance_member_native(
-    scenario: Scenario,
-    states: np.ndarray,
-    running: np.ndarray,
-    events: np.ndarray,
-    codes: np.ndarray,
-    good_counts: np.ndarray,
-    max_totals: np.ndarray,
-    max_events: int,
-    step_generator: np.random.Generator,
-    collect_stats: bool,
-    tail_width: int,
-) -> None:
-    """The native-kernel lock-step phase (numba engine or interpreted twin)."""
-    from repro.lv.native import STATUS_REFILL
-    from repro.scenario.native import scenario_lockstep_kernel
-
-    alive = running.astype(np.uint8)
-    reactants = scenario.reactant_matrix
-    changes = scenario.change_matrix
-    rates = scenario.rate_vector
-    linear = scenario.linear_matrix
-    good_vec = scenario.good_vector.astype(np.uint8)
-    opinion = scenario.opinion_index
-    cum = np.empty(scenario.num_reactions, dtype=np.float64)
-    used = np.zeros(1, dtype=np.int64)
-    uniforms = step_generator.random(_UNIFORM_BLOCK)
-    while True:
-        status = scenario_lockstep_kernel(
-            states,
-            alive,
-            events,
-            codes,
-            good_counts if collect_stats else np.zeros_like(good_counts),
-            max_totals,
-            reactants,
-            changes,
-            rates,
-            linear,
-            good_vec if collect_stats else np.zeros_like(good_vec),
-            opinion,
-            np.int64(max_events),
-            np.uint8(1 if collect_stats else 0),
-            uniforms,
-            used,
-            cum,
-            np.int64(tail_width),
-        )
-        if status != STATUS_REFILL:
-            break
-        uniforms = np.concatenate(
-            [uniforms[used[0] :], step_generator.random(_UNIFORM_BLOCK)]
-        )
-    running[:] = alive.astype(bool)
 
 
 def _member_result(
@@ -407,7 +350,6 @@ def run_scenario_members(
     seeds: Sequence[int],
     *,
     collect: str = "full",
-    engine: str = "numpy",
 ) -> "list[LVEnsembleResult]":
     """Exact generic execution of non-default scenario members.
 
@@ -432,10 +374,7 @@ def run_scenario_members(
         running = np.ones(width, dtype=bool)
         _initial_codes(scenario, states, codes, running)
         collect_stats = collect == "full"
-        advance = (
-            _advance_member_native if engine == "numba" else _advance_member_numpy
-        )
-        advance(
+        _advance_member(
             scenario,
             states,
             running,

@@ -68,8 +68,6 @@ class ScenarioFamily:
     species: tuple[str, ...]
     #: Simulation backends the family supports (``"exact"`` / ``"tau"``).
     backends: tuple[str, ...]
-    #: Inner-loop engines the family supports (``"numpy"`` / ``"numba"``).
-    engines: tuple[str, ...]
     #: A sensible demo initial state (CLI smoke runs, docs).
     default_initial_state: tuple[int, ...]
     #: Lower an ``LVParams`` into the family's concrete scenario tables.
@@ -215,7 +213,6 @@ def _build_registry() -> dict[str, ScenarioFamily]:
             description="Two-species competitive LV jump chain (the paper's model)",
             species=("X0", "X1"),
             backends=("exact", "tau"),
-            engines=("numpy", "numba"),
             default_initial_state=(60, 40),
             build=_build_lv2,
         ),
@@ -224,7 +221,6 @@ def _build_registry() -> dict[str, ScenarioFamily]:
             description="3-opinion consensus: pairwise competition between opinions",
             species=("X0", "X1", "X2"),
             backends=("exact", "tau"),
-            engines=("numpy", "numba"),
             default_initial_state=(50, 35, 35),
             build=lambda params: _build_opinion(3, params),
         ),
@@ -233,7 +229,6 @@ def _build_registry() -> dict[str, ScenarioFamily]:
             description="4-opinion consensus: pairwise competition between opinions",
             species=("X0", "X1", "X2", "X3"),
             backends=("exact", "tau"),
-            engines=("numpy", "numba"),
             default_initial_state=(40, 27, 27, 26),
             build=lambda params: _build_opinion(4, params),
         ),
@@ -243,7 +238,6 @@ def _build_registry() -> dict[str, ScenarioFamily]:
             "(k_unlig + k_lig*n_cat) competition rates",
             species=("X0", "X1", "C"),
             backends=("exact", "tau"),
-            engines=("numpy", "numba"),
             default_initial_state=(55, 45, 80),
             build=_build_catalysis,
         ),

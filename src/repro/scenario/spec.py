@@ -6,15 +6,13 @@ rate constants), an affine non-mass-action override slot (effective rate
 ``k_m + l_m · x``, the ``k_unlig + k_lig·n_cat`` catalysis form), the
 good/bad event classification, and which species count as *opinions* for the
 absorbing/consensus predicates.  The generic execution engine
-(:mod:`repro.scenario.engine`), its native kernel twin
-(:mod:`repro.scenario.native`), the store-key fingerprint, and the property
+(:mod:`repro.scenario.engine`), the store-key fingerprint, and the property
 tests all consume the same tables, so a scenario is defined exactly once.
 
 This module is also the shared home of the termination codes and the
-two-species LV structural tables that :mod:`repro.lv.ensemble`,
-:mod:`repro.lv.tau`, and :mod:`repro.lv.native` previously each declared for
-themselves: the lock-step ``dx`` tables and the runtime-minority good table
-are now *derived* from the lv2 reaction structure here
+two-species LV structural tables that :mod:`repro.lv.ensemble` and
+:mod:`repro.lv.tau` previously each declared for themselves: the lock-step
+``dx`` tables and the runtime-minority good table are now *derived* from the lv2 reaction structure here
 (:func:`lv2_change_tables`, :func:`lv2_minority_good_table`), so the
 specialised two-species engines and the generic engine can never drift apart.
 
@@ -52,7 +50,7 @@ __all__ = [
 #: competitive LV jump chain, executed by the specialised lock-step engines.
 DEFAULT_SCENARIO = "lv2"
 
-#: Termination codes shared by every engine (scalar, lock-step, tau, native,
+#: Termination codes shared by every engine (scalar, lock-step, tau,
 #: generic): the single definition the result arrays and the store encode.
 TERM_CONSENSUS, TERM_ABSORBED, TERM_MAX_EVENTS = 0, 1, 2
 TERMINATION_NAMES = ("consensus", "absorbed", "max-events")
@@ -234,8 +232,8 @@ class Scenario:
         """Naive per-reaction reference evaluation at one state (``(M,)``).
 
         Scalar Python arithmetic in the engines' canonical operand order —
-        the reference the vectorized tables and the native kernel are tested
-        against (and bit-equal to, both being IEEE-754 doubles).
+        the reference the vectorized tables and the generic scalar tail are
+        tested against (and bit-equal to, all being IEEE-754 doubles).
         """
         state = np.asarray(state, dtype=np.int64)
         if state.shape != (self.num_species,):
@@ -265,8 +263,8 @@ class Scenario:
         """Vectorized propensity table: ``(W, S)`` states → ``(M, W)`` rows.
 
         Written with explicit per-species elementwise operations in exactly
-        the operand order of :meth:`propensities` and of the native kernel,
-        so all three paths produce bitwise-identical doubles.
+        the operand order of :meth:`propensities` and of the generic scalar
+        tail, so all three paths produce bitwise-identical doubles.
         """
         states_f = np.asarray(states, dtype=np.float64)
         width = states_f.shape[0]

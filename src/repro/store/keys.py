@@ -13,8 +13,7 @@ Two granularities share the scheme:
   backend, collect mode)`` unit, the same unit the sweep engine's
   determinism contract covers (a member's result is bitwise-identical to
   running it alone, independent of ``jobs`` / ``sweep_batch`` packing /
-  ``compaction_fraction`` / the resolved ``engine`` — the numba kernel is
-  bit-for-bit the numpy path — all of which are therefore deliberately
+  ``compaction_fraction``, all of which are therefore deliberately
   *excluded* from the key), and
 * **run keys** (:func:`run_key`) address one completed experiment run —
   ``(experiment id, canonical config hash, seed root, result-schema
@@ -99,13 +98,7 @@ def chunk_key(
     chunk (``"exact"`` or ``"tau"`` — never ``"auto"``), because that is
     what determines the bit stream.  ``tau_epsilon`` only enters the key for
     tau chunks; the exact engine ignores it, and keying it would split
-    identical results across keys.  The inner-loop ``engine`` selector
-    (``"numpy"``/``"numba"``) is deliberately **not** keyed: the native
-    kernel preserves the exact engine's per-replica RNG consumption order,
-    so both implementations produce bitwise-identical chunks — keying the
-    engine would only split one result across two addresses and forfeit
-    cache hits when a journal written on a numba host is replayed on a
-    numpy-only one (or vice versa).
+    identical results across keys.
 
     *scenario* names the registered scenario family the chunk runs under
     (``None`` means the two-species default).  The key folds in the
@@ -140,10 +133,9 @@ def scheduler_fingerprint(scheduler: Any) -> dict[str, Any]:
     Includes ``batch_size`` (fixed-budget chunk decomposition derives
     per-batch seeds from it), ``wave_quantum`` (the adaptive chunk ladder),
     the backend selector, ``tau_epsilon``, and the precision target.
-    Excludes ``jobs``, ``sweep_batch``, ``compaction_fraction``, and the
-    inner-loop ``engine``: results are bitwise-independent of them by the
-    sweep engine's contract, so runs executed with different parallelism —
-    or with and without numba — still share cache entries.
+    Excludes ``jobs``, ``sweep_batch``, and ``compaction_fraction``:
+    results are bitwise-independent of them by the sweep engine's contract,
+    so runs executed with different parallelism still share cache entries.
     """
     precision = getattr(scheduler, "precision", None)
     return {

@@ -8,6 +8,8 @@ import pytest
 
 from repro.__main__ import build_parser, main
 
+ESTIMATE_ARGS = ["estimate", "--population", "10", "--gap", "2"]
+
 
 class TestParser:
     def test_requires_a_command(self):
@@ -43,6 +45,13 @@ class TestParser:
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "T1R3", "--backend", "fast"])
+
+    @pytest.mark.parametrize("command", [["run", "T1R3"], ESTIMATE_ARGS])
+    def test_engine_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--engine", "numpy"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_fault_flags_parse(self):
         arguments = build_parser().parse_args(
@@ -86,6 +95,19 @@ class TestCommands:
         ):
             assert line in output
         assert output.count("backends: exact, tau") == 4
+        assert "engines" not in output
+
+    def test_version_prints_repro_and_numpy(self, capsys):
+        import numpy
+
+        from repro import __version__
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--version"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.strip() == (
+            f"repro {__version__} (numpy {numpy.__version__})"
+        )
 
     def test_list_prints_every_experiment(self, capsys):
         assert main(["list"]) == 0
@@ -303,6 +325,33 @@ class TestCacheFlags:
         assert message in capsys.readouterr().err
         assert not (cache / "lock").exists()
         ExperimentStore(cache).close()  # lock free: nothing leaked
+
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            (["--runs", "0"], "--runs must be at least 1, got 0"),
+            (["--population", "0"], "--population must be at least 1, got 0"),
+            (["--gap", "12"], "--gap must be in [0, --population] = [0, 10], got 12"),
+            (["--gap", "-3"], "--gap must be in [0, --population] = [0, 10], got -3"),
+            (["--beta", "-1"], "--beta must be non-negative, got -1.0"),
+            (["--gamma", "-1"], "--gamma must be non-negative, got -1.0"),
+            (
+                ["--beta", "0", "--delta", "0", "--alpha", "0"],
+                "at least one rate must be positive",
+            ),
+        ],
+        ids=["runs", "population", "gap-high", "gap-negative", "beta", "gamma", "all-zero"],
+    )
+    def test_estimate_usage_error_never_creates_the_store(
+        self, tmp_path, capsys, arguments, message
+    ):
+        """Estimate checks its configuration before the store opens."""
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit) as excinfo:
+            main([*ESTIMATE_ARGS, *arguments, "--cache-dir", str(cache)])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not cache.exists()
 
     def test_store_detached_and_closed_after_main(self, tmp_path, capsys):
         from repro.experiments.scheduler import get_default_scheduler

@@ -56,14 +56,13 @@ def active_rule_ids(result):
 
 
 class TestRuleCatalog:
-    def test_at_least_eight_rules_across_the_four_contract_classes(self):
+    def test_at_least_eight_rules_across_the_three_contract_classes(self):
         contract_rules = [r for r in RULES.values() if not r.id.startswith("RC9")]
         assert len(contract_rules) >= 8
         assert {r.rule_class for r in contract_rules} == {
             "rng-discipline",
             "iteration-order",
             "store-key-purity",
-            "nopython-subset",
         }
 
     def test_every_rule_id_is_stable_and_self_describing(self):
@@ -415,134 +414,6 @@ class TestStoreKeyPurity:
             """
             def helper():
                 return {"anything": 1}
-            """,
-        )
-        assert active_rule_ids(result) == []
-
-
-class TestNopythonSubset:
-    def test_rc401_forbidden_construct_in_decorated_kernel(self, tmp_path):
-        result = lint_snippet(
-            tmp_path,
-            "src/repro/lv/native.py",
-            """
-            import numba
-
-            @numba.njit(cache=True)
-            def kernel(x):
-                return [value for value in range(x)]
-            """,
-        )
-        assert "RC401" in active_rule_ids(result)
-
-    def test_rc401_forbidden_call_via_alias_application(self, tmp_path):
-        result = lint_snippet(
-            tmp_path,
-            "src/repro/scenario/native.py",
-            """
-            import numba
-
-            _jit = numba.njit(cache=True)
-
-            def _kernel_py(x):
-                print(x)
-                return x
-
-            kernel = _jit(_kernel_py)
-            """,
-        )
-        assert "RC401" in active_rule_ids(result)
-
-    def test_rc401_configured_kernel_checked_without_njit(self, tmp_path):
-        # The numba-free fallback binds the plain function; the configured
-        # kernel-functions list keeps it inside the contract anyway.
-        result = lint_snippet(
-            tmp_path,
-            "src/repro/lv/native.py",
-            """
-            def _lockstep_kernel_py(state):
-                with open("log") as handle:
-                    handle.read()
-                return state
-            """,
-        )
-        assert "RC401" in active_rule_ids(result)
-
-    def test_rc401_reading_undeclared_global(self, tmp_path):
-        result = lint_snippet(
-            tmp_path,
-            "src/repro/lv/native.py",
-            """
-            import numba
-
-            _TABLE = build_table()
-
-            @numba.njit(cache=True)
-            def kernel(x):
-                return _TABLE[x]
-            """,
-        )
-        assert "RC401" in active_rule_ids(result)
-
-    def test_clean_kernel_passes(self, tmp_path):
-        result = lint_snippet(
-            tmp_path,
-            "src/repro/lv/native.py",
-            """
-            import numba
-
-            _STATUS_DONE = 0
-            _S_X0, _S_X1 = range(2)
-
-            @numba.njit(cache=True, fastmath=False)
-            def kernel(scratch, block, budget):
-                total = 0.0
-                for index in range(len(block)):
-                    if scratch[_S_X0] <= 0:
-                        break
-                    total += block[index] * float(budget)
-                    scratch[_S_X1] = min(scratch[_S_X1], budget)
-                return _STATUS_DONE, total
-            """,
-        )
-        assert active_rule_ids(result) == []
-
-    def test_rc402_missing_cache(self, tmp_path):
-        result = lint_snippet(
-            tmp_path,
-            "src/repro/lv/native.py",
-            """
-            import numba
-
-            @numba.njit
-            def kernel(x):
-                return x
-            """,
-        )
-        assert active_rule_ids(result) == ["RC402"]
-
-    def test_rc402_fastmath_enabled(self, tmp_path):
-        result = lint_snippet(
-            tmp_path,
-            "src/repro/lv/native.py",
-            """
-            import numba
-
-            @numba.njit(cache=True, fastmath=True)
-            def kernel(x):
-                return x
-            """,
-        )
-        assert active_rule_ids(result) == ["RC402"]
-
-    def test_kernel_modules_scope(self, tmp_path):
-        # The same forbidden construct outside a kernel module is fine.
-        result = lint_snippet(
-            tmp_path,
-            "src/repro/lv/mod.py",
-            """
-            def helper(x):
-                return [value for value in range(x)]
             """,
         )
         assert active_rule_ids(result) == []

@@ -1,8 +1,8 @@
 """Chaos suite: deterministic fault injection and the fault-tolerant executor.
 
 The acceptance gate of the fault-tolerance work: under an injected
-:class:`~repro.faults.FaultPlan` — worker crashes, hung tasks, numba
-outages, torn journal appends, corrupted chunk payloads — every entry point
+:class:`~repro.faults.FaultPlan` — worker crashes, hung tasks, torn journal
+appends, corrupted chunk payloads — every entry point
 completes **bitwise-identically** to a fault-free run, with equal
 ``events_executed`` meters and equal journaled bytes, across ``jobs`` and
 ``sweep_batch`` settings.  Faults change *how long* a run takes, never what
@@ -26,6 +26,7 @@ from repro.experiments.scheduler import (
 )
 from repro.experiments.sweep import SweepTask
 from repro.faults import (
+    FAULT_KINDS,
     FaultPlan,
     FaultSpec,
     InjectedWorkerCrash,
@@ -33,7 +34,6 @@ from repro.faults import (
     injected_faults,
     install_fault_plan,
 )
-from repro.lv.native import NATIVE_AVAILABLE, NativeEngineUnavailableError
 from repro.lv.state import LVState
 from repro.store import ExperimentStore, quarantine_path, verify_journal
 
@@ -102,14 +102,8 @@ class TestFaultPlanFiring:
     def test_fire_execution_raises_injected_crash_inline(self):
         plan = FaultPlan(seed=1, crash=FaultSpec(rate=1.0))
         with pytest.raises(InjectedWorkerCrash):
-            plan.fire_execution(token=5, attempt=0, engine="numpy")
-        plan.fire_execution(token=5, attempt=1, engine="numpy")  # retry is clean
-
-    def test_degrade_fires_only_off_the_numpy_engine(self):
-        plan = FaultPlan(seed=1, degrade=FaultSpec(rate=1.0))
-        with pytest.raises(NativeEngineUnavailableError):
-            plan.fire_execution(token=5, attempt=0, engine="numba")
-        plan.fire_execution(token=5, attempt=0, engine="numpy")  # nothing to lose
+            plan.fire_execution(token=5, attempt=0)
+        plan.fire_execution(token=5, attempt=1)  # retry is clean
 
     def test_journal_action_is_attempt_gated(self):
         plan = FaultPlan(seed=1, torn_append=FaultSpec(rate=1.0))
@@ -130,6 +124,12 @@ class TestFaultPlanSerialisation:
     def test_unknown_fields_are_rejected(self):
         with pytest.raises(ReproError, match="unknown fault plan field"):
             FaultPlan.from_json('{"seed": 1, "explode": {"rate": 1.0}}')
+
+    def test_native_outage_kind_is_gone(self):
+        # The mid-run native-engine outage left with the native engine.
+        assert "degrade" not in FAULT_KINDS
+        with pytest.raises(ReproError, match="unknown fault plan field"):
+            FaultPlan.from_json('{"seed": 5, "degrade": {"rate": 0.3}}')
 
     def test_invalid_spec_field_is_rejected(self):
         with pytest.raises(ReproError, match="invalid fault spec"):
@@ -335,18 +335,18 @@ class TestInlineChaos:
                 scheduler.run_sweep(_tasks(sd_params, nsd_params))
         assert "--max-retries" in str(excinfo.value)
 
-    def test_mid_run_native_outage_degrades_to_numpy(self, recwarn):
-        """A numba outage mid-run falls back to numpy without losing the unit."""
+    def test_units_receive_their_attempt_number(self):
+        """Dispatch appends the attempt; a failed unit retries one higher."""
         calls = []
 
-        def fn(index, engine, attempt):
-            calls.append((index, engine, attempt))
-            if engine != "numpy":
-                raise NativeEngineUnavailableError("injected outage")
+        def fn(index, attempt):
+            calls.append((index, attempt))
+            if index == 1 and attempt == 0:
+                raise RuntimeError("transient")
             return index * 10
 
         collected = {}
-        scheduler = SweepScheduler(engine="auto", fault_tolerance=FAST)
+        scheduler = SweepScheduler(fault_tolerance=FAST)
         scheduler._execute_faulted(
             [(0,), (1,), (2,)],
             fn,
@@ -354,27 +354,8 @@ class TestInlineChaos:
             lambda index, result: collected.__setitem__(index, result),
         )
         assert collected == {0: 0, 1: 10, 2: 20}
-        assert scheduler.health.degradations == 1
-        assert scheduler._effective_engine() == "numpy"
-        # The failed unit re-executed at the same attempt number (degrade is
-        # not a retry), and later units dispatched straight to numpy.
-        assert calls == [(0, "auto", 0), (0, "numpy", 0), (1, "numpy", 0), (2, "numpy", 0)]
-        assert any("falling" in str(w.message) for w in recwarn.list)
-
-    @pytest.mark.skipif(not NATIVE_AVAILABLE, reason="needs the numba native engine")
-    def test_injected_numba_outage_end_to_end(self, sd_params, nsd_params):
-        tasks = _tasks(sd_params, nsd_params)
-        reference, events = _reference(tasks)
-        scheduler = SweepScheduler(
-            batch_size=64, sweep_batch=64, engine="auto", fault_tolerance=FAST
-        )
-        with injected_faults(FaultPlan(seed=5, degrade=FaultSpec(rate=1.0))):
-            with pytest.warns(RuntimeWarning, match="numpy engine"):
-                faulted = scheduler.run_sweep(tasks)
-        assert scheduler.health.degradations == 1
-        assert scheduler.events_executed == events
-        for expected, actual in zip(reference, faulted):
-            assert_bitwise_equal(expected, actual)
+        assert calls == [(0, 0), (1, 0), (1, 1), (2, 0)]
+        assert scheduler.health.retries == 1
 
 
 class TestPoolChaos:

@@ -1,0 +1,362 @@
+"""The two-species exact engine against the scalar replay of its contract.
+
+``reference_lockstep`` replays the documented RNG consumption order one
+replica and one uniform at a time.  Every exact path that ends in the
+lock-step core or the scalar simulator must match it array for array: both
+collect modes, every compaction setting, explicit member seeds, the
+one-configuration front end, the scalar tail field for field, the tau
+backend's exact endgame, and the schedulers' planned, packed, parallel and
+adaptive execution.  The last class pins the compatibility seam that
+replaced the removed native engine.
+"""
+
+from __future__ import annotations
+
+import ast
+import dataclasses
+import inspect
+
+import numpy as np
+import pytest
+
+from repro.analysis.statistics import PrecisionTarget
+from repro.consensus.estimator import chunk_ladder_seed, chunk_ladder_size
+from repro.exceptions import InvalidConfigurationError
+from repro.experiments.scheduler import (
+    ReplicaScheduler,
+    SweepScheduler,
+    configure_default_scheduler,
+    get_default_scheduler,
+)
+from repro.experiments.sweep import MemberSpec, SweepTask, execute_mega_batch, plan_members
+from repro.lv import native
+from repro.lv.ensemble import (
+    SCALAR_FINISH_WIDTH,
+    LVEnsembleSimulator,
+    SweepMember,
+    run_sweep_ensemble,
+)
+from repro.lv.params import LVParams
+from repro.lv.simulator import DEFAULT_MAX_EVENTS, LVJumpChainSimulator
+from repro.lv.state import LVState
+from repro.lv.tau import LVTauEnsembleSimulator, run_tau_sweep_ensemble
+from repro.rng import spawn_generators, spawn_seeds
+from repro.scenario.engine import run_scenario_members
+
+import reference_lockstep as reference
+
+
+def assert_matches_replay(result, replay: dict) -> None:
+    """Every array of *replay* equals the result's field of that name, dtype included."""
+    for name, expected in replay.items():
+        actual = getattr(result, name)
+        assert actual.dtype == expected.dtype, name
+        assert np.array_equal(actual, expected), name
+
+
+def concatenate(replays: list[dict]) -> dict:
+    return {name: np.concatenate([r[name] for r in replays]) for name in replays[0]}
+
+
+def _members(sd_params, nsd_params):
+    """A heterogeneous batch covering every retirement path.
+
+    Mixed mechanisms and populations, a budget-limited member (max-events
+    retirement plus mid-run scalar handoff), and an intraspecific-only
+    member whose replicas can absorb at (1, 1).
+    """
+    gamma_only = LVParams.non_self_destructive(beta=0.0, delta=0.0, alpha=0.0, gamma=1.0)
+    return [
+        SweepMember(sd_params, LVState(40, 24), 90),
+        SweepMember(nsd_params, LVState(33, 31), 70),
+        SweepMember(sd_params, LVState(36, 28), 50, 40),
+        SweepMember(gamma_only, LVState(5, 3), 40),
+    ]
+
+
+class TestEnsembleAgainstReference:
+    @pytest.mark.parametrize("collect", ["full", "win"])
+    def test_sweep_ensemble_matches_reference(self, sd_params, nsd_params, collect):
+        members = _members(sd_params, nsd_params)
+        results = run_sweep_ensemble(members, rng=7, collect=collect)
+        for result, replay in zip(results, reference.replay_lv2(members, rng=7, collect=collect)):
+            assert_matches_replay(result, replay)
+
+    @pytest.mark.parametrize("compaction", [None, 0.25, 1.0])
+    def test_every_compaction_matches_reference(self, sd_params, nsd_params, compaction):
+        members = _members(sd_params, nsd_params)
+        results = run_sweep_ensemble(members, rng=3, compaction_fraction=compaction)
+        for result, replay in zip(results, reference.replay_lv2(members, rng=3)):
+            assert_matches_replay(result, replay)
+
+    def test_member_seeds_match_reference(self, sd_params, nsd_params):
+        members = _members(sd_params, nsd_params)
+        seeds = [11, 22, 33, 44]
+        results = run_sweep_ensemble(members, member_seeds=seeds)
+        for result, replay in zip(results, reference.replay_lv2(members, member_seeds=seeds)):
+            assert_matches_replay(result, replay)
+
+    def test_ensemble_simulator_matches_reference(self, sd_balanced_params):
+        result = LVEnsembleSimulator(sd_balanced_params).run_ensemble(LVState(30, 18), 64, rng=9)
+        (seed,) = reference.member_root_seeds(1, rng=9)
+        replay = reference.replay_lv2_member(
+            sd_balanced_params, (30, 18), 64, DEFAULT_MAX_EVENTS, seed
+        )
+        assert_matches_replay(result, replay)
+
+    def test_scalar_finish_width_is_the_documented_handoff(self):
+        assert SCALAR_FINISH_WIDTH == reference.HANDOFF_WIDTH == 8
+
+
+class TestScalarTailAgainstReference:
+    def _assert_same_run(self, run, replay) -> None:
+        for field in replay._fields:
+            value = getattr(run, field)
+            if field == "final_state":
+                value = (value.x0, value.x1)
+            assert value == getattr(replay, field), field
+
+    def test_run_results_match_field_for_field(self, sd_params, nsd_balanced_params):
+        for params in (sd_params, nsd_balanced_params):
+            for seed in range(5):
+                run = LVJumpChainSimulator(params).run(
+                    LVState(50, 30), rng=np.random.default_rng(seed)
+                )
+                replay = reference.scalar_run(
+                    params, (50, 30), np.random.default_rng(seed), DEFAULT_MAX_EVENTS
+                )
+                self._assert_same_run(run, replay)
+
+    def test_minority_reference_noise_matches(self, nsd_params):
+        # Species 1 leads, so every noise term is measured against x1 - x0.
+        run = LVJumpChainSimulator(nsd_params).run(LVState(20, 34), rng=np.random.default_rng(2))
+        replay = reference.scalar_run(
+            nsd_params, (20, 34), np.random.default_rng(2), DEFAULT_MAX_EVENTS
+        )
+        self._assert_same_run(run, replay)
+
+    def test_max_events_termination_matches(self, nsd_params):
+        run = LVJumpChainSimulator(nsd_params).run(
+            LVState(60, 40), rng=np.random.default_rng(1), max_events=25
+        )
+        replay = reference.scalar_run(nsd_params, (60, 40), np.random.default_rng(1), 25)
+        assert run.termination == replay.termination == "max-events"
+        self._assert_same_run(run, replay)
+
+    def test_absorbed_termination_matches(self):
+        gamma_only = LVParams.non_self_destructive(beta=0.0, delta=0.0, alpha=0.0, gamma=1.0)
+        for seed in range(8):
+            run = LVJumpChainSimulator(gamma_only).run(
+                LVState(4, 4), rng=np.random.default_rng(seed)
+            )
+            replay = reference.scalar_run(
+                gamma_only, (4, 4), np.random.default_rng(seed), DEFAULT_MAX_EVENTS
+            )
+            self._assert_same_run(run, replay)
+
+    def test_generator_stream_position_matches(self, sd_params):
+        # Sequential runs on one stream (every tail) diverge unless each run
+        # consumes exactly the same whole blocks.
+        simulator_rng = np.random.default_rng(42)
+        reference_rng = np.random.default_rng(42)
+        LVJumpChainSimulator(sd_params).run(LVState(30, 20), rng=simulator_rng)
+        reference.scalar_run(sd_params, (30, 20), reference_rng, DEFAULT_MAX_EVENTS)
+        assert simulator_rng.random() == reference_rng.random()
+
+
+class TestTauEndgameAgainstReference:
+    """Replicas at or below the tail population finish exactly, on the tail stream."""
+
+    @staticmethod
+    def _endgame_replay(member, root_seed) -> dict:
+        _, tail = spawn_generators(root_seed, 2)
+        runs = [
+            reference.scalar_run(member.params, member.initial_state, tail, member.max_events)
+            for _ in range(member.num_replicates)
+        ]
+
+        def column(field, dtype=np.int64):
+            return np.array([getattr(run, field) for run in runs], dtype=dtype)
+
+        replay = {
+            name: column(name)
+            for name in reference.ScalarRun._fields
+            if name not in ("final_state", "termination", "hit_tie")
+        }
+        replay["final_x0"], replay["final_x1"] = column("final_state").T
+        replay["hit_tie"] = column("hit_tie", bool)
+        replay["termination_codes"] = np.array(
+            [reference.TERMINATION_NAMES.index(run.termination) for run in runs], dtype=np.int8
+        )
+        replay["leap_events"] = np.zeros(member.num_replicates, dtype=np.int64)
+        return replay
+
+    def test_exact_tail_matches_reference(self, sd_params, nsd_params):
+        members = [
+            SweepMember(sd_params, LVState(60, 40), 6),
+            SweepMember(nsd_params, LVState(50, 46), 4),
+        ]
+        results = run_tau_sweep_ensemble(members, rng=11)
+        seeds = reference.member_root_seeds(2, rng=11)
+        for member, seed, result in zip(members, seeds, results):
+            assert_matches_replay(result, self._endgame_replay(member, seed))
+
+    def test_tau_simulator_matches_reference(self, sd_params):
+        simulator = LVTauEnsembleSimulator(sd_params, exact_tail_population=2_000)
+        result = simulator.run_ensemble(LVState(700, 500), 4, rng=13)
+        member = SweepMember(sd_params, LVState(700, 500), 4, DEFAULT_MAX_EVENTS)
+        (seed,) = reference.member_root_seeds(1, rng=13)
+        assert_matches_replay(result, self._endgame_replay(member, seed))
+
+
+def _tasks(sd_params, nsd_params):
+    return [
+        SweepTask(sd_params, LVState(40, 24), 300, seed=1, label="easy"),
+        SweepTask(nsd_params, LVState(33, 31), 300, seed=2, label="hard"),
+        SweepTask(sd_params, LVState(36, 28), 300, seed=3, label="medium"),
+    ]
+
+
+def _planned_replays(tasks, batch_size: int, collect: str = "full") -> list[dict]:
+    """Each task's replay: its planned batches, each seeded as the planner says."""
+    per_task: list[list[dict]] = [[] for _ in tasks]
+    for spec in plan_members(tasks, batch_size=batch_size):
+        (seed,) = reference.member_root_seeds(1, member_seeds=[spec.seed])
+        per_task[spec.task_index].append(
+            reference.replay_lv2_member(
+                spec.params, spec.counts, spec.num_replicates, spec.max_events, seed, collect
+            )
+        )
+    return [concatenate(replays) for replays in per_task]
+
+
+TARGET = PrecisionTarget(ci_half_width=0.05, min_replicates=64, max_replicates=512)
+
+
+class TestSchedulerAgainstReference:
+    @pytest.mark.parametrize("sweep_batch", [96, 2048])
+    def test_fixed_sweep_matches_reference_across_sweep_batch(
+        self, sd_params, nsd_params, sweep_batch
+    ):
+        tasks = _tasks(sd_params, nsd_params)
+        results = SweepScheduler(batch_size=128, sweep_batch=sweep_batch).run_sweep(tasks)
+        for result, replay in zip(results, _planned_replays(tasks, 128)):
+            assert_matches_replay(result, replay)
+
+    def test_fixed_sweep_matches_reference_across_jobs(self, sd_params, nsd_params):
+        tasks = _tasks(sd_params, nsd_params)
+        with SweepScheduler(batch_size=128, jobs=2) as scheduler:
+            results = scheduler.run_sweep(tasks, collect="win")
+        for result, replay in zip(results, _planned_replays(tasks, 128, "win")):
+            assert_matches_replay(result, replay)
+
+    def test_replica_scheduler_matches_reference(self, sd_params):
+        scheduler = ReplicaScheduler(batch_size=50)
+        result = scheduler.run_ensembles(sd_params, LVState(40, 24), 120, rng=5)
+        sizes = scheduler.plan(120)
+        seeds = spawn_seeds(5, len(sizes))
+        replays = [
+            reference.replay_lv2_member(
+                sd_params, (40, 24), size, DEFAULT_MAX_EVENTS, spawn_seeds(seed, 1)[0]
+            )
+            for size, seed in zip(sizes, seeds)
+        ]
+        assert_matches_replay(result, concatenate(replays))
+
+    def test_adaptive_waves_match_reference(self, sd_params, nsd_params):
+        tasks = _tasks(sd_params, nsd_params)
+        scheduler = SweepScheduler(wave_quantum=64)
+        results = scheduler.run_sweep_adaptive(tasks, target=TARGET)
+        assert len(set(scheduler.last_adaptive_report.replicates)) > 1
+        for task, result in zip(tasks, results):
+            replays, rung, done = [], 0, 0
+            while done < result.num_replicates:
+                size = chunk_ladder_size(TARGET, 64, rung)
+                (seed,) = reference.member_root_seeds(
+                    1, member_seeds=[chunk_ladder_seed(task.seed, rung)]
+                )
+                replays.append(
+                    reference.replay_lv2_member(
+                        task.params, task.counts, size, task.max_events, seed
+                    )
+                )
+                rung, done = rung + 1, done + size
+            assert_matches_replay(result, concatenate(replays))
+
+    def test_mega_batch_matches_reference_per_member(self, sd_params, nsd_params):
+        tasks = [
+            SweepTask(sd_params, LVState(40, 24), 100, seed=5),
+            SweepTask(nsd_params, LVState(33, 31), 100, seed=6),
+            SweepTask(sd_params, LVState(36, 28), 100, seed=7),
+        ]
+        specs = plan_members(tasks, batch_size=512)
+        results = execute_mega_batch(specs)
+        replays = _planned_replays(tasks, 512)
+        for result, replay in zip(results, replays):
+            assert_matches_replay(result, replay)
+
+
+class TestEngineSeam:
+    """``repro.lv.native`` keeps two names for callers of the removed engine."""
+
+    @pytest.mark.parametrize("selector", ["auto", "numpy"])
+    def test_accepted_selectors_resolve_to_numpy(self, selector):
+        assert native.resolve_engine(selector) == "numpy"
+
+    @pytest.mark.parametrize("selector", ["numba", "fortran", ""])
+    def test_other_selectors_are_rejected_as_removed(self, selector):
+        with pytest.raises(InvalidConfigurationError, match="was removed"):
+            native.resolve_engine(selector)
+
+    def test_native_engine_is_never_available(self):
+        assert native.NATIVE_AVAILABLE is False
+
+    def test_seam_defines_only_its_two_names(self):
+        source = inspect.getsource(native)
+        defined = set()
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(target.id for target in node.targets)
+        assert defined == {"__all__", "NATIVE_AVAILABLE", "resolve_engine"}
+        assert native.__all__ == ["NATIVE_AVAILABLE", "resolve_engine"]
+        assert len(source.splitlines()) <= 30
+
+    def test_default_scheduler_validates_and_discards_engine(self, monkeypatch):
+        # monkeypatch restores the process-wide scheduler afterwards.
+        monkeypatch.setattr(
+            "repro.experiments.scheduler._default_scheduler", get_default_scheduler()
+        )
+        scheduler = configure_default_scheduler(engine="auto")
+        assert not hasattr(scheduler, "engine")
+        with pytest.raises(InvalidConfigurationError, match="was removed"):
+            configure_default_scheduler(engine="numba")
+        assert get_default_scheduler() is scheduler
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda p: SweepScheduler(engine="numpy"),
+            lambda p: SweepTask(p, LVState(4, 2), 10, engine="numpy"),
+            lambda p: LVEnsembleSimulator(p, engine="numpy"),
+            lambda p: LVTauEnsembleSimulator(p, engine="numpy"),
+            lambda p: run_sweep_ensemble([SweepMember(p, LVState(4, 2), 2)], engine="numpy"),
+            lambda p: run_tau_sweep_ensemble([SweepMember(p, LVState(4, 2), 2)], engine="numpy"),
+            lambda p: run_scenario_members(
+                [SweepMember(p, (4, 2, 2), 2, scenario="opinion3")], [1], engine="numpy"
+            ),
+            lambda p: execute_mega_batch(
+                plan_members([SweepTask(p, LVState(4, 2), 2, seed=1)], batch_size=2),
+                engine="numpy",
+            ),
+        ],
+        ids=["scheduler", "task", "ensemble", "tau", "sweep", "tau-sweep", "scenario", "mega"],
+    )
+    def test_no_other_api_takes_engine(self, sd_params, build):
+        with pytest.raises(TypeError, match="engine"):
+            build(sd_params)
+
+    def test_member_specs_carry_no_engine(self):
+        names = {field.name for field in dataclasses.fields(MemberSpec)}
+        assert "engine" not in names

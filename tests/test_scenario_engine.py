@@ -2,8 +2,9 @@
 
 The contracts under test mirror the two-species lock-step engine's:
 
-* **engine parity** — the numba kernel path (or its interpreted twin when
-  numba is absent) is bitwise-identical to the vectorized numpy path;
+* **contract replay** — every registered family matches, array for array,
+  the scalar replay of the documented consumption order in
+  ``reference_lockstep``;
 * **fusion invariance** — a member's result is bitwise-identical whether it
   runs alone or fused into a mixed lv2/generic mega-batch, on both the
   exact and tau backends;
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from repro.scenario.spec import TERM_ABSORBED, TERM_CONSENSUS, TERM_MAX_EVENTS
 from repro.store.keys import chunk_key
 from repro.store.serialize import ensemble_from_payload, ensemble_to_payload
 
+import reference_lockstep
 from reference_ssa import catalysis_reactions, direct_method, lv_reactions, opinion_reactions
 
 PARAMS = LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0)
@@ -57,13 +60,93 @@ def _assert_results_bitwise_equal(left, right):
     assert np.array_equal(left.max_total_population, right.max_total_population)
 
 
+#: One start per registered family for the replay comparisons.
+FAMILY_STARTS = {
+    "lv2": (30, 20),
+    "opinion3": (18, 12, 10),
+    "opinion4": (14, 10, 9, 8),
+    "catalysis": (20, 14, 40),
+}
+
+
+def _family_member(name, params, counts, replicates):
+    """A member for the generic engine.
+
+    ``SweepMember`` routes ``lv2`` to the specialised core and stores its
+    start as an ``LVState``; the generic engine reads only these fields, so
+    a plain namespace runs ``lv2`` through it too.
+    """
+    if name == "lv2":
+        return SimpleNamespace(
+            params=params,
+            initial_state=counts,
+            num_replicates=replicates,
+            max_events=50_000,
+            scenario=name,
+        )
+    return SweepMember(params, counts, replicates, max_events=50_000, scenario=name)
+
+
+def _replay(name, params, counts, replicates, seed, collect):
+    reactions, species, opinions = reference_lockstep.family_reactions(
+        name, params, CATALYSIS_K_LIG
+    )
+    return reference_lockstep.replay_generic_member(
+        reactions, species, opinions, counts, replicates, 50_000, seed, collect
+    )
+
+
+def _asymmetric(mechanism):
+    """Distinct rates, so a swapped or misrouted rate changes the bits."""
+    return LVParams(
+        beta=0.5, delta=0.4, alpha0=0.9, alpha1=0.7, gamma0=0.2, gamma1=0.3, mechanism=mechanism
+    )
+
+
 class TestEngineParity:
-    @pytest.mark.parametrize("member_index", range(3))
-    def test_numpy_and_native_paths_bitwise_identical(self, member_index):
-        member = _members()[member_index]
-        (numpy_result,) = run_scenario_members([member], [123], engine="numpy")
-        (native_result,) = run_scenario_members([member], [123], engine="numba")
-        _assert_results_bitwise_equal(numpy_result, native_result)
+    @pytest.mark.parametrize("collect", ["full", "win"])
+    @pytest.mark.parametrize(
+        "mechanism", list(CompetitionMechanism), ids=lambda mechanism: mechanism.short_name
+    )
+    @pytest.mark.parametrize("name", sorted(FAMILY_STARTS))
+    def test_family_matches_generic_replay(self, name, mechanism, collect):
+        params, counts = _asymmetric(mechanism), FAMILY_STARTS[name]
+        member = _family_member(name, params, counts, 30)
+        (result,) = run_scenario_members([member], [123], collect=collect)
+        replay = _replay(name, params, counts, 30, 123, collect)
+        # The population maximum has its own test below: the lock-step
+        # phase drops its updates (a known defect).
+        replay.pop("max_total_population")
+        for field, expected in replay.items():
+            actual = getattr(result, field)
+            assert actual.dtype == expected.dtype, field
+            assert np.array_equal(actual, expected), field
+
+    def test_members_replay_independently(self):
+        members = _members()
+        results = run_scenario_members(members, [5, 6, 7])
+        for member, seed, result in zip(members, [5, 6, 7], results):
+            replay = _replay(
+                member.scenario, member.params, member.initial_state, 40, seed, "full"
+            )
+            assert np.array_equal(result.finals, replay["finals"])
+            assert np.array_equal(result.total_events, replay["total_events"])
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: the generic lock-step phase writes its running "
+        "population maximum into a fancy-indexed copy, so only tail events "
+        "update max_total_population; fixing it changes stored chunk bytes "
+        "and waits for the next result-schema bump",
+    )
+    def test_population_maximum_matches_replay(self):
+        # Births outpace competition here, so the population grows during
+        # the lock-step phase.
+        params = LVParams.self_destructive(beta=1.0, delta=0.9, alpha=0.05)
+        member = _family_member("opinion3", params, (12, 8, 6), 30)
+        (result,) = run_scenario_members([member], [123])
+        replay = _replay("opinion3", params, (12, 8, 6), 30, 123, "full")
+        assert np.array_equal(result.max_total_population, replay["max_total_population"])
 
     def test_repeat_runs_are_deterministic(self):
         members = _members()
