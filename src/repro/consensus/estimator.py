@@ -25,7 +25,7 @@ from repro.analysis.statistics import (
     binomial_estimate,
 )
 from repro.exceptions import EstimationError
-from repro.lv.ensemble import LVEnsembleResult, LVEnsembleSimulator
+from repro.lv.ensemble import COLLECT_MODES, LVEnsembleResult, LVEnsembleSimulator
 from repro.lv.params import LVParams
 from repro.lv.simulator import DEFAULT_MAX_EVENTS, LVJumpChainSimulator, LVRunResult
 from repro.lv.state import LVState
@@ -88,13 +88,15 @@ class ConsensusEstimate:
     mean_max_population:
         Mean of the largest total population seen per run.
     collected:
-        Statistics level this estimate was produced at.  ``"full"`` (the
-        default everywhere outside fused threshold probes) means every field
-        was measured; ``"win"`` means only the success probability, consensus
-        rate, dead-heat rate, and consensus-time statistics were collected —
-        the remaining statistics are ``NaN`` (``0`` for ``max_bad_events``)
-        so an accidental consumer sees an unmistakably missing value rather
-        than a plausible zero.
+        Statistics level this estimate was produced at.  ``"full"`` means
+        every field was measured; ``"win"`` means only the success
+        probability, consensus rate, dead-heat rate, and consensus-time
+        statistics were collected — the remaining statistics are ``NaN``
+        (``0`` for ``max_bad_events``) so an accidental consumer sees an
+        unmistakably missing value rather than a plausible zero.  Threshold
+        probes and the experiments that read only those fields run at
+        ``"win"``; the event-count and noise experiments, the per-config
+        estimators and ``repro estimate`` run at ``"full"``.
     """
 
     params: LVParams
@@ -294,8 +296,13 @@ def summarise_ensemble(
     never populated, so their summary statistics are reported as ``NaN``
     without touching the arrays (the success probability, consensus rate,
     dead-heat rate, and consensus-time statistics are always exact), and the
-    estimate carries ``collected="win"``.
+    estimate carries ``collected="win"``.  Any other level raises
+    :class:`~repro.exceptions.EstimationError`.
     """
+    if collected not in COLLECT_MODES:
+        raise EstimationError(
+            f"collected must be one of {COLLECT_MODES}, got {collected!r}"
+        )
     num_runs = ensemble.num_replicates
     successes = int(np.count_nonzero(ensemble.majority_consensus))
     reached = ensemble.reached_consensus

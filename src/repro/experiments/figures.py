@@ -21,6 +21,10 @@ configuration grid (all sizes, gaps, and mechanisms) is fused into
 heterogeneous lock-step mega-batches, and `FIG-THRESH` drives all of its
 threshold searches concurrently with per-round probe fusion.  The
 single-species chain simulations of `FIG-BAD` / `FIG-DOM` remain scalar.
+Experiments that read only ρ or consensus times (`FIG-GAP`,
+`FIG-THRESH-XL`, `FIG-TIME`, `FIG-ODE`) run at the engine's ``"win"``
+statistics level; `FIG-BAD` and `FIG-NOISE` read the event accounting and
+run at ``"full"``.
 
 The per-experiment ``num_runs`` are fixed budgets; configuring the
 scheduler with a :class:`~repro.analysis.statistics.PrecisionTarget` (the
@@ -131,7 +135,7 @@ def run_fig_gap_curves(scale: str = "quick", seed: int = 0) -> ExperimentResult:
                 label=f"fig-gap-nsd-{n}-{gap}",
             )
         )
-    estimates = get_default_scheduler().estimate_many(tasks)
+    estimates = get_default_scheduler().estimate_many(tasks, collect="win")
     rows = []
     separation_visible = True
     for (n, gap, state), sd, nsd in zip(grid, estimates[0::2], estimates[1::2]):
@@ -296,7 +300,7 @@ def run_fig_threshold_scaling_xl(scale: str = "quick", seed: int = 0) -> Experim
                     backend="auto",
                 )
             )
-    estimates = get_default_scheduler().estimate_many(tasks)
+    estimates = get_default_scheduler().estimate_many(tasks, collect="win")
     rows = []
     separation_visible = True
     separations = []
@@ -377,7 +381,8 @@ def run_fig_consensus_time(scale: str = "quick", seed: int = 0) -> ExperimentRes
                 label=f"fig-time-{mechanism}-{n}",
             )
             for mechanism, params, n in grid
-        ]
+        ],
+        collect="win",
     )
     rows = []
     linear_like = True
@@ -564,7 +569,8 @@ def run_fig_ode(scale: str = "quick", seed: int = 0) -> ExperimentResult:
                 label=f"fig-ode-{gap}",
             )
             for gap in gaps
-        ]
+        ],
+        collect="win",
     )
     for gap, estimate in zip(gaps, estimates):
         state = state_with_gap(n, gap)

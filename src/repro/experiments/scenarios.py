@@ -5,7 +5,9 @@ same way the Table-1 rows exercise the two-species default: every replicate
 batch goes through the process-wide
 :class:`~repro.experiments.scheduler.SweepScheduler` as
 :class:`~repro.experiments.sweep.SweepTask` grids, so chunk keys, journaling
-and resume all see the scenario fingerprints.
+and resume all see the scenario fingerprints.  Both experiments read only
+outcomes and event totals, so both of their legs (exact and tau) run at the
+engine's ``"win"`` statistics level.
 
 ``SCEN-KOP``
     k-opinion consensus (``opinion3`` / ``opinion4``): the paper's
@@ -100,7 +102,7 @@ def run_scen_kop(scale: str = "quick", seed: int = 0) -> ExperimentResult:
         for k, (total, gaps) in grids.items()
         for gap in gaps
     ]
-    results = scheduler.run_sweep(tasks)
+    results = scheduler.run_sweep(tasks, collect="win")
 
     rows: list[dict[str, object]] = []
     win_rates: dict[int, list[float]] = {k: [] for k in grids}
@@ -134,7 +136,7 @@ def run_scen_kop(scale: str = "quick", seed: int = 0) -> ExperimentResult:
         backend="tau",
         scenario="opinion3",
     )
-    (tau_result,) = scheduler.run_sweep([tau_task])
+    (tau_result,) = scheduler.run_sweep([tau_task], collect="win")
     tau_consensus, tau_win, tau_events = _win_stats(tau_result)
     leaped = tau_result.leap_events is not None and int(tau_result.leap_events.sum()) > 0
     rows.append(
@@ -212,7 +214,7 @@ def run_scen_cat(scale: str = "quick", seed: int = 0) -> ExperimentResult:
         )
         for n_cat in catalysts
     ]
-    results = scheduler.run_sweep(tasks)
+    results = scheduler.run_sweep(tasks, collect="win")
 
     rows: list[dict[str, object]] = []
     mean_events: list[float] = []
@@ -242,7 +244,7 @@ def run_scen_cat(scale: str = "quick", seed: int = 0) -> ExperimentResult:
         backend="tau",
         scenario="catalysis",
     )
-    (tau_result,) = scheduler.run_sweep([tau_task])
+    (tau_result,) = scheduler.run_sweep([tau_task], collect="win")
     tau_consensus, tau_win, tau_events = _win_stats(tau_result)
     leaped = tau_result.leap_events is not None and int(tau_result.leap_events.sum()) > 0
     rows.append(

@@ -88,6 +88,7 @@ from repro.experiments.sweep import (
 from repro.experiments.workloads import replica_batches
 from repro.faults import inject_execution_faults
 from repro.lv.ensemble import (
+    COLLECT_MODES,
     DEFAULT_COMPACTION_FRACTION,
     LVEnsembleResult,
     LVEnsembleSimulator,
@@ -144,6 +145,14 @@ DEFAULT_THRESHOLD_FANOUT = 1
 def _jobs_sanity_limit() -> int:
     """The largest worker count that is plausibly intentional on this host."""
     return max(64, 8 * (os.cpu_count() or 1))
+
+
+def _check_collect(collect: str) -> None:
+    """Reject an unknown statistics level before any planning or store lookup."""
+    if collect not in COLLECT_MODES:
+        raise ExperimentError(
+            f"collect must be one of {COLLECT_MODES}, got {collect!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -1261,6 +1270,7 @@ class SweepScheduler(ReplicaScheduler):
         of which other tasks run alongside); every other task returns a
         zero-work placeholder and journals nothing.
         """
+        _check_collect(collect)
         if self.shards == 1:
             return self._run_sweep_local(tasks, collect)
         owned = self.plan_task_shards(tasks).members(self.shard_index)
@@ -1407,6 +1417,7 @@ class SweepScheduler(ReplicaScheduler):
         bit-for-bit (the prefix-stable rung seeds make the replayed chunks
         identical regardless of where the interruption fell).
         """
+        _check_collect(collect)
         if not tasks:
             raise ExperimentError("a sweep needs at least one task")
         targets = self._resolve_targets(len(tasks), target)
@@ -1507,6 +1518,7 @@ class SweepScheduler(ReplicaScheduler):
         *,
         confidence: float = 0.95,
         target: PrecisionTarget | None = None,
+        collect: str = "full",
     ) -> list[ConsensusEstimate]:
         """One :class:`ConsensusEstimate` per task, from fused mega-batches.
 
@@ -1514,15 +1526,25 @@ class SweepScheduler(ReplicaScheduler):
         *precision* field) each task runs adaptive waves until its estimate
         reaches the target, so ``num_runs`` varies per task; otherwise every
         task runs its fixed ``num_runs`` budget.
+
+        *collect* is the engine's statistics level
+        (:data:`repro.lv.ensemble.COLLECT_MODES`), passed to the sweep and
+        to :func:`~repro.consensus.estimator.summarise_ensemble`.  Callers
+        that read only ρ, the consensus and dead-heat rates and the
+        consensus-time statistics pass ``"win"``: the trajectories, and so
+        those fields, are the same as at ``"full"``, while every accounting
+        field of the estimate is ``NaN``.  The level is part of each chunk
+        key, so the two levels journal separately.
         """
+        _check_collect(collect)
         if target is None:
             target = self.precision
         if target is not None:
-            ensembles = self.run_sweep_adaptive(tasks, target=target)
+            ensembles = self.run_sweep_adaptive(tasks, target=target, collect=collect)
         else:
-            ensembles = self.run_sweep(tasks)
+            ensembles = self.run_sweep(tasks, collect=collect)
         return [
-            summarise_ensemble(ensemble, confidence=confidence)
+            summarise_ensemble(ensemble, confidence=confidence, collected=collect)
             for ensemble in ensembles
         ]
 

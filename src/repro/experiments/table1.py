@@ -10,7 +10,9 @@ All replicate batches are executed through the process-wide
 ``(configuration, replicate)`` grid — every population size of a threshold
 sweep, every probed gap, every mechanism — is flattened into heterogeneous
 lock-step mega-batches, with deterministic per-``(configuration, batch)``
-seeds and optional ``--jobs`` parallelism.
+seeds and optional ``--jobs`` parallelism.  Rows that read only ρ (T1R2,
+T1R3, T1R5) run at the engine's ``"win"`` statistics level, which skips the
+event accounting they never read and leaves their numbers unchanged.
 
 The per-experiment ``num_runs`` below are the **fixed budgets** of the
 exact-reproducibility mode.  When the scheduler carries a
@@ -228,7 +230,8 @@ def run_t1r2(scale: str = "quick", seed: int = 0) -> ExperimentResult:
                 label=f"t1r2-{label}-{a}-{b}",
             )
             for label, params, a, b in grid
-        ]
+        ],
+        collect="win",
     )
     # Two-sided z-test per row at a family-wise false-alarm rate of
     # _T1R2_FAMILY_ALPHA, Bonferroni-split over the rows (|z| <= 3.14 for 6).
@@ -319,7 +322,8 @@ def run_t1r3(scale: str = "quick", seed: int = 0) -> ExperimentResult:
                 label=f"t1r3-{mechanism}-{n}",
             )
             for mechanism, params, n in grid
-        ]
+        ],
+        collect="win",
     )
     rows = []
     failure_stays_constant = True
@@ -454,7 +458,8 @@ def run_t1r5(scale: str = "quick", seed: int = 0) -> ExperimentResult:
                 label=f"t1r5-{a}-{b}",
             )
             for a, b in states
-        ]
+        ],
+        collect="win",
     )
     rows = []
     all_consistent = True

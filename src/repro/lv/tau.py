@@ -193,9 +193,12 @@ def run_tau_sweep_ensemble(
         population is at or below this value (``0`` disables the handoff
         and leaps all the way to absorption).
     collect:
-        Accepted for signature compatibility with the exact engine.  The
+        Statistics level (:data:`~repro.lv.ensemble.COLLECT_MODES`).
+        Generic-scenario members honour it through
+        :func:`repro.scenario.engine.run_scenario_members_tau`.  lv2
+        members ignore it and always collect full statistics, because the
         tau kernel's per-leap accounting is a negligible fraction of its
-        cost, so full statistics are always collected.
+        cost.
 
     Examples
     --------

@@ -8,11 +8,13 @@ import pytest
 from repro.consensus.estimator import (
     MajorityConsensusEstimator,
     estimate_majority_probability,
+    summarise_ensemble,
     summarise_runs,
 )
 from repro.consensus.gap import gap_trace_from_run
 from repro.consensus.noise import decompose_noise
 from repro.exceptions import EstimationError
+from repro.lv.ensemble import LVEnsembleSimulator
 from repro.lv.params import LVParams
 from repro.lv.simulator import LVJumpChainSimulator
 from repro.lv.state import LVState
@@ -71,6 +73,11 @@ class TestEstimator:
     def test_summarise_empty_batch_rejected(self):
         with pytest.raises(EstimationError):
             summarise_runs([])
+
+    def test_summarise_ensemble_rejects_unknown_level(self, sd_params):
+        ensemble = LVEnsembleSimulator(sd_params).run_ensemble(LVState(12, 8), 10, rng=0)
+        with pytest.raises(EstimationError, match="collected must be one of"):
+            summarise_ensemble(ensemble, collected="bogus")
 
     def test_dead_heat_rate_counted(self):
         params = LVParams.self_destructive(beta=0.0, delta=0.0, alpha=1.0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers_results import assert_rows_have_no_nan
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentResult, ExperimentSpec, SCALES
 from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments, run_experiment
@@ -188,14 +189,17 @@ class TestExperimentOutcomes:
     def test_t1r2_exactness(self):
         result = run_experiment("T1R2", scale="quick", seed=0)
         assert result.shape_matches_paper
+        assert_rows_have_no_nan(result)
 
     def test_t1r3_no_threshold(self):
         result = run_experiment("T1R3", scale="quick", seed=0)
         assert result.shape_matches_paper
+        assert_rows_have_no_nan(result)
 
     def test_t1r5_proportional(self):
         result = run_experiment("T1R5", scale="quick", seed=0)
         assert result.shape_matches_paper
+        assert_rows_have_no_nan(result)
 
     def test_fig_noise_decomposition(self):
         result = run_experiment("FIG-NOISE", scale="quick", seed=0)
@@ -204,6 +208,7 @@ class TestExperimentOutcomes:
     def test_fig_ode_contrast(self):
         result = run_experiment("FIG-ODE", scale="quick", seed=0)
         assert result.shape_matches_paper
+        assert_rows_have_no_nan(result)
 
     def test_fig_dominating(self):
         result = run_experiment("FIG-DOM", scale="quick", seed=0)

@@ -8,11 +8,15 @@ lifecycle satellites (pool-per-sweep, jobs sanity check, events counter).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+import repro.experiments.scheduler as scheduler_module
+from repro.analysis.statistics import PrecisionTarget
 from repro.consensus.threshold import ThresholdSearch, drive_threshold_searches
-from repro.exceptions import ExperimentError, ThresholdSearchError
+from repro.exceptions import ExperimentError, PoisonChunkError, ThresholdSearchError
 from repro.experiments.scheduler import (
     ReplicaScheduler,
     SweepScheduler,
@@ -27,6 +31,7 @@ from repro.experiments.sweep import (
     plan_mega_batches,
 )
 from repro.lv.state import LVState
+from repro.store.store import ExperimentStore
 
 
 def _tasks(sd_params, nsd_params, num_runs=300):
@@ -34,6 +39,40 @@ def _tasks(sd_params, nsd_params, num_runs=300):
         SweepTask(sd_params, LVState(40, 24), num_runs, seed=1, label="sd-64"),
         SweepTask(nsd_params, LVState(30, 18), num_runs, seed=2, label="nsd-48"),
         SweepTask(sd_params, LVState(20, 12), num_runs, seed=3, label="sd-32"),
+    ]
+
+
+#: Estimate fields every statistics level measures.
+_OUTCOME_FIELDS = (
+    "num_runs",
+    "consensus_rate",
+    "dead_heat_rate",
+    "mean_consensus_time",
+    "q95_consensus_time",
+)
+
+#: Estimate fields only the ``"full"`` level measures (``NaN`` at ``"win"``).
+_ACCOUNTING_FIELDS = (
+    "tie_rate",
+    "mean_individual_events",
+    "mean_competitive_events",
+    "mean_bad_events",
+    "mean_noise_individual",
+    "std_noise_individual",
+    "mean_noise_competitive",
+    "std_noise_competitive",
+    "mean_max_population",
+)
+
+
+def _level_tasks(sd_params, nsd_params):
+    """An SD task with dead heats, a mid-ρ NSD task and a leaping lv2 tau task."""
+    return [
+        SweepTask(sd_params, LVState(18, 14), 120, seed=1, label="sd-32"),
+        SweepTask(nsd_params, LVState(34, 30), 120, seed=2, label="nsd-64"),
+        SweepTask(
+            nsd_params, LVState(1620, 1580), 40, seed=3, label="nsd-tau", backend="tau"
+        ),
     ]
 
 
@@ -144,6 +183,61 @@ class TestGridEntryPoints:
         assert np.all(decompositions[0].competitive_noise == 0)  # SD
         assert np.any(decompositions[1].competitive_noise != 0)  # NSD
 
+    def test_estimate_many_win_level_reads_the_same_outcomes(self, sd_params, nsd_params):
+        tasks = _level_tasks(sd_params, nsd_params)
+        (tau_result,) = SweepScheduler().run_sweep(tasks[2:], collect="win")
+        assert int(tau_result.leap_events.sum()) > 0
+        full = SweepScheduler().estimate_many(tasks)
+        win = SweepScheduler().estimate_many(tasks, collect="win")
+        assert full[0].dead_heat_rate > 0.0
+        for at_full, at_win in zip(full, win):
+            assert at_win.success.successes == at_full.success.successes
+            for name in _OUTCOME_FIELDS:
+                assert getattr(at_win, name) == getattr(at_full, name), name
+            assert (at_full.collected, at_win.collected) == ("full", "win")
+            for name in _ACCOUNTING_FIELDS:
+                assert math.isnan(getattr(at_win, name)), name
+                assert not math.isnan(getattr(at_full, name)), name
+            assert at_win.max_bad_events == 0
+
+    def test_estimate_many_levels_run_the_same_adaptive_waves(self, sd_params, nsd_params):
+        tasks = _level_tasks(sd_params, nsd_params)
+        target = PrecisionTarget(ci_half_width=0.1, min_replicates=32, max_replicates=256)
+        estimates, reports = {}, {}
+        for collect in ("full", "win"):
+            scheduler = SweepScheduler(wave_quantum=32)
+            estimates[collect] = scheduler.estimate_many(tasks, target=target, collect=collect)
+            reports[collect] = scheduler.last_adaptive_report
+        assert reports["win"] == reports["full"]
+        assert reports["full"].waves > 1
+        assert [estimate.num_runs for estimate in estimates["win"]] == list(
+            reports["win"].replicates
+        )
+        assert [estimate.success.successes for estimate in estimates["win"]] == [
+            estimate.success.successes for estimate in estimates["full"]
+        ]
+
+    def test_estimate_many_levels_journal_under_separate_keys(
+        self, sd_params, nsd_params, tmp_path
+    ):
+        tasks = _level_tasks(sd_params, nsd_params)
+        with ExperimentStore(tmp_path) as store:
+            scheduler = SweepScheduler(store=store)
+            scheduler.estimate_many(tasks)
+            chunks = store.stats.chunk_writes
+            assert chunks > 0
+            first = scheduler.estimate_many(tasks, collect="win")
+            assert store.stats.chunk_hits == 0
+            assert store.stats.chunk_writes == len(store) == 2 * chunks
+            misses = store.stats.chunk_misses
+            replayed = scheduler.estimate_many(tasks, collect="win")
+            assert store.stats.chunk_misses == misses
+            assert store.stats.chunk_hits == chunks
+        for before, after in zip(first, replayed):
+            assert after.success == before.success
+            for name in _OUTCOME_FIELDS:
+                assert getattr(after, name) == getattr(before, name), name
+
 
 class TestFusedThresholds:
     def test_find_thresholds_matches_per_config_search(self, sd_params, nsd_params):
@@ -216,6 +310,33 @@ class TestSchedulerValidation:
     def test_sweep_batch_validation(self):
         with pytest.raises(ExperimentError):
             SweepScheduler(sweep_batch=0)
+
+    @pytest.mark.parametrize(
+        "entry, kwargs",
+        [
+            ("run_sweep", {}),
+            ("run_sweep_adaptive", {"target": PrecisionTarget()}),
+            ("estimate_many", {}),
+        ],
+        ids=["run_sweep", "run_sweep_adaptive", "estimate_many"],
+    )
+    def test_unknown_collect_rejected_before_any_work(
+        self, sd_params, tmp_path, monkeypatch, entry, kwargs
+    ):
+        calls = []
+        monkeypatch.setattr(
+            scheduler_module,
+            "execute_mega_batch",
+            lambda *args, **options: calls.append("execute_mega_batch"),
+        )
+        with ExperimentStore(tmp_path) as store:
+            monkeypatch.setattr(store, "get_chunk", lambda key: calls.append("get_chunk"))
+            scheduler = SweepScheduler(store=store)
+            task = SweepTask(sd_params, LVState(20, 12), 40, seed=1)
+            with pytest.raises(ExperimentError, match="collect must be one of") as caught:
+                getattr(scheduler, entry)([task], collect="bogus", **kwargs)
+        assert not isinstance(caught.value, PoisonChunkError)
+        assert calls == []
 
     def test_compaction_fraction_validation(self):
         with pytest.raises(ExperimentError):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers_results import assert_rows_have_no_nan
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 
 
@@ -26,12 +27,16 @@ class TestRegistration:
 
 @pytest.fixture(scope="module")
 def kop_result():
-    return get_experiment("SCEN-KOP").run("quick", 0)
+    result = get_experiment("SCEN-KOP").run("quick", 0)
+    assert_rows_have_no_nan(result)
+    return result
 
 
 @pytest.fixture(scope="module")
 def cat_result():
-    return get_experiment("SCEN-CAT").run("quick", 0)
+    result = get_experiment("SCEN-CAT").run("quick", 0)
+    assert_rows_have_no_nan(result)
+    return result
 
 
 class TestScenKop:
