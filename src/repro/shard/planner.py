@@ -47,6 +47,7 @@ from repro.exceptions import ExperimentError, StoreError
 from repro.lv.params import LVParams
 from repro.store.journal import iter_intact_records
 from repro.store.keys import digest, params_payload
+from repro.store.serialize import decode_array
 
 __all__ = [
     "DEFAULT_IMBALANCE_BOUND",
@@ -146,9 +147,9 @@ class EventRateHistory:
                 signature = digest(
                     {"params": payload["params"], "population": population}
                 )
-                data = payload["arrays"]["total_events"]["data"]
-                history.record(signature, float(sum(data)), len(data))
-            except (KeyError, TypeError, ValueError):
+                events = decode_array(payload["arrays"]["total_events"])
+                history.record(signature, float(events.sum()), len(events))
+            except (KeyError, TypeError, ValueError, StoreError):
                 continue  # not an ensemble payload; ignore for costing
         return history
 

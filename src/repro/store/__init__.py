@@ -4,8 +4,9 @@
 (the ROADMAP's "caching" pillar).  It converts the experiment surface from
 recompute-always to cache-first:
 
-* every executed simulation chunk is journaled to JSONL under a
-  content-address the moment it completes (:mod:`repro.store.journal`,
+* every executed simulation chunk is journaled — one checksummed line,
+  arrays as compressed bytes — under a content-address the moment it
+  completes (:mod:`repro.store.journal`, :mod:`repro.store.serialize`,
   :mod:`repro.store.keys`),
 * schedulers configured with a store consult the journal before simulating,
   so an interrupted sweep — killed mid-wave by SIGTERM, Ctrl-C, or a crash —

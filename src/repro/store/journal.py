@@ -1,20 +1,31 @@
-"""Append-only JSONL chunk journal: the store's durability layer.
+"""Append-only chunk journal: the store's durability layer.
 
-Completed simulation chunks are journaled *as they finish*: one JSON line
-per chunk, carrying the chunk's content-address key, a little provenance
-metadata, the full serialised payload, and a per-record SHA-256 checksum.
-The file is append-only and flushed after every record, so a run killed
-mid-sweep (SIGTERM, Ctrl-C, OOM) loses at most the chunk it was simulating
-— everything journaled before the kill replays from disk on the next run.
+Completed simulation chunks are journaled *as they finish*: one line per
+chunk, carrying the chunk's content-address key, a little provenance
+metadata, and the full serialised payload.  The file is append-only and
+flushed after every record, so a run killed mid-sweep (SIGTERM, Ctrl-C,
+OOM) loses at most the chunk it was simulating — everything journaled
+before the kill replays from disk on the next run.
+
+Each record is one line::
+
+    <SHA-256 of BODY, 64 lowercase hex digits> <BODY>\n
+
+where ``BODY`` is the canonical JSON (sorted keys, compact separators) of
+``{"key": ..., <metadata>..., "payload": ...}``.  The checksum covers the
+exact bytes on disk, so verifying a record hashes ``BODY`` once and never
+re-serialises it.  Lines that start with ``{`` are the repro 3.1 form — the
+record's JSON with a ``checksum`` field holding the SHA-256 of its
+canonical JSON minus that field (:func:`record_checksum`) — and are still
+read and verified that way; 3.1 records without a checksum field are
+accepted as they are.  Writers only write the prefixed form.
 
 Crash tolerance is structural rather than transactional:
 
 * a record becomes visible only once its trailing newline is on disk, so a
   reader never sees a half-record as valid;
-* every record carries ``checksum`` — the SHA-256 hex digest of the record's
-  canonical JSON minus the checksum field itself — so silent mid-file
-  corruption (bit rot, partial overwrite, hand editing) is detected, not
-  replayed;
+* every record's checksum is verified, so silent mid-file corruption (bit
+  rot, partial overwrite, hand editing) is detected, not replayed;
 * on open, the journal scans forward and indexes ``key -> (offset, length)``
   per intact line.  A corrupt line (unparseable, missing key, or checksum
   mismatch) is remembered for quarantine and the scan *continues*: intact
@@ -27,9 +38,10 @@ Crash tolerance is structural rather than transactional:
   run recomputes exactly that chunk — and, results being bitwise
   deterministic, re-journals the same bytes a fault-free run would have.
 
-Replaying is lazy: the open-time scan keeps only offsets, and payloads are
-re-parsed (and checksum-verified) on lookup, so a large journal costs one
-sequential read to index and one seek per cache hit.
+Replaying is lazy: the open-time scan keeps only offsets, and each lookup
+re-reads its line and verifies its checksum again before parsing it, so a
+large journal costs one sequential read to index and one seek per cache
+hit.
 
 :func:`verify_journal` performs the same integrity scan read-only — it
 never heals, truncates, or quarantines — for offline auditing
@@ -38,6 +50,7 @@ never heals, truncates, or quarantines — for offline auditing
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -46,7 +59,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.exceptions import StoreError
-from repro.store.keys import digest
+from repro.store.keys import canonical_json, digest
 
 __all__ = [
     "ChunkJournal",
@@ -66,10 +79,23 @@ def quarantine_path(journal_path: str | Path) -> Path:
     return journal_path.with_name(journal_path.stem + QUARANTINE_SUFFIX)
 
 
+#: Width of a record line's checksum prefix: a SHA-256 digest in hex.
+_CHECKSUM_WIDTH = 64
+
+
 def record_checksum(record: dict[str, Any]) -> str:
-    """SHA-256 hex digest of *record*'s canonical JSON, checksum field excluded."""
+    """SHA-256 hex digest of *record*'s canonical JSON, checksum field excluded.
+
+    The checksum of the repro 3.1 record form; only legacy lines use it.
+    """
     body = {name: value for name, value in record.items() if name != "checksum"}
     return digest(body)
+
+
+def _encode_record(record: dict[str, Any]) -> bytes:
+    """One journal line: the checksum prefix, a space, the body, a newline."""
+    body = canonical_json(record).encode("utf-8")
+    return hashlib.sha256(body).hexdigest().encode("ascii") + b" " + body + b"\n"
 
 
 def _classify_line(raw: bytes) -> tuple[dict[str, Any] | None, str | None]:
@@ -79,6 +105,30 @@ def _classify_line(raw: bytes) -> tuple[dict[str, Any] | None, str | None]:
     recovered (the parsed record when only the checksum failed, else
     ``None``) so quarantine entries can preserve the chunk key.
     """
+    if raw.startswith(b"{"):
+        return _classify_legacy_line(raw)
+    prefix, separator = raw[:_CHECKSUM_WIDTH], raw[_CHECKSUM_WIDTH : _CHECKSUM_WIDTH + 1]
+    if separator != b" ":
+        return None, "unparseable record line (no checksum prefix)"
+    body = raw[_CHECKSUM_WIDTH + 1 : -1]
+    record: dict[str, Any] | None = None
+    problem: str | None = None
+    try:
+        parsed = json.loads(body)
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        problem = f"unparseable JSON: {error}"
+    else:
+        if isinstance(parsed, dict) and "key" in parsed:
+            record = parsed
+        else:
+            problem = "not a journal record (missing key field)"
+    if hashlib.sha256(body).hexdigest().encode("ascii") != prefix:
+        return record, "checksum mismatch"
+    return record, problem
+
+
+def _classify_legacy_line(raw: bytes) -> tuple[dict[str, Any] | None, str | None]:
+    """:func:`_classify_line` for a repro 3.1 line (the record's JSON alone)."""
     try:
         record = json.loads(raw)
     except (json.JSONDecodeError, UnicodeDecodeError) as error:
@@ -206,7 +256,7 @@ def iter_intact_records(path: str | Path) -> Iterator[dict[str, Any]]:
 
 
 class ChunkJournal:
-    """Offset-indexed append-only JSONL file of completed chunk records."""
+    """Offset-indexed append-only file of completed chunk records, one per line."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -399,11 +449,7 @@ class ChunkJournal:
         """Durably journal one completed chunk (last write wins per key)."""
         from repro.faults import InjectedTornWrite, journal_fault_action
 
-        record = {"key": key, **metadata, "payload": payload}
-        record["checksum"] = record_checksum(record)
-        encoded = (
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        ).encode("utf-8")
+        encoded = _encode_record({"key": key, **metadata, "payload": payload})
         action = journal_fault_action(key, self._appearances.get(key, 0))
         handle = self._open_appender()
         offset = self._valid_end
@@ -452,9 +498,9 @@ class ChunkJournal:
 def _corrupt_payload_bytes(encoded: bytes) -> bytes:
     """Flip one payload digit in an encoded record (fault injection only).
 
-    The damage is deliberately *quiet*: the line stays complete and
-    syntactically valid JSON with its key intact — only the checksum no
-    longer matches — which models bit rot rather than a torn write and
+    The damage is deliberately *quiet*: the line stays complete, its body
+    stays syntactically valid JSON with its key intact — only the checksum
+    no longer matches — which models bit rot rather than a torn write and
     exercises the quarantine path end to end (detection, sidecar entry
     preserving the key, recompute of exactly that chunk).  Digits are
     swapped for digits (never ``0``, to avoid minting invalid leading

@@ -3,10 +3,10 @@
 Chunk keys (:func:`repro.store.keys.chunk_key`) contain everything that
 determines a chunk's bits and *nothing* about how execution was arranged —
 no ``jobs``, no ``sweep_batch``, no packing, no engine.  Two stores that
-simulated overlapping parts of one grid therefore journaled bitwise-equal
-payloads under equal keys, and merging K shard journals is a pure set
-union.  :func:`merge_cache` performs that union with the safety rails a
-distributed run needs:
+simulated overlapping parts of one grid therefore journaled payloads with
+equal decoded arrays under equal keys, and merging K shard journals is a
+pure set union.  :func:`merge_cache` performs that union with the safety
+rails a distributed run needs:
 
 * **checksum verification** — only intact source records are merged
   (per-record SHA-256, same scan as :func:`repro.store.journal
@@ -17,10 +17,16 @@ distributed run needs:
   *different* payload is a hard error naming the key: under the
   determinism contract it can only mean corruption that forged a valid
   checksum, or keys minted from incompatible code — never something to
-  silently last-write-win;
+  silently last-write-win.  Payloads are compared by their decoded
+  arrays (:func:`repro.store.serialize.payloads_equal`), so a chunk
+  journaled by repro 3.1 (arrays as JSON lists) equals the same chunk
+  journaled today (arrays as compressed bytes);
 * **idempotent re-merge** — re-running a merge (or merging overlapping
   shards) skips records whose payload already matches, so a crashed merge
-  is safely re-run from the top.
+  is safely re-run from the top;
+* **one record form** — merged ensemble payloads are journaled with their
+  arrays re-encoded in the current form, so merging a 3.1 cache into a
+  fresh directory converts it.
 
 Run-tier entries (``runs/<key>.json``) are unioned with the same rule:
 copied when absent, skipped when byte-identical, hard error otherwise.
@@ -28,7 +34,6 @@ copied when absent, skipped when byte-identical, hard error otherwise.
 
 from __future__ import annotations
 
-import json
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +41,7 @@ from typing import Sequence
 
 from repro.exceptions import StoreError
 from repro.store.journal import _classify_line
+from repro.store.serialize import payloads_equal, reencode_payload
 from repro.store.store import ExperimentStore
 
 __all__ = ["MergeReport", "merge_cache"]
@@ -71,10 +77,6 @@ class MergeReport:
                 f"{self.runs_skipped} skipped"
             )
         return text
-
-
-def _canonical_payload(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _source_journal_path(source: Path) -> Path:
@@ -123,14 +125,18 @@ def merge_cache(
                         corrupt_skipped += 1
                         continue
                     key = str(record["key"])
-                    payload = record["payload"]
-                    existing = journal.get(key) if key in journal else None
-                    if existing is not None:
-                        if _canonical_payload(existing["payload"]) == _canonical_payload(
-                            payload
-                        ):
+                    try:
+                        existing = journal.get(key) if key in journal else None
+                        if existing is None:
+                            payload = reencode_payload(record["payload"])
+                        elif payloads_equal(existing["payload"], record["payload"]):
                             chunks_skipped += 1
                             continue
+                    except StoreError as error:
+                        raise StoreError(
+                            f"cannot merge chunk {key} from {journal_path}: {error}"
+                        ) from error
+                    if existing is not None:
                         raise StoreError(
                             f"merge conflict for chunk {key}: {journal_path} carries "
                             f"a different payload than {store.cache_dir} — same key "

@@ -8,6 +8,8 @@ import pytest
 
 from repro.__main__ import build_parser, main
 
+from helpers_journal import parse_line
+
 ESTIMATE_ARGS = ["estimate", "--population", "10", "--gap", "2"]
 
 
@@ -472,7 +474,7 @@ class TestVerifyCache:
 
         cache = self._seed_cache(tmp_path, capsys)
         journal = cache / "journal.jsonl"
-        key = json.loads(journal.read_text().splitlines()[0])["key"]
+        key = parse_line(journal.read_bytes().splitlines()[0])["key"]
         TestChunkJournal._corrupt_record(None, journal, key)
         assert main(["verify-cache", "--cache-dir", str(cache)]) == 1
         output = capsys.readouterr().out

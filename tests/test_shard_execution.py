@@ -10,7 +10,6 @@ Sharding changes who computes a unit, never what it computes.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import replace
 
@@ -37,6 +36,7 @@ from repro.shard import run_shard_processes, shard_cache_dir
 from repro.store import ExperimentStore
 from repro.__main__ import main
 
+from helpers_journal import journal_contents
 from test_store import assert_bitwise_equal
 
 
@@ -376,7 +376,7 @@ class TestShardCliEndToEnd:
         table = lambda text: text[text.index("T1R2") : text.index("verdict")]
         assert table(sharded_output) == table(reference_output)
         # ...and identical journaled bits.
-        assert _journal_digest(sharded_dir) == _journal_digest(reference_dir)
+        assert journal_contents(sharded_dir) == journal_contents(reference_dir)
 
     def test_injected_shard_crashes_retry_to_identical_results(
         self, tmp_path, capsys, monkeypatch
@@ -408,7 +408,7 @@ class TestShardCliEndToEnd:
         output = capsys.readouterr().out
         assert "2 attempt(s)" in output
         assert "FAILED" not in output
-        assert _journal_digest(sharded_dir) == _journal_digest(reference_dir)
+        assert journal_contents(sharded_dir) == journal_contents(reference_dir)
 
     def test_shard_mode_crash_is_the_injected_exception(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_SHARD_ATTEMPT", raising=False)
@@ -483,12 +483,3 @@ class TestShardCliEndToEnd:
             ]
         ) == 1
         assert "merge conflict" in capsys.readouterr().err
-
-
-def _journal_digest(cache_dir):
-    """Canonical ``{key: payload}`` content of a cache's journal."""
-    contents = {}
-    for line in (cache_dir / "journal.jsonl").read_text().splitlines():
-        record = json.loads(line)
-        contents[record["key"]] = json.dumps(record["payload"], sort_keys=True)
-    return contents

@@ -7,6 +7,7 @@ building blocks and the schedulers' cache-first integration.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -33,6 +34,8 @@ from repro.store import (
     run_key,
     scheduler_fingerprint,
 )
+
+from helpers_journal import parse_line, split_line
 
 ARRAY_FIELDS = (
     "final_x0",
@@ -221,12 +224,16 @@ class TestChunkJournal:
         assert journal.get("a")["payload"] == {"value": 2}
 
     def test_records_carry_verifiable_checksums(self, tmp_path):
-        from repro.store.journal import record_checksum
-
-        journal = ChunkJournal(tmp_path / "journal.jsonl")
+        """Each line is the SHA-256 hex of its body, a space, then the body."""
+        path = tmp_path / "journal.jsonl"
+        journal = ChunkJournal(path)
         journal.append("a", {"value": 1}, label="first")
-        record = journal.get("a")
-        assert record["checksum"] == record_checksum(record)
+        (line,) = path.read_bytes().splitlines(keepends=True)
+        prefix, body = split_line(line)
+        assert line == prefix + b" " + body + b"\n"
+        assert prefix == hashlib.sha256(body).hexdigest().encode("ascii")
+        assert json.loads(body) == journal.get("a")
+        assert json.loads(body) == {"key": "a", "label": "first", "payload": {"value": 1}}
 
     def test_legacy_records_without_checksum_are_accepted(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -239,8 +246,7 @@ class TestChunkJournal:
         """Flip one payload character of *key*'s record without breaking framing."""
         lines = path.read_bytes().splitlines(keepends=True)
         for position, line in enumerate(lines):
-            record = json.loads(line)
-            if record["key"] == key:
+            if parse_line(line)["key"] == key:
                 marker = line.index(b'"payload"') + len(b'"payload"')
                 target = next(
                     index

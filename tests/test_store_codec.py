@@ -1,0 +1,433 @@
+"""Tests for the store's on-disk record form: the array codec and the line contract.
+
+A journal line is ``<SHA-256 hex of BODY> <BODY>``, and every array inside a
+chunk payload is stored as base64 of its zlib-compressed little-endian bytes
+(:mod:`repro.store.serialize`).  ``tests/data/journal-3.1.0.jsonl`` is a
+journal written by repro 3.1.0, whose lines are bare JSON with a
+``checksum`` field and whose arrays are JSON lists; it was produced by
+running :data:`FIXTURE_RUNS` through ``SweepScheduler(store=...)``.  That
+journal must keep verifying, replaying and merging.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from repro.exceptions import StoreError
+from repro.experiments.scheduler import SweepScheduler
+from repro.experiments.sweep import SweepTask
+from repro.lv.params import LVParams
+from repro.lv.state import LVState
+from repro.shard.planner import EventRateHistory, plan_shards, unit_costs
+from repro.store import (
+    ChunkJournal,
+    ExperimentStore,
+    ensemble_from_payload,
+    ensemble_to_payload,
+    iter_intact_records,
+    merge_cache,
+    verify_journal,
+)
+from repro.store import journal as journal_module
+from repro.store.journal import record_checksum
+from repro.store.serialize import decode_array, encode_array
+
+from helpers_journal import parse_line, split_line
+from test_store import ARRAY_FIELDS
+
+FIXTURE = Path(__file__).parent / "data" / "journal-3.1.0.jsonl"
+
+SD = LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0)
+NSD = LVParams.non_self_destructive(beta=1.0, delta=1.0, alpha=1.0)
+
+#: The fixture's four chunks as ``(collect level, tasks)``: an lv2 chunk at
+#: each level, a generic-scenario chunk (``finals``, ``initial_counts``) and
+#: a tau chunk whose population leaps (``leap_events``).
+FIXTURE_RUNS = (
+    (
+        "full",
+        (
+            SweepTask(SD, LVState(24, 16), 32, seed=11, label="lv2-full"),
+            SweepTask(SD, (30, 20, 15), 24, seed=13, scenario="opinion3", label="opinion3-full"),
+            SweepTask(SD, LVState(30_000, 29_000), 4, seed=3, backend="tau", label="tau-full"),
+        ),
+    ),
+    ("win", (SweepTask(NSD, LVState(20, 12), 32, seed=12, label="lv2-win"),)),
+)
+FIXTURE_TASKS = [task for _, tasks in FIXTURE_RUNS for task in tasks]
+
+
+def run_fixture_tasks(store=None):
+    """The fixture's chunks computed now (replayed where *store* has them)."""
+    scheduler = SweepScheduler(store=store)
+    try:
+        return [
+            result
+            for collect, tasks in FIXTURE_RUNS
+            for result in scheduler.run_sweep(list(tasks), collect=collect)
+        ]
+    finally:
+        scheduler.shutdown()
+
+
+@pytest.fixture(scope="module")
+def fresh_results():
+    """The fixture's chunks simulated without a store."""
+    return run_fixture_tasks()
+
+
+@pytest.fixture
+def legacy_cache(tmp_path):
+    """A cache directory holding a copy of the 3.1.0 journal."""
+    cache = tmp_path / "legacy"
+    cache.mkdir()
+    shutil.copyfile(FIXTURE, cache / "journal.jsonl")
+    return cache
+
+
+@pytest.fixture
+def current_cache(tmp_path):
+    """A cache directory where the fixture's chunks were journaled today."""
+    cache = tmp_path / "current"
+    with ExperimentStore(cache) as store:
+        run_fixture_tasks(store)
+    return cache
+
+
+def assert_same_chunks(expected, actual):
+    """Every array (optional ones too) and every scalar field bitwise equal."""
+    assert len(expected) == len(actual)
+    for first, second in zip(expected, actual):
+        for name in (*ARRAY_FIELDS, "leap_events", "finals"):
+            left, right = getattr(first, name), getattr(second, name)
+            assert (left is None) == (right is None), name
+            if left is not None:
+                assert left.dtype == right.dtype, name
+                assert left.shape == right.shape, name
+                assert left.tobytes() == right.tobytes(), name
+        assert first.params == second.params
+        assert first.initial_state == second.initial_state
+        assert first.scenario == second.scenario
+        assert first.initial_counts == second.initial_counts
+
+
+def journal_lines(cache):
+    return (Path(cache) / "journal.jsonl").read_bytes().splitlines(keepends=True)
+
+
+def assert_current_form(cache):
+    """Every line is ``<sha256 of body> <body>`` with compressed arrays."""
+    lines = journal_lines(cache)
+    assert lines
+    for line in lines:
+        prefix, body = split_line(line)
+        assert prefix == hashlib.sha256(body).hexdigest().encode("ascii")
+        for entry in json.loads(body)["payload"]["arrays"].values():
+            assert set(entry) == {"dtype", "shape", "zlib"}
+
+
+# ----------------------------------------------------------------------
+# The array codec
+# ----------------------------------------------------------------------
+STORED_DTYPES = st.sampled_from([np.int64, np.int8, np.bool_])
+
+
+@st.composite
+def stored_arrays(draw):
+    """Arrays shaped like a chunk's fields: ``(R,)``, ``(R, 2)`` or ``(R, S)``."""
+    replicas = draw(st.integers(min_value=0, max_value=40))
+    columns = draw(st.sampled_from([None, 2, 3, 5]))
+    shape = (replicas,) if columns is None else (replicas, columns)
+    return draw(arrays(draw(STORED_DTYPES), shape))
+
+
+class TestArrayCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(stored_arrays())
+    @example(np.zeros(0, dtype=np.int64))
+    @example(np.zeros((0, 2), dtype=np.int64))
+    @example(np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]))
+    def test_round_trip_is_bitwise(self, array):
+        decoded = decode_array(json.loads(json.dumps(encode_array(array))))
+        assert decoded.dtype == array.dtype
+        assert decoded.shape == array.shape
+        assert decoded.tobytes() == array.tobytes()
+        assert decoded.flags.writeable
+        assert decoded.dtype.isnative
+
+    @settings(max_examples=50, deadline=None)
+    @given(arrays(np.dtype(">i8"), array_shapes(min_dims=1, max_dims=2, min_side=0)))
+    def test_non_native_input_decodes_native(self, array):
+        decoded = decode_array(encode_array(array))
+        assert decoded.dtype == np.dtype(np.int64)
+        assert decoded.dtype.isnative
+        assert np.array_equal(decoded, array)
+
+    def test_every_result_field_round_trips(self, fresh_results):
+        """lv2 at both levels, generic ``finals`` and tau ``leap_events``."""
+        assert any(result.finals is not None for result in fresh_results)
+        assert any(result.leap_events is not None for result in fresh_results)
+        restored = [
+            ensemble_from_payload(json.loads(json.dumps(ensemble_to_payload(result))))
+            for result in fresh_results
+        ]
+        assert_same_chunks(fresh_results, restored)
+        for result in restored:
+            for name in (*ARRAY_FIELDS, "leap_events", "finals"):
+                array = getattr(result, name)
+                if array is not None:
+                    assert array.flags.writeable and array.dtype.isnative, name
+
+    def test_payload_arrays_are_only_in_the_compressed_form(self, fresh_results):
+        for result in fresh_results:
+            for entry in ensemble_to_payload(result)["arrays"].values():
+                assert set(entry) == {"dtype", "shape", "zlib"}
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param({"zlib": "not base64!"}, id="bad-base64"),
+            pytest.param({"zlib": "bm90IHpsaWI="}, id="bad-zlib"),
+            pytest.param({"shape": [9]}, id="too-few-bytes"),
+            pytest.param({"shape": [7]}, id="too-many-bytes"),
+            pytest.param({"shape": [-8]}, id="negative-shape"),
+            pytest.param({"shape": 8}, id="shape-not-a-list"),
+        ],
+    )
+    def test_malformed_entries_raise_store_error(self, fresh_results, damage):
+        entry = {**encode_array(np.arange(8, dtype=np.int64)), **damage}
+        with pytest.raises(StoreError):
+            decode_array(entry)
+        payload = ensemble_to_payload(fresh_results[0])
+        payload["arrays"]["total_events"] = {**payload["arrays"]["total_events"], **damage}
+        with pytest.raises(StoreError):
+            ensemble_from_payload(payload)
+
+
+# ----------------------------------------------------------------------
+# The record line
+# ----------------------------------------------------------------------
+def _refuse_record_checksum(monkeypatch):
+    def refuse(record):
+        raise AssertionError("record_checksum re-serialised a current-form record")
+
+    monkeypatch.setattr(journal_module, "record_checksum", refuse)
+
+
+class TestRecordLine:
+    def test_current_form_never_reserialises_to_verify(self, current_cache, monkeypatch):
+        """Scans and lookups hash the bytes on disk, nothing else."""
+        _refuse_record_checksum(monkeypatch)
+        path = current_cache / "journal.jsonl"
+        journal = ChunkJournal(path)
+        assert len(journal) == len(FIXTURE_TASKS)
+        assert all(journal.get(key) is not None for key in list(journal.keys()))
+        assert verify_journal(path).intact_records == len(FIXTURE_TASKS)
+        assert len(list(iter_intact_records(path))) == len(FIXTURE_TASKS)
+        with ExperimentStore(current_cache) as store:
+            run_fixture_tasks(store)
+            assert store.stats.chunk_hits == len(FIXTURE_TASKS)
+
+    def test_legacy_lines_are_verified_by_their_own_checksum(self, legacy_cache, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            journal_module,
+            "record_checksum",
+            lambda record: calls.append(record["key"]) or record_checksum(record),
+        )
+        journal = ChunkJournal(legacy_cache / "journal.jsonl")
+        assert len(journal) == len(FIXTURE_TASKS)
+        assert len(calls) == len(FIXTURE_TASKS)  # the open-time scan
+        key = next(iter(journal.keys()))
+        assert journal.get(key) is not None
+        assert calls[-1] == key  # and the lookup again
+
+    @pytest.mark.parametrize("position", ["prefix", "body"])
+    def test_a_flipped_byte_is_a_checksum_mismatch_keeping_the_key(
+        self, current_cache, position
+    ):
+        path = current_cache / "journal.jsonl"
+        lines = journal_lines(current_cache)
+        victim = parse_line(lines[1])["key"]
+        index = 3 if position == "prefix" else lines[1].index(b'"zlib":"') + 10
+        byte = lines[1][index : index + 1]
+        lines[1] = lines[1][:index] + (b"b" if byte != b"b" else b"c") + lines[1][index + 1 :]
+        path.write_bytes(b"".join(lines))
+        report = verify_journal(path)
+        (issue,) = report.issues
+        assert issue.reason == "checksum mismatch"
+        assert issue.key == victim
+        assert report.intact_records == len(FIXTURE_TASKS) - 1
+
+    def test_a_line_without_the_prefix_is_corrupt(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = ChunkJournal(path)
+        journal.append("a", {"v": 1})
+        journal.close()
+        path.write_bytes(path.read_bytes() + b"garbage line\n")
+        (issue,) = verify_journal(path).issues
+        assert issue.reason.startswith("unparseable record line")
+        assert issue.key is None
+
+    def test_a_valid_prefix_over_a_keyless_body_is_corrupt(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        body = b'{"payload":{}}'
+        path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b" " + body + b"\n")
+        (issue,) = verify_journal(path).issues
+        assert issue.reason == "not a journal record (missing key field)"
+
+    def test_mixed_form_journal_verifies_and_replays(self, legacy_cache, fresh_results):
+        """A 3.1 journal that today's writer appends to stays fully usable."""
+        extra = SweepTask(SD, LVState(18, 14), 16, seed=21, label="appended")
+        with ExperimentStore(legacy_cache) as store:
+            run_fixture_tasks(store)
+            assert store.stats.chunk_misses == 0
+            SweepScheduler(store=store).run_sweep([extra])
+            assert store.stats.chunk_writes == 1
+        forms = [split_line(line)[0] is None for line in journal_lines(legacy_cache)]
+        assert forms == [True] * len(FIXTURE_TASKS) + [False]
+        report = verify_journal(legacy_cache / "journal.jsonl")
+        assert report.ok and report.intact_records == len(FIXTURE_TASKS) + 1
+        with ExperimentStore(legacy_cache) as store:
+            replayed = run_fixture_tasks(store)
+            SweepScheduler(store=store).run_sweep([extra])
+            assert store.stats.chunk_misses == 0
+            assert store.stats.chunk_hits == len(FIXTURE_TASKS) + 1
+        assert_same_chunks(fresh_results, replayed)
+
+    def test_corrupt_legacy_line_heals_to_the_sidecar(self, legacy_cache, fresh_results):
+        from test_store import TestChunkJournal
+
+        path = legacy_cache / "journal.jsonl"
+        victim = parse_line(journal_lines(legacy_cache)[2])["key"]
+        TestChunkJournal._corrupt_record(None, path, victim)
+        assert [issue.key for issue in verify_journal(path).issues] == [victim]
+        with ExperimentStore(legacy_cache) as store:
+            recovered = run_fixture_tasks(store)
+            assert store.stats.chunk_misses == 1
+            assert store.stats.chunks_quarantined == 1
+        assert verify_journal(path).ok
+        assert_same_chunks(fresh_results, recovered)
+
+    def test_injected_corruption_of_a_current_line_is_detected(self, tmp_path):
+        from repro.faults import FaultPlan, FaultSpec, install_fault_plan
+
+        path = tmp_path / "journal.jsonl"
+        install_fault_plan(FaultPlan(seed=1, corrupt_chunk=FaultSpec(rate=1.0)))
+        try:
+            journal = ChunkJournal(path)
+            journal.append("a", {"arrays": {}, "v": 123})
+            journal.close()
+        finally:
+            install_fault_plan(None)
+        (issue,) = verify_journal(path).issues
+        assert issue.reason == "checksum mismatch"
+        assert issue.key == "a"
+
+
+# ----------------------------------------------------------------------
+# A journal written by repro 3.1.0
+# ----------------------------------------------------------------------
+class TestLegacyJournal:
+    def test_fixture_is_the_legacy_form(self):
+        lines = FIXTURE.read_bytes().splitlines(keepends=True)
+        assert len(lines) == len(FIXTURE_TASKS)
+        for line in lines:
+            prefix, body = split_line(line)
+            assert prefix is None
+            record = json.loads(body)
+            assert record["checksum"] == record_checksum(record)
+            assert all("data" in entry for entry in record["payload"]["arrays"].values())
+
+    def test_verify_journal_reports_every_record_intact(self):
+        report = verify_journal(FIXTURE)
+        assert report.ok
+        assert report.intact_records == 4
+
+    def test_replays_bitwise_with_no_miss(self, legacy_cache, fresh_results):
+        with ExperimentStore(legacy_cache) as store:
+            replayed = run_fixture_tasks(store)
+            assert store.stats.chunk_hits == 4
+            assert store.stats.chunk_misses == 0
+            assert store.stats.chunk_writes == 0
+        assert_same_chunks(fresh_results, replayed)
+        assert (legacy_cache / "journal.jsonl").read_bytes() == FIXTURE.read_bytes()
+
+    def test_merge_into_a_fresh_cache_converts_it(self, legacy_cache, tmp_path, fresh_results):
+        report = merge_cache(tmp_path / "merged", [legacy_cache])
+        assert (report.chunks_added, report.chunks_skipped) == (4, 0)
+        assert_current_form(tmp_path / "merged")
+        labels = [parse_line(line)["label"] for line in journal_lines(tmp_path / "merged")]
+        assert labels == [parse_line(line)["label"] for line in journal_lines(legacy_cache)]
+        with ExperimentStore(tmp_path / "merged") as store:
+            replayed = run_fixture_tasks(store)
+            assert store.stats.chunk_misses == 0
+        assert_same_chunks(fresh_results, replayed)
+
+
+# ----------------------------------------------------------------------
+# Merging the two forms
+# ----------------------------------------------------------------------
+class TestMergeAcrossForms:
+    @pytest.mark.parametrize("direction", ["legacy-into-current", "current-into-legacy"])
+    def test_same_chunks_in_both_forms_are_skips(
+        self, legacy_cache, current_cache, direction
+    ):
+        destination, source = (
+            (current_cache, legacy_cache)
+            if direction == "legacy-into-current"
+            else (legacy_cache, current_cache)
+        )
+        before = (destination / "journal.jsonl").read_bytes()
+        report = merge_cache(destination, [source])
+        assert (report.chunks_added, report.chunks_skipped) == (0, 4)
+        assert (destination / "journal.jsonl").read_bytes() == before
+
+    def test_one_changed_array_element_still_conflicts(self, legacy_cache, current_cache):
+        path = legacy_cache / "journal.jsonl"
+        lines = journal_lines(legacy_cache)
+        record = parse_line(lines[0])
+        record["payload"]["arrays"]["total_events"]["data"][5] += 1
+        del record["checksum"]
+        record["checksum"] = record_checksum(record)  # intact, just different
+        lines[0] = (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        path.write_bytes(b"".join(lines))
+        assert verify_journal(path).ok
+        with pytest.raises(StoreError, match=f"merge conflict for chunk {record['key']}"):
+            merge_cache(current_cache, [legacy_cache])
+
+    def test_malformed_arrays_in_an_intact_record_name_the_key(self, tmp_path):
+        source = tmp_path / "source"
+        journal = ChunkJournal(source / "journal.jsonl")
+        journal.append("bad", {"arrays": {"x": {"dtype": "int64", "shape": [1], "zlib": "!"}}})
+        journal.close()
+        with pytest.raises(StoreError, match="cannot merge chunk bad"):
+            merge_cache(tmp_path / "dst", [source])
+
+
+# ----------------------------------------------------------------------
+# The shard planner's cost history
+# ----------------------------------------------------------------------
+class TestPlannerHistoryAcrossForms:
+    def test_both_forms_give_the_same_history_and_plan(self, legacy_cache, current_cache):
+        legacy = EventRateHistory.from_journal(legacy_cache)
+        current = EventRateHistory.from_journal(current_cache)
+        assert len(legacy) == 4
+        assert current.to_payload() == legacy.to_payload()
+        signatures = sorted(legacy.to_payload())
+        budgets = [40, 30, 20, 10]
+        plans = [
+            plan_shards(unit_costs(signatures, budgets, history), 2)
+            for history in (legacy, current)
+        ]
+        assert plans[0] == plans[1]
+        assert unit_costs(signatures, budgets, current) != unit_costs(signatures, budgets)

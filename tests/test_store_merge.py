@@ -8,8 +8,6 @@ and the read-only ``read_sources`` view over unmerged shard caches.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.exceptions import StoreError
@@ -18,6 +16,7 @@ from repro.experiments.sweep import SweepTask
 from repro.lv.state import LVState
 from repro.store import ChunkJournal, ExperimentStore, merge_cache, quarantine_path
 
+from helpers_journal import journal_contents
 from test_store import assert_bitwise_equal
 
 
@@ -31,15 +30,6 @@ def _write_journal(path, records):
         journal.close()
 
 
-def _journal_payloads(path):
-    """``{key: canonical payload}`` of every record in a journal file."""
-    contents = {}
-    for line in (path / "journal.jsonl").read_text().splitlines():
-        record = json.loads(line)
-        contents[record["key"]] = json.dumps(record["payload"], sort_keys=True)
-    return contents
-
-
 class TestMergeCache:
     def test_disjoint_union(self, tmp_path):
         _write_journal(tmp_path / "a", [("k1", {"v": 1}), ("k2", {"v": 2})])
@@ -47,7 +37,7 @@ class TestMergeCache:
         report = merge_cache(tmp_path / "dst", [tmp_path / "a", tmp_path / "b"])
         assert report.chunks_added == 3
         assert report.chunks_skipped == 0
-        assert set(_journal_payloads(tmp_path / "dst")) == {"k1", "k2", "k3"}
+        assert set(journal_contents(tmp_path / "dst")) == {"k1", "k2", "k3"}
 
     def test_overlapping_identical_chunks_are_idempotent(self, tmp_path):
         _write_journal(tmp_path / "a", [("k1", {"v": 1}), ("k2", {"v": 2})])
@@ -67,7 +57,7 @@ class TestMergeCache:
             merge_cache(tmp_path / "dst", [tmp_path / "b"])
         # Nothing landed from the conflicting source; the merged store is
         # unchanged and a corrected re-merge remains possible.
-        assert _journal_payloads(tmp_path / "dst") == {"shared": '{"v": 1}'}
+        assert journal_contents(tmp_path / "dst") == {"shared": '{"v": 1}'}
 
     def test_differing_metadata_with_equal_payload_is_not_a_conflict(self, tmp_path):
         journal = ChunkJournal(tmp_path / "a" / "journal.jsonl")
@@ -90,7 +80,7 @@ class TestMergeCache:
         report = merge_cache(tmp_path / "dst", [tmp_path / "a"])
         assert report.corrupt_skipped == 1
         assert report.chunks_added == 1
-        assert set(_journal_payloads(tmp_path / "dst")) == {"k2"}
+        assert set(journal_contents(tmp_path / "dst")) == {"k2"}
 
     def test_torn_source_tail_ends_the_scan_cleanly(self, tmp_path):
         _write_journal(tmp_path / "a", [("k1", {"v": 1}), ("k2", {"v": 2})])
@@ -101,7 +91,7 @@ class TestMergeCache:
         report = merge_cache(tmp_path / "dst", [tmp_path / "a"])
         assert report.chunks_added == 2
         assert report.corrupt_skipped == 0
-        assert set(_journal_payloads(tmp_path / "dst")) == {"k1", "k2"}
+        assert set(journal_contents(tmp_path / "dst")) == {"k1", "k2"}
 
     def test_quarantine_sidecar_bearing_source_merges(self, tmp_path):
         # A shard that hit corruption healed on its next append: the journal
@@ -116,7 +106,7 @@ class TestMergeCache:
         assert quarantine_path(journal_path).exists()
         report = merge_cache(tmp_path / "dst", [tmp_path / "a"])
         assert report.chunks_added == 1
-        assert set(_journal_payloads(tmp_path / "dst")) == {"k2"}
+        assert set(journal_contents(tmp_path / "dst")) == {"k2"}
         # The sidecar is shard-local evidence, not mergeable data.
         assert not quarantine_path(tmp_path / "dst" / "journal.jsonl").exists()
 
@@ -129,7 +119,7 @@ class TestMergeCache:
         _write_journal(tmp_path / "a", [("k3", {"v": 3})])
         report = merge_cache(tmp_path / "dst", [tmp_path / "a"])
         assert report.chunks_added == 1
-        assert set(_journal_payloads(tmp_path / "dst")) == {"k1", "k3"}
+        assert set(journal_contents(tmp_path / "dst")) == {"k1", "k3"}
 
     def test_missing_source_is_an_error(self, tmp_path):
         with pytest.raises(StoreError, match="does not exist"):
@@ -211,7 +201,7 @@ class TestEndToEndShardMerge:
             tmp_path / "merged",
             [tmp_path / "shard-0", tmp_path / "shard-1"],
         )
-        assert _journal_payloads(tmp_path / "merged") == _journal_payloads(
+        assert journal_contents(tmp_path / "merged") == journal_contents(
             tmp_path / "reference"
         )
 
