@@ -55,7 +55,7 @@ from repro.lv import (
     classify_regime,
     Table1Row,
 )
-from repro.experiments import ReplicaScheduler
+from repro.experiments import SweepScheduler
 from repro.store import ExperimentStore
 from repro.consensus import (
     MajorityConsensusEstimator,
@@ -106,7 +106,7 @@ __all__ = [
     "classify_regime",
     "Table1Row",
     # Experiment harness
-    "ReplicaScheduler",
+    "SweepScheduler",
     # Result store
     "ExperimentStore",
     # Consensus analysis

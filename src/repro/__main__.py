@@ -17,11 +17,11 @@ Three subcommands cover the common entry points without writing any Python:
     Print the repro and numpy versions and the registered scenario families
     (``--version`` prints the two versions on one line).
 
-``run`` and ``estimate`` accept ``--jobs N`` to fan replicate batches out to
-``N`` worker processes through the
-:class:`~repro.experiments.scheduler.ReplicaScheduler`; the results are
-identical for every job count because batch seeds are spawned from the root
-seed before dispatch.
+``run`` and ``estimate`` accept ``--jobs N`` to fan fused mega-batches
+(``--sweep-batch`` replicas wide) out to ``N`` worker processes through the
+:class:`~repro.experiments.scheduler.SweepScheduler`; the results are
+identical for every job count and width because batch seeds are spawned
+from the root seed before dispatch.
 
 ``--target-ci-width W`` (optionally with ``--max-replicates CAP``) switches
 the sweeps from fixed replicate budgets to **adaptive precision**: every
@@ -819,16 +819,10 @@ def _command_estimate(
         shard_history=None,
     )
     state = state_with_gap(arguments.population, arguments.gap)
-    if precision is not None:
-        estimate = scheduler.estimate_many(
-            [SweepTask(params, state, arguments.runs, seed=arguments.seed)]
-        )[0]
-        report = scheduler.last_adaptive_report
-    else:
-        estimate = scheduler.estimate(
-            params, state, arguments.runs, rng=arguments.seed
-        )
-        report = None
+    (estimate,) = scheduler.estimate_many(
+        [SweepTask(params, state, arguments.runs, seed=arguments.seed)]
+    )
+    report = scheduler.last_adaptive_report if precision is not None else None
     print(f"model: {params.describe()}")
     print(f"initial state: {state} (n = {state.total}, gap = {state.abs_gap})")
     print(

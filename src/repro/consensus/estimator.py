@@ -14,8 +14,7 @@ which together cover every quantity quoted by Theorems 13, 14, 17, 18 and 19.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,17 +26,9 @@ from repro.analysis.statistics import (
 from repro.exceptions import EstimationError
 from repro.lv.ensemble import COLLECT_MODES, LVEnsembleResult, LVEnsembleSimulator
 from repro.lv.params import LVParams
-from repro.lv.simulator import DEFAULT_MAX_EVENTS, LVJumpChainSimulator, LVRunResult
+from repro.lv.simulator import DEFAULT_MAX_EVENTS, LVRunResult
 from repro.lv.state import LVState
-from repro.rng import SeedLike, spawn_generators, spawn_seeds
-
-#: Signature of a pluggable replicate executor: (params, initial_state,
-#: num_runs, rng, max_events) -> per-replicate results.  The experiment
-#: harness's ReplicaScheduler provides one that adds batching and optional
-#: process parallelism.
-BatchRunner = Callable[
-    [LVParams, LVState, int, SeedLike, int], "list[LVRunResult]"
-]
+from repro.rng import SeedLike, spawn_seeds
 
 __all__ = [
     "ConsensusEstimate",
@@ -95,8 +86,8 @@ class ConsensusEstimate:
         (``0`` for ``max_bad_events``) so an accidental consumer sees an
         unmistakably missing value rather than a plausible zero.  Threshold
         probes and the experiments that read only those fields run at
-        ``"win"``; the event-count and noise experiments, the per-config
-        estimators and ``repro estimate`` run at ``"full"``.
+        ``"win"``; the event-count and noise experiments, this module's
+        one-shot estimators and ``repro estimate`` run at ``"full"``.
     """
 
     params: LVParams
@@ -155,18 +146,12 @@ class MajorityConsensusEstimator:
     max_events:
         Per-run event budget (guards against non-terminating parameter
         choices; the regimes of Table 1 rows 1–2 terminate in ``O(n)`` events).
-    method:
-        How replicates are executed: ``"ensemble"`` (default) advances the
-        whole batch in lock-step through the vectorized
-        :class:`~repro.lv.ensemble.LVEnsembleSimulator`; ``"scalar"`` runs one
-        scalar jump chain per replicate with spawned generators (the original
-        replicate loop, kept for cross-validation and benchmarks).
-    batch_runner:
-        Optional executor overriding *method*, with signature
-        ``(params, initial_state, num_runs, rng, max_events) -> results``.
-        The experiment harness's
-        :class:`~repro.experiments.scheduler.ReplicaScheduler` plugs in here
-        to add batching and process parallelism.
+
+    Every estimate advances its whole replicate budget in lock-step through
+    the vectorized :class:`~repro.lv.ensemble.LVEnsembleSimulator`, in one
+    process.  Batching, process parallelism, caching and sweeps of many
+    configurations belong to
+    :class:`~repro.experiments.scheduler.SweepScheduler`.
 
     Examples
     --------
@@ -180,42 +165,10 @@ class MajorityConsensusEstimator:
     params: LVParams
     confidence: float = 0.95
     max_events: int = DEFAULT_MAX_EVENTS
-    method: str = "ensemble"
-    batch_runner: BatchRunner | None = None
-    _simulator: LVJumpChainSimulator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.confidence < 1.0:
             raise EstimationError(f"confidence must be in (0, 1), got {self.confidence}")
-        if self.method not in ("ensemble", "scalar"):
-            raise EstimationError(
-                f"method must be 'ensemble' or 'scalar', got {self.method!r}"
-            )
-        self._simulator = LVJumpChainSimulator(self.params)
-
-    # ------------------------------------------------------------------
-    def run_batch(
-        self,
-        initial_state: LVState | tuple[int, int],
-        num_runs: int,
-        *,
-        rng: SeedLike = None,
-    ) -> list[LVRunResult]:
-        """Run *num_runs* independent trajectories (exposed for custom analyses)."""
-        if num_runs <= 0:
-            raise EstimationError(f"num_runs must be positive, got {num_runs}")
-        if self.batch_runner is not None:
-            state = LVJumpChainSimulator._coerce_state(initial_state)
-            return self.batch_runner(self.params, state, num_runs, rng, self.max_events)
-        if self.method == "ensemble":
-            return LVEnsembleSimulator(self.params).run_batch(
-                initial_state, num_runs, rng=rng, max_events=self.max_events
-            )
-        generators = spawn_generators(rng, num_runs)
-        return [
-            self._simulator.run(initial_state, rng=generator, max_events=self.max_events)
-            for generator in generators
-        ]
 
     def estimate(
         self,
@@ -227,15 +180,10 @@ class MajorityConsensusEstimator:
         """Estimate ρ(S) and the associated event statistics."""
         if num_runs <= 0:
             raise EstimationError(f"num_runs must be positive, got {num_runs}")
-        if self.batch_runner is None and self.method == "ensemble":
-            # Fast path: summarise the ensemble arrays directly instead of
-            # materialising one LVRunResult object per replicate.
-            ensemble = LVEnsembleSimulator(self.params).run_ensemble(
-                initial_state, num_runs, rng=rng, max_events=self.max_events
-            )
-            return summarise_ensemble(ensemble, confidence=self.confidence)
-        results = self.run_batch(initial_state, num_runs, rng=rng)
-        return summarise_runs(results, confidence=self.confidence)
+        ensemble = LVEnsembleSimulator(self.params).run_ensemble(
+            initial_state, num_runs, rng=rng, max_events=self.max_events
+        )
+        return summarise_ensemble(ensemble, confidence=self.confidence)
 
 
 def summarise_runs(
@@ -487,15 +435,12 @@ def estimate_majority_probability(
     rng: SeedLike = None,
     confidence: float = 0.95,
     max_events: int = DEFAULT_MAX_EVENTS,
-    method: str = "ensemble",
-    batch_runner: BatchRunner | None = None,
     precision: PrecisionTarget | None = None,
 ) -> ConsensusEstimate:
     """One-shot convenience wrapper around :class:`MajorityConsensusEstimator`.
 
     With a *precision* target the replicate budget is chosen adaptively by
-    :func:`run_adaptive_ensemble` and *num_runs* is ignored (requires the
-    default ``"ensemble"`` method without a custom *batch_runner*).
+    :func:`run_adaptive_ensemble` and *num_runs* is ignored.
 
     Examples
     --------
@@ -505,20 +450,11 @@ def estimate_majority_probability(
     40
     """
     if precision is not None:
-        if method != "ensemble" or batch_runner is not None:
-            raise EstimationError(
-                "adaptive precision requires the vectorized 'ensemble' method "
-                "without a custom batch_runner"
-            )
         ensemble = run_adaptive_ensemble(
             params, initial_state, precision, rng=rng, max_events=max_events
         )
         return summarise_ensemble(ensemble, confidence=confidence)
     estimator = MajorityConsensusEstimator(
-        params,
-        confidence=confidence,
-        max_events=max_events,
-        method=method,
-        batch_runner=batch_runner,
+        params, confidence=confidence, max_events=max_events
     )
     return estimator.estimate(initial_state, num_runs, rng=rng)

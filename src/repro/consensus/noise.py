@@ -25,9 +25,9 @@ from repro.consensus.estimator import run_adaptive_ensemble
 from repro.exceptions import EstimationError
 from repro.lv.ensemble import LVEnsembleResult, LVEnsembleSimulator
 from repro.lv.params import LVParams
-from repro.lv.simulator import DEFAULT_MAX_EVENTS, LVJumpChainSimulator
+from repro.lv.simulator import DEFAULT_MAX_EVENTS
 from repro.lv.state import LVState
-from repro.rng import SeedLike, spawn_generators
+from repro.rng import SeedLike
 
 __all__ = ["NoiseDecomposition", "decompose_noise", "decomposition_from_ensemble"]
 
@@ -113,9 +113,10 @@ class NoiseDecomposition:
 def decomposition_from_ensemble(ensemble: LVEnsembleResult) -> NoiseDecomposition:
     """Build a :class:`NoiseDecomposition` from lock-step ensemble arrays.
 
-    Shared by :func:`decompose_noise` and the experiment harness's replica
-    and sweep schedulers, so every execution path produces the decomposition
-    from the same per-replica accounting.
+    Shared by :func:`decompose_noise` and the experiment harness's
+    :meth:`SweepScheduler.decompose_many
+    <repro.experiments.scheduler.SweepScheduler.decompose_many>`, so both
+    produce the decomposition from the same per-replica accounting.
     """
     return NoiseDecomposition(
         params=ensemble.params,
@@ -134,16 +135,15 @@ def decompose_noise(
     num_runs: int = 200,
     rng: SeedLike = None,
     max_events: int = DEFAULT_MAX_EVENTS,
-    method: str = "ensemble",
     precision: PrecisionTarget | None = None,
 ) -> NoiseDecomposition:
     """Measure the noise decomposition by Monte-Carlo simulation.
 
-    *method* selects the replicate executor: the vectorized lock-step
-    ensemble (default) or the scalar per-replicate loop (``"scalar"``).
-    With a *precision* target the replicate budget is chosen adaptively
-    (sequential waves until the target's criteria hold; requires the
-    ``"ensemble"`` method) and *num_runs* is ignored.
+    The replicates advance in lock-step through the vectorized
+    :class:`~repro.lv.ensemble.LVEnsembleSimulator`.  With a *precision*
+    target the replicate budget is chosen adaptively by
+    :func:`~repro.consensus.estimator.run_adaptive_ensemble` (sequential
+    waves until the target's criteria hold) and *num_runs* is ignored.
 
     Examples
     --------
@@ -156,43 +156,12 @@ def decompose_noise(
         raise EstimationError(f"num_runs must be positive, got {num_runs}")
     if isinstance(initial_state, tuple):
         initial_state = LVState(int(initial_state[0]), int(initial_state[1]))
-    if method not in ("ensemble", "scalar"):
-        raise EstimationError(f"method must be 'ensemble' or 'scalar', got {method!r}")
     if precision is not None:
-        if method != "ensemble":
-            raise EstimationError(
-                "adaptive precision requires the vectorized 'ensemble' method"
-            )
         ensemble = run_adaptive_ensemble(
             params, initial_state, precision, rng=rng, max_events=max_events
         )
-        return decomposition_from_ensemble(ensemble)
-
-    if method == "ensemble":
+    else:
         ensemble = LVEnsembleSimulator(params).run_ensemble(
             initial_state, num_runs, rng=rng, max_events=max_events
         )
-        return decomposition_from_ensemble(ensemble)
-
-    simulator = LVJumpChainSimulator(params)
-    generators = spawn_generators(rng, num_runs)
-
-    individual_noise = np.empty(num_runs)
-    competitive_noise = np.empty(num_runs)
-    individual_events = np.empty(num_runs)
-    competitive_events = np.empty(num_runs)
-    for i, generator in enumerate(generators):
-        result = simulator.run(initial_state, rng=generator, max_events=max_events)
-        individual_noise[i] = result.noise_individual
-        competitive_noise[i] = result.noise_competitive
-        individual_events[i] = result.individual_events
-        competitive_events[i] = result.competitive_events
-
-    return NoiseDecomposition(
-        params=params,
-        initial_state=(initial_state.x0, initial_state.x1),
-        individual_noise=individual_noise,
-        competitive_noise=competitive_noise,
-        individual_events=individual_events,
-        competitive_events=competitive_events,
-    )
+    return decomposition_from_ensemble(ensemble)

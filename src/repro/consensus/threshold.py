@@ -23,11 +23,14 @@ A search is internally a *state machine over probes*:
 :class:`GapProbe` requests and receives the matching
 :class:`~repro.consensus.estimator.ConsensusEstimate` for each, returning the
 :class:`ThresholdEstimate` when the bisection converges.
-:meth:`ThresholdSearch.find` drives one such generator against the built-in
-estimator; :func:`drive_threshold_searches` drives *several* searches in
-lock-step rounds, handing each round's pending probes to a pluggable
-``probe_runner`` — the hook the experiment harness's sweep scheduler uses to
-fuse the probes of a whole threshold sweep into heterogeneous mega-batches.
+:func:`drive_threshold_searches` drives *several* searches in lock-step
+rounds, handing each round's pending probes to a pluggable ``probe_runner``.
+Two drivers exist: :meth:`ThresholdSearch.find` runs one search's fixed
+budgets on the built-in estimator, and the experiment harness's
+:meth:`SweepScheduler.find_thresholds
+<repro.experiments.scheduler.SweepScheduler.find_thresholds>` fuses the
+probes of a whole threshold sweep into heterogeneous mega-batches (and is the
+driver that honours a search's adaptive precision target).
 """
 
 from __future__ import annotations
@@ -36,11 +39,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Generator, Sequence
 
 from repro.analysis.statistics import PrecisionTarget
-from repro.consensus.estimator import (
-    BatchRunner,
-    ConsensusEstimate,
-    MajorityConsensusEstimator,
-)
+from repro.consensus.estimator import ConsensusEstimate, MajorityConsensusEstimator
 from repro.exceptions import ThresholdSearchError
 from repro.lv.params import LVParams
 from repro.lv.simulator import DEFAULT_MAX_EVENTS
@@ -74,12 +73,12 @@ class GapProbe:
     seed: int
     max_events: int = DEFAULT_MAX_EVENTS
     confidence: float = 0.9
-    #: Adaptive-precision request: drivers that support sequential
-    #: estimation (the sweep scheduler) size the probe by this target
-    #: instead of the fixed *num_runs*; the built-in estimator driver runs
-    #: the fixed budget regardless.  Refinement rounds carry a tightened
-    #: copy (halved ``ci_half_width`` per round), so straddling gaps are
-    #: resolved by narrower intervals rather than blind re-sampling.
+    #: Adaptive-precision request: the sweep scheduler's driver sizes the
+    #: probe by this target instead of the fixed *num_runs*
+    #: (:meth:`ThresholdSearch.find` refuses a search that sets one).
+    #: Refinement rounds carry a tightened copy (halved ``ci_half_width``
+    #: per round), so straddling gaps are resolved by narrower intervals
+    #: rather than blind re-sampling.
     precision: PrecisionTarget | None = None
 
     @property
@@ -159,17 +158,13 @@ class ThresholdSearch:
         probe work but needs fewer *sequential* rounds — the right trade
         when rounds are fused into wide mega-batches whose marginal replica
         cost is small (the sweep scheduler's probe runner).
-    method, batch_runner:
-        Replicate execution policy, forwarded to
-        :class:`~repro.consensus.estimator.MajorityConsensusEstimator`
-        (vectorized ensemble by default; the experiment harness passes a
-        :class:`~repro.experiments.scheduler.ReplicaScheduler` runner here).
     precision:
         Optional adaptive-precision target attached to every emitted
-        :class:`GapProbe` (tightened by refinement round).  Only drivers
-        that support sequential estimation act on it — the sweep
-        scheduler's probe runner does, the built-in estimator driver runs
-        the fixed *num_runs* budget.
+        :class:`GapProbe` (tightened by refinement round) by
+        :meth:`search_steps`.  Only the sweep scheduler's probe runner
+        (:meth:`~repro.experiments.scheduler.SweepScheduler.find_thresholds`)
+        acts on it; :meth:`find` runs fixed *num_runs* budgets and raises
+        :class:`~repro.exceptions.ThresholdSearchError` when it is set.
     """
 
     params: LVParams
@@ -178,8 +173,6 @@ class ThresholdSearch:
     confidence: float = 0.9
     max_events: int = DEFAULT_MAX_EVENTS
     fanout: int = 1
-    method: str = "ensemble"
-    batch_runner: BatchRunner | None = None
     precision: PrecisionTarget | None = None
     _estimator: MajorityConsensusEstimator = field(init=False, repr=False)
 
@@ -193,11 +186,7 @@ class ThresholdSearch:
         if self.fanout < 1:
             raise ThresholdSearchError(f"fanout must be at least 1, got {self.fanout}")
         self._estimator = MajorityConsensusEstimator(
-            self.params,
-            confidence=self.confidence,
-            max_events=self.max_events,
-            method=self.method,
-            batch_runner=self.batch_runner,
+            self.params, confidence=self.confidence, max_events=self.max_events
         )
 
     # ------------------------------------------------------------------
@@ -219,9 +208,13 @@ class ThresholdSearch:
     ) -> ThresholdEstimate:
         """Binary-search the smallest gap with ρ ≥ *target_probability*.
 
-        Drives :meth:`search_steps` against the built-in estimator; the probe
-        decisions and per-probe seeds are identical to executing the search
-        through any other driver.
+        Drives :meth:`search_steps` against the built-in estimator, one
+        fixed-budget batch per probe; the probe schedule and per-probe seeds
+        are identical to executing the search through any other driver.  A
+        search with a *precision* target is refused: its probes need
+        adaptive budgets, which only
+        :meth:`~repro.experiments.scheduler.SweepScheduler.find_thresholds`
+        runs.
 
         Parameters
         ----------
@@ -236,6 +229,12 @@ class ThresholdSearch:
             Root seed; per-gap seeds are derived deterministically from it so
             re-probing a gap during refinement reuses independent streams.
         """
+        if self.precision is not None:
+            raise ThresholdSearchError(
+                "ThresholdSearch.find runs fixed num_runs budgets and would "
+                "ignore the search's precision target; run the search through "
+                "SweepScheduler.find_thresholds, which sizes each probe by it"
+            )
         steps = self.search_steps(
             population_size,
             target_probability=target_probability,
@@ -499,11 +498,12 @@ def find_threshold(
     rng: SeedLike = None,
     max_gap: int | None = None,
     max_events: int = DEFAULT_MAX_EVENTS,
-    method: str = "ensemble",
-    batch_runner: BatchRunner | None = None,
-    precision: PrecisionTarget | None = None,
 ) -> ThresholdEstimate:
     """One-shot convenience wrapper around :class:`ThresholdSearch`.
+
+    Every probe runs a fixed budget (*num_runs*, doubled on refinement).
+    For adaptive probe budgets, or to fuse many searches into mega-batches,
+    use :meth:`~repro.experiments.scheduler.SweepScheduler.find_thresholds`.
 
     Examples
     --------
@@ -512,14 +512,7 @@ def find_threshold(
     >>> estimate.has_threshold
     True
     """
-    search = ThresholdSearch(
-        params,
-        num_runs=num_runs,
-        max_events=max_events,
-        method=method,
-        batch_runner=batch_runner,
-        precision=precision,
-    )
+    search = ThresholdSearch(params, num_runs=num_runs, max_events=max_events)
     return search.find(
         population_size,
         target_probability=target_probability,

@@ -27,10 +27,10 @@ one seed is spawned per ``(configuration, batch)`` up front
 (:func:`repro.rng.spawn_seeds`), mixed-configuration mega-batches run through
 the vectorized heterogeneous core
 (:func:`repro.lv.ensemble.run_sweep_ensemble`) — inline by default, or on a
-process pool created once per sweep when configured with ``jobs > 1`` (the
-CLI's ``--jobs``) — and the results are demultiplexed back into
-per-configuration estimates.  Because all seeds are spawned before dispatch,
-results are bit-identical for every job count.
+warm process pool when configured with ``jobs > 1`` (the CLI's ``--jobs``) —
+and the results are demultiplexed back into per-configuration estimates.
+Because all seeds are spawned before dispatch, results are bit-identical for
+every job count.
 """
 
 from repro.experiments.config import (
@@ -48,7 +48,6 @@ from repro.experiments.report import render_report
 from repro.experiments.runner import run_all, save_results, load_results
 from repro.experiments.scheduler import (
     FaultTolerance,
-    ReplicaScheduler,
     RunHealth,
     SweepScheduler,
     ThresholdRequest,
@@ -78,7 +77,6 @@ __all__ = [
     "load_results",
     "AdaptiveSweepReport",
     "FaultTolerance",
-    "ReplicaScheduler",
     "RunHealth",
     "SweepScheduler",
     "SweepTask",

@@ -1,9 +1,9 @@
 """Sweep runner and JSON result persistence for the experiment harness.
 
 Replicate execution is delegated to the process-wide
-:class:`~repro.experiments.scheduler.ReplicaScheduler`; :func:`run_all`
-forwards its *jobs* argument to the scheduler so sweeps can fan replicate
-batches out to worker processes, and its *store*/*resume* arguments to the
+:class:`~repro.experiments.scheduler.SweepScheduler`; :func:`run_all`
+forwards its *jobs* argument to the scheduler so sweeps can fan mega-batches
+out to worker processes, and its *store*/*resume* arguments to the
 scheduler and registry so whole experiment batches run cache-first against
 a persistent :class:`~repro.store.ExperimentStore` (journaled chunks replay
 instead of recomputing; completed runs are served from the run tier under

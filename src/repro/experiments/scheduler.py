@@ -2,37 +2,33 @@
 
 Every experiment in the harness boils down to "run ``R`` independent
 replicates of a two-species jump chain and summarise them" — usually for a
-whole *grid* of configurations at once.  Two cooperating schedulers
-centralise how those budgets are executed:
+whole *grid* of configurations at once.  One scheduler,
+:class:`SweepScheduler`, centralises how those budgets are executed: it
+splits every configuration's budget into lock-step member batches
+(:func:`repro.experiments.workloads.replica_batches`), derives one seed per
+batch from the configuration's root seed (:func:`repro.rng.spawn_seeds`),
+packs the members of the whole grid into heterogeneous mega-batches
+(:mod:`repro.experiments.sweep`) advanced in one lock-step by
+:func:`repro.lv.ensemble.run_sweep_ensemble`, runs them inline or on a
+``ProcessPoolExecutor`` (the CLI's ``--jobs``), and demultiplexes the
+results back into per-configuration estimates.  A single configuration is a
+one-task sweep.  The scheduler also drives whole *threshold sweeps*:
+concurrent bisection searches whose per-round probes are fused into
+mega-batches (:func:`repro.consensus.threshold.drive_threshold_searches`).
 
-* :class:`ReplicaScheduler` — the per-configuration executor: splits one
-  replicate budget into lock-step ensemble batches
-  (:func:`repro.experiments.workloads.replica_batches`), derives one seed per
-  batch from the root seed (:func:`repro.rng.spawn_seeds`), and runs batches
-  inline or on a ``ProcessPoolExecutor`` (the CLI's ``--jobs``).
-* :class:`SweepScheduler` — the sweep engine: flattens a grid of
-  :class:`~repro.experiments.sweep.SweepTask` configurations into
-  heterogeneous mega-batches (:mod:`repro.experiments.sweep`) advanced in one
-  lock-step by :func:`repro.lv.ensemble.run_sweep_ensemble`, and
-  demultiplexes the results back into per-configuration estimates.  It also
-  drives whole *threshold sweeps*: concurrent bisection searches whose
-  per-round probes are fused into mega-batches
-  (:func:`repro.consensus.threshold.drive_threshold_searches`).
+Workers come from a :class:`WorkerPool` context manager: the process pool is
+created lazily on the first parallel sweep, reused across calls *and* across
+scheduler reconfigurations (``jobs`` toggles no longer respawn workers), and
+torn down on ``shutdown``.  Seeds are always spawned before dispatch and the
+engine gives every fused member its own streams, so results are
+bit-identical for every worker count and packing width.
 
-Both schedulers draw workers from a shared :class:`WorkerPool` context
-manager: the process pool is created lazily on the first parallel sweep,
-reused across calls *and* across scheduler reconfigurations (``jobs``
-toggles no longer respawn workers), and torn down on ``shutdown``.  Seeds
-are always spawned before dispatch and the engine gives every fused member
-its own streams, so results are bit-identical for every worker count and
-packing width.
-
-The :class:`SweepScheduler` additionally owns the **adaptive-precision
-layer**: when a :class:`~repro.analysis.statistics.PrecisionTarget` is
-configured, grid entry points run sequential replicate waves that retire
-configurations as soon as their estimates are tight enough and re-invest
-the freed mega-batch width into the configurations that still need events
-(see :meth:`SweepScheduler.run_sweep_adaptive`).
+The scheduler additionally owns the **adaptive-precision layer**: when a
+:class:`~repro.analysis.statistics.PrecisionTarget` is configured, grid
+entry points run sequential replicate waves that retire configurations as
+soon as their estimates are tight enough and re-invest the freed mega-batch
+width into the configurations that still need events (see
+:meth:`SweepScheduler.run_sweep_adaptive`).
 
 A module-level default scheduler is shared by ``table1.py`` and
 ``figures.py``; the CLI and :func:`repro.experiments.runner.run_all` configure
@@ -64,7 +60,6 @@ from repro.consensus.threshold import (
     ThresholdEstimate,
     ThresholdSearch,
     drive_threshold_searches,
-    find_threshold,
 )
 from repro.exceptions import (
     ExperimentError,
@@ -85,25 +80,16 @@ from repro.experiments.sweep import (
     placeholder_ensemble,
     plan_members,
 )
-from repro.experiments.workloads import replica_batches
-from repro.faults import inject_execution_faults
 from repro.lv.ensemble import (
     COLLECT_MODES,
     DEFAULT_COMPACTION_FRACTION,
     LVEnsembleResult,
-    LVEnsembleSimulator,
 )
 from repro.lv.native import resolve_engine
 from repro.lv.params import LVParams
-from repro.lv.tau import (
-    BACKENDS,
-    DEFAULT_TAU_EPSILON,
-    LVTauEnsembleSimulator,
-    resolve_backend,
-)
-from repro.lv.simulator import DEFAULT_MAX_EVENTS, LVJumpChainSimulator, LVRunResult
-from repro.lv.state import LVState
-from repro.rng import SeedLike, spawn_seeds
+from repro.lv.tau import BACKENDS, DEFAULT_TAU_EPSILON, resolve_backend
+from repro.lv.simulator import DEFAULT_MAX_EVENTS
+from repro.rng import SeedLike
 from repro.shard.planner import (
     EventRateHistory,
     ShardPlan,
@@ -119,7 +105,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "FaultTolerance",
-    "ReplicaScheduler",
     "RunHealth",
     "SweepScheduler",
     "ThresholdRequest",
@@ -273,7 +258,7 @@ class RunHealth:
 
 
 class WorkerPool:
-    """Owns the :class:`ProcessPoolExecutor` shared by the schedulers.
+    """Owns the :class:`ProcessPoolExecutor` that schedulers share.
 
     Before this context manager existed, every scheduler reconfiguration
     (e.g. :func:`runner.run_all <repro.experiments.runner.run_all>` toggling
@@ -295,8 +280,8 @@ class WorkerPool:
     Aborted runs never strand workers: the first ``acquire`` registers an
     ``atexit`` safety net that force-stops any still-running executor at
     interpreter shutdown (covering code paths that create the pool lazily
-    and then die before reaching ``shutdown``), and the schedulers
-    additionally tear the pool down when an exception — including
+    and then die before reaching ``shutdown``), and the scheduler
+    additionally tears the pool down when an exception — including
     ``KeyboardInterrupt`` — escapes a sweep mid-flight.
     """
 
@@ -373,46 +358,14 @@ class WorkerPool:
         self.shutdown()
 
 
-def _execute_batch(
-    params: LVParams,
-    counts: tuple[int, int],
-    num_runs: int,
-    seed: int,
-    max_events: int,
-    compaction_fraction: float | None,
-    backend: str = "exact",
-    tau_epsilon: float = DEFAULT_TAU_EPSILON,
-    attempt: int = 0,
-) -> LVEnsembleResult:
-    """Run one lock-step batch (module-level so process pools can pickle it).
-
-    Returning the :class:`LVEnsembleResult` arrays keeps both the in-process
-    path and the pool IPC free of per-replicate Python objects.  *backend*
-    (``"auto"`` resolved by the configuration's total population) selects
-    between the exact lock-step engine and the tau-leaping fast path.
-    *attempt* is the retry counter forwarded to the deterministic
-    fault-injection layer (:mod:`repro.faults`, keyed on the batch seed);
-    it never influences results.
-    """
-    inject_execution_faults(seed, attempt)
-    if resolve_backend(backend, counts[0] + counts[1]) == "tau":
-        tau_simulator = LVTauEnsembleSimulator(params, epsilon=tau_epsilon)
-        return tau_simulator.run_ensemble(
-            LVState(counts[0], counts[1]), num_runs, rng=seed, max_events=max_events
-        )
-    simulator = LVEnsembleSimulator(params, compaction_fraction=compaction_fraction)
-    return simulator.run_ensemble(
-        LVState(counts[0], counts[1]), num_runs, rng=seed, max_events=max_events
-    )
-
-
 @dataclass(frozen=True)
 class ThresholdRequest:
     """One threshold search of a fused threshold sweep.
 
-    The fields mirror :func:`repro.consensus.threshold.find_threshold`'s
-    parameters; :meth:`SweepScheduler.find_thresholds` runs many requests
-    concurrently, fusing each bisection round's probes into mega-batches.
+    The fields are a :class:`~repro.consensus.threshold.ThresholdSearch`'s
+    parameters plus the population searched and the root seed;
+    :meth:`SweepScheduler.find_thresholds` runs many requests concurrently,
+    fusing each bisection round's probes into mega-batches.
     """
 
     params: LVParams
@@ -430,27 +383,38 @@ class ThresholdRequest:
 
 
 @dataclass
-class ReplicaScheduler:
-    """Deterministic replicate executor with batching and ``--jobs`` support.
+class SweepScheduler:
+    """Deterministic replicate executor: every budget runs as fused mega-batches.
+
+    Each entry point flattens its ``(configuration, replicate)`` grid into
+    heterogeneous mega-batches of at most *sweep_batch* replicas.  One
+    lock-step advance then serves every configuration simultaneously, so
+    the per-step numpy dispatch cost — dominant for the few-hundred-replica
+    batches the experiments use — is paid once per sweep instead of once per
+    configuration.  A single configuration is a one-task sweep.
 
     Parameters
     ----------
     jobs:
-        Number of worker processes.  ``1`` (the default) executes batches
-        inline; higher values fan batches out to a process pool.  The result
-        is bit-identical for every value of *jobs* because batch seeds are
-        derived from the root seed before dispatch.  Values beyond a sanity
-        limit (eight workers per CPU, at least 64) are rejected with an
-        :class:`~repro.exceptions.ExperimentError` at construction instead of
-        failing deep inside the executor.
+        Number of worker processes.  ``1`` (the default) executes
+        mega-batches inline; higher values fan them out to a process pool.
+        The result is bit-identical for every value of *jobs* because member
+        seeds are derived from the task seeds before dispatch.  Values
+        beyond a sanity limit (eight workers per CPU, at least 64) are
+        rejected with an :class:`~repro.exceptions.ExperimentError` at
+        construction instead of failing deep inside the executor.
     batch_size:
-        Replicas per lock-step ensemble batch.
+        Replicas per member: each task's budget is split into batches of at
+        most this many replicas
+        (:func:`~repro.experiments.workloads.replica_batches`), each with
+        its own seed spawned from the task's root seed.  The decomposition
+        fixes the seeds, so unlike *sweep_batch* it selects the results.
     compaction_fraction:
         Active-set compaction threshold forwarded to the lock-step engine
         (see :mod:`repro.lv.ensemble`); ``None`` disables compaction.
         Results are bitwise-independent of this knob.
     backend:
-        Simulation backend for every executed batch: ``"exact"`` (the
+        Simulation backend for every executed member: ``"exact"`` (the
         default — the bitwise-reproducible lock-step jump-chain engine),
         ``"tau"`` (the approximate large-``n`` tau-leaping engine of
         :mod:`repro.lv.tau`), or ``"auto"`` (tau at or above
@@ -469,14 +433,17 @@ class ReplicaScheduler:
         :meth:`shutdown` (or the pool's own context exit).
     store:
         Optional :class:`~repro.store.ExperimentStore`.  When set, every
-        executed simulation chunk is journaled under its content-address
-        as it finishes, and chunks whose keys are already journaled are
-        **replayed from the store instead of simulated** — making every
+        executed member is journaled under its content-address as its
+        mega-batch finishes, and members whose keys are already journaled
+        are **replayed from the store instead of simulated** — making every
         entry point cache-first and every interrupted run resumable
         bitwise-identically (the chunk keys deliberately exclude ``jobs``,
         ``sweep_batch``, and ``compaction_fraction``, which the engine
         contract guarantees never change results).  ``None`` (the
         default) keeps the recompute-always behaviour with zero overhead.
+    sweep_batch:
+        Mega-batch width: the most replicas advanced per lock-step
+        iteration.  Purely an execution knob.
 
     The scheduler is also a context manager: entering pre-warms the pool
     (when ``jobs > 1``) and exiting stops it.  The ``events_executed``
@@ -488,11 +455,29 @@ class ReplicaScheduler:
 
     Examples
     --------
-    >>> scheduler = ReplicaScheduler()
-    >>> params = LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0)
-    >>> estimate = scheduler.estimate(params, LVState(30, 10), 50, rng=0)
-    >>> estimate.num_runs
-    50
+    >>> from repro.experiments.sweep import SweepTask
+    >>> scheduler = SweepScheduler()
+    >>> sd = LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0)
+    >>> nsd = LVParams.non_self_destructive(beta=1.0, delta=1.0, alpha=1.0)
+    >>> estimates = scheduler.estimate_many(
+    ...     [SweepTask(sd, (30, 10), 40, seed=1),
+    ...      SweepTask(nsd, (30, 10), 40, seed=2)])
+    >>> [estimate.num_runs for estimate in estimates]
+    [40, 40]
+
+    Adaptive precision
+    ------------------
+    When a :class:`~repro.analysis.statistics.PrecisionTarget` is configured
+    (the *precision* field, the CLI's ``--target-ci-width``, or a ``target``
+    argument on a grid entry point), the grid entry points switch from fixed
+    replicate budgets to **sequential waves**: every wave runs fused
+    mega-batches of per-task chunks, converged tasks retire, and the freed
+    mega-batch width goes to the survivors, whose next-wave budgets follow
+    the target's variance-aware plan.  Chunked, prefix-stable seeding plus
+    the engine's per-member streams make every estimate — and therefore the
+    retired set — bitwise-independent of ``sweep_batch``, ``batch_size``,
+    and ``jobs``.  The fixed-budget path (no target anywhere) remains the
+    exact-reproducibility mode and is bit-for-bit unchanged.
     """
 
     jobs: int = 1
@@ -507,7 +492,7 @@ class ReplicaScheduler:
     #: Simulated events served from the result store instead of recomputed
     #: (cache hits); ``events_executed`` counts only genuinely executed work.
     events_replayed: int = field(default=0, init=False, repr=False, compare=False)
-    #: Retry/timeout policy applied to every executed chunk (see
+    #: Retry/timeout policy applied to every executed mega-batch (see
     #: :class:`FaultTolerance`); the defaults absorb transient worker
     #: crashes with two retries and no timeout watchdog.
     fault_tolerance: FaultTolerance = field(
@@ -517,6 +502,32 @@ class ReplicaScheduler:
     #: :class:`RunHealth`); ``health.faults_handled == 0`` on a clean run.
     health: RunHealth = field(
         default_factory=RunHealth, init=False, repr=False, compare=False
+    )
+    sweep_batch: int = DEFAULT_SWEEP_BATCH
+    precision: PrecisionTarget | None = None
+    wave_quantum: int = DEFAULT_WAVE_QUANTUM
+    #: Shard-of-K execution: with ``shards=K``, the grid entry points
+    #: partition their grid units deterministically into K balanced shards
+    #: (:mod:`repro.shard.planner`) and execute **only** shard
+    #: ``shard_index``'s units; the other units return zero-work
+    #: placeholder results (:func:`repro.experiments.sweep
+    #: .placeholder_ensemble`).  Chunk keys exclude every execution knob,
+    #: so the union of the K shard journals is bitwise-identical to a
+    #: single-process run's journal — merge with ``repro merge-cache``.
+    shards: int = 1
+    shard_index: int = 0
+    #: Cost-model input of the shard planner: measured events-per-replicate
+    #: rates per configuration (:class:`repro.shard.planner
+    #: .EventRateHistory`).  Must be the *same* history object/content in
+    #: every shard process — each one recomputes the identical plan from it
+    #: — so feed it from a static input (a previous run's journal or the
+    #: committed benchmark baseline), never the shard's own live store.
+    #: ``None`` falls back to member-count costs.
+    shard_history: "EventRateHistory | None" = field(
+        default=None, repr=False, compare=False
+    )
+    last_adaptive_report: AdaptiveSweepReport | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -550,11 +561,32 @@ class ReplicaScheduler:
                 "fault_tolerance must be a FaultTolerance instance, "
                 f"got {self.fault_tolerance!r}"
             )
+        if self.sweep_batch < 1:
+            raise ExperimentError(
+                f"sweep_batch must be at least 1, got {self.sweep_batch}"
+            )
+        if self.wave_quantum < 1:
+            raise ExperimentError(
+                f"wave_quantum must be at least 1, got {self.wave_quantum}"
+            )
+        if self.shards < 1:
+            raise ExperimentError(f"shards must be at least 1, got {self.shards}")
+        if not 0 <= self.shard_index < self.shards:
+            raise ExperimentError(
+                f"shard_index must be in [0, {self.shards}), got {self.shard_index}"
+            )
+        if self.shard_history is not None and not isinstance(
+            self.shard_history, EventRateHistory
+        ):
+            raise ExperimentError(
+                "shard_history must be an EventRateHistory instance, "
+                f"got {self.shard_history!r}"
+            )
 
     # ------------------------------------------------------------------
     # Worker-pool lifecycle
     # ------------------------------------------------------------------
-    def __enter__(self) -> "ReplicaScheduler":
+    def __enter__(self) -> "SweepScheduler":
         if self.jobs > 1:
             self.pool.acquire(self.jobs)
         return self
@@ -619,11 +651,11 @@ class ReplicaScheduler:
     ) -> None:
         """Execute *units* with retry, timeout, and pool-rebuild tolerance.
 
-        The single execution engine behind :meth:`run_ensembles` and the
-        sweep paths.  Each unit is a picklable argument tuple for the
-        module-level *fn*, **without** the trailing ``attempt`` argument —
-        it is appended at dispatch time, so the fault-injection layer sees
-        the true attempt number.  *describe(index)* returns the unit's chunk
+        The single execution engine behind every entry point (through
+        :meth:`_execute_members`).  Each unit is a picklable argument tuple
+        for the module-level *fn*, **without** the trailing ``attempt``
+        argument — it is appended at dispatch time, so the fault-injection
+        layer sees the true attempt number.  *describe(index)* returns the unit's chunk
         keys/labels for error reporting; *on_result(index, result)* is
         invoked exactly once per successful unit, **the moment the unit
         completes** — metering and journaling happen there, so an interrupt
@@ -921,90 +953,6 @@ class ReplicaScheduler:
             raise
         self._raise_quarantined(failed, describe)
 
-    # ------------------------------------------------------------------
-    # Planning and execution
-    # ------------------------------------------------------------------
-    def plan(self, num_runs: int) -> list[int]:
-        """Batch sizes the replicate budget will be executed in."""
-        return replica_batches(num_runs, self.batch_size)
-
-    def run_ensembles(
-        self,
-        params: LVParams,
-        initial_state: LVState | tuple[int, int],
-        num_runs: int,
-        *,
-        rng: SeedLike = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ) -> LVEnsembleResult:
-        """Run *num_runs* replicates and return the merged ensemble arrays.
-
-        Replicate ordering is deterministic (batch order times in-batch
-        order); the same root seed always yields the same results regardless
-        of ``jobs``.  With a configured *store*, batches whose chunk keys
-        are already journaled are replayed from disk and only the missing
-        batches are simulated (and journaled as they finish).
-        """
-        state = LVJumpChainSimulator._coerce_state(initial_state)
-        sizes = self.plan(num_runs)
-        seeds = spawn_seeds(rng, len(sizes))
-        batches: list[LVEnsembleResult | None] = [None] * len(sizes)
-        keys: list[str | None] = [None] * len(sizes)
-        pending = list(range(len(sizes)))
-        if self.store is not None:
-            resolved = resolve_backend(self.backend, state.x0 + state.x1)
-            pending = []
-            for index, (size, seed) in enumerate(zip(sizes, seeds)):
-                keys[index] = chunk_key(
-                    params=params,
-                    counts=(state.x0, state.x1),
-                    num_replicates=size,
-                    seed=seed,
-                    max_events=max_events,
-                    backend=resolved,
-                    tau_epsilon=self.tau_epsilon,
-                )
-                cached = self.store.get_chunk(keys[index])
-                if cached is None:
-                    pending.append(index)
-                else:
-                    batches[index] = cached
-                    self.events_replayed += int(cached.total_events.sum())
-        units = [
-            (
-                params,
-                (state.x0, state.x1),
-                sizes[index],
-                seeds[index],
-                max_events,
-                self.compaction_fraction,
-                self.backend,
-                self.tau_epsilon,
-            )
-            for index in pending
-        ]
-
-        def describe(position: int) -> tuple[str, ...]:
-            index = pending[position]
-            if keys[index] is not None:
-                return (keys[index],)
-            return (f"batch(R={sizes[index]}, seed={seeds[index]})",)
-
-        def on_result(position: int, result: LVEnsembleResult) -> None:
-            # Journal (durably) the moment each batch completes — a kill
-            # mid-run loses at most the batches still in flight, never
-            # finished work.
-            index = pending[position]
-            batches[index] = result
-            self._meter(result)
-            if self.store is not None:
-                self.store.put_chunk(
-                    keys[index], result, label=f"batch(R={sizes[index]})"
-                )
-
-        self._execute_faulted(units, _execute_batch, describe, on_result)
-        return LVEnsembleResult.concatenate(batches)
-
     def _meter(self, result: LVEnsembleResult) -> None:
         """Fold one ensemble's event counts into the scheduler's meters.
 
@@ -1015,191 +963,6 @@ class ReplicaScheduler:
         self.events_executed += int(result.total_events.sum())
         if result.leap_events is not None:
             self.leap_events_executed += int(result.leap_events.sum())
-
-    def run_replicates(
-        self,
-        params: LVParams,
-        initial_state: LVState | tuple[int, int],
-        num_runs: int,
-        *,
-        rng: SeedLike = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ) -> list[LVRunResult]:
-        """Per-replicate view of :meth:`run_ensembles` (materialises objects).
-
-        Kept for callers that need :class:`LVRunResult` instances (e.g. the
-        estimator's pluggable ``batch_runner`` hook); the summary entry points
-        below stay on the array fast path.
-        """
-        return self.run_ensembles(
-            params, initial_state, num_runs, rng=rng, max_events=max_events
-        ).to_run_results()
-
-    def batch_runner(
-        self,
-        params: LVParams,
-        initial_state: LVState,
-        num_runs: int,
-        rng: SeedLike,
-        max_events: int,
-    ) -> list[LVRunResult]:
-        """Adapter matching the estimator's pluggable ``BatchRunner`` hook."""
-        return self.run_replicates(
-            params, initial_state, num_runs, rng=rng, max_events=max_events
-        )
-
-    # ------------------------------------------------------------------
-    # Estimator-facing entry points used by the experiment modules
-    # ------------------------------------------------------------------
-    def estimate(
-        self,
-        params: LVParams,
-        initial_state: LVState | tuple[int, int],
-        num_runs: int,
-        *,
-        rng: SeedLike = None,
-        confidence: float = 0.95,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ) -> ConsensusEstimate:
-        """Scheduled equivalent of :func:`estimate_majority_probability`."""
-        ensemble = self.run_ensembles(
-            params, initial_state, num_runs, rng=rng, max_events=max_events
-        )
-        return summarise_ensemble(ensemble, confidence=confidence)
-
-    def find_threshold(
-        self,
-        params: LVParams,
-        population_size: int,
-        *,
-        num_runs: int = 200,
-        target_probability: float | None = None,
-        rng: SeedLike = None,
-        max_gap: int | None = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ) -> ThresholdEstimate:
-        """Scheduled equivalent of :func:`repro.consensus.threshold.find_threshold`.
-
-        Runs one search through the per-configuration batch path; use
-        :meth:`SweepScheduler.find_thresholds` to fuse a whole threshold
-        sweep into mega-batches.
-        """
-        return find_threshold(
-            params,
-            population_size,
-            num_runs=num_runs,
-            target_probability=target_probability,
-            rng=rng,
-            max_gap=max_gap,
-            max_events=max_events,
-            batch_runner=self.batch_runner,
-        )
-
-    def decompose_noise(
-        self,
-        params: LVParams,
-        initial_state: LVState | tuple[int, int],
-        num_runs: int,
-        *,
-        rng: SeedLike = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ) -> NoiseDecomposition:
-        """Scheduled equivalent of :func:`repro.consensus.noise.decompose_noise`."""
-        ensemble = self.run_ensembles(
-            params, initial_state, num_runs, rng=rng, max_events=max_events
-        )
-        return decomposition_from_ensemble(ensemble)
-
-
-@dataclass
-class SweepScheduler(ReplicaScheduler):
-    """Sweep engine: fuse whole parameter sweeps into lock-step mega-batches.
-
-    Extends :class:`ReplicaScheduler` (every per-configuration entry point
-    keeps working) with grid-level entry points that flatten a full
-    ``(configuration, replicate)`` grid into heterogeneous mega-batches of at
-    most *sweep_batch* replicas.  One lock-step advance then serves every
-    configuration simultaneously, so the per-step numpy dispatch cost —
-    dominant for the few-hundred-replica batches the experiments use — is
-    paid once per sweep instead of once per configuration.
-
-    Examples
-    --------
-    >>> from repro.experiments.sweep import SweepTask
-    >>> scheduler = SweepScheduler()
-    >>> sd = LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0)
-    >>> nsd = LVParams.non_self_destructive(beta=1.0, delta=1.0, alpha=1.0)
-    >>> estimates = scheduler.estimate_many(
-    ...     [SweepTask(sd, LVState(30, 10), 40, seed=1),
-    ...      SweepTask(nsd, LVState(30, 10), 40, seed=2)])
-    >>> [estimate.num_runs for estimate in estimates]
-    [40, 40]
-
-    Adaptive precision
-    ------------------
-    When a :class:`~repro.analysis.statistics.PrecisionTarget` is configured
-    (the *precision* field, the CLI's ``--target-ci-width``, or a ``target``
-    argument on a grid entry point), the grid entry points switch from fixed
-    replicate budgets to **sequential waves**: every wave runs fused
-    mega-batches of per-task chunks, converged tasks retire, and the freed
-    mega-batch width goes to the survivors, whose next-wave budgets follow
-    the target's variance-aware plan.  Chunked, prefix-stable seeding plus
-    the engine's per-member streams make every estimate — and therefore the
-    retired set — bitwise-independent of ``sweep_batch``, ``batch_size``,
-    and ``jobs``.  The fixed-budget path (no target anywhere) remains the
-    exact-reproducibility mode and is bit-for-bit unchanged.
-    """
-
-    sweep_batch: int = DEFAULT_SWEEP_BATCH
-    precision: PrecisionTarget | None = None
-    wave_quantum: int = DEFAULT_WAVE_QUANTUM
-    #: Shard-of-K execution: with ``shards=K``, the grid entry points
-    #: partition their grid units deterministically into K balanced shards
-    #: (:mod:`repro.shard.planner`) and execute **only** shard
-    #: ``shard_index``'s units; the other units return zero-work
-    #: placeholder results (:func:`repro.experiments.sweep
-    #: .placeholder_ensemble`).  Chunk keys exclude every execution knob,
-    #: so the union of the K shard journals is bitwise-identical to a
-    #: single-process run's journal — merge with ``repro merge-cache``.
-    shards: int = 1
-    shard_index: int = 0
-    #: Cost-model input of the shard planner: measured events-per-replicate
-    #: rates per configuration (:class:`repro.shard.planner
-    #: .EventRateHistory`).  Must be the *same* history object/content in
-    #: every shard process — each one recomputes the identical plan from it
-    #: — so feed it from a static input (a previous run's journal or the
-    #: committed benchmark baseline), never the shard's own live store.
-    #: ``None`` falls back to member-count costs.
-    shard_history: "EventRateHistory | None" = field(
-        default=None, repr=False, compare=False
-    )
-    last_adaptive_report: AdaptiveSweepReport | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.sweep_batch < 1:
-            raise ExperimentError(
-                f"sweep_batch must be at least 1, got {self.sweep_batch}"
-            )
-        if self.wave_quantum < 1:
-            raise ExperimentError(
-                f"wave_quantum must be at least 1, got {self.wave_quantum}"
-            )
-        if self.shards < 1:
-            raise ExperimentError(f"shards must be at least 1, got {self.shards}")
-        if not 0 <= self.shard_index < self.shards:
-            raise ExperimentError(
-                f"shard_index must be in [0, {self.shards}), got {self.shard_index}"
-            )
-        if self.shard_history is not None and not isinstance(
-            self.shard_history, EventRateHistory
-        ):
-            raise ExperimentError(
-                "shard_history must be an EventRateHistory instance, "
-                f"got {self.shard_history!r}"
-            )
 
     # ------------------------------------------------------------------
     # Shard planning
@@ -1254,11 +1017,11 @@ class SweepScheduler(ReplicaScheduler):
         """Run every task's replicate budget in fused mega-batches.
 
         Returns one merged :class:`LVEnsembleResult` per task, in task order,
-        with the same replicate layout as running each task through
-        :meth:`ReplicaScheduler.run_ensembles` (batch order times in-batch
-        order).  Per-task streams differ from the per-config path — replicas
-        of a mega-batch share one vectorized stream — but are deterministic
-        in the task seeds and independent of ``jobs``.  *collect* selects the
+        laid out as batch order times in-batch order.  Every member draws
+        from its own streams, so a task's result is a pure function of its
+        seed and ``batch_size`` — the same whether it runs alone or fused
+        with other tasks, and independent of ``jobs`` and ``sweep_batch``.
+        *collect* selects the
         engine's statistics level (``"win"`` skips the event accounting that
         win-probability summaries never read; trajectories are identical).
         With a configured *store*, journaled members are replayed from disk
@@ -1319,7 +1082,7 @@ class SweepScheduler(ReplicaScheduler):
         Cache misses are repacked into fresh mega-batches — safe because the
         engine's per-member streams make every member's result independent
         of the packing — executed through the fault-tolerant core
-        (:meth:`ReplicaScheduler._execute_faulted`), journaled the moment
+        (:meth:`_execute_faulted`), journaled the moment
         each mega-batch finishes, and merged back into spec order.
         """
         results: list[LVEnsembleResult | None] = [None] * len(specs)
@@ -1582,8 +1345,9 @@ class SweepScheduler(ReplicaScheduler):
         round's probes — one per still-running search — are fused into
         mega-batches, so a sweep over many population sizes and parameter
         sets pays the lock-step cost once per round instead of once per
-        probe.  Probe decisions and seeds per search are identical to
-        :meth:`ReplicaScheduler.find_threshold`'s search schedule.
+        probe.  Probe decisions, seeds and estimates per search are identical
+        to running that request alone: fusion changes only how much
+        lock-step width each round shares.
 
         With a precision target (per request, the *target* argument, or the
         scheduler's *precision* field) each probe is estimated adaptively:

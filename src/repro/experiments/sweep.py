@@ -343,8 +343,8 @@ def demux_mega_results(
 
     Members were generated in task order and packing preserves that order,
     so concatenating each task's member results restores the task's replicate
-    order (batch order times in-batch order — the same layout the per-config
-    :class:`~repro.experiments.scheduler.ReplicaScheduler` produces).
+    order: batch order times in-batch order, the layout of running the
+    task's batches one after another.
     """
     per_task: list[list[LVEnsembleResult]] = [[] for _ in range(num_tasks)]
     for plan, batch_results in zip(plans, results):

@@ -35,9 +35,10 @@ def replica_batches(num_runs: int, batch_size: int) -> list[int]:
 
     The decomposition is a pure function of ``(num_runs, batch_size)`` — full
     batches followed by one remainder batch — so the
-    :class:`~repro.experiments.scheduler.ReplicaScheduler` produces identical
-    per-batch seeds (and therefore identical results) no matter how many
-    worker processes execute the batches.
+    :class:`~repro.experiments.scheduler.SweepScheduler` spawns identical
+    per-batch seeds (and therefore produces identical results) no matter how
+    the batches are packed into mega-batches or how many worker processes
+    execute them.
 
     Examples
     --------

@@ -64,7 +64,7 @@ class TestEstimator:
     def test_invalid_run_count(self, sd_params):
         estimator = MajorityConsensusEstimator(sd_params)
         with pytest.raises(EstimationError):
-            estimator.run_batch(LVState(5, 3), 0)
+            estimator.estimate(LVState(5, 3), 0)
 
     def test_invalid_confidence(self, sd_params):
         with pytest.raises(EstimationError):

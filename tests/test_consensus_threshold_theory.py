@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
 
+from repro.analysis.statistics import PrecisionTarget
 from repro.consensus.exact import (
     applies_proportional_rule,
     no_competition_win_probability,
@@ -18,6 +20,7 @@ from repro.consensus.theory import (
 )
 from repro.consensus.threshold import ThresholdSearch, find_threshold
 from repro.exceptions import ModelError, ThresholdSearchError
+from repro.experiments.scheduler import SweepScheduler, ThresholdRequest
 from repro.lv.params import LVParams
 from repro.lv.regimes import Table1Row
 from repro.lv.state import LVState
@@ -73,6 +76,19 @@ class TestThresholdSearch:
     def test_invalid_num_runs(self, sd_params):
         with pytest.raises(ThresholdSearchError):
             ThresholdSearch(sd_params, num_runs=0)
+
+    def test_find_refuses_a_precision_target(self, sd_params):
+        """find() runs fixed budgets; the scheduler is the driver that sizes probes."""
+        target = PrecisionTarget(ci_half_width=0.2, min_replicates=16, max_replicates=64)
+        search = ThresholdSearch(sd_params, num_runs=60, precision=target)
+        with pytest.raises(ThresholdSearchError, match="SweepScheduler.find_thresholds"):
+            search.find(64, rng=5)
+        assert "precision" not in inspect.signature(find_threshold).parameters
+        (estimate,) = SweepScheduler().find_thresholds(
+            [ThresholdRequest(sd_params, 64, num_runs=60, seed=5, precision=target)]
+        )
+        assert estimate.probes
+        assert all(probe.num_runs <= 64 for probe in estimate.probes.values())
 
 
 class TestTheoryPredictions:

@@ -8,17 +8,21 @@ before dispatch.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.consensus.estimator import estimate_majority_probability, summarise_runs
+from repro.consensus.estimator import summarise_runs
 from repro.exceptions import ExperimentError
 from repro.experiments.scheduler import (
-    ReplicaScheduler,
+    SweepScheduler,
+    ThresholdRequest,
     configure_default_scheduler,
     get_default_scheduler,
 )
+from repro.experiments.sweep import SweepTask, plan_members
 from repro.experiments.workloads import replica_batches
 from repro.lv.state import LVState
+from repro.rng import spawn_seeds
 
 
 STATE = LVState(30, 18)
@@ -41,77 +45,62 @@ class TestReplicaBatches:
             replica_batches(10, 0)
 
 
-class TestReplicaScheduler:
-    def test_plan_matches_replica_batches(self):
-        scheduler = ReplicaScheduler(batch_size=100)
-        assert scheduler.plan(250) == [100, 100, 50]
+class TestOneTaskBudget:
+    """A single configuration's budget, executed as a one-task sweep."""
+
+    def test_members_follow_replica_batches_and_spawned_seeds(self, sd_params):
+        specs = plan_members([SweepTask(sd_params, STATE, 250, seed=7)], batch_size=100)
+        assert [spec.num_replicates for spec in specs] == replica_batches(250, 100)
+        assert [spec.seed for spec in specs] == spawn_seeds(7, 3)
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ExperimentError):
-            ReplicaScheduler(jobs=0)
+            SweepScheduler(jobs=0)
         with pytest.raises(ExperimentError):
-            ReplicaScheduler(batch_size=0)
+            SweepScheduler(batch_size=0)
 
-    def test_run_replicates_count_and_determinism(self, sd_params):
-        scheduler = ReplicaScheduler(batch_size=64)
-        first = scheduler.run_replicates(sd_params, STATE, 150, rng=7)
-        second = scheduler.run_replicates(sd_params, STATE, 150, rng=7)
-        assert len(first) == 150
-        assert first == second
+    def test_estimate_matches_manual_summary(self, sd_params):
+        task = SweepTask(sd_params, STATE, 128, seed=5)
+        scheduler = SweepScheduler(batch_size=64)
+        (estimate,) = scheduler.estimate_many([task])
+        (ensemble,) = scheduler.run_sweep([task])
+        assert estimate == summarise_runs(ensemble.to_run_results())
+
+    def test_accepts_tuple_initial_state(self, sd_params):
+        (result,) = SweepScheduler(batch_size=32).run_sweep(
+            [SweepTask(sd_params, (20, 12), 40, seed=2)]
+        )
+        assert result.num_replicates == 40
+        assert result.to_run_results()[0].initial_state == LVState(20, 12)
+
+    def test_run_sweep_count_and_determinism(self, sd_params):
+        task = SweepTask(sd_params, STATE, 150, seed=7)
+        (first,) = SweepScheduler(batch_size=64).run_sweep([task])
+        (second,) = SweepScheduler(batch_size=64).run_sweep([task])
+        assert first.num_replicates == 150
+        assert first.to_run_results() == second.to_run_results()
 
     def test_results_independent_of_worker_count(self, sd_params):
         """jobs=2 must reproduce jobs=1 bit for bit (seeds spawn pre-dispatch)."""
-        inline = ReplicaScheduler(jobs=1, batch_size=32)
-        pooled = ReplicaScheduler(jobs=2, batch_size=32)
-        assert inline.run_replicates(sd_params, STATE, 96, rng=3) == pooled.run_replicates(
-            sd_params, STATE, 96, rng=3
-        )
+        task = SweepTask(sd_params, STATE, 96, seed=3)
+        (inline,) = SweepScheduler(jobs=1, batch_size=32).run_sweep([task])
+        with SweepScheduler(jobs=2, batch_size=32, sweep_batch=32) as pooled:
+            (fanned,) = pooled.run_sweep([task])
+        assert inline.to_run_results() == fanned.to_run_results()
 
-    def test_run_ensembles_matches_run_replicates(self, sd_params):
-        scheduler = ReplicaScheduler(batch_size=64)
-        ensemble = scheduler.run_ensembles(sd_params, STATE, 150, rng=7)
-        assert ensemble.num_replicates == 150
-        assert ensemble.to_run_results() == scheduler.run_replicates(
-            sd_params, STATE, 150, rng=7
+    def test_decompose_many_shapes(self, nsd_params):
+        (decomposition,) = SweepScheduler(batch_size=64).decompose_many(
+            [SweepTask(nsd_params, STATE, 100, seed=19)]
         )
-
-    def test_estimate_matches_manual_summary(self, sd_params):
-        scheduler = ReplicaScheduler(batch_size=64)
-        estimate = scheduler.estimate(sd_params, STATE, 128, rng=5)
-        manual = summarise_runs(
-            scheduler.run_replicates(sd_params, STATE, 128, rng=5)
-        )
-        assert estimate == manual
-
-    def test_estimate_agrees_with_scalar_estimator(self, sd_params):
-        """Scheduled estimates stay within Monte-Carlo noise of the original."""
-        scheduled = ReplicaScheduler(batch_size=128).estimate(
-            sd_params, STATE, 600, rng=17
-        )
-        scalar = estimate_majority_probability(
-            sd_params, STATE, num_runs=600, rng=18, method="scalar"
-        )
-        assert abs(
-            scheduled.majority_probability - scalar.majority_probability
-        ) < 0.08
-
-    def test_accepts_tuple_initial_state(self, sd_params):
-        scheduler = ReplicaScheduler(batch_size=32)
-        results = scheduler.run_replicates(sd_params, (20, 12), 40, rng=2)
-        assert len(results) == 40
-        assert results[0].initial_state == LVState(20, 12)
-
-    def test_decompose_noise_shapes(self, nsd_params):
-        scheduler = ReplicaScheduler(batch_size=64)
-        decomposition = scheduler.decompose_noise(nsd_params, STATE, 100, rng=19)
         assert decomposition.individual_noise.shape == (100,)
         assert decomposition.competitive_noise.shape == (100,)
 
-    def test_find_threshold_runs(self, sd_params):
-        estimate = ReplicaScheduler(batch_size=64).find_threshold(
-            sd_params, 64, num_runs=60, rng=23
+    def test_find_thresholds_one_request_runs(self, sd_params):
+        (estimate,) = SweepScheduler(batch_size=64).find_thresholds(
+            [ThresholdRequest(sd_params, 64, num_runs=60, seed=23)]
         )
         assert estimate.population_size == 64
+        assert estimate.probes
 
 
 class TestDefaultScheduler:
@@ -130,8 +119,12 @@ class TestDefaultScheduler:
             )
 
     def test_batch_size_does_not_change_estimates_statistically(self, sd_params):
-        small = ReplicaScheduler(batch_size=32).estimate(sd_params, STATE, 400, rng=29)
-        large = ReplicaScheduler(batch_size=400).estimate(sd_params, STATE, 400, rng=31)
+        (small,) = SweepScheduler(batch_size=32).estimate_many(
+            [SweepTask(sd_params, STATE, 400, seed=29)]
+        )
+        (large,) = SweepScheduler(batch_size=400).estimate_many(
+            [SweepTask(sd_params, STATE, 400, seed=31)]
+        )
         assert abs(small.majority_probability - large.majority_probability) < 0.1
 
 
@@ -140,38 +133,32 @@ class TestBackendSelection:
 
     def test_invalid_backend_and_epsilon_rejected(self):
         with pytest.raises(ExperimentError):
-            ReplicaScheduler(backend="approximate")
+            SweepScheduler(backend="approximate")
         with pytest.raises(ExperimentError):
-            ReplicaScheduler(tau_epsilon=0.0)
+            SweepScheduler(tau_epsilon=0.0)
 
     def test_tau_backend_estimate_and_leap_metering(self, sd_params):
-        scheduler = ReplicaScheduler(backend="tau")
-        estimate = scheduler.estimate(
-            sd_params, LVState(30_060, 29_940), 16, rng=4
+        scheduler = SweepScheduler(backend="tau")
+        (estimate,) = scheduler.estimate_many(
+            [SweepTask(sd_params, LVState(30_060, 29_940), 16, seed=4)]
         )
         assert estimate.num_runs == 16
         assert 0 < scheduler.leap_events_executed <= scheduler.events_executed
 
     def test_exact_backend_keeps_leap_meter_at_zero(self, sd_params):
-        scheduler = ReplicaScheduler()
-        scheduler.estimate(sd_params, STATE, 32, rng=4)
+        scheduler = SweepScheduler()
+        scheduler.estimate_many([SweepTask(sd_params, STATE, 32, seed=4)])
         assert scheduler.leap_events_executed == 0
         assert scheduler.events_executed > 0
 
     def test_auto_below_threshold_is_bitwise_exact(self, sd_params):
-        auto = ReplicaScheduler(backend="auto").run_ensembles(
-            sd_params, STATE, 64, rng=11
-        )
-        exact = ReplicaScheduler(backend="exact").run_ensembles(
-            sd_params, STATE, 64, rng=11
-        )
-        assert (auto.total_events == exact.total_events).all()
-        assert (auto.final_x0 == exact.final_x0).all()
+        task = SweepTask(sd_params, STATE, 64, seed=11)
+        (auto,) = SweepScheduler(backend="auto").run_sweep([task])
+        (exact,) = SweepScheduler(backend="exact").run_sweep([task])
+        assert np.array_equal(auto.total_events, exact.total_events)
+        assert np.array_equal(auto.final_x0, exact.final_x0)
 
     def test_sweep_task_backend_override_wins(self, sd_params):
-        from repro.experiments.scheduler import SweepScheduler
-        from repro.experiments.sweep import SweepTask
-
         scheduler = SweepScheduler()  # exact default
         tasks = [
             SweepTask(sd_params, STATE, 16, seed=1),
@@ -185,8 +172,6 @@ class TestBackendSelection:
         assert scheduler.leap_events_executed == int(results[1].leap_events.sum())
 
     def test_sweep_task_backend_validation(self, sd_params):
-        from repro.experiments.sweep import SweepTask
-
         with pytest.raises(ExperimentError):
             SweepTask(sd_params, STATE, 16, backend="fast")
 
@@ -213,8 +198,6 @@ class TestBackendSelection:
 
     def test_adaptive_waves_run_on_tau_backend(self, sd_params):
         from repro.analysis.statistics import PrecisionTarget
-        from repro.experiments.scheduler import SweepScheduler
-        from repro.experiments.sweep import SweepTask
 
         scheduler = SweepScheduler(
             backend="tau",

@@ -15,10 +15,10 @@ import pytest
 
 import repro.experiments.scheduler as scheduler_module
 from repro.analysis.statistics import PrecisionTarget
+from repro.consensus.estimator import summarise_ensemble
 from repro.consensus.threshold import ThresholdSearch, drive_threshold_searches
 from repro.exceptions import ExperimentError, PoisonChunkError, ThresholdSearchError
 from repro.experiments.scheduler import (
-    ReplicaScheduler,
     SweepScheduler,
     ThresholdRequest,
     _jobs_sanity_limit,
@@ -30,8 +30,14 @@ from repro.experiments.sweep import (
     execute_mega_batch,
     plan_mega_batches,
 )
+from repro.experiments.workloads import replica_batches
+from repro.lv.ensemble import LVEnsembleResult, LVEnsembleSimulator
 from repro.lv.state import LVState
+from repro.lv.tau import LVTauEnsembleSimulator, resolve_backend
+from repro.rng import spawn_seeds
 from repro.store.store import ExperimentStore
+
+from test_store import assert_bitwise_equal
 
 
 def _tasks(sd_params, nsd_params, num_runs=300):
@@ -63,6 +69,30 @@ _ACCOUNTING_FIELDS = (
     "std_noise_competitive",
     "mean_max_population",
 )
+
+
+def _per_config_replay(task, scheduler):
+    """The task's budget run batch by batch on the one-configuration simulators.
+
+    The budget is split into ``replica_batches(num_runs, batch_size)``,
+    batch ``i`` is seeded with ``spawn_seeds(task.seed, k)[i]``, and the
+    batches are concatenated in order.
+    """
+    sizes = replica_batches(task.num_runs, scheduler.batch_size)
+    seeds = spawn_seeds(task.seed, len(sizes))
+    backend = resolve_backend(task.backend or scheduler.backend, sum(task.counts))
+    if backend == "tau":
+        simulator = LVTauEnsembleSimulator(task.params, epsilon=scheduler.tau_epsilon)
+    else:
+        simulator = LVEnsembleSimulator(task.params)
+    return LVEnsembleResult.concatenate(
+        [
+            simulator.run_ensemble(
+                task.initial_state, size, rng=seed, max_events=task.max_events
+            )
+            for size, seed in zip(sizes, seeds)
+        ]
+    )
 
 
 def _level_tasks(sd_params, nsd_params):
@@ -165,16 +195,21 @@ class TestRunSweep:
 
 
 class TestGridEntryPoints:
-    def test_estimate_many_matches_per_config_statistics(self, sd_params, nsd_params):
+    @pytest.mark.parametrize("backend", ["exact", "tau", "auto"])
+    def test_estimate_many_matches_per_config_replay(self, sd_params, nsd_params, backend):
         tasks = _tasks(sd_params, nsd_params, num_runs=600)
-        fused = SweepScheduler().estimate_many(tasks)
-        per_config = ReplicaScheduler()
-        for task, estimate in zip(tasks, fused):
-            alone = per_config.estimate(
-                task.params, task.initial_state, task.num_runs, rng=task.seed
-            )
+        if backend != "exact":
+            tasks.append(SweepTask(nsd_params, LVState(30_300, 29_700), 8, seed=4))
+        scheduler = SweepScheduler(backend=backend)
+        fused = scheduler.estimate_many(tasks)
+        ensembles = SweepScheduler(backend=backend).run_sweep(tasks)
+        for task, estimate, ensemble in zip(tasks, fused, ensembles):
+            replay = _per_config_replay(task, scheduler)
+            assert_bitwise_equal(ensemble, replay)
+            assert estimate == summarise_ensemble(replay)
             assert estimate.num_runs == task.num_runs
-            assert abs(estimate.majority_probability - alone.majority_probability) < 0.08
+        if backend != "exact":
+            assert ensembles[-1].leap_events.sum() > 0
 
     def test_decompose_many_matches_mechanism_structure(self, sd_params, nsd_params):
         tasks = _tasks(sd_params, nsd_params, num_runs=200)
@@ -240,7 +275,7 @@ class TestGridEntryPoints:
 
 
 class TestFusedThresholds:
-    def test_find_thresholds_matches_per_config_search(self, sd_params, nsd_params):
+    def test_find_thresholds_matches_each_search_alone(self, sd_params, nsd_params):
         requests = [
             ThresholdRequest(sd_params, 64, num_runs=80, seed=7),
             ThresholdRequest(nsd_params, 64, num_runs=80, seed=8),
@@ -249,13 +284,13 @@ class TestFusedThresholds:
         assert all(estimate.has_threshold for estimate in fused)
         # SD threshold never exceeds NSD at the same n (the paper's headline).
         assert fused[0].threshold_gap <= fused[1].threshold_gap
-        # Same magnitude as the per-config search (different streams).
-        per_config = ReplicaScheduler().find_threshold(
-            sd_params, 64, num_runs=80, rng=7
-        )
-        assert per_config.threshold_gap is not None
-        ratio = fused[0].threshold_gap / per_config.threshold_gap
-        assert 0.4 <= ratio <= 2.5
+        # Fusing searches changes no probe, seed or count of any search.
+        for request, together in zip(requests, fused):
+            (alone,) = SweepScheduler().find_thresholds([request])
+            assert together.threshold_gap == alone.threshold_gap
+            assert list(together.probes) == list(alone.probes)
+            for gap, estimate in together.probes.items():
+                assert estimate.success == alone.probes[gap].success, gap
 
     def test_fanout_searches_agree_with_bisection(self, sd_params):
         narrow = SweepScheduler().find_thresholds(
@@ -303,9 +338,9 @@ class TestSchedulerValidation:
     def test_jobs_sanity_check(self):
         limit = _jobs_sanity_limit()
         with pytest.raises(ExperimentError, match="sanity limit"):
-            ReplicaScheduler(jobs=limit + 1)
+            SweepScheduler(jobs=limit + 1)
         with pytest.raises(ExperimentError):
-            ReplicaScheduler(jobs=0)
+            SweepScheduler(jobs=0)
 
     def test_sweep_batch_validation(self):
         with pytest.raises(ExperimentError):
@@ -340,5 +375,5 @@ class TestSchedulerValidation:
 
     def test_compaction_fraction_validation(self):
         with pytest.raises(ExperimentError):
-            ReplicaScheduler(compaction_fraction=0.0)
-        assert ReplicaScheduler(compaction_fraction=None).compaction_fraction is None
+            SweepScheduler(compaction_fraction=0.0)
+        assert SweepScheduler(compaction_fraction=None).compaction_fraction is None

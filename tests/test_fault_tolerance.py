@@ -250,15 +250,16 @@ class TestInlineChaos:
         for expected, actual in zip(reference, faulted):
             assert_bitwise_equal(expected, actual)
 
-    def test_run_ensembles_crashes_retry_bitwise(self, sd_params):
-        clean = SweepScheduler(batch_size=64)
-        reference = clean.run_ensembles(sd_params, LVState(24, 16), 200, rng=5)
-        scheduler = SweepScheduler(batch_size=64, fault_tolerance=FAST)
+    def test_one_task_budget_crashes_retry_bitwise(self, sd_params):
+        """A single configuration split over several members (``repro estimate``)."""
+        task = SweepTask(sd_params, LVState(24, 16), 200, seed=5)
+        reference, events = _reference([task])
+        scheduler = SweepScheduler(batch_size=64, sweep_batch=64, fault_tolerance=FAST)
         with injected_faults(FaultPlan(seed=5, crash=FaultSpec(rate=1.0))):
-            faulted = scheduler.run_ensembles(sd_params, LVState(24, 16), 200, rng=5)
+            faulted = scheduler.run_sweep([task])
         assert scheduler.health.retries > 0
-        assert scheduler.events_executed == clean.events_executed
-        assert_bitwise_equal(reference, faulted)
+        assert scheduler.events_executed == events
+        assert_bitwise_equal(reference[0], faulted[0])
 
     def test_adaptive_sweep_crashes_retry_bitwise(self, sd_params, nsd_params):
         from repro.analysis.statistics import PrecisionTarget

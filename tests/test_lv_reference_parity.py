@@ -23,12 +23,12 @@ from repro.analysis.statistics import PrecisionTarget
 from repro.consensus.estimator import chunk_ladder_seed, chunk_ladder_size
 from repro.exceptions import InvalidConfigurationError
 from repro.experiments.scheduler import (
-    ReplicaScheduler,
     SweepScheduler,
     configure_default_scheduler,
     get_default_scheduler,
 )
 from repro.experiments.sweep import MemberSpec, SweepTask, execute_mega_batch, plan_members
+from repro.experiments.workloads import replica_batches
 from repro.lv import native
 from repro.lv.ensemble import (
     SCALAR_FINISH_WIDTH,
@@ -250,10 +250,11 @@ class TestSchedulerAgainstReference:
         for result, replay in zip(results, _planned_replays(tasks, 128, "win")):
             assert_matches_replay(result, replay)
 
-    def test_replica_scheduler_matches_reference(self, sd_params):
-        scheduler = ReplicaScheduler(batch_size=50)
-        result = scheduler.run_ensembles(sd_params, LVState(40, 24), 120, rng=5)
-        sizes = scheduler.plan(120)
+    def test_one_task_multi_batch_sweep_matches_reference(self, sd_params):
+        (result,) = SweepScheduler(batch_size=50).run_sweep(
+            [SweepTask(sd_params, LVState(40, 24), 120, seed=5)]
+        )
+        sizes = replica_batches(120, 50)
         seeds = spawn_seeds(5, len(sizes))
         replays = [
             reference.replay_lv2_member(

@@ -131,24 +131,20 @@ class TestFixedBudgetResume:
         for expected, actual in zip(reference, resumed):
             assert_bitwise_equal(expected, actual)
 
-    def test_killed_run_ensembles_resumes_bitwise(self, tmp_path, sd_params):
-        reference = SweepScheduler(batch_size=64).run_ensembles(
-            sd_params, LVState(24, 16), 200, rng=5
-        )
+
+    def test_killed_one_task_budget_resumes_bitwise(self, tmp_path, sd_params):
+        """One configuration's budget over several members (``repro estimate``)."""
+        task = SweepTask(sd_params, LVState(24, 16), 200, seed=5)
+        (reference,) = SweepScheduler(batch_size=64).run_sweep([task])
         killing = KillingStore(tmp_path, kill_after=1)
         with pytest.raises(SimulatedKill):
-            SweepScheduler(batch_size=64, store=killing).run_ensembles(
-                sd_params, LVState(24, 16), 200, rng=5
-            )
+            SweepScheduler(batch_size=64, store=killing).run_sweep([task])
         killing.close()
         store = ExperimentStore(tmp_path)
-        resumed = SweepScheduler(batch_size=64, store=store).run_ensembles(
-            sd_params, LVState(24, 16), 200, rng=5
-        )
+        (resumed,) = SweepScheduler(batch_size=64, store=store).run_sweep([task])
         assert store.stats.chunk_hits == 1
         assert store.stats.chunk_misses > 0
         assert_bitwise_equal(reference, resumed)
-
 
 class TestThresholdResume:
     def test_killed_threshold_sweep_resumes_identically(

@@ -440,16 +440,15 @@ class TestExperimentStore:
         assert cold.events_executed == 0
         assert cold.events_replayed == warm.events_executed
 
-    def test_cache_shared_between_batch_and_sweep_paths(self, tmp_path, sd_params):
-        """run_ensembles and run_sweep share one key space (same chunk unit)."""
+    def test_one_task_budget_shares_chunks_with_a_larger_sweep(self, tmp_path, sd_params):
+        """A task's chunk keys do not depend on the sweep it runs in."""
+        task = SweepTask(sd_params, LVState(24, 16), 60, seed=11)
         store = ExperimentStore(tmp_path)
-        scheduler = SweepScheduler(store=store)
-        merged = scheduler.run_ensembles(sd_params, LVState(24, 16), 60, rng=11)
-        hit = SweepScheduler(store=store).run_sweep(
-            [SweepTask(sd_params, LVState(24, 16), 60, seed=11)]
-        )[0]
+        (alone,) = SweepScheduler(store=store).run_sweep([task])
+        other = SweepTask(sd_params, LVState(30, 18), 60, seed=12)
+        _, shared = SweepScheduler(store=store).run_sweep([other, task])
         assert store.stats.chunk_hits == 1
-        assert_bitwise_equal(merged, hit)
+        assert_bitwise_equal(alone, shared)
 
     def test_run_tier_round_trip(self, tmp_path):
         store = ExperimentStore(tmp_path)

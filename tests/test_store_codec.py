@@ -7,6 +7,11 @@ journal written by repro 3.1.0, whose lines are bare JSON with a
 ``checksum`` field and whose arrays are JSON lists; it was produced by
 running :data:`FIXTURE_RUNS` through ``SweepScheduler(store=...)``.  That
 journal must keep verifying, replaying and merging.
+``tests/data/journal-3.2.0-estimate.jsonl`` was written by the ``repro
+estimate`` command of repro 3.2.0, whose fixed budgets ran on a separate
+per-configuration batch executor (:data:`ESTIMATE_FIXTURE_TASKS`); its
+chunks must replay through the one sweep executor with no miss.  Never
+regenerate either file with newer code.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from repro.exceptions import StoreError
 from repro.experiments.scheduler import SweepScheduler
 from repro.experiments.sweep import SweepTask
+from repro.experiments.workloads import state_with_gap
 from repro.lv.params import LVParams
 from repro.lv.state import LVState
 from repro.shard.planner import EventRateHistory, plan_shards, unit_costs
@@ -64,6 +70,20 @@ FIXTURE_RUNS = (
     ("win", (SweepTask(NSD, LVState(20, 12), 32, seed=12, label="lv2-win"),)),
 )
 FIXTURE_TASKS = [task for _, tasks in FIXTURE_RUNS for task in tasks]
+
+ESTIMATE_FIXTURE = Path(__file__).parent / "data" / "journal-3.2.0-estimate.jsonl"
+
+#: The two commands that wrote the estimate fixture, as sweep tasks:
+#: ``repro estimate --mechanism sd --population 64 --gap 8 --runs 600
+#: --seed 9`` (two exact chunks: 512 and 88 replicas) and ``repro estimate
+#: --backend tau --mechanism nsd --population 60000 --gap 600 --runs 8
+#: --seed 3`` (one tau chunk).
+ESTIMATE_FIXTURE_TASKS = (
+    SweepTask(SD, state_with_gap(64, 8), 600, seed=9, label="estimate-exact"),
+    SweepTask(
+        NSD, state_with_gap(60_000, 600), 8, seed=3, backend="tau", label="estimate-tau"
+    ),
+)
 
 
 def run_fixture_tasks(store=None):
@@ -372,6 +392,36 @@ class TestLegacyJournal:
             replayed = run_fixture_tasks(store)
             assert store.stats.chunk_misses == 0
         assert_same_chunks(fresh_results, replayed)
+
+
+# ----------------------------------------------------------------------
+# A journal written by repro 3.2.0's per-configuration executor
+# ----------------------------------------------------------------------
+class TestEstimateJournal:
+    def test_verify_journal_reports_every_record_intact(self):
+        report = verify_journal(ESTIMATE_FIXTURE)
+        assert report.ok
+        assert report.intact_records == 3
+
+    def test_estimate_many_replays_it_bitwise_with_no_miss(self, tmp_path):
+        cache = tmp_path / "estimate"
+        cache.mkdir()
+        shutil.copyfile(ESTIMATE_FIXTURE, cache / "journal.jsonl")
+        fresh = SweepScheduler()
+        expected = fresh.estimate_many(list(ESTIMATE_FIXTURE_TASKS))
+        fresh_arrays = fresh.run_sweep(list(ESTIMATE_FIXTURE_TASKS))
+        with ExperimentStore(cache) as store:
+            scheduler = SweepScheduler(store=store)
+            replayed = scheduler.estimate_many(list(ESTIMATE_FIXTURE_TASKS))
+            assert (store.stats.chunk_hits, store.stats.chunk_misses) == (3, 0)
+            replayed_arrays = scheduler.run_sweep(list(ESTIMATE_FIXTURE_TASKS))
+            assert store.stats.chunk_misses == 0
+            assert store.stats.chunk_writes == 0
+        assert scheduler.events_executed == 0
+        assert replayed == expected
+        assert_same_chunks(fresh_arrays, replayed_arrays)
+        assert replayed_arrays[1].leap_events.sum() > 0
+        assert (cache / "journal.jsonl").read_bytes() == ESTIMATE_FIXTURE.read_bytes()
 
 
 # ----------------------------------------------------------------------
