@@ -12,11 +12,17 @@ These solvers compute, on a truncated state space ``{0, ..., max_state}``,
 all by solving the standard first-step linear systems.  They serve as exact
 oracles for the Monte-Carlo measurements in :mod:`repro.chains.nice` and as
 an independent numerical check of Lemmas 5 and 6 of the paper.
+
+A birth–death chain only moves to neighbouring states, so each system
+``(I - P) x = r`` is tridiagonal: its three diagonals are built from the
+chain's validated ``p``/``q`` tables and solved with
+:func:`scipy.linalg.solve_banded` in ``O(max_state)`` time and memory.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from repro.chains.birth_death import BirthDeathChain
 from repro.exceptions import AbsorptionError
@@ -28,42 +34,56 @@ __all__ = [
 ]
 
 
-def _transient_transition_blocks(
-    chain: BirthDeathChain, max_state: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (P_transient, birth_probs, death_probs) over states 1..max_state.
-
-    ``P_transient`` is the sub-stochastic transition matrix restricted to the
-    transient states (1..max_state), with births out of ``max_state`` treated
-    as holding steps (reflecting truncation).
-    """
+def _probability_tables(chain: BirthDeathChain, max_state: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated ``(p, q)`` over the transient states ``1..max_state``."""
     if max_state < 1:
         raise AbsorptionError(f"max_state must be at least 1, got {max_state}")
-    states = np.arange(1, max_state + 1)
-    births = np.array([chain.birth_probability(int(n)) for n in states])
-    deaths = np.array([chain.death_probability(int(n)) for n in states])
-    holds = 1.0 - births - deaths
+    states = range(1, max_state + 1)
+    births = np.array([chain.birth_probability(n) for n in states])
+    deaths = np.array([chain.death_probability(n) for n in states])
+    return births, deaths
 
-    size = max_state
-    matrix = np.zeros((size, size))
-    for i, state in enumerate(states):
-        hold = holds[i]
-        if state + 1 <= max_state:
-            matrix[i, i + 1] = births[i]
-        else:
-            hold += births[i]
-        if state - 1 >= 1:
-            matrix[i, i - 1] = deaths[i]
-        matrix[i, i] = hold
-    return matrix, births, deaths
+
+def _solve_first_step(
+    births: np.ndarray,
+    deaths: np.ndarray,
+    rhs: np.ndarray,
+    *,
+    reflecting: bool,
+    failure: str,
+) -> np.ndarray:
+    """Solve ``(I - P) x = rhs`` for the transient block ``P`` over ``1..max_state``.
+
+    ``P`` moves ``i -> i + 1`` with ``p``, ``i -> i - 1`` with ``q`` (a death
+    from state 1 leaves to 0) and holds otherwise.  A birth out of the top
+    state is a holding step when *reflecting*, and leaves the block otherwise.
+    """
+    holds = 1.0 - births - deaths
+    if reflecting:
+        holds[-1] += births[-1]
+    banded = np.zeros((3, births.size))
+    banded[0, 1:] = -births[:-1]
+    banded[1] = 1.0 - holds
+    banded[2, :-1] = -deaths[1:]
+    try:
+        return solve_banded((1, 1), banded, rhs, check_finite=False)
+    except np.linalg.LinAlgError as error:
+        raise AbsorptionError(failure) from error
+
+
+def _check_values(values: np.ndarray, failure: str) -> np.ndarray:
+    if np.any(values < -1e-9) or not np.all(np.isfinite(values)):
+        raise AbsorptionError(failure)
+    return values
 
 
 def expected_absorption_time(chain: BirthDeathChain, max_state: int) -> np.ndarray:
     """Expected steps to absorption at 0 from each state ``1..max_state``.
 
-    Solves ``(I - P) t = 1`` where ``P`` is the transient transition matrix.
-    Entry ``i`` of the returned array is the expected absorption time from
-    state ``i + 1``.
+    Solves ``(I - P) t = 1`` where ``P`` is the transient transition matrix,
+    with births out of ``max_state`` treated as holding steps (reflecting
+    truncation).  Entry ``i`` of the returned array is the expected
+    absorption time from state ``i + 1``.
 
     Raises
     ------
@@ -71,17 +91,15 @@ def expected_absorption_time(chain: BirthDeathChain, max_state: int) -> np.ndarr
         If the linear system is singular, which signals that absorption is not
         certain on the truncated space (e.g. a pure-birth chain).
     """
-    matrix, _, _ = _transient_transition_blocks(chain, max_state)
-    identity = np.eye(max_state)
-    try:
-        times = np.linalg.solve(identity - matrix, np.ones(max_state))
-    except np.linalg.LinAlgError as error:
-        raise AbsorptionError(
-            "expected absorption time is not finite on the truncated state space"
-        ) from error
-    if np.any(times < -1e-9) or not np.all(np.isfinite(times)):
-        raise AbsorptionError("absorption-time solve produced invalid (negative) values")
-    return times
+    births, deaths = _probability_tables(chain, max_state)
+    times = _solve_first_step(
+        births,
+        deaths,
+        np.ones(max_state),
+        reflecting=True,
+        failure="expected absorption time is not finite on the truncated state space",
+    )
+    return _check_values(times, "absorption-time solve produced invalid (negative) values")
 
 
 def absorption_probabilities(chain: BirthDeathChain, max_state: int) -> np.ndarray:
@@ -91,30 +109,14 @@ def absorption_probabilities(chain: BirthDeathChain, max_state: int) -> np.ndarr
     0 before ever attempting a birth out of ``max_state``.  For chains that are
     absorbed at 0 with probability 1 this converges to 1 as ``max_state`` grows.
     """
-    if max_state < 1:
-        raise AbsorptionError(f"max_state must be at least 1, got {max_state}")
-    states = np.arange(1, max_state + 1)
-    births = np.array([chain.birth_probability(int(n)) for n in states])
-    deaths = np.array([chain.death_probability(int(n)) for n in states])
-    holds = 1.0 - births - deaths
-
-    # Build the transient matrix *without* reflecting at the boundary: births
-    # out of max_state leak to the "escape" absorbing class instead.
-    size = max_state
-    matrix = np.zeros((size, size))
-    reward = np.zeros(size)
-    for i, state in enumerate(states):
-        if state + 1 <= max_state:
-            matrix[i, i + 1] = births[i]
-        if state - 1 >= 1:
-            matrix[i, i - 1] = deaths[i]
-        else:
-            reward[i] = deaths[i]  # absorption at 0 from state 1
-        matrix[i, i] = holds[i]
-    try:
-        probabilities = np.linalg.solve(np.eye(size) - matrix, reward)
-    except np.linalg.LinAlgError as error:
-        raise AbsorptionError("absorption-probability solve failed") from error
+    births, deaths = _probability_tables(chain, max_state)
+    # Births out of max_state leak to the "escape" absorbing class; the reward
+    # is the one-step absorption at 0, a death from state 1.
+    reward = np.zeros(max_state)
+    reward[0] = deaths[0]
+    probabilities = _solve_first_step(
+        births, deaths, reward, reflecting=False, failure="absorption-probability solve failed"
+    )
     return np.clip(probabilities, 0.0, 1.0)
 
 
@@ -125,19 +127,19 @@ def expected_births_before_absorption(chain: BirthDeathChain, max_state: int) ->
     Entry ``i`` of the result is ``E[B(i + 1)]``, the quantity bounded by
     ``O(log n)`` in Lemma 6 for nice chains.
     """
-    matrix, births, _ = _transient_transition_blocks(chain, max_state)
-    identity = np.eye(max_state)
+    births, deaths = _probability_tables(chain, max_state)
     # With the reflecting truncation a birth at max_state is counted as a
     # holding step, so drop it from the reward vector as well for consistency.
     reward = births.copy()
     reward[-1] = 0.0
-    try:
-        values = np.linalg.solve(identity - matrix, reward)
-    except np.linalg.LinAlgError as error:
-        raise AbsorptionError(
+    values = _solve_first_step(
+        births,
+        deaths,
+        reward,
+        reflecting=True,
+        failure=(
             "expected-births solve failed; the chain may not be absorbed on the "
             "truncated state space"
-        ) from error
-    if np.any(values < -1e-9) or not np.all(np.isfinite(values)):
-        raise AbsorptionError("expected-births solve produced invalid values")
-    return values
+        ),
+    )
+    return _check_values(values, "expected-births solve produced invalid values")

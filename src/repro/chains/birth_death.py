@@ -10,19 +10,32 @@ state (``p(0) = q(0) = 0``).
 This module provides the chain abstraction, trajectory simulation, and summary
 statistics — in particular the extinction time ``E(n)`` and the number of
 birth events ``B(n)`` before extinction that Lemmas 5–8 bound.
+
+Two simulators share one consumption contract: every step of a run draws
+exactly one uniform ``u`` from that run's generator, and is a birth if
+``u < p(m)``, else a death if ``u >= 1 - q(m)``, else a hold.  The birth
+test comes first because validation allows ``p + q`` up to ``1 + 1e-12``.
+:meth:`BirthDeathChain.simulate_to_absorption` is the scalar reference loop;
+:meth:`BirthDeathChain.simulate_runs_to_absorption` advances many runs in
+lock-step and returns the same summaries bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.exceptions import BudgetExceededError, ModelError
 from repro.rng import SeedLike, as_generator
 
-__all__ = ["BirthDeathChain", "BirthDeathSummary"]
+__all__ = ["BirthDeathChain", "BirthDeathSummary", "UNIFORM_BLOCK"]
+
+#: Uniforms the lock-step runner draws from each live run's generator at a
+#: time.  numpy's ``Generator.random`` stream does not depend on how the
+#: draws are split into calls, so the block size never changes a run.
+UNIFORM_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -180,6 +193,11 @@ class BirthDeathChain:
     ) -> BirthDeathSummary:
         """Run the chain from *initial_state* until it hits state 0.
 
+        This is the scalar reference for
+        :meth:`simulate_runs_to_absorption`.  It advances *rng* by exactly
+        one ``random()`` draw per step and no further, so it is also the form
+        to use when the caller keeps drawing from the same generator.
+
         Raises
         ------
         BudgetExceededError
@@ -221,6 +239,101 @@ class BirthDeathChain:
             holding_steps=holding,
             max_state=max_state,
         )
+
+    def simulate_runs_to_absorption(
+        self,
+        initial_state: int,
+        generators: Sequence[np.random.Generator],
+        *,
+        max_steps: int = 50_000_000,
+    ) -> list[BirthDeathSummary]:
+        """Run one chain from *initial_state* once per generator, in lock-step.
+
+        Entry ``i`` of the result equals
+        ``self.simulate_to_absorption(initial_state, rng=generators[i],
+        max_steps=max_steps)``.  Every step draws one uniform per live run
+        from that run's own generator, in blocks of :data:`UNIFORM_BLOCK`,
+        and looks ``p``/``q`` up in tables filled through the validated
+        accessors at exactly the states some run visits.  Finished runs are
+        dropped at block boundaries.
+
+        The runner owns *generators*: it may advance each one past its run's
+        absorption, by up to a block of uniforms.
+
+        Raises
+        ------
+        ModelError
+            If *initial_state* is negative or a visited state has invalid
+            probabilities.
+        BudgetExceededError
+            If some run is still alive after *max_steps* steps.  When one run
+            would exceed the budget and another would visit an invalid state,
+            which of the two errors is raised may differ from the scalar loop.
+        """
+        if initial_state < 0:
+            raise ModelError(f"initial_state must be non-negative, got {initial_state}")
+        if max_steps <= 0:
+            raise ValueError(f"max_steps must be positive, got {max_steps}")
+        start = int(initial_state)
+        streams = list(generators)
+        times = np.zeros(len(streams), dtype=np.int64)
+        births = np.zeros(len(streams), dtype=np.int64)
+        peaks = np.full(len(streams), start, dtype=np.int64)
+        tables = _ProbabilityTables(self, start)
+        # The live arrays below hold one row per unfinished run; ``rows`` maps
+        # each back to its run.  A finished run sits at state 0, where the
+        # tables make it hold, until the next block boundary drops it.
+        rows = np.arange(len(streams)) if start > 0 else np.arange(0)
+        state = np.full(rows.size, start, dtype=np.int64)
+        live_births = np.zeros(rows.size, dtype=np.int64)
+        live_peaks = state.copy()
+        finish = np.zeros(rows.size, dtype=np.int64)
+        alive = rows.size
+        step = 0
+        while alive:
+            block = np.empty((UNIFORM_BLOCK, rows.size))
+            for column, row in enumerate(rows):
+                block[:, column] = streams[row].random(UNIFORM_BLOCK)
+            for uniforms in block:
+                if step >= max_steps:
+                    raise BudgetExceededError(
+                        f"birth-death chain did not reach absorption within {max_steps} "
+                        f"steps ({alive} of {len(streams)} runs still alive, "
+                        f"started at {initial_state})"
+                    )
+                if not tables.known.take(state, mode="clip").all():
+                    tables.fill(state)
+                birth = uniforms < tables.birth.take(state)
+                death = uniforms >= tables.death_at.take(state)
+                state += birth
+                state -= death
+                live_births += birth
+                np.maximum(live_peaks, state, out=live_peaks)
+                step += 1
+                remaining = np.count_nonzero(state)
+                if remaining < alive:
+                    finish[(state == 0) & (finish == 0)] = step
+                    alive = remaining
+                    if not alive:
+                        break
+            done = state == 0
+            times[rows[done]] = finish[done]
+            births[rows[done]] = live_births[done]
+            peaks[rows[done]] = live_peaks[done]
+            keep = ~done
+            rows, state = rows[keep], state[keep]
+            live_births, live_peaks, finish = live_births[keep], live_peaks[keep], finish[keep]
+        return [
+            BirthDeathSummary(
+                initial_state=start,
+                extinction_time=time,
+                births=born,
+                deaths=start + born,
+                holding_steps=time - 2 * born - start,
+                max_state=peak,
+            )
+            for time, born, peak in zip(times.tolist(), births.tolist(), peaks.tolist())
+        ]
 
     def sample_path(
         self,
@@ -272,3 +385,43 @@ class BirthDeathChain:
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"<BirthDeathChain{label}>"
+
+
+class _ProbabilityTables:
+    """Per-state ``p`` and death threshold for the lock-step runner.
+
+    A state's row is filled through the chain's validated accessors the
+    first time a live run stands on it, which is when the scalar loop first
+    evaluates it.  ``death_at`` holds ``max(1 - q, p)``: ``u >= death_at``
+    is exactly "not a birth, and ``u >= 1 - q``", including the NaN cases the
+    accessors let through.  State 0 holds (``p = 0``, ``death_at = 1``).  The
+    last slot is never filled, so a state past the end clips onto it and
+    reads as unknown.
+    """
+
+    def __init__(self, chain: BirthDeathChain, start: int) -> None:
+        self._chain = chain
+        size = 2 * start + 2
+        self.known = np.zeros(size, dtype=bool)
+        self.known[0] = True
+        self.birth = np.zeros(size)
+        self.death_at = np.ones(size)
+
+    def fill(self, state: np.ndarray) -> None:
+        """Evaluate every state in *state* that has no row yet."""
+        needed = np.unique(state[~self.known.take(state, mode="clip")])
+        size = self.known.size
+        if needed[-1] >= size - 1:
+            grown = max(2 * size, int(needed[-1]) + 2)
+            self.known = np.concatenate([self.known, np.zeros(grown - size, dtype=bool)])
+            self.birth = np.concatenate([self.birth, np.zeros(grown - size)])
+            self.death_at = np.concatenate([self.death_at, np.ones(grown - size)])
+        for value in needed.tolist():
+            p = self._chain.birth_probability(value)
+            q = self._chain.death_probability(value)
+            threshold = 1.0 - q
+            if p > threshold:
+                threshold = p
+            self.birth[value] = p
+            self.death_at[value] = threshold
+            self.known[value] = True

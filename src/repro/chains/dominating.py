@@ -366,6 +366,13 @@ def compare_domination(
 
     The single-species chain is started at ``N₀ = n = x0 + x1 ≥ min S₀`` as in
     the proof of Theorem 13.
+
+    Streams: of ``generators = spawn_generators(rng, 2 * num_runs)``,
+    two-species run ``i`` uses ``generators[i]`` and chain run ``i`` uses
+    ``generators[num_runs + i]``.  The two-species runs go one by one through
+    the scalar simulator; the chain runs advance together through
+    :meth:`BirthDeathChain.simulate_runs_to_absorption`, so each equals
+    ``chain.simulate_to_absorption`` on its generator.
     """
     if num_runs <= 0:
         raise ValueError(f"num_runs must be positive, got {num_runs}")
@@ -380,17 +387,15 @@ def compare_domination(
 
     consensus_times = np.empty(num_runs)
     bad_events = np.empty(num_runs)
-    extinction_times = np.empty(num_runs)
-    births = np.empty(num_runs)
     for i in range(num_runs):
         result = simulator.run(initial_state, rng=generators[i], max_events=max_events)
         consensus_times[i] = result.total_events
         bad_events[i] = result.bad_noncompetitive_events
-        summary = chain.simulate_to_absorption(
-            initial_state.total, rng=generators[num_runs + i], max_steps=max_events
-        )
-        extinction_times[i] = summary.extinction_time
-        births[i] = summary.births
+    summaries = chain.simulate_runs_to_absorption(
+        initial_state.total, generators[num_runs:], max_steps=max_events
+    )
+    extinction_times = np.array([summary.extinction_time for summary in summaries], dtype=float)
+    births = np.array([summary.births for summary in summaries], dtype=float)
 
     return DominatingChainReport(
         initial_state=(initial_state.x0, initial_state.x1),

@@ -16,7 +16,8 @@ This module provides
   used to dominate competitive LV systems (Section 5.2):
   ``p(m) = ϑ / (α m + ϑ)`` and ``q(m) = α_min / (α + 2ϑ)`` with ``ϑ = β + δ``,
 * :func:`simulate_extinction` — Monte-Carlo measurement of ``E(n)`` and
-  ``B(n)`` used by the `FIG-BAD` experiment and the property tests.
+  ``B(n)`` used by the `FIG-BAD` experiment and the property tests, with
+  all runs advanced together by the lock-step chain runner.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.chains.birth_death import BirthDeathChain, BirthDeathSummary
+from repro.chains.birth_death import BirthDeathChain
 from repro.exceptions import ModelError
 from repro.rng import SeedLike, spawn_generators
 
@@ -194,15 +195,16 @@ def simulate_extinction(
 
     Used by the `FIG-BAD` experiment to check Lemma 5 (``E[E(n)] = Θ(n)``) and
     Lemmas 6–7 (``E[B(n)] = O(log n)``, ``B(n) = O(log² n)`` whp).
+
+    Run ``i`` uses ``spawn_generators(rng, num_runs)[i]``, and all runs advance
+    together through :meth:`BirthDeathChain.simulate_runs_to_absorption`, so
+    each summary equals ``chain.simulate_to_absorption`` on that generator.
     """
     if num_runs <= 0:
         raise ValueError(f"num_runs must be positive, got {num_runs}")
-    generators = spawn_generators(rng, num_runs)
-    summaries: list[BirthDeathSummary] = []
-    for generator in generators:
-        summaries.append(
-            chain.simulate_to_absorption(initial_state, rng=generator, max_steps=max_steps)
-        )
+    summaries = chain.simulate_runs_to_absorption(
+        initial_state, spawn_generators(rng, num_runs), max_steps=max_steps
+    )
     times = np.array([s.extinction_time for s in summaries], dtype=float)
     births = np.array([s.births for s in summaries], dtype=float)
     peaks = np.array([s.max_state for s in summaries], dtype=float)

@@ -5,12 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.chains.dominating import PseudoCoupling, check_domination, compare_domination
+from repro.chains.dominating import (
+    DominatingChainReport,
+    PseudoCoupling,
+    check_domination,
+    compare_domination,
+)
 from repro.chains.first_step import exact_majority_probability, exact_win_probability_grid
+from repro.chains.nice import lv_dominating_birth_death
 from repro.consensus.exact import proportional_win_probability
 from repro.exceptions import AbsorptionError, ModelError
 from repro.lv.params import CompetitionMechanism, LVParams
+from repro.lv.simulator import LVJumpChainSimulator
 from repro.lv.state import LVState
+from repro.rng import spawn_generators
 
 
 def fast_params(self_destructive: bool = True) -> LVParams:
@@ -116,6 +124,40 @@ class TestPseudoCoupling:
             PseudoCoupling(LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0, gamma=0.5))
 
 
+def interleaved_report(params, initial_state, *, num_runs, rng, max_events=5_000_000):
+    """``compare_domination`` as a scalar loop: two-species run i, then chain run i."""
+    chain = lv_dominating_birth_death(
+        beta=params.beta, delta=params.delta, alpha0=params.alpha0, alpha1=params.alpha1
+    )
+    simulator = LVJumpChainSimulator(params)
+    generators = spawn_generators(rng, 2 * num_runs)
+    consensus_times = np.empty(num_runs)
+    bad_events = np.empty(num_runs)
+    extinction_times = np.empty(num_runs)
+    births = np.empty(num_runs)
+    for i in range(num_runs):
+        result = simulator.run(initial_state, rng=generators[i], max_events=max_events)
+        consensus_times[i] = result.total_events
+        bad_events[i] = result.bad_noncompetitive_events
+        summary = chain.simulate_to_absorption(
+            initial_state.total, rng=generators[num_runs + i], max_steps=max_events
+        )
+        extinction_times[i] = summary.extinction_time
+        births[i] = summary.births
+    return DominatingChainReport(
+        initial_state=(initial_state.x0, initial_state.x1),
+        num_runs=num_runs,
+        mean_consensus_time=float(consensus_times.mean()),
+        mean_extinction_time=float(extinction_times.mean()),
+        q95_consensus_time=float(np.quantile(consensus_times, 0.95)),
+        q95_extinction_time=float(np.quantile(extinction_times, 0.95)),
+        mean_bad_events=float(bad_events.mean()),
+        mean_births=float(births.mean()),
+        q95_bad_events=float(np.quantile(bad_events, 0.95)),
+        q95_births=float(np.quantile(births, 0.95)),
+    )
+
+
 class TestCompareDomination:
     def test_two_species_quantities_are_dominated(self):
         report = compare_domination(
@@ -128,6 +170,14 @@ class TestCompareDomination:
     def test_invalid_runs_rejected(self, sd_params):
         with pytest.raises(ValueError):
             compare_domination(sd_params, LVState(10, 5), num_runs=0)
+
+    @pytest.mark.parametrize("self_destructive", [True, False], ids=["SD", "NSD"])
+    def test_equals_interleaved_scalar_replay(self, self_destructive):
+        """The lock-step chain leg gives the report of the one-by-one loop."""
+        params = fast_params(self_destructive)
+        state = LVState(36, 28)
+        report = compare_domination(params, state, num_runs=20, rng=2024)
+        assert report == interleaved_report(params, state, num_runs=20, rng=2024)
 
 
 class TestFirstStepExact:

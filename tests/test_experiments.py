@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+import repro.experiments.figures as figures
 from helpers_results import assert_rows_have_no_nan
+from repro.chains.nice import ExtinctionStatistics
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentResult, ExperimentSpec, SCALES
 from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments, run_experiment
@@ -213,6 +217,47 @@ class TestExperimentOutcomes:
     def test_fig_dominating(self):
         result = run_experiment("FIG-DOM", scale="quick", seed=0)
         assert result.shape_matches_paper
+
+
+def fake_extinction(time_of, births_of):
+    """A stand-in for ``simulate_extinction`` with prescribed mean E(n) and B(n)."""
+
+    def simulate(chain, initial_state, *, num_runs, rng):
+        n = initial_state
+        return ExtinctionStatistics(
+            initial_state=n,
+            num_runs=num_runs,
+            mean_extinction_time=time_of(n),
+            max_extinction_time=int(2 * time_of(n)),
+            mean_births=births_of(n),
+            max_births=int(2 * births_of(n)) + 1,
+            mean_max_state=n + 1.0,
+        )
+
+    return simulate
+
+
+class TestFigBadVerdict:
+    """FIG-BAD's verdict reads its nice-chain columns, not only J(S) / log n."""
+
+    def test_nice_chain_columns_match(self):
+        result = run_experiment("FIG-BAD", scale="quick", seed=0)
+        assert result.shape_matches_paper
+        assert result.findings[1].endswith("matching Lemmas 5 and 6")
+
+    @pytest.mark.parametrize(
+        "time_of, births_of",
+        [
+            (lambda n: 3.0 * n, lambda n: n - 32.0),
+            (lambda n: 0.05 * n * n, math.log),
+        ],
+        ids=["births-linear-in-n", "time-quadratic-in-n"],
+    )
+    def test_growing_chain_columns_fail_the_check(self, monkeypatch, time_of, births_of):
+        monkeypatch.setattr(figures, "simulate_extinction", fake_extinction(time_of, births_of))
+        result = run_experiment("FIG-BAD", scale="quick", seed=0)
+        assert not result.shape_matches_paper
+        assert result.findings[1].endswith("does not match Lemmas 5 and 6")
 
     def test_t1r1_sd_is_sub_polynomial(self):
         result = run_experiment("T1R1-SD", scale="quick", seed=0)
