@@ -80,6 +80,7 @@ replicate budgets.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -777,8 +778,9 @@ def _params_from_arguments(
             f"got {arguments.gap}"
         )
     for flag in ("beta", "delta", "alpha", "gamma"):
-        if getattr(arguments, flag) < 0:
-            parser.error(f"--{flag} must be non-negative, got {getattr(arguments, flag)}")
+        value = getattr(arguments, flag)
+        if not math.isfinite(value) or value < 0:
+            parser.error(f"--{flag} must be a finite non-negative number, got {value}")
     constructor = (
         LVParams.self_destructive if arguments.mechanism == "sd" else LVParams.non_self_destructive
     )

@@ -4,9 +4,14 @@ The scalar :class:`~repro.lv.simulator.LVJumpChainSimulator` pays the full
 Python interpreter cost for every single reaction event.  The experiments,
 however, always run *batches* of independent replicates, so this module
 advances whole batches in lock-step: one numpy-vectorized step fires one event
-in every still-active replica, with blocked uniform draws, a shared
-cumulative-propensity table, and scatter updates into per-replica
-accumulators.
+in every still-active replica, with blocked uniform draws and scatter updates
+into per-replica accumulators.  The step's table holds only the *live*
+reaction pairs (births, deaths, interspecific, intraspecific: those with a
+nonzero rate somewhere in the packed batch); their propensities are summed in
+place into cumulative rows, and one lookup in a per-pack moves table applies
+both species' count changes.  Dropping a pair whose rate is zero everywhere
+selects exactly the events the full eight-class table would (DESIGN.md,
+"Lock-step step").
 
 Since the sweep-engine refactor the lock-step core is **heterogeneous**: the
 rates ``beta/delta/alpha0/alpha1/gamma0/gamma1``, the competition mechanism,
@@ -120,12 +125,14 @@ _TERMINATION_NAMES = TERMINATION_NAMES
 
 #: Event indices: births, deaths, interspecific, intraspecific.
 _BIRTH0, _BIRTH1, _DEATH0, _DEATH1, _INTER0, _INTER1, _INTRA0, _INTRA1 = range(8)
+#: The no-op sentinel event (column 8 of the tables below).
+_NO_OP = 8
 
 #: Once at most this many replicas remain active, the lock-step loop hands
-#: them to the scalar simulator: a vectorized step costs the same regardless
-#: of width, so the long tail of the consensus-time distribution is cheaper
-#: to finish with the plain Python event loop (~1.8us/event versus ~3us per
-#: replica-event of a thin lock-step batch).
+#: them to the scalar simulator: a vectorized step costs about the same
+#: regardless of width, so the long tail of the consensus-time distribution is
+#: cheaper to finish with the plain Python event loop.  The value is part of
+#: the consumption-order contract below, so changing it changes results.
 SCALAR_FINISH_WIDTH = 8
 
 #: Minimum number of uniforms drawn per member per RNG call (amortises the
@@ -534,14 +541,15 @@ class _LockstepState:
     All arrays have the current working width ``W``; ``orig`` maps packed
     position to original replica index and is strictly increasing, so packed
     order always equals ascending original-replica order (the property the
-    RNG consumption contract relies on).
+    RNG consumption contract relies on).  Both species' counts live in one
+    ``(2, W)`` array, ``counts``; ``x0`` and ``x1`` are its row views, rebound
+    on every pack, so writes through them (the scalar tails') land in it.
     """
 
-    #: Accumulator attributes scattered to the full-size result arrays when a
-    #: packed row is dropped (at compaction) or when the loop exits.
+    #: Accumulator attributes scattered to the full-size result arrays (with
+    #: the counts) when a packed row is dropped (at compaction) or when the
+    #: loop exits.
     SCATTERED = (
-        "x0",
-        "x1",
         "histogram",
         "bad",
         "good",
@@ -551,7 +559,8 @@ class _LockstepState:
         "min_gap",
         "hit_tie",
     )
-    #: Static per-replica attributes sliced (but never scattered) on pack.
+    #: Per-replica attributes sliced on pack (``counts`` is sliced by
+    #: column); the static ones after the accumulators are never scattered.
     SLICED = SCATTERED + (
         "orig",
         "member",
@@ -593,8 +602,8 @@ class _LockstepState:
         size = int(sizes.sum())
         self.orig = np.arange(size)
         self.member = member_of
-        self.x0 = x0s[member_of]
-        self.x1 = x1s[member_of]
+        self.counts = np.stack((x0s[member_of], x1s[member_of]))
+        self.x0, self.x1 = self.counts
         self.beta = rates[member_of, 0]
         self.delta = rates[member_of, 1]
         self.alpha0 = rates[member_of, 2]
@@ -630,10 +639,78 @@ class _LockstepState:
             outputs.scatter(self, drop)
         for name in self.SLICED:
             setattr(self, name, getattr(self, name)[keep])
+        self.counts = self.counts[:, keep]
+        self.x0, self.x1 = self.counts
 
     def flush(self, outputs: "_SweepOutputs") -> None:
         """Scatter every remaining packed row to the result arrays."""
         outputs.scatter(self, np.arange(self.width))
+
+
+class _StepTables:
+    """Per-pack tables and scratch of the lock-step step.
+
+    Everything that depends on the packed width or on the (immutable between
+    packs) per-replica parameter arrays lives here, built at loop entry and
+    again after every pack, so the two can never drift apart:
+
+    * ``rows`` — one ``(K, W)`` table for the classes of the live reaction
+      pairs (births, deaths, interspecific, intraspecific: each kept when
+      some packed replica has a nonzero rate in it), filled by ``products``
+      and ``intra`` and summed in place by ``sums``; ``total`` is its last
+      row;
+    * ``event_map``, ``moves`` and ``column_offset`` — the event index and
+      both species' count changes of each selectable class, with the no-op
+      sentinel last (``chosen == K``); ``moves`` holds one column block per
+      mechanism and ``column_offset`` (``sd * (K + 1)``) picks a replica's;
+    * ``float_counts`` and ``pair`` — a float copy of the counts and the
+      product of its rows (``pair_factors``), refreshed here and after every
+      step's moves (the finish test reads ``pair``) and reused by the next
+      step's propensities.  Retired rows may hold stale values there, which
+      the sentinel event renders harmless;
+    * ``threshold``/``row_index`` scratch — retired rows are steered to the
+      no-op sentinel event, so no per-step masking is needed;
+    * ``min_budget`` — the event-budget check is skipped entirely until the
+      smallest budget in the batch can possibly be reached.
+
+    Dropping a dead pair leaves every selection unchanged: its rows would be
+    +0.0 for every replica (DESIGN.md, "Lock-step step").
+    """
+
+    def __init__(self, state: _LockstepState):
+        self.width = width = state.width
+        self.float_counts = float_counts = state.counts.astype(np.float64)
+        self.pair_factors = (float_counts[0], float_counts[1])
+        self.pair = np.multiply(*self.pair_factors)
+        live = []
+        if state.beta.any():
+            live.append((_BIRTH0, state.beta, float_counts))
+        if state.delta.any():
+            live.append((_DEATH0, state.delta, float_counts))
+        if state.alpha0.any() or state.alpha1.any():
+            live.append((_INTER0, np.stack((state.alpha0, state.alpha1)), self.pair))
+        intra_live = bool(state.gamma0.any() or state.gamma1.any())
+        num_classes = 2 * (len(live) + intra_live)
+        self.rows = rows = np.empty((num_classes, width))
+        self.products = [
+            (rates, operand, rows[2 * index : 2 * index + 2])
+            for index, (_, rates, operand) in enumerate(live)
+        ]
+        classes = [first + species for first, _, _ in live for species in (0, 1)]
+        self.intra = None
+        if intra_live:
+            self.intra = (np.stack((state.gamma0, state.gamma1)), rows[-2:])
+            classes += [_INTRA0, _INTRA1]
+        self.sums = [(rows[index - 1], rows[index]) for index in range(1, num_classes)]
+        self.total = rows[-1]
+        self.event_map = event_map = np.array(classes + [_NO_OP])
+        self.moves = np.stack(
+            (_DX0_TABLE[:, event_map].ravel(), _DX1_TABLE[:, event_map].ravel())
+        )
+        self.column_offset = state.sd * (num_classes + 1)
+        self.threshold = np.empty(width)
+        self.row_index = np.arange(width)
+        self.min_budget = int(state.max_events.min())
 
 
 class _SweepOutputs:
@@ -893,55 +970,10 @@ def _advance_lockstep(
     # (the packed width only ever shrinks, so the initial width suffices).
     drawn_scratch = np.empty(state.width)
 
-    def working_buffers():
-        """Width-dependent scratch and cached per-pack quantities.
-
-        Everything that depends on the packed width or on the (immutable
-        between packs) per-replica parameter arrays lives here, so the loop
-        entry and the post-pack rebuild can never drift apart:
-
-        * scratch arrays for the step (``rows``/``cumulative``/``threshold``/
-          ``row_index``) — retired rows are steered to the no-op sentinel
-          event, so no per-step masking is needed;
-        * ``has_*`` flags — zero-rate reaction classes contribute
-          constant-zero rows and are skipped;
-        * ``alive_idx`` — ``alive`` only changes on retirement steps, so the
-          gather is cached between them;
-        * ``min_budget`` — the event-budget check is skipped entirely until
-          the smallest budget in the batch can possibly be reached.
-        """
-        rows = np.zeros((8, state.width), dtype=np.float64)
-        return (
-            state.width,
-            rows,
-            np.empty_like(rows),
-            np.empty(state.width),
-            np.arange(state.width),
-            bool(state.beta.any()),
-            bool(state.delta.any()),
-            bool(state.alpha0.any() or state.alpha1.any()),
-            bool(state.gamma0.any()),
-            bool(state.gamma1.any()),
-            np.nonzero(state.alive)[0],
-            int(state.max_events.min()),
-            state.sd.view(np.int8),
-        )
-
-    (
-        width,
-        rows,
-        cumulative,
-        threshold,
-        row_index,
-        has_beta,
-        has_delta,
-        has_inter,
-        has_gamma0,
-        has_gamma1,
-        alive_idx,
-        min_budget,
-        mechanism_row,
-    ) = working_buffers()
+    tables = _StepTables(state)
+    # ``alive`` only changes on retirement steps, so its gather is cached
+    # between them.
+    alive_idx = np.nonzero(state.alive)[0]
 
     # Every alive replica fires exactly one event per lock-step iteration, so
     # a replica's event count at retirement equals the step index.
@@ -990,7 +1022,7 @@ def _advance_lockstep(
                 break
             alive_idx = np.nonzero(state.alive)[0]
 
-        if step >= min_budget:
+        if step >= tables.min_budget:
             exhausted = state.alive & (state.max_events <= step)
             if exhausted.any():
                 outputs.events[state.orig[exhausted]] = step
@@ -1004,50 +1036,29 @@ def _advance_lockstep(
 
         if (
             compaction_fraction is not None
-            and width >= _MIN_COMPACTION_WIDTH
-            and width - num_alive >= compaction_fraction * width
+            and tables.width >= _MIN_COMPACTION_WIDTH
+            and tables.width - num_alive >= compaction_fraction * tables.width
         ):
             state.pack(outputs)
-            (
-                width,
-                rows,
-                cumulative,
-                threshold,
-                row_index,
-                has_beta,
-                has_delta,
-                has_inter,
-                has_gamma0,
-                has_gamma1,
-                alive_idx,
-                min_budget,
-                mechanism_row,
-            ) = working_buffers()
+            tables = _StepTables(state)
+            alive_idx = np.nonzero(state.alive)[0]
 
-        x0, x1 = state.x0, state.x1
-        # Propensities of the eight reaction classes, full working width;
+        counts, x0, x1 = state.counts, state.x0, state.x1
+        total, threshold = tables.total, tables.threshold
+        # Propensities of the live reaction classes, full working width;
         # retired rows produce garbage values that the sentinel event below
         # renders harmless.
-        if has_beta:
-            np.multiply(state.beta, x0, out=rows[_BIRTH0])
-            np.multiply(state.beta, x1, out=rows[_BIRTH1])
-        if has_delta:
-            np.multiply(state.delta, x0, out=rows[_DEATH0])
-            np.multiply(state.delta, x1, out=rows[_DEATH1])
-        if has_inter:
-            pair = x0 * x1
-            np.multiply(state.alpha0, pair, out=rows[_INTER0])
-            np.multiply(state.alpha1, pair, out=rows[_INTER1])
-        if has_gamma0:
-            rows[_INTRA0] = state.gamma0 * (x0 * (x0 - 1)) / 2.0
-        if has_gamma1:
-            rows[_INTRA1] = state.gamma1 * (x1 * (x1 - 1)) / 2.0
-        # An explicit add chain: same result as np.cumsum(axis=0) but without
-        # its strided-reduction overhead (cumsum was ~30% of the step cost).
-        cumulative[0] = rows[0]
-        for index in range(1, 8):
-            np.add(cumulative[index - 1], rows[index], out=cumulative[index])
-        total = cumulative[7]
+        for rates, operand, out in tables.products:
+            np.multiply(rates, operand, out=out)
+        if tables.intra is not None:
+            gammas, out = tables.intra
+            float_counts = tables.float_counts
+            np.multiply(gammas, float_counts * (float_counts - 1.0), out=out)
+            np.divide(out, 2.0, out=out)
+        # Cumulative sums in place, row by row: cheaper than np.cumsum's
+        # strided reduction, and the same additions in the same order.
+        for previous, current in tables.sums:
+            np.add(previous, current, out=current)
 
         if any_absorbable:
             absorbed = state.alive & state.absorbable & (total <= 0.0)
@@ -1074,29 +1085,28 @@ def _advance_lockstep(
             for member_index, count in seg_pairs:
                 drawn[offset : offset + count] = streams.draw(member_index, count)
                 offset += count
-        if num_alive == width:
+        if num_alive == tables.width:
             np.multiply(drawn, total, out=threshold)
         else:
             # Retired rows get an infinite threshold, which steers them to
-            # the no-op sentinel event (index 8).
+            # the no-op sentinel event.
             threshold.fill(np.inf)
             threshold[alive_idx] = drawn * total[alive_idx]
         # Count of cumulative propensities at or below the threshold = the
-        # first event index whose cumulative propensity exceeds it;
-        # zero-propensity reactions can never be selected, and retired rows
-        # land on the sentinel.
-        event = (cumulative <= threshold).sum(axis=0)
-
-        delta0 = _DX0_TABLE[mechanism_row, event]
-        delta1 = _DX1_TABLE[mechanism_row, event]
+        # first live class whose cumulative propensity exceeds it;
+        # zero-propensity classes can never be selected, and retired rows
+        # land on the sentinel (``chosen == K``).
+        chosen = (tables.rows <= threshold).sum(axis=0)
+        if collect_stats:
+            event = tables.event_map.take(chosen)
+            gap_before = x0 - x1
+        chosen += tables.column_offset
+        counts += tables.moves.take(chosen, axis=1)
         step += 1
 
         if collect_stats:
-            gap_before = x0 - x1
-            x0 += delta0
-            x1 += delta1
             gap_after = x0 - x1
-            state.histogram[row_index, event] += 1
+            state.histogram[tables.row_index, event] += 1
 
             # Retired replicas fire the zero-delta sentinel, so their step
             # noise vanishes and the accumulators below need no masking.
@@ -1125,12 +1135,13 @@ def _advance_lockstep(
             # Retired rows cannot newly reach a tie (their gap is frozen and
             # was recorded while they were alive), so no mask is needed.
             state.hit_tie |= gap_after == 0
-        else:
-            x0 += delta0
-            x1 += delta1
 
-        finished = state.alive & ((x0 == 0) | (x1 == 0))
-        if finished.any():
+        # Counts are non-negative, so a species is extinct exactly when the
+        # pair product is zero; the next step's propensities reuse both.
+        np.copyto(tables.float_counts, counts)
+        pair = np.multiply(*tables.pair_factors, out=tables.pair)
+        finished = state.alive & (pair == 0.0)
+        if np.count_nonzero(finished):
             outputs.events[state.orig[finished]] = step
             retire(finished)
             state.alive &= ~finished
@@ -1147,14 +1158,17 @@ def _finish_member_tail_lean(
 ) -> None:
     """Win-collect twin of :func:`_finish_member_tail`.
 
-    Mirrors :meth:`LVJumpChainSimulator.run
+    Follows :meth:`LVJumpChainSimulator.run
     <repro.lv.simulator.LVJumpChainSimulator.run>`'s control flow and RNG
     consumption exactly — same uniform block size, one draw per event, the
-    same propensity arithmetic and selection cascade — so the trajectories
-    are bitwise-identical to the full finisher's.  It only skips the
-    per-event accounting (noise, histograms, gap tracking) that ``"win"``
-    summaries never read, which roughly halves the per-event cost of the
-    scalar tails threshold probes pay.
+    same propensities summed left to right and the same selection cascade —
+    so the trajectories are bitwise-identical to the full finisher's.  It
+    skips the per-event accounting (noise, histograms, gap tracking) that
+    ``"win"`` summaries never read, which roughly halves the per-event cost
+    of the scalar tails threshold probes pay.  It also forms each partial
+    sum of the cascade once, and reads each uniform with ``item``: the same
+    double as a Python float, so the cascade does no numpy-scalar
+    arithmetic.
     """
     params = member.params
     beta, delta = params.beta, params.delta
@@ -1178,41 +1192,41 @@ def _finish_member_tail_lean(
             if events >= remaining:
                 termination = _MAX_EVENTS
                 break
-            birth0 = beta * x0
-            birth1 = beta * x1
-            death0 = delta * x0
-            death1 = delta * x1
+            # Running sums of the eight propensities in selection order.
             pair01 = x0 * x1
-            inter0 = alpha0 * pair01
-            inter1 = alpha1 * pair01
-            intra0 = gamma0 * x0 * (x0 - 1) / 2.0
-            intra1 = gamma1 * x1 * (x1 - 1) / 2.0
-            total = birth0 + birth1 + death0 + death1 + inter0 + inter1 + intra0 + intra1
+            sum0 = beta * x0
+            sum1 = sum0 + beta * x1
+            sum2 = sum1 + delta * x0
+            sum3 = sum2 + delta * x1
+            sum4 = sum3 + alpha0 * pair01
+            sum5 = sum4 + alpha1 * pair01
+            sum6 = sum5 + gamma0 * x0 * (x0 - 1) / 2.0
+            total = sum6 + gamma1 * x1 * (x1 - 1) / 2.0
             if total <= 0.0:
                 termination = _ABSORBED
                 break
             if cursor >= len(uniforms):
                 uniforms = tail_generator.random(_SCALAR_UNIFORM_BUFFER)
                 cursor = 0
-            threshold = uniforms[cursor] * total
+            threshold = uniforms.item(cursor) * total
             cursor += 1
-            if threshold < birth0:
+            if threshold < sum0:
                 x0 += 1
-            elif threshold < birth0 + birth1:
+            elif threshold < sum1:
                 x1 += 1
-            elif threshold < birth0 + birth1 + death0:
+            elif threshold < sum2:
                 x0 -= 1
-            elif threshold < birth0 + birth1 + death0 + death1:
+            elif threshold < sum3:
                 x1 -= 1
-            elif threshold < birth0 + birth1 + death0 + death1 + inter0:
+            elif threshold < sum4:
                 if self_destructive:
                     x0 -= 1
                 x1 -= 1
-            elif threshold < birth0 + birth1 + death0 + death1 + inter0 + inter1:
+            elif threshold < sum5:
                 x0 -= 1
                 if self_destructive:
                     x1 -= 1
-            elif threshold < birth0 + birth1 + death0 + death1 + inter0 + inter1 + intra0:
+            elif threshold < sum6:
                 x0 -= 2 if self_destructive else 1
             else:
                 x1 -= 2 if self_destructive else 1

@@ -18,6 +18,7 @@ are shared by construction.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -79,8 +80,10 @@ class LVParams:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ModelError(f"rate {name} must be a number, got {value!r}")
-            if value < 0:
-                raise ModelError(f"rate {name} must be non-negative, got {value}")
+            if not math.isfinite(value) or value < 0:
+                raise ModelError(
+                    f"rate {name} must be a finite non-negative number, got {value}"
+                )
             object.__setattr__(self, name, float(value))
         if not isinstance(self.mechanism, CompetitionMechanism):
             raise ModelError(

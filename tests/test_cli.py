@@ -335,14 +335,27 @@ class TestCacheFlags:
             (["--population", "0"], "--population must be at least 1, got 0"),
             (["--gap", "12"], "--gap must be in [0, --population] = [0, 10], got 12"),
             (["--gap", "-3"], "--gap must be in [0, --population] = [0, 10], got -3"),
-            (["--beta", "-1"], "--beta must be non-negative, got -1.0"),
-            (["--gamma", "-1"], "--gamma must be non-negative, got -1.0"),
+            (["--beta", "-1"], "--beta must be a finite non-negative number, got -1.0"),
+            (["--gamma", "-1"], "--gamma must be a finite non-negative number, got -1.0"),
+            # A NaN rate used to reach the engine and run to the event budget.
+            (["--beta", "nan"], "--beta must be a finite non-negative number, got nan"),
+            (["--alpha", "inf"], "--alpha must be a finite non-negative number, got inf"),
             (
                 ["--beta", "0", "--delta", "0", "--alpha", "0"],
                 "at least one rate must be positive",
             ),
         ],
-        ids=["runs", "population", "gap-high", "gap-negative", "beta", "gamma", "all-zero"],
+        ids=[
+            "runs",
+            "population",
+            "gap-high",
+            "gap-negative",
+            "beta",
+            "gamma",
+            "beta-nan",
+            "alpha-inf",
+            "all-zero",
+        ],
     )
     def test_estimate_usage_error_never_creates_the_store(
         self, tmp_path, capsys, arguments, message

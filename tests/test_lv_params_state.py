@@ -29,6 +29,14 @@ class TestLVParams:
         with pytest.raises(ModelError):
             LVParams(beta=-1.0, delta=1.0, alpha0=1.0, alpha1=1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["beta", "delta", "alpha0", "alpha1", "gamma0", "gamma1"])
+    def test_non_finite_rate_rejected(self, name, value):
+        rates = dict(beta=1.0, delta=1.0, alpha0=0.5, alpha1=0.5, gamma0=0.0, gamma1=0.0)
+        rates[name] = value
+        with pytest.raises(ModelError, match=f"rate {name} must be a finite non-negative"):
+            LVParams(**rates)
+
     def test_all_zero_rates_rejected(self):
         with pytest.raises(ModelError):
             LVParams(beta=0.0, delta=0.0, alpha0=0.0, alpha1=0.0)

@@ -36,7 +36,7 @@ from repro.lv.ensemble import (
     SweepMember,
     run_sweep_ensemble,
 )
-from repro.lv.params import LVParams
+from repro.lv.params import CompetitionMechanism, LVParams
 from repro.lv.simulator import DEFAULT_MAX_EVENTS, LVJumpChainSimulator
 from repro.lv.state import LVState
 from repro.lv.tau import LVTauEnsembleSimulator, run_tau_sweep_ensemble
@@ -106,6 +106,83 @@ class TestEnsembleAgainstReference:
 
     def test_scalar_finish_width_is_the_documented_handoff(self):
         assert SCALAR_FINISH_WIDTH == reference.HANDOFF_WIDTH == 8
+
+
+SD = CompetitionMechanism.SELF_DESTRUCTIVE
+NSD = CompetitionMechanism.NON_SELF_DESTRUCTIVE
+
+#: One rate set per shape of the lock-step step table, which keeps only the
+#: reaction pairs (births, deaths, interspecific, intraspecific) with a
+#: nonzero rate somewhere in the packed batch.  Live pairs in the comments.
+BIRTHS_DEATHS_SD = LVParams(1.0, 1.0, 0.0, 0.0, mechanism=SD)  # T1R5: births, deaths
+BIRTHS_DEATHS_NSD = LVParams(1.0, 1.0, 0.0, 0.0, mechanism=NSD)
+NO_INTRA_SD = LVParams(1.0, 1.0, 0.5, 0.5, mechanism=SD)  # T1R1, FIG-THRESH: + inter
+NO_INTRA_NSD = LVParams(1.0, 1.0, 0.5, 0.5, mechanism=NSD)
+NO_INTER = LVParams(1.0, 1.0, 0.0, 0.0, 0.5, 0.5, SD)  # T1R3: births, deaths, intra
+GAMMA1_ONLY = LVParams(1.0, 1.0, 0.0, 0.0, 0.0, 1.0, NSD)  # intra live through gamma1
+ALPHA0_ONLY = LVParams(1.0, 0.5, 1.0, 0.0, mechanism=SD)  # inter live through alpha0
+INTRA_ONLY = LVParams(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, NSD)  # intra only: absorbs at (1, 1)
+
+
+def _shape(params, counts=(9, 5), budget=400):
+    """A member that mostly runs to consensus, plus a budget-limited one.
+
+    The second member retires on its event budget inside the lock-step
+    phase, while the first thins out to the scalar-tail handoff.
+    """
+    return [
+        SweepMember(params, LVState(*counts), 60, budget),
+        SweepMember(params, LVState(16, 14), 40, 12),
+    ]
+
+
+DEAD_PAIR_BATCHES = {
+    "births-deaths-sd": _shape(BIRTHS_DEATHS_SD),
+    "births-deaths-nsd": _shape(BIRTHS_DEATHS_NSD),
+    "no-intra": _shape(NO_INTRA_SD, (14, 8)),
+    "no-intra-mixed": [
+        SweepMember(NO_INTRA_SD, LVState(14, 8), 50),
+        SweepMember(NO_INTRA_NSD, LVState(12, 9), 50),
+        SweepMember(NO_INTRA_NSD, LVState(16, 14), 40, 12),
+    ],
+    "no-inter": _shape(NO_INTER, (12, 6)),
+    "gamma1-only": _shape(GAMMA1_ONLY, (10, 7)),
+    "alpha0-only": _shape(ALPHA0_ONLY, (12, 8)),
+    "intra-only": _shape(INTRA_ONLY, (5, 3)),
+    "fused": [
+        SweepMember(params, LVState(*counts), 24, budget)
+        for params, counts, budget in [
+            (BIRTHS_DEATHS_SD, (9, 5), 400),
+            (BIRTHS_DEATHS_NSD, (8, 6), 400),
+            (NO_INTRA_SD, (14, 8), 20),
+            (NO_INTRA_NSD, (12, 9), DEFAULT_MAX_EVENTS),
+            (NO_INTER, (12, 6), DEFAULT_MAX_EVENTS),
+            (GAMMA1_ONLY, (10, 7), DEFAULT_MAX_EVENTS),
+            (ALPHA0_ONLY, (12, 8), DEFAULT_MAX_EVENTS),
+            (INTRA_ONLY, (5, 3), DEFAULT_MAX_EVENTS),
+        ]
+    ],
+}
+
+
+class TestDeadReactionPairsAgainstReference:
+    """Batches whose step table drops the pairs no packed replica can fire."""
+
+    @pytest.mark.parametrize("compaction", [None, 0.25, 1.0])
+    @pytest.mark.parametrize("collect", ["full", "win"])
+    @pytest.mark.parametrize("batch", list(DEAD_PAIR_BATCHES))
+    def test_reduced_table_matches_reference(self, batch, collect, compaction):
+        members = DEAD_PAIR_BATCHES[batch]
+        results = run_sweep_ensemble(
+            members, rng=5, collect=collect, compaction_fraction=compaction
+        )
+        replays = reference.replay_lv2(members, rng=5, collect=collect)
+        for result, replay in zip(results, replays):
+            assert_matches_replay(result, replay)
+        codes = np.concatenate([result.termination_codes for result in results])
+        assert (codes == reference.MAX_EVENTS).any()
+        if batch in ("intra-only", "fused"):
+            assert (codes == reference.ABSORBED).any()
 
 
 class TestScalarTailAgainstReference:
