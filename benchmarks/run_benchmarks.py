@@ -29,11 +29,14 @@ measuring, the fresh numbers are compared against the committed baseline
 and the process exits non-zero when anything regressed by more than
 :data:`REGRESSION_TOLERANCE`.  The default checks are machine-independent —
 growth of the deterministic per-experiment event budgets (same seeds must
-simulate the same work) and drops of either acceptance ratio (each measured
-within one run on one machine).  ``--compare-wallclock`` additionally gates
-absolute per-experiment and total seconds; use it only when the baseline
-was recorded on a comparable machine, otherwise runner-speed differences
-drown the signal.
+simulate the same work), drops of the sweep-fusion speedup and the adaptive
+events saving (each measured within one run on one machine), and drops of
+the tau backend's own event throughput, corrected for host speed with
+perfbench's probe (:mod:`perfbench.hostspeed`).  The tau/exact throughput
+ratio is recorded but not gated: it falls whenever the exact engine gets
+faster.  ``--compare-wallclock`` additionally gates absolute per-experiment
+and total seconds; use it only when the baseline was recorded on a
+comparable machine, otherwise runner-speed differences drown the signal.
 
 Notes
 -----
@@ -65,6 +68,9 @@ from repro.experiments.scheduler import get_default_scheduler
 # once, next to the CI assertions, and reused here so the JSON artefact
 # always measures exactly the workloads the gates assert on.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+# perfbench's host-speed probe, imported read-only from the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench import hostspeed  # noqa: E402
 from test_bench_adaptive_precision import _run_adaptive, _run_fixed  # noqa: E402
 from test_bench_adaptive_precision import _grid as _adaptive_grid  # noqa: E402
 from test_bench_sweep_engine import _grid, _run_per_config, _run_sweep  # noqa: E402
@@ -163,23 +169,32 @@ def measure_tau_backend():
     seeds, replicate counts, warm-up) outside pytest and reports both
     backends' event throughput — estimated leap firings and exact events
     share one unit — plus their ratio, the number the CI gate asserts to
-    be >= 10.
+    be >= 10.  ``tau_corrected_events_per_sec`` is the tau throughput over
+    all three tau timings, scaled to perfbench's reference host speed by
+    host-speed probes taken before the first timing and after each one, as
+    perfbench corrects its passes; ``--compare`` gates that number.
     """
     grid = _tau_workload()
     _tau_warm_up(grid)
     started = time.perf_counter()
     exact_events, _ = _run_exact(grid)
     exact_seconds = time.perf_counter() - started
-    tau_seconds = float("inf")
+    probes = [hostspeed.probe()]
+    tau_timings = []
     for _ in range(3):
         started = time.perf_counter()
         tau_events, _ = _run_tau(grid)
-        tau_seconds = min(tau_seconds, time.perf_counter() - started)
+        tau_timings.append(time.perf_counter() - started)
+        probes.append(hostspeed.probe())
     exact_throughput = exact_events / exact_seconds
-    tau_throughput = tau_events / tau_seconds
+    tau_throughput = tau_events / min(tau_timings)
+    corrected_seconds = hostspeed.corrected(sum(tau_timings), probes)
     return {
         "exact_events_per_sec": round(exact_throughput),
         "tau_events_per_sec": round(tau_throughput),
+        "tau_corrected_events_per_sec": round(
+            len(tau_timings) * tau_events / corrected_seconds
+        ),
         "throughput_ratio": round(tau_throughput / exact_throughput, 2),
     }
 
@@ -200,7 +215,10 @@ def compare_with_baseline(
     * per-experiment growth of the deterministic event budgets (a sweep
       silently burning more events at the same seeds),
     * drops of the sweep-fusion speedup or the adaptive events saving
-      (each a within-run ratio, so comparable across machines), and
+      (each a within-run ratio, so comparable across machines),
+    * drops of the tau backend's host-speed-corrected event throughput
+      (the tau/exact ratio is information only: it rewards a slower exact
+      engine), and
     * with ``wallclock=True``, per-experiment and total seconds (skipping
       measurements under the noise floor) — only meaningful when baseline
       and fresh run come from comparable machines.
@@ -255,11 +273,12 @@ def compare_with_baseline(
             )
     base_tau = baseline.get("tau_vs_exact")
     if base_tau:
-        fresh_ratio = payload["tau_vs_exact"]["throughput_ratio"]
-        if fresh_ratio < base_tau["throughput_ratio"] / limit:
+        fresh_tau = payload["tau_vs_exact"]["tau_corrected_events_per_sec"]
+        base_corrected = base_tau["tau_corrected_events_per_sec"]
+        if fresh_tau < base_corrected / limit:
             failures.append(
-                f"tau backend throughput ratio: {fresh_ratio}x vs baseline "
-                f"{base_tau['throughput_ratio']}x"
+                f"tau backend corrected throughput: {fresh_tau:,} events/s vs "
+                f"baseline {base_corrected:,} events/s"
             )
     base_planner = baseline.get("shard_planner")
     if base_planner:
@@ -296,6 +315,11 @@ def main(argv: list[str] | None = None) -> int:
         "comparable machine; the default checks are machine-independent)",
     )
     arguments = parser.parse_args(argv)
+    # Read the baseline before anything is written: with the default
+    # --output, the fresh payload replaces the very file it is compared to.
+    baseline = (
+        None if arguments.compare is None else json.loads(arguments.compare.read_text())
+    )
 
     experiments = measure_experiments(arguments.scale, arguments.seed)
     sweep = measure_sweep_speedup()
@@ -313,7 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"[tau-vs-exact] {tau['tau_events_per_sec']:,} vs "
         f"{tau['exact_events_per_sec']:,} events/s  ->  "
-        f"{tau['throughput_ratio']}x throughput at n=10^5"
+        f"{tau['throughput_ratio']}x throughput at n=10^5 "
+        f"(tau corrected to reference host speed: "
+        f"{tau['tau_corrected_events_per_sec']:,} events/s)"
     )
     planner = measure_shard_planner()
     print(
@@ -339,8 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     arguments.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {arguments.output}")
 
-    if arguments.compare is not None:
-        baseline = json.loads(arguments.compare.read_text())
+    if baseline is not None:
         failures = compare_with_baseline(
             payload, baseline, wallclock=arguments.compare_wallclock
         )

@@ -3,44 +3,13 @@
 Regenerates the comparison between the self-destructive growth model of Cho et
 al. (which, per the paper's Theorem 14, already succeeds at polylogarithmic
 gaps) and the bounded-growth non-self-destructive model of Andaur et al.
-(which needs gaps of order √(n log n)).  Also times the population-protocol
-baselines on the same input sizes for context.
+(which needs gaps of order √(n log n)).
 """
 
 from __future__ import annotations
-
-import pytest
-
-from repro.baselines.approximate_majority import ApproximateMajorityProtocol
-from repro.baselines.exact_majority import ExactMajorityProtocol
 
 
 def test_table1_row4_delta_zero_models(run_registered_experiment):
     result = run_registered_experiment("T1R4")
     assert result.rows
     assert result.shape_matches_paper, result.render_text()
-
-
-@pytest.mark.parametrize(
-    "protocol_class, majority, minority",
-    [
-        (ApproximateMajorityProtocol, 160, 96),
-        (ExactMajorityProtocol, 136, 120),
-    ],
-    ids=["approximate-majority-3state", "exact-majority-4state"],
-)
-def test_population_protocol_baselines(benchmark, protocol_class, majority, minority):
-    """Convergence of the population-protocol baselines on comparable inputs.
-
-    These protocols operate in a fixed-size population without demographic
-    noise; they provide the reference points discussed in Section 2.2.
-    """
-    protocol = protocol_class()
-
-    def run_once():
-        return protocol.run(majority, minority, rng=0)
-
-    result = benchmark.pedantic(run_once, rounds=1, iterations=1)
-    assert result.converged
-    assert result.majority_consensus
-    benchmark.extra_info["interactions"] = result.interactions

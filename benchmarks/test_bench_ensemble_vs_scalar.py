@@ -6,8 +6,8 @@ workload of the `T1R1-SD` threshold sweep) through both replicate executors:
 
 * the original scalar path, one :class:`~repro.lv.simulator.LVJumpChainSimulator`
   event loop per replicate, and
-* the lock-step :class:`~repro.lv.ensemble.LVEnsembleSimulator` the
-  experiment harness now routes every batch through.
+* the lock-step engine, :func:`~repro.lv.ensemble.run_sweep_ensemble`, that
+  the experiment harness routes every batch through (one member here).
 
 The benchmark asserts the tentpole's acceptance criterion — at least a 5×
 wall-clock speedup — and that both paths agree statistically on the win
@@ -22,9 +22,10 @@ import time
 import numpy as np
 
 from repro.experiments.workloads import state_with_gap
-from repro.lv.ensemble import LVEnsembleSimulator
+from repro.lv.ensemble import SweepMember, run_sweep_ensemble
 from repro.lv.params import LVParams
 from repro.lv.simulator import LVJumpChainSimulator
+from repro.rng import as_generator
 
 #: Minimum ensemble-over-scalar speedup the refactor must sustain.
 MIN_SPEEDUP = 5.0
@@ -39,25 +40,35 @@ def _workload():
     return params, state
 
 
+def _scalar_runs(params, state, num_runs, seed):
+    """*num_runs* scalar runs, one after another on one generator."""
+    simulator = LVJumpChainSimulator(params)
+    generator = as_generator(seed)
+    return [simulator.run(state, rng=generator) for _ in range(num_runs)]
+
+
+def _ensemble_runs(params, state, num_runs, seed):
+    """*num_runs* lock-step replicas as one member, viewed as per-run results."""
+    member = SweepMember(params, state, num_runs)
+    return run_sweep_ensemble([member], rng=seed)[0].to_run_results()
+
+
 def test_ensemble_speedup_over_scalar_loop(benchmark):
     params, state = _workload()
-    scalar = LVJumpChainSimulator(params)
-    ensemble = LVEnsembleSimulator(params)
 
     # Warm-up outside the timed region (first-call numpy dispatch, caches).
-    ensemble.run_batch(state, 8, rng=0)
-    scalar.run_batch(state, 8, rng=0)
+    _ensemble_runs(params, state, 8, 0)
+    _scalar_runs(params, state, 8, 0)
 
     start = time.perf_counter()
-    scalar_results = scalar.run_batch(state, NUM_RUNS, rng=1)
+    scalar_results = _scalar_runs(params, state, NUM_RUNS, 1)
     scalar_seconds = time.perf_counter() - start
 
     # Three rounds, scored on the fastest: the speedup assertion should
     # measure the code, not transient machine contention during one round.
     ensemble_results = benchmark.pedantic(
-        ensemble.run_batch,
-        args=(state, NUM_RUNS),
-        kwargs={"rng": 2},
+        _ensemble_runs,
+        args=(params, state, NUM_RUNS, 2),
         rounds=3,
         iterations=1,
     )

@@ -39,7 +39,7 @@ from repro.experiments.scheduler import (
     ThresholdRequest,
 )
 from repro.experiments.workloads import population_grid, replica_batches
-from repro.lv.ensemble import LVEnsembleSimulator
+from repro.lv.ensemble import SweepMember, run_sweep_ensemble
 from repro.lv.params import LVParams
 from repro.rng import spawn_seeds, stable_seed
 
@@ -77,14 +77,15 @@ def _per_config_probes(probes):
     """Each probe alone: its batches one by one, then a per-replica summary."""
     estimates = []
     for probe in probes:
-        simulator = LVEnsembleSimulator(probe.params, compaction_fraction=None)
         sizes = replica_batches(probe.num_runs, DEFAULT_BATCH_SIZE)
         runs = [
             run
             for size, seed in zip(sizes, spawn_seeds(probe.seed, len(sizes)))
-            for run in simulator.run_batch(
-                probe.initial_state, size, rng=seed, max_events=probe.max_events
-            )
+            for run in run_sweep_ensemble(
+                [SweepMember(probe.params, probe.initial_state, size, probe.max_events)],
+                rng=seed,
+                compaction_fraction=None,
+            )[0].to_run_results()
         ]
         estimates.append(summarise_runs(runs, confidence=probe.confidence))
     return estimates

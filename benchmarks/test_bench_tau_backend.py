@@ -26,9 +26,9 @@ import time
 import numpy as np
 
 from repro.experiments.workloads import state_with_gap
-from repro.lv.ensemble import LVEnsembleSimulator
+from repro.lv.ensemble import SweepMember, run_sweep_ensemble
 from repro.lv.params import LVParams
-from repro.lv.tau import LVTauEnsembleSimulator
+from repro.lv.tau import run_tau_sweep_ensemble
 from repro.rng import stable_seed
 
 #: Minimum tau-over-exact event-throughput ratio at n = 10^5 (typical
@@ -60,9 +60,8 @@ def _run_exact(grid, num_runs: int = NUM_RUNS):
     events = 0
     wins = {}
     for tag, params, state in grid:
-        result = LVEnsembleSimulator(params).run_ensemble(
-            state, num_runs, rng=_seed(tag)
-        )
+        member = SweepMember(params, state, num_runs)
+        (result,) = run_sweep_ensemble([member], rng=_seed(tag))
         events += int(result.total_events.sum())
         wins[tag] = float(result.majority_consensus.mean())
     return events, wins
@@ -72,9 +71,8 @@ def _run_tau(grid, num_runs: int = NUM_RUNS):
     events = 0
     wins = {}
     for tag, params, state in grid:
-        result = LVTauEnsembleSimulator(params).run_ensemble(
-            state, num_runs, rng=_seed(tag)
-        )
+        member = SweepMember(params, state, num_runs)
+        (result,) = run_tau_sweep_ensemble([member], rng=_seed(tag))
         events += int(result.total_events.sum())
         wins[tag] = float(result.majority_consensus.mean())
     return events, wins

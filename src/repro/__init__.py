@@ -5,7 +5,7 @@ Lotka–Volterra models of Függer, Nowak and Rybicki (PODC 2024) together with
 the machinery needed to reproduce the paper's results: fast exact and
 tau-leaping simulators for the two-species jump chain and its k-species
 scenario generalisation, single-species birth–death and dominating chains,
-Monte-Carlo and exact majority-consensus analysis, baseline protocols from
+Monte-Carlo and exact majority-consensus analysis, baseline models from
 prior work, and the experiment harness regenerating every row of the paper's
 Table 1.
 
@@ -50,7 +50,6 @@ from repro.lv import (
     LVParams,
     LVState,
     LVJumpChainSimulator,
-    LVEnsembleSimulator,
     DeterministicLV,
     classify_regime,
     Table1Row,
@@ -58,7 +57,6 @@ from repro.lv import (
 from repro.experiments import SweepScheduler
 from repro.store import ExperimentStore
 from repro.consensus import (
-    MajorityConsensusEstimator,
     estimate_majority_probability,
     find_threshold,
     ThresholdSearch,
@@ -101,7 +99,6 @@ __all__ = [
     "LVParams",
     "LVState",
     "LVJumpChainSimulator",
-    "LVEnsembleSimulator",
     "DeterministicLV",
     "classify_regime",
     "Table1Row",
@@ -110,7 +107,6 @@ __all__ = [
     # Result store
     "ExperimentStore",
     # Consensus analysis
-    "MajorityConsensusEstimator",
     "estimate_majority_probability",
     "find_threshold",
     "ThresholdSearch",

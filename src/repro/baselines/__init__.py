@@ -1,17 +1,9 @@
-"""Baseline majority-consensus protocols and models from prior work.
+"""Baseline majority-consensus models from prior work.
 
 The paper positions its Lotka–Volterra results against several baselines
-(Sections 1.1, 2.2 and Table 1).  This subpackage implements them so that the
-benchmark harness can compare thresholds and convergence behaviour directly:
+(Sections 1.1, 2.2 and Table 1).  This subpackage implements the two that
+Table 1 runs, so that the experiments can compare thresholds directly:
 
-* :mod:`~repro.baselines.population` — a scheduler for population protocols
-  (uniformly random pairwise interactions, fixed population size),
-* :mod:`~repro.baselines.approximate_majority` — the 3-state approximate
-  majority protocol of Angluin, Aspnes and Eisenstat (threshold
-  ``Ω(√n log n)``, ``O(n log n)`` interactions),
-* :mod:`~repro.baselines.exact_majority` — the 4-state exact-majority protocol
-  of Draief–Vojnović / Mertzios et al. (always correct, ``O(n²)`` expected
-  interactions),
 * :mod:`~repro.baselines.cho_growth` — the δ = 0, self-destructive growth
   model analysed by Cho et al. (Table 1, row 4),
 * :mod:`~repro.baselines.andaur_resource` — the bounded, non-mass-action
@@ -19,17 +11,10 @@ benchmark harness can compare thresholds and convergence behaviour directly:
   interference competition.
 """
 
-from repro.baselines.population import PopulationProtocol, ProtocolRunResult
-from repro.baselines.approximate_majority import ApproximateMajorityProtocol
-from repro.baselines.exact_majority import ExactMajorityProtocol
 from repro.baselines.cho_growth import ChoGrowthModel
 from repro.baselines.andaur_resource import AndaurResourceModel, AndaurRunResult
 
 __all__ = [
-    "PopulationProtocol",
-    "ProtocolRunResult",
-    "ApproximateMajorityProtocol",
-    "ExactMajorityProtocol",
     "ChoGrowthModel",
     "AndaurResourceModel",
     "AndaurRunResult",

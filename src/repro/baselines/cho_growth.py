@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.consensus.estimator import ConsensusEstimate, MajorityConsensusEstimator
+from repro.consensus.estimator import ConsensusEstimate, estimate_majority_probability
 from repro.exceptions import ModelError
 from repro.lv.params import LVParams
 from repro.lv.state import LVState
@@ -95,5 +95,6 @@ class ChoGrowthModel:
         max_events: int = 20_000_000,
     ) -> ConsensusEstimate:
         """Monte-Carlo estimate of the majority-consensus probability."""
-        estimator = MajorityConsensusEstimator(self.params, max_events=max_events)
-        return estimator.estimate(initial_state, num_runs, rng=rng)
+        return estimate_majority_probability(
+            self.params, initial_state, num_runs=num_runs, rng=rng, max_events=max_events
+        )

@@ -8,7 +8,9 @@ accounting the paper's theorems are phrased in.
 
 * :mod:`~repro.consensus.gap` — the gap process and per-run summaries,
 * :mod:`~repro.consensus.estimator` — Monte-Carlo estimation of ρ(S), T(S),
-  I(S), J(S), K(S) with confidence intervals,
+  I(S), J(S), K(S) with confidence intervals, for one configuration at a time
+  (sweeps, adaptive budgets and caching run through
+  :class:`~repro.experiments.scheduler.SweepScheduler`),
 * :mod:`~repro.consensus.threshold` — empirical majority-consensus thresholds
   Ψ(n) (smallest gap Δ with ρ ≥ 1 − 1/n),
 * :mod:`~repro.consensus.theory` — the paper's threshold predictions
@@ -20,12 +22,7 @@ accounting the paper's theorems are phrased in.
 """
 
 from repro.consensus.gap import GapTrace, gap_trace_from_run
-from repro.consensus.estimator import (
-    ConsensusEstimate,
-    MajorityConsensusEstimator,
-    estimate_majority_probability,
-    run_adaptive_ensemble,
-)
+from repro.consensus.estimator import ConsensusEstimate, estimate_majority_probability
 from repro.consensus.threshold import (
     ThresholdEstimate,
     ThresholdSearch,
@@ -48,9 +45,7 @@ __all__ = [
     "GapTrace",
     "gap_trace_from_run",
     "ConsensusEstimate",
-    "MajorityConsensusEstimator",
     "estimate_majority_probability",
-    "run_adaptive_ensemble",
     "ThresholdEstimate",
     "ThresholdSearch",
     "find_threshold",

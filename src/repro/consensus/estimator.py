@@ -18,26 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.statistics import (
-    BinomialEstimate,
-    PrecisionTarget,
-    binomial_estimate,
-)
+from repro.analysis.statistics import BinomialEstimate, binomial_estimate
 from repro.exceptions import EstimationError
-from repro.lv.ensemble import COLLECT_MODES, LVEnsembleResult, LVEnsembleSimulator
+from repro.lv.ensemble import (
+    COLLECT_MODES,
+    LVEnsembleResult,
+    SweepMember,
+    run_sweep_ensemble,
+)
 from repro.lv.params import LVParams
 from repro.lv.simulator import DEFAULT_MAX_EVENTS, LVRunResult
 from repro.lv.state import LVState
-from repro.rng import SeedLike, spawn_seeds
+from repro.rng import SeedLike
 
 __all__ = [
     "ConsensusEstimate",
-    "MajorityConsensusEstimator",
-    "DEFAULT_WAVE_QUANTUM",
-    "adaptive_goal_chunks",
-    "chunk_ladder_size",
-    "chunk_ladder_seed",
-    "run_adaptive_ensemble",
     "estimate_majority_probability",
     "summarise_runs",
     "summarise_ensemble",
@@ -131,59 +126,6 @@ class ConsensusEstimate:
     def misses_target(self, target: float) -> bool:
         """Whether the whole confidence interval lies strictly below *target*."""
         return self.success.upper < target
-
-
-@dataclass
-class MajorityConsensusEstimator:
-    """Reusable estimator bound to a parameter set.
-
-    Parameters
-    ----------
-    params:
-        Model rates and mechanism.
-    confidence:
-        Confidence level of the reported Wilson intervals.
-    max_events:
-        Per-run event budget (guards against non-terminating parameter
-        choices; the regimes of Table 1 rows 1–2 terminate in ``O(n)`` events).
-
-    Every estimate advances its whole replicate budget in lock-step through
-    the vectorized :class:`~repro.lv.ensemble.LVEnsembleSimulator`, in one
-    process.  Batching, process parallelism, caching and sweeps of many
-    configurations belong to
-    :class:`~repro.experiments.scheduler.SweepScheduler`.
-
-    Examples
-    --------
-    >>> estimator = MajorityConsensusEstimator(
-    ...     LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0))
-    >>> estimate = estimator.estimate(LVState(60, 40), num_runs=50, rng=1)
-    >>> 0.0 <= estimate.majority_probability <= 1.0
-    True
-    """
-
-    params: LVParams
-    confidence: float = 0.95
-    max_events: int = DEFAULT_MAX_EVENTS
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.confidence < 1.0:
-            raise EstimationError(f"confidence must be in (0, 1), got {self.confidence}")
-
-    def estimate(
-        self,
-        initial_state: LVState | tuple[int, int],
-        num_runs: int,
-        *,
-        rng: SeedLike = None,
-    ) -> ConsensusEstimate:
-        """Estimate ρ(S) and the associated event statistics."""
-        if num_runs <= 0:
-            raise EstimationError(f"num_runs must be positive, got {num_runs}")
-        ensemble = LVEnsembleSimulator(self.params).run_ensemble(
-            initial_state, num_runs, rng=rng, max_events=self.max_events
-        )
-        return summarise_ensemble(ensemble, confidence=self.confidence)
 
 
 def summarise_runs(
@@ -303,130 +245,6 @@ def summarise_ensemble(
     )
 
 
-# ----------------------------------------------------------------------
-# Adaptive-precision sequential estimation
-# ----------------------------------------------------------------------
-
-#: Replicates per adaptive chunk — the allocation quantum of sequential
-#: waves.  Every configuration's replicate stream is cut into a fixed
-#: *chunk ladder* of this size (the last rung truncated at the target's
-#: ``max_replicates``), with one prefix-stable seed per rung
-#: (:func:`repro.rng.spawn_seeds`), so interim results — and therefore every
-#: stopping decision — depend only on which rungs executed, never on how
-#: they were grouped into waves, fused into mega-batches, or spread over
-#: worker processes.
-DEFAULT_WAVE_QUANTUM = 64
-
-#: Per-wave growth cap: one wave may at most triple a configuration's
-#: executed rung count.  Interim variance estimates can be far off early
-#: on; the cap bounds any single plan's overshoot while still reaching any
-#: budget in logarithmically many waves.
-_WAVE_GROWTH_FACTOR = 2
-
-
-def chunk_ladder_size(target: PrecisionTarget, quantum: int, rung: int) -> int:
-    """Replicates on ladder *rung* (the last rung truncates at the cap)."""
-    return min(quantum, target.max_replicates - rung * quantum)
-
-
-def chunk_ladder_seed(seed: SeedLike, rung: int) -> int:
-    """Seed of ladder *rung* — the prefix-stable spawn of the root seed."""
-    return spawn_seeds(seed, rung + 1)[rung]
-
-
-def adaptive_goal_chunks(
-    target: PrecisionTarget,
-    quantum: int,
-    chunks_done: int,
-    successes: int,
-    replicates: int,
-    times: np.ndarray,
-) -> int:
-    """Ladder rungs the next wave should reach for one configuration.
-
-    The shared allocation rule of every adaptive path (the sweep
-    scheduler's waves and the standalone :func:`run_adaptive_ensemble`):
-    the first wave covers the target's ``min_replicates``; follow-up waves
-    size themselves by the variance-aware plan
-    (:meth:`~repro.analysis.statistics.PrecisionTarget.replicates_needed`),
-    clamped by the per-wave growth cap, and always advance by at least one
-    rung so an under-estimating plan can never stall a configuration.
-    """
-    ladder = -(-target.max_replicates // quantum)
-    if chunks_done >= ladder:
-        return ladder
-    if chunks_done == 0:
-        needed = target.min_replicates
-        goal = -(-min(needed, target.max_replicates) // quantum)
-    else:
-        needed = target.replicates_needed(successes, replicates, times)
-        goal = -(-min(needed, target.max_replicates) // quantum)
-        ceiling = chunks_done * (_WAVE_GROWTH_FACTOR + 1)
-        goal = max(chunks_done + 1, min(goal, ceiling))
-    return min(goal, ladder)
-
-
-def run_adaptive_ensemble(
-    params: LVParams,
-    initial_state: LVState | tuple[int, int],
-    target: PrecisionTarget,
-    *,
-    rng: SeedLike = None,
-    max_events: int = DEFAULT_MAX_EVENTS,
-    quantum: int = DEFAULT_WAVE_QUANTUM,
-) -> LVEnsembleResult:
-    """Sequentially estimate one configuration until *target* is met.
-
-    Runs the configuration's chunk ladder wave by wave through the
-    vectorized ensemble simulator, stopping as soon as the sequential
-    criteria hold (or the replicate cap is reached).  Executing the same
-    ladder through the sweep scheduler's fused adaptive waves yields
-    bitwise-identical results — this is the single-configuration,
-    dependency-free form of the same sequential estimation layer.
-    """
-    if quantum < 1:
-        raise EstimationError(f"quantum must be at least 1, got {quantum}")
-    simulator = LVEnsembleSimulator(params)
-    ladder = -(-target.max_replicates // quantum)
-    chunks: list[LVEnsembleResult] = []
-    time_chunks: list[np.ndarray] = []
-    seeds: list[int] = []
-    successes = 0
-    replicates = 0
-    while True:
-        if replicates:
-            times = (
-                np.concatenate(time_chunks) if time_chunks else np.empty(0)
-            )
-            if target.met_by(successes, replicates, times):
-                break
-            if len(chunks) >= ladder:
-                break
-        else:
-            times = np.empty(0)
-        goal = adaptive_goal_chunks(
-            target, quantum, len(chunks), successes, replicates, times
-        )
-        if goal > len(seeds):
-            # Prefix-stable respawn (doubling keeps the total work linear);
-            # each rung's seed equals chunk_ladder_seed(rng, rung).
-            seeds = spawn_seeds(rng, max(goal, 2 * len(seeds)))
-        for rung in range(len(chunks), goal):
-            chunk = simulator.run_ensemble(
-                initial_state,
-                chunk_ladder_size(target, quantum, rung),
-                rng=seeds[rung],
-                max_events=max_events,
-            )
-            chunks.append(chunk)
-            replicates += chunk.num_replicates
-            successes += int(np.count_nonzero(chunk.majority_consensus))
-            time_chunks.append(
-                chunk.total_events[chunk.reached_consensus].astype(float)
-            )
-    return LVEnsembleResult.concatenate(chunks)
-
-
 def estimate_majority_probability(
     params: LVParams,
     initial_state: LVState | tuple[int, int],
@@ -435,12 +253,15 @@ def estimate_majority_probability(
     rng: SeedLike = None,
     confidence: float = 0.95,
     max_events: int = DEFAULT_MAX_EVENTS,
-    precision: PrecisionTarget | None = None,
 ) -> ConsensusEstimate:
-    """One-shot convenience wrapper around :class:`MajorityConsensusEstimator`.
+    """Estimate ρ(S) and the associated event statistics.
 
-    With a *precision* target the replicate budget is chosen adaptively by
-    :func:`run_adaptive_ensemble` and *num_runs* is ignored.
+    The *num_runs* replicates advance in lock-step as one member of
+    :func:`~repro.lv.ensemble.run_sweep_ensemble`, in one process, at the
+    ``"full"`` statistics level; *max_events* is the per-run event budget.
+    Batching, process parallelism, caching, adaptive budgets and sweeps of
+    many configurations belong to
+    :class:`~repro.experiments.scheduler.SweepScheduler`.
 
     Examples
     --------
@@ -449,12 +270,10 @@ def estimate_majority_probability(
     >>> estimate.success.trials
     40
     """
-    if precision is not None:
-        ensemble = run_adaptive_ensemble(
-            params, initial_state, precision, rng=rng, max_events=max_events
-        )
-        return summarise_ensemble(ensemble, confidence=confidence)
-    estimator = MajorityConsensusEstimator(
-        params, confidence=confidence, max_events=max_events
-    )
-    return estimator.estimate(initial_state, num_runs, rng=rng)
+    if not 0.0 < confidence < 1.0:
+        raise EstimationError(f"confidence must be in (0, 1), got {confidence}")
+    if num_runs <= 0:
+        raise EstimationError(f"num_runs must be positive, got {num_runs}")
+    member = SweepMember(params, initial_state, num_runs, max_events)
+    ensemble = run_sweep_ensemble([member], rng=rng)[0]
+    return summarise_ensemble(ensemble, confidence=confidence)

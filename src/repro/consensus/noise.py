@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.statistics import PrecisionTarget
-from repro.consensus.estimator import run_adaptive_ensemble
 from repro.exceptions import EstimationError
-from repro.lv.ensemble import LVEnsembleResult, LVEnsembleSimulator
+from repro.lv.ensemble import LVEnsembleResult, SweepMember, run_sweep_ensemble
 from repro.lv.params import LVParams
 from repro.lv.simulator import DEFAULT_MAX_EVENTS
 from repro.lv.state import LVState
@@ -135,15 +133,14 @@ def decompose_noise(
     num_runs: int = 200,
     rng: SeedLike = None,
     max_events: int = DEFAULT_MAX_EVENTS,
-    precision: PrecisionTarget | None = None,
 ) -> NoiseDecomposition:
     """Measure the noise decomposition by Monte-Carlo simulation.
 
-    The replicates advance in lock-step through the vectorized
-    :class:`~repro.lv.ensemble.LVEnsembleSimulator`.  With a *precision*
-    target the replicate budget is chosen adaptively by
-    :func:`~repro.consensus.estimator.run_adaptive_ensemble` (sequential
-    waves until the target's criteria hold) and *num_runs* is ignored.
+    The replicates advance in lock-step as one member of
+    :func:`~repro.lv.ensemble.run_sweep_ensemble`.  Adaptive budgets and
+    sweeps of many configurations belong to
+    :meth:`SweepScheduler.decompose_many
+    <repro.experiments.scheduler.SweepScheduler.decompose_many>`.
 
     Examples
     --------
@@ -154,14 +151,5 @@ def decompose_noise(
     """
     if num_runs <= 0:
         raise EstimationError(f"num_runs must be positive, got {num_runs}")
-    if isinstance(initial_state, tuple):
-        initial_state = LVState(int(initial_state[0]), int(initial_state[1]))
-    if precision is not None:
-        ensemble = run_adaptive_ensemble(
-            params, initial_state, precision, rng=rng, max_events=max_events
-        )
-    else:
-        ensemble = LVEnsembleSimulator(params).run_ensemble(
-            initial_state, num_runs, rng=rng, max_events=max_events
-        )
-    return decomposition_from_ensemble(ensemble)
+    member = SweepMember(params, initial_state, num_runs, max_events)
+    return decomposition_from_ensemble(run_sweep_ensemble([member], rng=rng)[0])

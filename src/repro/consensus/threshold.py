@@ -19,14 +19,16 @@ that experiments can report the full ρ-vs-Δ curve alongside the threshold.
 Probe protocol
 --------------
 A search is internally a *state machine over probes*:
-:meth:`ThresholdSearch.search_steps` is a generator that yields
-:class:`GapProbe` requests and receives the matching
-:class:`~repro.consensus.estimator.ConsensusEstimate` for each, returning the
+:meth:`ThresholdSearch.search_steps` is a generator that yields one
+:class:`GapProbe` request at a time and receives the matching
+:class:`~repro.consensus.estimator.ConsensusEstimate`, returning the
 :class:`ThresholdEstimate` when the bisection converges.
 :func:`drive_threshold_searches` drives *several* searches in lock-step
 rounds, handing each round's pending probes to a pluggable ``probe_runner``.
 Two drivers exist: :meth:`ThresholdSearch.find` runs one search's fixed
-budgets on the built-in estimator, and the experiment harness's
+budgets through
+:func:`~repro.consensus.estimator.estimate_majority_probability`, and the
+experiment harness's
 :meth:`SweepScheduler.find_thresholds
 <repro.experiments.scheduler.SweepScheduler.find_thresholds>` fuses the
 probes of a whole threshold sweep into heterogeneous mega-batches (and is the
@@ -35,12 +37,12 @@ driver that honours a search's adaptive precision target).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Generator, Sequence
 
 from repro.analysis.statistics import PrecisionTarget
-from repro.consensus.estimator import ConsensusEstimate, MajorityConsensusEstimator
-from repro.exceptions import ThresholdSearchError
+from repro.consensus.estimator import ConsensusEstimate, estimate_majority_probability
+from repro.exceptions import EstimationError, ThresholdSearchError
 from repro.lv.params import LVParams
 from repro.lv.simulator import DEFAULT_MAX_EVENTS
 from repro.lv.state import LVState
@@ -87,12 +89,9 @@ class GapProbe:
         return _state_for(self.population_size, self.gap)
 
 
-#: A search generator: yields one *round* of probes at a time (a list — the
-#: gaps a ``fanout > 1`` search wants estimated concurrently), receives the
-#: matching list of estimates, and returns the final threshold estimate.
-SearchSteps = Generator[
-    "list[GapProbe]", "Sequence[ConsensusEstimate]", "ThresholdEstimate"
-]
+#: A search generator: yields one probe at a time, receives its estimate,
+#: and returns the final threshold estimate.
+SearchSteps = Generator["GapProbe", "ConsensusEstimate", "ThresholdEstimate"]
 
 #: Executes one round of probes (order-preserving).  The sweep scheduler
 #: plugs in a runner that fuses the round into heterogeneous mega-batches.
@@ -150,14 +149,6 @@ class ThresholdSearch:
         Confidence level for pass/fail decisions.
     max_events:
         Per-run event budget.
-    fanout:
-        Interior gaps probed per search round.  ``1`` is classic bisection
-        (one probe at a time, the default); ``k > 1`` probes ``k``
-        equally-spaced gaps per round, shrinking the bracket by a factor of
-        ``k + 1`` per round instead of 2.  A larger fanout does more total
-        probe work but needs fewer *sequential* rounds — the right trade
-        when rounds are fused into wide mega-batches whose marginal replica
-        cost is small (the sweep scheduler's probe runner).
     precision:
         Optional adaptive-precision target attached to every emitted
         :class:`GapProbe` (tightened by refinement round) by
@@ -172,9 +163,7 @@ class ThresholdSearch:
     max_refinement_rounds: int = 2
     confidence: float = 0.9
     max_events: int = DEFAULT_MAX_EVENTS
-    fanout: int = 1
     precision: PrecisionTarget | None = None
-    _estimator: MajorityConsensusEstimator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_runs <= 0:
@@ -183,19 +172,22 @@ class ThresholdSearch:
             raise ThresholdSearchError(
                 f"max_refinement_rounds must be non-negative, got {self.max_refinement_rounds}"
             )
-        if self.fanout < 1:
-            raise ThresholdSearchError(f"fanout must be at least 1, got {self.fanout}")
-        self._estimator = MajorityConsensusEstimator(
-            self.params, confidence=self.confidence, max_events=self.max_events
-        )
+        if not 0.0 < self.confidence < 1.0:
+            raise EstimationError(f"confidence must be in (0, 1), got {self.confidence}")
 
     # ------------------------------------------------------------------
     def probe_gap(
         self, population_size: int, gap: int, *, rng: SeedLike = None
     ) -> ConsensusEstimate:
         """Estimate ρ for one ``(n, Δ)`` pair (with parity-adjusted states)."""
-        state = _state_for(population_size, gap)
-        return self._estimator.estimate(state, self.num_runs, rng=rng)
+        return estimate_majority_probability(
+            self.params,
+            _state_for(population_size, gap),
+            num_runs=self.num_runs,
+            rng=rng,
+            confidence=self.confidence,
+            max_events=self.max_events,
+        )
 
     def find(
         self,
@@ -208,7 +200,8 @@ class ThresholdSearch:
     ) -> ThresholdEstimate:
         """Binary-search the smallest gap with ρ ≥ *target_probability*.
 
-        Drives :meth:`search_steps` against the built-in estimator, one
+        Drives :meth:`search_steps` through
+        :func:`~repro.consensus.estimator.estimate_majority_probability`, one
         fixed-budget batch per probe; the probe schedule and per-probe seeds
         are identical to executing the search through any other driver.  A
         search with a *precision* target is refused: its probes need
@@ -245,10 +238,15 @@ class ThresholdSearch:
         return drive_threshold_searches([steps], self._run_probes)[0]
 
     def _run_probes(self, requests: Sequence[GapProbe]) -> list[ConsensusEstimate]:
-        """Default probe runner: one estimator batch per probe, in order."""
+        """Default probe runner: one fixed-budget estimate per probe, in order."""
         return [
-            self._estimator.estimate(
-                probe.initial_state, probe.num_runs, rng=probe.seed
+            estimate_majority_probability(
+                probe.params,
+                probe.initial_state,
+                num_runs=probe.num_runs,
+                rng=probe.seed,
+                confidence=probe.confidence,
+                max_events=probe.max_events,
             )
             for probe in requests
         ]
@@ -301,15 +299,12 @@ class ThresholdSearch:
     ) -> SearchSteps:
         probes: dict[int, ConsensusEstimate] = {}
 
-        def probe_round(gaps: list[int]):
-            estimates = yield from self._round_steps(
-                population_size, gaps, target_probability, root_seed
+        def passes(gap: int):
+            estimate = yield from self._gap_steps(
+                population_size, gap, target_probability, root_seed
             )
-            probes.update(estimates)
-            return {
-                gap: estimate.majority_probability >= target_probability
-                for gap, estimate in estimates.items()
-            }
+            probes[gap] = estimate
+            return estimate.majority_probability >= target_probability
 
         def result(threshold_gap: int | None) -> ThresholdEstimate:
             return ThresholdEstimate(
@@ -321,66 +316,33 @@ class ThresholdSearch:
 
         low, high = min_gap, max_gap
         # Check the endpoints first: if even the largest admissible gap fails,
-        # there is no threshold in range (intraspecific-only regime).  With
-        # fanout > 1 both endpoints share a round (the low probe is wasted
-        # work when high fails — cheap inside a fused mega-batch); fanout 1
-        # keeps the classic sequential schedule.
-        if self.fanout > 1 and low < high:
-            verdict = yield from probe_round([high, low])
-            if not verdict[high]:
-                return result(None)
-            if verdict[low]:
-                return result(low)
-        else:
-            if not (yield from probe_round([high]))[high]:
-                return result(None)
-            if low == high:
-                return result(low)
-            if (yield from probe_round([low]))[low]:
-                return result(low)
-        # Invariant: low fails, high passes.  Each round probes up to
-        # ``fanout`` equally-spaced interior gaps; under the monotonicity the
-        # bracket shrinks to the segment between the leftmost passing gap and
-        # its failing left neighbour.
+        # there is no threshold in range (intraspecific-only regime).
+        if not (yield from passes(high)):
+            return result(None)
+        if low == high or (yield from passes(low)):
+            return result(low)
+        # Invariant: low fails, high passes.
         while high - low > 1:
-            span = high - low
-            count = min(self.fanout, span - 1)
-            gaps = sorted(
-                {low + (span * j) // (count + 1) for j in range(1, count + 1)}
-                - {low, high}
-            )
-            if not gaps:
-                gaps = [(low + high) // 2]
-            verdict = yield from probe_round(gaps)
-            first_passing = next((gap for gap in gaps if verdict[gap]), None)
-            if first_passing is None:
-                low = gaps[-1]
+            middle = (low + high) // 2
+            if (yield from passes(middle)):
+                high = middle
             else:
-                high = first_passing
-                position = gaps.index(first_passing)
-                if position > 0:
-                    low = gaps[position - 1]
+                low = middle
         return result(high)
 
-    def _round_steps(
+    def _gap_steps(
         self,
         population_size: int,
-        gaps: list[int],
+        gap: int,
         target: float,
         root_seed: int,
     ):
-        """Probe several gaps concurrently, refining straddlers together.
+        """Probe one gap, re-probing while its interval straddles the target.
 
-        All first-attempt probes of the round share one yield; gaps whose
-        confidence interval straddles the target are re-probed — with doubled
-        sample sizes, again sharing a yield — up to the refinement cap.  The
-        per-gap seed and sample-size schedule is exactly the classic
-        single-gap refinement's, so a gap's estimate does not depend on which
-        other gaps share its round.
+        Each refinement round doubles the sample size and draws a fresh
+        per-round seed, up to the refinement cap; the last estimate decides.
         """
-        num_runs = {gap: self.num_runs for gap in gaps}
-        final: dict[int, ConsensusEstimate] = {}
-        pending = list(gaps)
+        num_runs = self.num_runs
         for round_index in range(self.max_refinement_rounds + 1):
             precision = self.precision
             if precision is not None and round_index:
@@ -391,37 +353,22 @@ class ThresholdSearch:
                     precision,
                     ci_half_width=precision.ci_half_width / (2**round_index),
                 )
-            requests = [
-                GapProbe(
-                    params=self.params,
-                    population_size=population_size,
-                    gap=gap,
-                    num_runs=num_runs[gap],
-                    seed=stable_seed(
-                        "threshold-probe", root_seed, population_size, gap, round_index
-                    ),
-                    max_events=self.max_events,
-                    confidence=self.confidence,
-                    precision=precision,
-                )
-                for gap in pending
-            ]
-            estimates = yield requests
-            if len(estimates) != len(requests):
-                raise ThresholdSearchError(
-                    f"received {len(estimates)} estimates for {len(requests)} probes"
-                )
-            unresolved: list[int] = []
-            for gap, estimate in zip(pending, estimates):
-                final[gap] = estimate
-                if estimate.meets_target(target) or estimate.misses_target(target):
-                    continue
-                num_runs[gap] *= 2
-                unresolved.append(gap)
-            pending = unresolved
-            if not pending:
+            estimate = yield GapProbe(
+                params=self.params,
+                population_size=population_size,
+                gap=gap,
+                num_runs=num_runs,
+                seed=stable_seed(
+                    "threshold-probe", root_seed, population_size, gap, round_index
+                ),
+                max_events=self.max_events,
+                confidence=self.confidence,
+                precision=precision,
+            )
+            if estimate.meets_target(target) or estimate.misses_target(target):
                 break
-        return final
+            num_runs *= 2
+        return estimate
 
 
 def drive_threshold_searches(
@@ -430,12 +377,11 @@ def drive_threshold_searches(
 ) -> list[ThresholdEstimate]:
     """Run several threshold searches concurrently in lock-step rounds.
 
-    Each round concatenates the pending probe lists of every unfinished
-    search (in search order) and hands the flat list to *probe_runner*; the
-    returned estimates are split back and resume the searches.  Probing is
-    sequential within a search round, so this round structure is what
-    exposes cross-search (and, with ``fanout > 1``, within-search) batching —
-    the sweep scheduler's runner fuses each round into heterogeneous
+    Each round collects the pending probe of every unfinished search (in
+    search order) and hands the list to *probe_runner*; the returned
+    estimates resume the searches.  Probing is sequential within a search,
+    so this round structure is what exposes cross-search batching — the
+    sweep scheduler's runner fuses each round into heterogeneous
     mega-batches, which is where the sweep-engine speedup on threshold
     experiments comes from.
 
@@ -444,41 +390,30 @@ def drive_threshold_searches(
     """
     searches = list(searches)
     results: dict[int, ThresholdEstimate] = {}
-    pending: dict[int, list[GapProbe]] = {}
+    pending: dict[int, GapProbe] = {}
 
-    def resume(index: int, payload: "Sequence[ConsensusEstimate] | None") -> None:
+    def resume(index: int, estimate: "ConsensusEstimate | None") -> None:
         try:
-            if payload is None:
-                probes = next(searches[index])
+            if estimate is None:
+                pending[index] = next(searches[index])
             else:
-                probes = searches[index].send(payload)
+                pending[index] = searches[index].send(estimate)
         except StopIteration as stop:
             results[index] = stop.value
-        else:
-            if not probes:
-                raise ThresholdSearchError(
-                    f"search {index} yielded an empty probe round"
-                )
-            pending[index] = list(probes)
 
     for index in range(len(searches)):
         resume(index, None)
     while pending:
         order = sorted(pending)
-        round_probes = {index: pending[index] for index in order}
-        pending = {}
-        flat = [probe for index in order for probe in round_probes[index]]
-        estimates = probe_runner(flat)
-        if len(estimates) != len(flat):
+        probes = [pending.pop(index) for index in order]
+        estimates = probe_runner(probes)
+        if len(estimates) != len(probes):
             raise ThresholdSearchError(
                 f"probe runner returned {len(estimates)} estimates "
-                f"for {len(flat)} probes"
+                f"for {len(probes)} probes"
             )
-        offset = 0
-        for index in order:
-            count = len(round_probes[index])
-            resume(index, estimates[offset : offset + count])
-            offset += count
+        for index, estimate in zip(order, estimates):
+            resume(index, estimate)
     return [results[index] for index in range(len(searches))]
 
 

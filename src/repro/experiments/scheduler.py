@@ -80,11 +80,7 @@ from repro.experiments.sweep import (
     placeholder_ensemble,
     plan_members,
 )
-from repro.lv.ensemble import (
-    COLLECT_MODES,
-    DEFAULT_COMPACTION_FRACTION,
-    LVEnsembleResult,
-)
+from repro.lv.ensemble import COLLECT_MODES, LVEnsembleResult
 from repro.lv.native import resolve_engine
 from repro.lv.params import LVParams
 from repro.lv.tau import BACKENDS, DEFAULT_TAU_EPSILON, resolve_backend
@@ -117,14 +113,6 @@ __all__ = [
 #: per-step overhead across the batch, small enough that process-parallel
 #: sweeps still have several batches to distribute.
 DEFAULT_BATCH_SIZE = 512
-
-#: Default threshold-search fanout for fused sweeps.  ``1`` (classic
-#: bisection) measures fastest on the quick-scale sweeps: the extra probes of
-#: a wider fanout cost real per-replica work, which outweighs the saved
-#: sequential rounds once several searches already share each mega-batch.
-#: Larger fanouts remain available per :class:`ThresholdRequest` for sweeps
-#: with few concurrent searches.
-DEFAULT_THRESHOLD_FANOUT = 1
 
 
 def _jobs_sanity_limit() -> int:
@@ -375,7 +363,6 @@ class ThresholdRequest:
     max_gap: int | None = None
     max_events: int = DEFAULT_MAX_EVENTS
     seed: SeedLike = None
-    fanout: int = DEFAULT_THRESHOLD_FANOUT
     #: Per-request precision override; ``None`` falls back to the sweep-level
     #: target (the ``target`` argument of ``find_thresholds``, then the
     #: scheduler's ``precision``), and fixed budgets when all are ``None``.
@@ -409,10 +396,6 @@ class SweepScheduler:
         (:func:`~repro.experiments.workloads.replica_batches`), each with
         its own seed spawned from the task's root seed.  The decomposition
         fixes the seeds, so unlike *sweep_batch* it selects the results.
-    compaction_fraction:
-        Active-set compaction threshold forwarded to the lock-step engine
-        (see :mod:`repro.lv.ensemble`); ``None`` disables compaction.
-        Results are bitwise-independent of this knob.
     backend:
         Simulation backend for every executed member: ``"exact"`` (the
         default — the bitwise-reproducible lock-step jump-chain engine),
@@ -437,10 +420,10 @@ class SweepScheduler:
         mega-batch finishes, and members whose keys are already journaled
         are **replayed from the store instead of simulated** — making every
         entry point cache-first and every interrupted run resumable
-        bitwise-identically (the chunk keys deliberately exclude ``jobs``,
-        ``sweep_batch``, and ``compaction_fraction``, which the engine
-        contract guarantees never change results).  ``None`` (the
-        default) keeps the recompute-always behaviour with zero overhead.
+        bitwise-identically (the chunk keys deliberately exclude ``jobs``
+        and ``sweep_batch``, which the engine contract guarantees never
+        change results).  ``None`` (the default) keeps the
+        recompute-always behaviour with zero overhead.
     sweep_batch:
         Mega-batch width: the most replicas advanced per lock-step
         iteration.  Purely an execution knob.
@@ -482,7 +465,6 @@ class SweepScheduler:
 
     jobs: int = 1
     batch_size: int = DEFAULT_BATCH_SIZE
-    compaction_fraction: float | None = DEFAULT_COMPACTION_FRACTION
     backend: str = "exact"
     tau_epsilon: float = DEFAULT_TAU_EPSILON
     pool: WorkerPool = field(default_factory=WorkerPool, repr=False, compare=False)
@@ -543,11 +525,6 @@ class SweepScheduler:
             )
         if self.batch_size < 1:
             raise ExperimentError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.compaction_fraction is not None and not 0.0 < self.compaction_fraction <= 1.0:
-            raise ExperimentError(
-                "compaction_fraction must be in (0, 1] or None, "
-                f"got {self.compaction_fraction}"
-            )
         if self.backend not in BACKENDS:
             raise ExperimentError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
@@ -1109,7 +1086,7 @@ class SweepScheduler:
             plan_spans.append(misses[cursor : cursor + len(plan)])
             cursor += len(plan)
         units = [
-            (plan, self.compaction_fraction, collect, self.backend, self.tau_epsilon)
+            (plan, collect, self.backend, self.tau_epsilon)
             for plan in plans
         ]
 
@@ -1403,7 +1380,6 @@ class SweepScheduler:
                 request.params,
                 num_runs=request.num_runs,
                 max_events=request.max_events,
-                fanout=request.fanout,
                 precision=request.precision or target,
             ).search_steps(
                 request.population_size,

@@ -41,16 +41,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.statistics import PrecisionTarget, wilson_half_width
-from repro.consensus.estimator import (
-    DEFAULT_WAVE_QUANTUM,
-    adaptive_goal_chunks,
-    chunk_ladder_size,
-)
 from repro.exceptions import ExperimentError
 from repro.experiments.workloads import replica_batches
 from repro.faults import inject_execution_faults
 from repro.lv.ensemble import (
-    DEFAULT_COMPACTION_FRACTION,
     LVEnsembleResult,
     SweepMember,
     run_sweep_ensemble,
@@ -74,6 +68,8 @@ __all__ = [
     "MemberSpec",
     "AdaptiveTaskState",
     "AdaptiveSweepReport",
+    "adaptive_goal_chunks",
+    "chunk_ladder_size",
     "plan_members",
     "plan_mega_batches",
     "pack_members",
@@ -271,7 +267,6 @@ def pack_members(
 
 def execute_mega_batch(
     specs: Sequence[MemberSpec],
-    compaction_fraction: float | None = DEFAULT_COMPACTION_FRACTION,
     collect: str = "full",
     backend: str = "exact",
     tau_epsilon: float = DEFAULT_TAU_EPSILON,
@@ -319,7 +314,6 @@ def execute_mega_batch(
             group_results = run_sweep_ensemble(
                 [specs[i].to_member() for i in positions],
                 member_seeds=[specs[i].seed for i in positions],
-                compaction_fraction=compaction_fraction,
                 collect=collect,
             )
         else:
@@ -424,22 +418,71 @@ def placeholder_ensemble(
 # Adaptive-precision waves
 # ----------------------------------------------------------------------
 
+#: Replicates per adaptive chunk — the allocation quantum of sequential
+#: waves.  Every configuration's replicate stream is cut into a fixed
+#: *chunk ladder* of this size (the last rung truncated at the target's
+#: ``max_replicates``), with one prefix-stable seed per rung
+#: (:func:`repro.rng.spawn_seeds`), so interim results — and therefore every
+#: stopping decision — depend only on which rungs executed, never on how
+#: they were grouped into waves, fused into mega-batches, or spread over
+#: worker processes.
+DEFAULT_WAVE_QUANTUM = 64
+
+#: Per-wave growth cap: one wave may at most triple a configuration's
+#: executed rung count.  Interim variance estimates can be far off early
+#: on; the cap bounds any single plan's overshoot while still reaching any
+#: budget in logarithmically many waves.
+_WAVE_GROWTH_FACTOR = 2
+
+
+def chunk_ladder_size(target: PrecisionTarget, quantum: int, rung: int) -> int:
+    """Replicates on ladder *rung* (the last rung truncates at the cap)."""
+    return min(quantum, target.max_replicates - rung * quantum)
+
+
+def adaptive_goal_chunks(
+    target: PrecisionTarget,
+    quantum: int,
+    chunks_done: int,
+    successes: int,
+    replicates: int,
+    times: np.ndarray,
+) -> int:
+    """Ladder rungs the next wave should reach for one configuration.
+
+    The first wave covers the target's ``min_replicates``; follow-up waves
+    size themselves by the variance-aware plan
+    (:meth:`~repro.analysis.statistics.PrecisionTarget.replicates_needed`),
+    clamped by the per-wave growth cap, and always advance by at least one
+    rung so an under-estimating plan can never stall a configuration.
+    """
+    ladder = -(-target.max_replicates // quantum)
+    if chunks_done >= ladder:
+        return ladder
+    if chunks_done == 0:
+        needed = target.min_replicates
+        goal = -(-min(needed, target.max_replicates) // quantum)
+    else:
+        needed = target.replicates_needed(successes, replicates, times)
+        goal = -(-min(needed, target.max_replicates) // quantum)
+        ceiling = chunks_done * (_WAVE_GROWTH_FACTOR + 1)
+        goal = max(chunks_done + 1, min(goal, ceiling))
+    return min(goal, ladder)
+
+
 class AdaptiveTaskState:
     """Chunk accounting and interim statistics of one adaptive-sweep task.
 
     The task's replicate stream is the fixed chunk ladder of
-    :data:`repro.consensus.estimator.DEFAULT_WAVE_QUANTUM`-sized rungs with
-    prefix-stable per-rung seeds; :meth:`allocate` hands out the next rungs
-    (sized by the shared variance-aware rule
-    :func:`~repro.consensus.estimator.adaptive_goal_chunks`), :meth:`absorb`
-    folds the executed chunk results in, and :meth:`evaluate` applies the
+    :data:`DEFAULT_WAVE_QUANTUM`-sized rungs with prefix-stable per-rung
+    seeds; :meth:`allocate` hands out the next rungs (sized by the
+    variance-aware rule :func:`adaptive_goal_chunks`), :meth:`absorb` folds
+    the executed chunk results in, and :meth:`evaluate` applies the
     sequential stopping rule.  Combined with the engine's per-member
     streams, interim results — and therefore every stopping decision — are
     bitwise-independent of wave grouping, ``sweep_batch`` packing, and
-    worker count, and identical to the standalone
-    :func:`~repro.consensus.estimator.run_adaptive_ensemble` path.
-    ``task.num_runs`` is not consulted — in adaptive mode the precision
-    target owns the budget (the fixed-budget path is the
+    worker count.  ``task.num_runs`` is not consulted — in adaptive mode the
+    precision target owns the budget (the fixed-budget path is the
     exact-reproducibility alternative).
     """
 
@@ -492,8 +535,7 @@ class AdaptiveTaskState:
     def allocate(self) -> list[MemberSpec]:
         """Member specs for this task's next wave (empty when settled).
 
-        Wave sizing follows the shared rule
-        (:func:`~repro.consensus.estimator.adaptive_goal_chunks`): cover
+        Wave sizing follows :func:`adaptive_goal_chunks`: cover
         ``min_replicates`` first, then the variance-aware plan under the
         growth cap, always at least one rung.
         """

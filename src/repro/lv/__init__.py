@@ -10,10 +10,11 @@ Section 1.3 and the deterministic ODE of Section 2.1:
 * :class:`~repro.lv.simulator.LVJumpChainSimulator` — a fast, specialised
   jump-chain simulator for the two-species system with per-event
   classification and gap/noise accounting,
-* :class:`~repro.lv.ensemble.LVEnsembleSimulator` — the vectorized replica
-  engine that advances a whole batch of jump chains in lock-step with the
-  same event accounting (the workhorse of the experiments),
-* :class:`~repro.lv.tau.LVTauEnsembleSimulator` — the approximate
+* :func:`~repro.lv.ensemble.run_sweep_ensemble` — the exact lock-step
+  engine: it advances a batch of :class:`~repro.lv.ensemble.SweepMember`
+  configurations' jump chains together, with the same event accounting
+  (the workhorse of the experiments; one configuration is one member),
+* :func:`~repro.lv.tau.run_tau_sweep_ensemble` — the approximate
   large-``n`` backend: vectorized tau-leaping with an exact scalar endgame
   (selectable via ``backend="exact"|"tau"|"auto"`` throughout the
   experiment stack),
@@ -25,12 +26,11 @@ Section 1.3 and the deterministic ODE of Section 2.1:
 from repro.lv.params import CompetitionMechanism, LVParams
 from repro.lv.state import LVState
 from repro.lv.simulator import LVJumpChainSimulator, LVRunResult, StepRecord
-from repro.lv.ensemble import LVEnsembleSimulator, LVEnsembleResult
+from repro.lv.ensemble import LVEnsembleResult, SweepMember, run_sweep_ensemble
 from repro.lv.tau import (
     BACKENDS,
     DEFAULT_TAU_EPSILON,
     DEFAULT_TAU_POPULATION,
-    LVTauEnsembleSimulator,
     resolve_backend,
     run_tau_sweep_ensemble,
 )
@@ -41,16 +41,16 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_TAU_EPSILON",
     "DEFAULT_TAU_POPULATION",
-    "LVTauEnsembleSimulator",
     "resolve_backend",
     "run_tau_sweep_ensemble",
+    "SweepMember",
+    "run_sweep_ensemble",
     "CompetitionMechanism",
     "LVParams",
     "LVState",
     "LVJumpChainSimulator",
     "LVRunResult",
     "StepRecord",
-    "LVEnsembleSimulator",
     "LVEnsembleResult",
     "DeterministicLV",
     "ODEResult",

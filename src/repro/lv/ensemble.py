@@ -18,9 +18,8 @@ rates ``beta/delta/alpha0/alpha1/gamma0/gamma1``, the competition mechanism,
 the initial counts, and the event budget are per-replica quantities, so one
 mega-batch can advance replicas drawn from *different* experiment
 configurations simultaneously (see :class:`SweepMember` and
-:func:`run_sweep_ensemble`).  Single-configuration batches
-(:meth:`LVEnsembleSimulator.run_ensemble`) are the one-member special case of
-the same core.
+:func:`run_sweep_ensemble`, the engine's one entry point).  A single
+configuration is a one-member batch.
 
 The ensemble produces exactly the same per-replica event accounting as the
 scalar simulator — ``I(S)`` (individual events), ``K(S)`` (competitive
@@ -110,7 +109,6 @@ from repro.scenario.spec import (
 )
 
 __all__ = [
-    "LVEnsembleSimulator",
     "LVEnsembleResult",
     "SweepMember",
     "run_sweep_ensemble",
@@ -1315,83 +1313,3 @@ def _finish_member_tail(
         code = merge_scalar_tail_run(state, i, result, mid_state, reference)
         if code is not None:
             outputs.termination[where] = code
-
-
-class LVEnsembleSimulator:
-    """Advance a batch of independent two-species jump chains in lock-step.
-
-    The one-configuration front end of the heterogeneous lock-step core
-    (:func:`run_sweep_ensemble`): every replica shares *params*, the initial
-    state, and the event budget.
-
-    Parameters
-    ----------
-    params:
-        Rates and competition mechanism, shared by all replicas.
-    compaction_fraction:
-        Active-set compaction threshold forwarded to the lock-step core;
-        results are bitwise-independent of it.
-
-    Examples
-    --------
-    >>> params = LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0)
-    >>> ensemble = LVEnsembleSimulator(params).run_ensemble(LVState(40, 20), 32, rng=7)
-    >>> ensemble.num_replicates
-    32
-    >>> bool(ensemble.reached_consensus.all())
-    True
-    """
-
-    def __init__(
-        self,
-        params: LVParams,
-        *,
-        compaction_fraction: float | None = DEFAULT_COMPACTION_FRACTION,
-    ):
-        self.params = params
-        self.compaction_fraction = compaction_fraction
-
-    # ------------------------------------------------------------------
-    def run_ensemble(
-        self,
-        initial_state: LVState | tuple[int, int],
-        num_replicates: int,
-        *,
-        rng: SeedLike = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ) -> LVEnsembleResult:
-        """Run *num_replicates* independent jump chains from *initial_state*.
-
-        All replicas consume one shared vectorized random stream derived from
-        *rng*, so the ensemble is reproducible from the root seed.  Each
-        replica is statistically identical to a scalar
-        :meth:`LVJumpChainSimulator.run
-        <repro.lv.simulator.LVJumpChainSimulator.run>` trajectory.
-        """
-        state = LVJumpChainSimulator._coerce_state(initial_state)
-        if num_replicates <= 0:
-            raise InvalidConfigurationError(
-                f"num_replicates must be positive, got {num_replicates}"
-            )
-        if max_events <= 0:
-            raise ValueError(f"max_events must be positive, got {max_events}")
-        member = SweepMember(self.params, state, num_replicates, max_events)
-        return run_sweep_ensemble(
-            [member],
-            rng=rng,
-            compaction_fraction=self.compaction_fraction,
-        )[0]
-
-    # ------------------------------------------------------------------
-    def run_batch(
-        self,
-        initial_state: LVState | tuple[int, int],
-        num_runs: int,
-        *,
-        rng: SeedLike = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ) -> list[LVRunResult]:
-        """Vectorized drop-in for :meth:`LVJumpChainSimulator.run_batch`."""
-        return self.run_ensemble(
-            initial_state, num_runs, rng=rng, max_events=max_events
-        ).to_run_results()

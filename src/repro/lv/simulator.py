@@ -342,49 +342,6 @@ class LVJumpChainSimulator:
         )
 
     # ------------------------------------------------------------------
-    # Batches
-    # ------------------------------------------------------------------
-    def run_batch(
-        self,
-        initial_state: LVState | tuple[int, int],
-        num_runs: int,
-        *,
-        rng: SeedLike = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ) -> list[LVRunResult]:
-        """Run *num_runs* independent trajectories from the same initial state."""
-        if num_runs <= 0:
-            raise ValueError(f"num_runs must be positive, got {num_runs}")
-        generator = as_generator(rng)
-        return [
-            self.run(initial_state, rng=generator, max_events=max_events)
-            for _ in range(num_runs)
-        ]
-
-    def majority_success_count(
-        self,
-        initial_state: LVState | tuple[int, int],
-        num_runs: int,
-        *,
-        rng: SeedLike = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ) -> int:
-        """Number of runs (out of *num_runs*) that reach majority consensus.
-
-        A lighter-weight alternative to :meth:`run_batch` when only the success
-        indicator matters (the common case for threshold estimation).
-        """
-        if num_runs <= 0:
-            raise ValueError(f"num_runs must be positive, got {num_runs}")
-        generator = as_generator(rng)
-        successes = 0
-        for _ in range(num_runs):
-            result = self.run(initial_state, rng=generator, max_events=max_events)
-            if result.majority_consensus:
-                successes += 1
-        return successes
-
-    # ------------------------------------------------------------------
     # Transition structure (used by exact solvers and the pseudo-coupling)
     # ------------------------------------------------------------------
     def transition_distribution(self, state: LVState) -> dict[tuple[int, int], float]:

@@ -74,7 +74,7 @@ from repro.lv.ensemble import (
     merge_scalar_tail_run,
 )
 from repro.lv.params import LVParams
-from repro.lv.simulator import DEFAULT_MAX_EVENTS, LVJumpChainSimulator
+from repro.lv.simulator import LVJumpChainSimulator
 from repro.lv.state import LVState
 from repro.rng import SeedLike, spawn_generators, spawn_seeds
 
@@ -92,7 +92,6 @@ __all__ = [
     "DEFAULT_TAU_EPSILON",
     "DEFAULT_TAU_POPULATION",
     "DEFAULT_EXACT_TAIL_POPULATION",
-    "LVTauEnsembleSimulator",
     "resolve_backend",
     "run_tau_sweep_ensemble",
 ]
@@ -177,6 +176,11 @@ def run_tau_sweep_ensemble(
     (one root seed per member spawning a step and a tail stream), and
     members are simulated independently, so a member's results are
     bitwise-identical to running it alone regardless of batch composition.
+
+    A member's event budget and its results' ``total_events`` are metered
+    in estimated reaction firings (leaps) plus exact events (tail), the same
+    unit as the exact engine; a replica may overshoot its budget by at most
+    one leap's firings.
 
     Parameters
     ----------
@@ -595,92 +599,3 @@ def _finish_exact_tail(
         code = merge_scalar_tail_run(outputs, where, result, mid_state, reference)
         if code is not None:
             outputs.termination[where] = code
-
-
-class LVTauEnsembleSimulator:
-    """Approximate large-``n`` twin of :class:`~repro.lv.ensemble.LVEnsembleSimulator`.
-
-    Advances a batch of independent two-species replicas by vectorized
-    Poisson tau-leaps (see the module docstring), handing each replica to
-    the exact scalar simulator once its population drops to the
-    *exact_tail_population* endgame.  Results are seed-deterministic but not
-    bitwise-comparable to the exact engine's; statistical agreement is
-    enforced by the test suite.
-
-    Parameters
-    ----------
-    params:
-        Rates and competition mechanism, shared by all replicas.
-    epsilon:
-        Tau-selection accuracy (bounded relative propensity change).
-    exact_tail_population:
-        Population at which replicas switch to the exact scalar endgame
-        (``0`` disables the handoff).
-
-    Examples
-    --------
-    >>> params = LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0)
-    >>> simulator = LVTauEnsembleSimulator(params)
-    >>> ensemble = simulator.run_ensemble(LVState(600_000, 400_000), 4, rng=7)
-    >>> bool(ensemble.reached_consensus.all())
-    True
-    """
-
-    def __init__(
-        self,
-        params: LVParams,
-        *,
-        epsilon: float = DEFAULT_TAU_EPSILON,
-        exact_tail_population: int = DEFAULT_EXACT_TAIL_POPULATION,
-    ):
-        _validate_epsilon(epsilon)
-        if exact_tail_population < 0:
-            raise InvalidConfigurationError(
-                f"exact_tail_population must be non-negative, got {exact_tail_population}"
-            )
-        self.params = params
-        self.epsilon = epsilon
-        self.exact_tail_population = exact_tail_population
-
-    def run_ensemble(
-        self,
-        initial_state: LVState | tuple[int, int],
-        num_replicates: int,
-        *,
-        rng: SeedLike = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ) -> LVEnsembleResult:
-        """Run *num_replicates* tau-leaping replicas from *initial_state*.
-
-        The event budget and the returned ``total_events`` are metered in
-        estimated reaction firings (leaps) plus exact events (tail), the
-        same unit as the exact engine; a replica may overshoot the budget
-        by at most one leap's firings.
-        """
-        state = LVJumpChainSimulator._coerce_state(initial_state)
-        if num_replicates <= 0:
-            raise InvalidConfigurationError(
-                f"num_replicates must be positive, got {num_replicates}"
-            )
-        if max_events <= 0:
-            raise ValueError(f"max_events must be positive, got {max_events}")
-        member = SweepMember(self.params, state, num_replicates, max_events)
-        return run_tau_sweep_ensemble(
-            [member],
-            rng=rng,
-            epsilon=self.epsilon,
-            exact_tail_population=self.exact_tail_population,
-        )[0]
-
-    def run_batch(
-        self,
-        initial_state: LVState | tuple[int, int],
-        num_runs: int,
-        *,
-        rng: SeedLike = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ) -> list:
-        """Per-replica :class:`~repro.lv.simulator.LVRunResult` view of an ensemble."""
-        return self.run_ensemble(
-            initial_state, num_runs, rng=rng, max_events=max_events
-        ).to_run_results()

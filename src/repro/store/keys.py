@@ -133,8 +133,8 @@ def scheduler_fingerprint(scheduler: Any) -> dict[str, Any]:
     Includes ``batch_size`` (fixed-budget chunk decomposition derives
     per-batch seeds from it), ``wave_quantum`` (the adaptive chunk ladder),
     the backend selector, ``tau_epsilon``, and the precision target.
-    Excludes ``jobs``, ``sweep_batch``, and ``compaction_fraction``:
-    results are bitwise-independent of them by the sweep engine's contract,
+    Excludes ``jobs`` and ``sweep_batch``: results are
+    bitwise-independent of them by the sweep engine's contract,
     so runs executed with different parallelism still share cache entries.
     """
     precision = getattr(scheduler, "precision", None)

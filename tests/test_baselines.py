@@ -1,4 +1,4 @@
-"""Tests for the baseline protocols and prior-work models."""
+"""Tests for the prior-work baseline models."""
 
 from __future__ import annotations
 
@@ -6,100 +6,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.andaur_resource import AndaurResourceModel
-from repro.baselines.approximate_majority import ApproximateMajorityProtocol
 from repro.baselines.cho_growth import ChoGrowthModel
-from repro.baselines.exact_majority import ExactMajorityProtocol
-from repro.baselines.population import PopulationProtocol
-from repro.exceptions import InvalidConfigurationError, ModelError
+from repro.exceptions import ModelError
 from repro.lv.state import LVState
-
-
-class TestPopulationProtocolScheduler:
-    def test_initial_counts(self):
-        protocol = ApproximateMajorityProtocol()
-        counts = protocol.initial_counts(7, 3)
-        assert counts["A"] == 7 and counts["B"] == 3 and counts["U"] == 0
-
-    def test_initial_counts_validation(self):
-        protocol = ApproximateMajorityProtocol()
-        with pytest.raises(InvalidConfigurationError):
-            protocol.initial_counts(0, 3)
-
-    def test_population_of_one_rejected(self):
-        protocol = ApproximateMajorityProtocol()
-        with pytest.raises(InvalidConfigurationError):
-            protocol.run(1, 0)
-
-    def test_population_size_conserved(self):
-        protocol = ApproximateMajorityProtocol()
-        result = protocol.run(30, 20, rng=0)
-        assert sum(result.final_counts.values()) == 50
-
-    def test_unimplemented_protocol_raises(self):
-        class Empty(PopulationProtocol):
-            states = ("s",)
-
-        with pytest.raises(NotImplementedError):
-            Empty().run(2, 1, rng=0)
-
-
-class TestApproximateMajority:
-    def test_converges_to_majority_with_large_gap(self):
-        protocol = ApproximateMajorityProtocol()
-        wins = sum(
-            protocol.run(70, 30, rng=seed).majority_consensus for seed in range(20)
-        )
-        assert wins >= 18
-
-    def test_transition_table(self):
-        protocol = ApproximateMajorityProtocol()
-        assert protocol.transition("A", "B") == ("A", "U")
-        assert protocol.transition("B", "A") == ("B", "U")
-        assert protocol.transition("A", "U") == ("A", "A")
-        assert protocol.transition("B", "U") == ("B", "B")
-        assert protocol.transition("A", "A") == ("A", "A")
-        assert protocol.transition("U", "A") == ("U", "A")
-
-    def test_interaction_count_near_linear(self):
-        """With a constant-fraction gap the protocol finishes in O(n log n) interactions."""
-        protocol = ApproximateMajorityProtocol()
-        n = 300
-        result = protocol.run(200, 100, rng=1)
-        assert result.converged
-        assert result.interactions < 40 * n * np.log(n)
-
-    def test_small_gap_can_fail(self):
-        """With gap 2 the protocol errs with noticeable probability (approximate majority)."""
-        protocol = ApproximateMajorityProtocol()
-        outcomes = [protocol.run(26, 24, rng=seed).output for seed in range(40)]
-        assert 1 in outcomes or outcomes.count(0) < 40
-
-
-class TestExactMajority:
-    def test_always_correct_with_positive_gap(self):
-        protocol = ExactMajorityProtocol()
-        for seed in range(15):
-            result = protocol.run(27, 23, rng=seed)
-            assert result.converged
-            assert result.output == 0
-
-    def test_correct_even_with_gap_one(self):
-        protocol = ExactMajorityProtocol()
-        wins = [protocol.run(16, 15, rng=seed).majority_consensus for seed in range(10)]
-        assert all(wins)
-
-    def test_transition_table(self):
-        protocol = ExactMajorityProtocol()
-        assert protocol.transition("A", "B") == ("a", "b")
-        assert protocol.transition("B", "A") == ("b", "a")
-        assert protocol.transition("A", "b") == ("A", "a")
-        assert protocol.transition("B", "a") == ("B", "b")
-        assert protocol.transition("a", "b") == ("a", "b")
-
-    def test_outputs(self):
-        protocol = ExactMajorityProtocol()
-        assert protocol.output("A") == protocol.output("a") == 0
-        assert protocol.output("B") == protocol.output("b") == 1
 
 
 class TestChoGrowthModel:

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from repro.consensus.estimator import (
-    MajorityConsensusEstimator,
     estimate_majority_probability,
     summarise_ensemble,
     summarise_runs,
 )
 from repro.consensus.gap import gap_trace_from_run
 from repro.consensus.noise import decompose_noise
-from repro.exceptions import EstimationError
-from repro.lv.ensemble import LVEnsembleSimulator
+from repro.exceptions import EstimationError, InvalidConfigurationError
+from repro.lv.ensemble import SweepMember, run_sweep_ensemble
 from repro.lv.params import LVParams
 from repro.lv.simulator import LVJumpChainSimulator
 from repro.lv.state import LVState
@@ -62,20 +61,23 @@ class TestEstimator:
         assert coin_flip.misses_target(0.9)
 
     def test_invalid_run_count(self, sd_params):
-        estimator = MajorityConsensusEstimator(sd_params)
         with pytest.raises(EstimationError):
-            estimator.estimate(LVState(5, 3), 0)
+            estimate_majority_probability(sd_params, LVState(5, 3), num_runs=0)
 
     def test_invalid_confidence(self, sd_params):
         with pytest.raises(EstimationError):
-            MajorityConsensusEstimator(sd_params, confidence=1.5)
+            estimate_majority_probability(sd_params, LVState(5, 3), confidence=1.5)
+
+    def test_invalid_event_budget_is_a_library_error(self, sd_params):
+        with pytest.raises(InvalidConfigurationError, match="max_events"):
+            estimate_majority_probability(sd_params, LVState(5, 3), max_events=0)
 
     def test_summarise_empty_batch_rejected(self):
         with pytest.raises(EstimationError):
             summarise_runs([])
 
     def test_summarise_ensemble_rejects_unknown_level(self, sd_params):
-        ensemble = LVEnsembleSimulator(sd_params).run_ensemble(LVState(12, 8), 10, rng=0)
+        (ensemble,) = run_sweep_ensemble([SweepMember(sd_params, LVState(12, 8), 10)], rng=0)
         with pytest.raises(EstimationError, match="collected must be one of"):
             summarise_ensemble(ensemble, collected="bogus")
 
@@ -153,3 +155,7 @@ class TestNoiseDecomposition:
     def test_invalid_run_count(self, sd_params):
         with pytest.raises(EstimationError):
             decompose_noise(sd_params, LVState(10, 6), num_runs=0)
+
+    def test_invalid_event_budget_is_a_library_error(self, sd_params):
+        with pytest.raises(InvalidConfigurationError, match="max_events"):
+            decompose_noise(sd_params, LVState(10, 6), max_events=0)

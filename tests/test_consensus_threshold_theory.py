@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import math
 
 import pytest
 
-from repro.analysis.statistics import PrecisionTarget
+from repro.analysis.statistics import PrecisionTarget, binomial_estimate
+from repro.consensus.estimator import estimate_majority_probability
 from repro.consensus.exact import (
     applies_proportional_rule,
     no_competition_win_probability,
@@ -18,8 +20,12 @@ from repro.consensus.theory import (
     predicted_threshold,
     predicted_threshold_curve,
 )
-from repro.consensus.threshold import ThresholdSearch, find_threshold
-from repro.exceptions import ModelError, ThresholdSearchError
+from repro.consensus.threshold import (
+    ThresholdSearch,
+    drive_threshold_searches,
+    find_threshold,
+)
+from repro.exceptions import EstimationError, ModelError, ThresholdSearchError
 from repro.experiments.scheduler import SweepScheduler, ThresholdRequest
 from repro.lv.params import LVParams
 from repro.lv.regimes import Table1Row
@@ -76,6 +82,42 @@ class TestThresholdSearch:
     def test_invalid_num_runs(self, sd_params):
         with pytest.raises(ThresholdSearchError):
             ThresholdSearch(sd_params, num_runs=0)
+
+    @pytest.mark.parametrize(
+        "threshold, schedule",
+        [
+            (30, [62, 1, 31, 16, 23, 27, 29, 30]),
+            (1, [62, 1]),
+            (63, [62]),
+        ],
+    )
+    def test_bisection_probes_endpoints_then_midpoints(self, sd_params, threshold, schedule):
+        """High end, low end, then (low + high) // 2 until the bracket closes."""
+        template = estimate_majority_probability(sd_params, (3, 1), num_runs=1, rng=0)
+        probed = []
+
+        def runner(probes):
+            probed.extend(probe.gap for probe in probes)
+            # Clear-cut answers (200/200 or 0/200) need no refinement round.
+            return [
+                dataclasses.replace(
+                    template,
+                    success=binomial_estimate(
+                        200 if probe.gap >= threshold else 0, 200, confidence=0.9
+                    ),
+                )
+                for probe in probes
+            ]
+
+        search = ThresholdSearch(sd_params, num_runs=200).search_steps(64, rng=1)
+        (estimate,) = drive_threshold_searches([search], runner)
+        assert probed == schedule
+        assert estimate.threshold_gap == (threshold if threshold <= 62 else None)
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5])
+    def test_invalid_confidence_rejected_at_construction(self, sd_params, confidence):
+        with pytest.raises(EstimationError, match="confidence"):
+            ThresholdSearch(sd_params, confidence=confidence)
 
     def test_find_refuses_a_precision_target(self, sd_params):
         """find() runs fixed budgets; the scheduler is the driver that sizes probes."""

@@ -4,8 +4,7 @@ Covers the sequential-stopping statistics (:class:`PrecisionTarget` and the
 variance-aware planning helpers), the scheduler's adaptive waves (retiring,
 exhaustion, mid-wave convergence, zero-allocation waves), the invariance
 contract (same seeds ⇒ bitwise-identical estimates and retired set
-regardless of ``sweep_batch``, ``batch_size``, ``jobs``, and execution
-path), the adaptive threshold probes, and the shared :class:`WorkerPool`
+regardless of ``sweep_batch``, ``batch_size`` and ``jobs``), the adaptive threshold probes, and the shared :class:`WorkerPool`
 lifecycle satellite.
 """
 
@@ -22,7 +21,6 @@ from repro.analysis.statistics import (
     required_samples,
     wilson_half_width,
 )
-from repro.consensus.estimator import run_adaptive_ensemble
 from repro.exceptions import EstimationError, ExperimentError
 from repro.experiments.scheduler import (
     SweepScheduler,
@@ -171,18 +169,6 @@ class TestAdaptiveSweep:
                 assert np.array_equal(a.total_events, b.total_events), overrides
                 assert np.array_equal(a.final_x0, b.final_x0), overrides
             scheduler.shutdown()
-
-    def test_standalone_path_matches_scheduler_bitwise(self, sd_params, nsd_params):
-        target = PrecisionTarget(ci_half_width=0.04)
-        tasks = [_easy_task(sd_params, seed=11), _hard_task(nsd_params, seed=22)]
-        fused = SweepScheduler().run_sweep_adaptive(tasks, target=target)
-        for task, result in zip(tasks, fused):
-            standalone = run_adaptive_ensemble(
-                task.params, task.initial_state, target, rng=task.seed
-            )
-            assert standalone.num_replicates == result.num_replicates
-            assert np.array_equal(standalone.total_events, result.total_events)
-            assert np.array_equal(standalone.final_x0, result.final_x0)
 
     def test_exhausted_task_reports_unconverged(self, nsd_params):
         # A width no 192-replicate budget can reach for p near 1/2.

@@ -15,7 +15,7 @@ import pytest
 
 import repro.experiments.scheduler as scheduler_module
 from repro.analysis.statistics import PrecisionTarget
-from repro.consensus.estimator import summarise_ensemble
+from repro.consensus.estimator import estimate_majority_probability, summarise_ensemble
 from repro.consensus.threshold import ThresholdSearch, drive_threshold_searches
 from repro.exceptions import ExperimentError, PoisonChunkError, ThresholdSearchError
 from repro.experiments.scheduler import (
@@ -31,9 +31,9 @@ from repro.experiments.sweep import (
     plan_mega_batches,
 )
 from repro.experiments.workloads import replica_batches
-from repro.lv.ensemble import LVEnsembleResult, LVEnsembleSimulator
+from repro.lv.ensemble import LVEnsembleResult, SweepMember, run_sweep_ensemble
 from repro.lv.state import LVState
-from repro.lv.tau import LVTauEnsembleSimulator, resolve_backend
+from repro.lv.tau import resolve_backend, run_tau_sweep_ensemble
 from repro.rng import spawn_seeds
 from repro.store.store import ExperimentStore
 
@@ -72,7 +72,7 @@ _ACCOUNTING_FIELDS = (
 
 
 def _per_config_replay(task, scheduler):
-    """The task's budget run batch by batch on the one-configuration simulators.
+    """The task's budget run batch by batch, one one-member engine call each.
 
     The budget is split into ``replica_batches(num_runs, batch_size)``,
     batch ``i`` is seeded with ``spawn_seeds(task.seed, k)[i]``, and the
@@ -81,18 +81,17 @@ def _per_config_replay(task, scheduler):
     sizes = replica_batches(task.num_runs, scheduler.batch_size)
     seeds = spawn_seeds(task.seed, len(sizes))
     backend = resolve_backend(task.backend or scheduler.backend, sum(task.counts))
-    if backend == "tau":
-        simulator = LVTauEnsembleSimulator(task.params, epsilon=scheduler.tau_epsilon)
-    else:
-        simulator = LVEnsembleSimulator(task.params)
-    return LVEnsembleResult.concatenate(
-        [
-            simulator.run_ensemble(
-                task.initial_state, size, rng=seed, max_events=task.max_events
+    batches = []
+    for size, seed in zip(sizes, seeds):
+        member = SweepMember(task.params, task.initial_state, size, task.max_events)
+        if backend == "tau":
+            (batch,) = run_tau_sweep_ensemble(
+                [member], rng=seed, epsilon=scheduler.tau_epsilon
             )
-            for size, seed in zip(sizes, seeds)
-        ]
-    )
+        else:
+            (batch,) = run_sweep_ensemble([member], rng=seed)
+        batches.append(batch)
+    return LVEnsembleResult.concatenate(batches)
 
 
 def _level_tasks(sd_params, nsd_params):
@@ -292,24 +291,18 @@ class TestFusedThresholds:
             for gap, estimate in together.probes.items():
                 assert estimate.success == alone.probes[gap].success, gap
 
-    def test_fanout_searches_agree_with_bisection(self, sd_params):
-        narrow = SweepScheduler().find_thresholds(
-            [ThresholdRequest(sd_params, 64, num_runs=80, seed=11, fanout=1)]
-        )[0]
-        wide = SweepScheduler().find_thresholds(
-            [ThresholdRequest(sd_params, 64, num_runs=80, seed=11, fanout=3)]
-        )[0]
-        assert narrow.has_threshold and wide.has_threshold
-        assert 0.4 <= wide.threshold_gap / narrow.threshold_gap <= 2.5
-
     def test_multiplexer_identical_to_single_search(self, sd_params, nsd_params):
         """Sharing rounds must not change any search's probe decisions."""
         single = ThresholdSearch(sd_params, num_runs=60).find(64, rng=5)
 
         def runner(probes):
             return [
-                ThresholdSearch(probe.params, num_runs=probe.num_runs)._estimator.estimate(
-                    probe.initial_state, probe.num_runs, rng=probe.seed
+                estimate_majority_probability(
+                    probe.params,
+                    probe.initial_state,
+                    num_runs=probe.num_runs,
+                    rng=probe.seed,
+                    confidence=probe.confidence,
                 )
                 for probe in probes
             ]
@@ -372,8 +365,3 @@ class TestSchedulerValidation:
                 getattr(scheduler, entry)([task], collect="bogus", **kwargs)
         assert not isinstance(caught.value, PoisonChunkError)
         assert calls == []
-
-    def test_compaction_fraction_validation(self):
-        with pytest.raises(ExperimentError):
-            SweepScheduler(compaction_fraction=0.0)
-        assert SweepScheduler(compaction_fraction=None).compaction_fraction is None

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidConfigurationError
-from repro.lv.ensemble import LVEnsembleResult, LVEnsembleSimulator
-from repro.lv.simulator import LVJumpChainSimulator
+from repro.lv.ensemble import LVEnsembleResult, SweepMember, run_sweep_ensemble
+from repro.lv.simulator import DEFAULT_MAX_EVENTS, LVJumpChainSimulator
 from repro.lv.state import LVState
+from repro.rng import as_generator
 
 from helpers_statistical import assert_statistically_close
 
@@ -23,11 +24,17 @@ STATE = LVState(36, 24)
 
 
 def _scalar_batch(params, state, num_runs, seed):
-    return LVJumpChainSimulator(params).run_batch(state, num_runs, rng=seed)
+    simulator = LVJumpChainSimulator(params)
+    generator = as_generator(seed)
+    return [simulator.run(state, rng=generator) for _ in range(num_runs)]
+
+
+def _ensemble(params, state, num_runs, rng, max_events=DEFAULT_MAX_EVENTS):
+    return run_sweep_ensemble([SweepMember(params, state, num_runs, max_events)], rng=rng)[0]
 
 
 def _ensemble_batch(params, state, num_runs, seed):
-    return LVEnsembleSimulator(params).run_batch(state, num_runs, rng=seed)
+    return _ensemble(params, state, num_runs, seed).to_run_results()
 
 
 class TestStatisticalAgreement:
@@ -63,7 +70,7 @@ class TestExactInvariants:
         assert first != second
 
     def test_event_counts_sum_to_total(self, nsd_params):
-        ensemble = LVEnsembleSimulator(nsd_params).run_ensemble(STATE, 128, rng=3)
+        ensemble = _ensemble(nsd_params, STATE, 128, 3)
         total = (
             ensemble.births.sum(axis=1)
             + ensemble.deaths.sum(axis=1)
@@ -74,17 +81,17 @@ class TestExactInvariants:
 
     def test_sd_competitive_noise_is_zero(self, sd_params):
         """Self-destructive competition never moves the gap (Section 1.5)."""
-        ensemble = LVEnsembleSimulator(sd_params).run_ensemble(STATE, 128, rng=4)
+        ensemble = _ensemble(sd_params, STATE, 128, 4)
         assert np.all(ensemble.noise_competitive == 0)
 
     def test_nsd_competitive_noise_is_nonzero_typically(self, nsd_params):
-        ensemble = LVEnsembleSimulator(nsd_params).run_ensemble(STATE, 128, rng=4)
+        ensemble = _ensemble(nsd_params, STATE, 128, 4)
         assert np.any(ensemble.noise_competitive != 0)
 
     def test_total_noise_equals_gap_change(self, nsd_params):
         """F_ind + F_comp telescopes to the signed gap change of the run."""
         state = LVState(30, 18)
-        ensemble = LVEnsembleSimulator(nsd_params).run_ensemble(state, 96, rng=9)
+        ensemble = _ensemble(nsd_params, state, 96, 9)
         initial_gap = state.x0 - state.x1
         final_gap = ensemble.final_x0 - ensemble.final_x1
         assert np.array_equal(
@@ -93,34 +100,29 @@ class TestExactInvariants:
         )
 
     def test_all_replicas_reach_consensus(self, sd_params):
-        ensemble = LVEnsembleSimulator(sd_params).run_ensemble(STATE, 128, rng=11)
+        ensemble = _ensemble(sd_params, STATE, 128, 11)
         assert bool(ensemble.reached_consensus.all())
         assert ensemble.termination_counts() == {"consensus": 128}
 
     def test_max_events_budget(self, sd_params):
-        ensemble = LVEnsembleSimulator(sd_params).run_ensemble(
-            LVState(400, 380), 32, rng=1, max_events=5
-        )
+        ensemble = _ensemble(sd_params, LVState(400, 380), 32, 1, max_events=5)
         capped = ensemble.termination_codes == 2
         assert capped.any()
         assert np.all(ensemble.total_events[capped] == 5)
 
     def test_winners_match_final_states(self, sd_params):
-        ensemble = LVEnsembleSimulator(sd_params).run_ensemble(STATE, 64, rng=13)
+        ensemble = _ensemble(sd_params, STATE, 64, 13)
         winners = ensemble.winners
         assert np.all((ensemble.final_x1[winners == 0]) == 0)
         assert np.all((ensemble.final_x0[winners == 1]) == 0)
 
     def test_invalid_arguments_rejected(self, sd_params):
-        simulator = LVEnsembleSimulator(sd_params)
         with pytest.raises(InvalidConfigurationError):
-            simulator.run_ensemble(STATE, 0)
-        with pytest.raises(ValueError):
-            simulator.run_ensemble(STATE, 4, max_events=0)
+            _ensemble(sd_params, STATE, 0, 1)
 
 
 class TestRunResultInterop:
-    def test_run_batch_materialises_run_results(self, sd_params):
+    def test_run_results_carry_the_event_accounting(self, sd_params):
         results = _ensemble_batch(sd_params, STATE, 32, seed=21)
         assert len(results) == 32
         for result in results:
@@ -135,7 +137,7 @@ class TestRunResultInterop:
             assert event_total == result.total_events
 
     def test_to_run_results_matches_arrays(self, nsd_params):
-        ensemble = LVEnsembleSimulator(nsd_params).run_ensemble(STATE, 48, rng=23)
+        ensemble = _ensemble(nsd_params, STATE, 48, 23)
         results = ensemble.to_run_results()
         assert [r.total_events for r in results] == list(ensemble.total_events)
         assert [r.noise_competitive for r in results] == list(ensemble.noise_competitive)
@@ -144,17 +146,16 @@ class TestRunResultInterop:
         )
 
     def test_concatenate_preserves_order(self, sd_params):
-        simulator = LVEnsembleSimulator(sd_params)
-        first = simulator.run_ensemble(STATE, 16, rng=31)
-        second = simulator.run_ensemble(STATE, 24, rng=32)
+        first = _ensemble(sd_params, STATE, 16, 31)
+        second = _ensemble(sd_params, STATE, 24, 32)
         merged = LVEnsembleResult.concatenate([first, second])
         assert merged.num_replicates == 40
         assert np.array_equal(merged.total_events[:16], first.total_events)
         assert np.array_equal(merged.total_events[16:], second.total_events)
 
     def test_concatenate_rejects_mismatched_systems(self, sd_params, nsd_params):
-        first = LVEnsembleSimulator(sd_params).run_ensemble(STATE, 8, rng=41)
-        second = LVEnsembleSimulator(nsd_params).run_ensemble(STATE, 8, rng=42)
+        first = _ensemble(sd_params, STATE, 8, 41)
+        second = _ensemble(nsd_params, STATE, 8, 42)
         with pytest.raises(InvalidConfigurationError):
             LVEnsembleResult.concatenate([first, second])
 

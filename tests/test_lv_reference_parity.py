@@ -4,7 +4,7 @@
 replica and one uniform at a time.  Every exact path that ends in the
 lock-step core or the scalar simulator must match it array for array: both
 collect modes, every compaction setting, explicit member seeds, the
-one-configuration front end, the scalar tail field for field, the tau
+one-shot estimators, the scalar tail field for field, the tau
 backend's exact endgame, and the schedulers' planned, packed, parallel and
 adaptive execution.  The last class pins the compatibility seam that
 replaced the removed native engine.
@@ -20,26 +20,35 @@ import numpy as np
 import pytest
 
 from repro.analysis.statistics import PrecisionTarget
-from repro.consensus.estimator import chunk_ladder_seed, chunk_ladder_size
+from repro.baselines.cho_growth import ChoGrowthModel
+from repro.consensus.estimator import estimate_majority_probability, summarise_ensemble
+from repro.consensus.noise import decompose_noise
+from repro.consensus.threshold import ThresholdSearch, drive_threshold_searches
 from repro.exceptions import InvalidConfigurationError
 from repro.experiments.scheduler import (
     SweepScheduler,
     configure_default_scheduler,
     get_default_scheduler,
 )
-from repro.experiments.sweep import MemberSpec, SweepTask, execute_mega_batch, plan_members
+from repro.experiments.sweep import (
+    MemberSpec,
+    SweepTask,
+    chunk_ladder_size,
+    execute_mega_batch,
+    plan_members,
+)
 from repro.experiments.workloads import replica_batches
 from repro.lv import native
 from repro.lv.ensemble import (
     SCALAR_FINISH_WIDTH,
-    LVEnsembleSimulator,
+    LVEnsembleResult,
     SweepMember,
     run_sweep_ensemble,
 )
 from repro.lv.params import CompetitionMechanism, LVParams
 from repro.lv.simulator import DEFAULT_MAX_EVENTS, LVJumpChainSimulator
 from repro.lv.state import LVState
-from repro.lv.tau import LVTauEnsembleSimulator, run_tau_sweep_ensemble
+from repro.lv.tau import run_tau_sweep_ensemble
 from repro.rng import spawn_generators, spawn_seeds
 from repro.scenario.engine import run_scenario_members
 
@@ -74,6 +83,10 @@ def _members(sd_params, nsd_params):
     ]
 
 
+#: Both mechanisms, each without and with balanced intraspecific competition.
+_ONE_SHOT_PARAMS = ["sd_params", "sd_balanced_params", "nsd_params", "nsd_balanced_params"]
+
+
 class TestEnsembleAgainstReference:
     @pytest.mark.parametrize("collect", ["full", "win"])
     def test_sweep_ensemble_matches_reference(self, sd_params, nsd_params, collect):
@@ -96,16 +109,80 @@ class TestEnsembleAgainstReference:
         for result, replay in zip(results, reference.replay_lv2(members, member_seeds=seeds)):
             assert_matches_replay(result, replay)
 
-    def test_ensemble_simulator_matches_reference(self, sd_balanced_params):
-        result = LVEnsembleSimulator(sd_balanced_params).run_ensemble(LVState(30, 18), 64, rng=9)
-        (seed,) = reference.member_root_seeds(1, rng=9)
-        replay = reference.replay_lv2_member(
-            sd_balanced_params, (30, 18), 64, DEFAULT_MAX_EVENTS, seed
+    @pytest.mark.parametrize("mechanism", _ONE_SHOT_PARAMS)
+    def test_one_shot_estimate_matches_reference(self, request, mechanism):
+        params = request.getfixturevalue(mechanism)
+        estimate = estimate_majority_probability(params, LVState(30, 18), num_runs=64, rng=9)
+        replay = _one_shot_replay(params, rng=9)
+        reached = (replay["final_x0"] == 0) | (replay["final_x1"] == 0)
+        wins = (replay["final_x0"] > 0) & (replay["final_x1"] == 0)
+        times = replay["total_events"][reached].astype(float)
+        noise_comp = replay["noise_competitive"].astype(float)
+        assert estimate.success.successes == int(np.count_nonzero(wins))
+        assert estimate.consensus_rate == np.count_nonzero(reached) / 64
+        assert estimate.mean_consensus_time == float(times.mean())
+        assert estimate.q95_consensus_time == float(np.quantile(times, 0.95))
+        assert estimate.mean_noise_individual == float(replay["noise_individual"].mean())
+        assert estimate.mean_noise_competitive == float(noise_comp.mean())
+        assert estimate.std_noise_competitive == float(noise_comp.std(ddof=0))
+
+    @pytest.mark.parametrize("mechanism", _ONE_SHOT_PARAMS)
+    def test_one_shot_decomposition_matches_reference(self, request, mechanism):
+        params = request.getfixturevalue(mechanism)
+        decomposition = decompose_noise(params, LVState(30, 18), num_runs=64, rng=9)
+        replay = _one_shot_replay(params, rng=9)
+        individual = replay["births"].sum(axis=1) + replay["deaths"].sum(axis=1)
+        competitive = replay["interspecific_events"] + replay["intraspecific_events"].sum(axis=1)
+        for actual, expected in [
+            (decomposition.individual_noise, replay["noise_individual"]),
+            (decomposition.competitive_noise, replay["noise_competitive"]),
+            (decomposition.individual_events, individual),
+            (decomposition.competitive_events, competitive),
+        ]:
+            assert actual.dtype == np.float64
+            assert np.array_equal(actual, expected.astype(float))
+
+    @pytest.mark.parametrize("mechanism", ["sd_params", "nsd_params"])
+    def test_fixed_budget_threshold_search_matches_reference(self, request, mechanism):
+        """``find`` decides every probe exactly as the replayed probes would."""
+        params = request.getfixturevalue(mechanism)
+        found = ThresholdSearch(params, num_runs=40).find(32, rng=4)
+        (replayed,) = drive_threshold_searches(
+            [ThresholdSearch(params, num_runs=40).search_steps(32, rng=4)],
+            lambda probes: [_reference_estimate(probe) for probe in probes],
         )
-        assert_matches_replay(result, replay)
+        assert found.threshold_gap == replayed.threshold_gap
+        assert list(found.probes) == list(replayed.probes)
+        for gap, estimate in found.probes.items():
+            assert estimate == replayed.probes[gap], gap
+
+    def test_cho_estimate_matches_reference(self):
+        model = ChoGrowthModel(beta=1.0, alpha=1.0)
+        estimate = model.estimate(LVState(40, 20), num_runs=50, rng=2)
+        (seed,) = reference.member_root_seeds(1, rng=2)
+        replay = reference.replay_lv2_member(model.params, (40, 20), 50, 20_000_000, seed)
+        ensemble = LVEnsembleResult(params=model.params, initial_state=LVState(40, 20), **replay)
+        assert estimate == summarise_ensemble(ensemble)
 
     def test_scalar_finish_width_is_the_documented_handoff(self):
         assert SCALAR_FINISH_WIDTH == reference.HANDOFF_WIDTH == 8
+
+
+def _one_shot_replay(params, *, rng):
+    """The replay of a one-shot estimate: one 64-replica member from (30, 18)."""
+    (seed,) = reference.member_root_seeds(1, rng=rng)
+    return reference.replay_lv2_member(params, (30, 18), 64, DEFAULT_MAX_EVENTS, seed)
+
+
+def _reference_estimate(probe):
+    """A threshold probe's estimate, summarised from its replayed member."""
+    (seed,) = reference.member_root_seeds(1, rng=probe.seed)
+    state = probe.initial_state
+    replay = reference.replay_lv2_member(
+        probe.params, (state.x0, state.x1), probe.num_runs, probe.max_events, seed
+    )
+    ensemble = LVEnsembleResult(params=probe.params, initial_state=state, **replay)
+    return summarise_ensemble(ensemble, confidence=probe.confidence)
 
 
 SD = CompetitionMechanism.SELF_DESTRUCTIVE
@@ -278,10 +355,9 @@ class TestTauEndgameAgainstReference:
         for member, seed, result in zip(members, seeds, results):
             assert_matches_replay(result, self._endgame_replay(member, seed))
 
-    def test_tau_simulator_matches_reference(self, sd_params):
-        simulator = LVTauEnsembleSimulator(sd_params, exact_tail_population=2_000)
-        result = simulator.run_ensemble(LVState(700, 500), 4, rng=13)
+    def test_tau_endgame_from_the_start_matches_reference(self, sd_params):
         member = SweepMember(sd_params, LVState(700, 500), 4, DEFAULT_MAX_EVENTS)
+        (result,) = run_tau_sweep_ensemble([member], rng=13, exact_tail_population=2_000)
         (seed,) = reference.member_root_seeds(1, rng=13)
         assert_matches_replay(result, self._endgame_replay(member, seed))
 
@@ -350,9 +426,9 @@ class TestSchedulerAgainstReference:
             replays, rung, done = [], 0, 0
             while done < result.num_replicates:
                 size = chunk_ladder_size(TARGET, 64, rung)
-                (seed,) = reference.member_root_seeds(
-                    1, member_seeds=[chunk_ladder_seed(task.seed, rung)]
-                )
+                # Rung r's seed is the r-th prefix-stable spawn of the task seed.
+                rung_seed = spawn_seeds(task.seed, rung + 1)[rung]
+                (seed,) = reference.member_root_seeds(1, member_seeds=[rung_seed])
                 replays.append(
                     reference.replay_lv2_member(
                         task.params, task.counts, size, task.max_events, seed
@@ -417,8 +493,6 @@ class TestEngineSeam:
         [
             lambda p: SweepScheduler(engine="numpy"),
             lambda p: SweepTask(p, LVState(4, 2), 10, engine="numpy"),
-            lambda p: LVEnsembleSimulator(p, engine="numpy"),
-            lambda p: LVTauEnsembleSimulator(p, engine="numpy"),
             lambda p: run_sweep_ensemble([SweepMember(p, LVState(4, 2), 2)], engine="numpy"),
             lambda p: run_tau_sweep_ensemble([SweepMember(p, LVState(4, 2), 2)], engine="numpy"),
             lambda p: run_scenario_members(
@@ -429,7 +503,7 @@ class TestEngineSeam:
                 engine="numpy",
             ),
         ],
-        ids=["scheduler", "task", "ensemble", "tau", "sweep", "tau-sweep", "scenario", "mega"],
+        ids=["scheduler", "task", "sweep", "tau-sweep", "scenario", "mega"],
     )
     def test_no_other_api_takes_engine(self, sd_params, build):
         with pytest.raises(TypeError, match="engine"):

@@ -10,6 +10,13 @@ from repro.exceptions import InvalidConfigurationError
 from repro.lv.params import LVParams
 from repro.lv.simulator import LVJumpChainSimulator
 from repro.lv.state import LVState
+from repro.rng import as_generator
+
+
+def _majority_wins(simulator, state, num_runs, seed):
+    """How many of *num_runs* runs on one generator end in majority consensus."""
+    generator = as_generator(seed)
+    return sum(simulator.run(state, rng=generator).majority_consensus for _ in range(num_runs))
 
 
 class TestRunBasics:
@@ -109,22 +116,6 @@ class TestEventAccounting:
         assert result.deaths[1] == death1
 
 
-class TestBatchHelpers:
-    def test_run_batch_size(self, sd_params):
-        results = LVJumpChainSimulator(sd_params).run_batch(LVState(20, 10), 7, rng=0)
-        assert len(results) == 7
-
-    def test_majority_success_count_matches_batch(self, sd_params):
-        simulator = LVJumpChainSimulator(sd_params)
-        count = simulator.majority_success_count(LVState(24, 8), 50, rng=11)
-        assert 0 <= count <= 50
-        assert count > 35  # a 3:1 majority should win most of the time
-
-    def test_invalid_batch_size(self, sd_params):
-        with pytest.raises(ValueError):
-            LVJumpChainSimulator(sd_params).run_batch(LVState(5, 3), 0)
-
-
 class TestTransitionDistribution:
     def test_probabilities_sum_to_one(self, sd_params, nsd_params):
         for params in (sd_params, nsd_params):
@@ -163,10 +154,15 @@ class TestTransitionDistribution:
 
 
 class TestStatisticalSanity:
+    def test_three_to_one_majority_wins_most_runs(self, sd_params):
+        count = _majority_wins(LVJumpChainSimulator(sd_params), LVState(24, 8), 50, seed=11)
+        assert 0 <= count <= 50
+        assert count > 35  # a 3:1 majority should win most of the time
+
     def test_majority_advantage_increases_with_gap(self, sd_params):
         simulator = LVJumpChainSimulator(sd_params)
-        small = simulator.majority_success_count(LVState.from_gap(60, 2), 200, rng=1) / 200
-        large = simulator.majority_success_count(LVState.from_gap(60, 30), 200, rng=2) / 200
+        small = _majority_wins(simulator, LVState.from_gap(60, 2), 200, seed=1) / 200
+        large = _majority_wins(simulator, LVState.from_gap(60, 30), 200, seed=2) / 200
         assert large > small
 
     def test_tie_is_a_coin_flip_for_neutral_systems(self, nsd_params):

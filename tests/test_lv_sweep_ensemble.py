@@ -3,7 +3,7 @@
 The sweep engine's contracts, in the order they are exercised here:
 
 * a mixed-configuration mega-batch is a statistical drop-in for running each
-  configuration through its own single-config ensemble (the property test,
+  configuration as its own one-member batch (the property test,
   using the tolerance helper shared with ``test_lv_ensemble.py``),
 * results are bitwise-identical for every compaction threshold (the RNG
   consumption-order contract), and
@@ -17,11 +17,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidConfigurationError
-from repro.lv.ensemble import (
-    LVEnsembleSimulator,
-    SweepMember,
-    run_sweep_ensemble,
-)
+from repro.lv.ensemble import SweepMember, run_sweep_ensemble
 from repro.lv.state import LVState
 
 from helpers_statistical import assert_statistically_close
@@ -71,9 +67,7 @@ class TestHeterogeneousStatisticalIdentity:
         members = _mixed_members(sd_params, nsd_params)
         fused = run_sweep_ensemble(members, rng=12345)
         for index, member in enumerate(members):
-            alone = LVEnsembleSimulator(member.params).run_ensemble(
-                member.initial_state, member.num_replicates, rng=777 + index
-            )
+            alone = run_sweep_ensemble([member], rng=777 + index)[0]
             assert_statistically_close(
                 alone, fused[index], label=f"member {index}"
             )
@@ -123,12 +117,9 @@ class TestCompactionDeterminism:
 
     @pytest.mark.parametrize("fraction", [0.05, 0.5, 1.0, None])
     def test_single_config_invariant(self, sd_params, fraction):
-        reference = LVEnsembleSimulator(sd_params).run_ensemble(
-            LVState(60, 40), 300, rng=11
-        )
-        other = LVEnsembleSimulator(
-            sd_params, compaction_fraction=fraction
-        ).run_ensemble(LVState(60, 40), 300, rng=11)
+        members = [SweepMember(sd_params, LVState(60, 40), 300)]
+        reference = run_sweep_ensemble(members, rng=11)[0]
+        other = run_sweep_ensemble(members, rng=11, compaction_fraction=fraction)[0]
         _assert_identical(reference, other)
 
     @pytest.mark.parametrize("fraction", [0.05, 0.5, None])
@@ -189,13 +180,11 @@ class TestHeterogeneousAccounting:
         assert uncapped.reached_consensus.all()
 
     def test_matches_single_member_ensemble_layout(self, sd_params):
-        """One-member sweeps and run_ensemble are the same code path."""
-        member = SweepMember(sd_params, LVState(36, 24), 80)
-        via_sweep = run_sweep_ensemble([member], rng=23)[0]
-        via_simulator = LVEnsembleSimulator(sd_params).run_ensemble(
-            LVState(36, 24), 80, rng=23
-        )
-        _assert_identical(via_sweep, via_simulator)
+        """A member given its state as a tuple runs exactly as with an LVState."""
+        via_state = run_sweep_ensemble([SweepMember(sd_params, LVState(36, 24), 80)], rng=23)
+        via_tuple = run_sweep_ensemble([SweepMember(sd_params, (36, 24), 80)], rng=23)
+        assert via_tuple[0].initial_state == LVState(36, 24)
+        _assert_identical(via_state[0], via_tuple[0])
 
     def test_validation(self, sd_params):
         with pytest.raises(InvalidConfigurationError):

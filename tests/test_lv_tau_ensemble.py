@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidConfigurationError
-from repro.lv.ensemble import LVEnsembleSimulator, SweepMember, run_sweep_ensemble
+from repro.lv.ensemble import SweepMember, run_sweep_ensemble
+from repro.lv.simulator import DEFAULT_MAX_EVENTS
 from repro.lv.state import LVState
 from repro.lv.tau import (
     BACKENDS,
     DEFAULT_TAU_POPULATION,
-    LVTauEnsembleSimulator,
     resolve_backend,
     run_tau_sweep_ensemble,
 )
@@ -29,6 +29,16 @@ from helpers_statistical import assert_statistically_close
 #: replicates, with gaps placing the win probability away from 0 and 1.
 _AGREEMENT_N = 2000
 _AGREEMENT_RUNS = 400
+
+
+def _tau(params, state, num_replicates, rng, max_events=DEFAULT_MAX_EVENTS, **options):
+    """One tau member's result; *options* go to ``run_tau_sweep_ensemble``."""
+    member = SweepMember(params, state, num_replicates, max_events)
+    return run_tau_sweep_ensemble([member], rng=rng, **options)[0]
+
+
+def _exact(params, state, num_replicates, rng):
+    return run_sweep_ensemble([SweepMember(params, state, num_replicates)], rng=rng)[0]
 
 
 class TestResolveBackend:
@@ -54,12 +64,8 @@ class TestStatisticalAgreement:
     @pytest.mark.parametrize("gap", [8, 60])
     def test_agrees_with_exact_sd(self, sd_params, gap):
         state = LVState((_AGREEMENT_N + gap) // 2, (_AGREEMENT_N - gap) // 2)
-        tau = LVTauEnsembleSimulator(sd_params).run_ensemble(
-            state, _AGREEMENT_RUNS, rng=11
-        )
-        exact = LVEnsembleSimulator(sd_params).run_ensemble(
-            state, _AGREEMENT_RUNS, rng=11
-        )
+        tau = _tau(sd_params, state, _AGREEMENT_RUNS, 11)
+        exact = _exact(sd_params, state, _AGREEMENT_RUNS, 11)
         assert_statistically_close(tau, exact, label=f"sd-gap{gap}")
         # Self-destructive competition has exactly zero competitive noise —
         # the approximation must preserve the identity, not just the mean.
@@ -68,19 +74,15 @@ class TestStatisticalAgreement:
     @pytest.mark.parametrize("gap", [40])
     def test_agrees_with_exact_nsd(self, nsd_params, gap):
         state = LVState((_AGREEMENT_N + gap) // 2, (_AGREEMENT_N - gap) // 2)
-        tau = LVTauEnsembleSimulator(nsd_params).run_ensemble(
-            state, _AGREEMENT_RUNS, rng=13
-        )
-        exact = LVEnsembleSimulator(nsd_params).run_ensemble(
-            state, _AGREEMENT_RUNS, rng=13
-        )
+        tau = _tau(nsd_params, state, _AGREEMENT_RUNS, 13)
+        exact = _exact(nsd_params, state, _AGREEMENT_RUNS, 13)
         assert_statistically_close(tau, exact, label=f"nsd-gap{gap}")
 
     def test_agrees_with_exact_at_large_population(self, sd_params):
         """Overlapping-n cross-check in the regime the backend is built for."""
         state = LVState(30_060, 29_940)
-        tau = LVTauEnsembleSimulator(sd_params).run_ensemble(state, 64, rng=5)
-        exact = LVEnsembleSimulator(sd_params).run_ensemble(state, 64, rng=5)
+        tau = _tau(sd_params, state, 64, 5)
+        exact = _exact(sd_params, state, 64, 5)
         assert_statistically_close(tau, exact, label="sd-large")
 
 
@@ -119,28 +121,23 @@ class TestStreamContract:
                 ), attribute
 
     def test_root_seed_determinism(self, sd_params):
-        simulator = LVTauEnsembleSimulator(sd_params)
-        first = simulator.run_ensemble(LVState(5050, 4950), 16, rng=42)
-        second = simulator.run_ensemble(LVState(5050, 4950), 16, rng=42)
+        first = _tau(sd_params, LVState(5050, 4950), 16, 42)
+        second = _tau(sd_params, LVState(5050, 4950), 16, 42)
         assert np.array_equal(first.final_x0, second.final_x0)
         assert np.array_equal(first.total_events, second.total_events)
-        third = simulator.run_ensemble(LVState(5050, 4950), 16, rng=43)
+        third = _tau(sd_params, LVState(5050, 4950), 16, 43)
         assert not np.array_equal(first.total_events, third.total_events)
 
 
 class TestTauEnsembleBehaviour:
     def test_all_replicas_reach_consensus(self, sd_params):
-        result = LVTauEnsembleSimulator(sd_params).run_ensemble(
-            LVState(60_300, 59_700), 16, rng=7
-        )
+        result = _tau(sd_params, LVState(60_300, 59_700), 16, 7)
         assert bool(result.reached_consensus.all())
         assert result.termination_counts() == {"consensus": 16}
         assert np.minimum(result.final_x0, result.final_x1).max() == 0
 
     def test_event_budget_is_metered_in_firings(self, sd_params):
-        result = LVTauEnsembleSimulator(sd_params).run_ensemble(
-            LVState(30_000, 30_000), 8, rng=3, max_events=5_000
-        )
+        result = _tau(sd_params, LVState(30_000, 30_000), 8, 3, max_events=5_000)
         assert result.termination_counts() == {"max-events": 8}
         # The budget is checked between leaps, so every replica fired at
         # least the budget and overshot by at most one leap.
@@ -148,9 +145,7 @@ class TestTauEnsembleBehaviour:
         assert (result.total_events <= 5_000 + 2 * 0.03 * 60_000).all()
 
     def test_leap_and_exact_events_split(self, sd_params):
-        result = LVTauEnsembleSimulator(sd_params).run_ensemble(
-            LVState(30_060, 29_940), 8, rng=9
-        )
+        result = _tau(sd_params, LVState(30_060, 29_940), 8, 9)
         assert result.leap_events is not None
         assert (result.leap_events > 0).all()
         assert (result.leap_events <= result.total_events).all()
@@ -159,34 +154,24 @@ class TestTauEnsembleBehaviour:
         assert (result.total_events > result.leap_events).all()
 
     def test_exact_tail_handoff_can_be_disabled(self, sd_params):
-        result = LVTauEnsembleSimulator(
-            sd_params, exact_tail_population=0
-        ).run_ensemble(LVState(3030, 2970), 8, rng=21)
+        result = _tau(sd_params, LVState(3030, 2970), 8, 21, exact_tail_population=0)
         assert bool(result.reached_consensus.all())
         assert result.leap_events is not None
 
     def test_initial_consensus_retires_immediately(self, sd_params):
-        result = LVTauEnsembleSimulator(sd_params).run_ensemble(
-            LVState(9, 0), 4, rng=1
-        )
+        result = _tau(sd_params, LVState(9, 0), 4, 1)
         assert (result.total_events == 0).all()
         assert bool(result.reached_consensus.all())
 
-    def test_run_batch_materialises_run_results(self, sd_params):
-        results = LVTauEnsembleSimulator(sd_params).run_batch(
-            LVState(2020, 1980), 4, rng=2
-        )
+    def test_run_results_view_reaches_consensus(self, sd_params):
+        results = _tau(sd_params, LVState(2020, 1980), 4, 2).to_run_results()
         assert len(results) == 4
         assert all(r.reached_consensus for r in results)
 
     def test_minority_majority_convention_respected(self, sd_params):
         """A species-1 majority flips the noise reference, as in the exact engine."""
-        flipped = LVTauEnsembleSimulator(sd_params).run_ensemble(
-            LVState(2970, 3030), 64, rng=17
-        )
-        reference = LVTauEnsembleSimulator(sd_params).run_ensemble(
-            LVState(3030, 2970), 64, rng=17
-        )
+        flipped = _tau(sd_params, LVState(2970, 3030), 64, 17)
+        reference = _tau(sd_params, LVState(3030, 2970), 64, 17)
         # Neutral rates: the mirrored configurations tell the same story.
         assert flipped.majority_consensus.mean() == pytest.approx(
             reference.majority_consensus.mean(), abs=0.15
@@ -196,20 +181,17 @@ class TestTauEnsembleBehaviour:
 class TestValidation:
     def test_epsilon_bounds(self, sd_params):
         with pytest.raises(InvalidConfigurationError):
-            LVTauEnsembleSimulator(sd_params, epsilon=0.0)
+            _tau(sd_params, LVState(10, 10), 4, 0, epsilon=0.0)
         with pytest.raises(InvalidConfigurationError):
-            LVTauEnsembleSimulator(sd_params, epsilon=1.0)
+            _tau(sd_params, LVState(10, 10), 4, 0, epsilon=1.0)
 
     def test_tail_population_bounds(self, sd_params):
         with pytest.raises(InvalidConfigurationError):
-            LVTauEnsembleSimulator(sd_params, exact_tail_population=-1)
+            _tau(sd_params, LVState(10, 10), 4, 0, exact_tail_population=-1)
 
     def test_replicates_and_budget_validation(self, sd_params):
-        simulator = LVTauEnsembleSimulator(sd_params)
         with pytest.raises(InvalidConfigurationError):
-            simulator.run_ensemble(LVState(10, 10), 0, rng=0)
-        with pytest.raises(ValueError):
-            simulator.run_ensemble(LVState(10, 10), 4, rng=0, max_events=0)
+            _tau(sd_params, LVState(10, 10), 0, 0)
 
     def test_sweep_validation(self, sd_params):
         with pytest.raises(InvalidConfigurationError):

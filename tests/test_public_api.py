@@ -9,6 +9,9 @@ import pathlib
 import pytest
 
 import repro
+from repro.analysis.statistics import PrecisionTarget
+from repro.experiments.scheduler import ThresholdRequest
+from repro.experiments.sweep import SweepTask, execute_mega_batch, plan_members
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -65,6 +68,50 @@ class TestPackageSurface:
             and not (getattr(repro, name).__doc__ or "").strip()
         ]
         assert undocumented == []
+
+
+class TestRetiredOptions:
+    """Options folded into the one engine entry stay gone (each was unused)."""
+
+    @pytest.mark.parametrize(
+        "build, keyword",
+        [
+            (
+                lambda p: repro.SweepScheduler(compaction_fraction=0.25),
+                "compaction_fraction",
+            ),
+            (
+                lambda p: execute_mega_batch(
+                    plan_members([SweepTask(p, (4, 2), 2, seed=1)], batch_size=2),
+                    compaction_fraction=0.25,
+                ),
+                "compaction_fraction",
+            ),
+            (lambda p: repro.ThresholdSearch(p, fanout=2), "fanout"),
+            (lambda p: ThresholdRequest(p, 64, fanout=2), "fanout"),
+            (
+                lambda p: repro.estimate_majority_probability(
+                    p, (4, 2), precision=PrecisionTarget()
+                ),
+                "precision",
+            ),
+            (
+                lambda p: repro.decompose_noise(p, (4, 2), precision=PrecisionTarget()),
+                "precision",
+            ),
+        ],
+        ids=[
+            "scheduler-compaction",
+            "mega-batch-compaction",
+            "search-fanout",
+            "request-fanout",
+            "estimate-precision",
+            "decompose-precision",
+        ],
+    )
+    def test_retired_option_is_rejected(self, sd_params, build, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            build(sd_params)
 
 
 class TestExampleScripts:

@@ -142,7 +142,6 @@ class TestKeys:
         base = scheduler_fingerprint(SweepScheduler())
         assert scheduler_fingerprint(SweepScheduler(jobs=2)) == base
         assert scheduler_fingerprint(SweepScheduler(sweep_batch=64)) == base
-        assert scheduler_fingerprint(SweepScheduler(compaction_fraction=None)) == base
         assert scheduler_fingerprint(SweepScheduler(batch_size=64)) != base
         assert scheduler_fingerprint(SweepScheduler(backend="tau")) != base
 
