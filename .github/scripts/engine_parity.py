@@ -1,0 +1,175 @@
+"""Same-bits check of the engines' per-replica arrays against the base checkout.
+
+``bits_parity.py`` compares ``repro run --all`` rows, and rows summarise
+what the engines return: FIG-THRESH-XL's rows are ρ to three decimals, so
+its tau members' accounting arrays are never compared there.  This script
+runs one fixed battery of engine calls in both trees, through names both
+trees have:
+
+* ``run_sweep_ensemble`` at the ``"full"`` and ``"win"`` levels, over
+  members covering both mechanisms, intraspecific competition, a tie,
+  absorption at (1, 1), event budgets and the scalar tail;
+* ``run_tau_sweep_ensemble`` over calls that leap into the exact endgame,
+  run out of budget there, and pass one uniform block in it.
+
+Every budget is bounded, so the battery takes seconds per tree.  It hashes
+every per-replica array of every result.  The check passes when each
+call's digest matches, or when the change edits the
+``RESULT_SCHEMA_VERSION =`` line of ``src/repro/store/keys.py`` (the rule of
+``bits_parity.py``); otherwise it names the calls whose arrays differ.
+
+Usage::
+
+    python .github/scripts/engine_parity.py --base BASE_TREE [--head HEAD_TREE]
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import Any, Iterator
+
+from bits_parity import schema_line
+
+#: The battery's seeds; each call runs once per seed.
+SEEDS = (0, 1, 2)
+
+
+def battery() -> Iterator[tuple[str, list[Any]]]:
+    """``(call name, results)`` for every call of the battery, in order."""
+    from repro.lv.ensemble import SweepMember, run_sweep_ensemble
+    from repro.lv.params import CompetitionMechanism, LVParams
+    from repro.lv.state import LVState
+    from repro.lv.tau import run_tau_sweep_ensemble
+
+    sd_mechanism = CompetitionMechanism.SELF_DESTRUCTIVE
+    nsd_mechanism = CompetitionMechanism.NON_SELF_DESTRUCTIVE
+    sd = LVParams(1.0, 1.0, 1.0, 1.0, mechanism=sd_mechanism)
+    nsd = LVParams(1.0, 1.0, 1.0, 1.0, mechanism=nsd_mechanism)
+    gamma_sd = LVParams(1.0, 0.7, 0.3, 0.45, 0.3, 0.2, sd_mechanism)
+    gamma_nsd = LVParams(0.9, 1.1, 0.2, 0.6, 0.35, 0.15, nsd_mechanism)
+    gamma_only = LVParams(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, nsd_mechanism)
+    walk = LVParams(1.0, 1.0, 0.0, 0.0, mechanism=nsd_mechanism)
+
+    def member(params, x0, x1, replicates, budget=20_000):
+        return SweepMember(params, LVState(x0, x1), replicates, budget)
+
+    exact = [
+        member(sd, 40, 24, 90),
+        member(nsd, 33, 31, 70),
+        member(sd, 36, 28, 50, 40),
+        member(gamma_only, 5, 3, 40),
+        member(gamma_sd, 30, 41, 40),
+        member(gamma_nsd, 20, 20, 40),
+        member(walk, 9, 5, 60, 400),
+        member(sd, 160, 140, 120),
+    ]
+    leap_to_endgame = [
+        member(sd, 4_000, 3_900, 5),
+        member(nsd, 2_600, 2_700, 4),
+        member(sd, 3_000, 3_000, 3),
+        member(gamma_sd, 9_000, 7_000, 3),
+        member(sd, 120_000, 80_000, 3, 10**6),
+    ]
+    budget = [
+        member(nsd, 30_000, 26_000, 4, 40_000),
+        member(sd, 700, 500, 4, 300),
+        member(gamma_nsd, 33, 28, 4, 25),
+    ]
+    overflow = [member(walk, 24, 20, 8, 6_000), member(nsd, 46, 50, 3)]
+    for seed in SEEDS:
+        for collect in ("full", "win"):
+            yield (
+                f"run_sweep_ensemble/{collect}/rng={seed}",
+                run_sweep_ensemble(exact, rng=seed, collect=collect),
+            )
+        yield (
+            f"run_tau_sweep_ensemble/leap-to-endgame/rng={seed}",
+            run_tau_sweep_ensemble(leap_to_endgame, rng=seed),
+        )
+        yield (
+            f"run_tau_sweep_ensemble/budget/rng={seed}",
+            run_tau_sweep_ensemble(budget, rng=seed, exact_tail_population=2_000),
+        )
+        yield (
+            f"run_tau_sweep_ensemble/overflow/rng={seed + 4}",
+            run_tau_sweep_ensemble(overflow, rng=seed + 4),
+        )
+
+
+def results_digest(results: list[Any]) -> str:
+    """sha256 over every array field of every result: name, dtype, shape, bytes."""
+    import numpy as np
+
+    digest = hashlib.sha256()
+    for result in results:
+        for field in dataclasses.fields(result):
+            value = getattr(result, field.name)
+            if isinstance(value, np.ndarray):
+                digest.update(f"{field.name} {value.dtype} {value.shape}\n".encode())
+                digest.update(np.ascontiguousarray(value).tobytes())
+    return digest.hexdigest()
+
+
+def emit() -> None:
+    """Print ``<call name> <digest>`` per battery call (run inside a tree)."""
+    for name, results in battery():
+        print(name, results_digest(results), flush=True)
+
+
+def call_digests(tree: Path) -> dict[str, str]:
+    """Each battery call's digest, computed by *tree*'s sources."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    completed = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--emit"],
+        cwd=tree,
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+        check=False,
+    )
+    if completed.returncode != 0:
+        raise SystemExit(f"engine-parity: the battery failed in {tree}")
+    return dict(line.split(" ", 1) for line in completed.stdout.splitlines())
+
+
+def differing_calls(base: dict[str, str], head: dict[str, str]) -> list[str]:
+    """Calls whose digest differs, or that only one side ran."""
+    return sorted(name for name in base.keys() | head.keys() if base.get(name) != head.get(name))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, help="checkout of the base")
+    parser.add_argument("--head", type=Path, default=Path("."), help="checkout of the change")
+    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    arguments = parser.parse_args(argv)
+    if arguments.emit:
+        emit()
+        return 0
+    if arguments.base is None:
+        parser.error("--base is required")
+    base_tree, head_tree = arguments.base.resolve(), arguments.head.resolve()
+    base, head = call_digests(base_tree), call_digests(head_tree)
+    differing = differing_calls(base, head)
+    print(f"engine-parity: {len(base)} base and {len(head)} head calls")
+    if not differing:
+        print("engine-parity: same bits")
+        return 0
+    base_schema, head_schema = schema_line(base_tree), schema_line(head_tree)
+    if base_schema != head_schema:
+        print(f"engine-parity: arrays changed under a schema bump ({base_schema} -> {head_schema})")
+        return 0
+    print("engine-parity: arrays changed without a RESULT_SCHEMA_VERSION bump, in:")
+    for name in differing:
+        print(f"  {name}")
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

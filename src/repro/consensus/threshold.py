@@ -26,9 +26,8 @@ A search is internally a *state machine over probes*:
 :func:`drive_threshold_searches` drives *several* searches in lock-step
 rounds, handing each round's pending probes to a pluggable ``probe_runner``.
 Two drivers exist: :meth:`ThresholdSearch.find` runs one search's fixed
-budgets through
-:func:`~repro.consensus.estimator.estimate_majority_probability`, and the
-experiment harness's
+budgets as one-member :func:`~repro.lv.ensemble.run_sweep_ensemble` calls,
+and the experiment harness's
 :meth:`SweepScheduler.find_thresholds
 <repro.experiments.scheduler.SweepScheduler.find_thresholds>` fuses the
 probes of a whole threshold sweep into heterogeneous mega-batches (and is the
@@ -41,8 +40,13 @@ from dataclasses import dataclass, replace
 from typing import Callable, Generator, Sequence
 
 from repro.analysis.statistics import PrecisionTarget
-from repro.consensus.estimator import ConsensusEstimate, estimate_majority_probability
+from repro.consensus.estimator import (
+    ConsensusEstimate,
+    estimate_majority_probability,
+    summarise_ensemble,
+)
 from repro.exceptions import EstimationError, ThresholdSearchError
+from repro.lv.ensemble import SweepMember, run_sweep_ensemble
 from repro.lv.params import LVParams
 from repro.lv.simulator import DEFAULT_MAX_EVENTS
 from repro.lv.state import LVState
@@ -200,9 +204,11 @@ class ThresholdSearch:
     ) -> ThresholdEstimate:
         """Binary-search the smallest gap with ρ ≥ *target_probability*.
 
-        Drives :meth:`search_steps` through
-        :func:`~repro.consensus.estimator.estimate_majority_probability`, one
-        fixed-budget batch per probe; the probe schedule and per-probe seeds
+        Drives :meth:`search_steps` with one fixed-budget
+        :func:`~repro.lv.ensemble.run_sweep_ensemble` member per probe, at
+        the engine's ``"win"`` level: the search reads only ρ and its
+        interval, so its estimates carry ``collected="win"`` as the
+        scheduler's probe rounds do.  The probe schedule and per-probe seeds
         are identical to executing the search through any other driver.  A
         search with a *precision* target is refused: its probes need
         adaptive budgets, which only
@@ -238,18 +244,19 @@ class ThresholdSearch:
         return drive_threshold_searches([steps], self._run_probes)[0]
 
     def _run_probes(self, requests: Sequence[GapProbe]) -> list[ConsensusEstimate]:
-        """Default probe runner: one fixed-budget estimate per probe, in order."""
-        return [
-            estimate_majority_probability(
-                probe.params,
-                probe.initial_state,
-                num_runs=probe.num_runs,
-                rng=probe.seed,
-                confidence=probe.confidence,
-                max_events=probe.max_events,
+        """Default probe runner: one fixed-budget win-level batch per probe."""
+        estimates = []
+        for probe in requests:
+            member = SweepMember(
+                probe.params, probe.initial_state, probe.num_runs, probe.max_events
             )
-            for probe in requests
-        ]
+            ensemble = run_sweep_ensemble([member], rng=probe.seed, collect="win")[0]
+            estimates.append(
+                summarise_ensemble(
+                    ensemble, confidence=probe.confidence, collected="win"
+                )
+            )
+        return estimates
 
     # ------------------------------------------------------------------
     def search_steps(

@@ -74,21 +74,30 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
             "run_tau_sweep_ensemble",
             "both",
             "spawns each member's (step, tail) generator pair from the "
-            "member seed and dispatches the per-member tau advance in "
-            "member order",
+            "member seed, dispatches the per-member tau advance in member "
+            "order, then hands every tail stream to the batched endgame",
         ),
         StreamConsumer(
             "_run_member_tau",
-            "both",
+            "step",
             "tau leaps draw Poisson firings and exact-step uniforms from "
-            "the step stream; the exact endgame below the crossover hands "
-            "the tail stream to the scalar path",
+            "the step stream; replicas below the crossover are parked, in "
+            "leap then ascending original-replica order",
         ),
         StreamConsumer(
-            "_finish_exact_tail",
+            "_finish_parked",
             "tail",
-            "exact-SSA endgame for parked replicas, ascending original-"
-            "replica order, via the shared scalar-tail merge",
+            "batched exact endgame: the member's k-th parked replica reads "
+            "tail uniform 4096*k + t at its t-th event, the block the scalar "
+            "run would draw; a run past one block hands its member over to "
+            "_finish_scalar from position 4096*k",
+        ),
+        StreamConsumer(
+            "_finish_scalar",
+            "tail",
+            "endgame fallback: one scalar run per replica, in park order, "
+            "on the repositioned tail stream, via the shared scalar-tail "
+            "merge",
         ),
     ),
     "repro.scenario.engine": (

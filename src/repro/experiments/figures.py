@@ -281,7 +281,7 @@ def run_fig_threshold_scaling_xl(scale: str = "quick", seed: int = 0) -> Experim
     ``sqrt(n)``-scale gap rescues it.
 
     Every task pins ``backend="auto"``: the large populations run on the
-    vectorized tau-leaping engine (with its exact scalar endgame), the
+    vectorized tau-leaping engine (with its exact endgame), the
     smallest grid point stays on the exact engine, providing the
     overlapping-``n`` cross-check between the backends.
     """

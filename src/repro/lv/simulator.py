@@ -33,7 +33,12 @@ __all__ = ["LVJumpChainSimulator", "LVRunResult", "StepRecord"]
 #: Default safety budget on the number of jump-chain events per run.
 DEFAULT_MAX_EVENTS = 20_000_000
 
-#: Size of the buffer of pre-drawn uniform variates (amortises RNG overhead).
+#: Size of the buffer of pre-drawn uniform variates: a run draws one fresh
+#: block when it starts and another each time it has used this many.  Part of
+#: the tail consumption contract, not just amortisation: the tau backend's
+#: batched endgame (:mod:`repro.lv.tau`) reads the k-th parked replica's
+#: uniforms at block k of the tail stream, and the exact engine's scalar
+#: tails are replayed block by block (``tests/reference_lockstep.py``).
 _UNIFORM_BUFFER = 4096
 
 

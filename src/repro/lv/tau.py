@@ -27,24 +27,35 @@ Hybrid exact tail
 -----------------
 Near absorption the leap approximation is invalid (propensities change by
 O(1) factors per event), so replicas whose total population falls to
-:data:`DEFAULT_EXACT_TAIL_POPULATION` or below are handed to the exact
-scalar jump-chain simulator (:class:`~repro.lv.simulator.LVJumpChainSimulator`),
-which finishes them event-by-event from the member's dedicated tail stream.
-Consensus probabilities therefore get the exact endgame dynamics; leaping is
-only ever applied in the large-population regime it is valid in.
+:data:`DEFAULT_EXACT_TAIL_POPULATION` or below are *parked*: they stop
+leaping and finish exactly, event by event, with the jump chain of the
+scalar simulator (:class:`~repro.lv.simulator.LVJumpChainSimulator`) on the
+member's dedicated tail stream.  Consensus probabilities therefore get the
+exact endgame dynamics; leaping is only ever applied in the
+large-population regime it is valid in.  Once every member of a call has
+finished leaping, all the replicas they parked advance together in one
+lock-step batch, one exact event per live replica per step.
 
 Reproducibility contract
 ------------------------
 Seed derivation mirrors :func:`repro.lv.ensemble.run_sweep_ensemble`: every
 member of a batch owns its root seed, which spawns a (step, tail) generator
 pair; the step stream drives the Poisson/uniform draws of the leap loop in
-ascending original-replica-index order, and the tail stream feeds the scalar
-finisher.  Members are simulated independently, so a member's results are
-**bitwise-identical to running it alone** — fused execution is purely an
-execution strategy, exactly as for the exact engine.  Results are
-seed-deterministic, but tau trajectories are *not* bitwise-comparable to
-exact trajectories: the backends agree statistically (enforced by the test
-suite's shared tolerance helper), not sample-by-sample.
+ascending original-replica-index order, and only the exact endgame reads
+the tail stream.  The endgame equals one scalar-simulator run per parked
+replica, in park order (by leap, then ascending replica index), bit for
+bit: such a run draws one fresh :data:`~repro.lv.simulator._UNIFORM_BUFFER`
+block when it starts and another only past that many events, so the
+member's ``k``-th parked replica reads tail uniform
+``_UNIFORM_BUFFER * k + t`` at its ``t``-th endgame event.  A replica that
+outlasts one block shifts its member's later replicas; from it on, that
+member finishes one scalar run at a time.  Members are simulated
+independently, so a member's results are **bitwise-identical to running it
+alone** — fused execution is purely an execution strategy, exactly as for
+the exact engine.  Results are seed-deterministic, but tau trajectories are
+*not* bitwise-comparable to exact trajectories: the backends agree
+statistically (enforced by the test suite's shared tolerance helper), not
+sample-by-sample.
 
 Event accounting
 ----------------
@@ -55,7 +66,7 @@ leap-estimated subset so schedulers can meter approximate and exact work
 separately.  Event-granularity path statistics (``J(S)`` bad events, good
 events, ``min_gap_seen``, ``hit_tie``) are accumulated at *leap* granularity
 while leaping (minority resolved at the start of each leap) and exactly in
-the scalar tail — statistically faithful estimates, not per-event counts.
+the endgame — statistically faithful estimates, not per-event counts.
 """
 
 from __future__ import annotations
@@ -68,15 +79,22 @@ from repro.exceptions import InvalidConfigurationError, SimulationError
 from repro.lv.ensemble import (
     _DX0_TABLE,
     _DX1_TABLE,
+    _GOOD_TABLE,
     COLLECT_MODES,
     LVEnsembleResult,
     SweepMember,
     merge_scalar_tail_run,
 )
 from repro.lv.params import LVParams
-from repro.lv.simulator import LVJumpChainSimulator
+from repro.lv.simulator import _UNIFORM_BUFFER, LVJumpChainSimulator
 from repro.lv.state import LVState
-from repro.rng import SeedLike, spawn_generators, spawn_seeds
+from repro.rng import (
+    SeedLike,
+    advance_stream,
+    spawn_generators,
+    spawn_seeds,
+    stream_uniforms,
+)
 
 # Termination codes come from the stack-wide scenario spec (the single home
 # of the constants the engines share); the historical local aliases remain.
@@ -112,10 +130,10 @@ DEFAULT_TAU_EPSILON = 0.03
 #: engine is already fast and stays bitwise-reproducible.
 DEFAULT_TAU_POPULATION = 50_000
 
-#: Replicas whose total population falls to this value or below are handed
-#: to the exact scalar simulator: near absorption per-event propensity
-#: changes are O(1) and the leap approximation is invalid, while the exact
-#: endgame costs only O(tail population) events.
+#: Replicas whose total population falls to this value or below are parked
+#: for the exact endgame: near absorption per-event propensity changes are
+#: O(1) and the leap approximation is invalid, while the exact endgame costs
+#: only O(tail population) events.
 DEFAULT_EXACT_TAIL_POPULATION = 512
 
 #: Leaps expected to fire fewer than this many reactions degenerate to a
@@ -126,6 +144,21 @@ _MIN_EXPECTED_FIRINGS = 1.0
 
 #: Event indices shared with :mod:`repro.lv.ensemble`.
 _BIRTH0, _BIRTH1, _DEATH0, _DEATH1, _INTER0, _INTER1, _INTRA0, _INTRA1 = range(8)
+
+#: Uniforms an endgame lane reads ahead per refill of its window (see
+#: :func:`_finish_parked`): bounds the window at lanes x this many doubles.
+_ENDGAME_WINDOW = 128
+
+#: Per reaction class: its rate's column in
+#: :data:`~repro.lv.params.RATE_FIELDS` order, and the count that rate
+#: multiplies (0: ``x0``, 1: ``x1``, 2: ``x0 * x1``).
+_CLASS_RATE = np.array([0, 0, 1, 1, 2, 3, 4, 5])
+_CLASS_OPERAND = np.array([0, 1, 0, 1, 2, 2, 0, 1])
+
+#: The move tables flattened: mechanism row ``m``, event ``e`` sits at
+#: ``m * _DX0_TABLE.shape[1] + e``.
+_MOVES_X0 = _DX0_TABLE.ravel()
+_MOVES_X1 = _DX1_TABLE.ravel()
 
 
 def resolve_backend(
@@ -193,9 +226,11 @@ def run_tau_sweep_ensemble(
         Tau-selection accuracy parameter (bounded relative propensity
         change per leap).
     exact_tail_population:
-        Hand a replica to the exact scalar simulator once its total
-        population is at or below this value (``0`` disables the handoff
-        and leaps all the way to absorption).
+        Park a replica for the exact endgame once its total population is
+        at or below this value (``0`` disables the handoff and leaps all
+        the way to absorption).  The call's parked replicas finish together,
+        bitwise equal to one scalar-simulator run each on their member's
+        tail stream (see the module's reproducibility contract).
     collect:
         Statistics level (:data:`~repro.lv.ensemble.COLLECT_MODES`).
         Generic-scenario members honour it through
@@ -253,17 +288,32 @@ def run_tau_sweep_ensemble(
         )
         for index, result in zip(generic_indexes, generic_results):
             results[index] = result
-    for index, (member, seed) in enumerate(zip(members, seeds)):
-        if member.scenario != DEFAULT_SCENARIO:
-            continue
-        step_generator, tail_generator = spawn_generators(seed, 2)
-        results[index] = _run_member_tau(
-            member,
-            step_generator,
-            tail_generator,
-            epsilon,
-            exact_tail_population,
+    # lv2 members leap one after another into one set of output slots, then
+    # every replica they parked finishes in one batched exact endgame.
+    lv2_indexes = [
+        i for i, member in enumerate(members) if member.scenario == DEFAULT_SCENARIO
+    ]
+    offsets = np.cumsum([0] + [members[i].num_replicates for i in lv2_indexes])
+    outputs = _TauOutputs(int(offsets[-1]))
+    tail_generators: list[np.random.Generator] = []
+    parked: list[np.ndarray] = []
+    for index, offset in zip(lv2_indexes, offsets):
+        step_generator, tail_generator = spawn_generators(seeds[index], 2)
+        tail_generators.append(tail_generator)
+        parked.append(
+            _run_member_tau(
+                members[index],
+                outputs,
+                int(offset),
+                step_generator,
+                epsilon,
+                exact_tail_population,
+            )
         )
+    lv2_members = [members[i] for i in lv2_indexes]
+    _finish_parked(lv2_members, outputs, tail_generators, parked)
+    for index, start, stop in zip(lv2_indexes, offsets, offsets[1:]):
+        results[index] = outputs.to_result(members[index], slice(start, stop))
     return results
 
 
@@ -274,12 +324,33 @@ def _validate_epsilon(epsilon: float) -> None:
         )
 
 
+#: Per-replica accumulators of a tau run, named alike in the working state and
+#: the outputs.
+_FIELDS = (
+    "x0",
+    "x1",
+    "events",
+    "leap_events",
+    "histogram",
+    "bad",
+    "good",
+    "noise_ind",
+    "noise_comp",
+    "max_total",
+    "min_gap",
+    "hit_tie",
+)
+
+
 class _TauOutputs:
-    """Full-width result arrays of one member's tau run, by original index."""
+    """Result arrays of a call's lv2 members, one output slot per replica.
+
+    Members own consecutive slot ranges, in member order.
+    """
 
     def __init__(self, size: int):
-        self.final_x0 = np.zeros(size, dtype=np.int64)
-        self.final_x1 = np.zeros(size, dtype=np.int64)
+        self.x0 = np.zeros(size, dtype=np.int64)
+        self.x1 = np.zeros(size, dtype=np.int64)
         self.events = np.zeros(size, dtype=np.int64)
         self.leap_events = np.zeros(size, dtype=np.int64)
         self.termination = np.full(size, _CONSENSUS, dtype=np.int8)
@@ -292,54 +363,39 @@ class _TauOutputs:
         self.min_gap = np.zeros(size, dtype=np.int64)
         self.hit_tie = np.zeros(size, dtype=bool)
 
-    def to_result(self, member: SweepMember) -> LVEnsembleResult:
+    def to_result(self, member: SweepMember, slots: slice) -> LVEnsembleResult:
+        histogram = self.histogram[slots]
         return LVEnsembleResult(
             params=member.params,
             initial_state=member.initial_state,
-            final_x0=self.final_x0,
-            final_x1=self.final_x1,
-            total_events=self.events,
-            termination_codes=self.termination,
-            births=self.histogram[:, _BIRTH0 : _BIRTH1 + 1].copy(),
-            deaths=self.histogram[:, _DEATH0 : _DEATH1 + 1].copy(),
-            interspecific_events=(
-                self.histogram[:, _INTER0] + self.histogram[:, _INTER1]
-            ),
-            intraspecific_events=self.histogram[:, _INTRA0 : _INTRA1 + 1].copy(),
-            bad_noncompetitive_events=self.bad,
-            good_events=self.good,
-            noise_individual=self.noise_ind,
-            noise_competitive=self.noise_comp,
-            max_total_population=self.max_total,
-            min_gap_seen=self.min_gap,
-            hit_tie=self.hit_tie,
-            leap_events=self.leap_events,
+            final_x0=self.x0[slots].copy(),
+            final_x1=self.x1[slots].copy(),
+            total_events=self.events[slots].copy(),
+            termination_codes=self.termination[slots].copy(),
+            births=histogram[:, _BIRTH0 : _BIRTH1 + 1].copy(),
+            deaths=histogram[:, _DEATH0 : _DEATH1 + 1].copy(),
+            interspecific_events=histogram[:, _INTER0] + histogram[:, _INTER1],
+            intraspecific_events=histogram[:, _INTRA0 : _INTRA1 + 1].copy(),
+            bad_noncompetitive_events=self.bad[slots].copy(),
+            good_events=self.good[slots].copy(),
+            noise_individual=self.noise_ind[slots].copy(),
+            noise_competitive=self.noise_comp[slots].copy(),
+            max_total_population=self.max_total[slots].copy(),
+            min_gap_seen=self.min_gap[slots].copy(),
+            hit_tie=self.hit_tie[slots].copy(),
+            leap_events=self.leap_events[slots].copy(),
         )
 
 
 class _TauState:
-    """Packed working arrays of one member's replica batch."""
+    """Packed working arrays of replicas in flight, by output slot (``orig``)."""
 
-    #: Per-replica accumulators scattered to the outputs at retirement.
-    ARRAYS = (
-        "x0",
-        "x1",
-        "events",
-        "leap_events",
-        "histogram",
-        "bad",
-        "good",
-        "noise_ind",
-        "noise_comp",
-        "max_total",
-        "min_gap",
-        "hit_tie",
-        "orig",
-    )
+    #: Per-replica arrays that :meth:`pack` keeps aligned.
+    ARRAYS = _FIELDS + ("orig",)
 
-    def __init__(self, member: SweepMember):
+    def __init__(self, member: SweepMember, offset: int):
         size = member.num_replicates
-        self.orig = np.arange(size)
+        self.orig = offset + np.arange(size)
         self.x0 = np.full(size, member.initial_state.x0, dtype=np.int64)
         self.x1 = np.full(size, member.initial_state.x1, dtype=np.int64)
         self.events = np.zeros(size, dtype=np.int64)
@@ -358,20 +414,10 @@ class _TauState:
         return int(self.orig.size)
 
     def scatter(self, outputs: _TauOutputs, rows: np.ndarray) -> None:
-        """Write *rows*' accumulators to their original output slots."""
+        """Write *rows*' accumulators to their output slots."""
         where = self.orig[rows]
-        outputs.final_x0[where] = self.x0[rows]
-        outputs.final_x1[where] = self.x1[rows]
-        outputs.events[where] = self.events[rows]
-        outputs.leap_events[where] = self.leap_events[rows]
-        outputs.histogram[where] = self.histogram[rows]
-        outputs.bad[where] = self.bad[rows]
-        outputs.good[where] = self.good[rows]
-        outputs.noise_ind[where] = self.noise_ind[rows]
-        outputs.noise_comp[where] = self.noise_comp[rows]
-        outputs.max_total[where] = self.max_total[rows]
-        outputs.min_gap[where] = self.min_gap[rows]
-        outputs.hit_tie[where] = self.hit_tie[rows]
+        for name in _FIELDS:
+            getattr(outputs, name)[where] = getattr(self, name)[rows]
 
     def pack(self, keep: np.ndarray) -> None:
         """Drop every row not in *keep* (a sorted index array)."""
@@ -388,12 +434,19 @@ def _safe_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
 
 def _run_member_tau(
     member: SweepMember,
+    outputs: _TauOutputs,
+    offset: int,
     step_generator: np.random.Generator,
-    tail_generator: np.random.Generator,
     epsilon: float,
     exact_tail_population: int,
-) -> LVEnsembleResult:
-    """Advance one member's replica batch by vectorized Poisson leaps."""
+) -> np.ndarray:
+    """Advance one member's replica batch by vectorized Poisson leaps.
+
+    Results land in *outputs* from slot *offset* on.  Replicas that reach the
+    exact tail population are parked there (their accumulators written, the
+    endgame left to :func:`_finish_parked`); returns their slots in park
+    order: by leap, then ascending replica index.
+    """
     params = member.params
     budget = member.max_events
     mechanism_row = 1 if params.is_self_destructive else 0
@@ -410,8 +463,8 @@ def _run_member_tau(
     g0 = 2.0 if (params.alpha > 0.0 or params.gamma0 > 0.0) else 1.0
     g1 = 2.0 if (params.alpha > 0.0 or params.gamma1 > 0.0) else 1.0
 
-    outputs = _TauOutputs(member.num_replicates)
-    state = _TauState(member)
+    state = _TauState(member, offset)
+    parked: list[np.ndarray] = []
 
     while state.width:
         x0, x1 = state.x0, state.x1
@@ -432,18 +485,11 @@ def _run_member_tau(
         total = rows.sum(axis=0)
         absorbed = total <= 0.0
         tail = ~absorbed & (x0 + x1 <= exact_tail_population)
-        if absorbed.any():
-            absorbed_rows = np.nonzero(absorbed)[0]
-            outputs.termination[state.orig[absorbed_rows]] = _ABSORBED
-            state.scatter(outputs, absorbed_rows)
-        if tail.any():
-            # Exact endgame: ascending original-replica order, one scalar
-            # run per survivor from the member's tail stream.
-            _finish_exact_tail(
-                member, state, outputs, tail_generator, np.nonzero(tail)[0]
-            )
         dropped = absorbed | tail
         if dropped.any():
+            outputs.termination[state.orig[absorbed]] = _ABSORBED
+            parked.append(state.orig[tail])
+            state.scatter(outputs, np.nonzero(dropped)[0])
             keep = np.nonzero(~dropped)[0]
             state.pack(keep)
             if not state.width:
@@ -541,7 +587,7 @@ def _run_member_tau(
         np.minimum(state.min_gap, np.abs(gap_after), out=state.min_gap)
         state.hit_tie |= gap_after == 0
 
-    return outputs.to_result(member)
+    return np.concatenate(parked) if parked else np.zeros(0, dtype=np.int64)
 
 
 def _propensity_rows(params: LVParams, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
@@ -564,38 +610,199 @@ def _propensity_rows(params: LVParams, x0: np.ndarray, x1: np.ndarray) -> np.nda
     return rows
 
 
-def _finish_exact_tail(
+class _EndgameLanes(_TauState):
+    """Parked replicas in the exact endgame, one *lane* each, by output slot.
+
+    Besides the accumulators, a lane carries what its scalar run reads: its
+    member's index, class rates (``beta, beta, delta, delta, alpha0, alpha1,
+    gamma0, gamma1``), offset into the flat moves tables and gap sign; the
+    budget left at park; its block (how many lanes of its member were parked
+    before it); and its row in the current uniform window.
+    """
+
+    ARRAYS = _TauState.ARRAYS + (
+        "member",
+        "block",
+        "rates",
+        "moves",
+        "sign",
+        "budget",
+        "window_row",
+    )
+
+    def __init__(
+        self,
+        members: Sequence[SweepMember],
+        outputs: _TauOutputs,
+        parked: Sequence[np.ndarray],
+    ):
+        self.orig = np.concatenate(parked)
+        for name in _FIELDS:
+            setattr(self, name, getattr(outputs, name)[self.orig])
+        sizes = [rows.size for rows in parked]
+        self.member = np.repeat(np.arange(len(members)), sizes)
+        self.block = np.concatenate([np.arange(size) for size in sizes])
+        rates, self_destructive = LVParams.stack([member.params for member in members])
+        self.rates = rates[:, _CLASS_RATE][self.member]
+        self.moves = _DX0_TABLE.shape[1] * self_destructive[self.member]
+        minority_first = [member.initial_state.majority_species == 1 for member in members]
+        self.sign = np.where(minority_first, -1, 1)[self.member]
+        budgets = np.array([member.max_events for member in members], dtype=np.int64)
+        # Positive: the leap loop retires spent replicas before it parks any.
+        self.budget = budgets[self.member] - self.events
+        self.window_row = np.zeros(self.orig.size, dtype=np.intp)
+
+    def copy(self) -> "_EndgameLanes":
+        clone = object.__new__(_EndgameLanes)
+        for name in self.ARRAYS:
+            setattr(clone, name, getattr(self, name).copy())
+        return clone
+
+
+def _finish_parked(
+    members: Sequence[SweepMember],
+    outputs: _TauOutputs,
+    tail_generators: Sequence[np.random.Generator],
+    parked: Sequence[np.ndarray],
+) -> None:
+    """The exact endgame: finish every parked replica of a call in lock-step.
+
+    Bitwise equal to one :meth:`LVJumpChainSimulator.run
+    <repro.lv.simulator.LVJumpChainSimulator.run>` per parked replica, in
+    park order, on its member's tail stream, folded in by
+    :func:`~repro.lv.ensemble.merge_scalar_tail_run` (see the module's
+    reproducibility contract).  Each live lane fires one event per step,
+    reading uniform ``_UNIFORM_BUFFER * block + t`` through its window, and
+    follows the scalar run: its propensity association, the first
+    left-to-right partial sum above ``u * total``, its exits in its order
+    and its accounting, noise in the member's gap sign (what the merge's
+    noise flip computes).  Lanes still alive at ``t = _UNIFORM_BUFFER``
+    would draw a second block: their member keeps the lanes before the
+    first of them and finishes the rest with :func:`_finish_scalar`.
+    """
+    if not any(rows.size for rows in parked):
+        return
+    lanes = _EndgameLanes(members, outputs, parked)
+    state = lanes.copy()
+    intraspecific = bool(state.rates[:, _INTRA0:].any())
+    window = np.empty((0, _ENDGAME_WINDOW))
+    window_end = t = 0
+
+    def repacked() -> tuple[np.ndarray, np.ndarray, int]:
+        """Class-major rates, each lane's first histogram cell, least budget."""
+        cells = state.histogram.shape[1] * np.arange(state.width)
+        return np.ascontiguousarray(state.rates.T), cells, int(state.budget.min())
+
+    rates, cells, budget_floor = repacked()
+    while state.width:
+        x0, x1 = state.x0, state.x1
+        operands = np.empty((3, state.width))
+        operands[0] = x0
+        operands[1] = x1
+        operands[2] = x0 * x1
+        rows = operands.take(_CLASS_OPERAND, axis=0)
+        rows *= rates
+        if intraspecific:
+            rows[_INTRA0:] *= operands[:2] - 1.0
+            rows[_INTRA0:] /= 2.0
+        # Partial sums in place, row by row: the scalar run's additions, in
+        # its order, so the last row is its total.
+        for previous, current in zip(rows[:-1], rows[1:]):
+            np.add(previous, current, out=current)
+        # The scalar run's exits, in its order: consensus, budget, absorption.
+        finished = operands[2] == 0.0
+        done = finished | (rows[_INTRA1] <= 0.0)
+        if t >= budget_floor:
+            done |= state.budget <= t
+        if done.any():
+            codes = np.where(
+                finished,
+                _CONSENSUS,
+                np.where(state.budget <= t, _MAX_EVENTS, _ABSORBED),
+            )
+            retired = np.nonzero(done)[0]
+            outputs.termination[state.orig[retired]] = codes[retired]
+            state.scatter(outputs, retired)
+            keep = np.nonzero(~done)[0]
+            state.pack(keep)
+            if not state.width:
+                break
+            rows = rows[:, keep]
+            rates, cells, budget_floor = repacked()
+            x0, x1 = state.x0, state.x1
+        if t == _UNIFORM_BUFFER:
+            break
+        if t == window_end:
+            # Every lane's next window of positions, one read per member.
+            window = np.empty((state.width, _ENDGAME_WINDOW))
+            starts = (_UNIFORM_BUFFER * state.block + t).tolist()
+            edges = [0, *(np.flatnonzero(np.diff(state.member)) + 1).tolist()]
+            for lo, hi in zip(edges, edges[1:] + [state.width]):
+                stream_uniforms(
+                    tail_generators[state.member[lo]], starts[lo:hi], window[lo:hi]
+                )
+            state.window_row = np.arange(state.width)
+            window_end = t + _ENDGAME_WINDOW
+        uniforms = window[state.window_row, t + _ENDGAME_WINDOW - window_end]
+        event = (rows <= uniforms * rows[_INTRA1]).sum(axis=0)
+
+        gap_before = x0 - x1
+        moves = state.moves + event
+        x0 += _MOVES_X0.take(moves)
+        x1 += _MOVES_X1.take(moves)
+        if x0.min() < 0 or x1.min() < 0:
+            raise SimulationError("the exact endgame drove a species count negative")
+        t += 1
+        state.events += 1
+        # A view: packing leaves the histogram C-contiguous.
+        state.histogram.reshape(-1)[cells + event] += 1
+        gap_after = x0 - x1
+        step_noise = state.sign * (gap_before - gap_after)
+        individual = event <= _DEATH1
+        individual_noise = step_noise * individual
+        state.noise_ind += individual_noise
+        state.noise_comp += step_noise - individual_noise
+        abs_after = np.abs(gap_after)
+        state.bad += individual & (abs_after < np.abs(gap_before))
+        state.good += (gap_before != 0) & _GOOD_TABLE[
+            (gap_before < 0).view(np.int8), event
+        ]
+        np.maximum(state.max_total, x0 + x1, out=state.max_total)
+        np.minimum(state.min_gap, abs_after, out=state.min_gap)
+        state.hit_tie |= gap_after == 0
+
+    # The lanes still alive would each draw a second block: from the first
+    # of them on, their member's replicas go back to their park-time values
+    # and finish one scalar run each.
+    for index in np.unique(state.member).tolist():
+        first = int(state.block[state.member == index].min())
+        redo = np.nonzero((lanes.member == index) & (lanes.block >= first))[0]
+        lanes.scatter(outputs, redo)
+        tail_generator = tail_generators[index]
+        advance_stream(tail_generator, _UNIFORM_BUFFER * first)
+        _finish_scalar(members[index], outputs, tail_generator, lanes.orig[redo])
+
+
+def _finish_scalar(
     member: SweepMember,
-    state: _TauState,
     outputs: _TauOutputs,
     tail_generator: np.random.Generator,
-    rows: np.ndarray,
+    slots: np.ndarray,
 ) -> None:
-    """Finish *rows* with the exact scalar simulator (the hybrid endgame).
+    """Finish *slots* one scalar run each, in order, on *tail_generator*.
 
-    Mirrors the exact engine's scalar finisher: survivors run in ascending
-    original-replica-index order from the member's tail stream, each with
-    its remaining event budget; the sub-run accounting is folded in by the
-    shared :func:`repro.lv.ensemble.merge_scalar_tail_run` (including the
-    mid-run noise-reference flip), so the two backends' exact-endgame
-    statistics can never drift apart.
+    Each run starts from the slot's parked counts with the budget left, and
+    :func:`~repro.lv.ensemble.merge_scalar_tail_run` folds it in, noise
+    reference flip included.
     """
-    simulator: LVJumpChainSimulator | None = None
+    simulator = LVJumpChainSimulator(member.params)
     reference = 0 if member.initial_state.majority_species != 1 else 1
-    for i in rows:
-        where = int(state.orig[i])
-        remaining = int(member.max_events) - int(state.events[i])
-        state.scatter(outputs, np.array([i]))
-        if remaining <= 0:
-            outputs.termination[where] = _MAX_EVENTS
-            continue
-        mid_state = LVState(int(state.x0[i]), int(state.x1[i]))
-        if simulator is None:
-            simulator = LVJumpChainSimulator(member.params)
+    for slot in slots.tolist():
+        mid_state = LVState(int(outputs.x0[slot]), int(outputs.x1[slot]))
+        remaining = int(member.max_events) - int(outputs.events[slot])
         result = simulator.run(mid_state, rng=tail_generator, max_events=remaining)
-        outputs.final_x0[where] = result.final_state.x0
-        outputs.final_x1[where] = result.final_state.x1
-        outputs.events[where] += result.total_events
-        code = merge_scalar_tail_run(outputs, where, result, mid_state, reference)
-        if code is not None:
-            outputs.termination[where] = code
+        outputs.x0[slot] = result.final_state.x0
+        outputs.x1[slot] = result.final_state.x1
+        outputs.events[slot] += result.total_events
+        code = merge_scalar_tail_run(outputs, slot, result, mid_state, reference)
+        outputs.termination[slot] = _CONSENSUS if code is None else code

@@ -12,14 +12,19 @@ the modern :class:`numpy.random.Generator` API.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
+import numpy.typing as npt
 
 __all__ = [
     "SeedLike",
+    "advance_stream",
     "as_generator",
     "spawn_generators",
     "spawn_seeds",
     "stable_seed",
+    "stream_uniforms",
 ]
 
 #: Accepted types for the ``rng`` / ``seed`` arguments across the library.
@@ -91,6 +96,68 @@ def spawn_seeds(seed: SeedLike, count: int) -> list[int]:
     """
     generators = spawn_generators(seed, count)
     return [int(gen.integers(0, 2**63 - 1)) for gen in generators]
+
+
+def _advanceable(generator: np.random.Generator) -> np.random.PCG64 | np.random.PCG64DXSM:
+    """*generator*'s bit generator, which must step once per ``random()`` draw."""
+    bit_generator = generator.bit_generator
+    if not isinstance(bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise TypeError(
+            "stream positioning needs a PCG64 generator (what spawn_generators "
+            f"gives), got {type(bit_generator).__name__}"
+        )
+    return bit_generator
+
+
+def stream_uniforms(
+    generator: np.random.Generator, starts: Sequence[int], out: npt.NDArray[np.float64]
+) -> npt.NDArray[np.float64]:
+    """Fill row ``i`` of *out* with *generator*'s uniforms from draw ``starts[i]`` on.
+
+    Draw ``j`` is the ``j``-th double ``generator.random`` would return from
+    where the generator stands now, so row ``i`` equals
+    ``generator.random(s + w)[s:]`` on a copy of *generator*, for
+    ``s = starts[i]`` and ``w`` the row width; the generator itself does not
+    move.  Positions are reached by ``advance`` in O(1), which is why the
+    bit generator must be a PCG64 (the one :func:`spawn_generators` gives):
+    each ``random()`` double is one of its steps.  Ascending *starts* cost
+    one ``advance`` per row.
+
+    Examples
+    --------
+    >>> gen = as_generator(5)
+    >>> windows = stream_uniforms(gen, [4096, 8192], np.empty((2, 3)))
+    >>> stream = as_generator(5).random(8195)
+    >>> bool((windows == [stream[4096:4099], stream[8192:8195]]).all())
+    True
+    >>> float(gen.random()) == float(stream[0])
+    True
+    """
+    bit_generator = _advanceable(generator)
+    origin = bit_generator.state
+    position = 0
+    for start, row in zip(starts, out):
+        if start < position:
+            bit_generator.state = origin
+            position = 0
+        bit_generator.advance(start - position)
+        generator.random(out=row)
+        position = start + row.size
+    bit_generator.state = origin
+    return out
+
+
+def advance_stream(generator: np.random.Generator, count: int) -> None:
+    """Move *generator* on by *count* draws, as if ``random(count)`` had run.
+
+    Examples
+    --------
+    >>> gen = as_generator(5)
+    >>> advance_stream(gen, 4096)
+    >>> float(gen.random()) == float(as_generator(5).random(4097)[-1])
+    True
+    """
+    _advanceable(generator).advance(count)
 
 
 def stable_seed(*parts: int | str) -> int:

@@ -1,23 +1,44 @@
-"""Tests for the CI same-bits script, ``.github/scripts/bits_parity.py``."""
+"""Tests for the CI same-bits scripts in ``.github/scripts``."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / ".github" / "scripts" / "bits_parity.py"
+from repro.lv.ensemble import SweepMember, run_sweep_ensemble
+from repro.lv.state import LVState
+
+SCRIPTS = Path(__file__).resolve().parent.parent / ".github" / "scripts"
+SCRIPT = SCRIPTS / "bits_parity.py"
+
+
+def _load(name: str):
+    # engine_parity imports bits_parity as its sibling, as it does when run.
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    return module
 
 
 @pytest.fixture(scope="module")
 def bits_parity():
-    spec = importlib.util.spec_from_file_location("bits_parity", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("bits_parity")
+
+
+@pytest.fixture(scope="module")
+def engine_parity():
+    return _load("engine_parity")
 
 
 def _document(*entries) -> bytes:
@@ -63,3 +84,26 @@ class TestDifferingExperiments:
 
     def test_empty_run(self, bits_parity):
         assert bits_parity.differing_experiments(b"[]", b"[\n]") == []
+
+
+class TestEngineParity:
+    def test_differing_and_one_sided_calls_are_listed(self, engine_parity):
+        base = {"same": "1", "moved": "2", "gone": "3"}
+        head = {"same": "1", "moved": "9", "new": "3"}
+        assert engine_parity.differing_calls(base, head) == ["gone", "moved", "new"]
+
+    def test_digest_reads_every_per_replica_array(self, engine_parity, sd_params):
+        (result,) = run_sweep_ensemble([SweepMember(sd_params, LVState(12, 8), 6)], rng=1)
+        digest = engine_parity.results_digest([result])
+        assert engine_parity.results_digest([result]) == digest
+        arrays = [
+            field.name
+            for field in dataclasses.fields(result)
+            if isinstance(getattr(result, field.name), np.ndarray)
+        ]
+        assert "final_x0" in arrays and "hit_tie" in arrays
+        for name in arrays:
+            changed = getattr(result, name).copy()
+            changed.flat[0] = ~changed.flat[0] if changed.dtype == bool else changed.flat[0] + 1
+            altered = dataclasses.replace(result, **{name: changed})
+            assert engine_parity.results_digest([altered]) != digest, name

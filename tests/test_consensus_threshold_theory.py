@@ -65,6 +65,14 @@ class TestThresholdSearch:
         assert estimate.num_runs == 50
         assert estimate.total_population == 64
 
+    def test_find_probes_run_at_the_win_level(self, sd_params):
+        """find() reads only ρ and its interval, so no probe collects event statistics."""
+        estimate = ThresholdSearch(sd_params, num_runs=30).find(32, rng=2)
+        assert estimate.probes
+        for probe in estimate.probes.values():
+            assert probe.collected == "win"
+            assert math.isnan(probe.mean_bad_events)
+
     def test_invalid_population_size(self, sd_params):
         with pytest.raises(ThresholdSearchError):
             find_threshold(sd_params, 2, num_runs=10)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import hashlib
 import inspect
 
 import numpy as np
@@ -144,17 +145,17 @@ class TestEnsembleAgainstReference:
 
     @pytest.mark.parametrize("mechanism", ["sd_params", "nsd_params"])
     def test_fixed_budget_threshold_search_matches_reference(self, request, mechanism):
-        """``find`` decides every probe exactly as the replayed probes would."""
+        """``find`` decides every probe exactly as the replayed win-level probes would."""
         params = request.getfixturevalue(mechanism)
         found = ThresholdSearch(params, num_runs=40).find(32, rng=4)
         (replayed,) = drive_threshold_searches(
             [ThresholdSearch(params, num_runs=40).search_steps(32, rng=4)],
-            lambda probes: [_reference_estimate(probe) for probe in probes],
+            lambda probes: [_reference_estimate(probe, "win") for probe in probes],
         )
         assert found.threshold_gap == replayed.threshold_gap
         assert list(found.probes) == list(replayed.probes)
         for gap, estimate in found.probes.items():
-            assert estimate == replayed.probes[gap], gap
+            assert_same_estimate(estimate, replayed.probes[gap])
 
     def test_cho_estimate_matches_reference(self):
         model = ChoGrowthModel(beta=1.0, alpha=1.0)
@@ -174,15 +175,25 @@ def _one_shot_replay(params, *, rng):
     return reference.replay_lv2_member(params, (30, 18), 64, DEFAULT_MAX_EVENTS, seed)
 
 
-def _reference_estimate(probe):
+def _reference_estimate(probe, collect: str = "full"):
     """A threshold probe's estimate, summarised from its replayed member."""
     (seed,) = reference.member_root_seeds(1, rng=probe.seed)
     state = probe.initial_state
     replay = reference.replay_lv2_member(
-        probe.params, (state.x0, state.x1), probe.num_runs, probe.max_events, seed
+        probe.params, (state.x0, state.x1), probe.num_runs, probe.max_events, seed, collect
     )
     ensemble = LVEnsembleResult(params=probe.params, initial_state=state, **replay)
-    return summarise_ensemble(ensemble, confidence=probe.confidence)
+    return summarise_ensemble(ensemble, confidence=probe.confidence, collected=collect)
+
+
+def assert_same_estimate(actual, expected) -> None:
+    """Every field of two estimates equal, NaN (a statistic never collected) matching NaN."""
+    for field in dataclasses.fields(expected):
+        value, wanted = getattr(actual, field.name), getattr(expected, field.name)
+        if isinstance(wanted, float) and np.isnan(wanted):
+            assert isinstance(value, float) and np.isnan(value), field.name
+        else:
+            assert value == wanted, field.name
 
 
 SD = CompetitionMechanism.SELF_DESTRUCTIVE
@@ -310,12 +321,80 @@ class TestScalarTailAgainstReference:
 
     def test_generator_stream_position_matches(self, sd_params):
         # Sequential runs on one stream (every tail) diverge unless each run
-        # consumes exactly the same whole blocks.
+        # consumes exactly the same whole blocks; the second run needs two.
         simulator_rng = np.random.default_rng(42)
         reference_rng = np.random.default_rng(42)
-        LVJumpChainSimulator(sd_params).run(LVState(30, 20), rng=simulator_rng)
-        reference.scalar_run(sd_params, (30, 20), reference_rng, DEFAULT_MAX_EVENTS)
-        assert simulator_rng.random() == reference_rng.random()
+        for params, state, budget in [
+            (sd_params, (30, 20), DEFAULT_MAX_EVENTS),
+            (BIRTHS_DEATHS_NSD, (100, 90), 6_000),
+        ]:
+            run = LVJumpChainSimulator(params).run(
+                LVState(*state), rng=simulator_rng, max_events=budget
+            )
+            self._assert_same_run(run, reference.scalar_run(params, state, reference_rng, budget))
+            assert simulator_rng.random() == reference_rng.random()
+        assert run.total_events > reference.SCALAR_BLOCK
+
+
+GAMMA_SD = LVParams(1.0, 0.7, 0.3, 0.45, 0.3, 0.2, SD)
+GAMMA_NSD = LVParams(0.9, 1.1, 0.2, 0.6, 0.35, 0.15, NSD)
+
+#: Tau calls whose replicas start at or below the exact tail population, so
+#: each replica is one scalar run on its member's tail stream, in replica
+#: order.  Every mechanism, both majorities, a tie, a budget that runs out
+#: in the endgame, and absorption at (1, 1).
+ENDGAME_BATCHES = {
+    "mixed": [
+        SweepMember(NO_INTRA_SD, LVState(60, 40), 6),
+        SweepMember(NO_INTRA_NSD, LVState(50, 46), 4),
+        SweepMember(NO_INTRA_NSD, LVState(34, 41), 4),
+        SweepMember(GAMMA_SD, LVState(30, 41), 5),
+        SweepMember(GAMMA_NSD, LVState(20, 20), 5),
+    ],
+    "budget": [
+        SweepMember(NO_INTRA_SD, LVState(60, 40), 6, 40),
+        SweepMember(GAMMA_NSD, LVState(33, 28), 4, 25),
+        SweepMember(NO_INTRA_NSD, LVState(50, 46), 3),
+    ],
+    "absorbed": [
+        SweepMember(INTRA_ONLY, LVState(4, 4), 6),
+        SweepMember(INTRA_ONLY, LVState(5, 3), 4),
+        SweepMember(NO_INTRA_SD, LVState(12, 9), 3),
+    ],
+}
+
+#: Every per-replica array of a result, in the order the digest below reads.
+RESULT_ARRAYS = (
+    "final_x0",
+    "final_x1",
+    "total_events",
+    "termination_codes",
+    "births",
+    "deaths",
+    "interspecific_events",
+    "intraspecific_events",
+    "bad_noncompetitive_events",
+    "good_events",
+    "noise_individual",
+    "noise_competitive",
+    "max_total_population",
+    "min_gap_seen",
+    "hit_tie",
+    "leap_events",
+)
+
+#: sha256 of :func:`results_digest` over the leap-to-endgame call of
+#: ``test_leap_to_endgame_call_keeps_its_digest``, as the scalar endgame
+#: (one run per parked replica) computed it.
+LEAP_TO_ENDGAME_DIGEST = "5a1a54ce302c904e64eaf671b74b66bebaa4c109c6b6d260a54225dc5ceb6db4"
+
+
+def results_digest(results) -> str:
+    digest = hashlib.sha256()
+    for result in results:
+        for name in RESULT_ARRAYS:
+            digest.update(np.ascontiguousarray(getattr(result, name)).tobytes())
+    return digest.hexdigest()
 
 
 class TestTauEndgameAgainstReference:
@@ -345,21 +424,56 @@ class TestTauEndgameAgainstReference:
         replay["leap_events"] = np.zeros(member.num_replicates, dtype=np.int64)
         return replay
 
-    def test_exact_tail_matches_reference(self, sd_params, nsd_params):
-        members = [
-            SweepMember(sd_params, LVState(60, 40), 6),
-            SweepMember(nsd_params, LVState(50, 46), 4),
-        ]
-        results = run_tau_sweep_ensemble(members, rng=11)
-        seeds = reference.member_root_seeds(2, rng=11)
+    def _assert_call_matches_reference(self, members, **options) -> list:
+        results = run_tau_sweep_ensemble(members, **options)
+        seeds = reference.member_root_seeds(len(members), rng=options.get("rng"))
         for member, seed, result in zip(members, seeds, results):
             assert_matches_replay(result, self._endgame_replay(member, seed))
+        return results
+
+    @pytest.mark.parametrize("batch", list(ENDGAME_BATCHES))
+    def test_exact_tail_matches_reference(self, batch):
+        results = self._assert_call_matches_reference(ENDGAME_BATCHES[batch], rng=11)
+        codes = np.concatenate([result.termination_codes for result in results])
+        if batch == "budget":
+            assert (codes == reference.MAX_EVENTS).any()
+        if batch == "absorbed":
+            assert (codes == reference.ABSORBED).any()
 
     def test_tau_endgame_from_the_start_matches_reference(self, sd_params):
         member = SweepMember(sd_params, LVState(700, 500), 4, DEFAULT_MAX_EVENTS)
-        (result,) = run_tau_sweep_ensemble([member], rng=13, exact_tail_population=2_000)
-        (seed,) = reference.member_root_seeds(1, rng=13)
-        assert_matches_replay(result, self._endgame_replay(member, seed))
+        self._assert_call_matches_reference([member], rng=13, exact_tail_population=2_000)
+
+    def test_runs_past_one_block_redo_their_member_from_the_first(self, nsd_params):
+        """A run past one uniform block hands its member to the scalar loop.
+
+        The replicas before it keep their lock-step results; it and every
+        later replica, some of which end inside one block, run again as
+        scalar runs from its block on.
+        """
+        members = [
+            SweepMember(BIRTHS_DEATHS_NSD, LVState(24, 20), 8, 6_000),
+            SweepMember(nsd_params, LVState(46, 50), 3),
+        ]
+        results = self._assert_call_matches_reference(members, rng=4)
+        events = results[0].total_events
+        first = np.flatnonzero(events > reference.SCALAR_BLOCK)[0]
+        assert first > 0
+        assert (events[first:] <= reference.SCALAR_BLOCK).any()
+
+    def test_leap_to_endgame_call_keeps_its_digest(self, sd_params, nsd_params):
+        """No reference replays the leap phase: pin one call's bytes instead."""
+        members = [
+            SweepMember(sd_params, LVState(4_000, 3_900), 5),
+            SweepMember(nsd_params, LVState(2_600, 2_700), 4),
+            SweepMember(sd_params, LVState(3_000, 3_000), 3),
+            SweepMember(GAMMA_SD, LVState(9_000, 7_000), 3),
+        ]
+        results = run_tau_sweep_ensemble(members, rng=21)
+        for result in results:
+            assert (result.leap_events > 0).all()
+            assert (result.total_events > result.leap_events).all()
+        assert results_digest(results) == LEAP_TO_ENDGAME_DIGEST
 
 
 def _tasks(sd_params, nsd_params):
