@@ -10,10 +10,15 @@ trees have:
   members covering both mechanisms, intraspecific competition, a tie,
   absorption at (1, 1), event budgets and the scalar tail;
 * ``run_tau_sweep_ensemble`` over calls that leap into the exact endgame,
-  run out of budget there, and pass one uniform block in it.
+  run out of budget there, and pass one uniform block in it;
+* ``LVJumpChainSimulator.run`` over both mechanisms, a species-1 majority,
+  a tie, a budget, absorption and a run past one uniform block, some with
+  ``record_path=True``, and five runs drawing from one stream in turn.
 
 Every budget is bounded, so the battery takes seconds per tree.  It hashes
-every per-replica array of every result.  The check passes when each
+every field of every result: the per-replica arrays by their bytes, any
+other field (a scalar run's counts and path) by its ``repr``.  The check
+passes when each
 call's digest matches, or when the change edits the
 ``RESULT_SCHEMA_VERSION =`` line of ``src/repro/store/keys.py`` (the rule of
 ``bits_parity.py``); otherwise it names the calls whose arrays differ.
@@ -44,8 +49,10 @@ def battery() -> Iterator[tuple[str, list[Any]]]:
     """``(call name, results)`` for every call of the battery, in order."""
     from repro.lv.ensemble import SweepMember, run_sweep_ensemble
     from repro.lv.params import CompetitionMechanism, LVParams
+    from repro.lv.simulator import LVJumpChainSimulator
     from repro.lv.state import LVState
     from repro.lv.tau import run_tau_sweep_ensemble
+    from repro.rng import as_generator
 
     sd_mechanism = CompetitionMechanism.SELF_DESTRUCTIVE
     nsd_mechanism = CompetitionMechanism.NON_SELF_DESTRUCTIVE
@@ -82,7 +89,26 @@ def battery() -> Iterator[tuple[str, list[Any]]]:
         member(gamma_nsd, 33, 28, 4, 25),
     ]
     overflow = [member(walk, 24, 20, 8, 6_000), member(nsd, 46, 50, 3)]
+    # (label, params, state, budget, record_path) of the scalar runs.
+    scalar = [
+        ("sd", sd, (40, 24), 20_000, False),
+        ("nsd-minority-first", nsd, (20, 34), 20_000, True),
+        ("gamma-tie", gamma_nsd, (20, 20), 20_000, True),
+        ("gamma-budget", gamma_sd, (60, 40), 25, True),
+        ("absorbed", gamma_only, (4, 4), 20_000, False),
+        ("past-one-block", walk, (100, 90), 6_000, True),
+    ]
     for seed in SEEDS:
+        for label, params, counts, max_events, record_path in scalar:
+            run = LVJumpChainSimulator(params).run(
+                LVState(*counts), rng=seed, max_events=max_events, record_path=record_path
+            )
+            yield f"LVJumpChainSimulator.run/{label}/rng={seed}", [run]
+        stream = as_generator(seed)
+        yield (
+            f"LVJumpChainSimulator.run/one-stream/rng={seed}",
+            [LVJumpChainSimulator(gamma_sd).run(LVState(30, 41), rng=stream) for _ in range(5)],
+        )
         for collect in ("full", "win"):
             yield (
                 f"run_sweep_ensemble/{collect}/rng={seed}",
@@ -103,7 +129,11 @@ def battery() -> Iterator[tuple[str, list[Any]]]:
 
 
 def results_digest(results: list[Any]) -> str:
-    """sha256 over every array field of every result: name, dtype, shape, bytes."""
+    """sha256 over every field of every result.
+
+    An array field contributes its name, dtype, shape and bytes; any other
+    field its name and ``repr``.
+    """
     import numpy as np
 
     digest = hashlib.sha256()
@@ -113,6 +143,8 @@ def results_digest(results: list[Any]) -> str:
             if isinstance(value, np.ndarray):
                 digest.update(f"{field.name} {value.dtype} {value.shape}\n".encode())
                 digest.update(np.ascontiguousarray(value).tobytes())
+            else:
+                digest.update(f"{field.name} {value!r}\n".encode())
     return digest.hexdigest()
 
 

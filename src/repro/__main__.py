@@ -217,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser = subparsers.add_parser(
         "lint",
         help="statically check the determinism contracts (RNG discipline, "
-        "iteration order, store-key purity, njit nopython subset); exits "
-        "non-zero on any unwaived finding",
+        "iteration order, store-key purity); exits non-zero on any unwaived "
+        "finding",
     )
     lint_parser.add_argument(
         "paths",

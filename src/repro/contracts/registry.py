@@ -51,22 +51,18 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
             "partition-invariant by Generator.random",
         ),
         StreamConsumer(
-            "_advance_lockstep",
+            "_run_lv2_members",
             "tail",
-            "hands the untouched tail generator to the scalar finisher "
-            "when a member's active set goes thin",
+            "after the lock-step loop, hands each member's untouched tail "
+            "generator to the exact-tail finisher, once, with the slots of "
+            "the survivors it handed off when its active set went thin",
         ),
         StreamConsumer(
-            "_finish_member_tail",
+            "_finish_exact_tail",
             "tail",
-            "scalar-simulator tail: one run per surviving replica in "
-            "ascending original-replica order",
-        ),
-        StreamConsumer(
-            "_finish_member_tail_lean",
-            "tail",
-            "win-collect tail twin: identical draws to _finish_member_tail, "
-            "accounting skipped",
+            "the one lv2 exact-tail finisher (both engines, both collect "
+            "levels): one scalar event-loop run per slot, in ascending "
+            "slot order, each drawing a fresh 4096-uniform block at start",
         ),
     ),
     "repro.lv.tau": (
@@ -89,15 +85,9 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
             "tail",
             "batched exact endgame: the member's k-th parked replica reads "
             "tail uniform 4096*k + t at its t-th event, the block the scalar "
-            "run would draw; a run past one block hands its member over to "
-            "_finish_scalar from position 4096*k",
-        ),
-        StreamConsumer(
-            "_finish_scalar",
-            "tail",
-            "endgame fallback: one scalar run per replica, in park order, "
-            "on the repositioned tail stream, via the shared scalar-tail "
-            "merge",
+            "run would draw; a run past one block hands its member's later "
+            "replicas, in park order, to repro.lv.ensemble._finish_exact_tail "
+            "from position 4096*k",
         ),
     ),
     "repro.scenario.engine": (

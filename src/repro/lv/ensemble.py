@@ -56,12 +56,16 @@ which other members share the mega-batch*:
    ``Generator.random`` stream is invariant under call partitioning, so the
    block size never changes which uniform a replica sees.
 3. Once at most :data:`SCALAR_FINISH_WIDTH` of a member's replicas remain
-   active, *that member's* survivors are finished one by one, in ascending
-   original-replica-index order, by the scalar simulator drawing from the
-   member's tail stream — the same handoff point the member would reach
-   running alone, which is what makes fused and solo execution bitwise
-   interchangeable (and retires heavy-tailed members from the vector loop
-   early instead of letting them ride along at full step cost).
+   active, *that member's* survivors leave the lock-step loop — the same
+   handoff point the member would reach running alone, which is what makes
+   fused and solo execution bitwise interchangeable (and retires
+   heavy-tailed members from the vector loop early instead of letting them
+   ride along at full step cost).  After the loop they finish one by one,
+   in ascending original-replica-index order, each as one run of the
+   scalar event loop (:func:`repro.lv.simulator._event_loop`, the loop of
+   ``LVJumpChainSimulator.run``) on the member's tail stream.  Only those
+   runs read the tail stream, and a member hands off once, so finishing
+   them after the loop reads the uniforms it would read at the handoff.
 
 ``tests/reference_lockstep.py`` replays this contract in plain scalar
 Python, and the engine tests match it array for array.
@@ -72,10 +76,12 @@ Active-set compaction periodically packs live replicas to the front of the
 working arrays so that the per-step cost tracks the *live* count, not the
 original batch width.  Packing preserves the relative order of live replicas
 (hence the consumption order above), retired replicas' accumulators are
-scattered to the result arrays exactly once (at pack time or at loop exit),
-and a replica's accounting never changes after retirement.  Consequently the
-results are bitwise-identical for every ``compaction_fraction`` setting,
-which ``tests/test_lv_sweep_ensemble.py`` enforces.
+scattered to the output record exactly once (at pack time or at loop exit),
+and a replica's accounting never changes after retirement — except that a
+handed-off replica's slot is continued by the exact-tail finisher once the
+loop has exited (step 3).  Consequently the results are bitwise-identical
+for every ``compaction_fraction`` setting, which
+``tests/test_lv_sweep_ensemble.py`` enforces.
 """
 
 from __future__ import annotations
@@ -88,10 +94,16 @@ import numpy as np
 from repro.exceptions import InvalidConfigurationError
 from repro.lv.params import LVParams
 from repro.lv.simulator import (
+    _ACCOUNTING,
+    _DX0_TABLE,
+    _DX1_TABLE,
     DEFAULT_MAX_EVENTS,
     LVJumpChainSimulator,
     LVRunResult,
-    _UNIFORM_BUFFER as _SCALAR_UNIFORM_BUFFER,
+    _event_accounting,
+    _event_loop,
+    _gap_sign,
+    _Tally,
 )
 from repro.lv.state import LVState
 from repro.rng import SeedLike, spawn_generators, spawn_seeds
@@ -104,8 +116,6 @@ from repro.scenario.spec import (
     TERM_CONSENSUS,
     TERM_MAX_EVENTS,
     TERMINATION_NAMES,
-    lv2_change_tables,
-    lv2_minority_good_table,
 )
 
 __all__ = [
@@ -123,14 +133,16 @@ _TERMINATION_NAMES = TERMINATION_NAMES
 
 #: Event indices: births, deaths, interspecific, intraspecific.
 _BIRTH0, _BIRTH1, _DEATH0, _DEATH1, _INTER0, _INTER1, _INTRA0, _INTRA1 = range(8)
-#: The no-op sentinel event (column 8 of the tables below).
+#: The no-op sentinel event (column 8 of the simulator's move and good
+#: tables).
 _NO_OP = 8
 
-#: Once at most this many replicas remain active, the lock-step loop hands
-#: them to the scalar simulator: a vectorized step costs about the same
-#: regardless of width, so the long tail of the consensus-time distribution is
-#: cheaper to finish with the plain Python event loop.  The value is part of
-#: the consumption-order contract below, so changing it changes results.
+#: Once at most this many of a member's replicas remain active, the lock-step
+#: loop hands them to the scalar event loop: a vectorized step costs about
+#: the same regardless of width, so the long tail of the consensus-time
+#: distribution is cheaper to finish with the plain Python event loop.  The
+#: value is part of the consumption-order contract above, so changing it
+#: changes results.
 SCALAR_FINISH_WIDTH = 8
 
 #: Minimum number of uniforms drawn per member per RNG call (amortises the
@@ -148,22 +160,6 @@ DEFAULT_COMPACTION_FRACTION = 0.25
 #: at :data:`SCALAR_FINISH_WIDTH` anyway, so repacking tiny arrays only adds
 #: slicing overhead.
 _MIN_COMPACTION_WIDTH = 32
-
-#: Net change of ``x0`` / ``x1`` per event index, one row per mechanism
-#: (row 0: non-self-destructive, row 1: self-destructive), matching the
-#: scalar simulator's moves.  Column 8 is the **no-op sentinel**: retired
-#: replicas are steered to event 8 (their selection threshold is ``+inf``),
-#: so their state, histogram column, and every derived accumulator are
-#: untouched without any per-step masking.  Derived from the two-species
-#: scenario tables (:func:`repro.scenario.spec.lv2_change_tables`), which the
-#: scenario spec tests pin against the historical literals.
-_DX0_TABLE, _DX1_TABLE = lv2_change_tables()
-
-#: good_table[m, e]: event e decreases the current minority's count
-#: (row 1: species 0 is the minority, row 0: species 1 is), following the
-#: scalar simulator's accounting where every interspecific event counts as
-#: good.  Mechanism-independent; column 8 is the retired-replica no-op.
-_GOOD_TABLE = lv2_minority_good_table()
 
 #: Statistics collection levels of the lock-step core.  ``"full"`` produces
 #: the scalar simulator's complete per-replica accounting; ``"win"`` only
@@ -227,6 +223,28 @@ class SweepMember:
             raise InvalidConfigurationError(
                 f"max_events must be positive, got {self.max_events}"
             )
+
+
+#: The per-replica arrays every :class:`LVEnsembleResult` carries, in
+#: declaration order: what :meth:`LVEnsembleResult.concatenate` joins, the
+#: engines' output record builds and the store serialises.
+_ARRAY_FIELDS = (
+    "final_x0",
+    "final_x1",
+    "total_events",
+    "termination_codes",
+    "births",
+    "deaths",
+    "interspecific_events",
+    "intraspecific_events",
+    "bad_noncompetitive_events",
+    "good_events",
+    "noise_individual",
+    "noise_competitive",
+    "max_total_population",
+    "min_gap_seen",
+    "hit_tie",
+)
 
 
 @dataclass
@@ -396,29 +414,6 @@ class LVEnsembleResult:
         return cls(
             params=first.params,
             initial_state=first.initial_state,
-            final_x0=np.concatenate([r.final_x0 for r in results]),
-            final_x1=np.concatenate([r.final_x1 for r in results]),
-            total_events=np.concatenate([r.total_events for r in results]),
-            termination_codes=np.concatenate([r.termination_codes for r in results]),
-            births=np.concatenate([r.births for r in results]),
-            deaths=np.concatenate([r.deaths for r in results]),
-            interspecific_events=np.concatenate(
-                [r.interspecific_events for r in results]
-            ),
-            intraspecific_events=np.concatenate(
-                [r.intraspecific_events for r in results]
-            ),
-            bad_noncompetitive_events=np.concatenate(
-                [r.bad_noncompetitive_events for r in results]
-            ),
-            good_events=np.concatenate([r.good_events for r in results]),
-            noise_individual=np.concatenate([r.noise_individual for r in results]),
-            noise_competitive=np.concatenate([r.noise_competitive for r in results]),
-            max_total_population=np.concatenate(
-                [r.max_total_population for r in results]
-            ),
-            min_gap_seen=np.concatenate([r.min_gap_seen for r in results]),
-            hit_tie=np.concatenate([r.hit_tie for r in results]),
             leap_events=(
                 None
                 if all(r.leap_events is None for r in results)
@@ -440,6 +435,10 @@ class LVEnsembleResult:
                 else np.concatenate([r.finals for r in results])
             ),
             initial_counts=first.initial_counts,
+            **{
+                name: np.concatenate([getattr(r, name) for r in results])
+                for name in _ARRAY_FIELDS
+            },
         )
 
     # ------------------------------------------------------------------
@@ -505,7 +504,7 @@ class _MemberStreams:
     Stream derivation follows the module docstring's consumption-order
     contract: each member seed spawns a (step, tail) generator pair, the step
     stream is consumed through a per-member block buffer, and the tail stream
-    is handed to the scalar finisher untouched.
+    is handed to the exact-tail finisher untouched.
     """
 
     def __init__(self, member_seeds: Sequence[int]):
@@ -541,25 +540,15 @@ class _LockstepState:
     order always equals ascending original-replica order (the property the
     RNG consumption contract relies on).  Both species' counts live in one
     ``(2, W)`` array, ``counts``; ``x0`` and ``x1`` are its row views, rebound
-    on every pack, so writes through them (the scalar tails') land in it.
+    on every pack.  The accounting accumulators are the simulator's
+    :data:`~repro.lv.simulator._ACCOUNTING`, scattered (with the counts) to
+    the output record when a packed row is dropped (at compaction) or when
+    the loop exits.
     """
 
-    #: Accumulator attributes scattered to the full-size result arrays (with
-    #: the counts) when a packed row is dropped (at compaction) or when the
-    #: loop exits.
-    SCATTERED = (
-        "histogram",
-        "bad",
-        "good",
-        "noise_ind",
-        "noise_comp",
-        "max_total",
-        "min_gap",
-        "hit_tie",
-    )
     #: Per-replica attributes sliced on pack (``counts`` is sliced by
     #: column); the static ones after the accumulators are never scattered.
-    SLICED = SCATTERED + (
+    SLICED = _ACCOUNTING + (
         "orig",
         "member",
         "beta",
@@ -581,12 +570,7 @@ class _LockstepState:
         rates, sd_flags = LVParams.stack([m.params for m in members])
         x0s = np.array([m.initial_state.x0 for m in members], dtype=np.int64)
         x1s = np.array([m.initial_state.x1 for m in members], dtype=np.int64)
-        # Gap sign convention: +1 measures the gap as x0 - x1 (species 0 is
-        # the reference majority, also on ties), -1 as x1 - x0.
-        signs = np.array(
-            [-1 if m.initial_state.majority_species == 1 else 1 for m in members],
-            dtype=np.int64,
-        )
+        signs = np.array([_gap_sign(m.initial_state) for m in members], dtype=np.int64)
         # Absorption (zero total propensity with both species alive) is only
         # possible in the intraspecific-only regime stuck at (1, 1): births,
         # deaths, and interspecific competition each guarantee a positive
@@ -615,21 +599,21 @@ class _LockstepState:
         self.alive = (self.x0 > 0) & (self.x1 > 0)
 
         # Column 8 collects the retired replicas' no-op events and is
-        # discarded when scattering to the result arrays.
+        # discarded when scattering to the output record.
         self.histogram = np.zeros((size, 9), dtype=np.int64)
-        self.bad = np.zeros(size, dtype=np.int64)
-        self.good = np.zeros(size, dtype=np.int64)
-        self.noise_ind = np.zeros(size, dtype=np.int64)
-        self.noise_comp = np.zeros(size, dtype=np.int64)
-        self.max_total = self.x0 + self.x1
-        self.min_gap = np.abs(self.x0 - self.x1)
+        self.bad_noncompetitive_events = np.zeros(size, dtype=np.int64)
+        self.good_events = np.zeros(size, dtype=np.int64)
+        self.noise_individual = np.zeros(size, dtype=np.int64)
+        self.noise_competitive = np.zeros(size, dtype=np.int64)
+        self.max_total_population = self.x0 + self.x1
+        self.min_gap_seen = np.abs(self.x0 - self.x1)
         self.hit_tie = self.x0 == self.x1
 
     @property
     def width(self) -> int:
         return int(self.orig.size)
 
-    def pack(self, outputs: "_SweepOutputs") -> None:
+    def pack(self, outputs: "_OutputRecord") -> None:
         """Drop retired rows (scattering their accumulators) and keep order."""
         keep = np.nonzero(self.alive)[0]
         drop = np.nonzero(~self.alive)[0]
@@ -640,8 +624,8 @@ class _LockstepState:
         self.counts = self.counts[:, keep]
         self.x0, self.x1 = self.counts
 
-    def flush(self, outputs: "_SweepOutputs") -> None:
-        """Scatter every remaining packed row to the result arrays."""
+    def flush(self, outputs: "_OutputRecord") -> None:
+        """Scatter every remaining packed row to the output record."""
         outputs.scatter(self, np.arange(self.width))
 
 
@@ -711,60 +695,62 @@ class _StepTables:
         self.min_budget = int(state.max_events.min())
 
 
-class _SweepOutputs:
-    """Full-size result arrays, indexed by original replica."""
+class _OutputRecord:
+    """Result arrays of a call's lv2 replicas, one slot per replica.
 
-    def __init__(self, size: int):
-        self.final_x0 = np.zeros(size, dtype=np.int64)
-        self.final_x1 = np.zeros(size, dtype=np.int64)
-        self.events = np.zeros(size, dtype=np.int64)
-        self.termination = np.full(size, _CONSENSUS, dtype=np.int8)
+    Both lv2 engines write here: members own consecutive slot ranges, in
+    member order.  Besides the counts ``x0`` / ``x1``, the arrays are named
+    as the result fields they become: ``total_events``,
+    ``termination_codes`` and the :data:`~repro.lv.simulator._ACCOUNTING`
+    accumulators, whose ``histogram`` holds the events per index.  The tau
+    backend adds ``leap_events``.  :func:`_finish_exact_tail` continues a
+    slot in place, and :meth:`result` is the one result builder.
+    """
+
+    def __init__(self, size: int, *, leap_events: bool = False):
+        self.x0 = np.zeros(size, dtype=np.int64)
+        self.x1 = np.zeros(size, dtype=np.int64)
+        self.total_events = np.zeros(size, dtype=np.int64)
+        self.termination_codes = np.full(size, _CONSENSUS, dtype=np.int8)
         self.histogram = np.zeros((size, 8), dtype=np.int64)
-        self.bad = np.zeros(size, dtype=np.int64)
-        self.good = np.zeros(size, dtype=np.int64)
-        self.noise_ind = np.zeros(size, dtype=np.int64)
-        self.noise_comp = np.zeros(size, dtype=np.int64)
-        self.max_total = np.zeros(size, dtype=np.int64)
-        self.min_gap = np.zeros(size, dtype=np.int64)
+        self.bad_noncompetitive_events = np.zeros(size, dtype=np.int64)
+        self.good_events = np.zeros(size, dtype=np.int64)
+        self.noise_individual = np.zeros(size, dtype=np.int64)
+        self.noise_competitive = np.zeros(size, dtype=np.int64)
+        self.max_total_population = np.zeros(size, dtype=np.int64)
+        self.min_gap_seen = np.zeros(size, dtype=np.int64)
         self.hit_tie = np.zeros(size, dtype=bool)
+        self.leap_events = np.zeros(size, dtype=np.int64) if leap_events else None
 
     def scatter(self, state: _LockstepState, rows: np.ndarray) -> None:
-        """Write the accumulators of packed *rows* to their original slots."""
+        """Write the counts and accumulators of packed *rows* to their slots."""
         where = state.orig[rows]
-        self.final_x0[where] = state.x0[rows]
-        self.final_x1[where] = state.x1[rows]
+        self.x0[where] = state.x0[rows]
+        self.x1[where] = state.x1[rows]
+        # The working histogram's column 8 is the no-op sentinel's.
         self.histogram[where] = state.histogram[rows, :8]
-        self.bad[where] = state.bad[rows]
-        self.good[where] = state.good[rows]
-        self.noise_ind[where] = state.noise_ind[rows]
-        self.noise_comp[where] = state.noise_comp[rows]
-        self.max_total[where] = state.max_total[rows]
-        self.min_gap[where] = state.min_gap[rows]
-        self.hit_tie[where] = state.hit_tie[rows]
+        for name in _ACCOUNTING[1:]:
+            getattr(self, name)[where] = getattr(state, name)[rows]
 
-    def slice_result(self, member: SweepMember, start: int, stop: int) -> LVEnsembleResult:
-        """Demultiplex one member's replica range into an ensemble result."""
-        window = slice(start, stop)
+    def result(self, member: SweepMember, slots: slice) -> LVEnsembleResult:
+        """Demultiplex one member's slot range into an ensemble result."""
+        histogram = self.histogram[slots]
+        derived = {
+            "final_x0": self.x0[slots],
+            "final_x1": self.x1[slots],
+            "births": histogram[:, _BIRTH0 : _BIRTH1 + 1].copy(),
+            "deaths": histogram[:, _DEATH0 : _DEATH1 + 1].copy(),
+            "interspecific_events": histogram[:, _INTER0] + histogram[:, _INTER1],
+            "intraspecific_events": histogram[:, _INTRA0 : _INTRA1 + 1].copy(),
+        }
         return LVEnsembleResult(
             params=member.params,
             initial_state=member.initial_state,
-            final_x0=self.final_x0[window],
-            final_x1=self.final_x1[window],
-            total_events=self.events[window],
-            termination_codes=self.termination[window],
-            births=self.histogram[window, _BIRTH0 : _BIRTH1 + 1].copy(),
-            deaths=self.histogram[window, _DEATH0 : _DEATH1 + 1].copy(),
-            interspecific_events=(
-                self.histogram[window, _INTER0] + self.histogram[window, _INTER1]
-            ),
-            intraspecific_events=self.histogram[window, _INTRA0 : _INTRA1 + 1].copy(),
-            bad_noncompetitive_events=self.bad[window],
-            good_events=self.good[window],
-            noise_individual=self.noise_ind[window],
-            noise_competitive=self.noise_comp[window],
-            max_total_population=self.max_total[window],
-            min_gap_seen=self.min_gap[window],
-            hit_tie=self.hit_tie[window],
+            leap_events=None if self.leap_events is None else self.leap_events[slots],
+            **{
+                name: derived[name] if name in derived else getattr(self, name)[slots]
+                for name in _ARRAY_FIELDS
+            },
         )
 
 
@@ -804,8 +790,10 @@ def run_sweep_ensemble(
         Statistics level (:data:`COLLECT_MODES`).  ``"full"`` (default)
         produces the scalar simulator's complete per-replica accounting;
         ``"win"`` tracks only final counts, event totals, and termination —
-        about half the per-step vector work — leaving the other result
-        arrays zero (or partial, for replicas finished by the scalar tail).
+        about half the per-step vector work, and no accounting at all in
+        the scalar tail.  The other result arrays then keep their initial
+        values: zero event counts and noise, and ``max_total_population``,
+        ``min_gap_seen`` and ``hit_tie`` of the initial state.
         Trajectories, and therefore win probabilities and consensus times,
         are identical in both modes.
 
@@ -900,33 +888,46 @@ def _run_lv2_members(
     the member's step/tail stream pair in :class:`_MemberStreams`.
     """
     streams = _MemberStreams(seeds)
+    full = collect == "full"
 
     state = _LockstepState(members)
-    outputs = _SweepOutputs(state.width)
-    _advance_lockstep(
-        members, state, outputs, streams, compaction_fraction, collect == "full"
+    outputs = _OutputRecord(state.width)
+    handoffs = _advance_lockstep(
+        len(members), state, outputs, streams, compaction_fraction, full
     )
     state.flush(outputs)
+    # After the flush, so no pack or flush overwrites the finished slots.
+    for member_index, slots in handoffs:
+        _finish_exact_tail(
+            members[member_index],
+            outputs,
+            streams.tail_generators[member_index],
+            slots,
+            full,
+        )
 
-    results: list[LVEnsembleResult] = []
-    start = 0
-    for member in members:
-        stop = start + member.num_replicates
-        results.append(outputs.slice_result(member, start, stop))
-        start = stop
-    return results
+    offsets = np.cumsum([0] + [member.num_replicates for member in members]).tolist()
+    return [
+        outputs.result(member, slice(start, stop))
+        for member, start, stop in zip(members, offsets, offsets[1:])
+    ]
 
 
 def _advance_lockstep(
-    members: Sequence[SweepMember],
+    num_members: int,
     state: _LockstepState,
-    outputs: _SweepOutputs,
+    outputs: _OutputRecord,
     streams: _MemberStreams,
     compaction_fraction: float | None,
     collect_stats: bool,
-) -> None:
-    """The heterogeneous lock-step loop (see the module docstring contracts)."""
-    num_members = len(members)
+) -> list[tuple[int, np.ndarray]]:
+    """The heterogeneous lock-step loop (see the module docstring contracts).
+
+    Returns the handoffs, ``(member index, slots)`` in handoff order: the
+    slots of each thin member's survivors, ascending, whose ``total_events``
+    hold the handoff step.
+    """
+    handoffs: list[tuple[int, np.ndarray]] = []
     any_absorbable = bool(state.absorbable.any())
 
     # Per-member alive tallies and the derived uniform-draw segments.  Alive
@@ -992,21 +993,13 @@ def _advance_lockstep(
                     for member_index, count in seg_pairs
                     if count <= SCALAR_FINISH_WIDTH
                 ]
-            finisher = (
-                _finish_member_tail if collect_stats else _finish_member_tail_lean
-            )
             for member_index in thin:
                 tail_rows = np.nonzero(
                     state.alive & (state.member == member_index)
                 )[0]
-                finisher(
-                    members[member_index],
-                    state,
-                    outputs,
-                    streams.tail_generators[member_index],
-                    step,
-                    tail_rows,
-                )
+                slots = state.orig[tail_rows]
+                outputs.total_events[slots] = step
+                handoffs.append((member_index, slots))
                 state.alive[tail_rows] = False
                 if num_members == 1:
                     num_alive = 0
@@ -1023,8 +1016,8 @@ def _advance_lockstep(
         if step >= tables.min_budget:
             exhausted = state.alive & (state.max_events <= step)
             if exhausted.any():
-                outputs.events[state.orig[exhausted]] = step
-                outputs.termination[state.orig[exhausted]] = _MAX_EVENTS
+                outputs.total_events[state.orig[exhausted]] = step
+                outputs.termination_codes[state.orig[exhausted]] = _MAX_EVENTS
                 retire(exhausted)
                 state.alive &= ~exhausted
                 if num_alive == 0:
@@ -1061,8 +1054,8 @@ def _advance_lockstep(
         if any_absorbable:
             absorbed = state.alive & state.absorbable & (total <= 0.0)
             if absorbed.any():
-                outputs.events[state.orig[absorbed]] = step
-                outputs.termination[state.orig[absorbed]] = _ABSORBED
+                outputs.total_events[state.orig[absorbed]] = step
+                outputs.termination_codes[state.orig[absorbed]] = _ABSORBED
                 retire(absorbed)
                 state.alive &= ~absorbed
                 if num_alive == 0:
@@ -1105,31 +1098,17 @@ def _advance_lockstep(
         if collect_stats:
             gap_after = x0 - x1
             state.histogram[tables.row_index, event] += 1
-
-            # Retired replicas fire the zero-delta sentinel, so their step
-            # noise vanishes and the accumulators below need no masking.
-            step_noise = state.sign * (gap_before - gap_after)
-            individual = event < 4
-            individual_noise = step_noise * individual
-            state.noise_ind += individual_noise
-            state.noise_comp += step_noise
-            state.noise_comp -= individual_noise
-
-            abs_before = np.abs(gap_before)
-            abs_after = np.abs(gap_after)
-            state.bad += individual & (abs_after < abs_before)
-
-            # "Good" events mirror the scalar simulator's accounting: a death
-            # or intraspecific event of the current minority, or any
-            # interspecific event, counted only while the counts differ.
-            minority_is_0 = gap_before < 0
-            state.good += (
-                (gap_before != 0)
-                & _GOOD_TABLE[minority_is_0.view(np.int8), event]
+            # Retired replicas fire the no-op sentinel, which the rule
+            # accounts as nothing, so the accumulators need no masking.
+            noise_ind, noise_comp, bad, good = _event_accounting(
+                event, gap_before, gap_after, state.sign
             )
-
-            np.maximum(state.max_total, x0 + x1, out=state.max_total)
-            np.minimum(state.min_gap, abs_after, out=state.min_gap)
+            state.noise_individual += noise_ind
+            state.noise_competitive += noise_comp
+            state.bad_noncompetitive_events += bad
+            state.good_events += good
+            np.maximum(state.max_total_population, x0 + x1, out=state.max_total_population)
+            np.minimum(state.min_gap_seen, np.abs(gap_after), out=state.min_gap_seen)
             # Retired rows cannot newly reach a tie (their gap is frozen and
             # was recorded while they were alive), so no mask is needed.
             state.hit_tie |= gap_after == 0
@@ -1140,176 +1119,47 @@ def _advance_lockstep(
         pair = np.multiply(*tables.pair_factors, out=tables.pair)
         finished = state.alive & (pair == 0.0)
         if np.count_nonzero(finished):
-            outputs.events[state.orig[finished]] = step
+            outputs.total_events[state.orig[finished]] = step
             retire(finished)
             state.alive &= ~finished
             alive_idx = np.nonzero(state.alive)[0]
+    return handoffs
 
 
-def _finish_member_tail_lean(
+def _finish_exact_tail(
     member: SweepMember,
-    state: _LockstepState,
-    outputs: _SweepOutputs,
+    outputs: _OutputRecord,
     tail_generator: np.random.Generator,
-    step: int,
-    rows: np.ndarray,
+    slots: np.ndarray,
+    full: bool,
 ) -> None:
-    """Win-collect twin of :func:`_finish_member_tail`.
+    """Finish *member*'s *slots* exactly: one scalar run each, in order.
 
-    Follows :meth:`LVJumpChainSimulator.run
-    <repro.lv.simulator.LVJumpChainSimulator.run>`'s control flow and RNG
-    consumption exactly — same uniform block size, one draw per event, the
-    same propensities summed left to right and the same selection cascade —
-    so the trajectories are bitwise-identical to the full finisher's.  It
-    skips the per-event accounting (noise, histograms, gap tracking) that
-    ``"win"`` summaries never read, which roughly halves the per-event cost
-    of the scalar tails threshold probes pay.  It also forms each partial
-    sum of the cascade once, and reads each uniform with ``item``: the same
-    double as a Python float, so the cascade does no numpy-scalar
-    arithmetic.
+    The one exact-tail finisher of both lv2 engines.  Each slot continues
+    from its counts in *outputs* with the member's budget less its
+    ``total_events``, as one :func:`~repro.lv.simulator._event_loop` run on
+    *tail_generator*, and gets that run's counts, events and termination.
+    With *full*, a :class:`~repro.lv.simulator._Tally` also continues the
+    slot's accounting, in the member's gap sign.  A slot handed over with
+    no budget left ends at once with ``max-events``; that only happens when
+    every tail slot of its member is spent, so the block its run draws is
+    never read.
     """
     params = member.params
-    beta, delta = params.beta, params.delta
-    alpha0, alpha1 = params.alpha0, params.alpha1
-    gamma0, gamma1 = params.gamma0, params.gamma1
-    self_destructive = params.is_self_destructive
-    for i in rows:
-        where = int(state.orig[i])
-        outputs.events[where] = step
-        remaining = int(state.max_events[i]) - step
-        if remaining <= 0:
-            outputs.termination[where] = _MAX_EVENTS
-            continue
-        x0 = int(state.x0[i])
-        x1 = int(state.x1[i])
-        uniforms = tail_generator.random(_SCALAR_UNIFORM_BUFFER)
-        cursor = 0
-        events = 0
-        termination = _CONSENSUS
-        while x0 > 0 and x1 > 0:
-            if events >= remaining:
-                termination = _MAX_EVENTS
-                break
-            # Running sums of the eight propensities in selection order.
-            pair01 = x0 * x1
-            sum0 = beta * x0
-            sum1 = sum0 + beta * x1
-            sum2 = sum1 + delta * x0
-            sum3 = sum2 + delta * x1
-            sum4 = sum3 + alpha0 * pair01
-            sum5 = sum4 + alpha1 * pair01
-            sum6 = sum5 + gamma0 * x0 * (x0 - 1) / 2.0
-            total = sum6 + gamma1 * x1 * (x1 - 1) / 2.0
-            if total <= 0.0:
-                termination = _ABSORBED
-                break
-            if cursor >= len(uniforms):
-                uniforms = tail_generator.random(_SCALAR_UNIFORM_BUFFER)
-                cursor = 0
-            threshold = uniforms.item(cursor) * total
-            cursor += 1
-            if threshold < sum0:
-                x0 += 1
-            elif threshold < sum1:
-                x1 += 1
-            elif threshold < sum2:
-                x0 -= 1
-            elif threshold < sum3:
-                x1 -= 1
-            elif threshold < sum4:
-                if self_destructive:
-                    x0 -= 1
-                x1 -= 1
-            elif threshold < sum5:
-                x0 -= 1
-                if self_destructive:
-                    x1 -= 1
-            elif threshold < sum6:
-                x0 -= 2 if self_destructive else 1
-            else:
-                x1 -= 2 if self_destructive else 1
-            events += 1
-        state.x0[i] = x0
-        state.x1[i] = x1
-        outputs.events[where] += events
-        if termination != _CONSENSUS:
-            outputs.termination[where] = termination
+    sign = _gap_sign(member.initial_state)
+    for slot in slots.tolist():
+        x0, x1 = int(outputs.x0[slot]), int(outputs.x1[slot])
+        tally = None
+        if full:
+            tally = _Tally(x0, x1, sign, params.is_self_destructive)
+            for name in _ACCOUNTING:
+                setattr(tally, name, getattr(outputs, name)[slot])
+        budget = member.max_events - int(outputs.total_events[slot])
+        x0, x1, events, code = _event_loop(params, x0, x1, tail_generator, budget, tally)
+        outputs.x0[slot], outputs.x1[slot] = x0, x1
+        outputs.total_events[slot] += events
+        outputs.termination_codes[slot] = code
+        if tally is not None:
+            for name in _ACCOUNTING:
+                getattr(outputs, name)[slot] = getattr(tally, name)
 
-
-def merge_scalar_tail_run(
-    accumulators, index, result: LVRunResult, mid_state: LVState, reference: int
-) -> "int | None":
-    """Fold one scalar sub-run's accounting into *accumulators* at row *index*.
-
-    *accumulators* is any object carrying the per-replica arrays
-    ``histogram`` / ``bad`` / ``good`` / ``noise_ind`` / ``noise_comp`` /
-    ``max_total`` / ``min_gap`` / ``hit_tie`` — the lock-step working state
-    and the tau backend's output arrays both do, which is what keeps the two
-    engines' exact-endgame accounting from drifting apart.  The scalar
-    sub-run measures noise relative to the majority of *its* initial
-    (mid-run) state, so its noise components are negated when that reference
-    disagrees with the replica's (*reference*).  Returns the termination
-    code to record, or ``None`` when the sub-run reached consensus.
-    """
-    accumulators.histogram[index, _BIRTH0] += result.births[0]
-    accumulators.histogram[index, _BIRTH1] += result.births[1]
-    accumulators.histogram[index, _DEATH0] += result.deaths[0]
-    accumulators.histogram[index, _DEATH1] += result.deaths[1]
-    accumulators.histogram[index, _INTER0] += result.interspecific_events
-    accumulators.histogram[index, _INTRA0] += result.intraspecific_events[0]
-    accumulators.histogram[index, _INTRA1] += result.intraspecific_events[1]
-    accumulators.bad[index] += result.bad_noncompetitive_events
-    accumulators.good[index] += result.good_events
-    sub_majority = mid_state.majority_species
-    sub_reference = 0 if sub_majority is None else sub_majority
-    flip = -1 if sub_reference != reference else 1
-    accumulators.noise_ind[index] += flip * result.noise_individual
-    accumulators.noise_comp[index] += flip * result.noise_competitive
-    accumulators.max_total[index] = max(
-        int(accumulators.max_total[index]), result.max_total_population
-    )
-    accumulators.min_gap[index] = min(
-        int(accumulators.min_gap[index]), result.min_gap_seen
-    )
-    accumulators.hit_tie[index] |= result.hit_tie
-    if result.termination == "max-events":
-        return _MAX_EVENTS
-    if result.termination == "absorbed":
-        return _ABSORBED
-    return None
-
-
-def _finish_member_tail(
-    member: SweepMember,
-    state: _LockstepState,
-    outputs: _SweepOutputs,
-    tail_generator: np.random.Generator,
-    step: int,
-    rows: np.ndarray,
-) -> None:
-    """Finish one member's last few active replicas with the scalar simulator.
-
-    Survivors are processed in ascending original-replica-index order (packed
-    order), each continuing from its mid-run state with its remaining event
-    budget, drawing from the member's own tail stream; the sub-run accounting
-    is folded in by :func:`merge_scalar_tail_run`.
-    """
-    simulator: LVJumpChainSimulator | None = None
-    for i in rows:
-        where = int(state.orig[i])
-        outputs.events[where] = step
-        remaining = int(state.max_events[i]) - step
-        if remaining <= 0:
-            outputs.termination[where] = _MAX_EVENTS
-            continue
-        if simulator is None:
-            simulator = LVJumpChainSimulator(member.params)
-        mid_state = LVState(int(state.x0[i]), int(state.x1[i]))
-        result = simulator.run(mid_state, rng=tail_generator, max_events=remaining)
-        state.x0[i] = result.final_state.x0
-        state.x1[i] = result.final_state.x1
-        outputs.events[where] += result.total_events
-        reference = 0 if state.sign[i] == 1 else 1
-        code = merge_scalar_tail_run(state, i, result, mid_state, reference)
-        if code is not None:
-            outputs.termination[where] = code

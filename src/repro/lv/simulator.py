@@ -16,17 +16,34 @@ propensity vectors, and with
 
 Its one-step distribution is checked against an independent dict-based
 reference in the test suite (``tests/reference_ssa.py``).
+
+The chain's scalar event loop, :func:`_event_loop`, is the only one the
+two-species stack has: :meth:`LVJumpChainSimulator.run` is that loop plus
+the accounting its :class:`_Tally` folds from the recorded event classes,
+and both ensemble engines finish their exact-tail replicas through it
+(:mod:`repro.lv.ensemble`).  :func:`_event_accounting` is the one per-event
+accounting rule, shared by the tally and the engines' lock-step steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 
 from repro.exceptions import InvalidConfigurationError, SimulationError
 from repro.lv.params import LVParams
 from repro.lv.state import LVState
 from repro.rng import SeedLike, as_generator
+from repro.scenario.spec import (
+    TERM_ABSORBED,
+    TERM_CONSENSUS,
+    TERM_MAX_EVENTS,
+    TERMINATION_NAMES,
+    lv2_change_tables,
+    lv2_event_order,
+    lv2_minority_good_table,
+)
 
 __all__ = ["LVJumpChainSimulator", "LVRunResult", "StepRecord"]
 
@@ -34,12 +51,49 @@ __all__ = ["LVJumpChainSimulator", "LVRunResult", "StepRecord"]
 DEFAULT_MAX_EVENTS = 20_000_000
 
 #: Size of the buffer of pre-drawn uniform variates: a run draws one fresh
-#: block when it starts and another each time it has used this many.  Part of
-#: the tail consumption contract, not just amortisation: the tau backend's
-#: batched endgame (:mod:`repro.lv.tau`) reads the k-th parked replica's
-#: uniforms at block k of the tail stream, and the exact engine's scalar
-#: tails are replayed block by block (``tests/reference_lockstep.py``).
+#: block when it starts and another each time it has used this many, and a
+#: run that records its events folds them into its tally at the same
+#: boundary.  Part of the tail consumption contract, not just amortisation:
+#: the tau backend's batched endgame (:mod:`repro.lv.tau`) reads the k-th
+#: parked replica's uniforms at block k of the tail stream, and the exact
+#: engine's scalar tails are replayed block by block
+#: (``tests/reference_lockstep.py``).
 _UNIFORM_BUFFER = 4096
+
+#: Event indices, in selection order (:func:`repro.scenario.spec.lv2_event_order`).
+_BIRTH0, _BIRTH1, _DEATH0, _DEATH1, _INTER0, _INTER1, _INTRA0, _INTRA1 = range(8)
+
+#: Net change of ``x0`` / ``x1`` per event index, one row per mechanism
+#: (row 0: non-self-destructive, row 1: self-destructive).  Column 8 is the
+#: lock-step engines' **no-op sentinel**: retired replicas are steered to
+#: event 8, so their state and every derived accumulator stay untouched
+#: without per-step masking.  Derived from the two-species scenario tables
+#: (:func:`repro.scenario.spec.lv2_change_tables`), which the scenario spec
+#: tests pin against the historical literals.
+_DX0_TABLE, _DX1_TABLE = lv2_change_tables()
+
+#: good_table[m, e]: event e decreases the current minority's count
+#: (row 1: species 0 is the minority, row 0: species 1 is), where every
+#: interspecific event counts as good.  Mechanism-independent; column 8 is
+#: the no-op sentinel.
+_GOOD_TABLE = lv2_minority_good_table()
+
+#: The accumulators of a run's accounting, named as the fields of
+#: :class:`LVRunResult` and :class:`~repro.lv.ensemble.LVEnsembleResult`
+#: they end up in; first ``histogram``, the events per index, which becomes
+#: the births, deaths, interspecific and intraspecific counts.  A
+#: :class:`_Tally` and the ensemble engines' working state and output record
+#: all carry them.
+_ACCOUNTING = (
+    "histogram",
+    "bad_noncompetitive_events",
+    "good_events",
+    "noise_individual",
+    "noise_competitive",
+    "max_total_population",
+    "min_gap_seen",
+    "hit_tie",
+)
 
 
 @dataclass(frozen=True)
@@ -168,182 +222,46 @@ class LVJumpChainSimulator:
         state = self._coerce_state(initial_state)
         if max_events <= 0:
             raise ValueError(f"max_events must be positive, got {max_events}")
-        generator = as_generator(rng)
-
         params = self.params
-        beta, delta = params.beta, params.delta
-        alpha0, alpha1 = params.alpha0, params.alpha1
-        gamma0, gamma1 = params.gamma0, params.gamma1
-        self_destructive = params.is_self_destructive
-
-        x0, x1 = state.x0, state.x1
-        initial_majority = state.majority_species
-        # Ties: the paper assumes a strict initial majority; for completeness
-        # we treat species 0 as the reference "majority" on a tie so that the
-        # noise decomposition is still well defined.
-        reference = 0 if initial_majority is None else initial_majority
-
-        births = [0, 0]
-        deaths = [0, 0]
-        intra = [0, 0]
-        inter = 0
-        bad_noncompetitive = 0
-        good_events = 0
-        noise_individual = 0
-        noise_competitive = 0
-        max_total = x0 + x1
-        min_gap_seen = abs(x0 - x1)
-        hit_tie = x0 == x1
-        path: list[StepRecord] = []
-
-        uniforms = generator.random(_UNIFORM_BUFFER)
-        cursor = 0
-
-        events = 0
-        termination = "consensus"
-        while x0 > 0 and x1 > 0:
-            if events >= max_events:
-                termination = "max-events"
-                break
-
-            birth0 = beta * x0
-            birth1 = beta * x1
-            death0 = delta * x0
-            death1 = delta * x1
-            pair01 = x0 * x1
-            inter0 = alpha0 * pair01
-            inter1 = alpha1 * pair01
-            intra0 = gamma0 * x0 * (x0 - 1) / 2.0
-            intra1 = gamma1 * x1 * (x1 - 1) / 2.0
-            total = birth0 + birth1 + death0 + death1 + inter0 + inter1 + intra0 + intra1
-            if total <= 0.0:
-                termination = "absorbed"
-                break
-
-            if cursor >= len(uniforms):
-                uniforms = generator.random(_UNIFORM_BUFFER)
-                cursor = 0
-            threshold = uniforms[cursor] * total
-            cursor += 1
-
-            # Gap change is measured with respect to the *initial* majority:
-            # Ft = Δ_{t-1} - Δ_t is positive when the step favours the initial
-            # minority.  reference == 0 means Δ = x0 - x1.
-            previous_gap_signed = (x0 - x1) if reference == 0 else (x1 - x0)
-            current_minority_species = 0 if x0 < x1 else (1 if x1 < x0 else None)
-
-            event: str
-            individual = False
-            if threshold < birth0:
-                x0 += 1
-                births[0] += 1
-                event = "birth0"
-                individual = True
-            elif threshold < birth0 + birth1:
-                x1 += 1
-                births[1] += 1
-                event = "birth1"
-                individual = True
-            elif threshold < birth0 + birth1 + death0:
-                x0 -= 1
-                deaths[0] += 1
-                event = "death0"
-                individual = True
-            elif threshold < birth0 + birth1 + death0 + death1:
-                x1 -= 1
-                deaths[1] += 1
-                event = "death1"
-                individual = True
-            elif threshold < birth0 + birth1 + death0 + death1 + inter0:
-                # Species 0 is the aggressor at rate alpha0.
-                inter += 1
-                if self_destructive:
-                    x0 -= 1
-                    x1 -= 1
-                else:
-                    x1 -= 1
-                event = "inter0"
-            elif threshold < birth0 + birth1 + death0 + death1 + inter0 + inter1:
-                inter += 1
-                if self_destructive:
-                    x0 -= 1
-                    x1 -= 1
-                else:
-                    x0 -= 1
-                event = "inter1"
-            elif threshold < birth0 + birth1 + death0 + death1 + inter0 + inter1 + intra0:
-                intra[0] += 1
-                x0 -= 2 if self_destructive else 1
-                event = "intra0"
-            else:
-                intra[1] += 1
-                x1 -= 2 if self_destructive else 1
-                event = "intra1"
-
-            if x0 < 0 or x1 < 0:
-                raise SimulationError(
-                    f"event {event} drove a count negative at step {events}; "
-                    "this indicates an internal inconsistency"
-                )
-
-            events += 1
-            new_gap_signed = (x0 - x1) if reference == 0 else (x1 - x0)
-            step_noise = previous_gap_signed - new_gap_signed
-            if individual:
-                noise_individual += step_noise
-            else:
-                noise_competitive += step_noise
-
-            # Bookkeeping for Section 5.1: a non-competitive event is "bad" if
-            # it shrinks the absolute gap (minority birth or majority death)
-            # while both species were alive before the step; a "good" event
-            # decreases the count of the currently smaller species.
-            if individual:
-                previous_abs_gap = abs(previous_gap_signed)
-                new_abs_gap = abs(new_gap_signed)
-                if new_abs_gap < previous_abs_gap:
-                    bad_noncompetitive += 1
-            if current_minority_species is not None:
-                if event == f"death{current_minority_species}":
-                    good_events += 1
-                elif event.startswith("inter") or event == f"intra{current_minority_species}":
-                    good_events += 1
-
-            total_population = x0 + x1
-            max_total = max(max_total, total_population)
-            min_gap_seen = min(min_gap_seen, abs(x0 - x1))
-            if x0 == x1:
-                hit_tie = True
-            if record_path:
-                path.append(StepRecord(index=events - 1, event=event, state=(x0, x1)))
-
+        sign = _gap_sign(state)
+        tally = _Tally(
+            state.x0,
+            state.x1,
+            sign,
+            params.is_self_destructive,
+            path=[] if record_path else None,
+        )
+        x0, x1, events, code = _event_loop(
+            params, state.x0, state.x1, as_generator(rng), max_events, tally
+        )
         final_state = LVState(x0, x1)
         reached_consensus = final_state.has_consensus
         winner = final_state.winner
-        majority_consensus = (
-            reached_consensus and winner is not None and winner == reference
-        )
+        # Ties: the paper assumes a strict initial majority; for completeness
+        # species 0 is the reference "majority" on a tie (gap sign +1).
+        reference = 0 if sign == 1 else 1
+        counts = tally.histogram.tolist()
         return LVRunResult(
             params=params,
             initial_state=state,
             final_state=final_state,
             total_events=events,
-            termination=termination if not reached_consensus else "consensus",
+            termination="consensus" if reached_consensus else TERMINATION_NAMES[code],
             reached_consensus=reached_consensus,
             winner=winner,
-            majority_consensus=majority_consensus,
-            births=(births[0], births[1]),
-            deaths=(deaths[0], deaths[1]),
-            interspecific_events=inter,
-            intraspecific_events=(intra[0], intra[1]),
-            bad_noncompetitive_events=bad_noncompetitive,
-            good_events=good_events,
-            noise_individual=noise_individual,
-            noise_competitive=noise_competitive,
-            max_total_population=max_total,
-            min_gap_seen=min_gap_seen,
-            hit_tie=hit_tie,
-            path=path,
+            majority_consensus=reached_consensus and winner == reference,
+            births=(counts[_BIRTH0], counts[_BIRTH1]),
+            deaths=(counts[_DEATH0], counts[_DEATH1]),
+            interspecific_events=counts[_INTER0] + counts[_INTER1],
+            intraspecific_events=(counts[_INTRA0], counts[_INTRA1]),
+            bad_noncompetitive_events=tally.bad_noncompetitive_events,
+            good_events=tally.good_events,
+            noise_individual=tally.noise_individual,
+            noise_competitive=tally.noise_competitive,
+            max_total_population=tally.max_total_population,
+            min_gap_seen=tally.min_gap_seen,
+            hit_tie=tally.hit_tie,
+            path=[] if tally.path is None else tally.path,
         )
 
     # ------------------------------------------------------------------
@@ -441,3 +359,208 @@ class LVJumpChainSimulator:
         raise InvalidConfigurationError(
             f"initial state must be an LVState or a pair of counts, got {state!r}"
         )
+
+
+def _gap_sign(state: LVState) -> int:
+    """The gap sign of a run from *state*: +1 measures the gap as ``x0 - x1``.
+
+    The gap is measured from the initial majority's side, species 0 on a
+    tie, so ``F = Σ sign * (Δ_{t-1} - Δ_t)`` counts changes in favour of the
+    initial minority.
+    """
+    return -1 if state.majority_species == 1 else 1
+
+
+def _event_accounting(
+    event: np.ndarray, gap_before: np.ndarray, gap_after: np.ndarray, sign
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The accounting rule of jump-chain events: ``(F_ind, F_comp, bad, good)``.
+
+    Arrays over events — a run's block of events, or one event per replica
+    of a lock-step step: *event* their indices (the no-op sentinel 8
+    accounts nothing), *gap_before* / *gap_after* the gaps ``x0 - x1``
+    around them and *sign* the replicas' gap sign (:func:`_gap_sign`).  An
+    event's noise ``sign * (gap_before - gap_after)`` goes to ``F_ind`` for
+    births and deaths and to ``F_comp`` otherwise.  A birth or death that
+    shrinks the absolute gap is *bad* (``J(S)``, Section 5.1); an event is
+    *good* when the counts differ and it is a death or intraspecific event
+    of the current minority, or any interspecific event.  Everything is
+    integer arithmetic, so the order callers add the results in cannot
+    change a bit.
+    """
+    step_noise = sign * (gap_before - gap_after)
+    individual = event <= _DEATH1
+    noise_individual = step_noise * individual
+    bad = individual & (np.abs(gap_after) < np.abs(gap_before))
+    good = (gap_before != 0) & _GOOD_TABLE[(gap_before < 0).view(np.int8), event]
+    return noise_individual, step_noise - noise_individual, bad, good
+
+
+class _Tally:
+    """One run's accounting, folded block by block from its event classes.
+
+    :func:`_event_loop` appends each event's index to :attr:`classes` and
+    calls :meth:`fold` at every uniform refill and once at exit, so a run of
+    any length holds at most :data:`_UNIFORM_BUFFER` classes.  The fold
+    replays the block's counts from those at its start (cumulative sums of
+    the moves) and adds the block's :func:`_event_accounting` to the
+    :data:`_ACCOUNTING` accumulators.  They start as a fresh run from
+    ``(x0, x1)``; a finisher continuing a replica sets them to its
+    accounting so far.  With a *path* list, the fold also appends one
+    :class:`StepRecord` per event.
+    """
+
+    def __init__(
+        self,
+        x0: int,
+        x1: int,
+        sign: int,
+        self_destructive: bool,
+        *,
+        path: list[StepRecord] | None = None,
+    ):
+        self.classes: list[int] = []
+        self.x0, self.x1 = x0, x1
+        self.sign = sign
+        mechanism = int(self_destructive)
+        self.moves = (_DX0_TABLE[mechanism], _DX1_TABLE[mechanism])
+        self.path = path
+        self.histogram = np.zeros(8, dtype=np.int64)
+        self.bad_noncompetitive_events = 0
+        self.good_events = 0
+        self.noise_individual = 0
+        self.noise_competitive = 0
+        self.max_total_population = x0 + x1
+        self.min_gap_seen = abs(x0 - x1)
+        self.hit_tie = x0 == x1
+
+    def fold(self) -> None:
+        """Account the recorded events and clear them."""
+        if not self.classes:
+            return
+        event = np.array(self.classes)
+        self.classes.clear()
+        x0 = self.x0 + self.moves[0][event].cumsum()
+        x1 = self.x1 + self.moves[1][event].cumsum()
+        gap_after = x0 - x1
+        gap_before = np.concatenate(([self.x0 - self.x1], gap_after[:-1]))
+        noise_ind, noise_comp, bad, good = _event_accounting(
+            event, gap_before, gap_after, self.sign
+        )
+        self.histogram += np.bincount(event, minlength=8)
+        self.bad_noncompetitive_events += int(bad.sum())
+        self.good_events += int(good.sum())
+        self.noise_individual += int(noise_ind.sum())
+        self.noise_competitive += int(noise_comp.sum())
+        self.max_total_population = max(self.max_total_population, int((x0 + x1).max()))
+        closest = int(np.abs(gap_after).min())
+        self.min_gap_seen = min(self.min_gap_seen, closest)
+        self.hit_tie = self.hit_tie or closest == 0
+        if self.path is not None:
+            names = lv2_event_order()
+            first = len(self.path)
+            self.path.extend(
+                StepRecord(index=first + k, event=names[e], state=(a, b))
+                for k, (e, a, b) in enumerate(zip(event.tolist(), x0.tolist(), x1.tolist()))
+            )
+        self.x0, self.x1 = int(x0[-1]), int(x1[-1])
+
+
+def _event_loop(
+    params: LVParams,
+    x0: int,
+    x1: int,
+    generator: np.random.Generator,
+    max_events: int,
+    tally: _Tally | None = None,
+) -> tuple[int, int, int, int]:
+    """The two-species scalar event loop: run from ``(x0, x1)`` on *generator*.
+
+    Returns the final counts, the number of events fired and the termination
+    code (``TERM_CONSENSUS``, ``TERM_ABSORBED`` or ``TERM_MAX_EVENTS``;
+    a budget of 0 or less ends at once with ``TERM_MAX_EVENTS``).  The
+    consumption contract: one fresh :data:`_UNIFORM_BUFFER` block at start
+    (drawn even when no event fires), another each time that many are used,
+    one uniform per event.  Each event is the first of the eight classes
+    whose left-to-right partial propensity sum exceeds ``u * total``
+    (``gamma * x * (x - 1) / 2.0`` for the intraspecific ones); the budget
+    is checked before absorption.  Each partial sum is formed once and each
+    uniform read with ``item`` (the same double as a Python float), so the
+    cascade does no numpy-scalar arithmetic.  With a *tally*, each event's
+    index is recorded and folded in blocks.
+    """
+    beta, delta = params.beta, params.delta
+    alpha0, alpha1 = params.alpha0, params.alpha1
+    gamma0, gamma1 = params.gamma0, params.gamma1
+    self_destructive = params.is_self_destructive
+    classes = None if tally is None else tally.classes
+    uniforms = generator.random(_UNIFORM_BUFFER)
+    cursor = 0
+    events = 0
+    code = TERM_CONSENSUS
+    while x0 > 0 and x1 > 0:
+        if events >= max_events:
+            code = TERM_MAX_EVENTS
+            break
+        # Running sums of the eight propensities in selection order.
+        pair01 = x0 * x1
+        sum0 = beta * x0
+        sum1 = sum0 + beta * x1
+        sum2 = sum1 + delta * x0
+        sum3 = sum2 + delta * x1
+        sum4 = sum3 + alpha0 * pair01
+        sum5 = sum4 + alpha1 * pair01
+        sum6 = sum5 + gamma0 * x0 * (x0 - 1) / 2.0
+        total = sum6 + gamma1 * x1 * (x1 - 1) / 2.0
+        if total <= 0.0:
+            code = TERM_ABSORBED
+            break
+        if cursor == _UNIFORM_BUFFER:
+            uniforms = generator.random(_UNIFORM_BUFFER)
+            cursor = 0
+            if tally is not None:
+                tally.fold()
+        threshold = uniforms.item(cursor) * total
+        cursor += 1
+        if threshold < sum0:
+            x0 += 1
+            event = _BIRTH0
+        elif threshold < sum1:
+            x1 += 1
+            event = _BIRTH1
+        elif threshold < sum2:
+            x0 -= 1
+            event = _DEATH0
+        elif threshold < sum3:
+            x1 -= 1
+            event = _DEATH1
+        elif threshold < sum4:
+            # Species 0 is the aggressor at rate alpha0.
+            if self_destructive:
+                x0 -= 1
+            x1 -= 1
+            event = _INTER0
+        elif threshold < sum5:
+            x0 -= 1
+            if self_destructive:
+                x1 -= 1
+            event = _INTER1
+        elif threshold < sum6:
+            x0 -= 2 if self_destructive else 1
+            event = _INTRA0
+        else:
+            x1 -= 2 if self_destructive else 1
+            event = _INTRA1
+        events += 1
+        if classes is not None:
+            classes.append(event)
+    # The loop stops at the first non-positive count, so a negative one can
+    # only be the last event's.
+    if x0 < 0 or x1 < 0:
+        raise SimulationError(
+            f"event {events - 1} drove a count negative ({x0}, {x1}); "
+            "this indicates an internal inconsistency"
+        )
+    if tally is not None:
+        tally.fold()
+    return x0, x1, events, code

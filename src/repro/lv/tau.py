@@ -30,7 +30,8 @@ O(1) factors per event), so replicas whose total population falls to
 :data:`DEFAULT_EXACT_TAIL_POPULATION` or below are *parked*: they stop
 leaping and finish exactly, event by event, with the jump chain of the
 scalar simulator (:class:`~repro.lv.simulator.LVJumpChainSimulator`) on the
-member's dedicated tail stream.  Consensus probabilities therefore get the
+member's dedicated tail stream, accounted by the simulator's one per-event
+rule in the member's gap sign.  Consensus probabilities therefore get the
 exact endgame dynamics; leaping is only ever applied in the
 large-population regime it is valid in.  Once every member of a call has
 finished leaping, all the replicas they parked advance together in one
@@ -49,7 +50,9 @@ block when it starts and another only past that many events, so the
 member's ``k``-th parked replica reads tail uniform
 ``_UNIFORM_BUFFER * k + t`` at its ``t``-th endgame event.  A replica that
 outlasts one block shifts its member's later replicas; from it on, that
-member finishes one scalar run at a time.  Members are simulated
+member finishes one scalar run at a time, through the exact engine's
+exact-tail finisher (:func:`repro.lv.ensemble._finish_exact_tail`), into
+the output record both engines share.  Members are simulated
 independently, so a member's results are **bitwise-identical to running it
 alone** — fused execution is purely an execution strategy, exactly as for
 the exact engine.  Results are seed-deterministic, but tau trajectories are
@@ -77,17 +80,21 @@ import numpy as np
 
 from repro.exceptions import InvalidConfigurationError, SimulationError
 from repro.lv.ensemble import (
-    _DX0_TABLE,
-    _DX1_TABLE,
-    _GOOD_TABLE,
     COLLECT_MODES,
     LVEnsembleResult,
     SweepMember,
-    merge_scalar_tail_run,
+    _finish_exact_tail,
+    _OutputRecord,
 )
 from repro.lv.params import LVParams
-from repro.lv.simulator import _UNIFORM_BUFFER, LVJumpChainSimulator
-from repro.lv.state import LVState
+from repro.lv.simulator import (
+    _ACCOUNTING,
+    _DX0_TABLE,
+    _DX1_TABLE,
+    _UNIFORM_BUFFER,
+    _event_accounting,
+    _gap_sign,
+)
 from repro.rng import (
     SeedLike,
     advance_stream,
@@ -243,7 +250,7 @@ def run_tau_sweep_ensemble(
     --------
     >>> sd = LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0)
     >>> result = run_tau_sweep_ensemble(
-    ...     [SweepMember(sd, LVState(120_000, 80_000), 4)], rng=7)[0]
+    ...     [SweepMember(sd, (120_000, 80_000), 4)], rng=7)[0]
     >>> bool(result.reached_consensus.all())
     True
     >>> int(result.leap_events.sum()) > 0
@@ -294,7 +301,7 @@ def run_tau_sweep_ensemble(
         i for i, member in enumerate(members) if member.scenario == DEFAULT_SCENARIO
     ]
     offsets = np.cumsum([0] + [members[i].num_replicates for i in lv2_indexes])
-    outputs = _TauOutputs(int(offsets[-1]))
+    outputs = _OutputRecord(int(offsets[-1]), leap_events=True)
     tail_generators: list[np.random.Generator] = []
     parked: list[np.ndarray] = []
     for index, offset in zip(lv2_indexes, offsets):
@@ -313,7 +320,7 @@ def run_tau_sweep_ensemble(
     lv2_members = [members[i] for i in lv2_indexes]
     _finish_parked(lv2_members, outputs, tail_generators, parked)
     for index, start, stop in zip(lv2_indexes, offsets, offsets[1:]):
-        results[index] = outputs.to_result(members[index], slice(start, stop))
+        results[index] = outputs.result(members[index], slice(start, stop))
     return results
 
 
@@ -324,67 +331,9 @@ def _validate_epsilon(epsilon: float) -> None:
         )
 
 
-#: Per-replica accumulators of a tau run, named alike in the working state and
-#: the outputs.
-_FIELDS = (
-    "x0",
-    "x1",
-    "events",
-    "leap_events",
-    "histogram",
-    "bad",
-    "good",
-    "noise_ind",
-    "noise_comp",
-    "max_total",
-    "min_gap",
-    "hit_tie",
-)
-
-
-class _TauOutputs:
-    """Result arrays of a call's lv2 members, one output slot per replica.
-
-    Members own consecutive slot ranges, in member order.
-    """
-
-    def __init__(self, size: int):
-        self.x0 = np.zeros(size, dtype=np.int64)
-        self.x1 = np.zeros(size, dtype=np.int64)
-        self.events = np.zeros(size, dtype=np.int64)
-        self.leap_events = np.zeros(size, dtype=np.int64)
-        self.termination = np.full(size, _CONSENSUS, dtype=np.int8)
-        self.histogram = np.zeros((size, 8), dtype=np.int64)
-        self.bad = np.zeros(size, dtype=np.int64)
-        self.good = np.zeros(size, dtype=np.int64)
-        self.noise_ind = np.zeros(size, dtype=np.int64)
-        self.noise_comp = np.zeros(size, dtype=np.int64)
-        self.max_total = np.zeros(size, dtype=np.int64)
-        self.min_gap = np.zeros(size, dtype=np.int64)
-        self.hit_tie = np.zeros(size, dtype=bool)
-
-    def to_result(self, member: SweepMember, slots: slice) -> LVEnsembleResult:
-        histogram = self.histogram[slots]
-        return LVEnsembleResult(
-            params=member.params,
-            initial_state=member.initial_state,
-            final_x0=self.x0[slots].copy(),
-            final_x1=self.x1[slots].copy(),
-            total_events=self.events[slots].copy(),
-            termination_codes=self.termination[slots].copy(),
-            births=histogram[:, _BIRTH0 : _BIRTH1 + 1].copy(),
-            deaths=histogram[:, _DEATH0 : _DEATH1 + 1].copy(),
-            interspecific_events=histogram[:, _INTER0] + histogram[:, _INTER1],
-            intraspecific_events=histogram[:, _INTRA0 : _INTRA1 + 1].copy(),
-            bad_noncompetitive_events=self.bad[slots].copy(),
-            good_events=self.good[slots].copy(),
-            noise_individual=self.noise_ind[slots].copy(),
-            noise_competitive=self.noise_comp[slots].copy(),
-            max_total_population=self.max_total[slots].copy(),
-            min_gap_seen=self.min_gap[slots].copy(),
-            hit_tie=self.hit_tie[slots].copy(),
-            leap_events=self.leap_events[slots].copy(),
-        )
+#: Per-replica arrays of a tau run, named alike in the working state and the
+#: output record.
+_FIELDS = ("x0", "x1", "total_events", "leap_events") + _ACCOUNTING
 
 
 class _TauState:
@@ -398,22 +347,22 @@ class _TauState:
         self.orig = offset + np.arange(size)
         self.x0 = np.full(size, member.initial_state.x0, dtype=np.int64)
         self.x1 = np.full(size, member.initial_state.x1, dtype=np.int64)
-        self.events = np.zeros(size, dtype=np.int64)
+        self.total_events = np.zeros(size, dtype=np.int64)
         self.leap_events = np.zeros(size, dtype=np.int64)
         self.histogram = np.zeros((size, 8), dtype=np.int64)
-        self.bad = np.zeros(size, dtype=np.int64)
-        self.good = np.zeros(size, dtype=np.int64)
-        self.noise_ind = np.zeros(size, dtype=np.int64)
-        self.noise_comp = np.zeros(size, dtype=np.int64)
-        self.max_total = self.x0 + self.x1
-        self.min_gap = np.abs(self.x0 - self.x1)
+        self.bad_noncompetitive_events = np.zeros(size, dtype=np.int64)
+        self.good_events = np.zeros(size, dtype=np.int64)
+        self.noise_individual = np.zeros(size, dtype=np.int64)
+        self.noise_competitive = np.zeros(size, dtype=np.int64)
+        self.max_total_population = self.x0 + self.x1
+        self.min_gap_seen = np.abs(self.x0 - self.x1)
         self.hit_tie = self.x0 == self.x1
 
     @property
     def width(self) -> int:
         return int(self.orig.size)
 
-    def scatter(self, outputs: _TauOutputs, rows: np.ndarray) -> None:
+    def scatter(self, outputs: _OutputRecord, rows: np.ndarray) -> None:
         """Write *rows*' accumulators to their output slots."""
         where = self.orig[rows]
         for name in _FIELDS:
@@ -434,7 +383,7 @@ def _safe_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
 
 def _run_member_tau(
     member: SweepMember,
-    outputs: _TauOutputs,
+    outputs: _OutputRecord,
     offset: int,
     step_generator: np.random.Generator,
     epsilon: float,
@@ -454,9 +403,7 @@ def _run_member_tau(
     dx1 = _DX1_TABLE[mechanism_row, :8]
     dx0_float = dx0.astype(np.float64)
     dx1_float = dx1.astype(np.float64)
-    # Gap sign convention of the exact engine: +1 measures the gap as
-    # x0 - x1 (species 0 is the reference majority, also on ties).
-    sign = -1 if member.initial_state.majority_species == 1 else 1
+    sign = _gap_sign(member.initial_state)
     # Highest order of any reaction consuming species i (the g_i of the
     # tau-selection rule); both species are second-order whenever any
     # pairwise competition exists.
@@ -470,9 +417,9 @@ def _run_member_tau(
         x0, x1 = state.x0, state.x1
         # --- retirement sweep (order: consensus, budget, propensities) ---
         finished = (x0 == 0) | (x1 == 0)
-        exhausted = ~finished & (state.events >= budget)
+        exhausted = ~finished & (state.total_events >= budget)
         if exhausted.any():
-            outputs.termination[state.orig[exhausted]] = _MAX_EVENTS
+            outputs.termination_codes[state.orig[exhausted]] = _MAX_EVENTS
         retired = finished | exhausted
         if retired.any():
             state.scatter(outputs, np.nonzero(retired)[0])
@@ -487,7 +434,7 @@ def _run_member_tau(
         tail = ~absorbed & (x0 + x1 <= exact_tail_population)
         dropped = absorbed | tail
         if dropped.any():
-            outputs.termination[state.orig[absorbed]] = _ABSORBED
+            outputs.termination_codes[state.orig[absorbed]] = _ABSORBED
             parked.append(state.orig[tail])
             state.scatter(outputs, np.nonzero(dropped)[0])
             keep = np.nonzero(~dropped)[0]
@@ -552,7 +499,7 @@ def _run_member_tau(
         if (x0 < 0).any() or (x1 < 0).any():
             raise SimulationError("tau-leaping drove a species count negative")
         fired = firings.sum(axis=0)
-        state.events += fired
+        state.total_events += fired
         leap_fired = fired.copy()
         leap_fired[exact_step] = 0
         state.leap_events += leap_fired
@@ -564,8 +511,8 @@ def _run_member_tau(
             firings[_BIRTH0] - firings[_BIRTH1] - firings[_DEATH0] + firings[_DEATH1]
         )
         gap_delta = delta0 - delta1
-        state.noise_ind += sign * -gap_delta_individual
-        state.noise_comp += sign * -(gap_delta - gap_delta_individual)
+        state.noise_individual += sign * -gap_delta_individual
+        state.noise_competitive += sign * -(gap_delta - gap_delta_individual)
 
         # Leap-granularity estimates of the per-event path statistics: the
         # current minority is resolved once per leap (see module docstring).
@@ -573,18 +520,20 @@ def _run_member_tau(
         tied = gap_before == 0
         minority_births = np.where(minority_is_0, firings[_BIRTH0], firings[_BIRTH1])
         majority_deaths = np.where(minority_is_0, firings[_DEATH1], firings[_DEATH0])
-        state.bad += np.where(tied, 0, minority_births + majority_deaths)
+        state.bad_noncompetitive_events += np.where(
+            tied, 0, minority_births + majority_deaths
+        )
         minority_shrinkers = np.where(
             minority_is_0,
             firings[_DEATH0] + firings[_INTRA0],
             firings[_DEATH1] + firings[_INTRA1],
         )
         interspecific = firings[_INTER0] + firings[_INTER1]
-        state.good += np.where(tied, 0, minority_shrinkers + interspecific)
+        state.good_events += np.where(tied, 0, minority_shrinkers + interspecific)
 
-        np.maximum(state.max_total, x0 + x1, out=state.max_total)
+        np.maximum(state.max_total_population, x0 + x1, out=state.max_total_population)
         gap_after = x0 - x1
-        np.minimum(state.min_gap, np.abs(gap_after), out=state.min_gap)
+        np.minimum(state.min_gap_seen, np.abs(gap_after), out=state.min_gap_seen)
         state.hit_tie |= gap_after == 0
 
     return np.concatenate(parked) if parked else np.zeros(0, dtype=np.int64)
@@ -633,7 +582,7 @@ class _EndgameLanes(_TauState):
     def __init__(
         self,
         members: Sequence[SweepMember],
-        outputs: _TauOutputs,
+        outputs: _OutputRecord,
         parked: Sequence[np.ndarray],
     ):
         self.orig = np.concatenate(parked)
@@ -645,11 +594,12 @@ class _EndgameLanes(_TauState):
         rates, self_destructive = LVParams.stack([member.params for member in members])
         self.rates = rates[:, _CLASS_RATE][self.member]
         self.moves = _DX0_TABLE.shape[1] * self_destructive[self.member]
-        minority_first = [member.initial_state.majority_species == 1 for member in members]
-        self.sign = np.where(minority_first, -1, 1)[self.member]
+        self.sign = np.array([_gap_sign(member.initial_state) for member in members])[
+            self.member
+        ]
         budgets = np.array([member.max_events for member in members], dtype=np.int64)
         # Positive: the leap loop retires spent replicas before it parks any.
-        self.budget = budgets[self.member] - self.events
+        self.budget = budgets[self.member] - self.total_events
         self.window_row = np.zeros(self.orig.size, dtype=np.intp)
 
     def copy(self) -> "_EndgameLanes":
@@ -661,24 +611,25 @@ class _EndgameLanes(_TauState):
 
 def _finish_parked(
     members: Sequence[SweepMember],
-    outputs: _TauOutputs,
+    outputs: _OutputRecord,
     tail_generators: Sequence[np.random.Generator],
     parked: Sequence[np.ndarray],
 ) -> None:
     """The exact endgame: finish every parked replica of a call in lock-step.
 
-    Bitwise equal to one :meth:`LVJumpChainSimulator.run
-    <repro.lv.simulator.LVJumpChainSimulator.run>` per parked replica, in
-    park order, on its member's tail stream, folded in by
-    :func:`~repro.lv.ensemble.merge_scalar_tail_run` (see the module's
-    reproducibility contract).  Each live lane fires one event per step,
-    reading uniform ``_UNIFORM_BUFFER * block + t`` through its window, and
-    follows the scalar run: its propensity association, the first
-    left-to-right partial sum above ``u * total``, its exits in its order
-    and its accounting, noise in the member's gap sign (what the merge's
-    noise flip computes).  Lanes still alive at ``t = _UNIFORM_BUFFER``
-    would draw a second block: their member keeps the lanes before the
-    first of them and finishes the rest with :func:`_finish_scalar`.
+    Bitwise equal to finishing each parked replica, in park order, with
+    :func:`~repro.lv.ensemble._finish_exact_tail` (one run of the scalar
+    event loop, :func:`repro.lv.simulator._event_loop`) on its member's
+    tail stream (see the module's reproducibility contract).  Each live
+    lane fires one event per step, reading uniform ``_UNIFORM_BUFFER *
+    block + t`` through its window, and follows the scalar run: its
+    propensity association, the first left-to-right partial sum above
+    ``u * total`` and its exits in its order; the accounting is the
+    simulator's :func:`~repro.lv.simulator._event_accounting`, in the
+    member's gap sign.  Lanes still alive at ``t = _UNIFORM_BUFFER`` would
+    draw a second block: their member keeps the lanes before the first of
+    them and finishes the rest with that finisher, from the first one's
+    block on.
     """
     if not any(rows.size for rows in parked):
         return
@@ -721,7 +672,7 @@ def _finish_parked(
                 np.where(state.budget <= t, _MAX_EVENTS, _ABSORBED),
             )
             retired = np.nonzero(done)[0]
-            outputs.termination[state.orig[retired]] = codes[retired]
+            outputs.termination_codes[state.orig[retired]] = codes[retired]
             state.scatter(outputs, retired)
             keep = np.nonzero(~done)[0]
             state.pack(keep)
@@ -753,22 +704,19 @@ def _finish_parked(
         if x0.min() < 0 or x1.min() < 0:
             raise SimulationError("the exact endgame drove a species count negative")
         t += 1
-        state.events += 1
+        state.total_events += 1
         # A view: packing leaves the histogram C-contiguous.
         state.histogram.reshape(-1)[cells + event] += 1
         gap_after = x0 - x1
-        step_noise = state.sign * (gap_before - gap_after)
-        individual = event <= _DEATH1
-        individual_noise = step_noise * individual
-        state.noise_ind += individual_noise
-        state.noise_comp += step_noise - individual_noise
-        abs_after = np.abs(gap_after)
-        state.bad += individual & (abs_after < np.abs(gap_before))
-        state.good += (gap_before != 0) & _GOOD_TABLE[
-            (gap_before < 0).view(np.int8), event
-        ]
-        np.maximum(state.max_total, x0 + x1, out=state.max_total)
-        np.minimum(state.min_gap, abs_after, out=state.min_gap)
+        noise_ind, noise_comp, bad, good = _event_accounting(
+            event, gap_before, gap_after, state.sign
+        )
+        state.noise_individual += noise_ind
+        state.noise_competitive += noise_comp
+        state.bad_noncompetitive_events += bad
+        state.good_events += good
+        np.maximum(state.max_total_population, x0 + x1, out=state.max_total_population)
+        np.minimum(state.min_gap_seen, np.abs(gap_after), out=state.min_gap_seen)
         state.hit_tie |= gap_after == 0
 
     # The lanes still alive would each draw a second block: from the first
@@ -780,29 +728,7 @@ def _finish_parked(
         lanes.scatter(outputs, redo)
         tail_generator = tail_generators[index]
         advance_stream(tail_generator, _UNIFORM_BUFFER * first)
-        _finish_scalar(members[index], outputs, tail_generator, lanes.orig[redo])
+        _finish_exact_tail(
+            members[index], outputs, tail_generator, lanes.orig[redo], full=True
+        )
 
-
-def _finish_scalar(
-    member: SweepMember,
-    outputs: _TauOutputs,
-    tail_generator: np.random.Generator,
-    slots: np.ndarray,
-) -> None:
-    """Finish *slots* one scalar run each, in order, on *tail_generator*.
-
-    Each run starts from the slot's parked counts with the budget left, and
-    :func:`~repro.lv.ensemble.merge_scalar_tail_run` folds it in, noise
-    reference flip included.
-    """
-    simulator = LVJumpChainSimulator(member.params)
-    reference = 0 if member.initial_state.majority_species != 1 else 1
-    for slot in slots.tolist():
-        mid_state = LVState(int(outputs.x0[slot]), int(outputs.x1[slot]))
-        remaining = int(member.max_events) - int(outputs.events[slot])
-        result = simulator.run(mid_state, rng=tail_generator, max_events=remaining)
-        outputs.x0[slot] = result.final_state.x0
-        outputs.x1[slot] = result.final_state.x1
-        outputs.events[slot] += result.total_events
-        code = merge_scalar_tail_run(outputs, slot, result, mid_state, reference)
-        outputs.termination[slot] = _CONSENSUS if code is None else code

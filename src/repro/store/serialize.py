@@ -33,7 +33,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.exceptions import StoreError
-from repro.lv.ensemble import LVEnsembleResult
+from repro.lv.ensemble import _ARRAY_FIELDS, LVEnsembleResult
 from repro.lv.params import CompetitionMechanism, LVParams
 from repro.lv.state import LVState
 from repro.store.keys import RESULT_SCHEMA_VERSION, canonical_json, params_payload
@@ -52,25 +52,6 @@ __all__ = [
 #: perfbench exact-sweep list in 0.91 MB, against 4.39 MB as JSON lists and
 #: 14.1 MB as uncompressed base64.
 ZLIB_LEVEL = 1
-
-#: Array attributes of :class:`LVEnsembleResult`, in declaration order.
-_ARRAY_FIELDS = (
-    "final_x0",
-    "final_x1",
-    "total_events",
-    "termination_codes",
-    "births",
-    "deaths",
-    "interspecific_events",
-    "intraspecific_events",
-    "bad_noncompetitive_events",
-    "good_events",
-    "noise_individual",
-    "noise_competitive",
-    "max_total_population",
-    "min_gap_seen",
-    "hit_tie",
-)
 
 
 def encode_array(array: npt.NDArray[Any]) -> dict[str, Any]:

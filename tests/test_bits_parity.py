@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import itertools
 import json
 import math
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.lv.ensemble import SweepMember, run_sweep_ensemble
+from repro.lv.simulator import LVJumpChainSimulator
 from repro.lv.state import LVState
 
 SCRIPTS = Path(__file__).resolve().parent.parent / ".github" / "scripts"
@@ -107,3 +109,45 @@ class TestEngineParity:
             changed.flat[0] = ~changed.flat[0] if changed.dtype == bool else changed.flat[0] + 1
             altered = dataclasses.replace(result, **{name: changed})
             assert engine_parity.results_digest([altered]) != digest, name
+
+    def test_digest_reads_every_scalar_run_field(self, engine_parity, nsd_params):
+        run = LVJumpChainSimulator(nsd_params).run(LVState(9, 7), rng=3, record_path=True)
+        digest = engine_parity.results_digest([run])
+        assert run.path
+
+        def altered(value):
+            if isinstance(value, bool):
+                return not value
+            if isinstance(value, int):
+                return value + 1
+            if isinstance(value, tuple):
+                return (value[0] + 1,) + value[1:]
+            if isinstance(value, list):
+                return value[:-1]
+            if isinstance(value, str):
+                return value + "?"
+            if value is None:
+                return 0
+            if isinstance(value, LVState):
+                return LVState(value.x0 + 1, value.x1)
+            return dataclasses.replace(value, beta=value.beta + 1.0)
+
+        for field in dataclasses.fields(run):
+            changed = dataclasses.replace(run, **{field.name: altered(getattr(run, field.name))})
+            assert engine_parity.results_digest([changed]) != digest, field.name
+
+    def test_battery_opens_with_scalar_runs(self, engine_parity):
+        # The first seed's scalar calls open the battery, so the rest need not run.
+        calls = list(
+            itertools.takewhile(
+                lambda call: call[0].startswith("LVJumpChainSimulator.run/"),
+                engine_parity.battery(),
+            )
+        )
+        runs = [run for _, results in calls for run in results]
+        assert len(calls) == 7
+        assert {run.params.is_self_destructive for run in runs} == {False, True}
+        assert any(run.path for run in runs) and any(not run.path for run in runs)
+        assert {run.termination for run in runs} == {"consensus", "absorbed", "max-events"}
+        assert max(run.total_events for run in runs) > 4096
+        assert len(dict(calls)["LVJumpChainSimulator.run/one-stream/rng=0"]) == 5

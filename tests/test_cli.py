@@ -83,6 +83,18 @@ class TestParser:
             build_parser().parse_args(["run", "T1R3", "--on-fault", "explode"])
         assert excinfo.value.code == 2
 
+    def test_lint_help_names_the_live_rule_classes_only(self, capsys):
+        # The nopython-subset class (RC4xx) retired with the native kernels.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        output = " ".join(capsys.readouterr().out.split())
+        assert (
+            "statically check the determinism contracts (RNG discipline, "
+            "iteration order, store-key purity)"
+        ) in output
+        assert "njit" not in output and "nopython" not in output
+
 
 class TestCommands:
     def test_info_lists_registered_scenarios(self, capsys):

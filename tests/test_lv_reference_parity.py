@@ -169,6 +169,52 @@ class TestEnsembleAgainstReference:
         assert SCALAR_FINISH_WIDTH == reference.HANDOFF_WIDTH == 8
 
 
+def _spent_member(params) -> SweepMember:
+    """Ten replicas from (3, 2) with a budget of two events.
+
+    With ``rng=1`` at most eight are alive at step 2, so they are handed to
+    the scalar tail with no budget left and end there at once.
+    """
+    return SweepMember(params, LVState(3, 2), 10, max_events=2)
+
+
+class TestSpentBudgetHandoff:
+    """Replicas handed off exactly when their member's budget runs out."""
+
+    @staticmethod
+    def _assert_spent_handoff(result) -> None:
+        spent = result.termination_codes == reference.MAX_EVENTS
+        assert np.count_nonzero(spent) == 8
+        assert (result.total_events[spent] == 2).all()
+
+    @pytest.mark.parametrize("collect", ["full", "win"])
+    def test_spent_member_alone_matches_reference(self, sd_params, collect):
+        members = [_spent_member(sd_params)]
+        (result,) = run_sweep_ensemble(members, rng=1, collect=collect)
+        (replay,) = reference.replay_lv2(members, rng=1, collect=collect)
+        assert_matches_replay(result, replay)
+        self._assert_spent_handoff(result)
+
+    @pytest.mark.parametrize("collect", ["full", "win"])
+    def test_spent_member_fused_with_a_running_tail_matches_reference(
+        self, sd_params, nsd_params, collect
+    ):
+        # Member seed 1 derives the root seed rng=1 does, so the first member
+        # is the spent handoff above; the second member's survivors finish
+        # on their own tail stream after it.
+        members = [
+            _spent_member(sd_params),
+            SweepMember(nsd_params, LVState(20, 14), 12),
+        ]
+        results = run_sweep_ensemble(members, member_seeds=[1, 2], collect=collect)
+        replays = reference.replay_lv2(members, member_seeds=[1, 2], collect=collect)
+        for result, replay in zip(results, replays):
+            assert_matches_replay(result, replay)
+        self._assert_spent_handoff(results[0])
+        assert (results[1].termination_codes == reference.CONSENSUS).all()
+        assert results[1].total_events.max() > 2
+
+
 def _one_shot_replay(params, *, rng):
     """The replay of a one-shot estimate: one 64-replica member from (30, 18)."""
     (seed,) = reference.member_root_seeds(1, rng=rng)
@@ -273,7 +319,55 @@ class TestDeadReactionPairsAgainstReference:
             assert (codes == reference.ABSORBED).any()
 
 
+def _scalar_battery(count: int = 64) -> list[tuple[str, LVParams, tuple, int, int]]:
+    """Seeded ``(label, params, state, budget, seed)`` cases for the scalar run.
+
+    Named cases cover each shape once: both mechanisms, zero rates, γ > 0,
+    a species-1 majority, a tied start, budgets of 5, 50 and 5,000, and a
+    run past one uniform block; random ones fill the rest.
+    """
+    cases = [
+        ("sd", NO_INTRA_SD, (30, 18), 5_000, 1),
+        ("nsd-species-1-majority", NO_INTRA_NSD, (18, 30), 5_000, 2),
+        ("gamma-tie", LVParams(0.9, 1.1, 0.2, 0.6, 0.35, 0.15, NSD), (20, 20), 5_000, 3),
+        ("gamma-budget-50", LVParams(1.0, 0.7, 0.3, 0.45, 0.3, 0.2, SD), (41, 30), 50, 4),
+        ("alpha0-only-budget-5", ALPHA0_ONLY, (12, 8), 5, 5),
+        ("intra-only-absorbs", INTRA_ONLY, (4, 4), 5_000, 6),
+        ("past-one-block", BIRTHS_DEATHS_NSD, (100, 90), 5_000, 7),
+    ]
+    draw = np.random.default_rng(2_024)
+    while len(cases) < count:
+        rates = draw.choice([0.0, 0.5, 1.0, 1.5], size=6).tolist()
+        if not any(rates):
+            continue
+        mechanism = SD if draw.random() < 0.5 else NSD
+        x0, x1 = draw.integers(1, 60, size=2).tolist()
+        if draw.random() < 0.15:
+            x1 = x0
+        budget = int(draw.choice([5, 50, 5_000]))
+        label = f"random-{len(cases)}"
+        cases.append((label, LVParams(*rates, mechanism), (x0, x1), budget, len(cases)))
+    return cases
+
+
+SCALAR_BATTERY = _scalar_battery()
+
+
 class TestScalarTailAgainstReference:
+    @pytest.mark.parametrize(
+        "label, params, state, budget, seed",
+        SCALAR_BATTERY,
+        ids=[case[0] for case in SCALAR_BATTERY],
+    )
+    def test_seeded_battery_matches_field_for_field(self, label, params, state, budget, seed):
+        run = LVJumpChainSimulator(params).run(
+            LVState(*state), rng=np.random.default_rng(seed), max_events=budget
+        )
+        replay = reference.scalar_run(params, state, np.random.default_rng(seed), budget)
+        self._assert_same_run(run, replay)
+        if label == "past-one-block":
+            assert run.total_events > reference.SCALAR_BLOCK
+
     def _assert_same_run(self, run, replay) -> None:
         for field in replay._fields:
             value = getattr(run, field)

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import InvalidConfigurationError
-from repro.lv.params import LVParams
+from repro.lv.params import CompetitionMechanism, LVParams
 from repro.lv.simulator import LVJumpChainSimulator
 from repro.lv.state import LVState
 from repro.rng import as_generator
+from repro.scenario.spec import lv2_event_order, lv2_reaction_structure
+
+SD = CompetitionMechanism.SELF_DESTRUCTIVE
+NSD = CompetitionMechanism.NON_SELF_DESTRUCTIVE
 
 
 def _majority_wins(simulator, state, num_runs, seed):
@@ -65,6 +74,101 @@ class TestRunBasics:
         result = LVJumpChainSimulator(sd_params).run(LVState(12, 6), rng=2, record_path=True)
         assert len(result.path) == result.total_events
         assert result.path[-1].state == result.final_state.counts
+
+
+#: ``(label, params, state, budget, seed)`` of recorded runs: both
+#: mechanisms, a species-1 majority, a tie with intraspecific competition, a
+#: budget, absorption at (1, 1) and a run past one 4096-uniform block (its
+#: path is rebuilt across a fold of the recorded events).
+RECORDED_RUNS = [
+    ("sd", LVParams(1.0, 1.0, 1.0, 1.0, mechanism=SD), (40, 24), 20_000_000, 7),
+    (
+        "nsd-gamma-minority-first",
+        LVParams(1.0, 1.0, 1.0, 1.0, 2.0, 2.0, NSD),
+        (20, 34),
+        20_000_000,
+        3,
+    ),
+    ("gamma-tie", LVParams(0.9, 1.1, 0.2, 0.6, 0.35, 0.15, NSD), (12, 12), 20_000_000, 5),
+    ("budget", LVParams(1.0, 0.7, 0.3, 0.45, 0.3, 0.2, SD), (60, 40), 25, 1),
+    ("absorbed", LVParams(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, NSD), (4, 4), 20_000_000, 2),
+    ("past-one-block", LVParams(1.0, 1.0, 0.0, 0.0, mechanism=NSD), (100, 90), 5_000, 4),
+]
+
+#: sha256 of :func:`_runs_digest` over :data:`RECORDED_RUNS`, as ``run`` with
+#: its own in-loop accounting computed it (version 5.1.0).
+RECORDED_RUNS_DIGEST = "2f7629f6eee8f5ac162d8fe5da4dc94a00f5c81184c66cf6212bfb252b724aa0"
+
+
+def _recorded_run(params, state, budget, seed):
+    return LVJumpChainSimulator(params).run(
+        LVState(*state), rng=seed, max_events=budget, record_path=True
+    )
+
+
+def _runs_digest(runs) -> str:
+    """sha256 over the ``repr`` of every field of every run, path included."""
+    digest = hashlib.sha256()
+    for run in runs:
+        for field in dataclasses.fields(run):
+            digest.update(f"{field.name}={getattr(run, field.name)!r}\n".encode())
+    return digest.hexdigest()
+
+
+class TestRecordedPath:
+    @pytest.mark.parametrize(
+        "label, params, state, budget, seed",
+        RECORDED_RUNS,
+        ids=[case[0] for case in RECORDED_RUNS],
+    )
+    def test_each_step_is_the_previous_state_plus_its_move(
+        self, label, params, state, budget, seed
+    ):
+        result = _recorded_run(params, state, budget, seed)
+        _, changes = lv2_reaction_structure(params.is_self_destructive)
+        moves = dict(zip(lv2_event_order(), changes))
+        assert len(result.path) == result.total_events
+        previous = state
+        for index, step in enumerate(result.path):
+            dx0, dx1 = moves[step.event]
+            assert step.index == index
+            assert step.state == (previous[0] + dx0, previous[1] + dx1)
+            previous = step.state
+        assert previous == result.final_state.counts
+        if label == "past-one-block":
+            assert result.total_events > 4096
+
+    @pytest.mark.parametrize(
+        "label, params, state, budget, seed",
+        RECORDED_RUNS,
+        ids=[case[0] for case in RECORDED_RUNS],
+    )
+    def test_event_names_count_the_accounting(self, label, params, state, budget, seed):
+        result = _recorded_run(params, state, budget, seed)
+        names = Counter(step.event for step in result.path)
+        assert (names["birth0"], names["birth1"]) == result.births
+        assert (names["death0"], names["death1"]) == result.deaths
+        assert names["inter0"] + names["inter1"] == result.interspecific_events
+        assert (names["intra0"], names["intra1"]) == result.intraspecific_events
+
+    def test_recorded_runs_keep_their_digest(self):
+        runs = [_recorded_run(*case[1:]) for case in RECORDED_RUNS]
+        assert _runs_digest(runs) == RECORDED_RUNS_DIGEST
+
+    def test_long_run_holds_one_block_of_events_at_most(self):
+        # The run records every event's class and folds them each 4096
+        # uniforms: holding all 50,000 would peak at several megabytes.
+        walk = LVParams(1.0, 1.0, 0.0, 0.0, mechanism=NSD)
+        tracemalloc.start()
+        try:
+            result = LVJumpChainSimulator(walk).run(
+                LVState(2_000, 2_000), rng=0, max_events=50_000
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.total_events == 50_000
+        assert peak < 1_000_000
 
 
 class TestEventAccounting:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidConfigurationError
-from repro.lv.ensemble import _DX0_TABLE, _DX1_TABLE, _GOOD_TABLE
+from repro.lv.simulator import _DX0_TABLE, _DX1_TABLE, _GOOD_TABLE
 from repro.lv.params import CompetitionMechanism, LVParams
 from repro.scenario.registry import (
     CATALYSIS_K_LIG,
