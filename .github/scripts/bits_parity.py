@@ -4,7 +4,8 @@ Runs ``python -m repro run --all --scale quick --seed 0 --no-cache --json``
 in both trees and compares the JSON bytes.  The check passes when the bytes
 match, or when the change edits the ``RESULT_SCHEMA_VERSION =`` line of
 ``src/repro/store/keys.py``: results may change only under a declared schema
-bump.  Otherwise it fails and names the experiments whose output differs.
+bump.  Otherwise it fails.  Either way, when the bytes differ it names the
+experiments whose output differs, so a bump shows what it changed.
 
 Usage::
 
@@ -99,16 +100,19 @@ def main(argv: list[str] | None = None) -> int:
         print("bits-parity: same bits")
         return 0
     base_schema, head_schema = schema_line(base_tree), schema_line(head_tree)
-    if base_schema != head_schema:
-        print(f"bits-parity: output changed under a schema bump ({base_schema} -> {head_schema})")
-        return 0
-    print("bits-parity: output changed without a RESULT_SCHEMA_VERSION bump, in:")
+    bumped = base_schema != head_schema
+    if bumped:
+        print(
+            f"bits-parity: output changed under a schema bump ({base_schema} -> {head_schema}), in:"
+        )
+    else:
+        print("bits-parity: output changed without a RESULT_SCHEMA_VERSION bump, in:")
     differing = differing_experiments(base, head)
     for identifier in differing:
         print(f"  {identifier}")
     if not differing:
         print("  no single entry: the entries' order or the text between them")
-    return 1
+    return 0 if bumped else 1
 
 
 if __name__ == "__main__":

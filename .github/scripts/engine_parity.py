@@ -13,15 +13,19 @@ trees have:
   run out of budget there, and pass one uniform block in it;
 * ``LVJumpChainSimulator.run`` over both mechanisms, a species-1 majority,
   a tie, a budget, absorption and a run past one uniform block, some with
-  ``record_path=True``, and five runs drawing from one stream in turn.
+  ``record_path=True``, and five runs drawing from one stream in turn;
+* the generic scenario engine: ``opinion3``, ``opinion4`` and ``catalysis``
+  members in both mechanisms, through ``run_sweep_ensemble`` and
+  ``run_tau_sweep_ensemble`` at both levels, with a growing population, an
+  event budget and members that leap.
 
 Every budget is bounded, so the battery takes seconds per tree.  It hashes
 every field of every result: the per-replica arrays by their bytes, any
 other field (a scalar run's counts and path) by its ``repr``.  The check
-passes when each
-call's digest matches, or when the change edits the
+passes when each call's digest matches, or when the change edits the
 ``RESULT_SCHEMA_VERSION =`` line of ``src/repro/store/keys.py`` (the rule of
-``bits_parity.py``); otherwise it names the calls whose arrays differ.
+``bits_parity.py``); otherwise it fails.  Either way it names the calls
+whose arrays differ, so a bump shows what it changed.
 
 Usage::
 
@@ -89,6 +93,33 @@ def battery() -> Iterator[tuple[str, list[Any]]]:
         member(gamma_nsd, 33, 28, 4, 25),
     ]
     overflow = [member(walk, 24, 20, 8, 6_000), member(nsd, 46, 50, 3)]
+
+    def generic_calls(mechanism):
+        """``(entry point, members)`` of the generic engine, exact then tau."""
+        rates = LVParams(0.5, 0.4, 0.9, 0.7, 0.2, 0.3, mechanism)
+        catalysed = LVParams(0.3, 0.3, 0.025, 0.025, mechanism=mechanism)
+        # Births outrun deaths and encounters are rare: the population grows.
+        growth = LVParams(1.0, 0.5, 5e-5, 5e-5, mechanism=mechanism)
+
+        exact_members = [
+            SweepMember(rates, (30, 20, 15), 40, 20_000, scenario="opinion3"),
+            SweepMember(rates, (20, 14, 14, 12), 40, 20_000, scenario="opinion4"),
+            SweepMember(catalysed, (30, 20, 60), 40, 20_000, scenario="catalysis"),
+            SweepMember(growth, (20, 15, 15), 16, 200, scenario="opinion3"),
+        ]
+        leaping_members = [
+            SweepMember(rates, (1_100, 740, 720), 4, 200_000, scenario="opinion3"),
+            SweepMember(rates, (900, 600, 600, 500), 3, 200_000, scenario="opinion4"),
+            SweepMember(catalysed, (900, 600, 200), 4, 200_000, scenario="catalysis"),
+            SweepMember(growth, (2_000, 1_500, 1_500), 4, 20_000, scenario="opinion3"),
+        ]
+        return ((run_sweep_ensemble, exact_members), (run_tau_sweep_ensemble, leaping_members))
+
+    generic = {
+        mechanism.short_name: generic_calls(mechanism)
+        for mechanism in (sd_mechanism, nsd_mechanism)
+    }
+
     # (label, params, state, budget, record_path) of the scalar runs.
     scalar = [
         ("sd", sd, (40, 24), 20_000, False),
@@ -126,6 +157,13 @@ def battery() -> Iterator[tuple[str, list[Any]]]:
             f"run_tau_sweep_ensemble/overflow/rng={seed + 4}",
             run_tau_sweep_ensemble(overflow, rng=seed + 4),
         )
+        for mechanism, calls in generic.items():
+            for run, members in calls:
+                for collect in ("full", "win"):
+                    yield (
+                        f"{run.__name__}/generic-{mechanism}/{collect}/rng={seed}",
+                        run(members, rng=seed, collect=collect),
+                    )
 
 
 def results_digest(results: list[Any]) -> str:
@@ -194,13 +232,17 @@ def main(argv: list[str] | None = None) -> int:
         print("engine-parity: same bits")
         return 0
     base_schema, head_schema = schema_line(base_tree), schema_line(head_tree)
-    if base_schema != head_schema:
-        print(f"engine-parity: arrays changed under a schema bump ({base_schema} -> {head_schema})")
-        return 0
-    print("engine-parity: arrays changed without a RESULT_SCHEMA_VERSION bump, in:")
+    bumped = base_schema != head_schema
+    if bumped:
+        print(
+            f"engine-parity: arrays changed under a schema bump ({base_schema} -> {head_schema}), "
+            f"in {len(differing)} call(s):"
+        )
+    else:
+        print("engine-parity: arrays changed without a RESULT_SCHEMA_VERSION bump, in:")
     for name in differing:
         print(f"  {name}")
-    return 1
+    return 0 if bumped else 1
 
 
 if __name__ == "__main__":

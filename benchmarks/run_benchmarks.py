@@ -41,11 +41,10 @@ comparable machine, otherwise runner-speed differences drown the signal.
 Notes
 -----
 * ``events`` counts only events executed through the scheduler's lock-step
-  engines; experiments that run entirely outside the scheduler — `FIG-DOM`
-  (scalar dominating-chain comparisons) and `T1R4` (prior-work
-  growth/resource models) — legitimately meter zero and carry
-  ``scheduler_metered: false`` so the artefact doesn't read as a
-  throughput regression (their wall-clock is still gated).
+  engines; the one experiment that runs entirely outside the scheduler —
+  `FIG-DOM` (scalar dominating-chain comparisons) — legitimately meters
+  zero and carries ``scheduler_metered: false`` so the artefact doesn't
+  read as a throughput regression (its wall-clock is still gated).
 * The quick scale matches CI; pass ``--scale full`` for the
   ``EXPERIMENTS.md``-sized workloads.
 """
@@ -98,10 +97,10 @@ def measure_experiments(scale: str, seed: int) -> dict[str, dict[str, float]]:
         outcome = run_experiment(spec.identifier, scale=scale, seed=seed)
         seconds = time.perf_counter() - started
         events = scheduler.events_executed
-        # FIG-DOM (scalar dominating-chain comparisons) and T1R4 (prior-work
-        # growth/resource models) run outside the sweep scheduler by design,
-        # so the event meter legitimately reads zero for them — mark them
-        # unmetered instead of letting the artefact imply zero throughput.
+        # FIG-DOM (scalar dominating-chain comparisons) runs outside the
+        # sweep scheduler by design, so the event meter legitimately reads
+        # zero for it — mark it unmetered instead of letting the artefact
+        # imply zero throughput.
         metered = events > 0
         results[spec.identifier] = {
             "seconds": round(seconds, 4),

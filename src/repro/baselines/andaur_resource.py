@@ -1,79 +1,25 @@
 """The bounded-growth resource-consumer model of Andaur et al. (2021).
 
-Andaur et al. studied majority consensus in a biological reaction-network
-model with two key departures from mass-action Lotka–Volterra dynamics:
-
-* growth is **bounded and non-mass-action** — the per-capita reproduction rate
-  saturates because it is limited by a shared resource (nutrient) rather than
-  scaling freely with the population, and
-* competition is **non-self-destructive** interference (the aggressor
-  survives), with no individual death reactions (δ = 0).
-
-Their exact reaction system is tied to an explicit resource species; since the
-quantitative statements the paper cites only depend on the two properties
-above, we implement the closest synthetic equivalent that exercises the same
-code paths: a two-species jump chain whose *birth propensity* for species ``i``
-is the bounded, non-mass-action function
-
-.. math::
-
-    b_i(x_0, x_1) = β · x_i · \\max\\left(0, 1 - \\frac{x_0 + x_1}{K}\\right),
-
-(i.e. logistic resource limitation with carrying capacity ``K``), whose death
-propensity is zero, and whose interspecific competition is non-self-
-destructive at total rate α (propensity ``α·x_0·x_1``, the victim belonging to
-the responder's species with probability proportional to the per-direction
-rates).  Because the birth propensity is bounded by ``β·K/4`` overall and is
-*not* of mass-action form, the model is outside the CRN formalism — exactly
-the situation Andaur et al. consider — yet it still satisfies the "nice
-dominating chain" conditions the paper uses to extend its own result to this
-model, which the test suite verifies empirically.
-
-Documented substitution: the explicit resource species of the original model
-is replaced by its mean-field effect on the growth rate.  This preserves the
-two properties the analysis depends on (bounded non-mass-action growth, NSD
-interference, δ = 0) while keeping the model two-dimensional.
+Two opinions grow by consuming a shared resource ``R`` (births
+``X_i + R → 2 X_i``), so the population never exceeds the carrying capacity
+``K = x_0 + x_1 + r``; competition is non-self-destructive interference (the
+victim returns to ``R``) and there are no deaths (δ = 0).  The model runs as
+the ``resource`` scenario family on the generic engine: with
+``r = K − x_0 − x_1`` and birth constant β/K, the birth propensity
+``(β/K)·x_i·r`` is the logistic law ``β·x_i·(1 − (x_0 + x_1)/K)``, and two
+encounter reactions at α/2 each pick either victim with probability 1/2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.exceptions import ModelError, SimulationError
+from repro.consensus.estimator import ConsensusEstimate, summarise_ensemble
+from repro.exceptions import ModelError
+from repro.lv.ensemble import SweepMember, run_sweep_ensemble
+from repro.lv.params import LVParams
 from repro.lv.state import LVState
-from repro.rng import SeedLike, as_generator, spawn_generators
-from repro.analysis.statistics import BinomialEstimate, binomial_estimate
+from repro.rng import SeedLike
 
-__all__ = ["AndaurResourceModel", "AndaurRunResult"]
-
-
-@dataclass(frozen=True)
-class AndaurRunResult:
-    """Outcome of one trajectory of the bounded-growth model."""
-
-    initial_state: LVState
-    final_state: LVState
-    total_events: int
-    reached_consensus: bool
-    majority_consensus: bool
-    competition_events: int
-    birth_events: int
-
-
-@dataclass(frozen=True)
-class AndaurEstimate:
-    """Aggregated Monte-Carlo estimate for the bounded-growth model."""
-
-    initial_state: tuple[int, int]
-    num_runs: int
-    success: BinomialEstimate
-    mean_consensus_time: float
-
-    @property
-    def majority_probability(self) -> float:
-        return self.success.estimate
+__all__ = ["AndaurResourceModel"]
 
 
 class AndaurResourceModel:
@@ -93,9 +39,10 @@ class AndaurResourceModel:
     Examples
     --------
     >>> model = AndaurResourceModel(beta=1.0, alpha=1.0, carrying_capacity=400)
-    >>> result = model.run(LVState(60, 30), rng=0)
-    >>> result.reached_consensus
-    True
+    >>> model.counts(LVState(60, 30))
+    (60, 30, 310)
+    >>> model.estimate(LVState(60, 30), num_runs=20, rng=0).consensus_rate
+    1.0
     """
 
     def __init__(self, *, beta: float, alpha: float, carrying_capacity: int):
@@ -111,87 +58,26 @@ class AndaurResourceModel:
         self.alpha = float(alpha)
         self.carrying_capacity = int(carrying_capacity)
 
-    # ------------------------------------------------------------------
-    # Propensities
-    # ------------------------------------------------------------------
-    def birth_propensity(self, own_count: int, total: int) -> float:
-        """Bounded, non-mass-action birth propensity of one species."""
-        if own_count <= 0:
-            return 0.0
-        limitation = max(0.0, 1.0 - total / self.carrying_capacity)
-        return self.beta * own_count * limitation
+    @property
+    def params(self) -> LVParams:
+        """The ``resource`` family's rates: births at β/K, α split evenly, NSD."""
+        return LVParams.non_self_destructive(
+            beta=self.beta / self.carrying_capacity, delta=0.0, alpha=self.alpha
+        )
 
-    def competition_propensity(self, x0: int, x1: int) -> float:
-        """Interference-competition propensity (mass action, as in the original)."""
-        return self.alpha * x0 * x1
-
-    # ------------------------------------------------------------------
-    # Simulation
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        initial_state: LVState | tuple[int, int],
-        *,
-        rng: SeedLike = None,
-        max_events: int = 20_000_000,
-    ) -> AndaurRunResult:
-        """Run the jump chain until one species is extinct."""
-        if isinstance(initial_state, tuple):
-            initial_state = LVState(int(initial_state[0]), int(initial_state[1]))
-        if initial_state.total > self.carrying_capacity:
+    def counts(self, initial_state: LVState | tuple[int, int]) -> tuple[int, int, int]:
+        """``(x0, x1, r)``: the opinions plus the resource left, ``K − x0 − x1``."""
+        x0, x1 = (
+            (initial_state.x0, initial_state.x1)
+            if isinstance(initial_state, LVState)
+            else (int(initial_state[0]), int(initial_state[1]))
+        )
+        if x0 + x1 > self.carrying_capacity:
             raise ModelError(
                 "initial population exceeds the carrying capacity "
-                f"({initial_state.total} > {self.carrying_capacity})"
+                f"({x0 + x1} > {self.carrying_capacity})"
             )
-        generator = as_generator(rng)
-        x0, x1 = initial_state.x0, initial_state.x1
-        reference = initial_state.majority_species
-        if reference is None:
-            reference = 0
-
-        events = 0
-        births = 0
-        competitions = 0
-        while x0 > 0 and x1 > 0 and events < max_events:
-            total = x0 + x1
-            birth0 = self.birth_propensity(x0, total)
-            birth1 = self.birth_propensity(x1, total)
-            competition = self.competition_propensity(x0, x1)
-            total_propensity = birth0 + birth1 + competition
-            if total_propensity <= 0.0:
-                raise SimulationError(
-                    "the bounded-growth model reached a state with zero propensity "
-                    f"before consensus: ({x0}, {x1})"
-                )
-            u = generator.random() * total_propensity
-            if u < birth0:
-                x0 += 1
-                births += 1
-            elif u < birth0 + birth1:
-                x1 += 1
-                births += 1
-            else:
-                # Non-self-destructive interference: the victim belongs to
-                # either species with equal probability (neutral rates).
-                competitions += 1
-                if generator.random() < 0.5:
-                    x1 -= 1
-                else:
-                    x0 -= 1
-            events += 1
-
-        final_state = LVState(x0, x1)
-        reached = final_state.has_consensus
-        winner = final_state.winner
-        return AndaurRunResult(
-            initial_state=initial_state,
-            final_state=final_state,
-            total_events=events,
-            reached_consensus=reached,
-            majority_consensus=reached and winner == reference,
-            competition_events=competitions,
-            birth_events=births,
-        )
+        return x0, x1, self.carrying_capacity - x0 - x1
 
     def estimate(
         self,
@@ -200,23 +86,15 @@ class AndaurResourceModel:
         num_runs: int = 200,
         rng: SeedLike = None,
         max_events: int = 20_000_000,
-        confidence: float = 0.95,
-    ) -> AndaurEstimate:
-        """Monte-Carlo estimate of the majority-consensus probability."""
+    ) -> ConsensusEstimate:
+        """Monte-Carlo estimate of the majority-consensus probability.
+
+        Reads only ρ and the consensus times, so it runs at ``"win"``.
+        """
         if num_runs <= 0:
             raise ModelError(f"num_runs must be positive, got {num_runs}")
-        if isinstance(initial_state, tuple):
-            initial_state = LVState(int(initial_state[0]), int(initial_state[1]))
-        generators = spawn_generators(rng, num_runs)
-        successes = 0
-        times = np.empty(num_runs)
-        for i, generator in enumerate(generators):
-            result = self.run(initial_state, rng=generator, max_events=max_events)
-            successes += int(result.majority_consensus)
-            times[i] = result.total_events
-        return AndaurEstimate(
-            initial_state=(initial_state.x0, initial_state.x1),
-            num_runs=num_runs,
-            success=binomial_estimate(successes, num_runs, confidence=confidence),
-            mean_consensus_time=float(times.mean()),
+        member = SweepMember(
+            self.params, self.counts(initial_state), num_runs, max_events, scenario="resource"
         )
+        (ensemble,) = run_sweep_ensemble([member], rng=rng, collect="win")
+        return summarise_ensemble(ensemble, collected="win")

@@ -10,9 +10,11 @@ All replicate batches are executed through the process-wide
 ``(configuration, replicate)`` grid — every population size of a threshold
 sweep, every probed gap, every mechanism — is flattened into heterogeneous
 lock-step mega-batches, with deterministic per-``(configuration, batch)``
-seeds and optional ``--jobs`` parallelism.  Rows that read only ρ (T1R2,
-T1R3, T1R5) run at the engine's ``"win"`` statistics level, which skips the
-event accounting they never read and leaves their numbers unchanged.
+seeds and optional ``--jobs`` parallelism.  T1R4's prior-work models join
+in as tasks too: Cho et al.'s as an lv2 parameterisation, Andaur et al.'s as
+the ``resource`` scenario family.  Rows that read only ρ (T1R2, T1R3, T1R4,
+T1R5) run at the engine's ``"win"`` statistics level, which skips the event
+accounting they never read and leaves their numbers unchanged.
 
 The per-experiment ``num_runs`` below are the **fixed budgets** of the
 exact-reproducibility mode.  When the scheduler carries a
@@ -369,25 +371,40 @@ def run_t1r4(scale: str = "quick", seed: int = 0) -> ExperimentResult:
     """Table 1, row 4: the δ = 0 models of Cho et al. and Andaur et al."""
     num_runs = 200 if scale == "quick" else 600
     sizes = [128, 256] if scale == "quick" else [128, 256, 512, 1024]
+    cho = ChoGrowthModel(beta=_BETA, alpha=_ALPHA)
+    gaps = {
+        n: (max(2, int(round(math.log(n) ** 2 / 4))), int(round(math.sqrt(n * math.log(n)))))
+        for n in sizes
+    }
+    # Per n: Cho and Andaur at the polylog gap ("s"), then at the sqrt gap ("l").
+    tasks = []
+    for n in sizes:
+        andaur = AndaurResourceModel(beta=_BETA, alpha=_ALPHA, carrying_capacity=8 * n)
+        for tag, gap in zip(("s", "l"), gaps[n]):
+            state = state_with_gap(n, gap)
+            tasks += [
+                SweepTask(
+                    cho.params,
+                    state,
+                    num_runs,
+                    seed=stable_seed(f"t1r4-cho-{tag}", n, seed),
+                    label=f"t1r4-cho-{tag}-{n}",
+                ),
+                SweepTask(
+                    andaur.params,
+                    andaur.counts(state),
+                    num_runs,
+                    seed=stable_seed(f"t1r4-and-{tag}", n, seed),
+                    label=f"t1r4-and-{tag}-{n}",
+                    scenario="resource",
+                ),
+            ]
+    estimates = get_default_scheduler().estimate_many(tasks, collect="win")
     rows = []
     shapes_ok = True
-    cho = ChoGrowthModel(beta=_BETA, alpha=_ALPHA)
-    for n in sizes:
-        log_gap = max(2, int(round(math.log(n) ** 2 / 4)))
-        sqrt_gap = int(round(math.sqrt(n * math.log(n))))
-        cho_small = cho.estimate(
-            state_with_gap(n, log_gap), num_runs=num_runs, rng=stable_seed("t1r4-cho-s", n, seed)
-        )
-        cho_large = cho.estimate(
-            state_with_gap(n, sqrt_gap), num_runs=num_runs, rng=stable_seed("t1r4-cho-l", n, seed)
-        )
-        andaur = AndaurResourceModel(beta=_BETA, alpha=_ALPHA, carrying_capacity=8 * n)
-        andaur_small = andaur.estimate(
-            state_with_gap(n, log_gap), num_runs=num_runs, rng=stable_seed("t1r4-and-s", n, seed)
-        )
-        andaur_large = andaur.estimate(
-            state_with_gap(n, sqrt_gap), num_runs=num_runs, rng=stable_seed("t1r4-and-l", n, seed)
-        )
+    for index, n in enumerate(sizes):
+        cho_small, andaur_small, cho_large, andaur_large = estimates[4 * index : 4 * index + 4]
+        log_gap, sqrt_gap = gaps[n]
         rows.append(
             {
                 "n": n,

@@ -9,7 +9,7 @@ The package lifts the two-species assumption out of the execution stack:
   tables the specialised engines use.
 - :mod:`repro.scenario.registry` — named, parameterised scenario families
   (``lv2`` default, ``opinion3``/``opinion4`` k-opinion consensus,
-  ``catalysis``), lowered from :class:`~repro.lv.params.LVParams`.
+  ``catalysis``, ``resource``), lowered from :class:`~repro.lv.params.LVParams`.
 - :mod:`repro.scenario.engine` — the generic exact/tau execution engine
   for non-default scenarios.
 

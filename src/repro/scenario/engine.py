@@ -289,7 +289,7 @@ def _advance_member(
         if collect_stats:
             good_counts[alive_rows] += good_vec[selected]
             population = states[alive_rows].sum(axis=1)
-            np.maximum(max_totals[alive_rows], population, out=max_totals[alive_rows])
+            max_totals[alive_rows] = np.maximum(max_totals[alive_rows], population)
         _classify_after_step(
             scenario, states, events, codes, running, alive_rows, max_events
         )
@@ -516,7 +516,7 @@ def _run_member_tau(
         if collect_stats:
             good_counts[alive_rows] += firings[good_vec].sum(axis=0)
             population = states[alive_rows].sum(axis=1)
-            np.maximum(max_totals[alive_rows], population, out=max_totals[alive_rows])
+            max_totals[alive_rows] = np.maximum(max_totals[alive_rows], population)
         _classify_after_step(
             scenario, states, events, codes, running, alive_rows, max_events
         )

@@ -25,6 +25,12 @@ Built-in families:
     competition fires at the affine rate ``alpha + K_LIG * n_C``
     (:data:`CATALYSIS_K_LIG`) through the spec's non-mass-action override
     slot, so consensus resolves faster at higher catalyst counts.
+``resource``
+    Two opinions growing on a shared resource ``R`` (Andaur et al.'s
+    bounded-growth model): lv2's reactions and rates, with births
+    ``X_i + R -> 2 X_i`` consuming one ``R`` and every casualty becoming
+    one, so ``x0 + x1 + r`` never changes.  Zero-rate deaths and
+    intraspecific reactions are left out of the tables.
 
 :func:`scenario_fingerprint` is the store-key hook: the content hash of the
 fully lowered tables for a ``(family, params)`` pair, cached because chunk
@@ -206,6 +212,23 @@ def _build_catalysis(params: LVParams) -> Scenario:
     )
 
 
+def _build_resource(params: LVParams) -> Scenario:
+    # lv2's reactions with R appended: births consume one R and every
+    # casualty becomes one, so R's change balances the opinions'.  Births and
+    # encounters always stay; zero-rate deaths and intraspecific ones go.
+    lv2 = _build_lv2(params)
+    keep = [m for m, rate in enumerate(lv2.rates) if rate != 0.0 or m in (0, 1, 4, 5)]
+    return Scenario(
+        name="resource",
+        species=("X0", "X1", "R"),
+        rates=tuple(lv2.rates[m] for m in keep),
+        reactants=tuple(lv2.reactants[m] + (int(m < 2),) for m in keep),
+        changes=tuple(lv2.changes[m] + (-sum(lv2.changes[m]),) for m in keep),
+        good=tuple(lv2.good[m] for m in keep),
+        opinion_species=(0, 1),
+    )
+
+
 def _build_registry() -> dict[str, ScenarioFamily]:
     families = [
         ScenarioFamily(
@@ -240,6 +263,15 @@ def _build_registry() -> dict[str, ScenarioFamily]:
             backends=("exact", "tau"),
             default_initial_state=(55, 45, 80),
             build=_build_catalysis,
+        ),
+        ScenarioFamily(
+            name="resource",
+            description="Two opinions + shared resource R: births X_i + R -> 2 X_i, "
+            "every casualty returns to R",
+            species=("X0", "X1", "R"),
+            backends=("exact", "tau"),
+            default_initial_state=(55, 45, 300),
+            build=_build_resource,
         ),
     ]
     return {family.name: family for family in families}

@@ -54,7 +54,10 @@ __all__ = [
 #: scenario fingerprint, payloads carry ``scenario``/``initial_counts``/
 #: ``finals`` for generic-scenario ensembles, and ``counts`` may have more
 #: than two species.
-RESULT_SCHEMA_VERSION = 2
+#: Version 3: T1R4's Andaur legs run as the ``resource`` scenario family
+#: (new draws, so new rows), and generic-engine chunks at ``"full"`` carry
+#: the population maximum their numpy loops used to drop.
+RESULT_SCHEMA_VERSION = 3
 
 
 def canonical_json(payload: Any) -> str:

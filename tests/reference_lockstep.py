@@ -31,7 +31,13 @@ import numpy as np
 
 from repro.rng import spawn_generators, spawn_seeds
 
-from reference_ssa import catalysis_reactions, lv_reactions, opinion_reactions, propensity
+from reference_ssa import (
+    catalysis_reactions,
+    lv_reactions,
+    opinion_reactions,
+    propensity,
+    resource_reactions,
+)
 
 #: A member leaves the lock-step phase once at most this many replicas live.
 HANDOFF_WIDTH = 8
@@ -337,6 +343,8 @@ def family_reactions(name: str, params, k_lig: float) -> tuple[list, tuple, tupl
         return lv_reactions(params), ("X0", "X1"), ("X0", "X1")
     if name == "catalysis":
         return catalysis_reactions(params, k_lig), ("X0", "X1", "C"), ("X0", "X1")
+    if name == "resource":
+        return resource_reactions(params), ("X0", "X1", "R"), ("X0", "X1")
     k = int(name.removeprefix("opinion"))
     names = tuple(f"X{i}" for i in range(k))
     return opinion_reactions(k, params), names, names
@@ -361,7 +369,8 @@ def replay_generic_member(
     """
     full = collect == "full"
     good_flags = [
-        len(r.reactants) == 2 or any(r.change.get(s, 0) < 0 for s in opinions[1:])
+        sum(s in r.reactants for s in opinions) == 2
+        or any(r.change.get(s, 0) < 0 for s in opinions[1:])
         for r in reactions
     ]
     step_generator, tail_generator = spawn_generators(seed, 2)

@@ -81,14 +81,50 @@ def catalysis_reactions(params, k_lig: float) -> list[Reaction]:
     return [*reactions[:4], *(r._replace(catalysts={"C": k_lig}) for r in reactions[4:6])]
 
 
+def resource_reactions(params) -> list[Reaction]:
+    """Two opinions growing on a shared resource R; every casualty becomes R.
+
+    ``Xi + R -> 2 Xi`` at rate beta and ``Xi -> R`` at rate delta.  In an
+    encounter that species i wins (``alpha_i`` with the other species,
+    ``gamma_i`` with its own), the loser turns into R; under SD the winner
+    too.  Deaths and intraspecific competition are listed only where their
+    rate is positive.
+    """
+    sd = params.is_self_destructive
+    names = ("X0", "X1")
+
+    def casualties(*dead: str) -> dict[str, int]:
+        change: dict[str, int] = {"R": 0}
+        for s in dead:
+            change[s] = change.get(s, 0) - 1
+            change["R"] += 1
+        return change
+
+    return [
+        *(Reaction(params.beta, {s: 1, "R": 1}, {s: +1, "R": -1}) for s in names),
+        *(Reaction(params.delta, {s: 1}, casualties(s)) for s in names if params.delta > 0),
+        *(
+            Reaction(rate, {"X0": 1, "X1": 1}, casualties("X0", "X1") if sd else casualties(loser))
+            for rate, loser in ((params.alpha0, "X1"), (params.alpha1, "X0"))
+        ),
+        *(
+            Reaction(g, {s: 2}, casualties(s, s) if sd else casualties(s))
+            for s, g in zip(names, (params.gamma0, params.gamma1))
+            if g > 0
+        ),
+    ]
+
+
 def propensity(reaction: Reaction, counts: dict[str, int]) -> float:
-    """``rate * x_first * x_second`` in ascending species order; ``x(x-1)/2`` pairs."""
+    """``rate * x_first * x_second`` in the state's species order; ``x(x-1)/2`` pairs."""
     a = reaction.rate
     for species, k in sorted(reaction.catalysts.items()):
         a = a + k * counts[species]
-    for species, order in sorted(reaction.reactants.items()):
-        x = float(counts[species])
-        a = a * (x * (x - 1.0) * 0.5 if order == 2 else x)
+    for species in counts:
+        order = reaction.reactants.get(species, 0)
+        if order:
+            x = float(counts[species])
+            a = a * (x * (x - 1.0) * 0.5 if order == 2 else x)
     return a
 
 

@@ -9,6 +9,7 @@ from repro.baselines.andaur_resource import AndaurResourceModel
 from repro.baselines.cho_growth import ChoGrowthModel
 from repro.exceptions import ModelError
 from repro.lv.state import LVState
+from repro.scenario.registry import build_scenario
 
 
 class TestChoGrowthModel:
@@ -46,22 +47,35 @@ class TestAndaurResourceModel:
         with pytest.raises(ModelError):
             AndaurResourceModel(beta=1.0, alpha=1.0, carrying_capacity=1)
 
+    def test_params_are_the_resource_family_rates(self):
+        params = AndaurResourceModel(beta=2.0, alpha=1.0, carrying_capacity=400).params
+        assert params.beta == 2.0 / 400
+        assert (params.delta, params.gamma0, params.gamma1) == (0.0, 0.0, 0.0)
+        assert params.alpha0 == params.alpha1 == 0.5
+        assert not params.is_self_destructive
+
     def test_birth_propensity_is_bounded(self):
+        """beta * x_i * (1 - (x0 + x1) / K), written as (beta / K) * x_i * r."""
         model = AndaurResourceModel(beta=1.0, alpha=1.0, carrying_capacity=100)
-        assert model.birth_propensity(50, 100) == 0.0
-        assert model.birth_propensity(50, 50) == pytest.approx(25.0)
-        assert model.birth_propensity(0, 10) == 0.0
+        scenario = build_scenario("resource", model.params)
+        states = [(50, 50, 0), (50, 0, 50), (0, 10, 90)]
+        births = [scenario.propensities(state)[0] for state in states]
+        assert births == [0.0, pytest.approx(25.0), 0.0]
 
     def test_initial_state_above_capacity_rejected(self):
         model = AndaurResourceModel(beta=1.0, alpha=1.0, carrying_capacity=50)
         with pytest.raises(ModelError):
-            model.run(LVState(40, 20))
+            model.counts(LVState(40, 20))
+        with pytest.raises(ModelError):
+            model.estimate(LVState(40, 20), num_runs=4)
+        assert model.counts(LVState(30, 20)) == (30, 20, 0)
 
     def test_reaches_consensus(self):
         model = AndaurResourceModel(beta=1.0, alpha=1.0, carrying_capacity=400)
-        result = model.run(LVState(60, 30), rng=0)
-        assert result.reached_consensus
-        assert result.final_state.has_consensus
+        estimate = model.estimate(LVState(60, 30), num_runs=20, rng=0)
+        assert estimate.consensus_rate == 1.0
+        assert estimate.initial_state == (60, 30)
+        assert estimate.collected == "win"
 
     def test_sqrt_gap_wins_small_gap_does_not_always(self):
         model = AndaurResourceModel(beta=1.0, alpha=1.0, carrying_capacity=2000)

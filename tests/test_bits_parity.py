@@ -151,3 +151,68 @@ class TestEngineParity:
         assert {run.termination for run in runs} == {"consensus", "absorbed", "max-events"}
         assert max(run.total_events for run in runs) > 4096
         assert len(dict(calls)["LVJumpChainSimulator.run/one-stream/rng=0"]) == 5
+
+    def test_battery_runs_the_generic_engine_on_both_backends_and_levels(self, engine_parity):
+        # The first seed's calls end with its generic calls.
+        calls = dict(itertools.islice(engine_parity.battery(), 20))
+        generic = {name: results for name, results in calls.items() if "/generic-" in name}
+        assert sorted(generic) == sorted(
+            f"{entry}/generic-{mechanism}/{collect}/rng=0"
+            for entry in ("run_sweep_ensemble", "run_tau_sweep_ensemble")
+            for mechanism in ("SD", "NSD")
+            for collect in ("full", "win")
+        )
+        results = [result for results in generic.values() for result in results]
+        # Only families both trees of a comparison have.
+        assert {result.scenario for result in results} == {"opinion3", "opinion4", "catalysis"}
+        assert {result.params.is_self_destructive for result in results} == {False, True}
+        leaped = [result.leap_events.sum() for result in results if result.leap_events is not None]
+        assert leaped and min(leaped) > 0
+        # The population maximum is read where the population grows.
+        full = generic["run_sweep_ensemble/generic-SD/full/rng=0"]
+        assert any((r.max_total_population > sum(r.initial_counts)).any() for r in full)
+
+
+SCHEMAS = {"base": "RESULT_SCHEMA_VERSION = 2", "head": "RESULT_SCHEMA_VERSION = 3"}
+
+
+def _trees(root):
+    return ["--base", str(root / "base"), "--head", str(root / "head")]
+
+
+@pytest.mark.parametrize("bumped", [True, False], ids=["bump", "no-bump"])
+class TestBlastRadius:
+    """Changed output is listed whether or not the schema was bumped."""
+
+    def _schemas(self, bumped):
+        return lambda tree: SCHEMAS[tree.name] if bumped else SCHEMAS["base"]
+
+    def test_bits_parity_names_the_changed_experiments(
+        self, bits_parity, monkeypatch, capsys, tmp_path, bumped
+    ):
+        documents = {
+            "base": _document(_entry("SAME", [1]), _entry("T1R4", [0.5])),
+            "head": _document(_entry("SAME", [1]), _entry("T1R4", [0.75])),
+        }
+        monkeypatch.setattr(bits_parity, "run_all", lambda tree, output: documents[tree.name])
+        monkeypatch.setattr(bits_parity, "schema_line", self._schemas(bumped))
+        status = bits_parity.main(_trees(tmp_path))
+        output = capsys.readouterr().out
+        assert status == (0 if bumped else 1)
+        assert ("under a schema bump" in output) == bumped
+        assert output.endswith("in:\n  T1R4\n")
+
+    def test_engine_parity_names_the_changed_calls(
+        self, engine_parity, monkeypatch, capsys, tmp_path, bumped
+    ):
+        digests = {
+            "base": {"same": "1", "generic/full": "2", "generic/win": "3"},
+            "head": {"same": "1", "generic/full": "9", "generic/win": "3"},
+        }
+        monkeypatch.setattr(engine_parity, "call_digests", lambda tree: digests[tree.name])
+        monkeypatch.setattr(engine_parity, "schema_line", self._schemas(bumped))
+        status = engine_parity.main(_trees(tmp_path))
+        output = capsys.readouterr().out
+        assert status == (0 if bumped else 1)
+        assert ("under a schema bump" in output) == bumped
+        assert output.endswith(":\n  generic/full\n")

@@ -106,9 +106,10 @@ class TestCommands:
             "opinion3   3 species (X0, X1, X2)",
             "opinion4   4 species (X0, X1, X2, X3)",
             "catalysis  3 species (X0, X1, C)",
+            "resource   3 species (X0, X1, R)",
         ):
             assert line in output
-        assert output.count("backends: exact, tau") == 4
+        assert output.count("backends: exact, tau") == 5
         assert "engines" not in output
 
     def test_version_prints_repro_and_numpy(self, capsys):

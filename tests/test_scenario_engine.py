@@ -32,13 +32,13 @@ from repro.lv.params import CompetitionMechanism, LVParams
 from repro.lv.state import LVState
 from repro.lv.tau import run_tau_sweep_ensemble
 from repro.scenario.engine import run_scenario_members, run_scenario_members_tau
-from repro.scenario.registry import CATALYSIS_K_LIG, SCENARIOS
+from repro.scenario.registry import CATALYSIS_K_LIG
 from repro.scenario.spec import TERM_ABSORBED, TERM_CONSENSUS, TERM_MAX_EVENTS
 from repro.store.keys import chunk_key
 from repro.store.serialize import ensemble_from_payload, ensemble_to_payload
 
 import reference_lockstep
-from reference_ssa import catalysis_reactions, direct_method, lv_reactions, opinion_reactions
+from reference_ssa import direct_method
 
 PARAMS = LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0)
 CAT_PARAMS = LVParams.self_destructive(beta=0.3, delta=0.3, alpha=0.05)
@@ -66,6 +66,7 @@ FAMILY_STARTS = {
     "opinion3": (18, 12, 10),
     "opinion4": (14, 10, 9, 8),
     "catalysis": (20, 14, 40),
+    "resource": (20, 14, 40),
 }
 
 
@@ -114,9 +115,6 @@ class TestEngineParity:
         member = _family_member(name, params, counts, 30)
         (result,) = run_scenario_members([member], [123], collect=collect)
         replay = _replay(name, params, counts, 30, 123, collect)
-        # The population maximum has its own test below: the lock-step
-        # phase drops its updates (a known defect).
-        replay.pop("max_total_population")
         for field, expected in replay.items():
             actual = getattr(result, field)
             assert actual.dtype == expected.dtype, field
@@ -132,13 +130,6 @@ class TestEngineParity:
             assert np.array_equal(result.finals, replay["finals"])
             assert np.array_equal(result.total_events, replay["total_events"])
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect: the generic lock-step phase writes its running "
-        "population maximum into a fancy-indexed copy, so only tail events "
-        "update max_total_population; fixing it changes stored chunk bytes "
-        "and waits for the next result-schema bump",
-    )
     def test_population_maximum_matches_replay(self):
         # Births outpace competition here, so the population grows during
         # the lock-step phase.
@@ -162,6 +153,53 @@ class TestEngineParity:
         assert np.array_equal(full.finals, win.finals)
         assert np.array_equal(full.total_events, win.total_events)
         assert np.array_equal(full.termination_codes, win.termination_codes)
+
+
+class TestRunInvariants:
+    """Properties every replica of a ``"full"`` run satisfies, on both backends."""
+
+    GROWTH = LVParams.self_destructive(beta=1.0, delta=0.5, alpha=1e-4)
+
+    @pytest.mark.parametrize(
+        "engine, counts, replicates, budget",
+        [
+            (run_sweep_ensemble, (20, 15, 15), 16, 200),
+            (run_tau_sweep_ensemble, (2000, 1500, 1500), 6, 20_000),
+        ],
+        ids=["exact", "tau"],
+    )
+    def test_population_maximum_bounds_initial_and_final_totals(
+        self, engine, counts, replicates, budget
+    ):
+        # Births outpace deaths and competition is rare, so the population
+        # grows through the lock-step phase (the leaps, under tau).
+        member = SweepMember(self.GROWTH, counts, replicates, budget, scenario="opinion3")
+        (result,) = engine([member], rng=7)
+        final_totals = result.finals.sum(axis=1)
+        assert (final_totals > sum(counts)).any()
+        assert (result.max_total_population >= sum(counts)).all()
+        assert (result.max_total_population >= final_totals).all()
+
+    @pytest.mark.parametrize(
+        "engine, counts, replicates",
+        [
+            (run_sweep_ensemble, (30, 24, 60), 40),
+            (run_tau_sweep_ensemble, (1500, 1200, 3000), 6),
+        ],
+        ids=["exact", "tau"],
+    )
+    @pytest.mark.parametrize(
+        "mechanism", list(CompetitionMechanism), ids=lambda mechanism: mechanism.short_name
+    )
+    def test_resource_family_conserves_its_total(self, engine, counts, replicates, mechanism):
+        member = SweepMember(
+            _asymmetric(mechanism), counts, replicates, 200_000, scenario="resource"
+        )
+        (result,) = engine([member], rng=5)
+        assert engine is run_sweep_ensemble or result.leap_events.sum() > 0
+        assert (result.finals.sum(axis=1) == sum(counts)).all()
+        assert (result.finals >= 0).all()
+        assert result.reached_consensus.all()
 
 
 class TestFusionInvariance:
@@ -318,8 +356,9 @@ class TestEnginesAgainstReference:
             ("opinion3", (6, 4, 3)),
             ("opinion4", (5, 4, 3, 2)),
             ("catalysis", (6, 5, 30)),
+            ("resource", (6, 5, 30)),
         ],
-        ids=["lv2", "opinion3", "opinion4", "catalysis"],
+        ids=["lv2", "opinion3", "opinion4", "catalysis", "resource"],
     )
     @pytest.mark.parametrize(
         "mechanism", list(CompetitionMechanism), ids=lambda mechanism: mechanism.short_name
@@ -342,14 +381,9 @@ class TestEnginesAgainstReference:
             (result,) = run_scenario_members([member], [11])
         engine_wins = int((result.winners == 0).sum())
 
-        if name == "lv2":
-            reactions = lv_reactions(params)
-        elif name == "catalysis":
-            reactions = catalysis_reactions(params, CATALYSIS_K_LIG)
-        else:
-            reactions = opinion_reactions(len(counts), params)
-        species = SCENARIOS[name].species
-        opinions = [s for s in species if s != "C"]
+        reactions, species, opinions = reference_lockstep.family_reactions(
+            name, params, CATALYSIS_K_LIG
+        )
         rng = random.Random(12)
         reference_wins = 0
         for _ in range(reference_runs):

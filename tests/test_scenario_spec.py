@@ -42,6 +42,7 @@ from reference_ssa import (
     lv_reactions,
     opinion_reactions,
     propensity,
+    resource_reactions,
 )
 
 PARAMS = LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0)
@@ -253,6 +254,19 @@ class TestRegistry:
         assert high[4] - low[4] == pytest.approx(expected_boost)
         assert np.array_equal(low[:4], high[:4])
 
+    @pytest.mark.parametrize("mechanism", list(CompetitionMechanism), ids=lambda m: m.short_name)
+    def test_resource_family_conserves_and_drops_zero_rates(self, mechanism):
+        every_rate = build_scenario("resource", _asymmetric_params(mechanism))
+        no_losses = build_scenario(
+            "resource", LVParams.neutral(beta=0.01, delta=0.0, alpha=1.0, mechanism=mechanism)
+        )
+        # 2 births + 2 deaths + 2 encounters + 2 intraspecific; Andaur's
+        # delta = gamma = 0 leaves births and encounters.
+        assert (every_rate.num_reactions, no_losses.num_reactions) == (8, 4)
+        for scenario in (every_rate, no_losses):
+            assert not scenario.change_matrix.sum(axis=1).any()
+            assert tuple(scenario.opinion_species) == (0, 1)
+
     def test_affine_override_matches_scenario_tables(self):
         # ``neutral`` splits the total competition rate, so each ordered
         # inter reaction fires at alpha0 = alpha1 = 0.025.
@@ -277,6 +291,8 @@ def _family_reference(name: str, params: LVParams) -> list[Reaction]:
         return lv_reactions(params)
     if name == "catalysis":
         return catalysis_reactions(params, CATALYSIS_K_LIG)
+    if name == "resource":
+        return resource_reactions(params)
     return opinion_reactions(int(name.removeprefix("opinion")), params)
 
 
@@ -350,10 +366,10 @@ class TestFamiliesAgainstReference:
         # a copy of an opinion other than the initial majority X0.
         scenario = build_scenario(name, _asymmetric_params(mechanism))
         reactions = _family_reference(name, _asymmetric_params(mechanism))
-        others = [scenario.species[i] for i in scenario.opinion_species if i != 0]
+        opinions = [scenario.species[i] for i in scenario.opinion_species]
         expected = tuple(
-            len(reaction.reactants) == 2
-            or any(reaction.change.get(s, 0) < 0 for s in others)
+            sum(s in reaction.reactants for s in opinions) == 2
+            or any(reaction.change.get(s, 0) < 0 for s in opinions[1:])
             for reaction in reactions
         )
         assert scenario.good == expected

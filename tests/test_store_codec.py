@@ -5,12 +5,14 @@ chunk payload is stored as base64 of its zlib-compressed little-endian bytes
 (:mod:`repro.store.serialize`).  ``tests/data/journal-3.1.0.jsonl`` is a
 journal written by repro 3.1.0, whose lines are bare JSON with a
 ``checksum`` field and whose arrays are JSON lists; it was produced by
-running :data:`FIXTURE_RUNS` through ``SweepScheduler(store=...)``.  That
-journal must keep verifying, replaying and merging.
+running :data:`FIXTURE_RUNS` through ``SweepScheduler(store=...)``.
 ``tests/data/journal-3.2.0-estimate.jsonl`` was written by the ``repro
 estimate`` command of repro 3.2.0, whose fixed budgets ran on a separate
-per-configuration batch executor (:data:`ESTIMATE_FIXTURE_TASKS`); its
-chunks must replay through the one sweep executor with no miss.  Never
+per-configuration batch executor (:data:`ESTIMATE_FIXTURE_TASKS`).  Both
+were written under result schema 2, which every chunk key folds in, so
+today's code never serves their chunks: it recomputes them and appends the
+new records after the old bytes.  The files must keep verifying, healing,
+converting on merge and feeding the shard planner's history.  Never
 regenerate either file with newer code.
 """
 
@@ -41,6 +43,7 @@ from repro.store import (
     ensemble_to_payload,
     iter_intact_records,
     merge_cache,
+    quarantine_path,
     verify_journal,
 )
 from repro.store import journal as journal_module
@@ -121,6 +124,18 @@ def current_cache(tmp_path):
     with ExperimentStore(cache) as store:
         run_fixture_tasks(store)
     return cache
+
+
+@pytest.fixture
+def legacy_twin(legacy_cache, tmp_path):
+    """The 3.1.0 journal's records (same keys, same payloads) in today's form."""
+    twin = tmp_path / "twin"
+    merge_cache(twin, [legacy_cache])
+    return twin
+
+
+def journal_keys(cache):
+    return [parse_line(line)["key"] for line in journal_lines(cache)]
 
 
 def assert_same_chunks(expected, actual):
@@ -310,13 +325,14 @@ class TestRecordLine:
         extra = SweepTask(SD, LVState(18, 14), 16, seed=21, label="appended")
         with ExperimentStore(legacy_cache) as store:
             run_fixture_tasks(store)
-            assert store.stats.chunk_misses == 0
+            assert store.stats.chunk_misses == len(FIXTURE_TASKS)
             SweepScheduler(store=store).run_sweep([extra])
-            assert store.stats.chunk_writes == 1
+            assert store.stats.chunk_writes == len(FIXTURE_TASKS) + 1
         forms = [split_line(line)[0] is None for line in journal_lines(legacy_cache)]
-        assert forms == [True] * len(FIXTURE_TASKS) + [False]
+        assert forms == [True] * len(FIXTURE_TASKS) + [False] * (len(FIXTURE_TASKS) + 1)
         report = verify_journal(legacy_cache / "journal.jsonl")
-        assert report.ok and report.intact_records == len(FIXTURE_TASKS) + 1
+        assert report.ok and report.intact_records == 2 * len(FIXTURE_TASKS) + 1
+        # On reopen only the appended records are served.
         with ExperimentStore(legacy_cache) as store:
             replayed = run_fixture_tasks(store)
             SweepScheduler(store=store).run_sweep([extra])
@@ -333,9 +349,13 @@ class TestRecordLine:
         assert [issue.key for issue in verify_journal(path).issues] == [victim]
         with ExperimentStore(legacy_cache) as store:
             recovered = run_fixture_tasks(store)
-            assert store.stats.chunk_misses == 1
+            assert store.stats.chunk_misses == len(FIXTURE_TASKS)
             assert store.stats.chunks_quarantined == 1
-        assert verify_journal(path).ok
+        report = verify_journal(path)
+        assert report.ok and report.quarantined_records == 1
+        assert report.intact_records == 2 * len(FIXTURE_TASKS) - 1
+        (sidecar_line,) = quarantine_path(path).read_bytes().splitlines()
+        assert victim.encode() in sidecar_line
         assert_same_chunks(fresh_results, recovered)
 
     def test_injected_corruption_of_a_current_line_is_detected(self, tmp_path):
@@ -373,14 +393,19 @@ class TestLegacyJournal:
         assert report.ok
         assert report.intact_records == 4
 
-    def test_replays_bitwise_with_no_miss(self, legacy_cache, fresh_results):
+    def test_old_schema_chunks_recompute_after_the_old_bytes(
+        self, legacy_cache, current_cache, fresh_results
+    ):
         with ExperimentStore(legacy_cache) as store:
-            replayed = run_fixture_tasks(store)
-            assert store.stats.chunk_hits == 4
-            assert store.stats.chunk_misses == 0
-            assert store.stats.chunk_writes == 0
-        assert_same_chunks(fresh_results, replayed)
-        assert (legacy_cache / "journal.jsonl").read_bytes() == FIXTURE.read_bytes()
+            recomputed = run_fixture_tasks(store)
+            assert store.stats.chunk_hits == 0
+            assert store.stats.chunk_misses == 4
+            assert store.stats.chunk_writes == 4
+        assert_same_chunks(fresh_results, recomputed)
+        journal = (legacy_cache / "journal.jsonl").read_bytes()
+        assert journal.startswith(FIXTURE.read_bytes())
+        # The appended records are today's: the keys a fresh cache journals.
+        assert journal_keys(legacy_cache)[4:] == journal_keys(current_cache)
 
     def test_merge_into_a_fresh_cache_converts_it(self, legacy_cache, tmp_path, fresh_results):
         report = merge_cache(tmp_path / "merged", [legacy_cache])
@@ -388,10 +413,12 @@ class TestLegacyJournal:
         assert_current_form(tmp_path / "merged")
         labels = [parse_line(line)["label"] for line in journal_lines(tmp_path / "merged")]
         assert labels == [parse_line(line)["label"] for line in journal_lines(legacy_cache)]
+        assert journal_keys(tmp_path / "merged") == journal_keys(legacy_cache)
         with ExperimentStore(tmp_path / "merged") as store:
-            replayed = run_fixture_tasks(store)
-            assert store.stats.chunk_misses == 0
-        assert_same_chunks(fresh_results, replayed)
+            recomputed = run_fixture_tasks(store)
+            assert store.stats.chunk_hits == 0
+            assert store.stats.chunk_misses == 4
+        assert_same_chunks(fresh_results, recomputed)
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +430,7 @@ class TestEstimateJournal:
         assert report.ok
         assert report.intact_records == 3
 
-    def test_estimate_many_replays_it_bitwise_with_no_miss(self, tmp_path):
+    def test_estimate_many_recomputes_and_appends_after_it(self, tmp_path):
         cache = tmp_path / "estimate"
         cache.mkdir()
         shutil.copyfile(ESTIMATE_FIXTURE, cache / "journal.jsonl")
@@ -412,37 +439,43 @@ class TestEstimateJournal:
         fresh_arrays = fresh.run_sweep(list(ESTIMATE_FIXTURE_TASKS))
         with ExperimentStore(cache) as store:
             scheduler = SweepScheduler(store=store)
-            replayed = scheduler.estimate_many(list(ESTIMATE_FIXTURE_TASKS))
-            assert (store.stats.chunk_hits, store.stats.chunk_misses) == (3, 0)
+            recomputed = scheduler.estimate_many(list(ESTIMATE_FIXTURE_TASKS))
+            assert (store.stats.chunk_hits, store.stats.chunk_misses) == (0, 3)
+            assert store.stats.chunk_writes == 3
+            executed = scheduler.events_executed
+            # The appended records are what the sweep executor serves now.
             replayed_arrays = scheduler.run_sweep(list(ESTIMATE_FIXTURE_TASKS))
-            assert store.stats.chunk_misses == 0
-            assert store.stats.chunk_writes == 0
-        assert scheduler.events_executed == 0
-        assert replayed == expected
+            assert (store.stats.chunk_hits, store.stats.chunk_misses) == (3, 3)
+        assert executed > 0 and scheduler.events_executed == executed
+        assert recomputed == expected
         assert_same_chunks(fresh_arrays, replayed_arrays)
         assert replayed_arrays[1].leap_events.sum() > 0
-        assert (cache / "journal.jsonl").read_bytes() == ESTIMATE_FIXTURE.read_bytes()
+        journal = (cache / "journal.jsonl").read_bytes()
+        assert journal.startswith(ESTIMATE_FIXTURE.read_bytes())
+        assert len(journal_lines(cache)) == 6
 
 
 # ----------------------------------------------------------------------
 # Merging the two forms
 # ----------------------------------------------------------------------
 class TestMergeAcrossForms:
+    """The legacy records against their current-form twin: same keys, same payloads."""
+
     @pytest.mark.parametrize("direction", ["legacy-into-current", "current-into-legacy"])
-    def test_same_chunks_in_both_forms_are_skips(
-        self, legacy_cache, current_cache, direction
-    ):
+    def test_same_chunks_in_both_forms_are_skips(self, legacy_cache, legacy_twin, direction):
+        assert_current_form(legacy_twin)
+        assert journal_keys(legacy_twin) == journal_keys(legacy_cache)
         destination, source = (
-            (current_cache, legacy_cache)
+            (legacy_twin, legacy_cache)
             if direction == "legacy-into-current"
-            else (legacy_cache, current_cache)
+            else (legacy_cache, legacy_twin)
         )
         before = (destination / "journal.jsonl").read_bytes()
         report = merge_cache(destination, [source])
         assert (report.chunks_added, report.chunks_skipped) == (0, 4)
         assert (destination / "journal.jsonl").read_bytes() == before
 
-    def test_one_changed_array_element_still_conflicts(self, legacy_cache, current_cache):
+    def test_one_changed_array_element_still_conflicts(self, legacy_cache, legacy_twin):
         path = legacy_cache / "journal.jsonl"
         lines = journal_lines(legacy_cache)
         record = parse_line(lines[0])
@@ -453,7 +486,7 @@ class TestMergeAcrossForms:
         path.write_bytes(b"".join(lines))
         assert verify_journal(path).ok
         with pytest.raises(StoreError, match=f"merge conflict for chunk {record['key']}"):
-            merge_cache(current_cache, [legacy_cache])
+            merge_cache(legacy_twin, [legacy_cache])
 
     def test_malformed_arrays_in_an_intact_record_name_the_key(self, tmp_path):
         source = tmp_path / "source"
