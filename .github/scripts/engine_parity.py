@@ -10,7 +10,10 @@ trees have:
   members covering both mechanisms, intraspecific competition, a tie,
   absorption at (1, 1), event budgets and the scalar tail;
 * ``run_tau_sweep_ensemble`` over calls that leap into the exact endgame,
-  run out of budget there, and pass one uniform block in it;
+  run out of budget there, and pass one uniform block in it, and over
+  FIG-THRESH-XL's shape: SD at ``log^2 n`` and NSD at ``log^2 n`` and
+  ``3 sqrt(n)`` for ``n = 10^5`` and ``10^6``, members that leap for
+  different lengths in one call;
 * ``LVJumpChainSimulator.run`` over both mechanisms, a species-1 majority,
   a tie, a budget, absorption and a run past one uniform block, some with
   ``record_path=True``, and five runs drawing from one stream in turn;
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -51,6 +55,7 @@ SEEDS = (0, 1, 2)
 
 def battery() -> Iterator[tuple[str, list[Any]]]:
     """``(call name, results)`` for every call of the battery, in order."""
+    from repro.experiments.workloads import state_with_gap
     from repro.lv.ensemble import SweepMember, run_sweep_ensemble
     from repro.lv.params import CompetitionMechanism, LVParams
     from repro.lv.simulator import LVJumpChainSimulator
@@ -93,6 +98,18 @@ def battery() -> Iterator[tuple[str, list[Any]]]:
         member(gamma_nsd, 33, 28, 4, 25),
     ]
     overflow = [member(walk, 24, 20, 8, 6_000), member(nsd, 46, 50, 3)]
+    # FIG-THRESH-XL's rates and states.
+    neutral_sd = LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0)
+    neutral_nsd = LVParams.non_self_destructive(beta=1.0, delta=1.0, alpha=1.0)
+    threshold_xl = [
+        SweepMember(params, state_with_gap(n, gap), 2)
+        for n in (10**5, 10**6)
+        for params, gap in (
+            (neutral_sd, round(math.log(n) ** 2)),
+            (neutral_nsd, round(math.log(n) ** 2)),
+            (neutral_nsd, round(3.0 * math.sqrt(n))),
+        )
+    ]
 
     def generic_calls(mechanism):
         """``(entry point, members)`` of the generic engine, exact then tau."""
@@ -156,6 +173,10 @@ def battery() -> Iterator[tuple[str, list[Any]]]:
         yield (
             f"run_tau_sweep_ensemble/overflow/rng={seed + 4}",
             run_tau_sweep_ensemble(overflow, rng=seed + 4),
+        )
+        yield (
+            f"run_tau_sweep_ensemble/threshold-xl/rng={seed}",
+            run_tau_sweep_ensemble(threshold_xl, rng=seed),
         )
         for mechanism, calls in generic.items():
             for run, members in calls:

@@ -70,15 +70,17 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
             "run_tau_sweep_ensemble",
             "both",
             "spawns each member's (step, tail) generator pair from the "
-            "member seed, dispatches the per-member tau advance in member "
-            "order, then hands every tail stream to the batched endgame",
+            "member seed, hands every lv2 step stream to the one leap loop, "
+            "then every tail stream to the batched endgame",
         ),
         StreamConsumer(
-            "_run_member_tau",
+            "_leap",
             "step",
-            "tau leaps draw Poisson firings and exact-step uniforms from "
-            "the step stream; replicas below the crossover are parked, in "
-            "leap then ascending original-replica order",
+            "one loop over every lv2 replica of the call; per leap, each "
+            "member draws Poisson firings per rejection round, then its "
+            "exact-step uniforms, from its step stream over its pending "
+            "replicas in ascending order; replicas below the crossover are "
+            "parked per member, in leap then ascending replica order",
         ),
         StreamConsumer(
             "_finish_parked",

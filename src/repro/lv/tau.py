@@ -9,9 +9,11 @@ that bundle many reactions per step, so the paper's asymptotic claims
 (``O(log^2 n)`` versus ``sqrt(n)`` thresholds) can actually be observed at
 ``n = 10^6`` and beyond.
 
-Per batched leap, the kernel
+Every lv2 replica of a call, whatever its member, is one *lane* of one leap
+loop: each lane carries its member's rates, mechanism, gap sign and budget.
+Per leap, the loop
 
-1. evaluates the eight LV reaction-class propensities for every replica,
+1. evaluates the LV reaction-class propensities of every lane,
 2. chooses a per-replica step ``tau`` by the standard bounded
    relative-propensity-change rule (Cao-Gillespie selection with parameter
    ``epsilon``: the mean and standard deviation of each species' change per
@@ -22,6 +24,10 @@ Per batched leap, the kernel
    replica's ``tau`` and redrawing (per replica, not per batch), and
 5. degenerates to single exact-SSA steps for replicas whose leap would fire
    at most about one reaction, recorded under the real reaction class.
+
+Every step but the draws is one pass over all lanes, and a lane's arithmetic
+never depends on the other lanes: its sums over the classes run left to
+right at every width.
 
 Hybrid exact tail
 -----------------
@@ -41,9 +47,11 @@ Reproducibility contract
 ------------------------
 Seed derivation mirrors :func:`repro.lv.ensemble.run_sweep_ensemble`: every
 member of a batch owns its root seed, which spawns a (step, tail) generator
-pair; the step stream drives the Poisson/uniform draws of the leap loop in
-ascending original-replica-index order, and only the exact endgame reads
-the tail stream.  The endgame equals one scalar-simulator run per parked
+pair, and only the exact endgame reads the tail stream.  Per leap, each
+member draws from its step stream over its pending lanes in ascending
+original-replica-index order: one Poisson matrix (class-major) per rejection
+round while it has pending lanes, then one block of uniforms for its
+exact-step lanes.  The endgame equals one scalar-simulator run per parked
 replica, in park order (by leap, then ascending replica index), bit for
 bit: such a run draws one fresh :data:`~repro.lv.simulator._UNIFORM_BUFFER`
 block when it starts and another only past that many events, so the
@@ -52,13 +60,13 @@ member's ``k``-th parked replica reads tail uniform
 outlasts one block shifts its member's later replicas; from it on, that
 member finishes one scalar run at a time, through the exact engine's
 exact-tail finisher (:func:`repro.lv.ensemble._finish_exact_tail`), into
-the output record both engines share.  Members are simulated
-independently, so a member's results are **bitwise-identical to running it
-alone** — fused execution is purely an execution strategy, exactly as for
-the exact engine.  Results are seed-deterministic, but tau trajectories are
-*not* bitwise-comparable to exact trajectories: the backends agree
-statistically (enforced by the test suite's shared tolerance helper), not
-sample-by-sample.
+the output record both engines share.  No member's draws or arithmetic
+depend on another's lanes, so a member's results are **bitwise-identical to
+running it alone** — fused execution is purely an execution strategy,
+exactly as for the exact engine.  Results are seed-deterministic, but tau
+trajectories are *not* bitwise-comparable to exact trajectories: the
+backends agree statistically (enforced by the test suite's shared tolerance
+helper), not sample-by-sample.
 
 Event accounting
 ----------------
@@ -158,14 +166,28 @@ _ENDGAME_WINDOW = 128
 
 #: Per reaction class: its rate's column in
 #: :data:`~repro.lv.params.RATE_FIELDS` order, and the count that rate
-#: multiplies (0: ``x0``, 1: ``x1``, 2: ``x0 * x1``).
+#: multiplies (0: ``x0``, 1: ``x1``, 2: ``x0 * x1``; the leap's
+#: intraspecific classes read 3: ``x0 * (x0 - 1)`` and 4: ``x1 * (x1 - 1)``,
+#: while the endgame follows the scalar run's ``gamma * x * (x - 1)``).
 _CLASS_RATE = np.array([0, 0, 1, 1, 2, 3, 4, 5])
 _CLASS_OPERAND = np.array([0, 1, 0, 1, 2, 2, 0, 1])
+_LEAP_OPERAND = np.array([0, 1, 0, 1, 2, 2, 3, 4])
 
 #: The move tables flattened: mechanism row ``m``, event ``e`` sits at
 #: ``m * _DX0_TABLE.shape[1] + e``.
 _MOVES_X0 = _DX0_TABLE.ravel()
 _MOVES_X1 = _DX1_TABLE.ravel()
+
+#: ``_MOVES[m, i, e]``: the change of ``x_i`` by event ``e`` under mechanism
+#: row ``m``.  ``_MOMENTS[m, e]``: ``1``, the changes of ``x0`` and ``x1``,
+#: then their squares; weighted by the class propensities they sum to a
+#: leap's total propensity and each species' mean and variance of change
+#: per unit tau.
+_MOVES = np.stack((_DX0_TABLE[:, :8], _DX1_TABLE[:, :8]), axis=1)
+_MOMENTS = np.concatenate(
+    [np.ones((2, 8, 1)), _MOVES.transpose(0, 2, 1), _MOVES.transpose(0, 2, 1) ** 2],
+    axis=2,
+).astype(np.float64)
 
 
 def resolve_backend(
@@ -210,11 +232,12 @@ def run_tau_sweep_ensemble(
 ) -> list[LVEnsembleResult]:
     """Tau-leaping twin of :func:`repro.lv.ensemble.run_sweep_ensemble`.
 
-    Advances every member's replica batch by vectorized Poisson leaps and
-    returns one :class:`~repro.lv.ensemble.LVEnsembleResult` per member, in
-    member order.  Seed derivation matches the exact engine's contract
-    (one root seed per member spawning a step and a tail stream), and
-    members are simulated independently, so a member's results are
+    Advances every member's replica batch by vectorized Poisson leaps, the
+    lv2 members' replicas together in one loop, and returns one
+    :class:`~repro.lv.ensemble.LVEnsembleResult` per member, in member
+    order.  Seed derivation matches the exact engine's contract (one root
+    seed per member spawning a step and a tail stream), and no member's
+    draws or arithmetic depend on another's, so a member's results are
     bitwise-identical to running it alone regardless of batch composition.
 
     A member's event budget and its results' ``total_events`` are metered
@@ -243,7 +266,7 @@ def run_tau_sweep_ensemble(
         Generic-scenario members honour it through
         :func:`repro.scenario.engine.run_scenario_members_tau`.  lv2
         members ignore it and always collect full statistics, because the
-        tau kernel's per-leap accounting is a negligible fraction of its
+        leap loop's per-leap accounting is a negligible fraction of its
         cost.
 
     Examples
@@ -295,29 +318,22 @@ def run_tau_sweep_ensemble(
         )
         for index, result in zip(generic_indexes, generic_results):
             results[index] = result
-    # lv2 members leap one after another into one set of output slots, then
+    # Every lv2 member leaps in one loop into one set of output slots, then
     # every replica they parked finishes in one batched exact endgame.
     lv2_indexes = [
         i for i, member in enumerate(members) if member.scenario == DEFAULT_SCENARIO
     ]
-    offsets = np.cumsum([0] + [members[i].num_replicates for i in lv2_indexes])
-    outputs = _OutputRecord(int(offsets[-1]), leap_events=True)
-    tail_generators: list[np.random.Generator] = []
-    parked: list[np.ndarray] = []
-    for index, offset in zip(lv2_indexes, offsets):
-        step_generator, tail_generator = spawn_generators(seeds[index], 2)
-        tail_generators.append(tail_generator)
-        parked.append(
-            _run_member_tau(
-                members[index],
-                outputs,
-                int(offset),
-                step_generator,
-                epsilon,
-                exact_tail_population,
-            )
-        )
+    if not lv2_indexes:
+        return results
     lv2_members = [members[i] for i in lv2_indexes]
+    offsets = np.cumsum([0] + [member.num_replicates for member in lv2_members])
+    outputs = _OutputRecord(int(offsets[-1]), leap_events=True)
+    step_generators, tail_generators = zip(
+        *(spawn_generators(seeds[i], 2) for i in lv2_indexes)
+    )
+    parked = _leap(
+        lv2_members, outputs, step_generators, epsilon, exact_tail_population
+    )
     _finish_parked(lv2_members, outputs, tail_generators, parked)
     for index, start, stop in zip(lv2_indexes, offsets, offsets[1:]):
         results[index] = outputs.result(members[index], slice(start, stop))
@@ -331,32 +347,55 @@ def _validate_epsilon(epsilon: float) -> None:
         )
 
 
-#: Per-replica arrays of a tau run, named alike in the working state and the
+#: Per-replica arrays of a tau run, named alike in the working lanes and the
 #: output record.
 _FIELDS = ("x0", "x1", "total_events", "leap_events") + _ACCOUNTING
 
 
-class _TauState:
-    """Packed working arrays of replicas in flight, by output slot (``orig``)."""
+class _Lanes:
+    """Replicas of a call's lv2 members in flight, one *lane* each.
 
-    #: Per-replica arrays that :meth:`pack` keeps aligned.
-    ARRAYS = _FIELDS + ("orig",)
+    Each member's lanes are one contiguous run, by output slot (``orig``):
+    ascending in the leap loop, in park order in the endgame.  Besides the
+    counts and accumulators (:data:`_FIELDS`), a lane carries what its
+    member's dynamics read: the member's index, its class rates (``beta, beta,
+    delta, delta, alpha0, alpha1, gamma0, gamma1``), its mechanism (the row
+    of the move tables), its gap sign and its event budget; and, for the
+    exact endgame, its block (how many lanes of its member come before it)
+    and its row in the current uniform window.
+    """
 
-    def __init__(self, member: SweepMember, offset: int):
-        size = member.num_replicates
-        self.orig = offset + np.arange(size)
-        self.x0 = np.full(size, member.initial_state.x0, dtype=np.int64)
-        self.x1 = np.full(size, member.initial_state.x1, dtype=np.int64)
-        self.total_events = np.zeros(size, dtype=np.int64)
-        self.leap_events = np.zeros(size, dtype=np.int64)
-        self.histogram = np.zeros((size, 8), dtype=np.int64)
-        self.bad_noncompetitive_events = np.zeros(size, dtype=np.int64)
-        self.good_events = np.zeros(size, dtype=np.int64)
-        self.noise_individual = np.zeros(size, dtype=np.int64)
-        self.noise_competitive = np.zeros(size, dtype=np.int64)
-        self.max_total_population = self.x0 + self.x1
-        self.min_gap_seen = np.abs(self.x0 - self.x1)
-        self.hit_tie = self.x0 == self.x1
+    #: Per-lane arrays that :meth:`pack` keeps aligned.
+    ARRAYS = _FIELDS + (
+        "orig",
+        "member",
+        "block",
+        "rates",
+        "mechanism",
+        "sign",
+        "budget",
+        "window_row",
+    )
+
+    def __init__(
+        self,
+        members: Sequence[SweepMember],
+        outputs: _OutputRecord,
+        slots: np.ndarray,
+        member: np.ndarray,
+    ):
+        """Lanes for *slots*, grouped by *member* (non-decreasing), read from *outputs*."""
+        self.orig = slots
+        for name in _FIELDS:
+            setattr(self, name, getattr(outputs, name)[slots])
+        self.member = member
+        self.block = np.arange(slots.size) - np.searchsorted(member, member)
+        rates, self_destructive = LVParams.stack([m.params for m in members])
+        self.rates = rates[:, _CLASS_RATE][member]
+        self.mechanism = self_destructive.astype(np.intp)[member]
+        self.sign = np.array([_gap_sign(m.initial_state) for m in members])[member]
+        self.budget = np.array([m.max_events for m in members], dtype=np.int64)[member]
+        self.window_row = np.zeros(slots.size, dtype=np.intp)
 
     @property
     def width(self) -> int:
@@ -373,106 +412,165 @@ class _TauState:
         for name in self.ARRAYS:
             setattr(self, name, getattr(self, name)[keep])
 
+    def retire(self, outputs: _OutputRecord, done: np.ndarray) -> np.ndarray:
+        """Scatter the lanes of the mask *done* and drop them; returns the kept rows."""
+        self.scatter(outputs, np.flatnonzero(done))
+        keep = np.flatnonzero(~done)
+        self.pack(keep)
+        return keep
 
-def _safe_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
-    """``numerator / denominator`` with zero denominators mapping to +inf."""
-    out = np.full(numerator.shape, np.inf)
-    np.divide(numerator, denominator, out=out, where=denominator > 0)
-    return out
+    def copy(self) -> "_Lanes":
+        clone = object.__new__(_Lanes)
+        for name in self.ARRAYS:
+            setattr(clone, name, getattr(self, name).copy())
+        return clone
 
 
-def _run_member_tau(
-    member: SweepMember,
+class _LeapTables:
+    """The lanes' parameters as a leap reads them, rebuilt after every pack.
+
+    Class-major over the leap's classes (a prefix of the eight, see
+    :func:`_leap`): ``rates`` and, per lane, ``moments`` (:data:`_MOMENTS`
+    of the lane's mechanism).  Also per lane ``order``, the highest order
+    ``g_i`` of a reaction consuming species ``i`` (both are second-order
+    whenever any pairwise competition exists); and ``starts``, where each
+    member's lanes begin.
+    """
+
+    def __init__(self, lanes: _Lanes, classes: slice, num_members: int):
+        self.rates = np.ascontiguousarray(lanes.rates[:, classes].T)
+        moments = _MOMENTS[lanes.mechanism, classes]
+        self.moments = np.ascontiguousarray(moments.transpose(1, 2, 0))
+        competition = lanes.rates[:, _INTER0] + lanes.rates[:, _INTER1] > 0.0
+        self.order = 1.0 + (competition | (lanes.rates[:, _INTRA0:] > 0.0).T)
+        self.starts = np.searchsorted(lanes.member, np.arange(num_members + 1))
+
+
+def _member_runs(rows: np.ndarray, starts: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(member, lo, hi)`` for each member with lanes in *rows* (ascending)."""
+    cuts = np.searchsorted(rows, starts).tolist()
+    return [
+        (member, lo, hi)
+        for member, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))
+        if lo < hi
+    ]
+
+
+def _leap(
+    members: Sequence[SweepMember],
     outputs: _OutputRecord,
-    offset: int,
-    step_generator: np.random.Generator,
+    step_generators: Sequence[np.random.Generator],
     epsilon: float,
     exact_tail_population: int,
-) -> np.ndarray:
-    """Advance one member's replica batch by vectorized Poisson leaps.
+) -> list[np.ndarray]:
+    """Advance every lv2 replica of a call by Poisson leaps, in one loop.
 
-    Results land in *outputs* from slot *offset* on.  Replicas that reach the
-    exact tail population are parked there (their accumulators written, the
-    endgame left to :func:`_finish_parked`); returns their slots in park
-    order: by leap, then ascending replica index.
+    *outputs* holds the members' slot ranges, in member order; results land
+    there.  Each leap is one pass over every lane for propensities, tau
+    selection, rejection bookkeeping and accounting, and per lane it is the
+    arithmetic of the member leaping alone: sums over the classes run left
+    to right at every width.  Only the draws go member by member, each on
+    the member's step stream over its lanes in ascending order: a
+    ``poisson`` call per rejection round while it has pending lanes, then
+    one ``random`` block for its exact steps.  Replicas that reach the
+    exact tail population are parked (their accumulators written, the
+    endgame left to :func:`_finish_parked`); returns each member's parked
+    slots in park order: by leap, then ascending replica index.
     """
-    params = member.params
-    budget = member.max_events
-    mechanism_row = 1 if params.is_self_destructive else 0
-    dx0 = _DX0_TABLE[mechanism_row, :8]
-    dx1 = _DX1_TABLE[mechanism_row, :8]
-    dx0_float = dx0.astype(np.float64)
-    dx1_float = dx1.astype(np.float64)
-    sign = _gap_sign(member.initial_state)
-    # Highest order of any reaction consuming species i (the g_i of the
-    # tau-selection rule); both species are second-order whenever any
-    # pairwise competition exists.
-    g0 = 2.0 if (params.alpha > 0.0 or params.gamma0 > 0.0) else 1.0
-    g1 = 2.0 if (params.alpha > 0.0 or params.gamma1 > 0.0) else 1.0
+    member = np.repeat(np.arange(len(members)), [m.num_replicates for m in members])
+    outputs.x0[:] = np.array([m.initial_state.x0 for m in members], dtype=np.int64)[member]
+    outputs.x1[:] = np.array([m.initial_state.x1 for m in members], dtype=np.int64)[member]
+    outputs.max_total_population[:] = outputs.x0 + outputs.x1
+    outputs.min_gap_seen[:] = np.abs(outputs.x0 - outputs.x1)
+    outputs.hit_tie[:] = outputs.x0 == outputs.x1
+    lanes = _Lanes(members, outputs, np.arange(member.size), member)
+    # A leap evaluates every class up to the last with a nonzero rate in
+    # some lane.
+    num_classes = int(np.flatnonzero(lanes.rates.any(axis=0)).max(initial=-1)) + 1
+    classes = slice(0, num_classes)
+    operand = _LEAP_OPERAND[classes]
+    intraspecific = max(num_classes - _INTRA0, 0)
+    tables = _LeapTables(lanes, classes, len(members))
+    parked: list[list[np.ndarray]] = [[] for _ in members]
 
-    state = _TauState(member, offset)
-    parked: list[np.ndarray] = []
-
-    while state.width:
-        x0, x1 = state.x0, state.x1
+    while lanes.width:
+        x0, x1 = lanes.x0, lanes.x1
         # --- retirement sweep (order: consensus, budget, propensities) ---
         finished = (x0 == 0) | (x1 == 0)
-        exhausted = ~finished & (state.total_events >= budget)
-        if exhausted.any():
-            outputs.termination_codes[state.orig[exhausted]] = _MAX_EVENTS
+        exhausted = ~finished & (lanes.total_events >= lanes.budget)
         retired = finished | exhausted
         if retired.any():
-            state.scatter(outputs, np.nonzero(retired)[0])
-            state.pack(np.nonzero(~retired)[0])
-            if not state.width:
+            outputs.termination_codes[lanes.orig[exhausted]] = _MAX_EVENTS
+            lanes.retire(outputs, retired)
+            if not lanes.width:
                 break
-            x0, x1 = state.x0, state.x1
+            tables = _LeapTables(lanes, classes, len(members))
+            x0, x1 = lanes.x0, lanes.x1
 
-        rows = _propensity_rows(params, x0, x1)
-        total = rows.sum(axis=0)
+        operands = np.empty((5, lanes.width))
+        operands[0] = x0
+        operands[1] = x1
+        operands[2] = x0 * x1
+        if intraspecific:
+            operands[3] = x0 * (x0 - 1)
+            operands[4] = x1 * (x1 - 1)
+        rows = operands.take(operand, axis=0)
+        rows *= tables.rates
+        if intraspecific:
+            rows[_INTRA0:] /= 2.0
+        # The total, then each species' mean and variance of change per unit
+        # tau: one reduction, class by class from the left at every width.
+        sums = (tables.moments * rows[:, None]).sum(axis=0)
+        total = sums[0]
         absorbed = total <= 0.0
         tail = ~absorbed & (x0 + x1 <= exact_tail_population)
         dropped = absorbed | tail
         if dropped.any():
-            outputs.termination_codes[state.orig[absorbed]] = _ABSORBED
-            parked.append(state.orig[tail])
-            state.scatter(outputs, np.nonzero(dropped)[0])
-            keep = np.nonzero(~dropped)[0]
-            state.pack(keep)
-            if not state.width:
+            outputs.termination_codes[lanes.orig[absorbed]] = _ABSORBED
+            tail_rows = np.flatnonzero(tail)
+            for index, lo, hi in _member_runs(tail_rows, tables.starts):
+                parked[index].append(lanes.orig[tail_rows[lo:hi]])
+            keep = lanes.retire(outputs, dropped)
+            if not lanes.width:
                 break
+            tables = _LeapTables(lanes, classes, len(members))
             rows = rows[:, keep]
-            total = total[keep]
-            x0, x1 = state.x0, state.x1
+            sums = sums[:, keep]
+            total = sums[0]
+            x0, x1 = lanes.x0, lanes.x1
 
         # --- per-replica tau selection (bounded relative change) ---
-        mu0 = dx0_float @ rows
-        mu1 = dx1_float @ rows
-        var0 = (dx0_float**2) @ rows
-        var1 = (dx1_float**2) @ rows
-        bound0 = np.maximum(epsilon * x0 / g0, 1.0)
-        bound1 = np.maximum(epsilon * x1 / g1, 1.0)
-        tau = np.minimum(
-            np.minimum(
-                _safe_ratio(bound0, np.abs(mu0)), _safe_ratio(bound0**2, var0)
-            ),
-            np.minimum(
-                _safe_ratio(bound1, np.abs(mu1)), _safe_ratio(bound1**2, var1)
-            ),
-        )
+        counts = np.stack((x0, x1))
+        moments = sums[1:]
+        np.abs(moments[:2], out=moments[:2])
+        bounds = np.empty_like(moments)
+        np.maximum(epsilon * counts / tables.order, 1.0, out=bounds[:2])
+        np.square(bounds[:2], out=bounds[2:])
+        # Bounds are at least 1, so a zero mean or variance gives +inf.
+        with np.errstate(divide="ignore"):
+            tau = (bounds / moments).min(axis=0)
 
         # --- Poisson leaps with per-replica rejection halving ---
-        width = state.width
-        firings = np.zeros((8, width), dtype=np.int64)
-        exact_step = np.nonzero(tau * total < _MIN_EXPECTED_FIRINGS)[0]
-        pending = np.nonzero(tau * total >= _MIN_EXPECTED_FIRINGS)[0]
+        firings = np.zeros((8, lanes.width), dtype=np.int64)
+        leaped = firings[classes]
+        changes = np.zeros((2, lanes.width), dtype=np.int64)
+        small = tau * total < _MIN_EXPECTED_FIRINGS
+        exact_step = np.flatnonzero(small)
+        pending = np.flatnonzero(~small)
         while pending.size:
-            draw = step_generator.poisson(rows[:, pending] * tau[pending])
-            delta0 = dx0 @ draw
-            delta1 = dx1 @ draw
-            accepted = (x0[pending] + delta0 >= 0) & (x1[pending] + delta1 >= 0)
-            firings[:, pending[accepted]] = draw[:, accepted]
-            pending = pending[~accepted]
+            means = rows[:, pending] * tau[pending]
+            draw = np.empty(means.shape, dtype=np.int64)
+            for index, lo, hi in _member_runs(pending, tables.starts):
+                draw[:, lo:hi] = step_generators[index].poisson(means[:, lo:hi])
+            both = _MOVES[:, :, classes] @ draw
+            change = np.where(lanes.mechanism[pending], both[1], both[0])
+            # A lane keeps its latest draw: a rejected one draws again or
+            # turns exact, and an exact step overwrites it below.
+            leaped[:, pending] = draw
+            changes[:, pending] = change
+            pending = pending[(counts[:, pending] + change < 0).any(axis=0)]
+            if not pending.size:
+                break
             tau[pending] /= 2.0
             degenerate = tau[pending] * total[pending] < _MIN_EXPECTED_FIRINGS
             if degenerate.any():
@@ -480,30 +578,32 @@ def _run_member_tau(
                 pending = pending[~degenerate]
         if exact_step.size:
             # Single exact-SSA steps for replicas whose leap would fire at
-            # most ~one reaction, attributed to the real reaction class.
-            # Thresholds scale by the *cumulative* total (not `total`, whose
-            # unrolled summation can differ by 1 ulp) so the selection count
-            # can never land past the last positive-propensity class.
+            # most ~one reaction, attributed to the real reaction class: the
+            # first whose partial sum exceeds u * total.  Since u < 1 and the
+            # thresholds scale by the last partial sum itself, that class
+            # exists and has a positive propensity.
             exact_step.sort()
+            uniforms = np.empty(exact_step.size)
+            for index, lo, hi in _member_runs(exact_step, tables.starts):
+                uniforms[lo:hi] = step_generators[index].random(hi - lo)
             cumulative = np.cumsum(rows[:, exact_step], axis=0)
-            thresholds = step_generator.random(exact_step.size) * cumulative[-1]
-            event = np.minimum((cumulative <= thresholds).sum(axis=0), 7)
+            event = (cumulative <= uniforms * cumulative[-1]).sum(axis=0)
+            firings[:, exact_step] = 0
             firings[event, exact_step] = 1
+            changes[:, exact_step] = _MOVES[lanes.mechanism[exact_step], :, event].T
 
         # --- apply the aggregate stoichiometry and account the leap ---
-        delta0 = dx0 @ firings
-        delta1 = dx1 @ firings
+        delta0, delta1 = changes
         gap_before = x0 - x1
         x0 += delta0
         x1 += delta1
         if (x0 < 0).any() or (x1 < 0).any():
             raise SimulationError("tau-leaping drove a species count negative")
         fired = firings.sum(axis=0)
-        state.total_events += fired
-        leap_fired = fired.copy()
-        leap_fired[exact_step] = 0
-        state.leap_events += leap_fired
-        state.histogram += firings.T
+        lanes.total_events += fired
+        fired[exact_step] = 0
+        lanes.leap_events += fired
+        lanes.histogram += firings.T
 
         # Noise decomposition: exact given the firing matrix, since the gap
         # change is linear in the firings.
@@ -511,8 +611,8 @@ def _run_member_tau(
             firings[_BIRTH0] - firings[_BIRTH1] - firings[_DEATH0] + firings[_DEATH1]
         )
         gap_delta = delta0 - delta1
-        state.noise_individual += sign * -gap_delta_individual
-        state.noise_competitive += sign * -(gap_delta - gap_delta_individual)
+        lanes.noise_individual += lanes.sign * -gap_delta_individual
+        lanes.noise_competitive += lanes.sign * -(gap_delta - gap_delta_individual)
 
         # Leap-granularity estimates of the per-event path statistics: the
         # current minority is resolved once per leap (see module docstring).
@@ -520,7 +620,7 @@ def _run_member_tau(
         tied = gap_before == 0
         minority_births = np.where(minority_is_0, firings[_BIRTH0], firings[_BIRTH1])
         majority_deaths = np.where(minority_is_0, firings[_DEATH1], firings[_DEATH0])
-        state.bad_noncompetitive_events += np.where(
+        lanes.bad_noncompetitive_events += np.where(
             tied, 0, minority_births + majority_deaths
         )
         minority_shrinkers = np.where(
@@ -529,84 +629,14 @@ def _run_member_tau(
             firings[_DEATH1] + firings[_INTRA1],
         )
         interspecific = firings[_INTER0] + firings[_INTER1]
-        state.good_events += np.where(tied, 0, minority_shrinkers + interspecific)
+        lanes.good_events += np.where(tied, 0, minority_shrinkers + interspecific)
 
-        np.maximum(state.max_total_population, x0 + x1, out=state.max_total_population)
+        np.maximum(lanes.max_total_population, x0 + x1, out=lanes.max_total_population)
         gap_after = x0 - x1
-        np.minimum(state.min_gap_seen, np.abs(gap_after), out=state.min_gap_seen)
-        state.hit_tie |= gap_after == 0
+        np.minimum(lanes.min_gap_seen, np.abs(gap_after), out=lanes.min_gap_seen)
+        lanes.hit_tie |= gap_after == 0
 
-    return np.concatenate(parked) if parked else np.zeros(0, dtype=np.int64)
-
-
-def _propensity_rows(params: LVParams, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
-    """The eight LV reaction-class propensities, shape ``(8, width)``."""
-    rows = np.zeros((8, x0.size), dtype=np.float64)
-    if params.beta:
-        rows[_BIRTH0] = params.beta * x0
-        rows[_BIRTH1] = params.beta * x1
-    if params.delta:
-        rows[_DEATH0] = params.delta * x0
-        rows[_DEATH1] = params.delta * x1
-    if params.alpha:
-        pair = (x0 * x1).astype(np.float64)
-        rows[_INTER0] = params.alpha0 * pair
-        rows[_INTER1] = params.alpha1 * pair
-    if params.gamma0:
-        rows[_INTRA0] = params.gamma0 * (x0 * (x0 - 1)) / 2.0
-    if params.gamma1:
-        rows[_INTRA1] = params.gamma1 * (x1 * (x1 - 1)) / 2.0
-    return rows
-
-
-class _EndgameLanes(_TauState):
-    """Parked replicas in the exact endgame, one *lane* each, by output slot.
-
-    Besides the accumulators, a lane carries what its scalar run reads: its
-    member's index, class rates (``beta, beta, delta, delta, alpha0, alpha1,
-    gamma0, gamma1``), offset into the flat moves tables and gap sign; the
-    budget left at park; its block (how many lanes of its member were parked
-    before it); and its row in the current uniform window.
-    """
-
-    ARRAYS = _TauState.ARRAYS + (
-        "member",
-        "block",
-        "rates",
-        "moves",
-        "sign",
-        "budget",
-        "window_row",
-    )
-
-    def __init__(
-        self,
-        members: Sequence[SweepMember],
-        outputs: _OutputRecord,
-        parked: Sequence[np.ndarray],
-    ):
-        self.orig = np.concatenate(parked)
-        for name in _FIELDS:
-            setattr(self, name, getattr(outputs, name)[self.orig])
-        sizes = [rows.size for rows in parked]
-        self.member = np.repeat(np.arange(len(members)), sizes)
-        self.block = np.concatenate([np.arange(size) for size in sizes])
-        rates, self_destructive = LVParams.stack([member.params for member in members])
-        self.rates = rates[:, _CLASS_RATE][self.member]
-        self.moves = _DX0_TABLE.shape[1] * self_destructive[self.member]
-        self.sign = np.array([_gap_sign(member.initial_state) for member in members])[
-            self.member
-        ]
-        budgets = np.array([member.max_events for member in members], dtype=np.int64)
-        # Positive: the leap loop retires spent replicas before it parks any.
-        self.budget = budgets[self.member] - self.total_events
-        self.window_row = np.zeros(self.orig.size, dtype=np.intp)
-
-    def copy(self) -> "_EndgameLanes":
-        clone = object.__new__(_EndgameLanes)
-        for name in self.ARRAYS:
-            setattr(clone, name, getattr(self, name).copy())
-        return clone
+    return [np.concatenate([np.zeros(0, dtype=np.int64), *slots]) for slots in parked]
 
 
 def _finish_parked(
@@ -633,18 +663,24 @@ def _finish_parked(
     """
     if not any(rows.size for rows in parked):
         return
-    lanes = _EndgameLanes(members, outputs, parked)
+    sizes = [rows.size for rows in parked]
+    lanes = _Lanes(
+        members, outputs, np.concatenate(parked), np.repeat(np.arange(len(members)), sizes)
+    )
+    # Positive: the leap loop retires spent replicas before it parks any.
+    lanes.budget -= lanes.total_events
     state = lanes.copy()
     intraspecific = bool(state.rates[:, _INTRA0:].any())
     window = np.empty((0, _ENDGAME_WINDOW))
     window_end = t = 0
 
-    def repacked() -> tuple[np.ndarray, np.ndarray, int]:
-        """Class-major rates, each lane's first histogram cell, least budget."""
+    def repacked() -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Class-major rates, flat moves offsets, first histogram cells, least budget."""
         cells = state.histogram.shape[1] * np.arange(state.width)
-        return np.ascontiguousarray(state.rates.T), cells, int(state.budget.min())
+        moves = _DX0_TABLE.shape[1] * state.mechanism
+        return np.ascontiguousarray(state.rates.T), moves, cells, int(state.budget.min())
 
-    rates, cells, budget_floor = repacked()
+    rates, moves_base, cells, budget_floor = repacked()
     while state.width:
         x0, x1 = state.x0, state.x1
         operands = np.empty((3, state.width))
@@ -671,15 +707,12 @@ def _finish_parked(
                 _CONSENSUS,
                 np.where(state.budget <= t, _MAX_EVENTS, _ABSORBED),
             )
-            retired = np.nonzero(done)[0]
-            outputs.termination_codes[state.orig[retired]] = codes[retired]
-            state.scatter(outputs, retired)
-            keep = np.nonzero(~done)[0]
-            state.pack(keep)
+            outputs.termination_codes[state.orig[done]] = codes[done]
+            keep = state.retire(outputs, done)
             if not state.width:
                 break
             rows = rows[:, keep]
-            rates, cells, budget_floor = repacked()
+            rates, moves_base, cells, budget_floor = repacked()
             x0, x1 = state.x0, state.x1
         if t == _UNIFORM_BUFFER:
             break
@@ -698,7 +731,7 @@ def _finish_parked(
         event = (rows <= uniforms * rows[_INTRA1]).sum(axis=0)
 
         gap_before = x0 - x1
-        moves = state.moves + event
+        moves = moves_base + event
         x0 += _MOVES_X0.take(moves)
         x1 += _MOVES_X1.take(moves)
         if x0.min() < 0 or x1.min() < 0:

@@ -222,8 +222,8 @@ class Scenario:
 
     @cached_property
     def interspecific(self) -> np.ndarray:
-        """Mask of reactions consuming two *distinct* species (order 1+1)."""
-        return (self.reactant_matrix == 1).sum(axis=1) == 2
+        """Mask of encounters: reactions consuming two *distinct* opinion species (order 1+1)."""
+        return (self.reactant_matrix[:, self.opinion_index] == 1).sum(axis=1) == 2
 
     # ------------------------------------------------------------------
     # Kinetics

@@ -9,11 +9,16 @@ per-member stream contract as the exact lock-step engine.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import InvalidConfigurationError
 from repro.lv.ensemble import SweepMember, run_sweep_ensemble
+from repro.lv.params import CompetitionMechanism, LVParams
 from repro.lv.simulator import DEFAULT_MAX_EVENTS
 from repro.lv.state import LVState
 from repro.lv.tau import (
@@ -39,6 +44,77 @@ def _tau(params, state, num_replicates, rng, max_events=DEFAULT_MAX_EVENTS, **op
 
 def _exact(params, state, num_replicates, rng):
     return run_sweep_ensemble([SweepMember(params, state, num_replicates)], rng=rng)[0]
+
+
+#: Exact tail population of the fused == solo property: small, so that
+#: members leap for a few hundred events and still reach the endgame.
+_PROPERTY_TAIL = 64
+
+_SD = CompetitionMechanism.SELF_DESTRUCTIVE
+_NSD = CompetitionMechanism.NON_SELF_DESTRUCTIVE
+
+
+@st.composite
+def _lv2_member(draw) -> SweepMember:
+    """An lv2 tau member: either mechanism, optional inter- and intraspecific
+    rates, a species-0 or species-1 majority, a state below, at or above the
+    tail population or at consensus, and a budget that may run out while it
+    leaps or in the endgame (always bounded without competition between the
+    species, which can take very long to reach consensus)."""
+    alpha0, alpha1 = draw(st.sampled_from([(0.3, 0.5), (0.5, 0.3), (0.5, 0.5), (0.0, 0.0)]))
+    params = LVParams(
+        beta=draw(st.sampled_from([0.6, 1.0])),
+        delta=draw(st.sampled_from([0.4, 1.0])),
+        alpha0=alpha0,
+        alpha1=alpha1,
+        gamma0=draw(st.sampled_from([0.0, 0.002])),
+        gamma1=draw(st.sampled_from([0.0, 0.002])),
+        mechanism=draw(st.sampled_from([_SD, _NSD])),
+    )
+    total = draw(st.sampled_from([_PROPERTY_TAIL - 10, _PROPERTY_TAIL, 300, 800]))
+    minority = draw(st.integers(min_value=0, max_value=total // 2))
+    counts = (total - minority, minority)
+    if draw(st.booleans()):
+        counts = counts[::-1]
+    budgets = [25, 400, 2_500] + [DEFAULT_MAX_EVENTS] * (params.alpha > 0.0)
+    budget = draw(st.sampled_from(budgets))
+    return SweepMember(params, LVState(*counts), draw(st.integers(1, 5)), budget)
+
+
+#: A generic-scenario member that can ride along in a fused call.
+_GENERIC_MEMBER = SweepMember(
+    LVParams(0.5, 0.4, 0.9, 0.7, 0.2, 0.3, _SD), (150, 90, 60), 3, scenario="opinion3"
+)
+
+
+#: One call with every case of the property: a species-1 majority with
+#: intraspecific competition; budgets that run out in the endgame from below
+#: the tail, while leaping, and in the endgame after leaping; a member at
+#: consensus and one at the tail population; exact steps (strong
+#: intraspecific competition just above the tail); and a birth-death walk
+#: without competition, whose ``g_i`` differ from the other members' (the
+#: generic member goes in as the third).
+_MIXED_CALL = [
+    SweepMember(LVParams(1.0, 0.4, 0.3, 0.5, 0.002, 0.0, _SD), LVState(300, 500), 4, 2_500),
+    SweepMember(LVParams(0.6, 1.0, 0.5, 0.3, 0.0, 0.002, _NSD), LVState(36, 28), 3, 20),
+    SweepMember(LVParams(1.0, 1.0, 0.5, 0.5, mechanism=_SD), LVState(600, 200), 2, 40),
+    SweepMember(LVParams(1.0, 1.0, 0.5, 0.5, mechanism=_NSD), LVState(64, 0), 2),
+    SweepMember(LVParams(0.6, 0.4, 0.3, 0.3, 0.002, 0.002, _NSD), LVState(32, 32), 5, 400),
+    SweepMember(LVParams(1.0, 1.0, 0.5, 0.5, mechanism=_NSD), LVState(380, 420), 3, 780),
+    SweepMember(LVParams(0.2, 0.2, 0.3, 0.3, 0.05, 0.05, _SD), LVState(50, 20), 3),
+    SweepMember(LVParams(1.0, 0.4, 0.0, 0.0, mechanism=_NSD), LVState(250, 150), 2, 400),
+]
+
+
+def _assert_same_result(fused, solo) -> None:
+    """Every field of two ensemble results is equal, arrays bit for bit."""
+    for field in dataclasses.fields(fused):
+        mine, theirs = getattr(fused, field.name), getattr(solo, field.name)
+        if isinstance(mine, np.ndarray):
+            assert mine.dtype == theirs.dtype, field.name
+            assert np.array_equal(mine, theirs), field.name
+        else:
+            assert mine == theirs, field.name
 
 
 class TestResolveBackend:
@@ -119,6 +195,25 @@ class TestStreamContract:
                 assert np.array_equal(
                     getattr(fused_result, attribute), getattr(solo, attribute)
                 ), attribute
+
+    @settings(max_examples=25, deadline=None)
+    @example(members=_MIXED_CALL, generic_at=2, seed=7)
+    @given(
+        members=st.lists(_lv2_member(), min_size=1, max_size=6),
+        generic_at=st.none() | st.integers(min_value=0, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_fused_call_equals_solo_calls(self, members, generic_at, seed):
+        """Fused == solo as a property: each member of a random call, lv2
+        members leaping in one loop, equals its one-member call."""
+        if generic_at is not None:
+            members = [*members[:generic_at], _GENERIC_MEMBER, *members[generic_at:]]
+        seeds = [seed + index for index in range(len(members))]
+        options = {"exact_tail_population": _PROPERTY_TAIL}
+        fused = run_tau_sweep_ensemble(members, member_seeds=seeds, **options)
+        for member, member_seed, result in zip(members, seeds, fused):
+            solo = run_tau_sweep_ensemble([member], member_seeds=[member_seed], **options)
+            _assert_same_result(result, solo[0])
 
     def test_root_seed_determinism(self, sd_params):
         first = _tau(sd_params, LVState(5050, 4950), 16, 42)

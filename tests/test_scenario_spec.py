@@ -378,8 +378,20 @@ class TestFamiliesAgainstReference:
     def test_interspecific_mask_marks_encounters(self, name, mechanism):
         scenario = build_scenario(name, _asymmetric_params(mechanism))
         reactions = _family_reference(name, _asymmetric_params(mechanism))
-        expected = [len(reaction.reactants) == 2 for reaction in reactions]
+        opinions = {scenario.species[index] for index in scenario.opinion_species}
+        expected = [len(reaction.reactants.keys() & opinions) == 2 for reaction in reactions]
         assert scenario.interspecific.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "mechanism", list(CompetitionMechanism), ids=lambda mechanism: mechanism.short_name
+    )
+    def test_resource_births_are_not_encounters(self, mechanism):
+        """``X_i + R -> 2 X_i`` consumes two distinct species, one of them not an opinion."""
+        scenario = build_scenario("resource", _asymmetric_params(mechanism))
+        births = scenario.reactant_matrix[:, scenario.species.index("R")] == 1
+        assert births.sum() == 2
+        assert not scenario.interspecific[births].any()
+        assert scenario.interspecific.sum() == 2
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_mechanisms_have_distinct_fingerprints(self, name):
