@@ -45,7 +45,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
@@ -1060,7 +1060,8 @@ class SweepScheduler:
         engine's per-member streams make every member's result independent
         of the packing — executed through the fault-tolerant core
         (:meth:`_execute_faulted`), journaled the moment
-        each mega-batch finishes, and merged back into spec order.
+        each mega-batch finishes (one :meth:`ExperimentStore.batch` scope,
+        so one fsync, per mega-batch), and merged back into spec order.
         """
         results: list[LVEnsembleResult | None] = [None] * len(specs)
         keys: list[str | None] = [None] * len(specs)
@@ -1106,17 +1107,19 @@ class SweepScheduler:
             plan_position: int, plan_results: Sequence[LVEnsembleResult]
         ) -> None:
             # Journal plan by plan as mega-batches complete, not after the
-            # whole sweep: a kill mid-sweep keeps every finished chunk.
-            for index, result in zip(plan_spans[plan_position], plan_results):
-                results[index] = result
-                self._meter(result)
-                if self.store is not None:
-                    self.store.put_chunk(
-                        keys[index],
-                        result,
-                        label=f"member(task={specs[index].task_index}, "
-                        f"R={specs[index].num_replicates})",
-                    )
+            # whole sweep: a kill mid-sweep keeps every finished chunk.  A
+            # mega-batch's chunks share one fsync, at the scope's exit.
+            with nullcontext() if self.store is None else self.store.batch():
+                for index, result in zip(plan_spans[plan_position], plan_results):
+                    results[index] = result
+                    self._meter(result)
+                    if self.store is not None:
+                        self.store.put_chunk(
+                            keys[index],
+                            result,
+                            label=f"member(task={specs[index].task_index}, "
+                            f"R={specs[index].num_replicates})",
+                        )
 
         self._execute_faulted(units, execute_mega_batch, describe, on_result)
         return results

@@ -47,7 +47,7 @@ from repro.exceptions import ExperimentError, StoreError
 from repro.lv.params import LVParams
 from repro.store.journal import iter_intact_records
 from repro.store.keys import digest, params_payload
-from repro.store.serialize import decode_array
+from repro.store.serialize import decode_arrays
 
 __all__ = [
     "DEFAULT_IMBALANCE_BOUND",
@@ -147,7 +147,7 @@ class EventRateHistory:
                 signature = digest(
                     {"params": payload["params"], "population": population}
                 )
-                events = decode_array(payload["arrays"]["total_events"])
+                events = decode_arrays(payload["arrays"])["total_events"]
                 history.record(signature, float(events.sum()), len(events))
             except (KeyError, TypeError, ValueError, StoreError):
                 continue  # not an ensemble payload; ignore for costing

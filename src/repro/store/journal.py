@@ -3,9 +3,10 @@
 Completed simulation chunks are journaled *as they finish*: one line per
 chunk, carrying the chunk's content-address key, a little provenance
 metadata, and the full serialised payload.  The file is append-only and
-flushed after every record, so a run killed mid-sweep (SIGTERM, Ctrl-C,
-OOM) loses at most the chunk it was simulating — everything journaled
-before the kill replays from disk on the next run.
+flushed after every record, which is fsynced at once or at the exit of its
+:meth:`ChunkJournal.batch` scope (one per mega-batch), so a run killed
+mid-sweep (SIGTERM, Ctrl-C, OOM) loses at most the work in flight —
+everything journaled before the kill replays from disk on the next run.
 
 Each record is one line::
 
@@ -54,6 +55,7 @@ import hashlib
 import io
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
@@ -274,6 +276,10 @@ class ChunkJournal:
         #: Corrupt records quarantined by this instance (store metering).
         self.healed_count = 0
         self._appender: io.BufferedWriter | None = None
+        #: Inside :meth:`batch`, appends leave their fsync to the scope's exit.
+        self._batching = False
+        #: Records flushed to the OS but not yet fsynced.
+        self._unsynced = False
         self._scan()
 
     # ------------------------------------------------------------------
@@ -446,7 +452,8 @@ class ChunkJournal:
         )
 
     def append(self, key: str, payload: dict[str, Any], **metadata: Any) -> None:
-        """Durably journal one completed chunk (last write wins per key)."""
+        """Journal one completed chunk (last write wins per key), durable when
+        this returns or, inside :meth:`batch`, when the scope exits."""
         from repro.faults import InjectedTornWrite, journal_fault_action
 
         encoded = _encode_record({"key": key, **metadata, "payload": payload})
@@ -456,12 +463,12 @@ class ChunkJournal:
         self._appearances[key] = self._appearances.get(key, 0) + 1
         if action == "torn":
             # Simulate a kill mid-write: half the record reaches disk, no
-            # newline, and the writer dies (here: raises).  Close the
-            # appender so the retry's _open_appender re-scans and truncates
-            # the torn bytes instead of concatenating onto them.
+            # newline, and the writer dies (here: raises).  Close (and sync)
+            # the appender so the retry's _open_appender re-scans and
+            # truncates the torn bytes instead of concatenating onto them.
             handle.write(encoded[: max(1, len(encoded) // 2)])
             handle.flush()
-            os.fsync(handle.fileno())
+            self._unsynced = True
             self.close()
             raise InjectedTornWrite(
                 f"injected torn append for chunk {key} (fault plan)"
@@ -470,9 +477,35 @@ class ChunkJournal:
             encoded = _corrupt_payload_bytes(encoded)
         handle.write(encoded)
         handle.flush()
-        os.fsync(handle.fileno())
+        self._unsynced = True
+        if not self._batching:
+            self._sync()
         self._index[key] = (offset, len(encoded))
         self._valid_end = offset + len(encoded)
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Make every append in the scope durable with one fsync at its exit.
+
+        Appends are still written, flushed and indexed as they happen.  The
+        exit fsyncs once if anything was appended, also when the body raises
+        (``KeyboardInterrupt`` included); inner scopes leave it to the outer.
+        """
+        if self._batching:
+            yield
+            return
+        self._batching = True
+        try:
+            yield
+        finally:
+            self._batching = False
+            self._sync()
+
+    def _sync(self) -> None:
+        """fsync the records flushed since the last fsync, if any."""
+        if self._unsynced and self._appender is not None:
+            os.fsync(self._appender.fileno())
+        self._unsynced = False
 
     def repair(self) -> None:
         """Recover from a failed append: drop the writer and re-index.
@@ -485,6 +518,7 @@ class ChunkJournal:
 
     def close(self) -> None:
         if self._appender is not None:
+            self._sync()
             self._appender.close()
             self._appender = None
 

@@ -100,8 +100,9 @@ def merge_cache(
 
     Raises :class:`~repro.exceptions.StoreError` on the first same-key /
     different-payload conflict, naming the key; everything merged before
-    the conflict is durably journaled, and re-running after resolving the
-    conflict is safe (idempotent skip of what already landed).
+    the conflict is durably journaled (the union's one fsync runs even
+    then), and re-running after resolving the conflict is safe (idempotent
+    skip of what already landed).
     """
     destination = Path(destination)
     source_paths = tuple(Path(source) for source in sources)
@@ -112,49 +113,50 @@ def merge_cache(
         journal = store._journal
         chunks_added = chunks_skipped = corrupt_skipped = 0
         runs_copied = runs_skipped = 0
-        for source in source_paths:
-            journal_path = _source_journal_path(source)
-            if not journal_path.exists() and not source.exists():
-                raise StoreError(f"merge source {source} does not exist")
-            with journal_path.open("rb") if journal_path.exists() else _empty() as handle:
-                for raw in handle:
-                    if not raw.endswith(b"\n"):
-                        break  # torn source tail: already-handled crash trace
-                    record, reason = _classify_line(raw)
-                    if reason is not None:
-                        corrupt_skipped += 1
-                        continue
-                    key = str(record["key"])
-                    try:
-                        existing = journal.get(key) if key in journal else None
-                        if existing is None:
-                            payload = reencode_payload(record["payload"])
-                        elif payloads_equal(existing["payload"], record["payload"]):
-                            chunks_skipped += 1
+        with store.batch():  # one fsync for the whole union
+            for source in source_paths:
+                journal_path = _source_journal_path(source)
+                if not journal_path.exists() and not source.exists():
+                    raise StoreError(f"merge source {source} does not exist")
+                with journal_path.open("rb") if journal_path.exists() else _empty() as handle:
+                    for raw in handle:
+                        if not raw.endswith(b"\n"):
+                            break  # torn source tail: already-handled crash trace
+                        record, reason = _classify_line(raw)
+                        if reason is not None:
+                            corrupt_skipped += 1
                             continue
-                    except StoreError as error:
-                        raise StoreError(
-                            f"cannot merge chunk {key} from {journal_path}: {error}"
-                        ) from error
-                    if existing is not None:
-                        raise StoreError(
-                            f"merge conflict for chunk {key}: {journal_path} carries "
-                            f"a different payload than {store.cache_dir} — same key "
-                            "must mean same bits; one side is corrupt or was built "
-                            "by incompatible code"
-                        )
-                    metadata = {
-                        name: value
-                        for name, value in record.items()
-                        if name not in _STRUCTURAL_FIELDS
-                    }
-                    journal.append(key, payload, **metadata)
-                    store.stats.chunk_writes += 1
-                    chunks_added += 1
-            if source.is_dir():
-                copied, skipped = _merge_runs(store, source)
-                runs_copied += copied
-                runs_skipped += skipped
+                        key = str(record["key"])
+                        try:
+                            existing = journal.get(key) if key in journal else None
+                            if existing is None:
+                                payload = reencode_payload(record["payload"])
+                            elif payloads_equal(existing["payload"], record["payload"]):
+                                chunks_skipped += 1
+                                continue
+                        except StoreError as error:
+                            raise StoreError(
+                                f"cannot merge chunk {key} from {journal_path}: {error}"
+                            ) from error
+                        if existing is not None:
+                            raise StoreError(
+                                f"merge conflict for chunk {key}: {journal_path} carries "
+                                f"a different payload than {store.cache_dir} — same key "
+                                "must mean same bits; one side is corrupt or was built "
+                                "by incompatible code"
+                            )
+                        metadata = {
+                            name: value
+                            for name, value in record.items()
+                            if name not in _STRUCTURAL_FIELDS
+                        }
+                        journal.append(key, payload, **metadata)
+                        store.stats.chunk_writes += 1
+                        chunks_added += 1
+                if source.is_dir():
+                    copied, skipped = _merge_runs(store, source)
+                    runs_copied += copied
+                    runs_skipped += skipped
     finally:
         if owned:
             store.close()

@@ -19,9 +19,10 @@ experiment harness.  It owns two tiers under one cache directory:
   experiments straight from this tier without touching the simulators.
 
 Run-tier writes are atomic (temp file + ``os.replace``), chunk-tier writes
-are journaled with per-record flush+fsync, and all invalidation is key-based
-(see :mod:`repro.store.keys`): nothing is mutated in place, incompatible
-entries are simply never addressed again.
+are flushed per record and fsynced once per :meth:`ExperimentStore.batch`
+scope (one per mega-batch), and all invalidation is key-based (see
+:mod:`repro.store.keys`): nothing is mutated in place, incompatible entries
+are simply never addressed again.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ContextManager
 
 from repro.exceptions import ExperimentError, StoreError
 from repro.lv.ensemble import LVEnsembleResult
@@ -212,8 +213,14 @@ class ExperimentStore:
         self.stats.events_replayed += int(result.total_events.sum())
         return result
 
+    def batch(self) -> ContextManager[None]:
+        """One fsync, at the scope's exit, for every chunk put inside it
+        (:meth:`ChunkJournal.batch`)."""
+        return self._journal.batch()
+
     def put_chunk(self, key: str, result: LVEnsembleResult, *, label: str = "") -> None:
-        """Journal one completed chunk (durable before this returns).
+        """Journal one completed chunk, durable before this returns or inside
+        :meth:`batch` when the scope exits.
 
         A failed append (torn write, full disk blip) is retried once after
         :meth:`ChunkJournal.repair` re-indexes the file and truncates any

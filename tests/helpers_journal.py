@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.store.serialize import decode_array
+from repro.store.serialize import decode_arrays
 
 __all__ = ["decoded_payload", "journal_contents", "parse_line", "split_line"]
 
@@ -40,14 +40,10 @@ def decoded_payload(payload: Any) -> Any:
     """
     if not (isinstance(payload, dict) and isinstance(payload.get("arrays"), dict)):
         return payload
-    arrays = {}
-    for name, entry in payload["arrays"].items():
-        array = decode_array(entry)
-        arrays[name] = {
-            "dtype": str(array.dtype),
-            "shape": list(array.shape),
-            "data": array.tolist(),
-        }
+    arrays = {
+        name: {"dtype": str(array.dtype), "shape": list(array.shape), "data": array.tolist()}
+        for name, array in decode_arrays(payload["arrays"]).items()
+    }
     return {**payload, "arrays": arrays}
 
 

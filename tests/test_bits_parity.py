@@ -9,6 +9,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -218,3 +219,40 @@ class TestBlastRadius:
         assert status == (0 if bumped else 1)
         assert ("under a schema bump" in output) == bumped
         assert output.endswith(":\n  generic/full\n")
+
+
+@pytest.fixture(scope="module")
+def cache_parity():
+    return _load("cache_parity")
+
+
+class TestCacheParity:
+    def test_cache_counts_read_the_stores_summary(self, cache_parity):
+        from repro.store import CacheStats
+
+        stats = CacheStats(chunk_hits=5, chunk_misses=3, chunk_writes=2, events_replayed=9)
+        output = f"T1R4 ...\ncache: {stats.summary()} (result store at C)\n"
+        assert cache_parity.cache_counts(output) == (3, 2)
+        assert cache_parity.cache_counts("no store attached\n") is None
+
+    def test_every_failed_step_is_named(self, cache_parity, monkeypatch, capsys, tmp_path):
+        def run_json(tree, experiment, cache, output):
+            output.write_bytes(b"same" if experiment == "T1R4" else tree.name.encode())
+            misses = 2 if tree.name == "head" and experiment == "T1R4" else 0
+            return f"cache: 0 chunk hit(s), {misses} miss(es), {misses} journaled\n"
+
+        monkeypatch.setattr(cache_parity, "run_json", run_json)
+        monkeypatch.setattr(cache_parity, "verify", lambda tree, cache, when: [])
+        monkeypatch.setattr(
+            cache_parity,
+            "repro",
+            lambda tree, arguments, cwd: SimpleNamespace(stdout="cache: 8 miss(es), 8 journaled"),
+        )
+        assert cache_parity.main(_trees(tmp_path)) == 1
+        failures = [
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("cache-parity")
+        ]
+        assert failures == [
+            "cache-parity: T1R4: the head replay missed or journaled: (2, 2)",
+            "cache-parity: FIG-THRESH-XL: the head replay's JSON differs from the base's",
+        ]

@@ -284,6 +284,42 @@ class TestResultSemantics:
         # Majority consensus references opinion 0 (the initial plurality).
         assert np.array_equal(result.majority_consensus, winners == 0)
 
+    @pytest.mark.parametrize(
+        "scenario, counts",
+        [
+            pytest.param("lv2", (30, 20), id="lv2"),
+            pytest.param(
+                "opinion3",
+                (30, 20, 15),
+                id="opinion3",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="generic members fill bad_noncompetitive_events (lock-step "
+                    "phase) and good_events (tail) at 'win'; fixing it changes stored "
+                    "bytes under unchanged chunk keys, so it waits for the one-engine "
+                    "RESULT_SCHEMA_VERSION bump",
+                ),
+            ),
+        ],
+    )
+    def test_win_level_keeps_the_event_accounting_at_zero(self, scenario, counts):
+        """``run_sweep_ensemble``'s ``"win"`` contract for every family."""
+        params = LVParams(0.5, 0.4, 0.9, 0.7, 0.2, 0.3)
+        member = SweepMember(params, counts, 40, scenario=scenario)
+        (result,) = run_sweep_ensemble([member], rng=3, collect="win")
+        assert result.total_events.all()
+        for name in (
+            "births",
+            "deaths",
+            "interspecific_events",
+            "intraspecific_events",
+            "bad_noncompetitive_events",
+            "good_events",
+            "noise_individual",
+            "noise_competitive",
+        ):
+            assert not getattr(result, name).any(), name
+
     def test_concatenate_generic_results(self):
         member = SweepMember(PARAMS, (30, 20, 15), 10, scenario="opinion3")
         (left,) = run_scenario_members([member], [1])

@@ -1,26 +1,34 @@
 """Tests for the store's on-disk record form: the array codec and the line contract.
 
-A journal line is ``<SHA-256 hex of BODY> <BODY>``, and every array inside a
-chunk payload is stored as base64 of its zlib-compressed little-endian bytes
-(:mod:`repro.store.serialize`).  ``tests/data/journal-3.1.0.jsonl`` is a
-journal written by repro 3.1.0, whose lines are bare JSON with a
-``checksum`` field and whose arrays are JSON lists; it was produced by
-running :data:`FIXTURE_RUNS` through ``SweepScheduler(store=...)``.
-``tests/data/journal-3.2.0-estimate.jsonl`` was written by the ``repro
-estimate`` command of repro 3.2.0, whose fixed budgets ran on a separate
-per-configuration batch executor (:data:`ESTIMATE_FIXTURE_TASKS`).  Both
-were written under result schema 2, which every chunk key folds in, so
-today's code never serves their chunks: it recomputes them and appends the
-new records after the old bytes.  The files must keep verifying, healing,
-converting on merge and feeding the shard planner's history.  Never
-regenerate either file with newer code.
+A journal line is ``<SHA-256 hex of BODY> <BODY>``, and a chunk payload
+stores its arrays as one layout list plus one zlib stream over all their
+little-endian bytes (:mod:`repro.store.serialize`).  Three journals written
+by older code are pinned here, and none may ever be regenerated with newer
+code:
+
+* ``tests/data/journal-3.1.0.jsonl``, written by repro 3.1.0: bare-JSON lines
+  with a ``checksum`` field, arrays as JSON lists; produced by running
+  :data:`FIXTURE_RUNS` through ``SweepScheduler(store=...)``.
+* ``tests/data/journal-3.2.0-estimate.jsonl``, written by the ``repro
+  estimate`` command of repro 3.2.0, whose fixed budgets ran on a separate
+  per-configuration batch executor (:data:`ESTIMATE_FIXTURE_TASKS`).
+* ``tests/data/journal-6.1.0.jsonl``, written by repro 6.1.0 from
+  :data:`FIXTURE_RUNS`: prefixed lines with one zlib stream per array.
+
+The first two were written under result schema 2, which every chunk key
+folds in, so today's code never serves their chunks: it recomputes them and
+appends the new records after the old bytes.  They must keep verifying,
+healing, converting on merge and feeding the shard planner's history.  The
+6.1.0 journal is schema 3, so its chunks replay.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import shutil
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +56,13 @@ from repro.store import (
 )
 from repro.store import journal as journal_module
 from repro.store.journal import record_checksum
-from repro.store.serialize import decode_array, encode_array
+from repro.store.serialize import (
+    ZLIB_LEVEL,
+    decode_arrays,
+    encode_arrays,
+    payloads_equal,
+    reencode_payload,
+)
 
 from helpers_journal import parse_line, split_line
 from test_store import ARRAY_FIELDS
@@ -75,6 +89,11 @@ FIXTURE_RUNS = (
 FIXTURE_TASKS = [task for _, tasks in FIXTURE_RUNS for task in tasks]
 
 ESTIMATE_FIXTURE = Path(__file__).parent / "data" / "journal-3.2.0-estimate.jsonl"
+
+PER_ARRAY_FIXTURE = Path(__file__).parent / "data" / "journal-6.1.0.jsonl"
+
+#: The order in which a payload's layout lists a chunk's arrays.
+LAYOUT_ORDER = (*ARRAY_FIELDS, "leap_events", "finals")
 
 #: The two commands that wrote the estimate fixture, as sweep tasks:
 #: ``repro estimate --mechanism sd --population 64 --gap 8 --runs 600
@@ -114,6 +133,15 @@ def legacy_cache(tmp_path):
     cache = tmp_path / "legacy"
     cache.mkdir()
     shutil.copyfile(FIXTURE, cache / "journal.jsonl")
+    return cache
+
+
+@pytest.fixture
+def per_array_cache(tmp_path):
+    """A cache directory holding a copy of the 6.1.0 journal."""
+    cache = tmp_path / "per-array"
+    cache.mkdir()
+    shutil.copyfile(PER_ARRAY_FIXTURE, cache / "journal.jsonl")
     return cache
 
 
@@ -159,15 +187,41 @@ def journal_lines(cache):
     return (Path(cache) / "journal.jsonl").read_bytes().splitlines(keepends=True)
 
 
+def assert_layout_form(arrays):
+    """One layout in field order and one stream: the form writers write."""
+    assert set(arrays) == {"layout", "zlib"}
+    names = [name for name, _, _ in arrays["layout"]]
+    assert names == [name for name in LAYOUT_ORDER if name in names]
+    assert set(ARRAY_FIELDS) <= set(names)
+
+
 def assert_current_form(cache):
-    """Every line is ``<sha256 of body> <body>`` with compressed arrays."""
+    """Every line is ``<sha256 of body> <body>`` with its arrays in one stream."""
     lines = journal_lines(cache)
     assert lines
     for line in lines:
         prefix, body = split_line(line)
         assert prefix == hashlib.sha256(body).hexdigest().encode("ascii")
-        for entry in json.loads(body)["payload"]["arrays"].values():
-            assert set(entry) == {"dtype", "shape", "zlib"}
+        assert_layout_form(json.loads(body)["payload"]["arrays"])
+
+
+def per_array_form(arrays):
+    """*arrays* in repro 6.1's form: one ``{"dtype", "shape", "zlib"}`` stream each."""
+    return {
+        name: {
+            "dtype": str(array.dtype),
+            "shape": list(array.shape),
+            "zlib": base64.b64encode(
+                zlib.compress(array.astype(array.dtype.newbyteorder("<")).tobytes(), ZLIB_LEVEL)
+            ).decode("ascii"),
+        }
+        for name, array in arrays.items()
+    }
+
+
+def journal_payloads(cache):
+    """``{key: payload}`` of a cache's journal, in either line form."""
+    return {record["key"]: record["payload"] for record in map(parse_line, journal_lines(cache))}
 
 
 # ----------------------------------------------------------------------
@@ -185,27 +239,75 @@ def stored_arrays(draw):
     return draw(arrays(draw(STORED_DTYPES), shape))
 
 
+@st.composite
+def named_arrays(draw):
+    """One to four arrays under distinct names, as in a chunk payload."""
+    count = draw(st.integers(min_value=1, max_value=4))
+    return {f"field{index}": draw(stored_arrays()) for index in range(count)}
+
+
+def assert_same_arrays(expected, actual):
+    assert list(actual) == list(expected)
+    for name, array in expected.items():
+        decoded = actual[name]
+        assert decoded.dtype == array.dtype, name
+        assert decoded.shape == array.shape, name
+        assert decoded.tobytes() == array.tobytes(), name
+        assert decoded.flags.writeable and decoded.dtype.isnative, name
+
+
+def _with_layout(layout):
+    return lambda arrays: {**arrays, "layout": layout}
+
+
+#: Damage to ``encode_arrays({"x": np.arange(8)})``: each must raise StoreError.
+LAYOUT_DAMAGE = [
+    pytest.param(lambda arrays: {**arrays, "zlib": "not base64!"}, id="bad-base64"),
+    pytest.param(lambda arrays: {**arrays, "zlib": "!" + arrays["zlib"]}, id="junk-in-base64"),
+    pytest.param(lambda arrays: {**arrays, "zlib": "bm90IHpsaWI="}, id="bad-zlib"),
+    pytest.param(lambda arrays: {"layout": arrays["layout"]}, id="no-stream"),
+    pytest.param(_with_layout([["x", "int64", [9]]]), id="too-few-bytes"),
+    pytest.param(_with_layout([["x", "int64", [7]]]), id="trailing-bytes"),
+    pytest.param(_with_layout([["x", "int64", [-8]]]), id="negative-shape"),
+    pytest.param(_with_layout([["x", "int64", 8]]), id="shape-not-a-list"),
+    pytest.param(_with_layout([["x", "int64", [4]], ["x", "int64", [4]]]), id="name-twice"),
+    pytest.param(_with_layout([["x", "int64"]]), id="short-layout-entry"),
+    pytest.param(_with_layout(8), id="layout-not-a-list"),
+    pytest.param(lambda arrays: [arrays], id="not-a-mapping"),
+]
+
+#: Damage to one entry of the older per-array form, which still decodes.
+ENTRY_DAMAGE = [
+    pytest.param({"zlib": "not base64!"}, id="bad-base64"),
+    pytest.param({"zlib": "bm90IHpsaWI="}, id="bad-zlib"),
+    pytest.param({"shape": [9]}, id="too-few-bytes"),
+    pytest.param({"shape": [7]}, id="too-many-bytes"),
+    pytest.param({"shape": [-8]}, id="negative-shape"),
+    pytest.param({"shape": 8}, id="shape-not-a-list"),
+]
+
+
 class TestArrayCodec:
     @settings(max_examples=150, deadline=None)
-    @given(stored_arrays())
-    @example(np.zeros(0, dtype=np.int64))
-    @example(np.zeros((0, 2), dtype=np.int64))
-    @example(np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]))
-    def test_round_trip_is_bitwise(self, array):
-        decoded = decode_array(json.loads(json.dumps(encode_array(array))))
-        assert decoded.dtype == array.dtype
-        assert decoded.shape == array.shape
-        assert decoded.tobytes() == array.tobytes()
-        assert decoded.flags.writeable
-        assert decoded.dtype.isnative
+    @given(named_arrays())
+    @example({"empty": np.zeros(0, dtype=np.int64)})
+    @example({"empty": np.zeros((0, 2), dtype=np.int64), "flags": np.ones(3, dtype=np.bool_)})
+    @example({"extremes": np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max])})
+    def test_round_trip_is_bitwise(self, arrays):
+        assert_same_arrays(arrays, decode_arrays(json.loads(json.dumps(encode_arrays(arrays)))))
 
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.dtype(">i8"), array_shapes(min_dims=1, max_dims=2, min_side=0)))
     def test_non_native_input_decodes_native(self, array):
-        decoded = decode_array(encode_array(array))
+        decoded = decode_arrays(encode_arrays({"x": array}))["x"]
         assert decoded.dtype == np.dtype(np.int64)
         assert decoded.dtype.isnative
         assert np.array_equal(decoded, array)
+
+    @settings(max_examples=50, deadline=None)
+    @given(named_arrays())
+    def test_the_per_array_form_still_decodes(self, arrays):
+        assert_same_arrays(arrays, decode_arrays(json.loads(json.dumps(per_array_form(arrays)))))
 
     def test_every_result_field_round_trips(self, fresh_results):
         """lv2 at both levels, generic ``finals`` and tau ``leap_events``."""
@@ -217,33 +319,32 @@ class TestArrayCodec:
         ]
         assert_same_chunks(fresh_results, restored)
         for result in restored:
-            for name in (*ARRAY_FIELDS, "leap_events", "finals"):
+            for name in LAYOUT_ORDER:
                 array = getattr(result, name)
                 if array is not None:
                     assert array.flags.writeable and array.dtype.isnative, name
 
-    def test_payload_arrays_are_only_in_the_compressed_form(self, fresh_results):
+    def test_payload_arrays_are_one_layout_and_one_stream(self, fresh_results):
         for result in fresh_results:
-            for entry in ensemble_to_payload(result)["arrays"].values():
-                assert set(entry) == {"dtype", "shape", "zlib"}
+            assert_layout_form(ensemble_to_payload(result)["arrays"])
 
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            pytest.param({"zlib": "not base64!"}, id="bad-base64"),
-            pytest.param({"zlib": "bm90IHpsaWI="}, id="bad-zlib"),
-            pytest.param({"shape": [9]}, id="too-few-bytes"),
-            pytest.param({"shape": [7]}, id="too-many-bytes"),
-            pytest.param({"shape": [-8]}, id="negative-shape"),
-            pytest.param({"shape": 8}, id="shape-not-a-list"),
-        ],
-    )
-    def test_malformed_entries_raise_store_error(self, fresh_results, damage):
-        entry = {**encode_array(np.arange(8, dtype=np.int64)), **damage}
+    @pytest.mark.parametrize("damage", LAYOUT_DAMAGE)
+    def test_malformed_arrays_raise_store_error(self, fresh_results, damage):
         with pytest.raises(StoreError):
-            decode_array(entry)
+            decode_arrays(damage(encode_arrays({"x": np.arange(8, dtype=np.int64)})))
         payload = ensemble_to_payload(fresh_results[0])
-        payload["arrays"]["total_events"] = {**payload["arrays"]["total_events"], **damage}
+        payload["arrays"] = damage(payload["arrays"])
+        with pytest.raises(StoreError):
+            ensemble_from_payload(payload)
+
+    @pytest.mark.parametrize("damage", ENTRY_DAMAGE)
+    def test_malformed_per_array_entries_raise_store_error(self, fresh_results, damage):
+        entry = {**per_array_form({"x": np.arange(8, dtype=np.int64)})["x"], **damage}
+        with pytest.raises(StoreError):
+            decode_arrays({"x": entry})
+        payload = ensemble_to_payload(fresh_results[0])
+        arrays = per_array_form(decode_arrays(payload["arrays"]))
+        payload["arrays"] = {**arrays, "total_events": {**arrays["total_events"], **damage}}
         with pytest.raises(StoreError):
             ensemble_from_payload(payload)
 
@@ -456,10 +557,90 @@ class TestEstimateJournal:
 
 
 # ----------------------------------------------------------------------
-# Merging the two forms
+# A journal written by repro 6.1.0 (one zlib stream per array)
+# ----------------------------------------------------------------------
+class TestPerArrayJournal:
+    def test_fixture_is_the_per_array_form(self):
+        lines = PER_ARRAY_FIXTURE.read_bytes().splitlines(keepends=True)
+        assert len(lines) == len(FIXTURE_TASKS)
+        for line in lines:
+            prefix, body = split_line(line)
+            assert prefix == hashlib.sha256(body).hexdigest().encode("ascii")
+            arrays = json.loads(body)["payload"]["arrays"]
+            assert set(ARRAY_FIELDS) <= set(arrays)
+            assert all(set(entry) == {"dtype", "shape", "zlib"} for entry in arrays.values())
+        payloads = [parse_line(line)["payload"] for line in lines]
+        assert sum("finals" in payload["arrays"] for payload in payloads) == 1
+        assert sum("leap_events" in payload["arrays"] for payload in payloads) == 1
+
+    def test_replays_with_zero_misses(self, per_array_cache, fresh_results):
+        with ExperimentStore(per_array_cache) as store:
+            replayed = run_fixture_tasks(store)
+            assert (store.stats.chunk_hits, store.stats.chunk_misses) == (4, 0)
+            assert store.stats.chunk_writes == 0
+        assert_same_chunks(fresh_results, replayed)
+        assert (per_array_cache / "journal.jsonl").read_bytes() == PER_ARRAY_FIXTURE.read_bytes()
+        assert verify_journal(per_array_cache / "journal.jsonl").intact_records == 4
+
+    def test_holds_the_chunks_a_fresh_cache_journals(self, per_array_cache, current_cache):
+        assert journal_keys(per_array_cache) == journal_keys(current_cache)
+        old, new = journal_payloads(per_array_cache), journal_payloads(current_cache)
+        assert all(payloads_equal(old[key], new[key]) for key in old)
+
+    @pytest.mark.parametrize("direction", ["per-array-into-layout", "layout-into-per-array"])
+    def test_merging_either_way_skips_every_chunk(
+        self, per_array_cache, current_cache, direction
+    ):
+        destination, source = (
+            (current_cache, per_array_cache)
+            if direction == "per-array-into-layout"
+            else (per_array_cache, current_cache)
+        )
+        before = (destination / "journal.jsonl").read_bytes()
+        report = merge_cache(destination, [source])
+        assert (report.chunks_added, report.chunks_skipped) == (0, 4)
+        assert (destination / "journal.jsonl").read_bytes() == before
+
+    def test_merge_into_a_fresh_cache_converts_it(self, per_array_cache, current_cache, tmp_path):
+        merged = tmp_path / "merged"
+        assert merge_cache(merged, [per_array_cache]).chunks_added == 4
+        assert_current_form(merged)
+        assert journal_keys(merged) == journal_keys(current_cache)
+        converted, fresh = journal_payloads(merged), journal_payloads(current_cache)
+        for key, payload in converted.items():
+            assert payload["arrays"]["layout"] == fresh[key]["arrays"]["layout"]
+            assert payloads_equal(payload, fresh[key])
+
+    def test_payloads_equal_across_the_three_forms(self):
+        """A 3.1 list-form payload, its per-array form and its layout form."""
+        for record in map(parse_line, FIXTURE.read_bytes().splitlines()):
+            listed = record["payload"]
+            decoded = decode_arrays(listed["arrays"])
+            per_array = {**listed, "arrays": per_array_form(decoded)}
+            layout = reencode_payload(listed)
+            assert_layout_form(layout["arrays"])
+            forms = (listed, per_array, layout)
+            assert all(payloads_equal(a, b) for a in forms for b in forms)
+            changed = {name: array.copy() for name, array in decoded.items()}
+            changed["total_events"][0] += 1
+            assert not payloads_equal(layout, {**listed, "arrays": encode_arrays(changed)})
+            assert not payloads_equal(per_array, {**listed, "arrays": per_array_form(changed)})
+            extra = {**listed, "arrays": encode_arrays({**decoded, "extra": np.zeros(1)})}
+            assert not payloads_equal(layout, extra)
+            assert not payloads_equal(extra, per_array)
+
+    def test_planner_history_is_the_same_from_either_form(self, per_array_cache, current_cache):
+        old = EventRateHistory.from_journal(per_array_cache)
+        new = EventRateHistory.from_journal(current_cache)
+        assert len(old) == 4
+        assert new.to_payload() == old.to_payload()
+
+
+# ----------------------------------------------------------------------
+# Merging the 3.1 form
 # ----------------------------------------------------------------------
 class TestMergeAcrossForms:
-    """The legacy records against their current-form twin: same keys, same payloads."""
+    """The 3.1 records against their current-form twin: same keys, same payloads."""
 
     @pytest.mark.parametrize("direction", ["legacy-into-current", "current-into-legacy"])
     def test_same_chunks_in_both_forms_are_skips(self, legacy_cache, legacy_twin, direction):
