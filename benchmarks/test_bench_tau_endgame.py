@@ -28,7 +28,9 @@ from repro.lv.simulator import LVJumpChainSimulator
 from repro.lv.tau import DEFAULT_EXACT_TAIL_POPULATION, run_tau_sweep_ensemble
 from repro.rng import spawn_generators, spawn_seeds, stable_seed
 
-#: Minimum batch-over-scalar speedup (typically ~8x on 2 shared cores).
+#: Minimum batch-over-scalar speedup.  Five isolated runs on 2 shared cores
+#: measured 3.0x to 3.7x (0.036-0.052 s batched against 0.125-0.159 s scalar),
+#: so a busy host can fail this floor.
 MIN_SPEEDUP = 3.0
 
 NUM_RUNS = 200

@@ -1,3 +1,3 @@
 """Version information for the :mod:`repro` package."""
 
-__version__ = "6.2.0"
+__version__ = "7.0.0"

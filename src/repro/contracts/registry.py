@@ -95,27 +95,32 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
     "repro.scenario.engine": (
         StreamConsumer(
             "run_scenario_members",
-            "both",
+            "step",
             "spawns each member's (step, tail) pair from the caller-derived "
-            "root seed and dispatches the per-member advance in member order",
+            "root seed and hands the step stream to the per-member advance, "
+            "in member order; the tail stream is never read",
         ),
         StreamConsumer(
             "_advance_member",
             "step",
-            "generic lock-step phase: blocked step-stream uniforms, one per "
-            "alive replica in ascending replica order",
-        ),
-        StreamConsumer(
-            "_finish_member_tail",
-            "tail",
-            "generic scalar tail: surviving replicas in ascending replica "
-            "order, all drawing from one shared blocked tail stream",
+            "generic exact backend: blocked step-stream uniforms, one per "
+            "alive replica in ascending replica order, every step until "
+            "every replica has terminated",
         ),
         StreamConsumer(
             "_run_member_tau",
             "both",
-            "generic tau path: Poisson firings from the step stream, "
-            "scalar endgame from the tail stream",
+            "generic tau path: spawns the member's (step, tail) pair; each "
+            "pass hands the step stream to the leap, then takes one exact "
+            "step of every parked replica, one blocked tail-stream uniform "
+            "each, in ascending replica order",
+        ),
+        StreamConsumer(
+            "_leap",
+            "step",
+            "one generic leap: Poisson firings of the leaping replicas from "
+            "the step stream, then one redraw per halving round over the "
+            "rejected replicas, in ascending replica order",
         ),
     ),
 }

@@ -232,8 +232,8 @@ class Scenario:
         """Naive per-reaction reference evaluation at one state (``(M,)``).
 
         Scalar Python arithmetic in the engines' canonical operand order —
-        the reference the vectorized tables and the generic scalar tail are
-        tested against (and bit-equal to, all being IEEE-754 doubles).
+        the reference the vectorized tables are tested against (and bit-equal
+        to, both being IEEE-754 doubles).
         """
         state = np.asarray(state, dtype=np.int64)
         if state.shape != (self.num_species,):
@@ -263,8 +263,8 @@ class Scenario:
         """Vectorized propensity table: ``(W, S)`` states → ``(M, W)`` rows.
 
         Written with explicit per-species elementwise operations in exactly
-        the operand order of :meth:`propensities` and of the generic scalar
-        tail, so all three paths produce bitwise-identical doubles.
+        the operand order of :meth:`propensities`, so both paths produce
+        bitwise-identical doubles.
         """
         states_f = np.asarray(states, dtype=np.float64)
         width = states_f.shape[0]

@@ -57,7 +57,12 @@ __all__ = [
 #: Version 3: T1R4's Andaur legs run as the ``resource`` scenario family
 #: (new draws, so new rows), and generic-engine chunks at ``"full"`` carry
 #: the population maximum their numpy loops used to drop.
-RESULT_SCHEMA_VERSION = 3
+#: Version 4: the generic engine finishes every replica in its vectorised
+#: loop (the scalar tail and its tail-stream draws are gone), sums each tau
+#: leap left to right over the reactions, and keeps ``good_events`` and
+#: ``bad_noncompetitive_events`` at zero at ``"win"``; lv2 chunks keep
+#: their bits under the new keys.
+RESULT_SCHEMA_VERSION = 4
 
 
 def canonical_json(payload: Any) -> str:

@@ -16,8 +16,8 @@ code that shares none of their vectorised bookkeeping:
   Each such run draws a fresh :data:`SCALAR_BLOCK`-uniform block when it
   starts and discards the leftovers when it ends.
 * **generic lock-step** (``repro.scenario.engine``): the same step phase
-  over a scenario's reaction list.  The survivors then finish on one
-  blocked tail stream of :data:`GENERIC_BLOCK` uniforms that they share.
+  over a scenario's reaction list, stepping every replica until it ends.
+  It never reads the tail stream.
 
 Nothing here comes from the engine modules.  ``repro.rng`` supplies the
 seed derivation and ``reference_ssa`` the reaction lists and propensities.
@@ -43,8 +43,6 @@ from reference_ssa import (
 HANDOFF_WIDTH = 8
 #: Uniforms per block of a scalar-simulator run (one fresh block per run).
 SCALAR_BLOCK = 4096
-#: Uniforms per block of the generic engine's shared tail stream.
-GENERIC_BLOCK = 8192
 #: Termination codes of the result arrays.
 CONSENSUS, ABSORBED, MAX_EVENTS = 0, 1, 2
 TERMINATION_NAMES = ("consensus", "absorbed", "max-events")
@@ -359,13 +357,17 @@ def replay_generic_member(
     max_events: int,
     seed: int,
     collect: str = "full",
+    stream: str = "step",
 ) -> dict[str, np.ndarray]:
     """One generic-scenario member from its root *seed*, as result arrays.
 
+    Every step reads the member's *stream*: ``"step"`` as the exact backend
+    does, or ``"tail"`` as the tau backend's parked replicas do.
+
     Good events: an encounter between two opinions, or a reaction removing a
-    copy of an opinion other than the first.  The lock-step phase counts them
-    and the population maximum only with ``collect="full"``; the tail
-    always counts good events.
+    copy of an opinion other than the first.  Good and bad events and the
+    population maximum are counted only with ``collect="full"``; at
+    ``"win"`` both event counts stay zero.
     """
     full = collect == "full"
     good_flags = [
@@ -373,9 +375,8 @@ def replay_generic_member(
         or any(r.change.get(s, 0) < 0 for s in opinions[1:])
         for r in reactions
     ]
-    step_generator, tail_generator = spawn_generators(seed, 2)
-    step_draws = Blocks(step_generator, 1024)
-    tail_draws = Blocks(tail_generator, GENERIC_BLOCK)
+    generators = dict(zip(("step", "tail"), spawn_generators(seed, 2)))
+    draws = Blocks(generators[stream], 1024)
     states = [dict(zip(species, counts)) for _ in range(num_replicates)]
     events = [0] * num_replicates
     codes: list = [None] * num_replicates
@@ -391,7 +392,7 @@ def replay_generic_member(
             return ABSORBED
         return MAX_EVENTS if events[i] >= max_events else None
 
-    def advance(i, draws, count_good) -> bool:
+    def advance(i) -> bool:
         """Fire one event of replica *i*; whether it has now terminated."""
         state = states[i]
         sums = cumulative([propensity(r, state) for r in reactions])
@@ -403,7 +404,7 @@ def replay_generic_member(
         for name, change in reactions[event].change.items():
             state[name] += change
         events[i] += 1
-        good[i] += count_good and good_flags[event]
+        good[i] += full and good_flags[event]
         if full:
             max_total[i] = max(max_total[i], sum(state.values()))
         codes[i] = outcome(i)
@@ -414,11 +415,8 @@ def replay_generic_member(
         codes[i] = outcome(i)
         if codes[i] is None:
             running.append(i)
-    while len(running) > HANDOFF_WIDTH:
-        running = [i for i in running if not advance(i, step_draws, full)]
-    for i in running:
-        while not advance(i, tail_draws, True):
-            pass
+    while running:
+        running = [i for i in running if not advance(i)]
     finals = np.array([[state[s] for s in species] for state in states], dtype=np.int64)
     total_events = np.array(events, dtype=np.int64)
     good_events = np.array(good, dtype=np.int64)
@@ -429,6 +427,8 @@ def replay_generic_member(
         "total_events": total_events,
         "termination_codes": np.array(codes, dtype=np.int8),
         "good_events": good_events,
-        "bad_noncompetitive_events": total_events - good_events,
+        "bad_noncompetitive_events": (
+            total_events - good_events if full else np.zeros_like(total_events)
+        ),
         "max_total_population": np.array(max_total, dtype=np.int64),
     }

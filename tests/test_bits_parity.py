@@ -183,12 +183,14 @@ def _trees(root):
     return ["--base", str(root / "base"), "--head", str(root / "head")]
 
 
+def _schema_lines(bumped):
+    """A ``schema_line`` stand-in: the trees differ in it only when *bumped*."""
+    return lambda tree: SCHEMAS[tree.name] if bumped else SCHEMAS["base"]
+
+
 @pytest.mark.parametrize("bumped", [True, False], ids=["bump", "no-bump"])
 class TestBlastRadius:
     """Changed output is listed whether or not the schema was bumped."""
-
-    def _schemas(self, bumped):
-        return lambda tree: SCHEMAS[tree.name] if bumped else SCHEMAS["base"]
 
     def test_bits_parity_names_the_changed_experiments(
         self, bits_parity, monkeypatch, capsys, tmp_path, bumped
@@ -198,7 +200,7 @@ class TestBlastRadius:
             "head": _document(_entry("SAME", [1]), _entry("T1R4", [0.75])),
         }
         monkeypatch.setattr(bits_parity, "run_all", lambda tree, output: documents[tree.name])
-        monkeypatch.setattr(bits_parity, "schema_line", self._schemas(bumped))
+        monkeypatch.setattr(bits_parity, "schema_line", _schema_lines(bumped))
         status = bits_parity.main(_trees(tmp_path))
         output = capsys.readouterr().out
         assert status == (0 if bumped else 1)
@@ -213,7 +215,7 @@ class TestBlastRadius:
             "head": {"same": "1", "generic/full": "9", "generic/win": "3"},
         }
         monkeypatch.setattr(engine_parity, "call_digests", lambda tree: digests[tree.name])
-        monkeypatch.setattr(engine_parity, "schema_line", self._schemas(bumped))
+        monkeypatch.setattr(engine_parity, "schema_line", _schema_lines(bumped))
         status = engine_parity.main(_trees(tmp_path))
         output = capsys.readouterr().out
         assert status == (0 if bumped else 1)
@@ -235,24 +237,68 @@ class TestCacheParity:
         assert cache_parity.cache_counts(output) == (3, 2)
         assert cache_parity.cache_counts("no store attached\n") is None
 
-    def test_every_failed_step_is_named(self, cache_parity, monkeypatch, capsys, tmp_path):
+    @staticmethod
+    def _fake_runs(cache_parity, monkeypatch, *, bumped, mixed, verified=True):
+        """A head whose T1R4 replay misses and whose FIG-THRESH-XL JSON differs."""
+
         def run_json(tree, experiment, cache, output):
             output.write_bytes(b"same" if experiment == "T1R4" else tree.name.encode())
             misses = 2 if tree.name == "head" and experiment == "T1R4" else 0
             return f"cache: 0 chunk hit(s), {misses} miss(es), {misses} journaled\n"
 
         monkeypatch.setattr(cache_parity, "run_json", run_json)
-        monkeypatch.setattr(cache_parity, "verify", lambda tree, cache, when: [])
         monkeypatch.setattr(
-            cache_parity,
-            "repro",
-            lambda tree, arguments, cwd: SimpleNamespace(stdout="cache: 8 miss(es), 8 journaled"),
+            cache_parity, "verify", lambda tree, cache, when: [] if verified else [f"bad {when}"]
         )
-        assert cache_parity.main(_trees(tmp_path)) == 1
-        failures = [
+        monkeypatch.setattr(
+            cache_parity, "repro", lambda tree, arguments, cwd: SimpleNamespace(stdout=mixed)
+        )
+        monkeypatch.setattr(cache_parity, "schema_line", _schema_lines(bumped))
+
+    @staticmethod
+    def _lines(capsys):
+        return [
             line for line in capsys.readouterr().out.splitlines() if line.startswith("cache-parity")
         ]
-        assert failures == [
+
+    def test_every_failed_step_is_named(self, cache_parity, monkeypatch, capsys, tmp_path):
+        mixed = "cache: 8 miss(es), 8 journaled"
+        self._fake_runs(cache_parity, monkeypatch, bumped=False, mixed=mixed)
+        assert cache_parity.main(_trees(tmp_path)) == 1
+        assert self._lines(capsys) == [
             "cache-parity: T1R4: the head replay missed or journaled: (2, 2)",
             "cache-parity: FIG-THRESH-XL: the head replay's JSON differs from the base's",
         ]
+
+    def test_a_schema_bump_reports_misses_and_json_differences(
+        self, cache_parity, monkeypatch, capsys, tmp_path
+    ):
+        mixed = "cache: 8 miss(es), 8 journaled"
+        self._fake_runs(cache_parity, monkeypatch, bumped=True, mixed=mixed)
+        assert cache_parity.main(_trees(tmp_path)) == 0
+        lines = self._lines(capsys)
+        assert lines[2:] == [
+            "cache-parity: reported under the bump: T1R4: the head replay missed or "
+            "journaled: (2, 2)",
+            "cache-parity: reported under the bump: FIG-THRESH-XL: the head replay's JSON "
+            "differs from the base's",
+            "cache-parity: the head journals and verifies a cache of both schemas",
+        ]
+        assert "RESULT_SCHEMA_VERSION = 2 -> RESULT_SCHEMA_VERSION = 3" in lines[0]
+
+    @pytest.mark.parametrize("verified", [True, False], ids=["journals-nothing", "unverified"])
+    def test_a_schema_bump_still_fails_an_unwritten_or_unverified_journal(
+        self, cache_parity, monkeypatch, capsys, tmp_path, verified
+    ):
+        mixed = "cache: 0 miss(es), 0 journaled" if verified else "cache: 8 miss(es), 8 journaled"
+        self._fake_runs(cache_parity, monkeypatch, bumped=True, mixed=mixed, verified=verified)
+        assert cache_parity.main(_trees(tmp_path)) == 1
+        # After the bump's two header lines and its two reported replay changes.
+        failures = self._lines(capsys)[4:]
+        if verified:
+            assert failures == ["cache-parity: T1R4 seed 1: the head journaled nothing ((0, 0))"]
+        else:
+            assert failures == [
+                "cache-parity: bad after the replay",
+                "cache-parity: bad on the mixed journal",
+            ]

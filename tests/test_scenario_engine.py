@@ -20,18 +20,28 @@ The contracts under test mirror the two-species lock-step engine's:
 from __future__ import annotations
 
 import math
+import operator
 import random
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import InvalidConfigurationError
 from repro.lv.ensemble import LVEnsembleResult, SweepMember, run_sweep_ensemble
 from repro.lv.params import CompetitionMechanism, LVParams
 from repro.lv.state import LVState
 from repro.lv.tau import run_tau_sweep_ensemble
-from repro.scenario.engine import run_scenario_members, run_scenario_members_tau
+from repro.scenario.engine import (
+    SCENARIO_TAU_TAIL_POPULATION,
+    _leap_moments,
+    _moment_table,
+    run_scenario_members,
+    run_scenario_members_tau,
+)
 from repro.scenario.registry import CATALYSIS_K_LIG
 from repro.scenario.spec import TERM_ABSORBED, TERM_CONSENSUS, TERM_MAX_EVENTS
 from repro.store.keys import chunk_key
@@ -88,12 +98,12 @@ def _family_member(name, params, counts, replicates):
     return SweepMember(params, counts, replicates, max_events=50_000, scenario=name)
 
 
-def _replay(name, params, counts, replicates, seed, collect):
+def _replay(name, params, counts, replicates, seed, collect, stream="step"):
     reactions, species, opinions = reference_lockstep.family_reactions(
         name, params, CATALYSIS_K_LIG
     )
     return reference_lockstep.replay_generic_member(
-        reactions, species, opinions, counts, replicates, 50_000, seed, collect
+        reactions, species, opinions, counts, replicates, 50_000, seed, collect, stream
     )
 
 
@@ -265,12 +275,63 @@ class TestTauBackend:
 
     def test_small_populations_resolved_by_exact_tail(self):
         # Opinion populations below the tau tail threshold: every replica is
-        # handed to the shared exact tail and must still terminate cleanly.
+        # parked at once, takes exact steps only and must still terminate cleanly.
         member = SweepMember(PARAMS, (40, 30, 20), 12, scenario="opinion3")
         (result,) = run_scenario_members_tau([member], [13], epsilon=0.03)
         codes = result.termination_codes
         assert set(np.unique(codes)) <= {TERM_CONSENSUS, TERM_ABSORBED, TERM_MAX_EVENTS}
         assert result.reached_consensus.any()
+
+    @pytest.mark.parametrize("collect", ["full", "win"])
+    @pytest.mark.parametrize("name", sorted(FAMILY_STARTS))
+    def test_parked_replicas_step_on_the_tail_stream(self, name, collect):
+        # Every replica starts below the tail population, so it is parked on
+        # the first pass and never leaps: one exact step per pass, one tail
+        # uniform per live replica in ascending order, as the replay reads it.
+        params, counts = _asymmetric(CompetitionMechanism.SELF_DESTRUCTIVE), FAMILY_STARTS[name]
+        assert sum(counts) < SCENARIO_TAU_TAIL_POPULATION
+        member = _family_member(name, params, counts, 30)
+        (result,) = run_scenario_members_tau([member], [123], epsilon=0.03, collect=collect)
+        assert not result.leap_events.any()
+        replay = _replay(name, params, counts, 30, 123, collect, stream="tail")
+        for field, expected in replay.items():
+            actual = getattr(result, field)
+            assert actual.dtype == expected.dtype, field
+            assert np.array_equal(actual, expected), field
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        reactions=st.integers(1, 24),
+        species=st.integers(1, 4),
+        width=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_leap_sums_are_one_left_fold_per_column(self, reactions, species, width, seed):
+        """A replica's total, means and variances do not depend on the other replicas."""
+        generator = np.random.default_rng(seed)
+        changes = generator.integers(-2, 3, (reactions, species))
+        # Mixed magnitudes, so that another summation order rounds differently.
+        propensities = generator.random((reactions, width)) * 10.0 ** generator.uniform(
+            0, 6, (reactions, width)
+        )
+        moments = _moment_table(changes)
+        sums = _leap_moments(moments, propensities)
+        assert sums.shape == (1 + 2 * species, width)
+        deltas = changes.tolist()
+        for column in range(width):
+            alone = _leap_moments(moments, propensities[:, column : column + 1])
+            assert sums[:, column].tobytes() == alone[:, 0].tobytes()
+            rates = [float(value) for value in propensities[:, column]]
+            expected = [reduce(operator.add, rates)]
+            expected += [
+                reduce(operator.add, (float(d[s]) * a for d, a in zip(deltas, rates)))
+                for s in range(species)
+            ]
+            expected += [
+                reduce(operator.add, (float(d[s] ** 2) * a for d, a in zip(deltas, rates)))
+                for s in range(species)
+            ]
+            assert sums[:, column].tolist() == expected
 
 
 class TestResultSemantics:
@@ -285,29 +346,24 @@ class TestResultSemantics:
         assert np.array_equal(result.majority_consensus, winners == 0)
 
     @pytest.mark.parametrize(
-        "scenario, counts",
+        "engine, scenario, counts",
         [
-            pytest.param("lv2", (30, 20), id="lv2"),
+            pytest.param(run_sweep_ensemble, "lv2", (30, 20), id="lv2"),
+            pytest.param(run_sweep_ensemble, "opinion3", (30, 20, 15), id="opinion3"),
+            # lv2 tau members always collect full statistics; generic ones honour "win".
             pytest.param(
-                "opinion3",
-                (30, 20, 15),
-                id="opinion3",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="generic members fill bad_noncompetitive_events (lock-step "
-                    "phase) and good_events (tail) at 'win'; fixing it changes stored "
-                    "bytes under unchanged chunk keys, so it waits for the one-engine "
-                    "RESULT_SCHEMA_VERSION bump",
-                ),
+                run_tau_sweep_ensemble, "opinion3", (900, 600, 500), id="tau-opinion3"
             ),
         ],
     )
-    def test_win_level_keeps_the_event_accounting_at_zero(self, scenario, counts):
-        """``run_sweep_ensemble``'s ``"win"`` contract for every family."""
+    def test_win_level_keeps_the_event_accounting_at_zero(self, engine, scenario, counts):
+        """The ``"win"`` contract of ``run_sweep_ensemble`` for every family, and of the
+        tau backend for generic families."""
         params = LVParams(0.5, 0.4, 0.9, 0.7, 0.2, 0.3)
         member = SweepMember(params, counts, 40, scenario=scenario)
-        (result,) = run_sweep_ensemble([member], rng=3, collect="win")
+        (result,) = engine([member], rng=3, collect="win")
         assert result.total_events.all()
+        assert result.leap_events is None or result.leap_events.any()
         for name in (
             "births",
             "deaths",

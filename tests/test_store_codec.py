@@ -15,11 +15,13 @@ code:
 * ``tests/data/journal-6.1.0.jsonl``, written by repro 6.1.0 from
   :data:`FIXTURE_RUNS`: prefixed lines with one zlib stream per array.
 
-The first two were written under result schema 2, which every chunk key
-folds in, so today's code never serves their chunks: it recomputes them and
-appends the new records after the old bytes.  They must keep verifying,
-healing, converting on merge and feeding the shard planner's history.  The
-6.1.0 journal is schema 3, so its chunks replay.
+The first two were written under result schema 2 and the third under
+schema 3.  Every chunk key folds the schema in, so today's code never serves
+their chunks: it recomputes them and appends the new records after the old
+bytes.  They must keep verifying, healing, decoding, converting on merge and
+feeding the shard planner's history.  Only the generic-scenario chunk's
+arrays changed since (schema 4); the lv2 and tau payloads still equal
+today's apart from the schema number.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from repro.experiments.sweep import SweepTask
 from repro.experiments.workloads import state_with_gap
 from repro.lv.params import LVParams
 from repro.lv.state import LVState
-from repro.shard.planner import EventRateHistory, plan_shards, unit_costs
+from repro.shard.planner import EventRateHistory, config_signature, plan_shards, unit_costs
 from repro.store import (
     ChunkJournal,
     ExperimentStore,
@@ -56,6 +58,7 @@ from repro.store import (
 )
 from repro.store import journal as journal_module
 from repro.store.journal import record_checksum
+from repro.store.keys import RESULT_SCHEMA_VERSION
 from repro.store.serialize import (
     ZLIB_LEVEL,
     decode_arrays,
@@ -87,6 +90,11 @@ FIXTURE_RUNS = (
     ("win", (SweepTask(NSD, LVState(20, 12), 32, seed=12, label="lv2-win"),)),
 )
 FIXTURE_TASKS = [task for _, tasks in FIXTURE_RUNS for task in tasks]
+
+#: The planner signature of the fixtures' generic chunk, whose events
+#: changed under schema 4 (its tail replicas read the step stream now).  The
+#: planner sums the payload's ``initial_state``: the first two counts.
+GENERIC_SIGNATURE = config_signature(SD, 30 + 20)
 
 ESTIMATE_FIXTURE = Path(__file__).parent / "data" / "journal-3.2.0-estimate.jsonl"
 
@@ -222,6 +230,15 @@ def per_array_form(arrays):
 def journal_payloads(cache):
     """``{key: payload}`` of a cache's journal, in either line form."""
     return {record["key"]: record["payload"] for record in map(parse_line, journal_lines(cache))}
+
+
+def assert_history_is_todays_but_generic(history, current_cache):
+    """Every configuration's journaled events equal today's, but the generic one's."""
+    old = history.to_payload()
+    today = EventRateHistory.from_journal(current_cache).to_payload()
+    assert sorted(old) == sorted(today)
+    assert old.pop(GENERIC_SIGNATURE) != today.pop(GENERIC_SIGNATURE)
+    assert old == today
 
 
 # ----------------------------------------------------------------------
@@ -573,22 +590,37 @@ class TestPerArrayJournal:
         assert sum("finals" in payload["arrays"] for payload in payloads) == 1
         assert sum("leap_events" in payload["arrays"] for payload in payloads) == 1
 
-    def test_replays_with_zero_misses(self, per_array_cache, fresh_results):
+    def test_old_schema_chunks_recompute_after_the_old_bytes(
+        self, per_array_cache, current_cache, fresh_results
+    ):
+        assert verify_journal(PER_ARRAY_FIXTURE).intact_records == 4
         with ExperimentStore(per_array_cache) as store:
-            replayed = run_fixture_tasks(store)
-            assert (store.stats.chunk_hits, store.stats.chunk_misses) == (4, 0)
-            assert store.stats.chunk_writes == 0
-        assert_same_chunks(fresh_results, replayed)
-        assert (per_array_cache / "journal.jsonl").read_bytes() == PER_ARRAY_FIXTURE.read_bytes()
-        assert verify_journal(per_array_cache / "journal.jsonl").intact_records == 4
+            recomputed = run_fixture_tasks(store)
+            assert (store.stats.chunk_hits, store.stats.chunk_misses) == (0, 4)
+            assert store.stats.chunk_writes == 4
+        assert_same_chunks(fresh_results, recomputed)
+        journal = (per_array_cache / "journal.jsonl").read_bytes()
+        assert journal.startswith(PER_ARRAY_FIXTURE.read_bytes())
+        # The appended records are today's: the keys a fresh cache journals.
+        assert journal_keys(per_array_cache)[4:] == journal_keys(current_cache)
+        assert verify_journal(per_array_cache / "journal.jsonl").intact_records == 8
 
-    def test_holds_the_chunks_a_fresh_cache_journals(self, per_array_cache, current_cache):
-        assert journal_keys(per_array_cache) == journal_keys(current_cache)
-        old, new = journal_payloads(per_array_cache), journal_payloads(current_cache)
-        assert all(payloads_equal(old[key], new[key]) for key in old)
+    def test_lv2_and_tau_payloads_equal_a_fresh_caches(self, current_cache):
+        """In task order, every payload but the generic one is today's, bar the schema."""
+        old = [parse_line(line) for line in PER_ARRAY_FIXTURE.read_bytes().splitlines()]
+        new = [parse_line(line) for line in journal_lines(current_cache)]
+        assert [record["label"] for record in old] == [record["label"] for record in new]
+        for before, after in zip(old, new):
+            assert (before["payload"]["schema"], after["payload"]["schema"]) == (
+                3,
+                RESULT_SCHEMA_VERSION,
+            )
+            rebadged = {**before["payload"], "schema": RESULT_SCHEMA_VERSION}
+            generic = "scenario" in before["payload"]
+            assert payloads_equal(rebadged, after["payload"]) == (not generic)
 
     @pytest.mark.parametrize("direction", ["per-array-into-layout", "layout-into-per-array"])
-    def test_merging_either_way_skips_every_chunk(
+    def test_merging_either_way_adds_every_chunk_after_the_old_bytes(
         self, per_array_cache, current_cache, direction
     ):
         destination, source = (
@@ -598,18 +630,22 @@ class TestPerArrayJournal:
         )
         before = (destination / "journal.jsonl").read_bytes()
         report = merge_cache(destination, [source])
+        assert (report.chunks_added, report.chunks_skipped) == (4, 0)
+        assert (destination / "journal.jsonl").read_bytes().startswith(before)
+        assert verify_journal(destination / "journal.jsonl").intact_records == 8
+        report = merge_cache(destination, [source])
         assert (report.chunks_added, report.chunks_skipped) == (0, 4)
-        assert (destination / "journal.jsonl").read_bytes() == before
 
     def test_merge_into_a_fresh_cache_converts_it(self, per_array_cache, current_cache, tmp_path):
         merged = tmp_path / "merged"
         assert merge_cache(merged, [per_array_cache]).chunks_added == 4
         assert_current_form(merged)
-        assert journal_keys(merged) == journal_keys(current_cache)
-        converted, fresh = journal_payloads(merged), journal_payloads(current_cache)
-        for key, payload in converted.items():
-            assert payload["arrays"]["layout"] == fresh[key]["arrays"]["layout"]
-            assert payloads_equal(payload, fresh[key])
+        assert journal_keys(merged) == journal_keys(per_array_cache)
+        converted, old = journal_payloads(merged), journal_payloads(per_array_cache)
+        fresh = list(journal_payloads(current_cache).values())
+        for (key, payload), today in zip(converted.items(), fresh):
+            assert payload["arrays"]["layout"] == today["arrays"]["layout"]
+            assert payloads_equal(payload, old[key])
 
     def test_payloads_equal_across_the_three_forms(self):
         """A 3.1 list-form payload, its per-array form and its layout form."""
@@ -629,11 +665,15 @@ class TestPerArrayJournal:
             assert not payloads_equal(layout, extra)
             assert not payloads_equal(extra, per_array)
 
-    def test_planner_history_is_the_same_from_either_form(self, per_array_cache, current_cache):
+    def test_planner_history_is_the_same_from_either_form(
+        self, per_array_cache, current_cache, tmp_path
+    ):
         old = EventRateHistory.from_journal(per_array_cache)
-        new = EventRateHistory.from_journal(current_cache)
+        merge_cache(tmp_path / "merged", [per_array_cache])
+        converted = EventRateHistory.from_journal(tmp_path / "merged")
         assert len(old) == 4
-        assert new.to_payload() == old.to_payload()
+        assert converted.to_payload() == old.to_payload()
+        assert_history_is_todays_but_generic(old, current_cache)
 
 
 # ----------------------------------------------------------------------
@@ -682,11 +722,14 @@ class TestMergeAcrossForms:
 # The shard planner's cost history
 # ----------------------------------------------------------------------
 class TestPlannerHistoryAcrossForms:
-    def test_both_forms_give_the_same_history_and_plan(self, legacy_cache, current_cache):
+    def test_both_forms_give_the_same_history_and_plan(
+        self, legacy_cache, legacy_twin, current_cache
+    ):
         legacy = EventRateHistory.from_journal(legacy_cache)
-        current = EventRateHistory.from_journal(current_cache)
+        current = EventRateHistory.from_journal(legacy_twin)
         assert len(legacy) == 4
         assert current.to_payload() == legacy.to_payload()
+        assert_history_is_todays_but_generic(legacy, current_cache)
         signatures = sorted(legacy.to_payload())
         budgets = [40, 30, 20, 10]
         plans = [
