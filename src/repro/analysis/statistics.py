@@ -18,11 +18,11 @@ Two layers live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import EstimationError
 from repro.rng import SeedLike, as_generator
@@ -80,15 +80,95 @@ class BinomialEstimate:
         )
 
 
+# Cephes ``ndtri`` rational approximations, highest degree first.  P0/Q0
+# cover |y - 1/2| <= 1/2 - exp(-2); P1/Q1 and P2/Q2 cover z = sqrt(-2 log y)
+# in [2, 8) and [8, 64).  The Q tables omit their leading coefficient 1.
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+_EXP_MINUS_2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _polynomial(x: float, coefficients: tuple[float, ...], monic: bool = False) -> float:
+    """Horner's rule, one multiply and one add per step (Cephes' ``polevl``/``p1evl``)."""
+    value = x + coefficients[0] if monic else coefficients[0]
+    for coefficient in coefficients[1:]:
+        value = value * x + coefficient
+    return value
+
+
+def _ndtri(y: float) -> float:
+    """The standard normal quantile: the ``x`` with ``Φ(x) = y``.
+
+    A port of Cephes ``ndtri``, which ``scipy.special.ndtri`` (and so
+    ``scipy.stats.norm.ppf``) evaluates: the same branches, constants and
+    operation order, so the two agree bit for bit (``tests/test_analysis.py``
+    checks it).  ``0`` and ``1`` map to ``∓inf``; anything else outside
+    ``[0, 1]``, and NaN, to NaN.
+    """
+    y = float(y)
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    if not 0.0 < y < 1.0:
+        return math.nan
+    negate = True
+    if y > 1.0 - _EXP_MINUS_2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_MINUS_2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polynomial(y2, _NDTRI_P0) / _polynomial(y2, _NDTRI_Q0, True))
+        return x * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polynomial(z, _NDTRI_P1) / _polynomial(z, _NDTRI_Q1, True)
+    else:
+        x1 = z * _polynomial(z, _NDTRI_P2) / _polynomial(z, _NDTRI_Q2, True)
+    x = x0 - x1
+    return -x if negate else x
+
+
 @lru_cache(maxsize=64)
 def _normal_quantile(confidence: float) -> float:
     """``z`` such that a standard normal lies in ``[-z, z]`` w.p. *confidence*.
 
     Cached because experiments evaluate thousands of intervals at a handful
-    of confidence levels, and ``scipy``'s ``ppf`` dominates the otherwise
-    closed-form Wilson computation.
+    of confidence levels, and the quantile's logarithms and two rational
+    functions would otherwise dominate the closed-form Wilson computation.
     """
-    return float(stats.norm.ppf(0.5 + confidence / 2.0))
+    return _ndtri(0.5 + confidence / 2.0)
 
 
 def wilson_interval(
@@ -427,6 +507,6 @@ def required_samples(
         )
     if not 0.0 < worst_case_p < 1.0:
         raise EstimationError(f"worst_case_p must be in (0, 1), got {worst_case_p}")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = _normal_quantile(confidence)
     variance = worst_case_p * (1.0 - worst_case_p)
     return int(np.ceil(z * z * variance / (target_half_width * target_half_width)))

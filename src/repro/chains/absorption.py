@@ -22,7 +22,6 @@ chain's validated ``p``/``q`` tables and solved with
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from repro.chains.birth_death import BirthDeathChain
 from repro.exceptions import AbsorptionError
@@ -58,6 +57,8 @@ def _solve_first_step(
     from state 1 leaves to 0) and holds otherwise.  A birth out of the top
     state is a holding step when *reflecting*, and leaves the block otherwise.
     """
+    from scipy.linalg import solve_banded
+
     holds = 1.0 - births - deaths
     if reflecting:
         holds[-1] += births[-1]

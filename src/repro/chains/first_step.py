@@ -35,15 +35,17 @@ The exact solver serves three purposes in this repository:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.linalg import spsolve
 
 from repro.exceptions import AbsorptionError, SimulationError
 from repro.lv.params import LVParams
 from repro.lv.state import LVState
 from repro.scenario.registry import build_scenario
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy.sparse import csr_matrix
 
 __all__ = ["FirstStepResult", "exact_majority_probability", "exact_win_probability_grid"]
 
@@ -87,6 +89,8 @@ def _assemble(params: LVParams, max_count: int) -> tuple[csr_matrix, np.ndarray]
     State ``(a, b)`` has index ``a * (max_count + 1) + b``.  Absorbing states
     (``a = 0`` or ``b = 0``) get identity rows and no redirected probability.
     """
+    from scipy.sparse import coo_matrix
+
     scenario = build_scenario("lv2", params)
     size = max_count + 1
     counts = np.arange(1, size)
@@ -156,6 +160,8 @@ def _solve(
     params: LVParams, max_count: int, dead_heat_value: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Win, dead-heat and redirected-step grids, each ``(max_count + 1)²``."""
+    from scipy.sparse.linalg import spsolve
+
     if max_count < 1:
         raise AbsorptionError(f"max_count must be at least 1, got {max_count}")
     if not 0.0 <= dead_heat_value <= 1.0:

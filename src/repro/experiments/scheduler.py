@@ -956,7 +956,8 @@ class SweepScheduler:
         share" a partition rather than a race.
         """
         signatures = [
-            config_signature(task.params, sum(task.counts)) for task in tasks
+            config_signature(task.params, sum(task.counts), task.scenario)
+            for task in tasks
         ]
         budgets = [task.num_runs for task in tasks]
         return plan_shards(

@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats
-
 from repro.analysis.scaling import select_scaling_law
+from repro.analysis.statistics import _ndtri
 from repro.baselines.andaur_resource import AndaurResourceModel
 from repro.baselines.cho_growth import ChoGrowthModel
 from repro.chains.first_step import exact_majority_probability
@@ -198,6 +197,12 @@ def run_t1r1_nsd(scale: str = "quick", seed: int = 0) -> ExperimentResult:
     )
 
 
+def _t1r2_z_critical(rows: int) -> float:
+    """Two-sided z bound per row at a family-wise false-alarm rate of
+    :data:`_T1R2_FAMILY_ALPHA`, Bonferroni-split over *rows* (3.14 for 6)."""
+    return -_ndtri(_T1R2_FAMILY_ALPHA / (2 * rows))
+
+
 def run_t1r2(scale: str = "quick", seed: int = 0) -> ExperimentResult:
     """Table 1, row 2: balanced inter+intraspecific competition, ρ = a/(a+b)."""
     num_runs = 400 if scale == "quick" else 2000
@@ -235,9 +240,7 @@ def run_t1r2(scale: str = "quick", seed: int = 0) -> ExperimentResult:
         ],
         collect="win",
     )
-    # Two-sided z-test per row at a family-wise false-alarm rate of
-    # _T1R2_FAMILY_ALPHA, Bonferroni-split over the rows (|z| <= 3.14 for 6).
-    z_critical = float(stats.norm.isf(_T1R2_FAMILY_ALPHA / (2 * len(grid))))
+    z_critical = _t1r2_z_critical(len(grid))
     rows = []
     all_consistent = True
     largest_z = 0.0

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.exceptions import ModelError, SimulationError
 from repro.lv.params import LVParams
@@ -137,6 +136,8 @@ class DeterministicLV:
         extinction threshold (a terminal event), which defines the
         deterministic "winner".
         """
+        from scipy.integrate import solve_ivp
+
         x0, x1 = initial_densities
         if x0 < 0 or x1 < 0:
             raise ModelError(f"initial densities must be non-negative, got {initial_densities}")

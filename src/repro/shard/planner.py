@@ -45,6 +45,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.exceptions import ExperimentError, StoreError
 from repro.lv.params import LVParams
+from repro.scenario.spec import DEFAULT_SCENARIO
 from repro.store.journal import iter_intact_records
 from repro.store.keys import digest, params_payload
 from repro.store.serialize import decode_arrays
@@ -67,20 +68,30 @@ __all__ = [
 DEFAULT_IMBALANCE_BOUND = 1.25
 
 
-def config_signature(params: LVParams, total_population: int) -> str:
+def config_signature(
+    params: LVParams, total_population: int, scenario: str = DEFAULT_SCENARIO
+) -> str:
     """Stable identity of one grid configuration for cost-history lookup.
 
     Deliberately much coarser than a chunk key: replicate counts, seeds,
-    event budgets, and the exact majority/minority split are all excluded,
-    so every chunk ever journaled for a ``(params, n)`` configuration —
+    event budgets, and the exact split between species are all excluded, so
+    every chunk ever journaled for a ``(params, n)`` configuration —
     whatever its gap or batch decomposition — contributes to a single
     per-configuration event-rate estimate.  Cost prediction only needs the
-    drivers of per-replicate work, and those are the rate constants and the
-    total population.
+    drivers of per-replicate work: the rate constants, the total population
+    over every species, and the scenario family.  The family is folded in
+    only when it is not ``"lv2"``, so lv2 signatures match the ones already
+    in journals and in ``BENCH_sweep.json``'s ``shard_planner.history``.
     """
-    return digest(
-        {"params": params_payload(params), "population": int(total_population)}
-    )
+    return _signature(params_payload(params), total_population, scenario)
+
+
+def _signature(rates: Mapping[str, Any], total_population: int, scenario: str) -> str:
+    """:func:`config_signature` over an already serialised ``params`` payload."""
+    fields: dict[str, Any] = {"params": rates, "population": int(total_population)}
+    if scenario != DEFAULT_SCENARIO:
+        fields["scenario"] = scenario
+    return digest(fields)
 
 
 @dataclass
@@ -143,9 +154,13 @@ class EventRateHistory:
             if not isinstance(payload, dict):
                 continue
             try:
-                population = sum(int(count) for count in payload["initial_state"])
-                signature = digest(
-                    {"params": payload["params"], "population": population}
+                # Generic payloads carry every species' count and their
+                # family; lv2 payloads only the two-species state.
+                counts = payload.get("initial_counts") or payload["initial_state"]
+                signature = _signature(
+                    payload["params"],
+                    sum(int(count) for count in counts),
+                    payload.get("scenario", DEFAULT_SCENARIO),
                 )
                 events = decode_arrays(payload["arrays"])["total_events"]
                 history.record(signature, float(events.sum()), len(events))

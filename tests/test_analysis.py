@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special, stats as scipy_stats
 
 from repro.analysis.concentration import (
     chernoff_lower_tail,
@@ -21,6 +22,8 @@ from repro.analysis.scaling import (
     select_scaling_law,
 )
 from repro.analysis.statistics import (
+    _ndtri,
+    _normal_quantile,
     binomial_estimate,
     bootstrap_mean_interval,
     required_samples,
@@ -29,6 +32,7 @@ from repro.analysis.statistics import (
 )
 from repro.analysis.tables import format_csv, format_markdown_table, format_table
 from repro.exceptions import EstimationError
+from repro.experiments.table1 import _T1R2_FAMILY_ALPHA, _t1r2_z_critical
 
 
 class TestWilsonInterval:
@@ -109,6 +113,78 @@ class TestWilsonInterval:
         assert not estimate.excludes(0.9)
         assert estimate.half_width > 0
         assert "90/100" in str(estimate)
+
+
+def _assert_same_bits(points, ported, reference):
+    """*ported* equals *reference* bit for bit (any NaN matching any NaN)."""
+    ported = np.asarray(ported, dtype=np.float64)
+    reference = np.asarray(reference, dtype=np.float64)
+    same = (ported.view(np.int64) == reference.view(np.int64)) | (
+        np.isnan(ported) & np.isnan(reference)
+    )
+    wrong = np.flatnonzero(~same)
+    assert wrong.size == 0, [
+        (float(points[i]), float(ported[i]), float(reference[i])) for i in wrong[:5]
+    ]
+
+
+class TestNormalQuantile:
+    """The Cephes ``ndtri`` port against scipy's, bit for bit."""
+
+    @staticmethod
+    def _compare(points):
+        points = np.asarray(points, dtype=np.float64)
+        with np.errstate(all="ignore"):
+            reference = special.ndtri(points)
+        _assert_same_bits(points, [_ndtri(p) for p in points.tolist()], reference)
+
+    def test_random_points_and_tails(self):
+        generator = np.random.default_rng(20261019)
+        self._compare(
+            np.concatenate(
+                [
+                    generator.random(200_000),
+                    10.0 ** generator.uniform(-300.0, 0.0, 100_000),
+                    1.0 - 10.0 ** generator.uniform(-16.0, 0.0, 100_000),
+                ]
+            )
+        )
+
+    def test_branch_points_and_their_neighbours(self):
+        exp_minus_2 = 0.13533528323661269189  # Cephes' literal for exp(-2)
+        branches = [exp_minus_2, math.exp(-2), 1.0 - exp_minus_2, 1.0 - math.exp(-2)]
+        branches += [math.exp(-32), 0.5, 5e-324, 1.0 - 2.0**-53]
+        points = []
+        for branch in branches:
+            for towards in (0.0, 1.0):
+                point = branch
+                for _ in range(16):
+                    points.append(point)
+                    point = math.nextafter(point, towards)
+        self._compare(points)
+
+    def test_ends_out_of_range_and_nan(self):
+        assert _ndtri(0.0) == -math.inf and _ndtri(-0.0) == -math.inf
+        assert _ndtri(1.0) == math.inf
+        outside = [-1e-300, -1.0, 1.0 + 2.0**-52, 2.0, -math.inf, math.inf, math.nan]
+        assert all(math.isnan(_ndtri(point)) for point in outside)
+        self._compare([0.0, -0.0, 1.0, *outside])
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_normal_quantile_is_norm_ppf(self, confidence):
+        # 0.9 is the threshold search's level, 0.95 every other default.
+        expected = float(scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+        _assert_same_bits([confidence], [_normal_quantile(confidence)], [expected])
+
+    def test_required_samples_uses_the_quantile(self):
+        z = float(scipy_stats.norm.ppf(0.5 + 0.99 / 2.0))
+        assert required_samples(0.02, confidence=0.99) == math.ceil(z * z * 0.25 / 0.02**2)
+
+    @pytest.mark.parametrize("rows", [6, 10])
+    def test_t1r2_bound_is_norm_isf(self, rows):
+        # T1R2 z-tests 6 rows at quick scale and 10 at full scale.
+        expected = float(scipy_stats.norm.isf(_T1R2_FAMILY_ALPHA / (2 * rows)))
+        _assert_same_bits([rows], [_t1r2_z_critical(rows)], [expected])
 
 
 class TestBootstrapAndPlanning:

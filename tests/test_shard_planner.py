@@ -67,6 +67,25 @@ class TestConfigSignature:
     def test_distinguishes_parameter_sets(self, sd_params, nsd_params):
         assert config_signature(sd_params, 40) != config_signature(nsd_params, 40)
 
+    def test_lv2_signature_is_pinned(self, sd_params):
+        # lv2 signatures predate the scenario argument, so journals and
+        # BENCH_sweep.json's shard_planner.history keep matching them.
+        expected = "9ecdebcb4272677fbdc12c2d3ca59ba4c2e4fa8437297327536f40e0e0b272ee"
+        assert config_signature(sd_params, 40) == expected
+        assert config_signature(sd_params, 40, "lv2") == expected
+
+    def test_scenario_and_every_species_count(self, sd_params):
+        # SCEN-CAT's quick members: opinions (60, 40) and 0, 50 or 200 catalysts.
+        signatures = {
+            config_signature(sd_params, 60 + 40 + catalysts, "catalysis")
+            for catalysts in (0, 50, 200)
+        }
+        assert len(signatures) == 3
+        assert config_signature(sd_params, 100, "catalysis") != config_signature(sd_params, 100)
+        assert config_signature(sd_params, 65, "opinion3") != config_signature(
+            sd_params, 65, "catalysis"
+        )
+
 
 class TestEventRateHistory:
     def test_rate_is_events_per_replicate(self):
@@ -109,6 +128,32 @@ class TestEventRateHistory:
             signature = config_signature(task.params, task.initial_state.total)
             expected = float(result.total_events.sum()) / task.num_runs
             assert history.rate(signature) == pytest.approx(expected)
+
+    def test_generic_task_finds_its_own_harvested_rate(self, tmp_path, sd_params):
+        tasks = [
+            SweepTask(sd_params, (30, 20, 15), 40, seed=5, scenario="opinion3"),
+            SweepTask(sd_params, (30, 20, 40), 40, seed=5, scenario="catalysis"),
+            SweepTask(sd_params, LVState(30, 20), 40, seed=5),
+        ]
+        store = ExperimentStore(tmp_path / "cache")
+        scheduler = SweepScheduler(store=store)
+        try:
+            results = scheduler.run_sweep(tasks, collect="win")
+        finally:
+            scheduler.shutdown()
+            store.close()
+        history = EventRateHistory.from_journal(tmp_path / "cache")
+        assert len(history) == 3
+        planner = SweepScheduler(shards=2, shard_history=history)
+        try:
+            plan = planner.plan_task_shards(tasks)
+        finally:
+            planner.shutdown()
+        # Each task's cost is its own measured events (rate × budget), which
+        # the mean-rate fallback for an unseen signature would not give.
+        assert plan.costs == pytest.approx(
+            [float(result.total_events.sum()) for result in results]
+        )
 
     def test_from_journal_of_missing_path_is_empty(self, tmp_path):
         assert len(EventRateHistory.from_journal(tmp_path / "nowhere")) == 0

@@ -93,8 +93,9 @@ FIXTURE_TASKS = [task for _, tasks in FIXTURE_RUNS for task in tasks]
 
 #: The planner signature of the fixtures' generic chunk, whose events
 #: changed under schema 4 (its tail replicas read the step stream now).  The
-#: planner sums the payload's ``initial_state``: the first two counts.
-GENERIC_SIGNATURE = config_signature(SD, 30 + 20)
+#: planner sums the payload's ``initial_counts`` over every species and
+#: folds in its scenario.
+GENERIC_SIGNATURE = config_signature(SD, 30 + 20 + 15, "opinion3")
 
 ESTIMATE_FIXTURE = Path(__file__).parent / "data" / "journal-3.2.0-estimate.jsonl"
 
