@@ -5,7 +5,9 @@ in both trees and compares the JSON bytes.  The check passes when the bytes
 match, or when the change edits the ``RESULT_SCHEMA_VERSION =`` line of
 ``src/repro/store/keys.py``: results may change only under a declared schema
 bump.  Otherwise it fails.  Either way, when the bytes differ it names the
-experiments whose output differs, so a bump shows what it changed.
+experiments whose output differs, so a bump shows what it changed.  It also
+reports each tree's ``src/repro`` line count and their difference, counted
+as perfbench's ``src_repro_lines`` counts them (a report, not a gate).
 
 Usage::
 
@@ -52,6 +54,13 @@ def schema_line(tree: Path) -> str | None:
     return None
 
 
+def source_lines(tree: Path) -> int:
+    """Every line of every ``*.py`` under *tree*'s ``src/repro``."""
+    return sum(
+        len(path.read_bytes().splitlines()) for path in (tree / "src" / "repro").rglob("*.py")
+    )
+
+
 def entry_texts(document: bytes) -> dict[str, str]:
     """Each top-level entry's identifier, mapped to the entry's exact JSON text.
 
@@ -96,6 +105,11 @@ def main(argv: list[str] | None = None) -> int:
     head_digest = hashlib.sha256(head).hexdigest()
     print(f"base {base_digest}")
     print(f"head {head_digest}")
+    base_lines, head_lines = source_lines(base_tree), source_lines(head_tree)
+    print(
+        f"src/repro lines: base {base_lines:,}, head {head_lines:,} "
+        f"({head_lines - base_lines:+,})"
+    )
     if base == head:
         print("bits-parity: same bits")
         return 0

@@ -1,10 +1,11 @@
-"""Benchmark: the tau backend's batched exact endgame versus one scalar run per replica.
+"""Benchmark: the tau backend's exact endgame versus one scalar run per replica.
 
 Replicas of a tau member whose population is at or below the exact tail
-population (512 by default) are parked and finish exactly.  This benchmark
-starts an SD and an NSD member of 200 replicas there, from a 512-individual
-state at a ``log^2``-scale gap, so the whole call is endgame, and times two
-paths:
+population (512 by default) are parked and finish on the exact engine: its
+lock-step loop, then its scalar tail for each member's last few replicas.
+This benchmark starts an SD and an NSD member of 200 replicas there, from a
+512-individual state at a ``log^2``-scale gap, so the whole call is endgame,
+and times two paths:
 
 * the **scalar loop**: one :meth:`~repro.lv.simulator.LVJumpChainSimulator.run`
   per replica, in replica order, on the member's tail stream (what the
@@ -12,31 +13,53 @@ paths:
 * the **batch**: one :func:`~repro.lv.tau.run_tau_sweep_ensemble` call,
   which advances every parked replica together.
 
-Both read the same uniforms, so the benchmark asserts that they return the
-same per-replica results, and that the batch is at least
-:data:`MIN_SPEEDUP` times faster.
+No replica leaps, so the batch must return what
+:func:`~repro.lv.ensemble.run_sweep_ensemble` returns on the same members
+and seeds; the benchmark asserts that, and that the batch is at least
+:data:`MIN_SPEEDUP` times faster than the scalar loop.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.experiments.workloads import state_with_gap
-from repro.lv.ensemble import SweepMember
+from repro.lv.ensemble import SweepMember, run_sweep_ensemble
 from repro.lv.params import LVParams
 from repro.lv.simulator import LVJumpChainSimulator
 from repro.lv.tau import DEFAULT_EXACT_TAIL_POPULATION, run_tau_sweep_ensemble
 from repro.rng import spawn_generators, spawn_seeds, stable_seed
 
 #: Minimum batch-over-scalar speedup.  Five isolated runs on 2 shared cores
-#: measured 3.0x to 3.7x (0.036-0.052 s batched against 0.125-0.159 s scalar),
-#: so a busy host can fail this floor.
+#: measured 4.0x to 4.4x (0.032-0.052 s batched against 0.137-0.206 s
+#: scalar), so a busy host can still fail this floor.
 MIN_SPEEDUP = 3.0
 
 NUM_RUNS = 200
 
 #: Timed rounds of each path, alternating scalar and batch.
 ROUNDS = 5
+
+#: The per-replica arrays of an exact-engine result.
+ARRAYS = (
+    "final_x0",
+    "final_x1",
+    "total_events",
+    "termination_codes",
+    "births",
+    "deaths",
+    "interspecific_events",
+    "intraspecific_events",
+    "bad_noncompetitive_events",
+    "good_events",
+    "noise_individual",
+    "noise_competitive",
+    "max_total_population",
+    "min_gap_seen",
+    "hit_tie",
+)
 
 
 def _members():
@@ -83,12 +106,11 @@ def test_tau_endgame_batch_speedup(benchmark):
 
     # One scalar round just before each batch round, compared best against
     # best, so a stretch of host contention slows both paths alike.
-    scalar = []
     scalar_rounds = []
 
     def time_scalar():
         start = time.perf_counter()
-        scalar[:] = _run_scalar(members, seeds)
+        _run_scalar(members, seeds)
         scalar_rounds.append(time.perf_counter() - start)
 
     batched = benchmark.pedantic(
@@ -100,8 +122,11 @@ def test_tau_endgame_batch_speedup(benchmark):
     speedup = scalar_seconds / batched_seconds
     benchmark.extra_info["scalar_seconds"] = round(scalar_seconds, 4)
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    assert [result.to_run_results() for result in batched] == scalar
-    assert all((result.leap_events == 0).all() for result in batched)
+    exact = run_sweep_ensemble(members, member_seeds=seeds)
+    for result, expected in zip(batched, exact):
+        for name in ARRAYS:
+            assert np.array_equal(getattr(result, name), getattr(expected, name)), name
+        assert (result.leap_events == 0).all()
     assert speedup >= MIN_SPEEDUP, (
         f"batched tau endgame is only {speedup:.1f}x faster than the scalar loop "
         f"({batched_seconds:.3f}s vs {scalar_seconds:.3f}s); expected at least {MIN_SPEEDUP}x"

@@ -167,7 +167,11 @@ def _normal_quantile(confidence: float) -> float:
     Cached because experiments evaluate thousands of intervals at a handful
     of confidence levels, and the quantile's logarithms and two rational
     functions would otherwise dominate the closed-form Wilson computation.
+    A *confidence* outside ``(0, 1)`` raises
+    :class:`~repro.exceptions.EstimationError`, which the cache never keeps.
     """
+    if not 0.0 < confidence < 1.0:
+        raise EstimationError(f"confidence must be in (0, 1), got {confidence}")
     return _ndtri(0.5 + confidence / 2.0)
 
 
@@ -212,8 +216,6 @@ def wilson_interval(
         raise EstimationError(
             f"successes must lie in [0, trials]; got {successes}/{trials}"
         )
-    if not 0.0 < confidence < 1.0:
-        raise EstimationError(f"confidence must be in (0, 1), got {confidence}")
     z = _normal_quantile(confidence)
     p_hat = successes / trials
     denominator = 1.0 + z * z / trials

@@ -51,11 +51,15 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
             "partition-invariant by Generator.random",
         ),
         StreamConsumer(
-            "_run_lv2_members",
-            "tail",
-            "after the lock-step loop, hands each member's untouched tail "
-            "generator to the exact-tail finisher, once, with the slots of "
-            "the survivors it handed off when its active set went thin",
+            "_run_exact",
+            "both",
+            "runs the given slots to their end, from their counts and "
+            "accounting so far: the lock-step loop reads each member's step "
+            "stream where it stands (through _MemberStreams.draw), then each "
+            "member's untouched tail generator goes to the exact-tail "
+            "finisher, once, with the slots of the survivors it handed off "
+            "when its active set went thin; the exact engine passes every "
+            "slot, the tau backend the replicas it parked",
         ),
         StreamConsumer(
             "_finish_exact_tail",
@@ -70,8 +74,11 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
             "run_tau_sweep_ensemble",
             "both",
             "spawns each member's (step, tail) generator pair from the "
-            "member seed, hands every lv2 step stream to the one leap loop, "
-            "then every tail stream to the batched endgame",
+            "member seed (repro.lv.ensemble._MemberStreams), hands every lv2 "
+            "step stream to the one leap loop, then both streams to "
+            "repro.lv.ensemble._run_exact with the parked replicas: the "
+            "lock-step loop continues each step stream where its member's "
+            "leaps left it",
         ),
         StreamConsumer(
             "_leap",
@@ -80,16 +87,7 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
             "member draws Poisson firings per rejection round, then its "
             "exact-step uniforms, from its step stream over its pending "
             "replicas in ascending order; replicas below the crossover are "
-            "parked per member, in leap then ascending replica order",
-        ),
-        StreamConsumer(
-            "_finish_parked",
-            "tail",
-            "batched exact endgame: the member's k-th parked replica reads "
-            "tail uniform 4096*k + t at its t-th event, the block the scalar "
-            "run would draw; a run past one block hands its member's later "
-            "replicas, in park order, to repro.lv.ensemble._finish_exact_tail "
-            "from position 4096*k",
+            "parked and returned as ascending slots",
         ),
     ),
     "repro.scenario.engine": (

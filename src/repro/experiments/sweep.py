@@ -56,9 +56,10 @@ from repro.lv.tau import (
     resolve_backend,
     run_tau_sweep_ensemble,
 )
-from repro.lv.simulator import DEFAULT_MAX_EVENTS, LVJumpChainSimulator
+from repro.lv.simulator import DEFAULT_MAX_EVENTS
 from repro.lv.state import LVState
 from repro.rng import SeedLike, spawn_seeds
+from repro.scenario.registry import scenario_initial_state
 from repro.scenario.spec import DEFAULT_SCENARIO
 
 __all__ = [
@@ -113,26 +114,9 @@ class SweepTask:
     scenario: str = DEFAULT_SCENARIO
 
     def __post_init__(self) -> None:
-        if self.scenario == DEFAULT_SCENARIO:
-            if not isinstance(self.initial_state, LVState):
-                object.__setattr__(
-                    self,
-                    "initial_state",
-                    LVJumpChainSimulator._coerce_state(self.initial_state),
-                )
-        else:
-            from repro.scenario.registry import validate_scenario_state
-
-            counts = (
-                (self.initial_state.x0, self.initial_state.x1)
-                if isinstance(self.initial_state, LVState)
-                else tuple(self.initial_state)
-            )
-            object.__setattr__(
-                self,
-                "initial_state",
-                validate_scenario_state(self.scenario, counts),
-            )
+        object.__setattr__(
+            self, "initial_state", scenario_initial_state(self.scenario, self.initial_state)
+        )
         if self.num_runs <= 0:
             raise ExperimentError(
                 f"num_runs must be positive, got {self.num_runs} (task {self.label!r})"
@@ -173,11 +157,7 @@ class MemberSpec:
     def to_member(self) -> SweepMember:
         return SweepMember(
             params=self.params,
-            initial_state=(
-                LVState(*self.counts)
-                if self.scenario == DEFAULT_SCENARIO
-                else self.counts
-            ),
+            initial_state=self.counts,
             num_replicates=self.num_replicates,
             max_events=self.max_events,
             scenario=self.scenario,
@@ -373,18 +353,13 @@ def placeholder_ensemble(
     journaled — chunk keys are only minted for executed work — so a merged
     store contains exclusively real results.
     """
-    if scenario == DEFAULT_SCENARIO:
-        if not isinstance(initial_state, LVState):
-            initial_state = LVJumpChainSimulator._coerce_state(initial_state)
+    initial_state = scenario_initial_state(scenario, initial_state)
+    if isinstance(initial_state, LVState):
         counts = (initial_state.x0, initial_state.x1)
         finals = None
         initial_counts = None
     else:
-        counts = (
-            (initial_state.x0, initial_state.x1)
-            if isinstance(initial_state, LVState)
-            else tuple(int(value) for value in initial_state)
-        )
+        counts = initial_state
         initial_state = LVState(counts[0], counts[1])
         finals = np.array([counts], dtype=np.int64)
         initial_counts = counts

@@ -15,9 +15,9 @@ Section 1.3 and the deterministic ODE of Section 2.1:
   configurations' jump chains together, with the same event accounting
   (the workhorse of the experiments; one configuration is one member),
 * :func:`~repro.lv.tau.run_tau_sweep_ensemble` — the approximate
-  large-``n`` backend: vectorized tau-leaping with a batched exact endgame
-  (selectable via ``backend="exact"|"tau"|"auto"`` throughout the
-  experiment stack),
+  large-``n`` backend: vectorized tau-leaping whose parked replicas finish
+  on the exact engine (selectable via ``backend="exact"|"tau"|"auto"``
+  throughout the experiment stack),
 * :mod:`~repro.lv.ode` — the deterministic competitive LV ODE (Eq. 4),
 * :mod:`~repro.lv.regimes` — classification of parameter choices into the
   rows of Table 1.

@@ -67,8 +67,11 @@ which other members share the mega-batch*:
    runs read the tail stream, and a member hands off once, so finishing
    them after the loop reads the uniforms it would read at the handoff.
 
-``tests/reference_lockstep.py`` replays this contract in plain scalar
-Python, and the engine tests match it array for array.
+The tau backend (:mod:`repro.lv.tau`) finishes the replicas it parks with
+the same loop and finisher, from their parked state and from where its
+leaps left each member's step stream.  ``tests/reference_lockstep.py``
+replays this contract in plain scalar Python, and the engine tests match it
+array for array.
 
 Compaction invariants
 ---------------------
@@ -98,7 +101,6 @@ from repro.lv.simulator import (
     _DX0_TABLE,
     _DX1_TABLE,
     DEFAULT_MAX_EVENTS,
-    LVJumpChainSimulator,
     LVRunResult,
     _event_accounting,
     _event_loop,
@@ -195,26 +197,11 @@ class SweepMember:
     scenario: str = DEFAULT_SCENARIO
 
     def __post_init__(self) -> None:
-        if self.scenario == DEFAULT_SCENARIO:
-            if not isinstance(self.initial_state, LVState):
-                object.__setattr__(
-                    self,
-                    "initial_state",
-                    LVJumpChainSimulator._coerce_state(self.initial_state),
-                )
-        else:
-            from repro.scenario.registry import validate_scenario_state
+        from repro.scenario.registry import scenario_initial_state
 
-            counts = (
-                (self.initial_state.x0, self.initial_state.x1)
-                if isinstance(self.initial_state, LVState)
-                else tuple(self.initial_state)
-            )
-            object.__setattr__(
-                self,
-                "initial_state",
-                validate_scenario_state(self.scenario, counts),
-            )
+        object.__setattr__(
+            self, "initial_state", scenario_initial_state(self.scenario, self.initial_state)
+        )
         if self.num_replicates <= 0:
             raise InvalidConfigurationError(
                 f"num_replicates must be positive, got {self.num_replicates}"
@@ -536,14 +523,14 @@ class _LockstepState:
     """Packed working arrays of a heterogeneous lock-step run.
 
     All arrays have the current working width ``W``; ``orig`` maps packed
-    position to original replica index and is strictly increasing, so packed
-    order always equals ascending original-replica order (the property the
-    RNG consumption contract relies on).  Both species' counts live in one
-    ``(2, W)`` array, ``counts``; ``x0`` and ``x1`` are its row views, rebound
-    on every pack.  The accounting accumulators are the simulator's
-    :data:`~repro.lv.simulator._ACCOUNTING`, scattered (with the counts) to
-    the output record when a packed row is dropped (at compaction) or when
-    the loop exits.
+    position to output slot and is strictly increasing, so packed order
+    always equals ascending original-replica order within each member (the
+    property the RNG consumption contract relies on).  Both species' counts
+    live in one ``(2, W)`` array, ``counts``; ``x0`` and ``x1`` are its row
+    views, rebound on every pack.  The accounting accumulators are the
+    simulator's :data:`~repro.lv.simulator._ACCOUNTING`, scattered (with the
+    counts) to the output record when a packed row is dropped (at
+    compaction) or when the loop exits.
     """
 
     #: Per-replica attributes sliced on pack (``counts`` is sliced by
@@ -564,12 +551,16 @@ class _LockstepState:
         "alive",
     )
 
-    def __init__(self, members: Sequence[SweepMember]):
-        sizes = np.array([m.num_replicates for m in members], dtype=np.int64)
-        member_of = np.repeat(np.arange(len(members)), sizes)
+    def __init__(
+        self, members: Sequence[SweepMember], outputs: "_OutputRecord", slots: np.ndarray
+    ):
+        """Rows for *slots* (ascending), continuing from their values in *outputs*.
+
+        A slot's counts and accounting are read as they stand, and its
+        budget is its member's less the events it has already fired.
+        """
+        member_of = outputs.member[slots]
         rates, sd_flags = LVParams.stack([m.params for m in members])
-        x0s = np.array([m.initial_state.x0 for m in members], dtype=np.int64)
-        x1s = np.array([m.initial_state.x1 for m in members], dtype=np.int64)
         signs = np.array([_gap_sign(m.initial_state) for m in members], dtype=np.int64)
         # Absorption (zero total propensity with both species alive) is only
         # possible in the intraspecific-only regime stuck at (1, 1): births,
@@ -581,10 +572,9 @@ class _LockstepState:
         )
         budgets = np.array([m.max_events for m in members], dtype=np.int64)
 
-        size = int(sizes.sum())
-        self.orig = np.arange(size)
+        self.orig = slots
         self.member = member_of
-        self.counts = np.stack((x0s[member_of], x1s[member_of]))
+        self.counts = np.stack((outputs.x0[slots], outputs.x1[slots]))
         self.x0, self.x1 = self.counts
         self.beta = rates[member_of, 0]
         self.delta = rates[member_of, 1]
@@ -594,20 +584,16 @@ class _LockstepState:
         self.gamma1 = rates[member_of, 5]
         self.sd = sd_flags[member_of]
         self.sign = signs[member_of]
-        self.max_events = budgets[member_of]
+        self.max_events = budgets[member_of] - outputs.total_events[slots]
         self.absorbable = absorbable[member_of]
         self.alive = (self.x0 > 0) & (self.x1 > 0)
 
         # Column 8 collects the retired replicas' no-op events and is
         # discarded when scattering to the output record.
-        self.histogram = np.zeros((size, 9), dtype=np.int64)
-        self.bad_noncompetitive_events = np.zeros(size, dtype=np.int64)
-        self.good_events = np.zeros(size, dtype=np.int64)
-        self.noise_individual = np.zeros(size, dtype=np.int64)
-        self.noise_competitive = np.zeros(size, dtype=np.int64)
-        self.max_total_population = self.x0 + self.x1
-        self.min_gap_seen = np.abs(self.x0 - self.x1)
-        self.hit_tie = self.x0 == self.x1
+        self.histogram = np.zeros((slots.size, 9), dtype=np.int64)
+        self.histogram[:, :8] = outputs.histogram[slots]
+        for name in _ACCOUNTING[1:]:
+            setattr(self, name, getattr(outputs, name)[slots])
 
     @property
     def width(self) -> int:
@@ -699,17 +685,21 @@ class _OutputRecord:
     """Result arrays of a call's lv2 replicas, one slot per replica.
 
     Both lv2 engines write here: members own consecutive slot ranges, in
-    member order.  Besides the counts ``x0`` / ``x1``, the arrays are named
-    as the result fields they become: ``total_events``,
-    ``termination_codes`` and the :data:`~repro.lv.simulator._ACCOUNTING`
-    accumulators, whose ``histogram`` holds the events per index.  The tau
-    backend adds ``leap_events``.  :func:`_finish_exact_tail` continues a
-    slot in place, and :meth:`result` is the one result builder.
+    member order, and ``member`` names each slot's.  Besides the counts
+    ``x0`` / ``x1``, the arrays are named as the result fields they become:
+    ``total_events``, ``termination_codes`` and the
+    :data:`~repro.lv.simulator._ACCOUNTING` accumulators, whose ``histogram``
+    holds the events per index.  The tau backend adds ``leap_events``.  Every
+    slot starts at its member's initial state, with no events; the engines
+    continue slots in place, and :meth:`results` is the one result builder.
     """
 
-    def __init__(self, size: int, *, leap_events: bool = False):
-        self.x0 = np.zeros(size, dtype=np.int64)
-        self.x1 = np.zeros(size, dtype=np.int64)
+    def __init__(self, members: Sequence[SweepMember], *, leap_events: bool = False):
+        sizes = [m.num_replicates for m in members]
+        self.member = np.repeat(np.arange(len(members)), sizes)
+        size = self.member.size
+        self.x0 = np.array([m.initial_state.x0 for m in members], dtype=np.int64)[self.member]
+        self.x1 = np.array([m.initial_state.x1 for m in members], dtype=np.int64)[self.member]
         self.total_events = np.zeros(size, dtype=np.int64)
         self.termination_codes = np.full(size, _CONSENSUS, dtype=np.int8)
         self.histogram = np.zeros((size, 8), dtype=np.int64)
@@ -717,9 +707,9 @@ class _OutputRecord:
         self.good_events = np.zeros(size, dtype=np.int64)
         self.noise_individual = np.zeros(size, dtype=np.int64)
         self.noise_competitive = np.zeros(size, dtype=np.int64)
-        self.max_total_population = np.zeros(size, dtype=np.int64)
-        self.min_gap_seen = np.zeros(size, dtype=np.int64)
-        self.hit_tie = np.zeros(size, dtype=bool)
+        self.max_total_population = self.x0 + self.x1
+        self.min_gap_seen = np.abs(self.x0 - self.x1)
+        self.hit_tie = self.x0 == self.x1
         self.leap_events = np.zeros(size, dtype=np.int64) if leap_events else None
 
     def scatter(self, state: _LockstepState, rows: np.ndarray) -> None:
@@ -732,26 +722,34 @@ class _OutputRecord:
         for name in _ACCOUNTING[1:]:
             getattr(self, name)[where] = getattr(state, name)[rows]
 
-    def result(self, member: SweepMember, slots: slice) -> LVEnsembleResult:
-        """Demultiplex one member's slot range into an ensemble result."""
-        histogram = self.histogram[slots]
-        derived = {
-            "final_x0": self.x0[slots],
-            "final_x1": self.x1[slots],
-            "births": histogram[:, _BIRTH0 : _BIRTH1 + 1].copy(),
-            "deaths": histogram[:, _DEATH0 : _DEATH1 + 1].copy(),
-            "interspecific_events": histogram[:, _INTER0] + histogram[:, _INTER1],
-            "intraspecific_events": histogram[:, _INTRA0 : _INTRA1 + 1].copy(),
-        }
-        return LVEnsembleResult(
-            params=member.params,
-            initial_state=member.initial_state,
-            leap_events=None if self.leap_events is None else self.leap_events[slots],
-            **{
-                name: derived[name] if name in derived else getattr(self, name)[slots]
-                for name in _ARRAY_FIELDS
-            },
-        )
+    def results(self, members: Sequence[SweepMember]) -> list[LVEnsembleResult]:
+        """Demultiplex the slots into one ensemble result per member, in order."""
+        offsets = np.cumsum([0] + [member.num_replicates for member in members]).tolist()
+        results = []
+        for member, start, stop in zip(members, offsets, offsets[1:]):
+            slots = slice(start, stop)
+            histogram = self.histogram[slots]
+            derived = {
+                "final_x0": self.x0[slots],
+                "final_x1": self.x1[slots],
+                "births": histogram[:, _BIRTH0 : _BIRTH1 + 1].copy(),
+                "deaths": histogram[:, _DEATH0 : _DEATH1 + 1].copy(),
+                "interspecific_events": histogram[:, _INTER0] + histogram[:, _INTER1],
+                "intraspecific_events": histogram[:, _INTRA0 : _INTRA1 + 1].copy(),
+            }
+            leaps = None if self.leap_events is None else self.leap_events[slots]
+            results.append(
+                LVEnsembleResult(
+                    params=member.params,
+                    initial_state=member.initial_state,
+                    leap_events=leaps,
+                    **{
+                        name: derived[name] if name in derived else getattr(self, name)[slots]
+                        for name in _ARRAY_FIELDS
+                    },
+                )
+            )
+        return results
 
 
 def run_sweep_ensemble(
@@ -887,30 +885,53 @@ def _run_lv2_members(
     *seeds* are the per-member root seeds (already derived), each spawning
     the member's step/tail stream pair in :class:`_MemberStreams`.
     """
-    streams = _MemberStreams(seeds)
-    full = collect == "full"
+    outputs = _OutputRecord(members)
+    _run_exact(
+        members,
+        outputs,
+        _MemberStreams(seeds),
+        np.arange(outputs.member.size),
+        compaction_fraction=compaction_fraction,
+        full=collect == "full",
+    )
+    return outputs.results(members)
 
-    state = _LockstepState(members)
-    outputs = _OutputRecord(state.width)
+
+def _run_exact(
+    members: Sequence[SweepMember],
+    outputs: _OutputRecord,
+    streams: _MemberStreams,
+    slots: np.ndarray,
+    *,
+    compaction_fraction: float | None,
+    full: bool,
+) -> None:
+    """Run *slots* (ascending) of *outputs* to their end on the exact engine.
+
+    Each slot continues from its counts, events and accounting in *outputs*:
+    the lock-step loop draws from its member's step stream where the stream
+    stands, and the survivors a member hands off finish on its tail stream
+    through :func:`_finish_exact_tail`.  The exact engine passes every slot
+    from its initial state; the tau backend passes the replicas it parked.
+    """
+    fired = outputs.total_events[slots]
+    state = _LockstepState(members, outputs, slots)
     handoffs = _advance_lockstep(
         len(members), state, outputs, streams, compaction_fraction, full
     )
     state.flush(outputs)
+    # The loop writes a slot's events as its retirement step; the events it
+    # fired before the loop are added once, before the tails read them.
+    outputs.total_events[slots] += fired
     # After the flush, so no pack or flush overwrites the finished slots.
-    for member_index, slots in handoffs:
+    for member_index, handed in handoffs:
         _finish_exact_tail(
             members[member_index],
             outputs,
             streams.tail_generators[member_index],
-            slots,
+            handed,
             full,
         )
-
-    offsets = np.cumsum([0] + [member.num_replicates for member in members]).tolist()
-    return [
-        outputs.result(member, slice(start, stop))
-        for member, start, stop in zip(members, offsets, offsets[1:])
-    ]
 
 
 def _advance_lockstep(
@@ -975,7 +996,7 @@ def _advance_lockstep(
     alive_idx = np.nonzero(state.alive)[0]
 
     # Every alive replica fires exactly one event per lock-step iteration, so
-    # a replica's event count at retirement equals the step index.
+    # a replica's events in the loop at retirement equal the step index.
     step = 0
     while num_alive > 0:
         if segments_stale and num_members > 1:
@@ -1141,9 +1162,10 @@ def _finish_exact_tail(
     *tail_generator*, and gets that run's counts, events and termination.
     With *full*, a :class:`~repro.lv.simulator._Tally` also continues the
     slot's accounting, in the member's gap sign.  A slot handed over with
-    no budget left ends at once with ``max-events``; that only happens when
-    every tail slot of its member is spent, so the block its run draws is
-    never read.
+    no budget left ends at once with ``max-events``, though its run still
+    draws its block.  From the exact engine that only happens when every
+    tail slot of its member is spent; the tau backend's parked replicas
+    each carry what their leaps left of the budget.
     """
     params = member.params
     sign = _gap_sign(member.initial_state)

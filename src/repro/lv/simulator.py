@@ -54,10 +54,8 @@ DEFAULT_MAX_EVENTS = 20_000_000
 #: block when it starts and another each time it has used this many, and a
 #: run that records its events folds them into its tally at the same
 #: boundary.  Part of the tail consumption contract, not just amortisation:
-#: the tau backend's batched endgame (:mod:`repro.lv.tau`) reads the k-th
-#: parked replica's uniforms at block k of the tail stream, and the exact
-#: engine's scalar tails are replayed block by block
-#: (``tests/reference_lockstep.py``).
+#: the lock-step engine's scalar tails read the tail stream in these blocks,
+#: and ``tests/reference_lockstep.py`` replays them block by block.
 _UNIFORM_BUFFER = 4096
 
 #: Event indices, in selection order (:func:`repro.scenario.spec.lv2_event_order`).

@@ -34,39 +34,37 @@ Hybrid exact tail
 Near absorption the leap approximation is invalid (propensities change by
 O(1) factors per event), so replicas whose total population falls to
 :data:`DEFAULT_EXACT_TAIL_POPULATION` or below are *parked*: they stop
-leaping and finish exactly, event by event, with the jump chain of the
-scalar simulator (:class:`~repro.lv.simulator.LVJumpChainSimulator`) on the
-member's dedicated tail stream, accounted by the simulator's one per-event
-rule in the member's gap sign.  Consensus probabilities therefore get the
+leaping and finish exactly, event by event, on the exact engine
+(:mod:`repro.lv.ensemble`).  Consensus probabilities therefore get the
 exact endgame dynamics; leaping is only ever applied in the
 large-population regime it is valid in.  Once every member of a call has
-finished leaping, all the replicas they parked advance together in one
-lock-step batch, one exact event per live replica per step.
+finished leaping, all the replicas they parked continue together from
+their parked counts, events and accounting, through the exact engine's own
+finisher: its lock-step loop, then its scalar tail for the last
+:data:`~repro.lv.ensemble.SCALAR_FINISH_WIDTH` survivors of each member.
 
 Reproducibility contract
 ------------------------
 Seed derivation mirrors :func:`repro.lv.ensemble.run_sweep_ensemble`: every
 member of a batch owns its root seed, which spawns a (step, tail) generator
-pair, and only the exact endgame reads the tail stream.  Per leap, each
-member draws from its step stream over its pending lanes in ascending
-original-replica-index order: one Poisson matrix (class-major) per rejection
-round while it has pending lanes, then one block of uniforms for its
-exact-step lanes.  The endgame equals one scalar-simulator run per parked
-replica, in park order (by leap, then ascending replica index), bit for
-bit: such a run draws one fresh :data:`~repro.lv.simulator._UNIFORM_BUFFER`
-block when it starts and another only past that many events, so the
-member's ``k``-th parked replica reads tail uniform
-``_UNIFORM_BUFFER * k + t`` at its ``t``-th endgame event.  A replica that
-outlasts one block shifts its member's later replicas; from it on, that
-member finishes one scalar run at a time, through the exact engine's
-exact-tail finisher (:func:`repro.lv.ensemble._finish_exact_tail`), into
-the output record both engines share.  No member's draws or arithmetic
-depend on another's lanes, so a member's results are **bitwise-identical to
-running it alone** — fused execution is purely an execution strategy,
-exactly as for the exact engine.  Results are seed-deterministic, but tau
-trajectories are *not* bitwise-comparable to exact trajectories: the
-backends agree statistically (enforced by the test suite's shared tolerance
-helper), not sample-by-sample.
+pair.  Per leap, each member draws from its step stream over its pending
+lanes in ascending original-replica-index order: one Poisson matrix
+(class-major) per rejection round while it has pending lanes, then one
+block of uniforms for its exact-step lanes.  The parked replicas then follow
+the exact engine's consumption-order contract from where their member's
+step stream stands: one step-stream uniform per live parked replica per
+lock-step step, in ascending replica order, until at most
+:data:`~repro.lv.ensemble.SCALAR_FINISH_WIDTH` remain, whose scalar runs
+read the untouched tail stream.  A call whose replicas all park before
+their first leap is therefore bitwise equal to
+:func:`~repro.lv.ensemble.run_sweep_ensemble` at ``"full"`` on the same
+members and seeds.  No member's draws or arithmetic depend on another's
+lanes, so a member's results are **bitwise-identical to running it alone**
+— fused execution is purely an execution strategy, exactly as for the
+exact engine.  Results are seed-deterministic, but tau trajectories are
+*not* bitwise-comparable to exact trajectories: the backends agree
+statistically (enforced by the test suite's shared tolerance helper), not
+sample-by-sample.
 
 Event accounting
 ----------------
@@ -89,34 +87,22 @@ import numpy as np
 from repro.exceptions import InvalidConfigurationError, SimulationError
 from repro.lv.ensemble import (
     COLLECT_MODES,
+    DEFAULT_COMPACTION_FRACTION,
     LVEnsembleResult,
     SweepMember,
-    _finish_exact_tail,
+    _MemberStreams,
     _OutputRecord,
+    _run_exact,
 )
 from repro.lv.params import LVParams
-from repro.lv.simulator import (
-    _ACCOUNTING,
-    _DX0_TABLE,
-    _DX1_TABLE,
-    _UNIFORM_BUFFER,
-    _event_accounting,
-    _gap_sign,
-)
-from repro.rng import (
-    SeedLike,
-    advance_stream,
-    spawn_generators,
-    spawn_seeds,
-    stream_uniforms,
-)
+from repro.lv.simulator import _ACCOUNTING, _DX0_TABLE, _DX1_TABLE, _gap_sign
+from repro.rng import SeedLike, spawn_seeds
 
 # Termination codes come from the stack-wide scenario spec (the single home
 # of the constants the engines share); the historical local aliases remain.
 from repro.scenario.spec import (
     DEFAULT_SCENARIO,
     TERM_ABSORBED as _ABSORBED,
-    TERM_CONSENSUS as _CONSENSUS,
     TERM_MAX_EVENTS as _MAX_EVENTS,
 )
 
@@ -160,23 +146,12 @@ _MIN_EXPECTED_FIRINGS = 1.0
 #: Event indices shared with :mod:`repro.lv.ensemble`.
 _BIRTH0, _BIRTH1, _DEATH0, _DEATH1, _INTER0, _INTER1, _INTRA0, _INTRA1 = range(8)
 
-#: Uniforms an endgame lane reads ahead per refill of its window (see
-#: :func:`_finish_parked`): bounds the window at lanes x this many doubles.
-_ENDGAME_WINDOW = 128
-
 #: Per reaction class: its rate's column in
 #: :data:`~repro.lv.params.RATE_FIELDS` order, and the count that rate
-#: multiplies (0: ``x0``, 1: ``x1``, 2: ``x0 * x1``; the leap's
-#: intraspecific classes read 3: ``x0 * (x0 - 1)`` and 4: ``x1 * (x1 - 1)``,
-#: while the endgame follows the scalar run's ``gamma * x * (x - 1)``).
+#: multiplies (0: ``x0``, 1: ``x1``, 2: ``x0 * x1``, 3: ``x0 * (x0 - 1)``,
+#: 4: ``x1 * (x1 - 1)``).
 _CLASS_RATE = np.array([0, 0, 1, 1, 2, 3, 4, 5])
-_CLASS_OPERAND = np.array([0, 1, 0, 1, 2, 2, 0, 1])
 _LEAP_OPERAND = np.array([0, 1, 0, 1, 2, 2, 3, 4])
-
-#: The move tables flattened: mechanism row ``m``, event ``e`` sits at
-#: ``m * _DX0_TABLE.shape[1] + e``.
-_MOVES_X0 = _DX0_TABLE.ravel()
-_MOVES_X1 = _DX1_TABLE.ravel()
 
 #: ``_MOVES[m, i, e]``: the change of ``x_i`` by event ``e`` under mechanism
 #: row ``m``.  ``_MOMENTS[m, e]``: ``1``, the changes of ``x0`` and ``x1``,
@@ -258,9 +233,8 @@ def run_tau_sweep_ensemble(
     exact_tail_population:
         Park a replica for the exact endgame once its total population is
         at or below this value (``0`` disables the handoff and leaps all
-        the way to absorption).  The call's parked replicas finish together,
-        bitwise equal to one scalar-simulator run each on their member's
-        tail stream (see the module's reproducibility contract).
+        the way to absorption).  The call's parked replicas finish together
+        on the exact engine (see the module's reproducibility contract).
     collect:
         Statistics level (:data:`~repro.lv.ensemble.COLLECT_MODES`).
         Generic-scenario members honour it through
@@ -319,24 +293,29 @@ def run_tau_sweep_ensemble(
         for index, result in zip(generic_indexes, generic_results):
             results[index] = result
     # Every lv2 member leaps in one loop into one set of output slots, then
-    # every replica they parked finishes in one batched exact endgame.
+    # every replica they parked finishes on the exact engine.
     lv2_indexes = [
         i for i, member in enumerate(members) if member.scenario == DEFAULT_SCENARIO
     ]
     if not lv2_indexes:
         return results
     lv2_members = [members[i] for i in lv2_indexes]
-    offsets = np.cumsum([0] + [member.num_replicates for member in lv2_members])
-    outputs = _OutputRecord(int(offsets[-1]), leap_events=True)
-    step_generators, tail_generators = zip(
-        *(spawn_generators(seeds[i], 2) for i in lv2_indexes)
-    )
+    outputs = _OutputRecord(lv2_members, leap_events=True)
+    streams = _MemberStreams([seeds[i] for i in lv2_indexes])
     parked = _leap(
-        lv2_members, outputs, step_generators, epsilon, exact_tail_population
+        lv2_members, outputs, streams.step_generators, epsilon, exact_tail_population
     )
-    _finish_parked(lv2_members, outputs, tail_generators, parked)
-    for index, start, stop in zip(lv2_indexes, offsets, offsets[1:]):
-        results[index] = outputs.result(members[index], slice(start, stop))
+    if parked.size:
+        _run_exact(
+            lv2_members,
+            outputs,
+            streams,
+            parked,
+            compaction_fraction=DEFAULT_COMPACTION_FRACTION,
+            full=True,
+        )
+    for index, result in zip(lv2_indexes, outputs.results(lv2_members)):
+        results[index] = result
     return results
 
 
@@ -355,79 +334,50 @@ _FIELDS = ("x0", "x1", "total_events", "leap_events") + _ACCOUNTING
 class _Lanes:
     """Replicas of a call's lv2 members in flight, one *lane* each.
 
-    Each member's lanes are one contiguous run, by output slot (``orig``):
-    ascending in the leap loop, in park order in the endgame.  Besides the
-    counts and accumulators (:data:`_FIELDS`), a lane carries what its
-    member's dynamics read: the member's index, its class rates (``beta, beta,
-    delta, delta, alpha0, alpha1, gamma0, gamma1``), its mechanism (the row
-    of the move tables), its gap sign and its event budget; and, for the
-    exact endgame, its block (how many lanes of its member come before it)
-    and its row in the current uniform window.
+    Lanes are ordered by output slot (``orig``), so each member's lanes are
+    one contiguous run, in ascending replica order.  Besides the counts and
+    accumulators (:data:`_FIELDS`), a lane carries what its member's
+    dynamics read: the member's index, its class rates (``beta, beta, delta,
+    delta, alpha0, alpha1, gamma0, gamma1``), its mechanism (the row of the
+    move tables), its gap sign and its event budget.
     """
 
-    #: Per-lane arrays that :meth:`pack` keeps aligned.
-    ARRAYS = _FIELDS + (
-        "orig",
-        "member",
-        "block",
-        "rates",
-        "mechanism",
-        "sign",
-        "budget",
-        "window_row",
-    )
+    #: Per-lane arrays that :meth:`retire` keeps aligned.
+    ARRAYS = _FIELDS + ("orig", "member", "rates", "mechanism", "sign", "budget")
 
-    def __init__(
-        self,
-        members: Sequence[SweepMember],
-        outputs: _OutputRecord,
-        slots: np.ndarray,
-        member: np.ndarray,
-    ):
-        """Lanes for *slots*, grouped by *member* (non-decreasing), read from *outputs*."""
-        self.orig = slots
+    def __init__(self, members: Sequence[SweepMember], outputs: _OutputRecord):
+        """One lane per slot of *outputs*, read from it."""
+        self.orig = np.arange(outputs.member.size)
         for name in _FIELDS:
-            setattr(self, name, getattr(outputs, name)[slots])
-        self.member = member
-        self.block = np.arange(slots.size) - np.searchsorted(member, member)
+            setattr(self, name, getattr(outputs, name).copy())
+        member = self.member = outputs.member
         rates, self_destructive = LVParams.stack([m.params for m in members])
         self.rates = rates[:, _CLASS_RATE][member]
         self.mechanism = self_destructive.astype(np.intp)[member]
         self.sign = np.array([_gap_sign(m.initial_state) for m in members])[member]
         self.budget = np.array([m.max_events for m in members], dtype=np.int64)[member]
-        self.window_row = np.zeros(slots.size, dtype=np.intp)
 
     @property
     def width(self) -> int:
         return int(self.orig.size)
 
-    def scatter(self, outputs: _OutputRecord, rows: np.ndarray) -> None:
-        """Write *rows*' accumulators to their output slots."""
+    def retire(self, outputs: _OutputRecord, done: np.ndarray) -> np.ndarray:
+        """Write the lanes of the mask *done* to their slots and drop them.
+
+        Returns the kept rows.
+        """
+        rows = np.flatnonzero(done)
         where = self.orig[rows]
         for name in _FIELDS:
             getattr(outputs, name)[where] = getattr(self, name)[rows]
-
-    def pack(self, keep: np.ndarray) -> None:
-        """Drop every row not in *keep* (a sorted index array)."""
+        keep = np.flatnonzero(~done)
         for name in self.ARRAYS:
             setattr(self, name, getattr(self, name)[keep])
-
-    def retire(self, outputs: _OutputRecord, done: np.ndarray) -> np.ndarray:
-        """Scatter the lanes of the mask *done* and drop them; returns the kept rows."""
-        self.scatter(outputs, np.flatnonzero(done))
-        keep = np.flatnonzero(~done)
-        self.pack(keep)
         return keep
-
-    def copy(self) -> "_Lanes":
-        clone = object.__new__(_Lanes)
-        for name in self.ARRAYS:
-            setattr(clone, name, getattr(self, name).copy())
-        return clone
 
 
 class _LeapTables:
-    """The lanes' parameters as a leap reads them, rebuilt after every pack.
+    """The lanes' parameters as a leap reads them, rebuilt after every retirement.
 
     Class-major over the leap's classes (a prefix of the eight, see
     :func:`_leap`): ``rates`` and, per lane, ``moments`` (:data:`_MOMENTS`
@@ -462,7 +412,7 @@ def _leap(
     step_generators: Sequence[np.random.Generator],
     epsilon: float,
     exact_tail_population: int,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Advance every lv2 replica of a call by Poisson leaps, in one loop.
 
     *outputs* holds the members' slot ranges, in member order; results land
@@ -473,17 +423,10 @@ def _leap(
     the member's step stream over its lanes in ascending order: a
     ``poisson`` call per rejection round while it has pending lanes, then
     one ``random`` block for its exact steps.  Replicas that reach the
-    exact tail population are parked (their accumulators written, the
-    endgame left to :func:`_finish_parked`); returns each member's parked
-    slots in park order: by leap, then ascending replica index.
+    exact tail population are parked: their accumulators are written and
+    their slots returned, ascending, for the exact engine to finish.
     """
-    member = np.repeat(np.arange(len(members)), [m.num_replicates for m in members])
-    outputs.x0[:] = np.array([m.initial_state.x0 for m in members], dtype=np.int64)[member]
-    outputs.x1[:] = np.array([m.initial_state.x1 for m in members], dtype=np.int64)[member]
-    outputs.max_total_population[:] = outputs.x0 + outputs.x1
-    outputs.min_gap_seen[:] = np.abs(outputs.x0 - outputs.x1)
-    outputs.hit_tie[:] = outputs.x0 == outputs.x1
-    lanes = _Lanes(members, outputs, np.arange(member.size), member)
+    lanes = _Lanes(members, outputs)
     # A leap evaluates every class up to the last with a nonzero rate in
     # some lane.
     num_classes = int(np.flatnonzero(lanes.rates.any(axis=0)).max(initial=-1)) + 1
@@ -491,7 +434,7 @@ def _leap(
     operand = _LEAP_OPERAND[classes]
     intraspecific = max(num_classes - _INTRA0, 0)
     tables = _LeapTables(lanes, classes, len(members))
-    parked: list[list[np.ndarray]] = [[] for _ in members]
+    parked = [np.zeros(0, dtype=np.int64)]
 
     while lanes.width:
         x0, x1 = lanes.x0, lanes.x1
@@ -527,9 +470,7 @@ def _leap(
         dropped = absorbed | tail
         if dropped.any():
             outputs.termination_codes[lanes.orig[absorbed]] = _ABSORBED
-            tail_rows = np.flatnonzero(tail)
-            for index, lo, hi in _member_runs(tail_rows, tables.starts):
-                parked[index].append(lanes.orig[tail_rows[lo:hi]])
+            parked.append(lanes.orig[tail])
             keep = lanes.retire(outputs, dropped)
             if not lanes.width:
                 break
@@ -636,132 +577,4 @@ def _leap(
         np.minimum(lanes.min_gap_seen, np.abs(gap_after), out=lanes.min_gap_seen)
         lanes.hit_tie |= gap_after == 0
 
-    return [np.concatenate([np.zeros(0, dtype=np.int64), *slots]) for slots in parked]
-
-
-def _finish_parked(
-    members: Sequence[SweepMember],
-    outputs: _OutputRecord,
-    tail_generators: Sequence[np.random.Generator],
-    parked: Sequence[np.ndarray],
-) -> None:
-    """The exact endgame: finish every parked replica of a call in lock-step.
-
-    Bitwise equal to finishing each parked replica, in park order, with
-    :func:`~repro.lv.ensemble._finish_exact_tail` (one run of the scalar
-    event loop, :func:`repro.lv.simulator._event_loop`) on its member's
-    tail stream (see the module's reproducibility contract).  Each live
-    lane fires one event per step, reading uniform ``_UNIFORM_BUFFER *
-    block + t`` through its window, and follows the scalar run: its
-    propensity association, the first left-to-right partial sum above
-    ``u * total`` and its exits in its order; the accounting is the
-    simulator's :func:`~repro.lv.simulator._event_accounting`, in the
-    member's gap sign.  Lanes still alive at ``t = _UNIFORM_BUFFER`` would
-    draw a second block: their member keeps the lanes before the first of
-    them and finishes the rest with that finisher, from the first one's
-    block on.
-    """
-    if not any(rows.size for rows in parked):
-        return
-    sizes = [rows.size for rows in parked]
-    lanes = _Lanes(
-        members, outputs, np.concatenate(parked), np.repeat(np.arange(len(members)), sizes)
-    )
-    # Positive: the leap loop retires spent replicas before it parks any.
-    lanes.budget -= lanes.total_events
-    state = lanes.copy()
-    intraspecific = bool(state.rates[:, _INTRA0:].any())
-    window = np.empty((0, _ENDGAME_WINDOW))
-    window_end = t = 0
-
-    def repacked() -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Class-major rates, flat moves offsets, first histogram cells, least budget."""
-        cells = state.histogram.shape[1] * np.arange(state.width)
-        moves = _DX0_TABLE.shape[1] * state.mechanism
-        return np.ascontiguousarray(state.rates.T), moves, cells, int(state.budget.min())
-
-    rates, moves_base, cells, budget_floor = repacked()
-    while state.width:
-        x0, x1 = state.x0, state.x1
-        operands = np.empty((3, state.width))
-        operands[0] = x0
-        operands[1] = x1
-        operands[2] = x0 * x1
-        rows = operands.take(_CLASS_OPERAND, axis=0)
-        rows *= rates
-        if intraspecific:
-            rows[_INTRA0:] *= operands[:2] - 1.0
-            rows[_INTRA0:] /= 2.0
-        # Partial sums in place, row by row: the scalar run's additions, in
-        # its order, so the last row is its total.
-        for previous, current in zip(rows[:-1], rows[1:]):
-            np.add(previous, current, out=current)
-        # The scalar run's exits, in its order: consensus, budget, absorption.
-        finished = operands[2] == 0.0
-        done = finished | (rows[_INTRA1] <= 0.0)
-        if t >= budget_floor:
-            done |= state.budget <= t
-        if done.any():
-            codes = np.where(
-                finished,
-                _CONSENSUS,
-                np.where(state.budget <= t, _MAX_EVENTS, _ABSORBED),
-            )
-            outputs.termination_codes[state.orig[done]] = codes[done]
-            keep = state.retire(outputs, done)
-            if not state.width:
-                break
-            rows = rows[:, keep]
-            rates, moves_base, cells, budget_floor = repacked()
-            x0, x1 = state.x0, state.x1
-        if t == _UNIFORM_BUFFER:
-            break
-        if t == window_end:
-            # Every lane's next window of positions, one read per member.
-            window = np.empty((state.width, _ENDGAME_WINDOW))
-            starts = (_UNIFORM_BUFFER * state.block + t).tolist()
-            edges = [0, *(np.flatnonzero(np.diff(state.member)) + 1).tolist()]
-            for lo, hi in zip(edges, edges[1:] + [state.width]):
-                stream_uniforms(
-                    tail_generators[state.member[lo]], starts[lo:hi], window[lo:hi]
-                )
-            state.window_row = np.arange(state.width)
-            window_end = t + _ENDGAME_WINDOW
-        uniforms = window[state.window_row, t + _ENDGAME_WINDOW - window_end]
-        event = (rows <= uniforms * rows[_INTRA1]).sum(axis=0)
-
-        gap_before = x0 - x1
-        moves = moves_base + event
-        x0 += _MOVES_X0.take(moves)
-        x1 += _MOVES_X1.take(moves)
-        if x0.min() < 0 or x1.min() < 0:
-            raise SimulationError("the exact endgame drove a species count negative")
-        t += 1
-        state.total_events += 1
-        # A view: packing leaves the histogram C-contiguous.
-        state.histogram.reshape(-1)[cells + event] += 1
-        gap_after = x0 - x1
-        noise_ind, noise_comp, bad, good = _event_accounting(
-            event, gap_before, gap_after, state.sign
-        )
-        state.noise_individual += noise_ind
-        state.noise_competitive += noise_comp
-        state.bad_noncompetitive_events += bad
-        state.good_events += good
-        np.maximum(state.max_total_population, x0 + x1, out=state.max_total_population)
-        np.minimum(state.min_gap_seen, np.abs(gap_after), out=state.min_gap_seen)
-        state.hit_tie |= gap_after == 0
-
-    # The lanes still alive would each draw a second block: from the first
-    # of them on, their member's replicas go back to their park-time values
-    # and finish one scalar run each.
-    for index in np.unique(state.member).tolist():
-        first = int(state.block[state.member == index].min())
-        redo = np.nonzero((lanes.member == index) & (lanes.block >= first))[0]
-        lanes.scatter(outputs, redo)
-        tail_generator = tail_generators[index]
-        advance_stream(tail_generator, _UNIFORM_BUFFER * first)
-        _finish_exact_tail(
-            members[index], outputs, tail_generator, lanes.orig[redo], full=True
-        )
-
+    return np.sort(np.concatenate(parked))

@@ -45,6 +45,7 @@ from typing import Callable, Sequence
 
 from repro.exceptions import InvalidConfigurationError
 from repro.lv.params import LVParams
+from repro.lv.state import LVState
 from repro.scenario.spec import DEFAULT_SCENARIO, Scenario, lv2_reaction_structure
 
 __all__ = [
@@ -324,3 +325,22 @@ def validate_scenario_state(name: str, initial_state: Sequence[int]) -> tuple[in
             f"species counts must be non-negative, got {counts}"
         )
     return counts
+
+
+def scenario_initial_state(
+    name: str, initial_state: LVState | Sequence[int]
+) -> LVState | tuple[int, ...]:
+    """*initial_state* in the form tasks and members of family *name* hold.
+
+    The two-species default holds an :class:`~repro.lv.state.LVState`
+    (given one, or a pair of counts); every other family holds the counts
+    :func:`validate_scenario_state` returns (an ``LVState`` gives its pair).
+    """
+    if name == DEFAULT_SCENARIO:
+        # Lazily: the simulator imports this package.
+        from repro.lv.simulator import LVJumpChainSimulator
+
+        return LVJumpChainSimulator._coerce_state(initial_state)
+    if isinstance(initial_state, LVState):
+        initial_state = (initial_state.x0, initial_state.x1)
+    return validate_scenario_state(name, initial_state)

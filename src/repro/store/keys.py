@@ -62,7 +62,12 @@ __all__ = [
 #: leap left to right over the reactions, and keeps ``good_events`` and
 #: ``bad_noncompetitive_events`` at zero at ``"win"``; lv2 chunks keep
 #: their bits under the new keys.
-RESULT_SCHEMA_VERSION = 4
+#: Version 5: the tau backend finishes its parked lv2 replicas on the exact
+#: engine (its lock-step loop on the step stream, then its scalar tail)
+#: instead of one scalar run each on the tail stream, so tau replicas that
+#: leap before they park read different uniforms; exact and generic chunks
+#: keep their bits under the new keys.
+RESULT_SCHEMA_VERSION = 5
 
 
 def canonical_json(payload: Any) -> str:

@@ -26,6 +26,8 @@ from repro.analysis.statistics import (
     _normal_quantile,
     binomial_estimate,
     bootstrap_mean_interval,
+    replicates_for_mean,
+    replicates_for_proportion,
     required_samples,
     wilson_half_width,
     wilson_interval,
@@ -201,6 +203,19 @@ class TestBootstrapAndPlanning:
         assert required_samples(0.01) > required_samples(0.05)
         with pytest.raises(EstimationError):
             required_samples(0.0)
+
+    @pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.2, float("nan")])
+    def test_planning_rejects_a_confidence_outside_the_unit_interval(self, confidence):
+        with pytest.raises(EstimationError, match="confidence must be in"):
+            required_samples(0.05, confidence=confidence)
+        with pytest.raises(EstimationError, match="confidence must be in"):
+            replicates_for_proportion(5, 10, 0.05, confidence=confidence)
+        with pytest.raises(EstimationError, match="confidence must be in"):
+            replicates_for_mean(5.0, 1.0, 0.05, confidence=confidence)
+        # Nothing invalid was cached: valid calls still plan as before.
+        assert required_samples(0.05) == 385
+        assert required_samples(0.02, confidence=0.9) == 1691
+        assert all(math.isfinite(_normal_quantile(level)) for level in (0.9, 0.95))
 
 
 class TestConcentrationBounds:

@@ -223,6 +223,32 @@ class TestBlastRadius:
         assert output.endswith(":\n  generic/full\n")
 
 
+class TestSourceLines:
+    def test_line_counts_are_reported_beside_parity(
+        self, bits_parity, monkeypatch, capsys, tmp_path
+    ):
+        # Every line of every *.py under src/repro, nested packages included;
+        # other files and other directories do not count.
+        files = {
+            "base/src/repro/a.py": "x = 1\ny = 2\n",
+            "base/src/repro/pkg/b.py": "z = 3\n",
+            "base/src/repro/notes.txt": "not counted\n",
+            "base/tests/test_a.py": "not counted\n",
+            "head/src/repro/a.py": "x = 1\n",
+        }
+        for name, text in files.items():
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        document = _document(_entry("SAME", [1]))
+        monkeypatch.setattr(bits_parity, "run_all", lambda tree, output: document)
+        assert bits_parity.source_lines(tmp_path / "base") == 3
+        assert bits_parity.main(_trees(tmp_path)) == 0
+        output = capsys.readouterr().out
+        assert "src/repro lines: base 3, head 1 (-2)\n" in output
+        assert output.endswith("bits-parity: same bits\n")
+
+
 @pytest.fixture(scope="module")
 def cache_parity():
     return _load("cache_parity")

@@ -4,10 +4,11 @@
 replica and one uniform at a time.  Every exact path that ends in the
 lock-step core or the scalar simulator must match it array for array: both
 collect modes, every compaction setting, explicit member seeds, the
-one-shot estimators, the scalar tail field for field, the tau
-backend's exact endgame, and the schedulers' planned, packed, parallel and
-adaptive execution.  The last class pins the compatibility seam that
-replaced the removed native engine.
+one-shot estimators, the scalar tail field for field, and the schedulers'
+planned, packed, parallel and adaptive execution.  The tau backend's exact
+endgame is the exact engine itself, so a tau call parked from the start
+must equal ``run_sweep_ensemble``.  The last class pins the compatibility
+seam that replaced the removed native engine.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from repro.lv.ensemble import (
 from repro.lv.params import CompetitionMechanism, LVParams
 from repro.lv.simulator import DEFAULT_MAX_EVENTS, LVJumpChainSimulator
 from repro.lv.state import LVState
-from repro.lv.tau import run_tau_sweep_ensemble
-from repro.rng import spawn_generators, spawn_seeds
+from repro.lv.tau import DEFAULT_EXACT_TAIL_POPULATION, run_tau_sweep_ensemble
+from repro.rng import spawn_seeds
 from repro.scenario.engine import run_scenario_members
 
 import reference_lockstep as reference
@@ -102,6 +103,20 @@ class TestEnsembleAgainstReference:
         results = run_sweep_ensemble(members, rng=3, compaction_fraction=compaction)
         for result, replay in zip(results, reference.replay_lv2(members, rng=3)):
             assert_matches_replay(result, replay)
+
+    @pytest.mark.parametrize("collect", ["full", "win"])
+    def test_a_tied_start_counts_as_a_tie(self, sd_params, nsd_params, collect):
+        # One event moves every replica off the tie, so only the initial
+        # state can set hit_tie (and min_gap_seen = 0) in the first member.
+        members = [
+            SweepMember(sd_params, LVState(10, 10), 12, max_events=1),
+            SweepMember(nsd_params, LVState(7, 7), 12),
+        ]
+        results = run_sweep_ensemble(members, rng=5, collect=collect)
+        for result, replay in zip(results, reference.replay_lv2(members, rng=5, collect=collect)):
+            assert_matches_replay(result, replay)
+        assert results[0].hit_tie.all()
+        assert (results[0].min_gap_seen == 0).all()
 
     def test_member_seeds_match_reference(self, sd_params, nsd_params):
         members = _members(sd_params, nsd_params)
@@ -433,32 +448,35 @@ class TestScalarTailAgainstReference:
 GAMMA_SD = LVParams(1.0, 0.7, 0.3, 0.45, 0.3, 0.2, SD)
 GAMMA_NSD = LVParams(0.9, 1.1, 0.2, 0.6, 0.35, 0.15, NSD)
 
-#: Tau calls whose replicas start at or below the exact tail population, so
-#: each replica is one scalar run on its member's tail stream, in replica
-#: order.  Every mechanism, both majorities, a tie, a budget that runs out
-#: in the endgame, and absorption at (1, 1).
+#: Tau calls whose replicas all start at or below the exact tail population,
+#: so every replica parks before its first leap and the call is the exact
+#: engine's.  Every member is wider than ``SCALAR_FINISH_WIDTH``, so its
+#: replicas run the lock-step loop before the scalar tail takes its last
+#: ones.  Both mechanisms, both majorities, a tie, intraspecific competition,
+#: budgets that run out in the lock-step and in the tail, and absorption at
+#: (1, 1).
 ENDGAME_BATCHES = {
     "mixed": [
-        SweepMember(NO_INTRA_SD, LVState(60, 40), 6),
-        SweepMember(NO_INTRA_NSD, LVState(50, 46), 4),
-        SweepMember(NO_INTRA_NSD, LVState(34, 41), 4),
-        SweepMember(GAMMA_SD, LVState(30, 41), 5),
-        SweepMember(GAMMA_NSD, LVState(20, 20), 5),
+        SweepMember(NO_INTRA_SD, LVState(60, 40), 24),
+        SweepMember(NO_INTRA_NSD, LVState(50, 46), 16),
+        SweepMember(NO_INTRA_NSD, LVState(34, 41), 12),
+        SweepMember(GAMMA_SD, LVState(30, 41), 20),
+        SweepMember(GAMMA_NSD, LVState(20, 20), 20),
     ],
     "budget": [
-        SweepMember(NO_INTRA_SD, LVState(60, 40), 6, 40),
-        SweepMember(GAMMA_NSD, LVState(33, 28), 4, 25),
-        SweepMember(NO_INTRA_NSD, LVState(50, 46), 3),
+        SweepMember(NO_INTRA_SD, LVState(60, 40), 24, 40),
+        SweepMember(GAMMA_NSD, LVState(33, 28), 16, 70),
+        SweepMember(NO_INTRA_NSD, LVState(50, 46), 12),
     ],
     "absorbed": [
-        SweepMember(INTRA_ONLY, LVState(4, 4), 6),
-        SweepMember(INTRA_ONLY, LVState(5, 3), 4),
-        SweepMember(NO_INTRA_SD, LVState(12, 9), 3),
+        SweepMember(INTRA_ONLY, LVState(4, 4), 20),
+        SweepMember(INTRA_ONLY, LVState(5, 3), 12),
+        SweepMember(NO_INTRA_SD, LVState(12, 9), 12),
     ],
 }
 
-#: Every per-replica array of a result, in the order the digest below reads.
-RESULT_ARRAYS = (
+#: Every per-replica array of an exact-engine result.
+EXACT_ARRAYS = (
     "final_x0",
     "final_x1",
     "total_events",
@@ -474,13 +492,17 @@ RESULT_ARRAYS = (
     "max_total_population",
     "min_gap_seen",
     "hit_tie",
-    "leap_events",
 )
 
+#: Every per-replica array of a tau result, in the order the digest below
+#: reads.
+RESULT_ARRAYS = EXACT_ARRAYS + ("leap_events",)
+
 #: sha256 of :func:`results_digest` over the leap-to-endgame call of
-#: ``test_leap_to_endgame_call_keeps_its_digest``, as the scalar endgame
-#: (one run per parked replica) computed it.
-LEAP_TO_ENDGAME_DIGEST = "5a1a54ce302c904e64eaf671b74b66bebaa4c109c6b6d260a54225dc5ceb6db4"
+#: ``test_leap_to_endgame_call_keeps_its_digest``, as schema 5 computes it:
+#: the parked replicas finish on the exact engine, from where their
+#: member's leaps left its step stream.
+LEAP_TO_ENDGAME_DIGEST = "fdb3451545408befa1ee64f6762120c391921759bfee64e07077f23afefe2220"
 
 
 def results_digest(results) -> str:
@@ -492,76 +514,71 @@ def results_digest(results) -> str:
 
 
 class TestTauEndgameAgainstReference:
-    """Replicas at or below the tail population finish exactly, on the tail stream."""
+    """Parked replicas finish on the exact engine, which is the reference.
+
+    A tau call whose replicas all park before their first leap draws
+    nothing while leaping, so it must return what ``run_sweep_ensemble``
+    returns at ``"full"`` on the same members and seeds, array for array,
+    with no leap events.
+    """
 
     @staticmethod
-    def _endgame_replay(member, root_seed) -> dict:
-        _, tail = spawn_generators(root_seed, 2)
-        runs = [
-            reference.scalar_run(member.params, member.initial_state, tail, member.max_events)
-            for _ in range(member.num_replicates)
-        ]
-
-        def column(field, dtype=np.int64):
-            return np.array([getattr(run, field) for run in runs], dtype=dtype)
-
-        replay = {
-            name: column(name)
-            for name in reference.ScalarRun._fields
-            if name not in ("final_state", "termination", "hit_tie")
-        }
-        replay["final_x0"], replay["final_x1"] = column("final_state").T
-        replay["hit_tie"] = column("hit_tie", bool)
-        replay["termination_codes"] = np.array(
-            [reference.TERMINATION_NAMES.index(run.termination) for run in runs], dtype=np.int8
+    def _assert_call_equals_exact(
+        members, *, tail_population=DEFAULT_EXACT_TAIL_POPULATION, **seeding
+    ) -> list:
+        results = run_tau_sweep_ensemble(
+            members, exact_tail_population=tail_population, **seeding
         )
-        replay["leap_events"] = np.zeros(member.num_replicates, dtype=np.int64)
-        return replay
-
-    def _assert_call_matches_reference(self, members, **options) -> list:
-        results = run_tau_sweep_ensemble(members, **options)
-        seeds = reference.member_root_seeds(len(members), rng=options.get("rng"))
-        for member, seed, result in zip(members, seeds, results):
-            assert_matches_replay(result, self._endgame_replay(member, seed))
+        expected = run_sweep_ensemble(members, collect="full", **seeding)
+        for result, exact in zip(results, expected):
+            for name in EXACT_ARRAYS:
+                actual, wanted = getattr(result, name), getattr(exact, name)
+                assert actual.dtype == wanted.dtype, name
+                assert np.array_equal(actual, wanted), name
+            assert result.leap_events.dtype == np.int64
+            assert (result.leap_events == 0).all()
         return results
 
     @pytest.mark.parametrize("batch", list(ENDGAME_BATCHES))
-    def test_exact_tail_matches_reference(self, batch):
-        results = self._assert_call_matches_reference(ENDGAME_BATCHES[batch], rng=11)
+    def test_parked_call_equals_the_exact_engine(self, batch):
+        members = ENDGAME_BATCHES[batch]
+        assert all(member.num_replicates > SCALAR_FINISH_WIDTH for member in members)
+        results = self._assert_call_equals_exact(members, rng=11)
         codes = np.concatenate([result.termination_codes for result in results])
         if batch == "budget":
-            assert (codes == reference.MAX_EVENTS).any()
+            # The first member runs out in the lock-step loop; the second's
+            # last replicas run out in the scalar tail.
+            spent = [np.count_nonzero(r.termination_codes == reference.MAX_EVENTS) for r in results]
+            assert spent[0] == members[0].num_replicates
+            assert 0 < spent[1] <= SCALAR_FINISH_WIDTH
         if batch == "absorbed":
             assert (codes == reference.ABSORBED).any()
 
-    def test_tau_endgame_from_the_start_matches_reference(self, sd_params):
-        member = SweepMember(sd_params, LVState(700, 500), 4, DEFAULT_MAX_EVENTS)
-        self._assert_call_matches_reference([member], rng=13, exact_tail_population=2_000)
+    @pytest.mark.parametrize("batch", list(ENDGAME_BATCHES))
+    def test_member_seeds_fused_and_solo_equal_the_exact_engine(self, batch):
+        members = ENDGAME_BATCHES[batch]
+        seeds = [31 + index for index in range(len(members))]
+        fused = self._assert_call_equals_exact(members, member_seeds=seeds)
+        for member, seed, result in zip(members, seeds, fused):
+            (solo,) = self._assert_call_equals_exact([member], member_seeds=[seed])
+            for name in RESULT_ARRAYS:
+                assert np.array_equal(getattr(solo, name), getattr(result, name)), name
 
-    def test_runs_past_one_block_redo_their_member_from_the_first(self, nsd_params):
-        """A run past one uniform block hands its member to the scalar loop.
-
-        The replicas before it keep their lock-step results; it and every
-        later replica, some of which end inside one block, run again as
-        scalar runs from its block on.
-        """
-        members = [
-            SweepMember(BIRTHS_DEATHS_NSD, LVState(24, 20), 8, 6_000),
-            SweepMember(nsd_params, LVState(46, 50), 3),
-        ]
-        results = self._assert_call_matches_reference(members, rng=4)
-        events = results[0].total_events
-        first = np.flatnonzero(events > reference.SCALAR_BLOCK)[0]
-        assert first > 0
-        assert (events[first:] <= reference.SCALAR_BLOCK).any()
+    def test_a_raised_tail_population_parks_a_large_state(self, sd_params):
+        member = SweepMember(sd_params, LVState(700, 500), 12, DEFAULT_MAX_EVENTS)
+        self._assert_call_equals_exact([member], rng=13, tail_population=2_000)
 
     def test_leap_to_endgame_call_keeps_its_digest(self, sd_params, nsd_params):
-        """No reference replays the leap phase: pin one call's bytes instead."""
+        """No reference replays the leap phase: pin one call's bytes instead.
+
+        Every member parks more replicas than the scalar tail takes, so the
+        lock-step loop continues each member's step stream after its leaps.
+        """
         members = [
-            SweepMember(sd_params, LVState(4_000, 3_900), 5),
-            SweepMember(nsd_params, LVState(2_600, 2_700), 4),
-            SweepMember(sd_params, LVState(3_000, 3_000), 3),
-            SweepMember(GAMMA_SD, LVState(9_000, 7_000), 3),
+            SweepMember(sd_params, LVState(4_000, 3_900), 12),
+            SweepMember(nsd_params, LVState(2_600, 2_700), 10),
+            SweepMember(sd_params, LVState(3_000, 3_000), 9),
+            SweepMember(GAMMA_SD, LVState(9_000, 7_000), 9),
         ]
         results = run_tau_sweep_ensemble(members, rng=21)
         for result in results:

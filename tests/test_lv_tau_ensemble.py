@@ -58,9 +58,11 @@ _NSD = CompetitionMechanism.NON_SELF_DESTRUCTIVE
 def _lv2_member(draw) -> SweepMember:
     """An lv2 tau member: either mechanism, optional inter- and intraspecific
     rates, a species-0 or species-1 majority, a state below, at or above the
-    tail population or at consensus, and a budget that may run out while it
+    tail population or at consensus, a budget that may run out while it
     leaps or in the endgame (always bounded without competition between the
-    species, which can take very long to reach consensus)."""
+    species, which can take very long to reach consensus), and up to 12
+    replicas, so that its endgame may run the exact engine's lock-step loop
+    before its scalar tail."""
     alpha0, alpha1 = draw(st.sampled_from([(0.3, 0.5), (0.5, 0.3), (0.5, 0.5), (0.0, 0.0)]))
     params = LVParams(
         beta=draw(st.sampled_from([0.6, 1.0])),
@@ -78,7 +80,7 @@ def _lv2_member(draw) -> SweepMember:
         counts = counts[::-1]
     budgets = [25, 400, 2_500] + [DEFAULT_MAX_EVENTS] * (params.alpha > 0.0)
     budget = draw(st.sampled_from(budgets))
-    return SweepMember(params, LVState(*counts), draw(st.integers(1, 5)), budget)
+    return SweepMember(params, LVState(*counts), draw(st.integers(1, 12)), budget)
 
 
 #: A generic-scenario member that can ride along in a fused call.
@@ -93,13 +95,15 @@ _GENERIC_MEMBER = SweepMember(
 #: consensus and one at the tail population; exact steps (strong
 #: intraspecific competition just above the tail); and a birth-death walk
 #: without competition, whose ``g_i`` differ from the other members' (the
-#: generic member goes in as the third).
+#: generic member goes in as the third).  Two members park more replicas
+#: than the exact engine's scalar tail takes, so their endgame runs the
+#: lock-step loop.
 _MIXED_CALL = [
-    SweepMember(LVParams(1.0, 0.4, 0.3, 0.5, 0.002, 0.0, _SD), LVState(300, 500), 4, 2_500),
+    SweepMember(LVParams(1.0, 0.4, 0.3, 0.5, 0.002, 0.0, _SD), LVState(300, 500), 12, 2_500),
     SweepMember(LVParams(0.6, 1.0, 0.5, 0.3, 0.0, 0.002, _NSD), LVState(36, 28), 3, 20),
     SweepMember(LVParams(1.0, 1.0, 0.5, 0.5, mechanism=_SD), LVState(600, 200), 2, 40),
     SweepMember(LVParams(1.0, 1.0, 0.5, 0.5, mechanism=_NSD), LVState(64, 0), 2),
-    SweepMember(LVParams(0.6, 0.4, 0.3, 0.3, 0.002, 0.002, _NSD), LVState(32, 32), 5, 400),
+    SweepMember(LVParams(0.6, 0.4, 0.3, 0.3, 0.002, 0.002, _NSD), LVState(32, 32), 10, 400),
     SweepMember(LVParams(1.0, 1.0, 0.5, 0.5, mechanism=_NSD), LVState(380, 420), 3, 780),
     SweepMember(LVParams(0.2, 0.2, 0.3, 0.3, 0.05, 0.05, _SD), LVState(50, 20), 3),
     SweepMember(LVParams(1.0, 0.4, 0.0, 0.0, mechanism=_NSD), LVState(250, 150), 2, 400),
@@ -262,6 +266,35 @@ class TestTauEnsembleBehaviour:
         results = _tau(sd_params, LVState(2020, 1980), 4, 2).to_run_results()
         assert len(results) == 4
         assert all(r.reached_consensus for r in results)
+
+    @pytest.mark.parametrize("budget", [2_990, 2_998])
+    def test_a_budget_spent_in_the_endgame_ends_at_the_budget(self, sd_params, budget):
+        """The exact endgame spends what the leaps left of a replica's budget.
+
+        From (3030, 2970) every replica leaps ~2,750 events and then parks;
+        its endgame runs ~230-250 exact events, so these budgets run out
+        there for some replicas and not for others.
+        """
+        result = _tau(sd_params, LVState(3030, 2970), 24, 5, max_events=budget)
+        spent = result.termination_codes == 2
+        assert 0 < spent.sum() < 24
+        assert (result.leap_events < budget).all()
+        assert (result.total_events[spent] == budget).all()
+        assert (result.total_events <= budget).all()
+
+    def test_lv2_members_collect_full_accounting_at_every_level(self, sd_params, nsd_params):
+        """Every event, leapt or exact, is accounted at both collect levels."""
+        members = [
+            SweepMember(sd_params, LVState(3030, 2970), 12),
+            SweepMember(nsd_params, LVState(1980, 2020), 10),
+        ]
+        full = run_tau_sweep_ensemble(members, rng=8)
+        win = run_tau_sweep_ensemble(members, rng=8, collect="win")
+        for full_result, win_result in zip(full, win):
+            _assert_same_result(win_result, full_result)
+            accounted = full_result.individual_events + full_result.competitive_events
+            assert np.array_equal(accounted, full_result.total_events)
+            assert (full_result.total_events > full_result.leap_events).all()
 
     def test_minority_majority_convention_respected(self, sd_params):
         """A species-1 majority flips the noise reference, as in the exact engine."""

@@ -5,14 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.rng import (
-    advance_stream,
-    as_generator,
-    spawn_generators,
-    spawn_seeds,
-    stable_seed,
-    stream_uniforms,
-)
+from repro.rng import as_generator, spawn_generators, spawn_seeds, stable_seed
 
 
 class TestAsGenerator:
@@ -127,30 +120,3 @@ class TestStableSeed:
 
     def test_fits_in_63_bits(self):
         assert 0 <= stable_seed("x", 1) < 2**63
-
-
-class TestStreamPositioning:
-    def test_windows_are_slices_of_the_stream_in_any_order(self):
-        (generator,) = spawn_generators(3, 1)
-        (copy,) = spawn_generators(3, 1)
-        stream = copy.random(3 * 4096 + 8)
-        starts = [4096, 3 * 4096, 5, 4096 + 2]
-        windows = stream_uniforms(generator, starts, np.empty((len(starts), 8)))
-        for start, window in zip(starts, windows):
-            assert np.array_equal(window, stream[start : start + 8])
-        # The generator has not moved.
-        assert generator.random() == stream[0]
-
-    def test_advance_skips_draws(self):
-        (generator,) = spawn_generators(3, 1)
-        (copy,) = spawn_generators(3, 1)
-        advance_stream(generator, 4096 * 2 + 7)
-        assert generator.random() == copy.random(4096 * 2 + 8)[-1]
-
-    def test_other_bit_generators_are_rejected(self):
-        generator = np.random.Generator(np.random.MT19937(1))
-        with pytest.raises(TypeError, match="PCG64"):
-            stream_uniforms(generator, [0], np.empty((1, 2)))
-        with pytest.raises(TypeError, match="PCG64"):
-            advance_stream(generator, 1)
-

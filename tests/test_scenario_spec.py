@@ -230,6 +230,32 @@ class TestRegistry:
         with pytest.raises(InvalidConfigurationError, match="non-negative"):
             validate_scenario_state("opinion3", (10, -1, 5))
 
+    @pytest.mark.parametrize("holder", ["task", "member", "placeholder"])
+    def test_tasks_members_and_placeholders_share_one_state_rule(self, holder):
+        """lv2 holds an LVState; other families hold validated counts."""
+        from repro.experiments.sweep import SweepTask, placeholder_ensemble
+        from repro.lv.ensemble import SweepMember
+        from repro.lv.state import LVState
+
+        def held(scenario, state):
+            if holder == "task":
+                return SweepTask(PARAMS, state, 4, scenario=scenario).initial_state
+            if holder == "member":
+                return SweepMember(PARAMS, state, 4, scenario=scenario).initial_state
+            result = placeholder_ensemble(PARAMS, state, scenario)
+            return result.initial_state if result.initial_counts is None else result.initial_counts
+
+        assert held(DEFAULT_SCENARIO, (12, 8)) == LVState(12, 8)
+        assert held(DEFAULT_SCENARIO, LVState(12, 8)) == LVState(12, 8)
+        assert held("opinion3", [10, 5, 5]) == (10, 5, 5)
+        assert held("catalysis", (10, 5, 3)) == (10, 5, 3)
+        with pytest.raises(InvalidConfigurationError, match="pair of counts"):
+            held(DEFAULT_SCENARIO, (10, 5, 5))
+        with pytest.raises(InvalidConfigurationError, match="3 species"):
+            held("opinion3", LVState(10, 5))
+        with pytest.raises(InvalidConfigurationError, match="non-negative"):
+            held("opinion3", (10, -1, 5))
+
     def test_opinion_family_structure(self):
         scenario = build_scenario("opinion4", PARAMS)
         assert scenario.num_species == 4
