@@ -21,8 +21,8 @@ ratio over the exact ensemble at n = 10^5 (see
 T1R5-style grid versus naive round-robin (see
 ``test_bench_shard_planner.py``).  The planner measurement also exports its
 measured per-configuration event rates as ``shard_planner.history``, the
-section ``repro run --shards K --shard-history BENCH_sweep.json`` feeds to
-the balance planner on machines that have not journaled anything yet.
+section ``repro run --shards K --shard-index I --shard-history BENCH_sweep.json``
+feeds to the balance planner on machines that have not journaled anything yet.
 
 ``--compare BASELINE.json`` turns the run into a **regression gate**: after
 measuring, the fresh numbers are compared against the committed baseline

@@ -7,7 +7,7 @@ splits per population, the natural sweep order that round-robins worst
 (consecutive units share a population, so ``i % K`` stacks tail units onto
 one shard).  Event rates are *measured* by simulating a reduced replicate
 budget per unit; those rates feed :func:`repro.shard.planner.unit_costs`
-exactly the way ``repro run --shards K --shard-history`` does.
+exactly the way ``repro run --shards K --shard-index I --shard-history`` does.
 
 Asserted: with measured history, the planned K=4 partition's cost imbalance
 (max shard cost over mean shard cost) stays within

@@ -48,18 +48,16 @@ run tier (and defaults the cache directory to ``.repro-cache`` when no
 ``--cache-dir`` is given); ``--no-cache`` disables the store even when the
 ``REPRO_CACHE_DIR`` environment variable is set.
 
-``--shards K`` executes the run's sweep grids as K balanced shards
-(:mod:`repro.shard`).  Alone, it is the **local driver**: the grid is
-over-decomposed into work slices, each slice runs as an independent
-subprocess with its own cache directory under ``<cache-dir>/shards/``, the
-slice journals are unioned into ``--cache-dir``, and the experiment replays
-from the merged store — bitwise-identical to a single-process run.  With
-``--shard-index i`` the invocation is **one shard of a distributed run**:
-it executes only shard *i*'s deterministic share of the grid into its own
-``--cache-dir`` (run the K shard commands on any machines, then union the
-caches with ``merge-cache``).  ``--shard-history`` feeds the balance
-planner measured per-configuration event rates (a previous run's cache
-directory or a ``BENCH_sweep.json``); without it, costs fall back to
+``--shards K --shard-index i`` makes the invocation **one shard of a
+distributed run** (:mod:`repro.shard`): it executes only shard *i*'s
+deterministic share of the K balanced shards of every sweep grid into its
+own ``--cache-dir``.  Run the K shard commands on any machines, union the
+caches with ``merge-cache``, and replay against the merged cache: every
+chunk is served, and the result is bitwise-identical to a single-process
+run.  ``--shards`` without ``--shard-index`` is an error; ``--jobs`` is the
+way to use several processes on one machine.  ``--shard-history`` feeds the
+balance planner measured per-configuration event rates (a previous run's
+cache directory or a ``BENCH_sweep.json``); without it, costs fall back to
 replicate budgets.
 
 ``python -m repro merge-cache DST SRC [SRC ...]``
@@ -102,14 +100,8 @@ from repro.experiments.scheduler import (
 from repro.experiments.sweep import SweepTask
 from repro.experiments.workloads import state_with_gap
 from repro.exceptions import ModelError, StoreError
-from repro.faults import inject_shard_fault
 from repro.lv.params import LVParams
-from repro.shard import (
-    DEFAULT_SLICE_FACTOR,
-    EventRateHistory,
-    SHARD_ATTEMPT_ENV,
-    run_shard_processes,
-)
+from repro.shard import EventRateHistory
 from repro.store import ExperimentStore, merge_cache, verify_journal
 from repro._version import __version__
 
@@ -373,10 +365,8 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="K",
-        help="execute the sweep grids as K balanced shards; without "
-        "--shard-index this drives K concurrent shard subprocesses locally, "
-        "merges their journals into --cache-dir, and replays from the merged "
-        "store (bitwise-identical to a single-process run)",
+        help="split the sweep grids into K balanced shards (requires "
+        "--shard-index; for K processes on one machine use --jobs K)",
     )
     parser.add_argument(
         "--shard-index",
@@ -385,15 +375,7 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="I",
         help="run only shard I of --shards K into this invocation's own "
         "--cache-dir (for distributed runs; union the caches afterwards "
-        "with 'merge-cache')",
-    )
-    parser.add_argument(
-        "--shard-slices",
-        type=int,
-        default=None,
-        metavar="M",
-        help="work slices for the local shard driver; over-decomposing past "
-        f"K keeps workers busy past stragglers (default {DEFAULT_SLICE_FACTOR}*K)",
+        "with 'merge-cache' and replay against the merged cache)",
     )
     parser.add_argument(
         "--shard-history",
@@ -413,7 +395,6 @@ def _validate_shard_arguments(
     if arguments.shards is None:
         for flag, value in (
             ("--shard-index", arguments.shard_index),
-            ("--shard-slices", arguments.shard_slices),
             ("--shard-history", arguments.shard_history),
         ):
             if value is not None:
@@ -421,29 +402,28 @@ def _validate_shard_arguments(
         return
     if arguments.shards < 1:
         parser.error(f"--shards must be at least 1, got {arguments.shards}")
-    if arguments.shard_slices is not None and arguments.shard_slices < arguments.shards:
+    if arguments.shard_index is None:
+        shards = arguments.shards
         parser.error(
-            f"--shard-slices must be at least --shards ({arguments.shards}), "
-            f"got {arguments.shard_slices}"
+            f"--shards {shards} requires --shard-index (one invocation per "
+            "shard, each into its own --cache-dir, then 'merge-cache'); for "
+            f"{shards} processes on this machine use --jobs {shards}"
         )
-    if arguments.no_cache:
-        parser.error("--shards cannot be combined with --no-cache")
-    if arguments.shard_index is not None:
-        if not 0 <= arguments.shard_index < arguments.shards:
-            parser.error(
-                f"--shard-index must be in [0, {arguments.shards}), "
-                f"got {arguments.shard_index}"
-            )
-        if arguments.cache_dir is None:
-            parser.error(
-                "--shard-index requires --cache-dir: each shard journals its "
-                "share of the grid into its own cache directory"
-            )
-        if arguments.resume:
-            parser.error(
-                "--shard-index cannot be combined with --resume: a shard's "
-                "result contains placeholder rows and never touches the run tier"
-            )
+    if not 0 <= arguments.shard_index < arguments.shards:
+        parser.error(
+            f"--shard-index must be in [0, {arguments.shards}), "
+            f"got {arguments.shard_index}"
+        )
+    if arguments.cache_dir is None:
+        parser.error(
+            "--shard-index requires --cache-dir: each shard journals its "
+            "share of the grid into its own cache directory"
+        )
+    if arguments.resume:
+        parser.error(
+            "--shard-index cannot be combined with --resume: a shard's "
+            "result contains placeholder rows and never touches the run tier"
+        )
     if arguments.shard_history is not None and not arguments.shard_history.exists():
         parser.error(f"--shard-history path does not exist: {arguments.shard_history}")
 
@@ -458,105 +438,6 @@ def _shard_history_from_arguments(
     except StoreError as error:
         parser.error(str(error))
     raise AssertionError("parser.error returns NoReturn")  # pragma: no cover
-
-
-def _slice_command_builder(
-    arguments: argparse.Namespace, identifiers: list[str], slices: int
-):
-    """Build the argv factory for the local shard driver's subprocesses.
-
-    Every result-affecting flag of the parent invocation is forwarded so a
-    slice computes exactly what the single-process run would have computed
-    for its share of the grid; output-only flags (``--json``, ``--report``)
-    stay with the parent, which replays from the merged store.
-    """
-    forwarded: list[str] = ["--scale", arguments.scale, "--seed", str(arguments.seed)]
-    forwarded += ["--jobs", str(arguments.jobs)]
-    optional: tuple[tuple[str, object], ...] = (
-        ("--sweep-batch", arguments.sweep_batch),
-        ("--backend", arguments.backend),
-        ("--tau-epsilon", arguments.tau_epsilon),
-        ("--target-ci-width", arguments.target_ci_width),
-        ("--max-replicates", arguments.max_replicates),
-        ("--max-retries", arguments.max_retries),
-        ("--task-timeout", arguments.task_timeout),
-        ("--on-fault", arguments.on_fault),
-        ("--shard-history", arguments.shard_history),
-    )
-    for flag, value in optional:
-        if value is not None:
-            forwarded += [flag, str(value)]
-
-    def command_for_slice(slice_index: int, cache_dir: Path) -> list[str]:
-        return [
-            sys.executable,
-            "-m",
-            "repro",
-            "run",
-            *identifiers,
-            *forwarded,
-            "--shards",
-            str(slices),
-            "--shard-index",
-            str(slice_index),
-            "--cache-dir",
-            str(cache_dir),
-        ]
-
-    return command_for_slice
-
-
-def _drive_shard_fanout(
-    arguments: argparse.Namespace,
-    identifiers: list[str],
-    store: "ExperimentStore",
-    fault_tolerance: FaultTolerance,
-) -> None:
-    """Local shard driver: fan out work slices, then union their journals.
-
-    Slices that exhaust their retries are reported but not fatal — their
-    chunks are simply absent from the merged store, and the parent's replay
-    recomputes them in-process, so the final tables are always complete and
-    bitwise-identical to a single-process run.
-    """
-    slices = (
-        arguments.shard_slices
-        if arguments.shard_slices is not None
-        else DEFAULT_SLICE_FACTOR * arguments.shards
-    )
-    print(
-        f"sharding: {slices} work slice(s) on {arguments.shards} concurrent "
-        f"shard process(es)"
-    )
-    results = run_shard_processes(
-        _slice_command_builder(arguments, identifiers, slices),
-        slices=slices,
-        workers=arguments.shards,
-        cache_root=store.cache_dir,
-        max_retries=fault_tolerance.max_retries,
-    )
-    for result in results:
-        status = "ok" if result.ok else f"FAILED (exit {result.returncode})"
-        print(
-            f"  slice {result.slice_index}/{slices}: {status} "
-            f"in {result.duration:.1f}s, {result.attempts} attempt(s)"
-        )
-        if not result.ok and result.output_tail:
-            print("    " + "\n    ".join(result.output_tail.strip().splitlines()[-10:]))
-    sources = [
-        result.cache_dir
-        for result in results
-        if result.ok and (result.cache_dir / "journal.jsonl").exists()
-    ]
-    if sources:
-        report = merge_cache(store.cache_dir, sources, store=store)
-        print(f"merge: {report.summary()}")
-    failed = sum(1 for result in results if not result.ok)
-    if failed:
-        print(
-            f"WARNING: {failed} slice(s) failed permanently; their chunks "
-            "will be recomputed in-process during the replay"
-        )
 
 
 def _store_from_arguments(
@@ -689,29 +570,11 @@ def _command_run(
             f"unknown experiment id(s): {', '.join(unknown)}; "
             f"known ids: {', '.join(known)}"
         )
-    sharded = arguments.shard_index is not None
-    driving = arguments.shards is not None and arguments.shards > 1 and not sharded
+    sharded = arguments.shards is not None
     shard_history = _shard_history_from_arguments(parser, arguments)
-    if sharded:
-        # Deterministic shard-level fault injection fires before the store
-        # opens, so an injected crash never strands the writer lock — like
-        # a process that died before doing any work.
-        inject_shard_fault(
-            f"shard:{arguments.shard_index}/{arguments.shards}",
-            int(os.environ.get(SHARD_ATTEMPT_ENV, "0")),
-        )
     # Validate every flag before the store exists: a parser.error after
     # acquiring the writer lock would leak it for the rest of the process.
     store = _store_from_arguments(parser, arguments)
-    if driving:
-        if store is None:
-            parser.error(
-                "--shards needs a cache directory to merge into "
-                "(--cache-dir or REPRO_CACHE_DIR)"
-            )
-        _drive_shard_fanout(arguments, identifiers, store, fault_tolerance)
-    # The driver replays unsharded against the merged store; only an
-    # explicit --shard-index invocation runs a sharded scheduler.
     scheduler = configure_default_scheduler(
         jobs=arguments.jobs,
         sweep_batch=arguments.sweep_batch,
@@ -722,7 +585,7 @@ def _command_run(
         fault_tolerance=fault_tolerance,
         shards=arguments.shards if sharded else 1,
         shard_index=arguments.shard_index if sharded else 0,
-        shard_history=shard_history if sharded else None,
+        shard_history=shard_history,
     )
     results = []
     for identifier in identifiers:

@@ -104,7 +104,6 @@ class ContractsConfig:
         "engine",
         "shards",
         "shard_index",
-        "shard_slices",
     )
     #: Identifier substrings that mark an expression as touching a member's
     #: step/tail RNG stream (RC104's consumer detection).

@@ -787,7 +787,19 @@ class SweepScheduler:
                     wait = not_before - now
                     next_ready = wait if next_ready is None else min(next_ready, wait)
                     continue
-                future = executor.submit(fn, *units[index], attempt)
+                try:
+                    future = executor.submit(fn, *units[index], attempt)
+                except BrokenProcessPool:
+                    # A worker died after the last wait: the executor
+                    # refuses work before it fails the dead worker's
+                    # future.  This unit never ran, so it keeps its
+                    # attempt; the next wait sees that future fail and
+                    # rebuilds the pool (at once when nothing is in flight).
+                    queue.appendleft((index, attempt, not_before))
+                    if pending:
+                        break
+                    rebuild_pool()
+                    continue
                 pending[future] = (index, attempt)
                 if policy.task_timeout is not None:
                     deadlines[future] = time.monotonic() + policy.task_timeout

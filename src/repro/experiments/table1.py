@@ -119,10 +119,18 @@ def _threshold_sweep(
 
 
 def _best_law(rows: list[dict[str, float]]) -> str:
-    sizes = [row["n"] for row in rows if row["threshold gap"] is not None]
-    thresholds = [row["threshold gap"] for row in rows if row["threshold gap"] is not None]
-    fits = select_scaling_law(sizes, thresholds)
-    return fits[0].law.name
+    found = [(row["n"], row["threshold gap"]) for row in rows if row["threshold gap"] is not None]
+    if len(found) < 2:
+        return "n/a"
+    return select_scaling_law(*zip(*found))[0].law.name
+
+
+def _ratio_ends(rows: list[dict[str, float]]) -> tuple[float | None, float | None]:
+    """threshold / sqrt(n) at the smallest and the largest size with a found
+    threshold; ``(None, None)`` when no row has one (a shard's placeholder
+    rows carry none)."""
+    ratios = [row["threshold / sqrt(n)"] for row in rows if row["threshold gap"] is not None]
+    return (ratios[0], ratios[-1]) if ratios else (None, None)
 
 
 def run_t1r1_sd(scale: str = "quick", seed: int = 0) -> ExperimentResult:
@@ -131,12 +139,12 @@ def run_t1r1_sd(scale: str = "quick", seed: int = 0) -> ExperimentResult:
     num_runs = 150 if scale == "quick" else 400
     rows = _threshold_sweep(params, scale, seed, num_runs=num_runs)
     best_law = _best_law(rows)
-    ratios = [row["threshold / sqrt(n)"] for row in rows]
-    polylog_like = best_law in _POLYLOG_LAWS or ratios[-1] < ratios[0]
+    first, last = _ratio_ends(rows)
+    polylog_like = best_law in _POLYLOG_LAWS or (last is not None and last < first)
     findings = [
         f"best-fitting scaling law for the measured thresholds: {best_law}",
         "threshold / sqrt(n) decreases with n "
-        f"({ratios[0]} -> {ratios[-1]}), consistent with a sub-polynomial threshold",
+        f"({first} -> {last}), consistent with a sub-polynomial threshold",
     ]
     return ExperimentResult(
         identifier="T1R1-SD",
@@ -167,12 +175,13 @@ def run_t1r1_nsd(scale: str = "quick", seed: int = 0) -> ExperimentResult:
     num_runs = 150 if scale == "quick" else 400
     rows = _threshold_sweep(params, scale, seed, num_runs=num_runs)
     best_law = _best_law(rows)
-    ratios = [row["threshold / sqrt(n)"] for row in rows]
-    polynomial_like = best_law in _POLYNOMIAL_LAWS and ratios[-1] > 0.2
+    first, last = _ratio_ends(rows)
+    # A polynomial best law means at least two thresholds, so *last* is set.
+    polynomial_like = best_law in _POLYNOMIAL_LAWS and last > 0.2
     findings = [
         f"best-fitting scaling law for the measured thresholds: {best_law}",
         "threshold / sqrt(n) stays bounded away from zero "
-        f"({ratios[0]} -> {ratios[-1]}), consistent with a Theta~(sqrt(n)) threshold",
+        f"({first} -> {last}), consistent with a Theta~(sqrt(n)) threshold",
     ]
     return ExperimentResult(
         identifier="T1R1-NSD",

@@ -3,8 +3,8 @@
 The paper's subject is consensus that stays correct under disturbance; this
 module brings the same discipline to the harness that reproduces it.  A
 :class:`FaultPlan` describes *which* faults to inject (worker crashes, task
-hangs, torn journal appends, corrupted chunk payloads, shard crashes) and
-the execution/store layers carry the injection points, so the
+hangs, torn journal appends, corrupted chunk payloads) and the
+execution/store layers carry the injection points, so the
 fault-tolerance machinery in :mod:`repro.experiments.scheduler` and
 :mod:`repro.store` can be exercised — in unit tests and in CI chaos runs —
 without patching internals or relying on real crashes.
@@ -64,17 +64,15 @@ __all__ = [
     "FaultPlan",
     "InjectedWorkerCrash",
     "InjectedTornWrite",
-    "InjectedShardCrash",
     "get_fault_plan",
     "install_fault_plan",
     "injected_faults",
     "inject_execution_faults",
-    "inject_shard_fault",
     "journal_fault_action",
 ]
 
 #: Injectable fault kinds, in the order execution-side faults are evaluated.
-FAULT_KINDS = ("crash", "hang", "torn_append", "corrupt_chunk", "shard_crash")
+FAULT_KINDS = ("crash", "hang", "torn_append", "corrupt_chunk")
 
 
 class InjectedWorkerCrash(Exception):
@@ -87,19 +85,6 @@ class InjectedWorkerCrash(Exception):
 
 class InjectedTornWrite(StoreError):
     """An injected torn journal append (record cut mid-write, as by a kill)."""
-
-
-class InjectedShardCrash(Exception):
-    """An injected whole-shard-process crash (the shard driver's fault unit).
-
-    Raised at a shard run's entry point *before* any grid work, modelling a
-    shard machine dying; the process exits non-zero, the shard driver
-    retries the slice with a bumped attempt number, and — faults being
-    keyed on the attempt — the retry runs clean.  Like
-    :class:`InjectedWorkerCrash`, deliberately not a
-    :class:`~repro.exceptions.ReproError`: it must look like the
-    unexpected death it simulates.
-    """
 
 
 @dataclass(frozen=True)
@@ -160,7 +145,6 @@ class FaultPlan:
     hang: FaultSpec = field(default_factory=FaultSpec)
     torn_append: FaultSpec = field(default_factory=FaultSpec)
     corrupt_chunk: FaultSpec = field(default_factory=FaultSpec)
-    shard_crash: FaultSpec = field(default_factory=FaultSpec)
 
     # ------------------------------------------------------------------
     # Firing decisions
@@ -310,20 +294,3 @@ def journal_fault_action(key: str, attempt: int) -> str | None:
     if plan is None:
         return None
     return plan.journal_action(key, attempt)
-
-
-def inject_shard_fault(token: str, attempt: int) -> None:
-    """Shard-process injection point (the CLI's ``--shard-index`` mode).
-
-    *token* identifies the shard run (``"shard:<index>/<shards>"``) and
-    *attempt* is the driver's retry counter (:data:`repro.shard.driver
-    .SHARD_ATTEMPT_ENV`).  Fires :class:`InjectedShardCrash` before any
-    grid work, so a killed shard journals nothing partial beyond what an
-    ordinary kill would leave — and the retry, keyed one attempt higher,
-    runs clean.
-    """
-    plan = get_fault_plan()
-    if plan is not None and plan.should_fire("shard_crash", token, attempt):
-        raise InjectedShardCrash(
-            f"injected shard crash (fault plan, token={token}, attempt={attempt})"
-        )

@@ -1,8 +1,7 @@
-"""Sharded sweep execution: balanced planning, process fan-out, journal union.
+"""Sharded sweep execution: balanced planning and journal union.
 
-``repro.shard`` breaks sweep execution past one scheduler in one process
-(the ROADMAP's "Distributed sharded execution" item) in three pieces that
-compose but do not require each other:
+``repro.shard`` breaks sweep execution past one machine (the ROADMAP's
+"Distributed sharded execution" item) in two pieces:
 
 * :mod:`repro.shard.planner` — a deterministic balanced k-partition of
   grid units (greedy LPT + bounded refinement) under a cost model fed by
@@ -10,26 +9,19 @@ compose but do not require each other:
   .EventRateHistory`), with a member-count fallback when no history
   exists.  The scheduler consumes it via ``SweepScheduler(shards=K,
   shard_index=i, shard_history=...)``.
-* :mod:`repro.shard.driver` — a local fan-out driver that executes the K
-  shards as independent OS processes with independent cache directories,
-  over-decomposing into work slices pulled from a queue so heavy-tailed
-  units (T1R5-style stragglers) cannot idle the other workers.
 * journal union (:func:`repro.store.merge.merge_cache`, the CLI's
   ``repro merge-cache``) — shard caches merge into one store by pure set
   union, because chunk keys exclude every execution knob; the merged
   store is bitwise-identical to a single-process run's.
 
-The CLI surface is ``repro run <EXP> --shards K [--shard-index i]`` and
-``repro merge-cache DST SRC...``; see DESIGN.md for the invariants.
+The CLI surface is ``repro run <EXP> --shards K --shard-index i`` (one
+invocation per shard, each with its own ``--cache-dir``, typically one per
+machine) and ``repro merge-cache DST SRC...``; a replay against the merged
+cache serves every chunk.  Several processes on one machine are
+``--jobs``'s business, not this package's.  See DESIGN.md for the
+invariants.
 """
 
-from repro.shard.driver import (
-    DEFAULT_SLICE_FACTOR,
-    SHARD_ATTEMPT_ENV,
-    ShardProcessResult,
-    run_shard_processes,
-    shard_cache_dir,
-)
 from repro.shard.planner import (
     DEFAULT_IMBALANCE_BOUND,
     EventRateHistory,
@@ -43,16 +35,11 @@ from repro.shard.planner import (
 
 __all__ = [
     "DEFAULT_IMBALANCE_BOUND",
-    "DEFAULT_SLICE_FACTOR",
-    "SHARD_ATTEMPT_ENV",
     "EventRateHistory",
     "ShardPlan",
-    "ShardProcessResult",
     "config_signature",
     "plan_round_robin",
     "plan_shards",
-    "run_shard_processes",
-    "shard_cache_dir",
     "threshold_probe_factor",
     "unit_costs",
 ]

@@ -16,11 +16,18 @@ reloaded chunks concatenate and compare equal to freshly computed ones down
 to the last bit — the property the resume-determinism tests enforce.
 Decoded arrays are native-endian, writable copies.
 
-Older forms still decode, so old journals replay without a recompute: one
-``{"dtype", "shape", "zlib"}`` stream per array (repro 3.2 to 6.1) and
-``{"dtype", "data"}`` JSON lists (3.1).  Encoders only write the layout
-form.  zlib's output bytes may differ between zlib builds, so encoded arrays
-are never compared — :func:`payloads_equal` compares decoded ones.
+Older forms still decode: one ``{"dtype", "shape", "zlib"}`` stream per
+array (repro 3.2 to 6.1) and ``{"dtype", "data"}`` JSON lists (3.1).  Their
+chunks never replay: each carries schema 3 or lower in its key and payload,
+and :func:`ensemble_from_payload` accepts only :data:`~repro.store.keys
+.RESULT_SCHEMA_VERSION`, so a run against an old journal recomputes them.
+They are decoded for ``repro merge-cache`` (:func:`reencode_payload`
+converts them to the layout form, :func:`payloads_equal` checks conflicts)
+and for the shard planner's history harvest
+(:meth:`~repro.shard.planner.EventRateHistory.from_journal`).  Encoders only
+write the layout form.  zlib's output bytes may differ between zlib builds,
+so encoded arrays are never compared — :func:`payloads_equal` compares
+decoded ones.
 """
 
 from __future__ import annotations

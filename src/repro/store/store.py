@@ -101,22 +101,14 @@ class ExperimentStore:
 
     cache_dir: Path
     stats: CacheStats = field(default_factory=CacheStats, compare=False)
-    #: Extra cache directories (or journal files) consulted *read-only* on a
-    #: chunk miss — a multi-source view over shard caches that have not been
-    #: merged yet.  Source journals are never locked, appended, healed, or
-    #: truncated; new chunks always land in this store's own journal, and
-    #: ``repro merge-cache`` is the materialisation path.
-    read_sources: tuple[Path, ...] = ()
 
     def __post_init__(self) -> None:
         self.cache_dir = Path(self.cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self.read_sources = tuple(Path(source) for source in self.read_sources)
         self._lock_handle = None
         self._locked_dir: Path | None = None
         self._acquire_writer_lock()
         self._journal = ChunkJournal(self.cache_dir / "journal.jsonl")
-        self._source_journals: list[ChunkJournal] | None = None
         self._runs_dir = self.cache_dir / "runs"
 
     def _acquire_writer_lock(self) -> None:
@@ -170,41 +162,10 @@ class ExperimentStore:
     def _note_journal_health(self) -> None:
         self.stats.chunks_quarantined = self._journal.healed_count
 
-    def _iter_source_journals(self) -> list[ChunkJournal]:
-        """Lazily opened read-only journals of :attr:`read_sources`.
-
-        A :class:`ChunkJournal` that is only ever read takes no lock and
-        never mutates its file (healing and truncation happen exclusively
-        on the append path), so consulting live shard caches is safe.
-        """
-        if self._source_journals is None:
-            self._source_journals = []
-            for source in self.read_sources:
-                path = source / "journal.jsonl" if source.is_dir() else source
-                self._source_journals.append(ChunkJournal(path))
-        return self._source_journals
-
-    def _get_source_chunk(self, key: str) -> dict | None:
-        for journal in self._iter_source_journals():
-            try:
-                record = journal.get(key)
-            except StoreError:
-                continue  # a corrupt source record is a miss, never fatal
-            if record is not None:
-                return record
-        return None
-
     def get_chunk(self, key: str) -> LVEnsembleResult | None:
-        """The journaled ensemble chunk for *key*, or ``None`` on a miss.
-
-        Falls back to :attr:`read_sources` (read-only) when the store's own
-        journal misses, so an unmerged union of shard caches can serve a
-        replay without rewriting anything.
-        """
+        """The journaled ensemble chunk for *key*, or ``None`` on a miss."""
         record = self._journal.get(key)
         self._note_journal_health()
-        if record is None and self.read_sources:
-            record = self._get_source_chunk(key)
         if record is None:
             self.stats.chunk_misses += 1
             return None
@@ -242,9 +203,7 @@ class ExperimentStore:
         self._note_journal_health()
 
     def __contains__(self, key: str) -> bool:
-        if key in self._journal:
-            return True
-        return any(key in journal for journal in self._iter_source_journals())
+        return key in self._journal
 
     def __len__(self) -> int:
         return len(self._journal)
@@ -293,10 +252,6 @@ class ExperimentStore:
     def close(self) -> None:
         """Close the journal and release the cache directory's writer lock."""
         self._journal.close()
-        if self._source_journals is not None:
-            for journal in self._source_journals:
-                journal.close()
-            self._source_journals = None
         if self._lock_handle is not None:
             self._lock_handle.close()  # closing the fd releases the record lock
             self._lock_handle = None
@@ -312,7 +267,4 @@ class ExperimentStore:
 
     def describe(self) -> str:
         """One-line summary for CLI output."""
-        text = f"result store at {self.cache_dir} ({len(self._journal)} journaled chunk(s))"
-        if self.read_sources:
-            text += f" + {len(self.read_sources)} read-only source(s)"
-        return text
+        return f"result store at {self.cache_dir} ({len(self._journal)} journaled chunk(s))"

@@ -7,7 +7,9 @@ import math
 import pytest
 
 import repro.experiments.figures as figures
+import repro.experiments.table1 as table1
 from helpers_results import assert_rows_have_no_nan
+from repro.analysis.scaling import select_scaling_law
 from repro.chains.nice import ExtinctionStatistics
 from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentResult, ExperimentSpec, SCALES
@@ -266,3 +268,71 @@ class TestFigBadVerdict:
     def test_t1r1_nsd_is_polynomial(self):
         result = run_experiment("T1R1-NSD", scale="quick", seed=0)
         assert result.shape_matches_paper
+
+
+def threshold_rows(gaps):
+    """Rows as T1R1's threshold sweep returns them, for n = 64, 128, ...; a
+    ``None`` gap is a placeholder row (a search another shard owns)."""
+    rows = []
+    for index, gap in enumerate(gaps):
+        n = 64 * 2**index
+        rows.append(
+            {
+                "n": n,
+                "target rho": 0.9,
+                "threshold gap": gap,
+                "threshold / log^2 n": None if gap is None else round(gap / math.log(n) ** 2, 3),
+                "threshold / sqrt(n)": None if gap is None else round(gap / math.sqrt(n), 3),
+            }
+        )
+    return rows
+
+
+#: Thresholds at n = 64 ... 512 whose best law is each row's: log n for SD,
+#: sqrt(n) for NSD, with or without either end.
+T1R1_GAPS = {"T1R1-SD": [10, 12, 14, 16], "T1R1-NSD": [4, 6, 8, 11]}
+T1R1_RUNS = {"T1R1-SD": table1.run_t1r1_sd, "T1R1-NSD": table1.run_t1r1_nsd}
+
+
+class TestT1R1PlaceholderRows:
+    """In a ``--shard-index`` run the searches other shards own come back as
+    placeholder rows (no threshold); T1R1's verdicts read only found ones."""
+
+    @staticmethod
+    def _run(monkeypatch, identifier, rows):
+        monkeypatch.setattr(table1, "_threshold_sweep", lambda *args, **kwargs: rows)
+        return T1R1_RUNS[identifier]("quick", 0)
+
+    @pytest.mark.parametrize("identifier", sorted(T1R1_GAPS))
+    def test_all_found_rows_keep_the_unsharded_verdict(self, monkeypatch, identifier):
+        gaps = T1R1_GAPS[identifier]
+        result = self._run(monkeypatch, identifier, threshold_rows(gaps))
+        law = select_scaling_law([64, 128, 256, 512], gaps)[0].law.name
+        ratios = [row["threshold / sqrt(n)"] for row in result.rows]
+        assert result.findings[0].endswith(f": {law}")
+        assert f"({ratios[0]} -> {ratios[-1]})" in result.findings[1]
+        assert result.shape_matches_paper
+
+    @pytest.mark.parametrize("missing", [0, 3], ids=["first-size-missing", "last-size-missing"])
+    @pytest.mark.parametrize("identifier", sorted(T1R1_GAPS))
+    def test_placeholder_rows_are_left_out_of_the_verdict(
+        self, monkeypatch, identifier, missing
+    ):
+        gaps = list(T1R1_GAPS[identifier])
+        gaps[missing] = None
+        rows = threshold_rows(gaps)
+        found = [row for row in rows if row["threshold gap"] is not None]
+        sharded = self._run(monkeypatch, identifier, rows)
+        found_only = self._run(monkeypatch, identifier, found)
+        ratios = [row["threshold / sqrt(n)"] for row in found]
+        assert sharded.findings == found_only.findings
+        assert f"({ratios[0]} -> {ratios[-1]})" in sharded.findings[1]
+        assert sharded.shape_matches_paper
+
+    @pytest.mark.parametrize("owned", [(), (1,)], ids=["no-threshold", "one-threshold"])
+    @pytest.mark.parametrize("identifier", sorted(T1R1_GAPS))
+    def test_fewer_than_two_thresholds_fit_no_law(self, monkeypatch, identifier, owned):
+        gaps = [gap if index in owned else None for index, gap in enumerate(T1R1_GAPS[identifier])]
+        result = self._run(monkeypatch, identifier, threshold_rows(gaps))
+        assert result.findings[0].endswith(": n/a")
+        assert not result.shape_matches_paper

@@ -11,6 +11,9 @@ it computes.
 
 from __future__ import annotations
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.exceptions import (
@@ -130,6 +133,12 @@ class TestFaultPlanSerialisation:
         assert "degrade" not in FAULT_KINDS
         with pytest.raises(ReproError, match="unknown fault plan field"):
             FaultPlan.from_json('{"seed": 5, "degrade": {"rate": 0.3}}')
+
+    def test_shard_crash_kind_is_gone(self):
+        # Whole-shard crashes left with the local shard driver that retried them.
+        assert "shard_crash" not in FAULT_KINDS
+        with pytest.raises(ReproError, match="unknown fault plan field"):
+            FaultPlan.from_json('{"seed": 5, "shard_crash": {"rate": 1.0}}')
 
     def test_invalid_spec_field_is_rejected(self):
         with pytest.raises(ReproError, match="invalid fault spec"):
@@ -409,6 +418,60 @@ class TestPoolChaos:
         assert scheduler.events_executed == events
         for expected, actual in zip(reference, faulted):
             assert_bitwise_equal(expected, actual)
+
+    @pytest.mark.parametrize("in_flight", [True, False])
+    def test_a_pool_broken_between_waits_is_rebuilt(self, in_flight):
+        """A dead worker breaks the executor before its future fails, so a
+        submit in between raises; the refused unit keeps its attempt."""
+        calls = []
+
+        def fn(index, attempt):
+            calls.append((index, attempt))
+            return index * 10
+
+        class Healthy:
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        class Broken:
+            """Holds unit 0 in flight (when *in_flight*), then refuses work
+            and fails the in-flight future, as a pool whose worker died."""
+
+            def __init__(self):
+                self.running = []
+
+            def submit(self, fn, *args):
+                if in_flight and not self.running:
+                    self.running.append(Future())
+                    return self.running[0]
+                for future in self.running:
+                    future.set_exception(BrokenProcessPool("worker died"))
+                raise BrokenProcessPool("worker died")
+
+        class Pool:
+            def kill_workers(self):
+                pass
+
+            def acquire(self, workers):
+                return Healthy()
+
+        collected = {}
+        scheduler = SweepScheduler(jobs=2, fault_tolerance=FAST, pool=Pool())
+        scheduler._execute_faulted_pool(
+            Broken(),
+            [(0,), (1,), (2,)],
+            fn,
+            lambda index: (f"unit-{index}",),
+            lambda index, result: collected.__setitem__(index, result),
+        )
+        assert collected == {0: 0, 1: 10, 2: 20}
+        assert scheduler.health.pool_rebuilds == 1
+        # Only the unit that was in flight when the pool broke loses an attempt.
+        expected = [(1, 0), (2, 0), (0, 1)] if in_flight else [(0, 0), (1, 0), (2, 0)]
+        assert calls == expected
+        assert scheduler.health.retries == int(in_flight)
 
     def test_hung_tasks_hit_the_watchdog_and_retry(self, sd_params, nsd_params):
         tasks = _tasks(sd_params, nsd_params)

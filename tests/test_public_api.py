@@ -71,7 +71,8 @@ class TestPackageSurface:
 
 
 class TestRetiredOptions:
-    """Options folded into the one engine entry stay gone (each was unused)."""
+    """Retired options stay gone (each was unused): those folded into the one
+    engine entry, and the store's read-only view over unmerged shard caches."""
 
     @pytest.mark.parametrize(
         "build, keyword",
@@ -99,6 +100,7 @@ class TestRetiredOptions:
                 lambda p: repro.decompose_noise(p, (4, 2), precision=PrecisionTarget()),
                 "precision",
             ),
+            (lambda p: repro.ExperimentStore("unused", read_sources=()), "read_sources"),
         ],
         ids=[
             "scheduler-compaction",
@@ -107,6 +109,7 @@ class TestRetiredOptions:
             "request-fanout",
             "estimate-precision",
             "decompose-precision",
+            "store-read-sources",
         ],
     )
     def test_retired_option_is_rejected(self, sd_params, build, keyword):

@@ -10,7 +10,7 @@ Sharding changes who computes a unit, never what it computes.
 
 from __future__ import annotations
 
-import sys
+import importlib
 from dataclasses import replace
 
 import pytest
@@ -25,14 +25,7 @@ from repro.experiments.scheduler import (
     get_default_scheduler,
 )
 from repro.experiments.sweep import SweepTask, placeholder_ensemble
-from repro.faults import (
-    FaultPlan,
-    FaultSpec,
-    InjectedShardCrash,
-    install_fault_plan,
-)
 from repro.lv.state import LVState
-from repro.shard import run_shard_processes, shard_cache_dir
 from repro.store import ExperimentStore
 from repro.__main__ import main
 
@@ -268,71 +261,27 @@ class TestRegistryShardMode:
             store.close()
 
 
-class TestShardProcessDriver:
-    def test_slices_run_and_report_in_order(self, tmp_path):
-        def command(slice_index, cache_dir):
-            return [
-                sys.executable,
-                "-c",
-                f"open({str(cache_dir / 'ran')!r}, 'w').write('{slice_index}')",
-            ]
-
-        results = run_shard_processes(
-            command, slices=3, workers=2, cache_root=tmp_path
-        )
-        assert [result.slice_index for result in results] == [0, 1, 2]
-        assert all(result.ok and result.attempts == 1 for result in results)
-        for slice_index in range(3):
-            assert (shard_cache_dir(tmp_path, slice_index) / "ran").exists()
-
-    def test_failed_slice_retries_with_bumped_attempt(self, tmp_path):
-        script = "import os, sys; sys.exit(0 if os.environ['REPRO_SHARD_ATTEMPT'] != '0' else 9)"
-
-        def command(slice_index, cache_dir):
-            return [sys.executable, "-c", script]
-
-        results = run_shard_processes(
-            command, slices=2, workers=2, cache_root=tmp_path, max_retries=1
-        )
-        assert all(result.ok and result.attempts == 2 for result in results)
-
-    def test_permanent_failure_is_reported_not_raised(self, tmp_path):
-        def command(slice_index, cache_dir):
-            return [sys.executable, "-c", "import sys; print('boom'); sys.exit(3)"]
-
-        results = run_shard_processes(
-            command, slices=1, workers=1, cache_root=tmp_path, max_retries=1
-        )
-        assert not results[0].ok
-        assert results[0].returncode == 3
-        assert results[0].attempts == 2
-        assert "boom" in results[0].output_tail
-
-    def test_invalid_arguments_are_rejected(self, tmp_path):
-        with pytest.raises(ExperimentError):
-            run_shard_processes(lambda i, d: [], slices=0, workers=1, cache_root=tmp_path)
-        with pytest.raises(ExperimentError):
-            run_shard_processes(lambda i, d: [], slices=1, workers=0, cache_root=tmp_path)
-        with pytest.raises(ExperimentError):
-            run_shard_processes(
-                lambda i, d: [], slices=1, workers=1, cache_root=tmp_path, max_retries=-1
-            )
-
-
 class TestShardCliValidation:
     @pytest.mark.parametrize(
         "extra",
         [
             ["--shard-index", "0"],
-            ["--shard-slices", "4"],
             ["--shard-history", "somewhere"],
             ["--shards", "0"],
             ["--shards", "2", "--shard-index", "2", "--cache-dir", "d"],
-            ["--shards", "2", "--shard-slices", "1"],
             ["--shards", "2", "--shard-index", "0"],  # no --cache-dir
-            ["--shards", "2", "--no-cache"],
+            ["--shards", "2", "--shard-index", "0", "--cache-dir", "d", "--no-cache"],
             ["--shards", "2", "--shard-index", "0", "--cache-dir", "d", "--resume"],
-            ["--shards", "2", "--shard-history", "/nonexistent/path", "--cache-dir", "d"],
+            [
+                "--shards",
+                "2",
+                "--shard-index",
+                "0",
+                "--shard-history",
+                "/nonexistent/path",
+                "--cache-dir",
+                "d",
+            ],
         ],
     )
     def test_invalid_shard_flags_exit_with_code_2(self, extra):
@@ -340,115 +289,64 @@ class TestShardCliValidation:
             main(["run", "T1R2", *extra])
         assert excinfo.value.code == 2
 
-    def test_driver_without_cache_dir_exits_with_code_2(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_shards_without_an_index_exit_with_code_2_naming_jobs(
+        self, shards, tmp_path, capsys
+    ):
+        # One machine's processes are --jobs's; --shards only splits a run
+        # across separate invocations.
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "T1R2", "--shards", "2"])
+            main(["run", "T1R2", "--shards", shards, "--cache-dir", str(tmp_path / "c")])
         assert excinfo.value.code == 2
+        assert f"use --jobs {shards}" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_local_driver_flag_and_module_are_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "T1R2", "--shards", "2", "--shard-slices", "4"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --shard-slices" in capsys.readouterr().err
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.shard.driver")
 
 
 class TestShardCliEndToEnd:
-    def test_driver_matches_single_process_run(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        reference_dir = tmp_path / "reference"
-        sharded_dir = tmp_path / "sharded"
-        assert main(
-            ["run", "T1R2", "--scale", "quick", "--cache-dir", str(reference_dir)]
-        ) == 0
-        reference_output = capsys.readouterr().out
-        assert main(
-            [
-                "run",
-                "T1R2",
-                "--scale",
-                "quick",
-                "--shards",
-                "2",
-                "--cache-dir",
-                str(sharded_dir),
-            ]
-        ) == 0
-        sharded_output = capsys.readouterr().out
-        assert "sharding: 4 work slice(s) on 2 concurrent shard process(es)" in sharded_output
-        # The replay served everything from the merged shard journals.
-        assert "0 miss(es)" in sharded_output
-        # Identical result tables...
-        table = lambda text: text[text.index("T1R2") : text.index("verdict")]
-        assert table(sharded_output) == table(reference_output)
-        # ...and identical journaled bits.
-        assert journal_contents(sharded_dir) == journal_contents(reference_dir)
-
-    def test_injected_shard_crashes_retry_to_identical_results(
+    def test_four_shards_merge_and_replay_the_single_process_run(
         self, tmp_path, capsys, monkeypatch
     ):
+        # Threshold searches owned by other shards come back as placeholder
+        # rows (no threshold); every shard's verdict must still evaluate.
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        experiments = ["T1R1-SD", "T1R1-NSD", "--scale", "quick"]
         reference_dir = tmp_path / "reference"
-        sharded_dir = tmp_path / "sharded"
-        assert main(
-            ["run", "T1R2", "--scale", "quick", "--cache-dir", str(reference_dir)]
-        ) == 0
-        capsys.readouterr()
-        # Every slice's first attempt dies before touching its store; the
-        # driver retries with the attempt bumped, where the plan no longer
-        # fires — the distributed analogue of the worker-crash chaos gate.
-        plan = FaultPlan(seed=11, shard_crash=FaultSpec(rate=1.0))
-        monkeypatch.setenv("REPRO_FAULT_PLAN", plan.to_json())
-        assert main(
-            [
-                "run",
-                "T1R2",
-                "--scale",
-                "quick",
-                "--shards",
-                "2",
-                "--cache-dir",
-                str(sharded_dir),
-            ]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "2 attempt(s)" in output
-        assert "FAILED" not in output
-        assert journal_contents(sharded_dir) == journal_contents(reference_dir)
+        merged_dir = tmp_path / "merged"
+        tables = lambda text: text[: text.index("cache:")]
 
-    def test_shard_mode_crash_is_the_injected_exception(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_ATTEMPT", raising=False)
-        install_fault_plan(FaultPlan(seed=5, shard_crash=FaultSpec(rate=1.0)))
-        try:
-            with pytest.raises(InjectedShardCrash):
-                main(
-                    [
-                        "run",
-                        "T1R2",
-                        "--scale",
-                        "quick",
-                        "--shards",
-                        "2",
-                        "--shard-index",
-                        "0",
-                        "--cache-dir",
-                        str(tmp_path / "shard"),
-                    ]
-                )
-            # The crash fired before the store opened: no lock left behind.
-            assert not (tmp_path / "shard" / "lock").exists()
-            # A bumped attempt (the driver's retry) sails through.
-            monkeypatch.setenv("REPRO_SHARD_ATTEMPT", "1")
+        reference_code = main(["run", *experiments, "--cache-dir", str(reference_dir)])
+        reference_output = capsys.readouterr().out
+        shard_dirs = [tmp_path / f"shard-{index}" for index in range(4)]
+        for index, shard_dir in enumerate(shard_dirs):
             assert main(
                 [
                     "run",
-                    "T1R2",
-                    "--scale",
-                    "quick",
+                    *experiments,
                     "--shards",
-                    "2",
+                    "4",
                     "--shard-index",
-                    "0",
+                    str(index),
                     "--cache-dir",
-                    str(tmp_path / "shard"),
+                    str(shard_dir),
                 ]
             ) == 0
-        finally:
-            install_fault_plan(None)
+        assert main(["merge-cache", str(merged_dir), *map(str, shard_dirs)]) == 0
+        capsys.readouterr()
+        assert main(["run", *experiments, "--cache-dir", str(merged_dir)]) == reference_code
+        replay_output = capsys.readouterr().out
+        # The replay served everything from the merged shard journals...
+        assert "0 miss(es)" in replay_output
+        # ...into identical result tables and identical journaled bits.
+        assert tables(replay_output) == tables(reference_output)
+        assert journal_contents(merged_dir) == journal_contents(reference_dir)
 
     def test_merge_cache_command(self, tmp_path, capsys):
         from repro.store import ChunkJournal

@@ -1,7 +1,8 @@
 """Start-up import hygiene: repro loads no scipy until a solver needs it.
 
-Every ``repro run``, shard subprocess and CI step starts a fresh
-interpreter, and scipy's import is most of what that start used to cost.
+Every ``repro run`` (each shard of a split run is one) and CI step starts a
+fresh interpreter, and scipy's import is most of what that start used to
+cost.
 Module level in ``src/repro`` is the standard library, numpy and repro
 itself; scipy is imported inside the functions that call its solvers
 (``DeterministicLV.integrate``, the first-step solver and the tridiagonal

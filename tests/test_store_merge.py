@@ -1,9 +1,8 @@
-"""Tests for :mod:`repro.store.merge` — journal union — and multi-source reads.
+"""Tests for :mod:`repro.store.merge` — journal union.
 
 Edge cases the distributed workflow hits in practice: overlapping shards
 (idempotent skip), conflicting payloads (hard error naming the key), shard
-journals with quarantine sidecars, torn tails from killed shard writers,
-and the read-only ``read_sources`` view over unmerged shard caches.
+journals with quarantine sidecars, and torn tails from killed shard writers.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from repro.lv.state import LVState
 from repro.store import ChunkJournal, ExperimentStore, merge_cache, quarantine_path
 
 from helpers_journal import journal_contents
-from test_store import assert_bitwise_equal
 
 
 def _write_journal(path, records):
@@ -204,42 +202,3 @@ class TestEndToEndShardMerge:
         assert journal_contents(tmp_path / "merged") == journal_contents(
             tmp_path / "reference"
         )
-
-
-class TestReadSources:
-    def test_chunk_miss_falls_back_to_read_only_sources(
-        self, tmp_path, sd_params
-    ):
-        tasks = [SweepTask(sd_params, LVState(24, 16), 50, seed=1)]
-        source_store = ExperimentStore(tmp_path / "shard")
-        scheduler = SweepScheduler(batch_size=32, sweep_batch=32, store=source_store)
-        try:
-            reference = scheduler.run_sweep(tasks)
-        finally:
-            scheduler.shutdown()
-            source_store.close()
-        source_bytes = (tmp_path / "shard" / "journal.jsonl").read_bytes()
-
-        view = ExperimentStore(tmp_path / "dst", read_sources=(tmp_path / "shard",))
-        scheduler = SweepScheduler(batch_size=32, sweep_batch=32, store=view)
-        try:
-            replayed = scheduler.run_sweep(tasks)
-        finally:
-            scheduler.shutdown()
-            view.close()
-        for first, second in zip(reference, replayed):
-            assert_bitwise_equal(first, second)
-        # Every chunk came from the source; nothing was recomputed.
-        assert view.stats.chunk_misses == 0
-        # The source was never appended, healed, or truncated.
-        assert (tmp_path / "shard" / "journal.jsonl").read_bytes() == source_bytes
-        assert "read-only source" in view.describe()
-
-    def test_contains_consults_sources(self, tmp_path):
-        _write_journal(tmp_path / "src", [("k1", {"v": 1})])
-        view = ExperimentStore(tmp_path / "dst", read_sources=(tmp_path / "src",))
-        try:
-            assert "k1" in view
-            assert "k2" not in view
-        finally:
-            view.close()
