@@ -8,7 +8,8 @@ trees have:
 
 * ``run_sweep_ensemble`` at the ``"full"`` and ``"win"`` levels, over
   members covering both mechanisms, intraspecific competition, a tie,
-  absorption at (1, 1), event budgets and the scalar tail;
+  absorption at (1, 1), event budgets and the scalar tail, and over T1R5's
+  states without competition, whose scalar tails run long;
 * ``run_tau_sweep_ensemble`` over calls that leap into the exact endgame,
   run out of budget there, and pass one uniform block in it, and over
   FIG-THRESH-XL's shape: SD at ``log^2 n`` and NSD at ``log^2 n`` and
@@ -20,7 +21,9 @@ trees have:
 * the generic scenario engine: ``opinion3``, ``opinion4`` and ``catalysis``
   members in both mechanisms, through ``run_sweep_ensemble`` and
   ``run_tau_sweep_ensemble`` at both levels, with a growing population, an
-  event budget and members that leap.
+  event budget and members that leap; and 24 ``resource`` members of 48
+  replicas through ``run_sweep_ensemble`` at both levels, alternating
+  mechanisms, so that two scenario groups share the call.
 
 Every budget is bounded, so the battery takes seconds per tree.  It hashes
 every field of every result: the per-replica arrays by their bytes, any
@@ -98,6 +101,27 @@ def battery() -> Iterator[tuple[str, list[Any]]]:
         member(gamma_nsd, 33, 28, 4, 25),
     ]
     overflow = [member(walk, 24, 20, 8, 6_000), member(nsd, 46, 50, 3)]
+    # T1R5's states, without competition: the tails run past many blocks.
+    no_competition = [
+        member(LVParams(1.0, 1.0, 0.0, 0.0, mechanism=mechanism), x0, x1, 30, 60_000)
+        for mechanism, (x0, x1) in (
+            (sd_mechanism, (12, 8)),
+            (nsd_mechanism, (24, 8)),
+            (sd_mechanism, (40, 10)),
+        )
+    ]
+    # The 24 x 48 probe of the generic engine against the specialised one,
+    # on a generic family.
+    resource_probe = [
+        SweepMember(
+            sd if index % 2 == 0 else nsd,
+            (140 + index, 126 + index % 5, 40 + index),
+            48,
+            20_000,
+            scenario="resource",
+        )
+        for index in range(24)
+    ]
     # FIG-THRESH-XL's rates and states.
     neutral_sd = LVParams.self_destructive(beta=1.0, delta=1.0, alpha=1.0)
     neutral_nsd = LVParams.non_self_destructive(beta=1.0, delta=1.0, alpha=1.0)
@@ -161,6 +185,14 @@ def battery() -> Iterator[tuple[str, list[Any]]]:
             yield (
                 f"run_sweep_ensemble/{collect}/rng={seed}",
                 run_sweep_ensemble(exact, rng=seed, collect=collect),
+            )
+            yield (
+                f"run_sweep_ensemble/no-competition/{collect}/rng={seed}",
+                run_sweep_ensemble(no_competition, rng=seed, collect=collect),
+            )
+            yield (
+                f"run_sweep_ensemble/resource-24x48/{collect}/rng={seed}",
+                run_sweep_ensemble(resource_probe, rng=seed, collect=collect),
             )
         yield (
             f"run_tau_sweep_ensemble/leap-to-endgame/rng={seed}",

@@ -81,6 +81,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy
@@ -596,8 +597,15 @@ def _command_run(
             store=store,
             resume=arguments.resume,
         )
+        if sharded:
+            # Rows outside this shard's share are placeholders, so findings
+            # and a verdict over them would describe nothing, in the text,
+            # the --json file or the --report alike.
+            result = replace(result, findings=[], shape_matches_paper=None)
         results.append(result)
         print(result.render_text())
+        if sharded:
+            print("  verdict: waits for the merged replay of every shard")
         print()
     if store is not None:
         print(f"cache: {store.stats.summary()} ({store.describe()})")

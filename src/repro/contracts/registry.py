@@ -45,17 +45,20 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
             "member seed — step first, tail second, members in order",
         ),
         StreamConsumer(
-            "_MemberStreams.draw",
+            "_MemberStreams.fill",
             "step",
-            "the only reader of the step stream: blocked uniform draws, "
-            "partition-invariant by Generator.random",
+            "the only reader of the step stream in both exact engines (the "
+            "lv2 lock-step loop and repro.scenario.engine's fused loop): one "
+            "call per step takes each (member, count) segment's next uniforms "
+            "in segment order, from per-member blocks, partition-invariant "
+            "by Generator.random",
         ),
         StreamConsumer(
             "_run_exact",
             "both",
             "runs the given slots to their end, from their counts and "
             "accounting so far: the lock-step loop reads each member's step "
-            "stream where it stands (through _MemberStreams.draw), then each "
+            "stream where it stands (through _MemberStreams.fill), then each "
             "member's untouched tail generator goes to the exact-tail "
             "finisher, once, with the slots of the survivors it handed off "
             "when its active set went thin; the exact engine passes every "
@@ -91,20 +94,6 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
         ),
     ),
     "repro.scenario.engine": (
-        StreamConsumer(
-            "run_scenario_members",
-            "step",
-            "spawns each member's (step, tail) pair from the caller-derived "
-            "root seed and hands the step stream to the per-member advance, "
-            "in member order; the tail stream is never read",
-        ),
-        StreamConsumer(
-            "_advance_member",
-            "step",
-            "generic exact backend: blocked step-stream uniforms, one per "
-            "alive replica in ascending replica order, every step until "
-            "every replica has terminated",
-        ),
         StreamConsumer(
             "_run_member_tau",
             "both",

@@ -11,7 +11,10 @@ nonzero rate somewhere in the packed batch); their propensities are summed in
 place into cumulative rows, and one lookup in a per-pack moves table applies
 both species' count changes.  Dropping a pair whose rate is zero everywhere
 selects exactly the events the full eight-class table would (DESIGN.md,
-"Lock-step step").
+"Lock-step step").  What changes only when a replica retires (its +inf
+threshold, the members' alive tallies and draw segments, the count of
+finished replicas) is updated then, not at every step, and one
+:meth:`_MemberStreams.fill` call per step draws every member's uniforms.
 
 Since the sweep-engine refactor the lock-step core is **heterogeneous**: the
 rates ``beta/delta/alpha0/alpha1/gamma0/gamma1``, the competition mechanism,
@@ -491,7 +494,8 @@ class _MemberStreams:
     Stream derivation follows the module docstring's consumption-order
     contract: each member seed spawns a (step, tail) generator pair, the step
     stream is consumed through a per-member block buffer, and the tail stream
-    is handed to the exact-tail finisher untouched.
+    is handed to the exact-tail finisher untouched.  Both exact engines read
+    the step streams through :meth:`fill`.
     """
 
     def __init__(self, member_seeds: Sequence[int]):
@@ -504,19 +508,29 @@ class _MemberStreams:
         self._buffers = [np.empty(0) for _ in member_seeds]
         self._cursors = [0] * len(member_seeds)
 
-    def draw(self, member: int, count: int) -> np.ndarray:
-        """The next *count* uniforms of *member*'s step stream (a view)."""
-        buffer = self._buffers[member]
-        cursor = self._cursors[member]
-        if buffer.size - cursor < count:
-            block = max(_UNIFORM_BLOCK, count)
-            buffer = np.concatenate(
-                [buffer[cursor:], self.step_generators[member].random(block)]
-            )
-            self._buffers[member] = buffer
-            cursor = 0
-        self._cursors[member] = cursor + count
-        return buffer[cursor : cursor + count]
+    def fill(self, segments: Sequence[tuple[int, int]], out: np.ndarray) -> np.ndarray:
+        """The next uniforms of each ``(member, count)`` segment, in order.
+
+        Segment ``k`` takes the next ``count`` uniforms of its member's step
+        stream; they are written to *out* one segment after another, and the
+        filled prefix of *out* is returned.
+        """
+        buffers, cursors = self._buffers, self._cursors
+        offset = 0
+        for member, count in segments:
+            buffer = buffers[member]
+            cursor = cursors[member]
+            if buffer.size - cursor < count:
+                block = max(_UNIFORM_BLOCK, count)
+                buffer = np.concatenate(
+                    [buffer[cursor:], self.step_generators[member].random(block)]
+                )
+                buffers[member] = buffer
+                cursor = 0
+            cursors[member] = cursor + count
+            out[offset : offset + count] = buffer[cursor : cursor + count]
+            offset += count
+        return out[:offset]
 
 
 class _LockstepState:
@@ -527,32 +541,26 @@ class _LockstepState:
     always equals ascending original-replica order within each member (the
     property the RNG consumption contract relies on).  Both species' counts
     live in one ``(2, W)`` array, ``counts``; ``x0`` and ``x1`` are its row
-    views, rebound on every pack.  The accounting accumulators are the
-    simulator's :data:`~repro.lv.simulator._ACCOUNTING`, scattered (with the
+    views, rebound on every pack.  The six rates ``beta, delta, alpha0,
+    alpha1, gamma0, gamma1`` are the rows of one ``(6, W)`` array, ``rates``.
+    At the ``"full"`` level the state also carries the gap sign and the
+    accounting accumulators, the simulator's
+    :data:`~repro.lv.simulator._ACCOUNTING`; they are scattered (with the
     counts) to the output record when a packed row is dropped (at
-    compaction) or when the loop exits.
+    compaction) or when the loop exits.  At ``"win"`` it carries none of
+    them, and only the counts are scattered.
     """
 
-    #: Per-replica attributes sliced on pack (``counts`` is sliced by
-    #: column); the static ones after the accumulators are never scattered.
-    SLICED = _ACCOUNTING + (
-        "orig",
-        "member",
-        "beta",
-        "delta",
-        "alpha0",
-        "alpha1",
-        "gamma0",
-        "gamma1",
-        "sd",
-        "sign",
-        "max_events",
-        "absorbable",
-        "alive",
-    )
+    #: Per-replica rows sliced on pack besides ``counts`` and ``rates``
+    #: (sliced by column); the accumulators join them at ``"full"``.
+    SLICED = ("orig", "member", "sd", "max_events", "absorbable", "alive")
 
     def __init__(
-        self, members: Sequence[SweepMember], outputs: "_OutputRecord", slots: np.ndarray
+        self,
+        members: Sequence[SweepMember],
+        outputs: "_OutputRecord",
+        slots: np.ndarray,
+        full: bool,
     ):
         """Rows for *slots* (ascending), continuing from their values in *outputs*.
 
@@ -561,7 +569,6 @@ class _LockstepState:
         """
         member_of = outputs.member[slots]
         rates, sd_flags = LVParams.stack([m.params for m in members])
-        signs = np.array([_gap_sign(m.initial_state) for m in members], dtype=np.int64)
         # Absorption (zero total propensity with both species alive) is only
         # possible in the intraspecific-only regime stuck at (1, 1): births,
         # deaths, and interspecific competition each guarantee a positive
@@ -572,28 +579,27 @@ class _LockstepState:
         )
         budgets = np.array([m.max_events for m in members], dtype=np.int64)
 
+        self.full = full
         self.orig = slots
         self.member = member_of
         self.counts = np.stack((outputs.x0[slots], outputs.x1[slots]))
         self.x0, self.x1 = self.counts
-        self.beta = rates[member_of, 0]
-        self.delta = rates[member_of, 1]
-        self.alpha0 = rates[member_of, 2]
-        self.alpha1 = rates[member_of, 3]
-        self.gamma0 = rates[member_of, 4]
-        self.gamma1 = rates[member_of, 5]
+        self.rates = rates.T.take(member_of, axis=1)
         self.sd = sd_flags[member_of]
-        self.sign = signs[member_of]
         self.max_events = budgets[member_of] - outputs.total_events[slots]
         self.absorbable = absorbable[member_of]
         self.alive = (self.x0 > 0) & (self.x1 > 0)
-
-        # Column 8 collects the retired replicas' no-op events and is
-        # discarded when scattering to the output record.
-        self.histogram = np.zeros((slots.size, 9), dtype=np.int64)
-        self.histogram[:, :8] = outputs.histogram[slots]
-        for name in _ACCOUNTING[1:]:
-            setattr(self, name, getattr(outputs, name)[slots])
+        self.sliced = self.SLICED
+        if full:
+            self.sliced += ("sign",) + _ACCOUNTING
+            signs = np.array([_gap_sign(m.initial_state) for m in members], dtype=np.int64)
+            self.sign = signs[member_of]
+            # Column 8 collects the retired replicas' no-op events and is
+            # discarded when scattering to the output record.
+            self.histogram = np.zeros((slots.size, 9), dtype=np.int64)
+            self.histogram[:, :8] = outputs.histogram[slots]
+            for name in _ACCOUNTING[1:]:
+                setattr(self, name, getattr(outputs, name)[slots])
 
     @property
     def width(self) -> int:
@@ -605,10 +611,11 @@ class _LockstepState:
         drop = np.nonzero(~self.alive)[0]
         if drop.size:
             outputs.scatter(self, drop)
-        for name in self.SLICED:
+        for name in self.sliced:
             setattr(self, name, getattr(self, name)[keep])
         self.counts = self.counts[:, keep]
         self.x0, self.x1 = self.counts
+        self.rates = self.rates[:, keep]
 
     def flush(self, outputs: "_OutputRecord") -> None:
         """Scatter every remaining packed row to the output record."""
@@ -626,18 +633,24 @@ class _StepTables:
       pairs (births, deaths, interspecific, intraspecific: each kept when
       some packed replica has a nonzero rate in it), filled by ``products``
       and ``intra`` and summed in place by ``sums``; ``total`` is its last
-      row;
+      row.  Births and deaths are one broadcast product of their rate rows
+      and both counts;
     * ``event_map``, ``moves`` and ``column_offset`` — the event index and
       both species' count changes of each selectable class, with the no-op
-      sentinel last (``chosen == K``); ``moves`` holds one column block per
-      mechanism and ``column_offset`` (``sd * (K + 1)``) picks a replica's;
+      sentinel last (``chosen == K``).  A batch of one mechanism has a
+      ``(2, K + 1)`` moves table and no offset; a mixed batch has one column
+      block per mechanism, and ``column_offset`` (``sd * (K + 1)``) picks a
+      replica's;
     * ``float_counts`` and ``pair`` — a float copy of the counts and the
       product of its rows (``pair_factors``), refreshed here and after every
       step's moves (the finish test reads ``pair``) and reused by the next
       step's propensities.  Retired rows may hold stale values there, which
-      the sentinel event renders harmless;
-    * ``threshold``/``row_index`` scratch — retired rows are steered to the
-      no-op sentinel event, so no per-step masking is needed;
+      the sentinel event renders harmless; ``known_zeros`` counts the zero
+      pair products of retired rows, so the finish test only looks for its
+      rows when there are more;
+    * ``threshold`` — a retired row's is +inf, set once when it retires,
+      which steers it to the no-op sentinel event, so no per-step masking
+      is needed; ``below`` and ``chosen`` are the selection's buffers;
     * ``min_budget`` — the event-budget check is skipped entirely until the
       smallest budget in the batch can possibly be reached.
 
@@ -650,33 +663,45 @@ class _StepTables:
         self.float_counts = float_counts = state.counts.astype(np.float64)
         self.pair_factors = (float_counts[0], float_counts[1])
         self.pair = np.multiply(*self.pair_factors)
-        live = []
-        if state.beta.any():
-            live.append((_BIRTH0, state.beta, float_counts))
-        if state.delta.any():
-            live.append((_DEATH0, state.delta, float_counts))
-        if state.alpha0.any() or state.alpha1.any():
-            live.append((_INTER0, np.stack((state.alpha0, state.alpha1)), self.pair))
-        intra_live = bool(state.gamma0.any() or state.gamma1.any())
-        num_classes = 2 * (len(live) + intra_live)
+        rates = state.rates
+        live = rates.any(axis=1).tolist()
+        individual = [pair for pair in (0, 1) if live[pair]]  # births, deaths
+        inter_live = live[2] or live[3]
+        intra_live = live[4] or live[5]
+        num_classes = 2 * (len(individual) + inter_live + intra_live)
         self.rows = rows = np.empty((num_classes, width))
-        self.products = [
-            (rates, operand, rows[2 * index : 2 * index + 2])
-            for index, (_, rates, operand) in enumerate(live)
-        ]
-        classes = [first + species for first, _, _ in live for species in (0, 1)]
+        # Event indices 0-3 are birth0, birth1, death0, death1.
+        classes = [2 * pair + species for pair in individual for species in (0, 1)]
+        self.products = []
+        if individual:
+            lo, hi = individual[0], individual[-1] + 1
+            self.products.append(
+                (rates[lo:hi, None], float_counts, rows[: len(classes)].reshape(hi - lo, 2, width))
+            )
+        if inter_live:
+            self.products.append((rates[2:4], self.pair, rows[len(classes) : len(classes) + 2]))
+            classes += [_INTER0, _INTER1]
         self.intra = None
         if intra_live:
-            self.intra = (np.stack((state.gamma0, state.gamma1)), rows[-2:])
+            self.intra = (rates[4:6], rows[-2:])
             classes += [_INTRA0, _INTRA1]
         self.sums = [(rows[index - 1], rows[index]) for index in range(1, num_classes)]
         self.total = rows[-1]
         self.event_map = event_map = np.array(classes + [_NO_OP])
-        self.moves = np.stack(
-            (_DX0_TABLE[:, event_map].ravel(), _DX1_TABLE[:, event_map].ravel())
-        )
-        self.column_offset = state.sd * (num_classes + 1)
-        self.threshold = np.empty(width)
+        sd = state.sd
+        self.column_offset = None
+        if sd.all() or not sd.any():
+            mechanism = int(sd[0]) if width else 0
+            self.moves = np.stack((_DX0_TABLE[mechanism, event_map], _DX1_TABLE[mechanism, event_map]))
+        else:
+            self.moves = np.stack(
+                (_DX0_TABLE[:, event_map].ravel(), _DX1_TABLE[:, event_map].ravel())
+            )
+            self.column_offset = (sd * (num_classes + 1)).astype(np.uint8)
+        self.known_zeros = width - np.count_nonzero(self.pair)
+        self.threshold = np.full(width, np.inf)
+        self.below = np.empty((num_classes, width), dtype=bool)
+        self.chosen = np.empty(width, dtype=np.uint8)
         self.row_index = np.arange(width)
         self.min_budget = int(state.max_events.min())
 
@@ -713,10 +738,12 @@ class _OutputRecord:
         self.leap_events = np.zeros(size, dtype=np.int64) if leap_events else None
 
     def scatter(self, state: _LockstepState, rows: np.ndarray) -> None:
-        """Write the counts and accumulators of packed *rows* to their slots."""
+        """Write the counts (and, at ``"full"``, the accumulators) of packed *rows*."""
         where = state.orig[rows]
         self.x0[where] = state.x0[rows]
         self.x1[where] = state.x1[rows]
+        if not state.full:
+            return
         # The working histogram's column 8 is the no-op sentinel's.
         self.histogram[where] = state.histogram[rows, :8]
         for name in _ACCOUNTING[1:]:
@@ -915,7 +942,7 @@ def _run_exact(
     from its initial state; the tau backend passes the replicas it parked.
     """
     fired = outputs.total_events[slots]
-    state = _LockstepState(members, outputs, slots)
+    state = _LockstepState(members, outputs, slots, full)
     handoffs = _advance_lockstep(
         len(members), state, outputs, streams, compaction_fraction, full
     )
@@ -951,41 +978,18 @@ def _advance_lockstep(
     handoffs: list[tuple[int, np.ndarray]] = []
     any_absorbable = bool(state.absorbable.any())
 
-    # Per-member alive tallies and the derived uniform-draw segments.  Alive
-    # replicas, taken in ascending original-replica-index order, are grouped
-    # contiguously by member (planning lays members out contiguously and
-    # packing preserves order), so ``zip(seg_members, seg_counts)`` describes
-    # exactly how one step's per-member uniform draws concatenate into the
-    # flat per-alive-replica sequence.  The single-member case (the whole
-    # per-configuration path) skips the tallies entirely.
-    alive_counts = np.bincount(state.member[state.alive], minlength=num_members)
-    num_alive = int(alive_counts.sum())
-    seg_pairs: list[tuple[int, int]] = []
+    # Per-member alive tallies and the uniform-draw segments derived from
+    # them, as Python lists.  Alive replicas, taken in ascending
+    # original-replica-index order, are grouped contiguously by member
+    # (planning lays members out contiguously and packing preserves order),
+    # so the ``(member, count)`` segments of the members with alive replicas,
+    # in member order, describe exactly how one step's per-member uniform
+    # draws concatenate into the flat per-alive-replica sequence.  A
+    # retirement clears ``segments``; they are rebuilt when next read.
+    alive_counts = np.bincount(state.member[state.alive], minlength=num_members).tolist()
+    num_alive = sum(alive_counts)
+    segments: list[tuple[int, int]] | None = None
     min_alive = 0
-    segments_stale = True
-
-    def rebuild_segments() -> None:
-        nonlocal seg_pairs, min_alive, segments_stale
-        index = np.nonzero(alive_counts)[0]
-        counts = alive_counts[index]
-        seg_pairs = list(zip(index.tolist(), counts.tolist()))
-        min_alive = int(counts.min()) if index.size else 0
-        segments_stale = False
-
-    def retire(mask: np.ndarray) -> None:
-        """Drop *mask*'s rows (a packed boolean mask) from the tallies."""
-        nonlocal num_alive, min_alive, segments_stale
-        if num_members == 1:
-            num_alive -= int(np.count_nonzero(mask))
-            min_alive = num_alive
-        else:
-            dropped = np.bincount(state.member[mask], minlength=num_members)
-            alive_counts[:] -= dropped
-            num_alive -= int(dropped.sum())
-            segments_stale = True
-
-    if num_members == 1:
-        min_alive = num_alive
     # Scratch for the per-step concatenation of per-member uniform draws
     # (the packed width only ever shrinks, so the initial width suffices).
     drawn_scratch = np.empty(state.width)
@@ -995,55 +999,55 @@ def _advance_lockstep(
     # between them.
     alive_idx = np.nonzero(state.alive)[0]
 
+    def rebuild_segments() -> None:
+        nonlocal segments, min_alive
+        segments = [(index, count) for index, count in enumerate(alive_counts) if count]
+        min_alive = min(count for _, count in segments) if segments else 0
+
+    def retire(mask: np.ndarray, code: int | None = None) -> np.ndarray:
+        """Retire *mask*'s rows (a packed boolean mask) at this step; their slots.
+
+        Each slot's ``total_events`` becomes the step index and, given a
+        *code*, its termination code; the row's threshold becomes +inf.
+        """
+        nonlocal num_alive, segments, alive_idx
+        rows = np.nonzero(mask)[0]
+        slots = state.orig[rows]
+        outputs.total_events[slots] = step
+        if code is not None:
+            outputs.termination_codes[slots] = code
+        state.alive[rows] = False
+        tables.threshold[rows] = np.inf
+        for member_index in state.member[rows].tolist():
+            alive_counts[member_index] -= 1
+        num_alive -= rows.size
+        segments = None
+        alive_idx = np.nonzero(state.alive)[0]
+        return slots
+
     # Every alive replica fires exactly one event per lock-step iteration, so
     # a replica's events in the loop at retirement equal the step index.
     step = 0
     while num_alive > 0:
-        if segments_stale and num_members > 1:
+        if segments is None:
             rebuild_segments()
         if min_alive <= SCALAR_FINISH_WIDTH:
             # The per-step numpy dispatch cost is width-independent, so a
             # member's thin active set is cheaper to finish with the scalar
             # loop — at the same per-member count the member would hand off
             # at running alone (the bitwise-equivalence contract).
-            if num_members == 1:
-                thin = [0]
-            else:
-                thin = [
-                    member_index
-                    for member_index, count in seg_pairs
-                    if count <= SCALAR_FINISH_WIDTH
-                ]
-            for member_index in thin:
-                tail_rows = np.nonzero(
-                    state.alive & (state.member == member_index)
-                )[0]
-                slots = state.orig[tail_rows]
-                outputs.total_events[slots] = step
-                handoffs.append((member_index, slots))
-                state.alive[tail_rows] = False
-                if num_members == 1:
-                    num_alive = 0
-                else:
-                    num_alive -= int(alive_counts[member_index])
-                    alive_counts[member_index] = 0
-            if num_members == 1:
-                break
-            rebuild_segments()
+            for member_index, count in segments:
+                if count <= SCALAR_FINISH_WIDTH:
+                    thin = state.alive & (state.member == member_index)
+                    handoffs.append((member_index, retire(thin)))
             if num_alive == 0:
                 break
-            alive_idx = np.nonzero(state.alive)[0]
+            rebuild_segments()
 
         if step >= tables.min_budget:
             exhausted = state.alive & (state.max_events <= step)
             if exhausted.any():
-                outputs.total_events[state.orig[exhausted]] = step
-                outputs.termination_codes[state.orig[exhausted]] = _MAX_EVENTS
-                retire(exhausted)
-                state.alive &= ~exhausted
-                if num_alive == 0:
-                    break
-                alive_idx = np.nonzero(state.alive)[0]
+                retire(exhausted, _MAX_EVENTS)
                 continue
 
         if (
@@ -1075,44 +1079,34 @@ def _advance_lockstep(
         if any_absorbable:
             absorbed = state.alive & state.absorbable & (total <= 0.0)
             if absorbed.any():
-                outputs.total_events[state.orig[absorbed]] = step
-                outputs.termination_codes[state.orig[absorbed]] = _ABSORBED
-                retire(absorbed)
-                state.alive &= ~absorbed
+                retire(absorbed, _ABSORBED)
                 if num_alive == 0:
                     break
-                alive_idx = np.nonzero(state.alive)[0]
 
         # One uniform per alive replica of each member, drawn from the
         # member's own step stream, concatenated in ascending original-index
         # order (the RNG consumption contract); replicas retired above
         # consume nothing.
-        if num_members == 1:
-            drawn = streams.draw(0, num_alive)
-        else:
-            if segments_stale:
-                rebuild_segments()
-            drawn = drawn_scratch[:num_alive]
-            offset = 0
-            for member_index, count in seg_pairs:
-                drawn[offset : offset + count] = streams.draw(member_index, count)
-                offset += count
+        if segments is None:
+            rebuild_segments()
+        drawn = streams.fill(segments, drawn_scratch)
         if num_alive == tables.width:
             np.multiply(drawn, total, out=threshold)
         else:
-            # Retired rows get an infinite threshold, which steers them to
-            # the no-op sentinel event.
-            threshold.fill(np.inf)
+            # Retired rows keep the +inf threshold they got at retirement,
+            # which steers them to the no-op sentinel event.
             threshold[alive_idx] = drawn * total[alive_idx]
         # Count of cumulative propensities at or below the threshold = the
         # first live class whose cumulative propensity exceeds it;
         # zero-propensity classes can never be selected, and retired rows
         # land on the sentinel (``chosen == K``).
-        chosen = (tables.rows <= threshold).sum(axis=0)
+        np.less_equal(tables.rows, threshold, out=tables.below)
+        chosen = np.add.reduce(tables.below, axis=0, dtype=np.uint8, out=tables.chosen)
         if collect_stats:
             event = tables.event_map.take(chosen)
             gap_before = x0 - x1
-        chosen += tables.column_offset
+        if tables.column_offset is not None:
+            chosen += tables.column_offset
         counts += tables.moves.take(chosen, axis=1)
         step += 1
 
@@ -1135,15 +1129,15 @@ def _advance_lockstep(
             state.hit_tie |= gap_after == 0
 
         # Counts are non-negative, so a species is extinct exactly when the
-        # pair product is zero; the next step's propensities reuse both.
+        # pair product is zero; the next step's propensities reuse both.  A
+        # retired row's product never changes, so a zero beyond the known
+        # ones is a replica that finished on this step.
         np.copyto(tables.float_counts, counts)
         pair = np.multiply(*tables.pair_factors, out=tables.pair)
-        finished = state.alive & (pair == 0.0)
-        if np.count_nonzero(finished):
-            outputs.total_events[state.orig[finished]] = step
-            retire(finished)
-            state.alive &= ~finished
-            alive_idx = np.nonzero(state.alive)[0]
+        zeros = tables.width - np.count_nonzero(pair)
+        if zeros > tables.known_zeros:
+            tables.known_zeros = zeros
+            retire(state.alive & (pair == 0.0))
     return handoffs
 
 

@@ -484,12 +484,15 @@ def _event_loop(
     (``gamma * x * (x - 1) / 2.0`` for the intraspecific ones); the budget
     is checked before absorption.  Each partial sum is formed once and each
     uniform read with ``item`` (the same double as a Python float), so the
-    cascade does no numpy-scalar arithmetic.  With a *tally*, each event's
-    index is recorded and folded in blocks.
+    cascade does no numpy-scalar arithmetic.  A run without competition
+    (α0 = α1 = γ0 = γ1 = 0) skips the four competition terms: each would add
+    +0.0, and ``s + 0.0 == s``, so every partial sum is the same double.
+    With a *tally*, each event's index is recorded and folded in blocks.
     """
     beta, delta = params.beta, params.delta
     alpha0, alpha1 = params.alpha0, params.alpha1
     gamma0, gamma1 = params.gamma0, params.gamma1
+    competition = alpha0 != 0.0 or alpha1 != 0.0 or gamma0 != 0.0 or gamma1 != 0.0
     self_destructive = params.is_self_destructive
     classes = None if tally is None else tally.classes
     uniforms = generator.random(_UNIFORM_BUFFER)
@@ -501,15 +504,18 @@ def _event_loop(
             code = TERM_MAX_EVENTS
             break
         # Running sums of the eight propensities in selection order.
-        pair01 = x0 * x1
         sum0 = beta * x0
         sum1 = sum0 + beta * x1
         sum2 = sum1 + delta * x0
         sum3 = sum2 + delta * x1
-        sum4 = sum3 + alpha0 * pair01
-        sum5 = sum4 + alpha1 * pair01
-        sum6 = sum5 + gamma0 * x0 * (x0 - 1) / 2.0
-        total = sum6 + gamma1 * x1 * (x1 - 1) / 2.0
+        if competition:
+            pair01 = x0 * x1
+            sum4 = sum3 + alpha0 * pair01
+            sum5 = sum4 + alpha1 * pair01
+            sum6 = sum5 + gamma0 * x0 * (x0 - 1) / 2.0
+            total = sum6 + gamma1 * x1 * (x1 - 1) / 2.0
+        else:
+            total = sum4 = sum5 = sum6 = sum3
         if total <= 0.0:
             code = TERM_ABSORBED
             break

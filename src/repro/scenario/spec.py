@@ -35,6 +35,7 @@ from repro.exceptions import InvalidConfigurationError
 
 __all__ = [
     "DEFAULT_SCENARIO",
+    "Kinetics",
     "Scenario",
     "TERMINATION_NAMES",
     "TERM_ABSORBED",
@@ -259,33 +260,18 @@ class Scenario:
             values[m] = a
         return values
 
+    @cached_property
+    def kinetics(self) -> "Kinetics":
+        """This scenario's one vectorised propensity path, built once (:class:`Kinetics`)."""
+        return Kinetics(self)
+
     def propensity_rows(self, states: np.ndarray) -> np.ndarray:
         """Vectorized propensity table: ``(W, S)`` states → ``(M, W)`` rows.
 
-        Written with explicit per-species elementwise operations in exactly
-        the operand order of :meth:`propensities`, so both paths produce
-        bitwise-identical doubles.
+        Formed by :attr:`kinetics` with the doubles of :meth:`propensities`
+        (see :class:`Kinetics` for why they are equal).
         """
-        states_f = np.asarray(states, dtype=np.float64)
-        width = states_f.shape[0]
-        rows = np.empty((self.num_reactions, width), dtype=np.float64)
-        linear = self.rate_linear
-        for m in range(self.num_reactions):
-            a = np.full(width, self.rates[m], dtype=np.float64)
-            if linear is not None:
-                for s in range(self.num_species):
-                    coefficient = linear[m][s]
-                    if coefficient != 0.0:
-                        a = a + coefficient * states_f[:, s]
-            for s in range(self.num_species):
-                order = self.reactants[m][s]
-                if order == 1:
-                    a = a * states_f[:, s]
-                elif order == 2:
-                    x = states_f[:, s]
-                    a = a * (x * (x - 1.0)) * 0.5
-            rows[m] = a
-        return rows
+        return self.kinetics.propensities(np.asarray(states).T)
 
     # ------------------------------------------------------------------
     # Classification
@@ -318,6 +304,81 @@ class Scenario:
                 else [list(row) for row in self.rate_linear],
             }
         )
+
+
+class Kinetics:
+    """One scenario's propensities over many states, from one factor table.
+
+    The factor table has ``2S + 1`` rows over the states: the float counts,
+    each species' ``x * (x - 1.0)``, and a row of ones.  Reaction ``m``'s
+    propensity is ``((k_m * factor[first[m]]) * factor[second[m]]) * half[m]``:
+    ``k_m`` is its rate plus its affine terms, added in species order;
+    ``first`` and ``second`` name its reactant factors in species order (the
+    ones row where it has fewer than two); ``half`` is 0.5 for an order-2
+    reactant and 1.0 otherwise.  Multiplying by 1.0 is exact, and a zero
+    affine coefficient adds +0.0, so every propensity is the double
+    :meth:`Scenario.propensities` forms in its operand order.
+    """
+
+    def __init__(self, scenario: Scenario):
+        num_species = scenario.num_species
+        ones = 2 * num_species
+        first, second, half = [], [], []
+        for row in scenario.reactant_matrix.tolist():
+            factors = [
+                species if order == 1 else num_species + species
+                for species, order in enumerate(row)
+                if order
+            ] + [ones, ones]
+            first.append(factors[0])
+            second.append(factors[1])
+            half.append(0.5 if 2 in row else 1.0)
+        self.num_species = num_species
+        self.first, self.second = np.array(first), np.array(second)
+        self.squares = 0.5 in half
+        self.half = np.array(half)[:, None] if self.squares else None
+        self.rates = scenario.rate_vector[:, None]
+        linear = scenario.linear_matrix
+        self.linear = [
+            (species, linear[:, species, None])
+            for species in range(num_species)
+            if linear[:, species].any()
+        ]
+
+    def factor_table(self, width: int) -> np.ndarray:
+        """An empty factor table of *width* columns, its ones row set."""
+        factors = np.empty((2 * self.num_species + 1, width))
+        factors[-1] = 1.0
+        return factors
+
+    def propensities(self, states: np.ndarray, factors: np.ndarray | None = None) -> np.ndarray:
+        """The ``(M, W)`` propensities of *states*, ``(S, W)``.
+
+        *factors* is the table to fill (:meth:`factor_table`), a fresh one
+        by default.
+        """
+        if factors is None:
+            factors = self.factor_table(states.shape[1])
+        counts = factors[: self.num_species]
+        np.copyto(counts, states)
+        if self.squares:
+            squares = factors[self.num_species : -1]
+            np.subtract(counts, 1.0, out=squares)
+            np.multiply(counts, squares, out=squares)
+        if self.linear:
+            (species, coefficients), *rest = self.linear
+            rows = coefficients * counts[species]
+            rows += self.rates
+            for species, coefficients in rest:
+                rows += coefficients * counts[species]
+            rows *= factors.take(self.first, axis=0)
+        else:
+            rows = factors.take(self.first, axis=0)
+            rows *= self.rates
+        rows *= factors.take(self.second, axis=0)
+        if self.half is not None:
+            rows *= self.half
+        return rows
 
 
 # ----------------------------------------------------------------------

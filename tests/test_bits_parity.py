@@ -175,6 +175,22 @@ class TestEngineParity:
         full = generic["run_sweep_ensemble/generic-SD/full/rng=0"]
         assert any((r.max_total_population > sum(r.initial_counts)).any() for r in full)
 
+    def test_battery_runs_two_scenario_groups_in_one_call_and_long_tails(self, engine_parity):
+        calls = dict(
+            itertools.takewhile(lambda call: not call[0].endswith("rng=1"), engine_parity.battery())
+        )
+        for collect in ("full", "win"):
+            # The 24 x 48 probe on a generic family: both mechanisms, so two
+            # scenario groups share the call.
+            probe = calls[f"run_sweep_ensemble/resource-24x48/{collect}/rng=0"]
+            assert [result.num_replicates for result in probe] == [48] * 24
+            assert {result.scenario for result in probe} == {"resource"}
+            assert {result.params.is_self_destructive for result in probe} == {False, True}
+            # No competition: the scalar tails run past one uniform block.
+            tails = calls[f"run_sweep_ensemble/no-competition/{collect}/rng=0"]
+            assert all(result.params.alpha == result.params.gamma == 0.0 for result in tails)
+            assert max(int(result.total_events.max()) for result in tails) > 4096
+
 
 SCHEMAS = {"base": "RESULT_SCHEMA_VERSION = 2", "head": "RESULT_SCHEMA_VERSION = 3"}
 

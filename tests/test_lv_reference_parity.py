@@ -338,8 +338,10 @@ def _scalar_battery(count: int = 64) -> list[tuple[str, LVParams, tuple, int, in
     """Seeded ``(label, params, state, budget, seed)`` cases for the scalar run.
 
     Named cases cover each shape once: both mechanisms, zero rates, γ > 0,
-    a species-1 majority, a tied start, budgets of 5, 50 and 5,000, and a
-    run past one uniform block; random ones fill the rest.
+    a species-1 majority, a tied start, budgets of 5, 50 and 5,000, and
+    runs past one uniform block, with and without competition (the loop
+    skips the competition terms of a run without); random ones fill the
+    rest.
     """
     cases = [
         ("sd", NO_INTRA_SD, (30, 18), 5_000, 1),
@@ -362,7 +364,11 @@ def _scalar_battery(count: int = 64) -> list[tuple[str, LVParams, tuple, int, in
         budget = int(draw.choice([5, 50, 5_000]))
         label = f"random-{len(cases)}"
         cases.append((label, LVParams(*rates, mechanism), (x0, x1), budget, len(cases)))
-    return cases
+    rare_competition = LVParams(1.0, 1.0, 1e-3, 1e-3, mechanism=SD)
+    return cases + [
+        ("no-competition-sd-past-one-block", BIRTHS_DEATHS_SD, (100, 90), 9_000, 8),
+        ("rare-competition-past-one-block", rare_competition, (100, 90), 9_000, 10),
+    ]
 
 
 SCALAR_BATTERY = _scalar_battery()
@@ -380,7 +386,7 @@ class TestScalarTailAgainstReference:
         )
         replay = reference.scalar_run(params, state, np.random.default_rng(seed), budget)
         self._assert_same_run(run, replay)
-        if label == "past-one-block":
+        if label.endswith("past-one-block"):
             assert run.total_events > reference.SCALAR_BLOCK
 
     def _assert_same_run(self, run, replay) -> None:

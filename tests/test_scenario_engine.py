@@ -165,6 +165,76 @@ class TestEngineParity:
         assert np.array_equal(full.termination_codes, win.termination_codes)
 
 
+def _mixed_members() -> list[SweepMember]:
+    """Every generic family in one call, in unequal widths.
+
+    ``opinion3`` runs in both mechanisms, so the call holds two of its
+    fingerprint groups, and its last member shares the first one's group.
+    The ``opinion4`` member spends its budget while the others run on, and
+    the ``catalysis`` member has encounters only and starts at (1, 1), so
+    every replica of it ends at its first step.
+    """
+    sd = _asymmetric(CompetitionMechanism.SELF_DESTRUCTIVE)
+    nsd = _asymmetric(CompetitionMechanism.NON_SELF_DESTRUCTIVE)
+    encounters = LVParams(0.0, 0.0, 0.6, 0.4, mechanism=CompetitionMechanism.NON_SELF_DESTRUCTIVE)
+    return [
+        SweepMember(sd, (18, 12, 10), 23, 50_000, scenario="opinion3"),
+        SweepMember(nsd, (16, 12, 11), 7, 50_000, scenario="opinion3"),
+        SweepMember(sd, (14, 10, 9, 8), 31, 15, scenario="opinion4"),
+        SweepMember(encounters, (1, 1, 6), 12, 50_000, scenario="catalysis"),
+        SweepMember(nsd, (20, 14, 40), 18, 50_000, scenario="resource"),
+        SweepMember(sd, (17, 12, 10), 9, 50_000, scenario="opinion3"),
+    ]
+
+
+class TestFusedCall:
+    """One call holding every generic family, against solo runs and the replay."""
+
+    SEEDS = [31, 32, 33, 34, 35, 36]
+
+    @pytest.mark.parametrize("collect", ["full", "win"])
+    def test_mixed_call_equals_solo_runs_and_the_replay(self, collect):
+        members = _mixed_members()
+        fused = run_scenario_members(members, self.SEEDS, collect=collect)
+        for member, seed, result in zip(members, self.SEEDS, fused):
+            (solo,) = run_scenario_members([member], [seed], collect=collect)
+            for field, value in vars(result).items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(value, getattr(solo, field)), (member.scenario, field)
+            reactions, species, opinions = reference_lockstep.family_reactions(
+                member.scenario, member.params, CATALYSIS_K_LIG
+            )
+            replay = reference_lockstep.replay_generic_member(
+                reactions,
+                species,
+                opinions,
+                member.initial_state,
+                member.num_replicates,
+                member.max_events,
+                seed,
+                collect,
+            )
+            for field, expected in replay.items():
+                actual = getattr(result, field)
+                assert actual.dtype == expected.dtype, (member.scenario, field)
+                assert np.array_equal(actual, expected), (member.scenario, field)
+        spent = fused[2]
+        assert (spent.termination_codes == TERM_MAX_EVENTS).any()
+        assert max(result.total_events.max() for result in fused) > spent.total_events.max()
+        assert (fused[3].total_events == 1).all()
+        assert (fused[3].termination_codes == TERM_CONSENSUS).all()
+
+    def test_results_do_not_depend_on_member_order(self):
+        members = _mixed_members()
+        order = [5, 3, 0, 4, 1, 2]
+        shuffled = run_scenario_members(
+            [members[i] for i in order], [self.SEEDS[i] for i in order]
+        )
+        fused = run_scenario_members(members, self.SEEDS)
+        for position, index in enumerate(order):
+            _assert_results_bitwise_equal(shuffled[position], fused[index])
+
+
 class TestRunInvariants:
     """Properties every replica of a ``"full"`` run satisfies, on both backends."""
 

@@ -582,3 +582,67 @@ class TestPropensityProperties:
         rows = scenario.propensity_rows(states)
         for w in range(states.shape[0]):
             assert np.array_equal(rows[:, w], scenario.propensities(states[w]))
+
+
+def _random_affine_scenario(rng: np.random.Generator) -> Scenario:
+    """A random scenario of up to order 2, with an affine rate on some reactions."""
+    species = int(rng.integers(2, 5))
+    reactions = int(rng.integers(2, 10))
+    reactants, changes, linear = [], [], []
+    for _ in range(reactions):
+        row = [0] * species
+        for chosen in rng.choice(species, size=int(rng.integers(0, 3)), replace=False):
+            row[int(chosen)] = 1
+        if sum(row) == 0 and rng.random() < 0.5:
+            row[int(rng.integers(species))] = 2
+        reactants.append(tuple(row))
+        changes.append(tuple(int(rng.integers(-order, 2)) for order in row))
+        linear.append(
+            tuple(
+                float(rng.uniform(0.0, 0.1)) if rng.random() < 0.3 else 0.0
+                for _ in range(species)
+            )
+        )
+    return Scenario(
+        name="random",
+        species=tuple(f"S{i}" for i in range(species)),
+        rates=tuple(float(rate) for rate in rng.uniform(0.0, 3.0, size=reactions)),
+        reactants=tuple(reactants),
+        changes=tuple(changes),
+        good=tuple(bool(flag) for flag in rng.integers(0, 2, size=reactions)),
+        opinion_species=(0, 1),
+        rate_linear=tuple(linear),
+    )
+
+
+class TestKinetics:
+    """The factor-table rows against the scalar reference, byte for byte.
+
+    Bytes, not values: a sign of zero that differs would show here.
+    """
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_scenarios_match_the_scalar_reference_bytewise(self, seed):
+        rng = np.random.default_rng(seed)
+        scenario = _random_affine_scenario(rng)
+        states = rng.integers(0, 40, size=(13, scenario.num_species))
+        states[0] = 0
+        states[1] = 1
+        rows = scenario.propensity_rows(states)
+        for w in range(states.shape[0]):
+            assert rows[:, w].tobytes() == scenario.propensities(states[w]).tobytes()
+
+    @FAMILY_MECHANISMS
+    def test_families_match_the_scalar_reference_bytewise(self, name, mechanism):
+        scenario = build_scenario(name, _asymmetric_params(mechanism))
+        rng = np.random.default_rng(7)
+        states = rng.integers(0, 60, size=(21, scenario.num_species))
+        rows = scenario.propensity_rows(states)
+        for w in range(states.shape[0]):
+            assert rows[:, w].tobytes() == scenario.propensities(states[w]).tobytes()
+        # A table refilled over other states, as an engine group reuses
+        # it step after step, gives the same values.
+        kinetics = scenario.kinetics
+        factors = kinetics.factor_table(states.shape[0])
+        kinetics.propensities(rng.integers(0, 60, size=states.shape).T, factors)
+        assert kinetics.propensities(states.T, factors).tobytes() == rows.tobytes()

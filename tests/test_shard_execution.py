@@ -18,6 +18,7 @@ import pytest
 from repro.analysis.statistics import PrecisionTarget
 from repro.exceptions import ExperimentError
 from repro.experiments.registry import run_experiment
+from repro.experiments.runner import load_results
 from repro.experiments.scheduler import (
     SweepScheduler,
     ThresholdRequest,
@@ -347,6 +348,49 @@ class TestShardCliEndToEnd:
         # ...into identical result tables and identical journaled bits.
         assert tables(replay_output) == tables(reference_output)
         assert journal_contents(merged_dir) == journal_contents(reference_dir)
+
+    def test_a_shard_leaves_the_verdict_to_the_replay_in_every_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Shard 3 of 4 owns none of T1R1-NSD's searches, so a verdict over
+        # its placeholder rows would read DOES NOT MATCH.
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        json_path, report_path = tmp_path / "shard-3.json", tmp_path / "shard-3.md"
+        code = main(
+            [
+                "run",
+                "T1R1-SD",
+                "T1R1-NSD",
+                "--scale",
+                "quick",
+                "--shards",
+                "4",
+                "--shard-index",
+                "3",
+                "--cache-dir",
+                str(tmp_path / "shard-3"),
+                "--json",
+                str(json_path),
+                "--report",
+                str(report_path),
+            ]
+        )
+        output = capsys.readouterr().out
+        assert code == 0
+        assert "[T1R1-SD]" in output and "[T1R1-NSD]" in output
+        assert "MATCH" not in output
+        assert output.count("verdict: waits for the merged replay") == 2
+        # The --json file keeps the rows and holds no findings or verdict...
+        saved = load_results(json_path)
+        assert [result.identifier for result in saved] == ["T1R1-SD", "T1R1-NSD"]
+        for result in saved:
+            assert result.rows
+            assert result.findings == []
+            assert result.shape_matches_paper is None
+        # ...and so does the --report.
+        report = report_path.read_text()
+        assert "| T1R1-NSD |" in report and "| n/a |" in report
+        assert "*Verdict.*" not in report and "*Measured.*" not in report
 
     def test_merge_cache_command(self, tmp_path, capsys):
         from repro.store import ChunkJournal
