@@ -23,7 +23,11 @@ trees have:
   ``run_tau_sweep_ensemble`` at both levels, with a growing population, an
   event budget and members that leap; and 24 ``resource`` members of 48
   replicas through ``run_sweep_ensemble`` at both levels, alternating
-  mechanisms, so that two scenario groups share the call.
+  mechanisms, so that two scenario groups share the call; and one
+  ``run_tau_sweep_ensemble`` call at both levels whose two scenario groups
+  (six ``opinion3`` and six ``catalysis`` members, plus one ``opinion3``
+  member parked from the start) spend budgets while leaping and after
+  parking.
 
 Every budget is bounded, so the battery takes seconds per tree.  It hashes
 every field of every result: the per-replica arrays by their bytes, any
@@ -160,6 +164,32 @@ def battery() -> Iterator[tuple[str, list[Any]]]:
         mechanism.short_name: generic_calls(mechanism)
         for mechanism in (sd_mechanism, nsd_mechanism)
     }
+    # Two generic tau groups of several members each: some replicas spend
+    # their budget while they leap, others after they park, and the last
+    # member is parked from the start.
+    fused_rates = LVParams(0.5, 0.4, 0.9, 0.7, 0.2, 0.3, sd_mechanism)
+    fused_catalysed = LVParams(0.3, 0.3, 0.025, 0.025, mechanism=sd_mechanism)
+    fused_groups = [
+        SweepMember(
+            fused_rates,
+            (1_100 + 20 * i, 740, 720 - 10 * i),
+            2 + i % 3,
+            (200_000, 1_149, 900)[i % 3],
+            scenario="opinion3",
+        )
+        for i in range(6)
+    ]
+    fused_groups += [
+        SweepMember(
+            fused_catalysed,
+            (900 + 15 * i, 600, 200),
+            2 + i % 3,
+            (200_000, 1_500, 400)[i % 3],
+            scenario="catalysis",
+        )
+        for i in range(6)
+    ]
+    fused_groups.append(SweepMember(fused_rates, (40, 30, 20), 3, 200_000, scenario="opinion3"))
 
     # (label, params, state, budget, record_path) of the scalar runs.
     scalar = [
@@ -210,6 +240,11 @@ def battery() -> Iterator[tuple[str, list[Any]]]:
             f"run_tau_sweep_ensemble/threshold-xl/rng={seed}",
             run_tau_sweep_ensemble(threshold_xl, rng=seed),
         )
+        for collect in ("full", "win"):
+            yield (
+                f"run_tau_sweep_ensemble/fused-groups/{collect}/rng={seed}",
+                run_tau_sweep_ensemble(fused_groups, rng=seed, collect=collect),
+            )
         for mechanism, calls in generic.items():
             for run, members in calls:
                 for collect in ("full", "win"):

@@ -46,12 +46,14 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
         ),
         StreamConsumer(
             "_MemberStreams.fill",
-            "step",
-            "the only reader of the step stream in both exact engines (the "
-            "lv2 lock-step loop and repro.scenario.engine's fused loop): one "
+            "both",
+            "the only uniform reader of the exact steps of both engines (the "
+            "lv2 lock-step loop and repro.scenario.engine's one loop): one "
             "call per step takes each (member, count) segment's next uniforms "
             "in segment order, from per-member blocks, partition-invariant "
-            "by Generator.random",
+            "by Generator.random; the stream is fixed when the streams are "
+            "built: the step stream, or the tail stream for the generic tau "
+            "backend's parked replicas",
         ),
         StreamConsumer(
             "_run_exact",
@@ -95,19 +97,22 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
     ),
     "repro.scenario.engine": (
         StreamConsumer(
-            "_run_member_tau",
+            "_run_groups",
             "both",
-            "generic tau path: spawns the member's (step, tail) pair; each "
-            "pass hands the step stream to the leap, then takes one exact "
-            "step of every parked replica, one blocked tail-stream uniform "
-            "each, in ascending replica order",
+            "the one loop of both generic backends: spawns each member's "
+            "(step, tail) pair (repro.lv.ensemble._MemberStreams, reading the "
+            "tail stream on the tau backend); each pass hands the step "
+            "generators to every group's leap, then draws one uniform per "
+            "packed replica through one _MemberStreams.fill call, member by "
+            "member, each member's replicas in ascending order",
         ),
         StreamConsumer(
-            "_leap",
+            "_Group.leap",
             "step",
-            "one generic leap: Poisson firings of the leaping replicas from "
-            "the step stream, then one redraw per halving round over the "
-            "rejected replicas, in ascending replica order",
+            "one tau pass of a group's leaping replicas: per member, one "
+            "Poisson call over its leaping replicas in ascending order, then "
+            "one per halving round over its rejected replicas, at most "
+            "_MAX_TAU_HALVINGS rounds",
         ),
     ),
 }

@@ -489,29 +489,33 @@ class LVEnsembleResult:
 
 
 class _MemberStreams:
-    """Per-member blocked uniform draws plus the per-member tail generators.
+    """Per-member generator pairs and blocked uniform draws from one of them.
 
     Stream derivation follows the module docstring's consumption-order
-    contract: each member seed spawns a (step, tail) generator pair, the step
-    stream is consumed through a per-member block buffer, and the tail stream
-    is handed to the exact-tail finisher untouched.  Both exact engines read
-    the step streams through :meth:`fill`.
+    contract: each member seed spawns a (step, tail) generator pair, and
+    :meth:`fill` reads one stream of each member through a per-member block
+    buffer.  That stream is fixed when the streams are built: the step
+    stream, for both exact engines, or the tail stream, for the generic tau
+    backend's parked replicas (*tail*), whose leaps draw from the step
+    generators directly.  lv2 hands each member's tail stream untouched to
+    the exact-tail finisher.
     """
 
-    def __init__(self, member_seeds: Sequence[int]):
+    def __init__(self, member_seeds: Sequence[int], *, tail: bool = False):
         self.step_generators: list[np.random.Generator] = []
         self.tail_generators: list[np.random.Generator] = []
         for seed in member_seeds:
-            step, tail = spawn_generators(seed, 2)
+            step, tail_generator = spawn_generators(seed, 2)
             self.step_generators.append(step)
-            self.tail_generators.append(tail)
+            self.tail_generators.append(tail_generator)
+        self._tail = tail
         self._buffers = [np.empty(0) for _ in member_seeds]
         self._cursors = [0] * len(member_seeds)
 
     def fill(self, segments: Sequence[tuple[int, int]], out: np.ndarray) -> np.ndarray:
         """The next uniforms of each ``(member, count)`` segment, in order.
 
-        Segment ``k`` takes the next ``count`` uniforms of its member's step
+        Segment ``k`` takes the next ``count`` uniforms of its member's
         stream; they are written to *out* one segment after another, and the
         filled prefix of *out* is returned.
         """
@@ -522,9 +526,11 @@ class _MemberStreams:
             cursor = cursors[member]
             if buffer.size - cursor < count:
                 block = max(_UNIFORM_BLOCK, count)
-                buffer = np.concatenate(
-                    [buffer[cursor:], self.step_generators[member].random(block)]
-                )
+                if self._tail:
+                    drawn = self.tail_generators[member].random(block)
+                else:
+                    drawn = self.step_generators[member].random(block)
+                buffer = np.concatenate([buffer[cursor:], drawn])
                 buffers[member] = buffer
                 cursor = 0
             cursors[member] = cursor + count

@@ -9,15 +9,18 @@ spec-defined absorbing/consensus predicates over the opinion species.
 Every replica runs in a vectorised loop until it has terminated, on both
 backends; there is no scalar tail.
 
-The exact backend (:func:`run_scenario_members`) advances every member of a
-call in one loop.  The members that share a scenario fingerprint form one
-:class:`_Group`, so each group's tables stay dense.  A group packs the
-counts of its live replicas species-major, ``(S, W)``, in member order and
-then replica order; a replica that ends leaves the packed rows at once, and
-the others keep their order.  Each pass forms every group's propensities,
-draws every member's uniforms in one
+Both backends (:func:`run_scenario_members`, exact, and
+:func:`run_scenario_members_tau`) advance every member of a call in one
+loop, :func:`_run_groups`.  The members that share a scenario fingerprint
+form one :class:`_Group`, so each group's tables stay dense.  A group packs
+the counts of its exact-stepping replicas species-major, ``(S, W)``, in
+member order and then replica order; a replica that ends leaves the packed
+rows at once, and the others keep their order.  Each pass forms every
+group's propensities, draws every member's uniforms in one
 :meth:`~repro.lv.ensemble._MemberStreams.fill` call, and fires one event in
-every live replica.
+every packed replica.  The exact backend packs every replica at pass 0; the
+tau backend first leaps each group's replicas in the pass, and packs the
+ones it parks.
 
 The RNG consumption contract keeps fused and solo runs bitwise
 interchangeable and results independent of packing and of the co-members:
@@ -25,22 +28,25 @@ interchangeable and results independent of packing and of the co-members:
 1. every member's root seed spawns exactly two generators
    (:func:`repro.rng.spawn_generators`) — the **step stream** and the
    **tail stream**;
-2. an exact step consumes one uniform per replica alive (with positive
-   total propensity) at the start of the step, from its member's step
-   stream, in ascending replica order — zero-propensity replicas retire as
-   absorbed without consuming; uniforms are drawn in blocks, which
-   ``Generator.random``'s partition invariance makes unobservable;
+2. an exact step consumes one uniform per packed replica (with positive
+   total propensity) at the start of the step, in ascending replica order —
+   zero-propensity replicas retire as absorbed without consuming; uniforms
+   are drawn in blocks, which ``Generator.random``'s partition invariance
+   makes unobservable;
 3. the exact backend steps every replica on the step stream until it
    terminates, and never reads the tail stream;
-4. the tau backend draws its Poisson firings from the step stream.  A
+4. the tau backend draws its Poisson firings from the step stream: each
+   pass, one call per member over its leaping replicas in ascending order,
+   then one more per halving round while it has rejected replicas.  A
    replica whose opinion population falls below
    :data:`SCENARIO_TAU_TAIL_POPULATION`, or whose leap is still rejected
-   after :data:`_MAX_TAU_HALVINGS` halvings, is parked; each pass of the
-   same loop then takes one exact step of every running parked replica, on
-   the tail stream.
+   after :data:`_MAX_TAU_HALVINGS` halvings, is parked: it joins the packed
+   rows at its slot and takes one exact step in that pass and every pass
+   after, on the tail stream, and never leaps again.
 
-``tests/reference_lockstep.py`` replays the exact backend's contract in
-plain scalar Python and the engine tests match it array for array.
+``tests/reference_lockstep.py`` replays the exact steps' contract in plain
+scalar Python (on either stream) and the engine tests match it array for
+array.
 
 Tau results are keyed separately (``backend="tau"``) and are not expected to
 match the exact engine bitwise — the same contract the two-species tau
@@ -56,7 +62,6 @@ import numpy as np
 from repro.exceptions import InvalidConfigurationError
 from repro.lv.ensemble import LVEnsembleResult, SweepMember, _MemberStreams
 from repro.lv.state import LVState
-from repro.rng import spawn_generators
 from repro.scenario.registry import build_scenario, scenario_fingerprint
 from repro.scenario.spec import TERM_ABSORBED, TERM_CONSENSUS, TERM_MAX_EVENTS, Scenario
 
@@ -65,10 +70,6 @@ __all__ = [
     "run_scenario_members",
     "run_scenario_members_tau",
 ]
-
-#: Uniform block size of the tau backend's tail stream.  Results are
-#: independent of this value (partition invariance).
-_UNIFORM_BLOCK = 8192
 
 #: Tau-leaping replicas whose *opinion* population falls below this are
 #: parked and take exact steps (leaping tiny populations is both slow —
@@ -81,27 +82,6 @@ _MAX_TAU_HALVINGS = 40
 #: A retired replica's termination code by its count of positive opinions:
 #: none, one, or (only when its budget is spent) two or more.
 _CODE_BY_POSITIVE = np.array([TERM_ABSORBED, TERM_CONSENSUS, TERM_MAX_EVENTS], dtype=np.int8)
-
-
-class _Uniforms:
-    """Uniforms of one generator, read in order and drawn in blocks."""
-
-    def __init__(self, generator: np.random.Generator):
-        self._generator = generator
-        self._buffer = np.empty(0)
-        self._cursor = 0
-
-    def take(self, count: int) -> np.ndarray:
-        if self._buffer.size - self._cursor < count:
-            block = max(_UNIFORM_BLOCK, count)
-            self._buffer = np.concatenate(
-                [self._buffer[self._cursor :], self._generator.random(block)]
-            )
-            self._cursor = 0
-        values = self._buffer[self._cursor : self._cursor + count]
-        self._cursor += count
-        return values
-
 
 #: Up to this many values per row (``W`` for an exact step, ``K * W`` for a
 #: leap's moments), :func:`_cumulative_rows` folds with one
@@ -204,93 +184,26 @@ def _ensemble_result(
     )
 
 
-class _MemberRun:
-    """One member's replica arrays: the tau backend's set-up and exact step."""
-
-    def __init__(self, member: SweepMember, collect: str):
-        self.member = member
-        self.scenario = build_scenario(member.scenario, member.params)
-        self.moves, self.good_flags = _step_tables(self.scenario)
-        self.collect_stats = collect == "full"
-        width = member.num_replicates
-        self.counts = tuple(int(value) for value in member.initial_state)
-        self.states = np.tile(np.array(self.counts, dtype=np.int64), (width, 1))
-        self.events = np.zeros(width, dtype=np.int64)
-        self.codes = np.zeros(width, dtype=np.int8)
-        self.good_counts = np.zeros(width, dtype=np.int64)
-        self.max_totals = np.full(width, sum(self.counts), dtype=np.int64)
-        positive = self.scenario.positive_opinions(self.states)
-        self.codes[positive == 1] = TERM_CONSENSUS
-        self.codes[positive == 0] = TERM_ABSORBED
-        self.running = positive > 1
-
-    def absorb(self, rows: np.ndarray) -> None:
-        """Retire replicas *rows*, whose total propensity is zero."""
-        self.codes[rows] = TERM_ABSORBED
-        self.running[rows] = False
-
-    def record(self, rows: np.ndarray, fired: np.ndarray | int, good: np.ndarray | int) -> None:
-        """Count *fired* events (*good* of them good) on replicas *rows*, then classify them.
-
-        *good* is read only at the ``"full"`` level.
-        """
-        self.events[rows] += fired
-        if self.collect_stats:
-            self.good_counts[rows] += good
-            population = self.states[rows].sum(axis=1)
-            self.max_totals[rows] = np.maximum(self.max_totals[rows], population)
-        positive = self.scenario.positive_opinions(self.states[rows])
-        consensus = positive == 1
-        absorbed = positive == 0
-        budget = ~consensus & ~absorbed & (self.events[rows] >= self.member.max_events)
-        self.codes[rows[consensus]] = TERM_CONSENSUS
-        self.codes[rows[absorbed]] = TERM_ABSORBED
-        self.codes[rows[budget]] = TERM_MAX_EVENTS
-        self.running[rows[consensus | absorbed | budget]] = False
-
-    def exact_step(self, rows: np.ndarray, uniforms: _Uniforms) -> None:
-        """One exact event of each replica of *rows* (ascending), one uniform each."""
-        cum = _cumulative_rows(self.scenario.propensity_rows(self.states[rows]))
-        totals = cum[-1]
-        dead = totals <= 0.0
-        if dead.any():
-            self.absorb(rows[dead])
-            rows = rows[~dead]
-            if rows.size == 0:
-                return
-            cum = cum[:, ~dead]
-            totals = totals[~dead]
-        thresholds = uniforms.take(rows.size) * totals
-        selected = (cum <= thresholds).sum(axis=0)
-        self.states[rows] += self.moves.take(selected, axis=1).T
-        self.record(rows, 1, self.good_flags.take(selected) if self.collect_stats else 0)
-
-    def result(self, leap_events: np.ndarray | None = None) -> LVEnsembleResult:
-        return _ensemble_result(
-            self.member,
-            self.states,
-            self.events,
-            self.codes,
-            self.good_counts,
-            self.max_totals,
-            self.collect_stats,
-            leap_events,
-        )
-
-
 class _Group:
     """The replicas of the members of one call that share a scenario.
 
     Members own consecutive slots of the result arrays (``finals``,
-    ``events``, ``codes``, ``good_events``, ``max_totals``), in member order.
-    The live replicas are packed: ``states`` holds their counts
-    species-major, ``(S, W)``, and ``slot`` each one's slot, ascending.  A
-    replica that ends writes its slot and leaves the packed rows; the others
-    keep their order.  Every live replica has fired one event per pass, so
-    the pass count is its event count.  ``live`` tallies each member's live
-    replicas, and :meth:`segments` turns it into the ``(member, count)`` list
-    the call's uniform draw reads.  Each pass refills one factor table of
-    the scenario's :attr:`~repro.scenario.spec.Scenario.kinetics` in place.
+    ``events``, ``codes``, ``good_events``, ``max_totals``, ``budgets`` and,
+    on the tau backend, ``leap_events``), in member order.  A running
+    replica leaps (tau backend only) or takes exact steps.  The leaping
+    replicas are ``leaping``, ascending slots, and keep their counts and
+    tallies in the slot arrays.  The exact-stepping replicas are packed:
+    ``states`` holds their counts species-major, ``(S, W)``, and ``slot``
+    each one's slot, ascending.  A replica that parks is inserted at its
+    slot (:meth:`park`); a replica that ends writes its slot and leaves the
+    packed rows; the others keep their order.  A packed replica fires one
+    event per pass, so its event count is the pass count plus a base fixed
+    when it is packed (0 on the exact backend): until it retires, its slot
+    of ``events`` holds that base and its slot of ``budgets`` the pass at
+    which it is spent.  ``live`` tallies each member's packed replicas, and
+    :meth:`segments` turns it into the ``(member, count)`` list the call's
+    uniform draw reads.  Each pass refills one factor table of the
+    scenario's :attr:`~repro.scenario.spec.Scenario.kinetics` in place.
     """
 
     def __init__(
@@ -298,6 +211,7 @@ class _Group:
         scenario: Scenario,
         members: Sequence[tuple[int, SweepMember]],
         collect_stats: bool,
+        epsilon: float | None,
     ):
         self.kinetics = scenario.kinetics
         self.moves, self.good_flags = _step_tables(scenario)
@@ -321,19 +235,29 @@ class _Group:
         self.good_events = np.zeros(size, dtype=np.int64)
         self.max_totals = counts.sum(axis=1)[self.owner]
         self.budgets = np.array([member.max_events for _, member in members])[self.owner]
-        self.min_budget = int(self.budgets.min())
-        self.live = widths
+        self.live = [0] * len(members)
         self._segments: list[tuple[int, int]] | None = None
-        self.states = np.ascontiguousarray(self.finals.T)
-        self.slot = np.arange(size)
+        self.states = np.empty((scenario.num_species, 0), dtype=np.int64)
+        self.slot = np.empty(0, dtype=np.int64)
         if collect_stats:
-            self.good = self.good_events.copy()
-            self.max_total = self.max_totals.copy()
-        self.factors = self.kinetics.factor_table(size)
-        positive = np.count_nonzero(self.states[self.opinion], axis=0)
+            self.good = np.empty(0, dtype=np.int64)
+            self.max_total = np.empty(0, dtype=np.int64)
+        positive = np.count_nonzero(self.finals[:, self.opinion], axis=1)
         started = positive <= 1
-        if started.any():
-            self._retire(started, 0, _CODE_BY_POSITIVE.take(positive[started]))
+        self.codes[started] = _CODE_BY_POSITIVE.take(positive[started])
+        running = np.flatnonzero(~started)
+        self.epsilon = epsilon
+        if epsilon is None:
+            self.leap_events = None
+            self.leaping = running[:0]
+            self.park(running, 0)
+        else:
+            self.leap_events = np.zeros(size, dtype=np.int64)
+            self.leaping = running
+            self.park(running[:0], 0)
+            self.moments = _moment_table(scenario.change_matrix)
+            self.changes = scenario.change_matrix
+            self.good_vector = scenario.good_vector
 
     @property
     def width(self) -> int:
@@ -347,8 +271,94 @@ class _Group:
             ]
         return self._segments
 
+    def park(self, slots: np.ndarray, step: int) -> None:
+        """Pack the running replicas *slots* (ascending) at their slots, before pass *step*.
+
+        Their bases are their events less *step*, and their budgets become
+        pass deadlines.
+        """
+        base = self.events[slots] - step
+        self.events[slots] = base
+        self.budgets[slots] -= base
+        at = np.searchsorted(self.slot, slots)
+        self.slot = np.insert(self.slot, at, slots)
+        self.states = np.insert(self.states, at, self.finals[slots].T, axis=1)
+        if self.collect_stats:
+            self.good = np.insert(self.good, at, self.good_events[slots])
+            self.max_total = np.insert(self.max_total, at, self.max_totals[slots])
+        for owner in self.owner[slots].tolist():
+            self.live[owner] += 1
+        self._segments = None
+        self.min_budget = int(self.budgets[self.slot].min()) if self.slot.size else 0
+        self.factors = self.kinetics.factor_table(self.slot.size)
+
+    def leap(self, step: int, step_generators: Sequence[np.random.Generator]) -> None:
+        """Pass *step* of the leaping replicas: park the small ones, leap the others.
+
+        Zero-propensity replicas retire as absorbed.  Each member draws the
+        Poisson firings of its leaping replicas, in ascending order, in one
+        call on its step stream.  A leap that would drive a count negative is
+        halved and redrawn, one call per member per round over its rejected
+        replicas, at most :data:`_MAX_TAU_HALVINGS` times: leaping cannot make
+        progress that near the boundary, so the replicas still rejected keep
+        their state and park with the small ones.
+        """
+        rows = self.leaping
+        counts = self.finals[rows]
+        small = counts[:, self.opinion].sum(axis=1) < SCENARIO_TAU_TAIL_POPULATION
+        parked = rows[small]
+        rows, counts = rows[~small], counts[~small]
+        propensities = self.kinetics.propensities(counts.T)
+        sums = _leap_moments(self.moments, propensities)
+        dead = sums[0] <= 0.0
+        if dead.any():
+            self.codes[rows[dead]] = TERM_ABSORBED
+            rows, counts = rows[~dead], counts[~dead]
+            propensities, sums = propensities[:, ~dead], sums[:, ~dead]
+        tau = _leap_length(sums, counts, self.epsilon)
+        bounds = np.searchsorted(rows, self.offsets).tolist()
+        runs = [
+            (index, lo, hi)
+            for (index, _), lo, hi in zip(self.members, bounds, bounds[1:])
+            if hi > lo
+        ]
+        means = propensities * tau
+        firings = np.empty(means.shape, dtype=np.int64)
+        for index, lo, hi in runs:
+            firings[:, lo:hi] = step_generators[index].poisson(means[:, lo:hi])
+        proposed = counts + firings.T @ self.changes
+        negative = (proposed < 0).any(axis=1)
+        for _ in range(_MAX_TAU_HALVINGS):
+            if not negative.any():
+                break
+            tau = np.where(negative, tau * 0.5, tau)
+            for index, lo, hi in runs:
+                rejected = lo + np.flatnonzero(negative[lo:hi])
+                if rejected.size:
+                    firings[:, rejected] = step_generators[index].poisson(
+                        propensities[:, rejected] * tau[rejected]
+                    )
+            proposed[negative] = counts[negative] + firings[:, negative].T @ self.changes
+            negative = (proposed < 0).any(axis=1)
+        parked = np.union1d(parked, rows[negative])
+        moved = ~negative
+        rows, firings, proposed = rows[moved], firings[:, moved], proposed[moved]
+        self.finals[rows] = proposed
+        fired = firings.sum(axis=0)
+        self.events[rows] += fired
+        self.leap_events[rows] += fired
+        if self.collect_stats:
+            self.good_events[rows] += firings[self.good_vector].sum(axis=0)
+            self.max_totals[rows] = np.maximum(self.max_totals[rows], proposed.sum(axis=1))
+        positive = np.count_nonzero(proposed[:, self.opinion], axis=1)
+        done = (positive <= 1) | (self.events[rows] >= self.budgets[rows])
+        self.codes[rows[done]] = _CODE_BY_POSITIVE.take(np.minimum(positive[done], 2))
+        self.leaping = rows[~done]
+        if parked.size:
+            self.park(parked, step)
+
     def propensities(self, step: int) -> None:
-        """Form the live replicas' running propensity sums for this step.
+        """Form the packed replicas' running propensity sums for this step.
 
         A replica whose total is zero ends absorbed, before the draw.
         """
@@ -362,7 +372,7 @@ class _Group:
             self.cumulative = cumulative[:, ~dead]
 
     def fire(self, uniforms: np.ndarray) -> None:
-        """One event in every live replica, picked by its uniform."""
+        """One event in every packed replica, picked by its uniform."""
         cumulative = self.cumulative
         threshold = uniforms * cumulative[-1]
         selected = (cumulative <= threshold).sum(axis=0)
@@ -387,7 +397,7 @@ class _Group:
         """Write the slots of the packed replicas *mask* selects, then drop them."""
         slots = self.slot[mask]
         self.finals[slots] = self.states[:, mask].T
-        self.events[slots] = step
+        self.events[slots] += step
         self.codes[slots] = codes
         if self.collect_stats:
             self.good_events[slots] = self.good[mask]
@@ -419,10 +429,27 @@ class _Group:
                         self.good_events[slots].copy(),
                         self.max_totals[slots].copy(),
                         self.collect_stats,
+                        None if self.leap_events is None else self.leap_events[slots].copy(),
                     ),
                 )
             )
         return results
+
+
+def _leap_length(sums: np.ndarray, counts: np.ndarray, epsilon: float) -> np.ndarray:
+    """Each leaping replica's leap length, by bounded relative change (Cao et al.).
+
+    *sums* are the replicas' :func:`_leap_moments`, *counts* their ``(W, S)``
+    counts.
+    """
+    num_species = counts.shape[1]
+    mu, sigma2 = sums[1 : 1 + num_species], sums[1 + num_species :]
+    bound = np.maximum(epsilon * counts.T.astype(np.float64), 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        by_mean = np.where(mu != 0.0, bound / np.abs(mu), np.inf)
+        by_variance = np.where(sigma2 > 0.0, bound**2 / sigma2, np.inf)
+    tau = np.minimum(by_mean, by_variance).min(axis=0)
+    return np.maximum(np.minimum(tau, 1e6), 1.0 / sums[0])
 
 
 def run_scenario_members(
@@ -436,46 +463,10 @@ def run_scenario_members(
     *seeds* are the final per-member root seeds (the caller —
     :func:`repro.lv.ensemble.run_sweep_ensemble` — has already applied the
     member-seed derivation), each spawning the member's step/tail generator
-    pair.  Members may come from different scenario families; the members
-    of one scenario fingerprint advance as one :class:`_Group`, every group
-    in the same loop.  Each pass forms every group's propensities, draws one
-    uniform per live replica from its member's step stream (member by
-    member, each member's replicas in ascending order), then fires one
-    event in every live replica and ends those that are done.
+    pair.  Every replica is packed at pass 0 and steps on its member's step
+    stream (:func:`_run_groups`).
     """
-    collect_stats = collect == "full"
-    by_scenario: dict[str, list[tuple[int, SweepMember]]] = {}
-    for index, member in enumerate(members):
-        fingerprint = scenario_fingerprint(member.scenario, member.params)
-        by_scenario.setdefault(fingerprint, []).append((index, member))
-    groups = [
-        _Group(build_scenario(shared[0][1].scenario, shared[0][1].params), shared, collect_stats)
-        for shared in by_scenario.values()
-    ]
-    streams = _MemberStreams(seeds)
-    drawn = np.empty(sum(member.num_replicates for member in members))
-    running = [group for group in groups if group.width]
-    step = 0
-    while running:
-        for group in running:
-            group.propensities(step)
-        running = [group for group in running if group.width]
-        uniforms = streams.fill(
-            [segment for group in running for segment in group.segments()], drawn
-        )
-        offset = 0
-        for group in running:
-            group.fire(uniforms[offset : offset + group.width])
-            offset += group.width
-        step += 1
-        for group in running:
-            group.classify(step)
-        running = [group for group in running if group.width]
-    results: list[LVEnsembleResult | None] = [None] * len(members)
-    for group in groups:
-        for index, result in group.results():
-            results[index] = result
-    return results
+    return _run_groups(members, seeds, collect, None)
 
 
 def run_scenario_members_tau(
@@ -485,100 +476,75 @@ def run_scenario_members_tau(
     epsilon: float,
     collect: str = "full",
 ) -> list[LVEnsembleResult]:
-    """Tau-leaping generic execution of non-default scenario members."""
+    """Tau-leaping generic execution of non-default scenario members.
+
+    Every replica leaps on its member's step stream until it parks, then
+    steps on its member's tail stream (:func:`_run_groups`).
+    """
     if not 0.0 < epsilon < 1.0:
         raise InvalidConfigurationError(
             f"tau epsilon must be in (0, 1), got {epsilon}"
         )
-    return [
-        _run_member_tau(_MemberRun(member, collect), seed, epsilon)
-        for member, seed in zip(members, seeds)
+    return _run_groups(members, seeds, collect, epsilon)
+
+
+def _run_groups(
+    members: Sequence[SweepMember],
+    seeds: Sequence[int],
+    collect: str,
+    epsilon: float | None,
+) -> list[LVEnsembleResult]:
+    """Run every member of a call in one loop, tau-leaping when *epsilon* is set.
+
+    Members may come from different scenario families; the members of one
+    scenario fingerprint advance as one :class:`_Group`, every group in the
+    same loop.  Each pass leaps every group's leaping replicas (drawing each
+    member's firings from its step stream), then forms every group's
+    propensities, draws one uniform per packed replica through one
+    :meth:`~repro.lv.ensemble._MemberStreams.fill` call (member by member,
+    each member's replicas in ascending order; the step streams on the exact
+    backend, the tail streams on the tau backend), and fires one event in
+    every packed replica and ends those that are done.
+    """
+    collect_stats = collect == "full"
+    by_scenario: dict[str, list[tuple[int, SweepMember]]] = {}
+    for index, member in enumerate(members):
+        fingerprint = scenario_fingerprint(member.scenario, member.params)
+        by_scenario.setdefault(fingerprint, []).append((index, member))
+    groups = [
+        _Group(
+            build_scenario(shared[0][1].scenario, shared[0][1].params),
+            shared,
+            collect_stats,
+            epsilon,
+        )
+        for shared in by_scenario.values()
     ]
-
-
-def _run_member_tau(run: _MemberRun, seed: int, epsilon: float) -> LVEnsembleResult:
-    """Leap one member's replicas; its parked replicas finish in the same loop.
-
-    Each pass parks the leaping replicas whose opinion population is below
-    :data:`SCENARIO_TAU_TAIL_POPULATION`, leaps the others on the step
-    stream (parking those :func:`_leap` could not advance), then takes one
-    exact step of every running parked replica, in ascending replica order,
-    on the tail stream.
-    """
-    step_generator, tail_generator = spawn_generators(seed, 2)
-    tail_uniforms = _Uniforms(tail_generator)
-    moments = _moment_table(run.scenario.change_matrix)
-    opinion = run.scenario.opinion_index
-    leap_events = np.zeros(run.states.shape[0], dtype=np.int64)
-    parked = np.zeros(run.states.shape[0], dtype=bool)
-    while run.running.any():
-        rows = np.nonzero(run.running & ~parked)[0]
-        small = run.states[rows][:, opinion].sum(axis=1) < SCENARIO_TAU_TAIL_POPULATION
-        parked[rows[small]] = True
-        if not small.all():
-            stuck = _leap(run, rows[~small], step_generator, moments, epsilon, leap_events)
-            parked[stuck] = True
-        exact_rows = np.nonzero(run.running & parked)[0]
-        if exact_rows.size:
-            run.exact_step(exact_rows, tail_uniforms)
-    return run.result(leap_events)
-
-
-def _leap(
-    run: _MemberRun,
-    rows: np.ndarray,
-    step_generator: np.random.Generator,
-    moments: np.ndarray,
-    epsilon: float,
-    leap_events: np.ndarray,
-) -> np.ndarray:
-    """One Poisson leap of replicas *rows* on the step stream; the rows it could not move.
-
-    Zero-propensity replicas retire as absorbed.  A leap that would drive a
-    count negative is halved and redrawn for the replicas concerned, at most
-    :data:`_MAX_TAU_HALVINGS` times: leaping cannot make progress that near
-    the boundary, so the replicas still rejected keep their state and are
-    returned for parking.
-    """
-    scenario = run.scenario
-    changes = scenario.change_matrix
-    num_species = scenario.num_species
-    sub = run.states[rows]
-    propensities = scenario.propensity_rows(sub)
-    sums = _leap_moments(moments, propensities)
-    dead = sums[0] <= 0.0
-    if dead.any():
-        run.absorb(rows[dead])
-        live = ~dead
-        rows, sub = rows[live], sub[live]
-        propensities, sums = propensities[:, live], sums[:, live]
-        if rows.size == 0:
-            return rows
-    # Bounded-relative-change leap selection over the scenario tables.
-    totals = sums[0]
-    mu, sigma2 = sums[1 : 1 + num_species], sums[1 + num_species :]
-    bound = np.maximum(epsilon * sub.T.astype(np.float64), 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        by_mean = np.where(mu != 0.0, bound / np.abs(mu), np.inf)
-        by_variance = np.where(sigma2 > 0.0, bound**2 / sigma2, np.inf)
-    tau = np.minimum(by_mean, by_variance).min(axis=0)
-    tau = np.maximum(np.minimum(tau, 1e6), 1.0 / totals)
-    firings = step_generator.poisson(propensities * tau)
-    proposed = sub + firings.T @ changes
-    negative = (proposed < 0).any(axis=1)
-    halvings = 0
-    while negative.any() and halvings < _MAX_TAU_HALVINGS:
-        tau = np.where(negative, tau * 0.5, tau)
-        redraw = step_generator.poisson(propensities[:, negative] * tau[negative])
-        firings[:, negative] = redraw
-        proposed[negative] = sub[negative] + redraw.T @ changes
-        negative = (proposed < 0).any(axis=1)
-        halvings += 1
-    stuck, moved = rows[negative], ~negative
-    rows, firings = rows[moved], firings[:, moved]
-    run.states[rows] = proposed[moved]
-    fired = firings.sum(axis=0)
-    leap_events[rows] += fired
-    good = firings[scenario.good_vector].sum(axis=0) if run.collect_stats else 0
-    run.record(rows, fired, good)
-    return stuck
+    streams = _MemberStreams(seeds, tail=epsilon is not None)
+    drawn = np.empty(sum(member.num_replicates for member in members))
+    running = [group for group in groups if group.width or group.leaping.size]
+    step = 0
+    while running:
+        for group in running:
+            if group.leaping.size:
+                group.leap(step, streams.step_generators)
+        stepping = [group for group in running if group.width]
+        for group in stepping:
+            group.propensities(step)
+        stepping = [group for group in stepping if group.width]
+        uniforms = streams.fill(
+            [segment for group in stepping for segment in group.segments()], drawn
+        )
+        offset = 0
+        for group in stepping:
+            group.fire(uniforms[offset : offset + group.width])
+            offset += group.width
+        step += 1
+        for group in stepping:
+            group.classify(step)
+        running = [group for group in running if group.width or group.leaping.size]
+    results: list[LVEnsembleResult | None] = [None] * len(members)
+    for group in groups:
+        for index, result in group.results():
+            results[index] = result
+    return results

@@ -274,13 +274,6 @@ class Scenario:
         return self.kinetics.propensities(np.asarray(states).T)
 
     # ------------------------------------------------------------------
-    # Classification
-    # ------------------------------------------------------------------
-    def positive_opinions(self, states: np.ndarray) -> np.ndarray:
-        """Number of opinion species with a positive count, per state row."""
-        return (np.asarray(states)[:, self.opinion_index] > 0).sum(axis=1)
-
-    # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------
     def fingerprint(self) -> str:

@@ -191,6 +191,23 @@ class TestEngineParity:
             assert all(result.params.alpha == result.params.gamma == 0.0 for result in tails)
             assert max(int(result.total_events.max()) for result in tails) > 4096
 
+    def test_battery_leaps_two_generic_groups_of_several_members(self, engine_parity):
+        calls = dict(
+            itertools.takewhile(lambda call: not call[0].endswith("rng=1"), engine_parity.battery())
+        )
+        for collect in ("full", "win"):
+            results = calls[f"run_tau_sweep_ensemble/fused-groups/{collect}/rng=0"]
+            scenarios = [result.scenario for result in results]
+            assert scenarios == ["opinion3"] * 6 + ["catalysis"] * 6 + ["opinion3"]
+            # Each family's members share one set of rates: one group each.
+            assert len({results[i].params for i in (*range(6), 12)}) == 1
+            assert len({result.params for result in results[6:12]}) == 1
+            assert {result.num_replicates for result in results[:12]} == {2, 3, 4}
+            spent = [result.termination_codes == 2 for result in results]
+            assert any((s & (r.total_events == r.leap_events)).any() for s, r in zip(spent, results))
+            assert any((s & (r.total_events > r.leap_events)).any() for s, r in zip(spent, results))
+            assert not results[12].leap_events.any()
+
 
 SCHEMAS = {"base": "RESULT_SCHEMA_VERSION = 2", "head": "RESULT_SCHEMA_VERSION = 3"}
 

@@ -369,6 +369,25 @@ class TestTauBackend:
             assert actual.dtype == expected.dtype, field
             assert np.array_equal(actual, expected), field
 
+    def test_a_budget_spent_after_the_park_counts_the_leaped_events(self):
+        # Every replica leaps for 1,026-1,034 events, parks and ends at
+        # 1,258-1,276 without a budget, so a budget of 1,149 runs out while
+        # it takes exact steps.
+        sd = _asymmetric(CompetitionMechanism.SELF_DESTRUCTIVE)
+        free, spent = (
+            run_scenario_members_tau(
+                [SweepMember(sd, (1_100, 740, 720), 6, budget, scenario="opinion3")],
+                [5],
+                epsilon=0.03,
+            )[0]
+            for budget in (200_000, 1_149)
+        )
+        assert free.leap_events.max() < 1_149 < free.total_events.min()
+        assert (free.termination_codes == TERM_CONSENSUS).all()
+        assert (spent.total_events == 1_149).all()
+        assert (spent.termination_codes == TERM_MAX_EVENTS).all()
+        assert np.array_equal(spent.leap_events, free.leap_events)
+
     @settings(max_examples=60, deadline=None)
     @given(
         reactions=st.integers(1, 24),
@@ -402,6 +421,62 @@ class TestTauBackend:
                 for s in range(species)
             ]
             assert sums[:, column].tolist() == expected
+
+
+def _tau_members() -> list[SweepMember]:
+    """Generic tau members whose scenario groups hold several members.
+
+    The first two share a fingerprint, in unequal widths and budgets.  Two
+    of their three opinions start tiny, so those bind the leap length and
+    some leaps are rejected and halved; their replicas park once the large
+    opinion falls below the tail population.  The second one's budget runs
+    out in some replicas while they leap and in others after they park.
+    The ``catalysis`` member is another group, whose budget runs out while
+    it leaps.  The last member shares the first group and is parked from the
+    start, so the others' replicas park into the packed rows before its own.
+    """
+    sd = _asymmetric(CompetitionMechanism.SELF_DESTRUCTIVE)
+    return [
+        SweepMember(sd, (600, 2, 1), 9, 200_000, scenario="opinion3"),
+        SweepMember(sd, (620, 1, 2), 6, 60, scenario="opinion3"),
+        SweepMember(CAT_PARAMS, (900, 600, 200), 4, 400, scenario="catalysis"),
+        SweepMember(sd, (40, 30, 20), 5, 200_000, scenario="opinion3"),
+    ]
+
+
+class TestFusedTauCall:
+    """One tau call whose groups leap and step several members together."""
+
+    SEEDS = [41, 42, 43, 44]
+
+    @pytest.mark.parametrize("collect", ["full", "win"])
+    def test_mixed_call_equals_solo_runs(self, collect):
+        members = _tau_members()
+        fused = run_scenario_members_tau(members, self.SEEDS, epsilon=0.03, collect=collect)
+        for member, seed, result in zip(members, self.SEEDS, fused):
+            (solo,) = run_scenario_members_tau([member], [seed], epsilon=0.03, collect=collect)
+            for field, value in vars(result).items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(value, getattr(solo, field)), (member, field)
+        tiny, budgeted, catalysed, parked = fused
+        assert (tiny.total_events > tiny.leap_events).any()
+        spent = budgeted.termination_codes == TERM_MAX_EVENTS
+        assert (spent & (budgeted.total_events == budgeted.leap_events)).any()
+        assert (spent & (budgeted.total_events == 60) & (budgeted.leap_events < 60)).any()
+        assert (catalysed.termination_codes == TERM_MAX_EVENTS).all()
+        assert (catalysed.total_events == catalysed.leap_events).all()
+        assert not parked.leap_events.any()
+
+    def test_results_do_not_depend_on_member_order(self):
+        members = _tau_members()
+        order = [3, 2, 1, 0]
+        shuffled = run_scenario_members_tau(
+            [members[i] for i in order], [self.SEEDS[i] for i in order], epsilon=0.03
+        )
+        fused = run_scenario_members_tau(members, self.SEEDS, epsilon=0.03)
+        for position, index in enumerate(order):
+            _assert_results_bitwise_equal(shuffled[position], fused[index])
+            assert np.array_equal(shuffled[position].leap_events, fused[index].leap_events)
 
 
 class TestResultSemantics:
