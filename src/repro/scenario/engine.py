@@ -264,7 +264,7 @@ class _Group:
         return int(self.slot.size)
 
     def segments(self) -> list[tuple[int, int]]:
-        """``(member index, live count)`` of the members with live replicas, in order."""
+        """``(member index, count)`` of the members with packed replicas, in order."""
         if self._segments is None:
             self._segments = [
                 (index, count) for (index, _), count in zip(self.members, self.live) if count
