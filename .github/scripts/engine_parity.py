@@ -10,11 +10,13 @@ trees have:
   members covering both mechanisms, intraspecific competition, a tie,
   absorption at (1, 1), event budgets and the scalar tail, and over T1R5's
   states without competition, whose scalar tails run long;
-* ``run_tau_sweep_ensemble`` over calls that leap into the exact endgame,
-  run out of budget there, and pass one uniform block in it, and over
-  FIG-THRESH-XL's shape: SD at ``log^2 n`` and NSD at ``log^2 n`` and
-  ``3 sqrt(n)`` for ``n = 10^5`` and ``10^6``, members that leap for
-  different lengths in one call;
+* ``run_tau_sweep_ensemble`` over lv2 calls whose replicas leap and then
+  park for exact steps, whose budgets run out while they leap, after they
+  park and when parked from the start, over FIG-THRESH-XL's shape: SD at
+  ``log^2 n`` and NSD at ``log^2 n`` and ``3 sqrt(n)`` for ``n = 10^5``
+  and ``10^6``, members that leap for different lengths in one call, and
+  over lv2 SD and NSD members fused with an ``opinion3`` member, at both
+  levels;
 * ``LVJumpChainSimulator.run`` over both mechanisms, a species-1 majority,
   a tie, a budget, absorption and a run past one uniform block, some with
   ``record_path=True``, and five runs drawing from one stream in turn;
@@ -99,12 +101,13 @@ def battery() -> Iterator[tuple[str, list[Any]]]:
         member(gamma_sd, 9_000, 7_000, 3),
         member(sd, 120_000, 80_000, 3, 10**6),
     ]
+    # Spent while leaping, after leaping ~350 events and parking, and parked
+    # from the start.
     budget = [
         member(nsd, 30_000, 26_000, 4, 40_000),
-        member(sd, 700, 500, 4, 300),
+        member(sd, 700, 500, 4, 430),
         member(gamma_nsd, 33, 28, 4, 25),
     ]
-    overflow = [member(walk, 24, 20, 8, 6_000), member(nsd, 46, 50, 3)]
     # T1R5's states, without competition: the tails run past many blocks.
     no_competition = [
         member(LVParams(1.0, 1.0, 0.0, 0.0, mechanism=mechanism), x0, x1, 30, 60_000)
@@ -164,6 +167,18 @@ def battery() -> Iterator[tuple[str, list[Any]]]:
         mechanism.short_name: generic_calls(mechanism)
         for mechanism in (sd_mechanism, nsd_mechanism)
     }
+    # lv2 members of both mechanisms leap in the same loop as a generic one.
+    lv2_with_generic = [
+        member(sd, 4_000, 3_900, 4),
+        SweepMember(
+            LVParams(0.5, 0.4, 0.9, 0.7, 0.2, 0.3, sd_mechanism),
+            (1_100, 740, 720),
+            3,
+            200_000,
+            scenario="opinion3",
+        ),
+        member(nsd, 2_600, 2_700, 3),
+    ]
     # Two generic tau groups of several members each: some replicas spend
     # their budget while they leap, others after they park, and the last
     # member is parked from the start.
@@ -230,16 +245,17 @@ def battery() -> Iterator[tuple[str, list[Any]]]:
         )
         yield (
             f"run_tau_sweep_ensemble/budget/rng={seed}",
-            run_tau_sweep_ensemble(budget, rng=seed, exact_tail_population=2_000),
-        )
-        yield (
-            f"run_tau_sweep_ensemble/overflow/rng={seed + 4}",
-            run_tau_sweep_ensemble(overflow, rng=seed + 4),
+            run_tau_sweep_ensemble(budget, rng=seed),
         )
         yield (
             f"run_tau_sweep_ensemble/threshold-xl/rng={seed}",
             run_tau_sweep_ensemble(threshold_xl, rng=seed),
         )
+        for collect in ("full", "win"):
+            yield (
+                f"run_tau_sweep_ensemble/lv2-with-generic/{collect}/rng={seed}",
+                run_tau_sweep_ensemble(lv2_with_generic, rng=seed, collect=collect),
+            )
         for collect in ("full", "win"):
             yield (
                 f"run_tau_sweep_ensemble/fused-groups/{collect}/rng={seed}",

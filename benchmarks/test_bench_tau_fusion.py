@@ -29,7 +29,8 @@ from repro.lv.params import LVParams
 from repro.lv.tau import run_tau_sweep_ensemble
 from repro.rng import stable_seed
 
-#: Minimum fused-over-per-member speedup (1.8-2.3x measured on 2 shared cores).
+#: Minimum fused-over-per-member speedup (1.33-1.57x in nine runs on 2 shared
+#: cores; a busy host has read less).
 MIN_SPEEDUP = 1.25
 
 NUM_RUNS = 200

@@ -1,3 +1,3 @@
 """Version information for the :mod:`repro` package."""
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"

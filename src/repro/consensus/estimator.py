@@ -75,7 +75,9 @@ class ConsensusEstimate:
         Mean of the largest total population seen per run.
     collected:
         Statistics level this estimate was produced at.  ``"full"`` means
-        every field was measured; ``"win"`` means only the success
+        every field was measured (on the exact engine: the tau backend keeps
+        no per-event accounting, so a tau estimate's accounting fields are
+        missing at either level); ``"win"`` means only the success
         probability, consensus rate, dead-heat rate, and consensus-time
         statistics were collected — the remaining statistics are ``NaN``
         (``0`` for ``max_bad_events``) so an accidental consumer sees an
@@ -187,7 +189,9 @@ def summarise_ensemble(
     without touching the arrays (the success probability, consensus rate,
     dead-heat rate, and consensus-time statistics are always exact), and the
     estimate carries ``collected="win"``.  Any other level raises
-    :class:`~repro.exceptions.EstimationError`.
+    :class:`~repro.exceptions.EstimationError`.  A tau ensemble (one with
+    ``leap_events``) reports them as ``NaN`` at every level: its arrays hold
+    the spec's static good/bad split, not the per-event accounting.
     """
     if collected not in COLLECT_MODES:
         raise EstimationError(
@@ -207,7 +211,7 @@ def summarise_ensemble(
         mean_consensus_time=float(times.mean()) if times.size else float("nan"),
         q95_consensus_time=float(np.quantile(times, 0.95)) if times.size else float("nan"),
     )
-    if collected == "win":
+    if collected == "win" or ensemble.leap_events is not None:
         missing = float("nan")
         return ConsensusEstimate(
             **core,
@@ -221,7 +225,7 @@ def summarise_ensemble(
             mean_noise_competitive=missing,
             std_noise_competitive=missing,
             mean_max_population=missing,
-            collected="win",
+            collected=collected,
         )
 
     individual = ensemble.individual_events.astype(float)

@@ -114,15 +114,23 @@ def decomposition_from_ensemble(ensemble: LVEnsembleResult) -> NoiseDecompositio
     Shared by :func:`decompose_noise` and the experiment harness's
     :meth:`SweepScheduler.decompose_many
     <repro.experiments.scheduler.SweepScheduler.decompose_many>`, so both
-    produce the decomposition from the same per-replica accounting.
+    produce the decomposition from the same per-replica accounting.  A tau
+    ensemble (one with ``leap_events``) keeps no per-event accounting, so its
+    per-run values are ``NaN``: not measured, as
+    :func:`~repro.consensus.estimator.summarise_ensemble` reports them.
     """
+    measured = ensemble.leap_events is None
+
+    def per_run(values: np.ndarray) -> np.ndarray:
+        return values.astype(float) if measured else np.full(values.shape[0], np.nan)
+
     return NoiseDecomposition(
         params=ensemble.params,
         initial_state=(ensemble.initial_state.x0, ensemble.initial_state.x1),
-        individual_noise=ensemble.noise_individual.astype(float),
-        competitive_noise=ensemble.noise_competitive.astype(float),
-        individual_events=ensemble.individual_events.astype(float),
-        competitive_events=ensemble.competitive_events.astype(float),
+        individual_noise=per_run(ensemble.noise_individual),
+        competitive_noise=per_run(ensemble.noise_competitive),
+        individual_events=per_run(ensemble.individual_events),
+        competitive_events=per_run(ensemble.competitive_events),
     )
 
 

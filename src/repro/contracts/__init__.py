@@ -27,11 +27,7 @@ and the ``contracts`` CI job.
 
 from repro.contracts.config import ContractsConfig, DEFAULT_CONFIG, load_config
 from repro.contracts.engine import LintError, LintResult, lint_paths
-from repro.contracts.registry import (
-    CONSUMPTION_ORDER_REGISTRY,
-    StreamConsumer,
-    registered_consumers,
-)
+from repro.contracts.registry import CONSUMPTION_ORDER_REGISTRY, StreamConsumer
 from repro.contracts.reporter import (
     JSON_SCHEMA_VERSION,
     render_json,
@@ -57,7 +53,6 @@ __all__ = [
     "lint_paths",
     "load_config",
     "parse_waivers",
-    "registered_consumers",
     "render_json",
     "render_text",
     "result_payload",

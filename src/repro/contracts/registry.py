@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["StreamConsumer", "CONSUMPTION_ORDER_REGISTRY", "registered_consumers"]
+__all__ = ["StreamConsumer", "CONSUMPTION_ORDER_REGISTRY"]
 
 
 @dataclass(frozen=True)
@@ -52,47 +52,24 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
             "call per step takes each (member, count) segment's next uniforms "
             "in segment order, from per-member blocks, partition-invariant "
             "by Generator.random; the stream is fixed when the streams are "
-            "built: the step stream, or the tail stream for the generic tau "
+            "built: the step stream, or the tail stream for the tau "
             "backend's parked replicas",
         ),
         StreamConsumer(
-            "_run_exact",
+            "_run_lv2_members",
             "both",
-            "runs the given slots to their end, from their counts and "
-            "accounting so far: the lock-step loop reads each member's step "
-            "stream where it stands (through _MemberStreams.fill), then each "
-            "member's untouched tail generator goes to the exact-tail "
-            "finisher, once, with the slots of the survivors it handed off "
-            "when its active set went thin; the exact engine passes every "
-            "slot, the tau backend the replicas it parked",
+            "the lv2 exact engine: the lock-step loop reads each member's "
+            "step stream (through _MemberStreams.fill), then each member's "
+            "untouched tail generator goes to the exact-tail finisher, once, "
+            "with the slots of the survivors it handed off when its active "
+            "set went thin",
         ),
         StreamConsumer(
             "_finish_exact_tail",
             "tail",
-            "the one lv2 exact-tail finisher (both engines, both collect "
-            "levels): one scalar event-loop run per slot, in ascending "
-            "slot order, each drawing a fresh 4096-uniform block at start",
-        ),
-    ),
-    "repro.lv.tau": (
-        StreamConsumer(
-            "run_tau_sweep_ensemble",
-            "both",
-            "spawns each member's (step, tail) generator pair from the "
-            "member seed (repro.lv.ensemble._MemberStreams), hands every lv2 "
-            "step stream to the one leap loop, then both streams to "
-            "repro.lv.ensemble._run_exact with the parked replicas: the "
-            "lock-step loop continues each step stream where its member's "
-            "leaps left it",
-        ),
-        StreamConsumer(
-            "_leap",
-            "step",
-            "one loop over every lv2 replica of the call; per leap, each "
-            "member draws Poisson firings per rejection round, then its "
-            "exact-step uniforms, from its step stream over its pending "
-            "replicas in ascending order; replicas below the crossover are "
-            "parked and returned as ascending slots",
+            "the lv2 exact-tail finisher (both collect levels): one scalar "
+            "event-loop run per slot, in ascending slot order, each drawing "
+            "a fresh 4096-uniform block at start",
         ),
     ),
     "repro.scenario.engine": (
@@ -116,11 +93,3 @@ CONSUMPTION_ORDER_REGISTRY: dict[str, tuple[StreamConsumer, ...]] = {
         ),
     ),
 }
-
-
-def registered_consumers(module: str) -> dict[str, StreamConsumer]:
-    """The declared consumers of *module*, keyed by qualified name."""
-    return {
-        consumer.qualname: consumer
-        for consumer in CONSUMPTION_ORDER_REGISTRY.get(module, ())
-    }

@@ -430,7 +430,11 @@ def run_fig_consensus_time(scale: str = "quick", seed: int = 0) -> ExperimentRes
 
 
 def run_fig_bad_events(scale: str = "quick", seed: int = 0) -> ExperimentResult:
-    """Bad events J(S) and nice-chain births B(n) versus n (Theorem 13b, Lemmas 5–7)."""
+    """Bad events J(S) and nice-chain births B(n) versus n (Theorem 13b, Lemmas 5–7).
+
+    Every task pins ``backend="exact"``: J(S) is the exact engine's
+    per-event accounting, which the tau backend does not measure.
+    """
     num_runs = 200 if scale == "quick" else 500
     chain_runs = 100 if scale == "quick" else 300
     rows = []
@@ -450,6 +454,7 @@ def run_fig_bad_events(scale: str = "quick", seed: int = 0) -> ExperimentResult:
                 num_runs,
                 seed=stable_seed("fig-bad", n, seed),
                 label=f"fig-bad-{n}",
+                backend="exact",
             )
             for n in sizes
         ]
@@ -511,7 +516,11 @@ def run_fig_bad_events(scale: str = "quick", seed: int = 0) -> ExperimentResult:
 
 
 def run_fig_noise(scale: str = "quick", seed: int = 0) -> ExperimentResult:
-    """The noise decomposition F = F_ind + F_comp for both mechanisms."""
+    """The noise decomposition F = F_ind + F_comp for both mechanisms.
+
+    Every task pins ``backend="exact"``: F_ind and F_comp are the exact
+    engine's per-event accounting, which the tau backend does not measure.
+    """
     num_runs = 300 if scale == "quick" else 1000
     sizes = [256] if scale == "quick" else [256, 1024]
     grid = [
@@ -527,6 +536,7 @@ def run_fig_noise(scale: str = "quick", seed: int = 0) -> ExperimentResult:
                 num_runs,
                 seed=stable_seed("fig-noise", label, n, seed),
                 label=f"fig-noise-{label}-{n}",
+                backend="exact",
             )
             for n, label, params in grid
         ]

@@ -15,8 +15,9 @@ Section 1.3 and the deterministic ODE of Section 2.1:
   configurations' jump chains together, with the same event accounting
   (the workhorse of the experiments; one configuration is one member),
 * :func:`~repro.lv.tau.run_tau_sweep_ensemble` — the approximate
-  large-``n`` backend: vectorized tau-leaping whose parked replicas finish
-  on the exact engine (selectable via ``backend="exact"|"tau"|"auto"``
+  large-``n`` backend's entry point: every member, ``lv2`` included,
+  tau-leaps on the generic scenario engine, whose parked replicas take
+  exact steps there (selectable via ``backend="exact"|"tau"|"auto"``
   throughout the experiment stack),
 * :mod:`~repro.lv.ode` — the deterministic competitive LV ODE (Eq. 4),
 * :mod:`~repro.lv.regimes` — classification of parameter choices into the

@@ -70,11 +70,8 @@ which other members share the mega-batch*:
    runs read the tail stream, and a member hands off once, so finishing
    them after the loop reads the uniforms it would read at the handoff.
 
-The tau backend (:mod:`repro.lv.tau`) finishes the replicas it parks with
-the same loop and finisher, from their parked state and from where its
-leaps left each member's step stream.  ``tests/reference_lockstep.py``
-replays this contract in plain scalar Python, and the engine tests match it
-array for array.
+``tests/reference_lockstep.py`` replays this contract in plain scalar
+Python, and the engine tests match it array for array.
 
 Compaction invariants
 ---------------------
@@ -187,10 +184,11 @@ class SweepMember:
 
     *scenario* names the registered family the member runs under
     (:mod:`repro.scenario.registry`).  The default ``"lv2"`` keeps the
-    specialised two-species lock-step core (``initial_state`` is coerced to
-    :class:`~repro.lv.state.LVState`); any other family routes the member to
-    the generic scenario engine and stores ``initial_state`` as a validated
-    per-species counts tuple.
+    specialised two-species lock-step core on the exact backend
+    (``initial_state`` is coerced to :class:`~repro.lv.state.LVState`); any
+    other family routes the member to the generic scenario engine and
+    stores ``initial_state`` as a validated per-species counts tuple.  The
+    tau backend runs every family, ``lv2`` included, on the generic engine.
     """
 
     params: LVParams
@@ -495,10 +493,10 @@ class _MemberStreams:
     contract: each member seed spawns a (step, tail) generator pair, and
     :meth:`fill` reads one stream of each member through a per-member block
     buffer.  That stream is fixed when the streams are built: the step
-    stream, for both exact engines, or the tail stream, for the generic tau
+    stream, for both exact engines, or the tail stream, for the tau
     backend's parked replicas (*tail*), whose leaps draw from the step
-    generators directly.  lv2 hands each member's tail stream untouched to
-    the exact-tail finisher.
+    generators directly.  lv2's exact engine hands each member's tail
+    stream untouched to the exact-tail finisher.
     """
 
     def __init__(self, member_seeds: Sequence[int], *, tail: bool = False):
@@ -561,19 +559,9 @@ class _LockstepState:
     #: (sliced by column); the accumulators join them at ``"full"``.
     SLICED = ("orig", "member", "sd", "max_events", "absorbable", "alive")
 
-    def __init__(
-        self,
-        members: Sequence[SweepMember],
-        outputs: "_OutputRecord",
-        slots: np.ndarray,
-        full: bool,
-    ):
-        """Rows for *slots* (ascending), continuing from their values in *outputs*.
-
-        A slot's counts and accounting are read as they stand, and its
-        budget is its member's less the events it has already fired.
-        """
-        member_of = outputs.member[slots]
+    def __init__(self, members: Sequence[SweepMember], outputs: "_OutputRecord", full: bool):
+        """One row per slot of *outputs*, from its member's initial state."""
+        member_of = outputs.member
         rates, sd_flags = LVParams.stack([m.params for m in members])
         # Absorption (zero total propensity with both species alive) is only
         # possible in the intraspecific-only regime stuck at (1, 1): births,
@@ -586,13 +574,13 @@ class _LockstepState:
         budgets = np.array([m.max_events for m in members], dtype=np.int64)
 
         self.full = full
-        self.orig = slots
+        self.orig = np.arange(member_of.size)
         self.member = member_of
-        self.counts = np.stack((outputs.x0[slots], outputs.x1[slots]))
+        self.counts = np.stack((outputs.x0, outputs.x1))
         self.x0, self.x1 = self.counts
         self.rates = rates.T.take(member_of, axis=1)
         self.sd = sd_flags[member_of]
-        self.max_events = budgets[member_of] - outputs.total_events[slots]
+        self.max_events = budgets[member_of]
         self.absorbable = absorbable[member_of]
         self.alive = (self.x0 > 0) & (self.x1 > 0)
         self.sliced = self.SLICED
@@ -602,10 +590,9 @@ class _LockstepState:
             self.sign = signs[member_of]
             # Column 8 collects the retired replicas' no-op events and is
             # discarded when scattering to the output record.
-            self.histogram = np.zeros((slots.size, 9), dtype=np.int64)
-            self.histogram[:, :8] = outputs.histogram[slots]
+            self.histogram = np.zeros((member_of.size, 9), dtype=np.int64)
             for name in _ACCOUNTING[1:]:
-                setattr(self, name, getattr(outputs, name)[slots])
+                setattr(self, name, getattr(outputs, name).copy())
 
     @property
     def width(self) -> int:
@@ -715,17 +702,17 @@ class _StepTables:
 class _OutputRecord:
     """Result arrays of a call's lv2 replicas, one slot per replica.
 
-    Both lv2 engines write here: members own consecutive slot ranges, in
-    member order, and ``member`` names each slot's.  Besides the counts
-    ``x0`` / ``x1``, the arrays are named as the result fields they become:
-    ``total_events``, ``termination_codes`` and the
-    :data:`~repro.lv.simulator._ACCOUNTING` accumulators, whose ``histogram``
-    holds the events per index.  The tau backend adds ``leap_events``.  Every
-    slot starts at its member's initial state, with no events; the engines
-    continue slots in place, and :meth:`results` is the one result builder.
+    The lock-step loop and the exact-tail finisher write here: members own
+    consecutive slot ranges, in member order, and ``member`` names each
+    slot's.  Besides the counts ``x0`` / ``x1``, the arrays are named as the
+    result fields they become: ``total_events``, ``termination_codes`` and
+    the :data:`~repro.lv.simulator._ACCOUNTING` accumulators, whose
+    ``histogram`` holds the events per index.  Every slot starts at its
+    member's initial state, with no events; the finisher continues slots in
+    place, and :meth:`results` is the one result builder.
     """
 
-    def __init__(self, members: Sequence[SweepMember], *, leap_events: bool = False):
+    def __init__(self, members: Sequence[SweepMember]):
         sizes = [m.num_replicates for m in members]
         self.member = np.repeat(np.arange(len(members)), sizes)
         size = self.member.size
@@ -741,7 +728,6 @@ class _OutputRecord:
         self.max_total_population = self.x0 + self.x1
         self.min_gap_seen = np.abs(self.x0 - self.x1)
         self.hit_tie = self.x0 == self.x1
-        self.leap_events = np.zeros(size, dtype=np.int64) if leap_events else None
 
     def scatter(self, state: _LockstepState, rows: np.ndarray) -> None:
         """Write the counts (and, at ``"full"``, the accumulators) of packed *rows*."""
@@ -770,12 +756,10 @@ class _OutputRecord:
                 "interspecific_events": histogram[:, _INTER0] + histogram[:, _INTER1],
                 "intraspecific_events": histogram[:, _INTRA0 : _INTRA1 + 1].copy(),
             }
-            leaps = None if self.leap_events is None else self.leap_events[slots]
             results.append(
                 LVEnsembleResult(
                     params=member.params,
                     initial_state=member.initial_state,
-                    leap_events=leaps,
                     **{
                         name: derived[name] if name in derived else getattr(self, name)[slots]
                         for name in _ARRAY_FIELDS
@@ -846,26 +830,11 @@ def run_sweep_ensemble(
     [16, 8]
     """
     members = list(members)
-    if not members:
-        raise InvalidConfigurationError("a sweep ensemble needs at least one member")
     if compaction_fraction is not None and not 0.0 < compaction_fraction <= 1.0:
         raise InvalidConfigurationError(
             f"compaction_fraction must be in (0, 1] or None, got {compaction_fraction}"
         )
-    if collect not in COLLECT_MODES:
-        raise InvalidConfigurationError(
-            f"collect must be one of {COLLECT_MODES}, got {collect!r}"
-        )
-    if member_seeds is None:
-        seeds = list(spawn_seeds(rng, len(members)))
-    else:
-        if len(member_seeds) != len(members):
-            raise InvalidConfigurationError(
-                f"got {len(member_seeds)} member seeds for {len(members)} members"
-            )
-        # One spawn per member: the same derivation a one-member batch applies
-        # to its ``rng``, which is what makes fused and solo runs bitwise equal.
-        seeds = [spawn_seeds(seed, 1)[0] for seed in member_seeds]
+    seeds = _member_root_seeds(members, rng, member_seeds, collect)
 
     # Non-default scenario members route to the generic scenario engine with
     # their already-derived root seeds (same derivation as above, so generic
@@ -906,6 +875,34 @@ def run_sweep_ensemble(
     )
 
 
+def _member_root_seeds(
+    members: Sequence[SweepMember],
+    rng: SeedLike,
+    member_seeds: Sequence[SeedLike] | None,
+    collect: str,
+) -> list[int]:
+    """Check a call of either backend's entry point; each member's root seed.
+
+    Member ``i``'s root is the ``i``-th seed spawned from *rng*, or one spawn
+    from ``member_seeds[i]``: the derivation a one-member call applies to its
+    *rng*, which is what makes fused and solo runs bitwise equal (the module
+    docstring's contract, step 1).
+    """
+    if not members:
+        raise InvalidConfigurationError("an ensemble call needs at least one member")
+    if collect not in COLLECT_MODES:
+        raise InvalidConfigurationError(
+            f"collect must be one of {COLLECT_MODES}, got {collect!r}"
+        )
+    if member_seeds is None:
+        return list(spawn_seeds(rng, len(members)))
+    if len(member_seeds) != len(members):
+        raise InvalidConfigurationError(
+            f"got {len(member_seeds)} member seeds for {len(members)} members"
+        )
+    return [spawn_seeds(seed, 1)[0] for seed in member_seeds]
+
+
 def _run_lv2_members(
     members: Sequence[SweepMember],
     seeds: Sequence[int],
@@ -916,46 +913,19 @@ def _run_lv2_members(
     """The specialised two-species lock-step path of :func:`run_sweep_ensemble`.
 
     *seeds* are the per-member root seeds (already derived), each spawning
-    the member's step/tail stream pair in :class:`_MemberStreams`.
+    the member's step/tail stream pair in :class:`_MemberStreams`.  The
+    lock-step loop reads each member's step stream; the survivors a member
+    hands off finish on its untouched tail stream through
+    :func:`_finish_exact_tail`, after the loop.
     """
+    full = collect == "full"
     outputs = _OutputRecord(members)
-    _run_exact(
-        members,
-        outputs,
-        _MemberStreams(seeds),
-        np.arange(outputs.member.size),
-        compaction_fraction=compaction_fraction,
-        full=collect == "full",
-    )
-    return outputs.results(members)
-
-
-def _run_exact(
-    members: Sequence[SweepMember],
-    outputs: _OutputRecord,
-    streams: _MemberStreams,
-    slots: np.ndarray,
-    *,
-    compaction_fraction: float | None,
-    full: bool,
-) -> None:
-    """Run *slots* (ascending) of *outputs* to their end on the exact engine.
-
-    Each slot continues from its counts, events and accounting in *outputs*:
-    the lock-step loop draws from its member's step stream where the stream
-    stands, and the survivors a member hands off finish on its tail stream
-    through :func:`_finish_exact_tail`.  The exact engine passes every slot
-    from its initial state; the tau backend passes the replicas it parked.
-    """
-    fired = outputs.total_events[slots]
-    state = _LockstepState(members, outputs, slots, full)
+    streams = _MemberStreams(seeds)
+    state = _LockstepState(members, outputs, full)
     handoffs = _advance_lockstep(
         len(members), state, outputs, streams, compaction_fraction, full
     )
     state.flush(outputs)
-    # The loop writes a slot's events as its retirement step; the events it
-    # fired before the loop are added once, before the tails read them.
-    outputs.total_events[slots] += fired
     # After the flush, so no pack or flush overwrites the finished slots.
     for member_index, handed in handoffs:
         _finish_exact_tail(
@@ -965,6 +935,7 @@ def _run_exact(
             handed,
             full,
         )
+    return outputs.results(members)
 
 
 def _advance_lockstep(
@@ -1156,16 +1127,15 @@ def _finish_exact_tail(
 ) -> None:
     """Finish *member*'s *slots* exactly: one scalar run each, in order.
 
-    The one exact-tail finisher of both lv2 engines.  Each slot continues
-    from its counts in *outputs* with the member's budget less its
-    ``total_events``, as one :func:`~repro.lv.simulator._event_loop` run on
-    *tail_generator*, and gets that run's counts, events and termination.
-    With *full*, a :class:`~repro.lv.simulator._Tally` also continues the
-    slot's accounting, in the member's gap sign.  A slot handed over with
-    no budget left ends at once with ``max-events``, though its run still
-    draws its block.  From the exact engine that only happens when every
-    tail slot of its member is spent; the tau backend's parked replicas
-    each carry what their leaps left of the budget.
+    Each slot continues from its counts in *outputs* with the member's
+    budget less its ``total_events`` (the handoff step), as one
+    :func:`~repro.lv.simulator._event_loop` run on *tail_generator*, and
+    gets that run's counts, events and termination.  With *full*, a
+    :class:`~repro.lv.simulator._Tally` also continues the slot's
+    accounting, in the member's gap sign.  A slot handed over with no
+    budget left ends at once with ``max-events``, though its run still
+    draws its block; that only happens when every tail slot of its member
+    is spent.
     """
     params = member.params
     sign = _gap_sign(member.initial_state)

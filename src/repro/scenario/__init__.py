@@ -10,8 +10,8 @@ The package lifts the two-species assumption out of the execution stack:
 - :mod:`repro.scenario.registry` — named, parameterised scenario families
   (``lv2`` default, ``opinion3``/``opinion4`` k-opinion consensus,
   ``catalysis``, ``resource``), lowered from :class:`~repro.lv.params.LVParams`.
-- :mod:`repro.scenario.engine` — the generic exact/tau execution engine
-  for non-default scenarios.
+- :mod:`repro.scenario.engine` — the generic exact/tau execution engine:
+  exact runs of the non-default scenarios and tau runs of every scenario.
 
 Layering note: low layers (``repro.lv.*``) import **only**
 ``repro.scenario.spec`` directly (import-light: numpy + exceptions) and

@@ -1,9 +1,10 @@
 """Generic ``(R, S)`` execution engine for registered scenarios.
 
-The specialised lock-step engines in :mod:`repro.lv.ensemble` /
-:mod:`repro.lv.tau` stay byte-frozen on the default two-species workload;
-every *other* registered scenario executes here, driven entirely by the
-frozen :class:`~repro.scenario.spec.Scenario` tables: dense count buffers,
+The exact backend runs every registered scenario but the default
+two-species one, whose exact runs keep the specialised lock-step core of
+:mod:`repro.lv.ensemble`; the tau backend runs every scenario, ``lv2``
+included.  Both are driven entirely by the frozen
+:class:`~repro.scenario.spec.Scenario` tables: dense count buffers,
 ``(M, W)`` propensity tables, spec-defined good/bad classification, and
 spec-defined absorbing/consensus predicates over the opinion species.
 Every replica runs in a vectorised loop until it has terminated, on both
@@ -49,8 +50,7 @@ scalar Python (on either stream) and the engine tests match it array for
 array.
 
 Tau results are keyed separately (``backend="tau"``) and are not expected to
-match the exact engine bitwise — the same contract the two-species tau
-backend has.
+match the exact engine bitwise.
 """
 
 from __future__ import annotations
@@ -63,7 +63,13 @@ from repro.exceptions import InvalidConfigurationError
 from repro.lv.ensemble import LVEnsembleResult, SweepMember, _MemberStreams
 from repro.lv.state import LVState
 from repro.scenario.registry import build_scenario, scenario_fingerprint
-from repro.scenario.spec import TERM_ABSORBED, TERM_CONSENSUS, TERM_MAX_EVENTS, Scenario
+from repro.scenario.spec import (
+    DEFAULT_SCENARIO,
+    TERM_ABSORBED,
+    TERM_CONSENSUS,
+    TERM_MAX_EVENTS,
+    Scenario,
+)
 
 __all__ = [
     "SCENARIO_TAU_TAIL_POPULATION",
@@ -122,6 +128,19 @@ def _leap_moments(moments: np.ndarray, propensities: np.ndarray) -> np.ndarray:
     return _cumulative_rows(moments[:, :, None] * propensities[:, None, :])[-1]
 
 
+def _column_sums(table: np.ndarray, columns: Sequence[int]) -> np.ndarray:
+    """Each row's integer sum over *columns* of *table*, ``(W, C)``.
+
+    Added a column at a time: numpy reduces a short last axis row by row,
+    about ten times slower at a few hundred rows, and an integer sum does not
+    depend on its order.
+    """
+    total = table[:, columns[0]].astype(np.int64)
+    for column in columns[1:]:
+        total += table[:, column]
+    return total
+
+
 def _step_tables(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Each reaction's net change, ``(S, M + 1)``, and static good flag, ``(M + 1,)``.
 
@@ -132,6 +151,12 @@ def _step_tables(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     changes = scenario.change_matrix.T
     good = scenario.good_vector.astype(np.int64)
     return np.concatenate((changes, changes[:, -1:]), axis=1), np.append(good, good[-1])
+
+
+def _initial_counts(member: SweepMember) -> tuple[int, ...]:
+    """*member*'s initial counts (an ``lv2`` member holds an ``LVState``)."""
+    state = member.initial_state
+    return state.counts if isinstance(state, LVState) else tuple(int(c) for c in state)
 
 
 def _ensemble_result(
@@ -149,12 +174,15 @@ def _ensemble_result(
     ``finals`` carries the full ``(R, S)`` counts; the two-species columns
     double as ``final_x0``/``final_x1`` so every aggregate consumer
     (stores, schedulers, summaries over the opinion pair) keeps working.
+    An ``lv2`` member's result has the two-species engine's shape: those
+    columns only, with no ``finals`` or ``initial_counts``.
     Per-species birth/death/intra accounting is two-species-engine-specific
     and stays zero here; at ``"full"``, ``bad_noncompetitive_events`` is
     the complement of the spec's static good classification, and at
     ``"win"`` it stays zero like ``good_events``.
     """
-    counts = tuple(int(value) for value in member.initial_state)
+    counts = _initial_counts(member)
+    generic = member.scenario != DEFAULT_SCENARIO
     width = finals.shape[0]
     zeros = np.zeros(width, dtype=np.int64)
     zeros_2 = np.zeros((width, 2), dtype=np.int64)
@@ -179,8 +207,8 @@ def _ensemble_result(
         hit_tie=np.zeros(width, dtype=bool),
         leap_events=leap_events,
         scenario=member.scenario,
-        initial_counts=counts,
-        finals=finals,
+        initial_counts=counts if generic else None,
+        finals=finals if generic else None,
     )
 
 
@@ -227,7 +255,7 @@ class _Group:
         widths = [member.num_replicates for _, member in members]
         self.offsets = np.cumsum([0] + widths).tolist()
         self.owner = np.repeat(np.arange(len(members)), widths)
-        counts = np.array([member.initial_state for _, member in members], dtype=np.int64)
+        counts = np.array([_initial_counts(member) for _, member in members], dtype=np.int64)
         self.finals = counts[self.owner]
         size = self.owner.size
         self.events = np.zeros(size, dtype=np.int64)
@@ -255,9 +283,15 @@ class _Group:
             self.leap_events = np.zeros(size, dtype=np.int64)
             self.leaping = running
             self.park(running[:0], 0)
-            self.moments = _moment_table(scenario.change_matrix)
-            self.changes = scenario.change_matrix
-            self.good_vector = scenario.good_vector
+            # A reaction without a rate never fires, and poisson(0) draws
+            # nothing, so leaps leave it out.
+            live = (scenario.rate_vector != 0.0) | scenario.linear_matrix.any(axis=1)
+            self.leap_reactions = None if live.all() else np.flatnonzero(live)
+            self.changes = scenario.change_matrix[live]
+            self.moments = _moment_table(self.changes)
+            self.good_vector = scenario.good_vector[live]
+            self.opinion_columns = list(opinions)
+            self.species_columns = list(range(scenario.num_species))
 
     @property
     def width(self) -> int:
@@ -305,10 +339,13 @@ class _Group:
         """
         rows = self.leaping
         counts = self.finals[rows]
-        small = counts[:, self.opinion].sum(axis=1) < SCENARIO_TAU_TAIL_POPULATION
+        small = _column_sums(counts, self.opinion_columns) < SCENARIO_TAU_TAIL_POPULATION
         parked = rows[small]
-        rows, counts = rows[~small], counts[~small]
+        if parked.size:
+            rows, counts = rows[~small], counts[~small]
         propensities = self.kinetics.propensities(counts.T)
+        if self.leap_reactions is not None:
+            propensities = propensities[self.leap_reactions]
         sums = _leap_moments(self.moments, propensities)
         dead = sums[0] <= 0.0
         if dead.any():
@@ -327,7 +364,7 @@ class _Group:
         for index, lo, hi in runs:
             firings[:, lo:hi] = step_generators[index].poisson(means[:, lo:hi])
         proposed = counts + firings.T @ self.changes
-        negative = (proposed < 0).any(axis=1)
+        negative = _column_sums(proposed < 0, self.species_columns) > 0
         for _ in range(_MAX_TAU_HALVINGS):
             if not negative.any():
                 break
@@ -339,18 +376,21 @@ class _Group:
                         propensities[:, rejected] * tau[rejected]
                     )
             proposed[negative] = counts[negative] + firings[:, negative].T @ self.changes
-            negative = (proposed < 0).any(axis=1)
-        parked = np.union1d(parked, rows[negative])
-        moved = ~negative
-        rows, firings, proposed = rows[moved], firings[:, moved], proposed[moved]
+            negative = _column_sums(proposed < 0, self.species_columns) > 0
+        if negative.any():
+            parked = np.union1d(parked, rows[negative])
+            moved = ~negative
+            rows, firings, proposed = rows[moved], firings[:, moved], proposed[moved]
         self.finals[rows] = proposed
         fired = firings.sum(axis=0)
         self.events[rows] += fired
         self.leap_events[rows] += fired
         if self.collect_stats:
             self.good_events[rows] += firings[self.good_vector].sum(axis=0)
-            self.max_totals[rows] = np.maximum(self.max_totals[rows], proposed.sum(axis=1))
-        positive = np.count_nonzero(proposed[:, self.opinion], axis=1)
+            self.max_totals[rows] = np.maximum(
+                self.max_totals[rows], _column_sums(proposed, self.species_columns)
+            )
+        positive = _column_sums(proposed != 0, self.opinion_columns)
         done = (positive <= 1) | (self.events[rows] >= self.budgets[rows])
         self.codes[rows[done]] = _CODE_BY_POSITIVE.take(np.minimum(positive[done], 2))
         self.leaping = rows[~done]
@@ -458,7 +498,7 @@ def run_scenario_members(
     *,
     collect: str = "full",
 ) -> list[LVEnsembleResult]:
-    """Exact generic execution of non-default scenario members.
+    """Exact generic execution of scenario members.
 
     *seeds* are the final per-member root seeds (the caller —
     :func:`repro.lv.ensemble.run_sweep_ensemble` — has already applied the
@@ -476,10 +516,13 @@ def run_scenario_members_tau(
     epsilon: float,
     collect: str = "full",
 ) -> list[LVEnsembleResult]:
-    """Tau-leaping generic execution of non-default scenario members.
+    """Tau-leaping execution of scenario members, ``lv2`` included.
 
-    Every replica leaps on its member's step stream until it parks, then
-    steps on its member's tail stream (:func:`_run_groups`).
+    *seeds* are the final per-member root seeds, as for
+    :func:`run_scenario_members` (the caller is
+    :func:`repro.lv.tau.run_tau_sweep_ensemble`).  Every replica leaps on
+    its member's step stream until it parks, then steps on its member's
+    tail stream (:func:`_run_groups`).
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidConfigurationError(

@@ -11,8 +11,8 @@ Built-in families:
 
 ``lv2``
     The paper's two-species competitive LV jump chain — the default, and
-    the one scenario executed by the specialised bitwise-frozen lock-step
-    engines rather than the generic engine.
+    the one scenario whose exact runs use the specialised lock-step core
+    rather than the generic engine (its tau runs use the generic engine).
 ``opinion3`` / ``opinion4``
     k-opinion consensus (k = 3, 4): per-species birth (``beta``) and death
     (``delta``) plus pairwise competition between every ordered pair of

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 #: Name of the default registered scenario: the paper's two-species
-#: competitive LV jump chain, executed by the specialised lock-step engines.
+#: competitive LV jump chain, whose exact runs use the specialised engines.
 DEFAULT_SCENARIO = "lv2"
 
 #: Termination codes shared by every engine (scalar, lock-step, tau,

@@ -67,7 +67,11 @@ __all__ = [
 #: instead of one scalar run each on the tail stream, so tau replicas that
 #: leap before they park read different uniforms; exact and generic chunks
 #: keep their bits under the new keys.
-RESULT_SCHEMA_VERSION = 5
+#: Version 6: the tau backend runs lv2 members on the generic engine (its
+#: leap, parking below an opinion population of 512, and exact steps on the
+#: tail stream), so lv2 tau chunks change; they keep the two-species
+#: layout.  Exact and generic chunks keep their bits under the new keys.
+RESULT_SCHEMA_VERSION = 6
 
 
 def canonical_json(payload: Any) -> str:

@@ -208,6 +208,22 @@ class TestEngineParity:
             assert any((s & (r.total_events > r.leap_events)).any() for s, r in zip(spent, results))
             assert not results[12].leap_events.any()
 
+    def test_battery_leaps_lv2_members_with_a_generic_one(self, engine_parity):
+        calls = dict(
+            itertools.takewhile(lambda call: not call[0].endswith("rng=1"), engine_parity.battery())
+        )
+        for collect in ("full", "win"):
+            results = calls[f"run_tau_sweep_ensemble/lv2-with-generic/{collect}/rng=0"]
+            assert [result.scenario for result in results] == ["lv2", "opinion3", "lv2"]
+            lv2 = [results[0], results[2]]
+            assert {result.params.is_self_destructive for result in lv2} == {False, True}
+            # lv2 results keep the two-species shape; the generic one its counts.
+            assert all(result.finals is None for result in lv2)
+            assert results[1].finals.shape == (results[1].num_replicates, 3)
+            for result in results:
+                assert (result.leap_events > 0).all()
+                assert (result.total_events > result.leap_events).all()
+
 
 SCHEMAS = {"base": "RESULT_SCHEMA_VERSION = 2", "head": "RESULT_SCHEMA_VERSION = 3"}
 

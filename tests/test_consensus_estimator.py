@@ -13,6 +13,8 @@ from repro.consensus.estimator import (
 from repro.consensus.gap import gap_trace_from_run
 from repro.consensus.noise import decompose_noise
 from repro.exceptions import EstimationError, InvalidConfigurationError
+from repro.experiments.scheduler import SweepScheduler
+from repro.experiments.sweep import SweepTask
 from repro.lv.ensemble import SweepMember, run_sweep_ensemble
 from repro.lv.params import LVParams
 from repro.lv.simulator import LVJumpChainSimulator
@@ -80,6 +82,46 @@ class TestEstimator:
         (ensemble,) = run_sweep_ensemble([SweepMember(sd_params, LVState(12, 8), 10)], rng=0)
         with pytest.raises(EstimationError, match="collected must be one of"):
             summarise_ensemble(ensemble, collected="bogus")
+
+    def test_tau_estimate_at_full_reports_no_accounting(self, sd_params):
+        """A tau ensemble holds the spec's static good/bad split, not J(S), I(S),
+        K(S) or the noise, so its estimate reports them as not measured."""
+        scheduler = SweepScheduler(backend="tau")
+        try:
+            (estimate,) = scheduler.estimate_many(
+                [SweepTask(sd_params, LVState(30_300, 29_700), 8, seed=3)]
+            )
+        finally:
+            scheduler.shutdown()
+        assert estimate.collected == "full"
+        for name in (
+            "mean_bad_events",
+            "mean_individual_events",
+            "mean_competitive_events",
+            "mean_noise_individual",
+            "mean_noise_competitive",
+            "tie_rate",
+        ):
+            assert np.isnan(getattr(estimate, name)), name
+        assert estimate.consensus_rate == 1.0
+        assert estimate.mean_consensus_time > 0
+
+    def test_tau_decomposition_reports_no_noise(self, nsd_params):
+        scheduler = SweepScheduler(backend="tau")
+        try:
+            (decomposition,) = scheduler.decompose_many(
+                [SweepTask(nsd_params, LVState(30_300, 29_700), 8, seed=3)]
+            )
+        finally:
+            scheduler.shutdown()
+        assert decomposition.num_runs == 8
+        for name in (
+            "individual_noise",
+            "competitive_noise",
+            "individual_events",
+            "competitive_events",
+        ):
+            assert np.isnan(getattr(decomposition, name)).all(), name
 
     def test_dead_heat_rate_counted(self):
         params = LVParams.self_destructive(beta=0.0, delta=0.0, alpha=1.0)

@@ -16,6 +16,7 @@ from repro.experiments.config import ExperimentResult, ExperimentSpec, SCALES
 from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments, run_experiment
 from repro.experiments.report import render_report
 from repro.experiments.runner import load_results, run_all, save_results
+from repro.experiments.scheduler import configure_default_scheduler, get_default_scheduler
 from repro.experiments.workloads import (
     consortium_scenarios,
     gap_grid,
@@ -219,6 +220,27 @@ class TestExperimentOutcomes:
     def test_fig_dominating(self):
         result = run_experiment("FIG-DOM", scale="quick", seed=0)
         assert result.shape_matches_paper
+
+
+class TestAccountingExperimentsRunExact:
+    """FIG-BAD and FIG-NOISE read the exact engine's per-event accounting,
+    which the tau backend does not measure, so their tasks pin the exact
+    backend whatever the scheduler's."""
+
+    @pytest.mark.parametrize("identifier", ["FIG-BAD", "FIG-NOISE"])
+    def test_rows_are_the_same_under_the_tau_backend(self, identifier):
+        previous = get_default_scheduler()
+        results = {}
+        try:
+            for backend in ("exact", "tau"):
+                configure_default_scheduler(backend=backend)
+                results[backend] = run_experiment(identifier, scale="quick", seed=0)
+        finally:
+            configure_default_scheduler(
+                backend=previous.backend, tau_epsilon=previous.tau_epsilon
+            )
+        assert results["tau"].rows == results["exact"].rows
+        assert results["tau"].shape_matches_paper
 
 
 def fake_extinction(time_of, births_of):

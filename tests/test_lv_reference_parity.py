@@ -5,17 +5,16 @@ replica and one uniform at a time.  Every exact path that ends in the
 lock-step core or the scalar simulator must match it array for array: both
 collect modes, every compaction setting, explicit member seeds, the
 one-shot estimators, the scalar tail field for field, and the schedulers'
-planned, packed, parallel and adaptive execution.  The tau backend's exact
-endgame is the exact engine itself, so a tau call parked from the start
-must equal ``run_sweep_ensemble``.  The last class pins the compatibility
-seam that replaced the removed native engine.
+planned, packed, parallel and adaptive execution.  The tau backend runs
+lv2 members on the generic engine, so a tau call parked from the start must
+equal the generic replay on the tail stream.  The last class pins the
+compatibility seam that replaced the removed native engine.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import hashlib
 import inspect
 
 import numpy as np
@@ -50,9 +49,9 @@ from repro.lv.ensemble import (
 from repro.lv.params import CompetitionMechanism, LVParams
 from repro.lv.simulator import DEFAULT_MAX_EVENTS, LVJumpChainSimulator
 from repro.lv.state import LVState
-from repro.lv.tau import DEFAULT_EXACT_TAIL_POPULATION, run_tau_sweep_ensemble
+from repro.lv.tau import run_tau_sweep_ensemble
 from repro.rng import spawn_seeds
-from repro.scenario.engine import run_scenario_members
+from repro.scenario.engine import SCENARIO_TAU_TAIL_POPULATION, run_scenario_members
 
 import reference_lockstep as reference
 
@@ -454,13 +453,10 @@ class TestScalarTailAgainstReference:
 GAMMA_SD = LVParams(1.0, 0.7, 0.3, 0.45, 0.3, 0.2, SD)
 GAMMA_NSD = LVParams(0.9, 1.1, 0.2, 0.6, 0.35, 0.15, NSD)
 
-#: Tau calls whose replicas all start at or below the exact tail population,
-#: so every replica parks before its first leap and the call is the exact
-#: engine's.  Every member is wider than ``SCALAR_FINISH_WIDTH``, so its
-#: replicas run the lock-step loop before the scalar tail takes its last
-#: ones.  Both mechanisms, both majorities, a tie, intraspecific competition,
-#: budgets that run out in the lock-step and in the tail, and absorption at
-#: (1, 1).
+#: Tau calls whose replicas all start below the tau tail population, so
+#: every replica parks before its first leap: both mechanisms, both
+#: majorities, a tie, intraspecific competition, budgets that run out, and
+#: absorption at (1, 1) and in a dead heat.
 ENDGAME_BATCHES = {
     "mixed": [
         SweepMember(NO_INTRA_SD, LVState(60, 40), 24),
@@ -481,116 +477,78 @@ ENDGAME_BATCHES = {
     ],
 }
 
-#: Every per-replica array of an exact-engine result.
-EXACT_ARRAYS = (
-    "final_x0",
-    "final_x1",
-    "total_events",
-    "termination_codes",
+#: The two-species accounting the generic engine does not keep: zero in
+#: every lv2 result of the tau backend.
+UNKEPT_ARRAYS = (
     "births",
     "deaths",
     "interspecific_events",
     "intraspecific_events",
-    "bad_noncompetitive_events",
-    "good_events",
     "noise_individual",
     "noise_competitive",
-    "max_total_population",
     "min_gap_seen",
     "hit_tie",
 )
 
-#: Every per-replica array of a tau result, in the order the digest below
-#: reads.
-RESULT_ARRAYS = EXACT_ARRAYS + ("leap_events",)
-
-#: sha256 of :func:`results_digest` over the leap-to-endgame call of
-#: ``test_leap_to_endgame_call_keeps_its_digest``, as schema 5 computes it:
-#: the parked replicas finish on the exact engine, from where their
-#: member's leaps left its step stream.
-LEAP_TO_ENDGAME_DIGEST = "fdb3451545408befa1ee64f6762120c391921759bfee64e07077f23afefe2220"
-
-
-def results_digest(results) -> str:
-    digest = hashlib.sha256()
-    for result in results:
-        for name in RESULT_ARRAYS:
-            digest.update(np.ascontiguousarray(getattr(result, name)).tobytes())
-    return digest.hexdigest()
-
 
 class TestTauEndgameAgainstReference:
-    """Parked replicas finish on the exact engine, which is the reference.
+    """lv2 replicas parked from the start step on their member's tail stream.
 
-    A tau call whose replicas all park before their first leap draws
-    nothing while leaping, so it must return what ``run_sweep_ensemble``
-    returns at ``"full"`` on the same members and seeds, array for array,
-    with no leap events.
+    The tau backend runs lv2 members on the generic engine, so a call whose
+    replicas all start below ``SCENARIO_TAU_TAIL_POPULATION`` leaps nothing
+    and must equal the generic replay on each member's tail stream, array
+    for array, at both levels, in the two-species result shape.
     """
 
-    @staticmethod
-    def _assert_call_equals_exact(
-        members, *, tail_population=DEFAULT_EXACT_TAIL_POPULATION, **seeding
-    ) -> list:
-        results = run_tau_sweep_ensemble(
-            members, exact_tail_population=tail_population, **seeding
-        )
-        expected = run_sweep_ensemble(members, collect="full", **seeding)
-        for result, exact in zip(results, expected):
-            for name in EXACT_ARRAYS:
-                actual, wanted = getattr(result, name), getattr(exact, name)
-                assert actual.dtype == wanted.dtype, name
-                assert np.array_equal(actual, wanted), name
-            assert result.leap_events.dtype == np.int64
-            assert (result.leap_events == 0).all()
-        return results
-
+    @pytest.mark.parametrize("collect", ["full", "win"])
     @pytest.mark.parametrize("batch", list(ENDGAME_BATCHES))
-    def test_parked_call_equals_the_exact_engine(self, batch):
+    def test_parked_call_equals_the_tail_stream_replay(self, batch, collect):
         members = ENDGAME_BATCHES[batch]
-        assert all(member.num_replicates > SCALAR_FINISH_WIDTH for member in members)
-        results = self._assert_call_equals_exact(members, rng=11)
+        assert all(m.initial_state.total < SCENARIO_TAU_TAIL_POPULATION for m in members)
+        seeds = [31 + index for index in range(len(members))]
+        results = run_tau_sweep_ensemble(members, member_seeds=seeds, collect=collect)
+        roots = reference.member_root_seeds(len(members), member_seeds=seeds)
+        for member, root, result in zip(members, roots, results):
+            replay = reference.replay_generic_member(
+                *reference.family_reactions("lv2", member.params, 0.0),
+                member.initial_state.counts,
+                member.num_replicates,
+                member.max_events,
+                root,
+                collect,
+                stream="tail",
+            )
+            # The two-species shape: the final counts are final_x0/final_x1.
+            assert result.finals is None and result.initial_counts is None
+            assert result.initial_state == member.initial_state
+            del replay["finals"]
+            for name, expected in replay.items():
+                actual = getattr(result, name)
+                assert actual.dtype == expected.dtype, name
+                assert np.array_equal(actual, expected), name
+            assert result.leap_events.dtype == np.int64
+            assert not result.leap_events.any()
+            for name in UNKEPT_ARRAYS:
+                assert not getattr(result, name).any(), name
         codes = np.concatenate([result.termination_codes for result in results])
         if batch == "budget":
-            # The first member runs out in the lock-step loop; the second's
-            # last replicas run out in the scalar tail.
-            spent = [np.count_nonzero(r.termination_codes == reference.MAX_EVENTS) for r in results]
-            assert spent[0] == members[0].num_replicates
-            assert 0 < spent[1] <= SCALAR_FINISH_WIDTH
+            assert (codes == reference.MAX_EVENTS).any()
         if batch == "absorbed":
             assert (codes == reference.ABSORBED).any()
 
     @pytest.mark.parametrize("batch", list(ENDGAME_BATCHES))
-    def test_member_seeds_fused_and_solo_equal_the_exact_engine(self, batch):
+    def test_fused_and_solo_calls_agree(self, batch):
         members = ENDGAME_BATCHES[batch]
-        seeds = [31 + index for index in range(len(members))]
-        fused = self._assert_call_equals_exact(members, member_seeds=seeds)
+        seeds = [11 + index for index in range(len(members))]
+        fused = run_tau_sweep_ensemble(members, member_seeds=seeds)
         for member, seed, result in zip(members, seeds, fused):
-            (solo,) = self._assert_call_equals_exact([member], member_seeds=[seed])
-            for name in RESULT_ARRAYS:
-                assert np.array_equal(getattr(solo, name), getattr(result, name)), name
-
-    def test_a_raised_tail_population_parks_a_large_state(self, sd_params):
-        member = SweepMember(sd_params, LVState(700, 500), 12, DEFAULT_MAX_EVENTS)
-        self._assert_call_equals_exact([member], rng=13, tail_population=2_000)
-
-    def test_leap_to_endgame_call_keeps_its_digest(self, sd_params, nsd_params):
-        """No reference replays the leap phase: pin one call's bytes instead.
-
-        Every member parks more replicas than the scalar tail takes, so the
-        lock-step loop continues each member's step stream after its leaps.
-        """
-        members = [
-            SweepMember(sd_params, LVState(4_000, 3_900), 12),
-            SweepMember(nsd_params, LVState(2_600, 2_700), 10),
-            SweepMember(sd_params, LVState(3_000, 3_000), 9),
-            SweepMember(GAMMA_SD, LVState(9_000, 7_000), 9),
-        ]
-        results = run_tau_sweep_ensemble(members, rng=21)
-        for result in results:
-            assert (result.leap_events > 0).all()
-            assert (result.total_events > result.leap_events).all()
-        assert results_digest(results) == LEAP_TO_ENDGAME_DIGEST
+            (solo,) = run_tau_sweep_ensemble([member], member_seeds=[seed])
+            for field in dataclasses.fields(result):
+                mine, theirs = getattr(result, field.name), getattr(solo, field.name)
+                if isinstance(mine, np.ndarray):
+                    assert np.array_equal(mine, theirs), field.name
+                else:
+                    assert mine == theirs, field.name
 
 
 def _tasks(sd_params, nsd_params):

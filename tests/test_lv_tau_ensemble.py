@@ -1,10 +1,12 @@
-"""Tests for the vectorized tau-leaping backend (:mod:`repro.lv.tau`).
+"""Tests for the tau-leaping backend's entry point (:mod:`repro.lv.tau`).
 
 The tau backend must be a *statistical* drop-in for the exact engines on
-both competition mechanisms — same win probabilities, consensus-time and
-event-count distributions within the shared Monte-Carlo tolerances — while
-remaining seed-deterministic and honouring the same fused-equals-solo
-per-member stream contract as the exact lock-step engine.
+both competition mechanisms — same win probabilities, consensus times and
+event counts within the shared Monte-Carlo tolerances — while remaining
+seed-deterministic and honouring the same fused-equals-solo per-member
+stream contract as the exact lock-step engine.  Its lv2 members run on the
+generic engine's tau backend, which keeps no per-event accounting: the
+exact engine's tests check that accounting.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from repro.lv.tau import (
     resolve_backend,
     run_tau_sweep_ensemble,
 )
+from repro.scenario.engine import SCENARIO_TAU_TAIL_POPULATION
 
-from helpers_statistical import assert_statistically_close
+from helpers_statistical import assert_outcomes_close
 
 #: Moderate population where both backends are fast enough for hundreds of
 #: replicates, with gaps placing the win probability away from 0 and 1.
@@ -46,10 +49,6 @@ def _exact(params, state, num_replicates, rng):
     return run_sweep_ensemble([SweepMember(params, state, num_replicates)], rng=rng)[0]
 
 
-#: Exact tail population of the fused == solo property: small, so that
-#: members leap for a few hundred events and still reach the endgame.
-_PROPERTY_TAIL = 64
-
 _SD = CompetitionMechanism.SELF_DESTRUCTIVE
 _NSD = CompetitionMechanism.NON_SELF_DESTRUCTIVE
 
@@ -59,10 +58,9 @@ def _lv2_member(draw) -> SweepMember:
     """An lv2 tau member: either mechanism, optional inter- and intraspecific
     rates, a species-0 or species-1 majority, a state below, at or above the
     tail population or at consensus, a budget that may run out while it
-    leaps or in the endgame (always bounded without competition between the
+    leaps or after it parks (always bounded without competition between the
     species, which can take very long to reach consensus), and up to 12
-    replicas, so that its endgame may run the exact engine's lock-step loop
-    before its scalar tail."""
+    replicas."""
     alpha0, alpha1 = draw(st.sampled_from([(0.3, 0.5), (0.5, 0.3), (0.5, 0.5), (0.0, 0.0)]))
     params = LVParams(
         beta=draw(st.sampled_from([0.6, 1.0])),
@@ -73,7 +71,8 @@ def _lv2_member(draw) -> SweepMember:
         gamma1=draw(st.sampled_from([0.0, 0.002])),
         mechanism=draw(st.sampled_from([_SD, _NSD])),
     )
-    total = draw(st.sampled_from([_PROPERTY_TAIL - 10, _PROPERTY_TAIL, 300, 800]))
+    tail = SCENARIO_TAU_TAIL_POPULATION
+    total = draw(st.sampled_from([tail - 10, tail, 800]))
     minority = draw(st.integers(min_value=0, max_value=total // 2))
     counts = (total - minority, minority)
     if draw(st.booleans()):
@@ -90,14 +89,11 @@ _GENERIC_MEMBER = SweepMember(
 
 
 #: One call with every case of the property: a species-1 majority with
-#: intraspecific competition; budgets that run out in the endgame from below
-#: the tail, while leaping, and in the endgame after leaping; a member at
-#: consensus and one at the tail population; exact steps (strong
-#: intraspecific competition just above the tail); and a birth-death walk
-#: without competition, whose ``g_i`` differ from the other members' (the
-#: generic member goes in as the third).  Two members park more replicas
-#: than the exact engine's scalar tail takes, so their endgame runs the
-#: lock-step loop.
+#: intraspecific competition; budgets that run out after parking from the
+#: start, while leaping, and after leaping and parking; a member at
+#: consensus; strong intraspecific competition; two members that share their
+#: rates and so their scenario group; and a birth-death walk without
+#: competition (the generic member goes in as the third).
 _MIXED_CALL = [
     SweepMember(LVParams(1.0, 0.4, 0.3, 0.5, 0.002, 0.0, _SD), LVState(300, 500), 12, 2_500),
     SweepMember(LVParams(0.6, 1.0, 0.5, 0.3, 0.0, 0.002, _NSD), LVState(36, 28), 3, 20),
@@ -139,31 +135,28 @@ class TestResolveBackend:
 
 
 class TestStatisticalAgreement:
-    """Tau vs exact ensembles, shared tolerance helper, both mechanisms."""
+    """Tau vs exact ensembles: ρ, mean consensus time and mean events agree."""
 
     @pytest.mark.parametrize("gap", [8, 60])
     def test_agrees_with_exact_sd(self, sd_params, gap):
         state = LVState((_AGREEMENT_N + gap) // 2, (_AGREEMENT_N - gap) // 2)
         tau = _tau(sd_params, state, _AGREEMENT_RUNS, 11)
         exact = _exact(sd_params, state, _AGREEMENT_RUNS, 11)
-        assert_statistically_close(tau, exact, label=f"sd-gap{gap}")
-        # Self-destructive competition has exactly zero competitive noise —
-        # the approximation must preserve the identity, not just the mean.
-        assert np.all(tau.noise_competitive == 0)
+        assert_outcomes_close(tau, exact, label=f"sd-gap{gap}")
 
     @pytest.mark.parametrize("gap", [40])
     def test_agrees_with_exact_nsd(self, nsd_params, gap):
         state = LVState((_AGREEMENT_N + gap) // 2, (_AGREEMENT_N - gap) // 2)
         tau = _tau(nsd_params, state, _AGREEMENT_RUNS, 13)
         exact = _exact(nsd_params, state, _AGREEMENT_RUNS, 13)
-        assert_statistically_close(tau, exact, label=f"nsd-gap{gap}")
+        assert_outcomes_close(tau, exact, label=f"nsd-gap{gap}")
 
     def test_agrees_with_exact_at_large_population(self, sd_params):
         """Overlapping-n cross-check in the regime the backend is built for."""
         state = LVState(30_060, 29_940)
         tau = _tau(sd_params, state, 64, 5)
         exact = _exact(sd_params, state, 64, 5)
-        assert_statistically_close(tau, exact, label="sd-large")
+        assert_outcomes_close(tau, exact, label="sd-large")
 
 
 class TestStreamContract:
@@ -208,15 +201,14 @@ class TestStreamContract:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_fused_call_equals_solo_calls(self, members, generic_at, seed):
-        """Fused == solo as a property: each member of a random call, lv2
-        members leaping in one loop, equals its one-member call."""
+        """Fused == solo as a property: each member of a random call, every
+        member leaping in one loop, equals its one-member call."""
         if generic_at is not None:
             members = [*members[:generic_at], _GENERIC_MEMBER, *members[generic_at:]]
         seeds = [seed + index for index in range(len(members))]
-        options = {"exact_tail_population": _PROPERTY_TAIL}
-        fused = run_tau_sweep_ensemble(members, member_seeds=seeds, **options)
+        fused = run_tau_sweep_ensemble(members, member_seeds=seeds)
         for member, member_seed, result in zip(members, seeds, fused):
-            solo = run_tau_sweep_ensemble([member], member_seeds=[member_seed], **options)
+            solo = run_tau_sweep_ensemble([member], member_seeds=[member_seed])
             _assert_same_result(result, solo[0])
 
     def test_root_seed_determinism(self, sd_params):
@@ -248,14 +240,17 @@ class TestTauEnsembleBehaviour:
         assert result.leap_events is not None
         assert (result.leap_events > 0).all()
         assert (result.leap_events <= result.total_events).all()
-        # The exact scalar endgame (population <= tail threshold) always
-        # contributes events in this regime.
+        # Parked replicas (opinion population below the tail population)
+        # always take exact steps in this regime.
         assert (result.total_events > result.leap_events).all()
 
-    def test_exact_tail_handoff_can_be_disabled(self, sd_params):
-        result = _tau(sd_params, LVState(3030, 2970), 8, 21, exact_tail_population=0)
-        assert bool(result.reached_consensus.all())
-        assert result.leap_events is not None
+    def test_replicas_park_below_the_tail_population(self, sd_params):
+        """An opinion population of 512 leaps first; one of 511 parks at once."""
+        at_tail = _tau(sd_params, LVState(272, SCENARIO_TAU_TAIL_POPULATION - 272), 8, 4)
+        below = _tau(sd_params, LVState(271, SCENARIO_TAU_TAIL_POPULATION - 272), 8, 4)
+        assert at_tail.leap_events.sum() > 0
+        assert not below.leap_events.any()
+        assert (below.total_events > 0).all()
 
     def test_initial_consensus_retires_immediately(self, sd_params):
         result = _tau(sd_params, LVState(9, 0), 4, 1)
@@ -269,11 +264,11 @@ class TestTauEnsembleBehaviour:
 
     @pytest.mark.parametrize("budget", [2_990, 2_998])
     def test_a_budget_spent_in_the_endgame_ends_at_the_budget(self, sd_params, budget):
-        """The exact endgame spends what the leaps left of a replica's budget.
+        """A parked replica's exact steps spend what its leaps left of the budget.
 
         From (3030, 2970) every replica leaps ~2,750 events and then parks;
-        its endgame runs ~230-250 exact events, so these budgets run out
-        there for some replicas and not for others.
+        it then takes ~220-250 exact steps, so these budgets run out there
+        for some replicas and not for others.
         """
         result = _tau(sd_params, LVState(3030, 2970), 24, 5, max_events=budget)
         spent = result.termination_codes == 2
@@ -282,19 +277,35 @@ class TestTauEnsembleBehaviour:
         assert (result.total_events[spent] == budget).all()
         assert (result.total_events <= budget).all()
 
-    def test_lv2_members_collect_full_accounting_at_every_level(self, sd_params, nsd_params):
-        """Every event, leapt or exact, is accounted at both collect levels."""
+    def test_lv2_members_honour_collect(self, sd_params, nsd_params):
+        """Both levels follow the same trajectories; only ``"full"`` counts.
+
+        At ``"full"`` every event, leapt or exact, is good or bad by the
+        spec's static split, and the population maximum is tracked; at
+        ``"win"`` both event counts stay zero and the maximum is the initial
+        total.  The two-species accounting is zero at both levels.
+        """
         members = [
             SweepMember(sd_params, LVState(3030, 2970), 12),
             SweepMember(nsd_params, LVState(1980, 2020), 10),
         ]
         full = run_tau_sweep_ensemble(members, rng=8)
         win = run_tau_sweep_ensemble(members, rng=8, collect="win")
-        for full_result, win_result in zip(full, win):
-            _assert_same_result(win_result, full_result)
-            accounted = full_result.individual_events + full_result.competitive_events
-            assert np.array_equal(accounted, full_result.total_events)
-            assert (full_result.total_events > full_result.leap_events).all()
+        for member, full_result, win_result in zip(members, full, win):
+            for name in ("final_x0", "final_x1", "total_events", "leap_events"):
+                assert np.array_equal(getattr(full_result, name), getattr(win_result, name)), name
+            assert np.array_equal(full_result.termination_codes, win_result.termination_codes)
+            counted = full_result.good_events + full_result.bad_noncompetitive_events
+            assert np.array_equal(counted, full_result.total_events)
+            assert (full_result.good_events > 0).all()
+            assert (full_result.max_total_population >= member.initial_state.total).all()
+            assert not win_result.good_events.any()
+            assert not win_result.bad_noncompetitive_events.any()
+            assert (win_result.max_total_population == member.initial_state.total).all()
+            for result in (full_result, win_result):
+                assert not result.individual_events.any()
+                assert not result.competitive_events.any()
+                assert not result.noise_individual.any() and not result.hit_tie.any()
 
     def test_minority_majority_convention_respected(self, sd_params):
         """A species-1 majority flips the noise reference, as in the exact engine."""
@@ -312,10 +323,6 @@ class TestValidation:
             _tau(sd_params, LVState(10, 10), 4, 0, epsilon=0.0)
         with pytest.raises(InvalidConfigurationError):
             _tau(sd_params, LVState(10, 10), 4, 0, epsilon=1.0)
-
-    def test_tail_population_bounds(self, sd_params):
-        with pytest.raises(InvalidConfigurationError):
-            _tau(sd_params, LVState(10, 10), 4, 0, exact_tail_population=-1)
 
     def test_replicates_and_budget_validation(self, sd_params):
         with pytest.raises(InvalidConfigurationError):

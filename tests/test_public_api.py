@@ -12,6 +12,8 @@ import repro
 from repro.analysis.statistics import PrecisionTarget
 from repro.experiments.scheduler import ThresholdRequest
 from repro.experiments.sweep import SweepTask, execute_mega_batch, plan_members
+from repro.lv.ensemble import SweepMember
+from repro.lv.tau import run_tau_sweep_ensemble
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -72,7 +74,8 @@ class TestPackageSurface:
 
 class TestRetiredOptions:
     """Retired options stay gone (each was unused): those folded into the one
-    engine entry, and the store's read-only view over unmerged shard caches."""
+    engine entry, the store's read-only view over unmerged shard caches, and
+    the tau backend's lv2-only park threshold."""
 
     @pytest.mark.parametrize(
         "build, keyword",
@@ -101,6 +104,12 @@ class TestRetiredOptions:
                 "precision",
             ),
             (lambda p: repro.ExperimentStore("unused", read_sources=()), "read_sources"),
+            (
+                lambda p: run_tau_sweep_ensemble(
+                    [SweepMember(p, (4, 2), 2)], exact_tail_population=512
+                ),
+                "exact_tail_population",
+            ),
         ],
         ids=[
             "scheduler-compaction",
@@ -110,6 +119,7 @@ class TestRetiredOptions:
             "estimate-precision",
             "decompose-precision",
             "store-read-sources",
+            "tau-exact-tail-population",
         ],
     )
     def test_retired_option_is_rejected(self, sd_params, build, keyword):

@@ -23,7 +23,6 @@ import math
 import operator
 import random
 from functools import reduce
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,21 +80,23 @@ FAMILY_STARTS = {
 
 
 def _family_member(name, params, counts, replicates):
-    """A member for the generic engine.
-
-    ``SweepMember`` routes ``lv2`` to the specialised core and stores its
-    start as an ``LVState``; the generic engine reads only these fields, so
-    a plain namespace runs ``lv2`` through it too.
-    """
-    if name == "lv2":
-        return SimpleNamespace(
-            params=params,
-            initial_state=counts,
-            num_replicates=replicates,
-            max_events=50_000,
-            scenario=name,
-        )
+    """A member for the generic engine (an ``lv2`` one holds an ``LVState``)."""
     return SweepMember(params, counts, replicates, max_events=50_000, scenario=name)
+
+
+def _assert_matches_replay(result, replay):
+    """Every replayed array equals the result's, dtype included.
+
+    An ``lv2`` result has the two-species shape: no ``finals``, whose
+    columns the replay also gives as ``final_x0`` and ``final_x1``.
+    """
+    if result.scenario == "lv2":
+        assert result.finals is None and result.initial_counts is None
+        replay = {name: array for name, array in replay.items() if name != "finals"}
+    for field, expected in replay.items():
+        actual = getattr(result, field)
+        assert actual.dtype == expected.dtype, field
+        assert np.array_equal(actual, expected), field
 
 
 def _replay(name, params, counts, replicates, seed, collect, stream="step"):
@@ -124,11 +125,7 @@ class TestEngineParity:
         params, counts = _asymmetric(mechanism), FAMILY_STARTS[name]
         member = _family_member(name, params, counts, 30)
         (result,) = run_scenario_members([member], [123], collect=collect)
-        replay = _replay(name, params, counts, 30, 123, collect)
-        for field, expected in replay.items():
-            actual = getattr(result, field)
-            assert actual.dtype == expected.dtype, field
-            assert np.array_equal(actual, expected), field
+        _assert_matches_replay(result, _replay(name, params, counts, 30, 123, collect))
 
     def test_members_replay_independently(self):
         members = _members()
@@ -364,10 +361,7 @@ class TestTauBackend:
         (result,) = run_scenario_members_tau([member], [123], epsilon=0.03, collect=collect)
         assert not result.leap_events.any()
         replay = _replay(name, params, counts, 30, 123, collect, stream="tail")
-        for field, expected in replay.items():
-            actual = getattr(result, field)
-            assert actual.dtype == expected.dtype, field
-            assert np.array_equal(actual, expected), field
+        _assert_matches_replay(result, replay)
 
     def test_a_budget_spent_after_the_park_counts_the_leaped_events(self):
         # Every replica leaps for 1,026-1,034 events, parks and ends at
@@ -387,6 +381,18 @@ class TestTauBackend:
         assert (spent.total_events == 1_149).all()
         assert (spent.termination_codes == TERM_MAX_EVENTS).all()
         assert np.array_equal(spent.leap_events, free.leap_events)
+
+    def test_a_reaction_with_only_an_affine_rate_leaps(self):
+        # Catalysed encounters without a base rate (alpha = 0): the catalyst's
+        # affine term is their whole propensity.  They are good events and
+        # outnumber the intraspecific ones about 3,000 to 1; leaps that left
+        # them out would fire intraspecific events only, half of them bad.
+        nsd = CompetitionMechanism.NON_SELF_DESTRUCTIVE
+        params = LVParams(0.0, 0.0, 0.0, 0.0, 0.001, 0.001, nsd)
+        member = SweepMember(params, (600, 500, 200), 4, scenario="catalysis")
+        (result,) = run_scenario_members_tau([member], [7], epsilon=0.03)
+        assert (result.leap_events > 0).all()
+        assert (result.good_events > 0.9 * result.total_events).all()
 
     @settings(max_examples=60, deadline=None)
     @given(
